@@ -19,8 +19,11 @@
 //! `HTPAR_PILOT_GATE_HANDICAP_US` injects an artificial per-task cost
 //! into the throughput workload — the drill proving the gate trips.
 
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use htpar_net::client::{ClientEvent, SessionClient, SessionConfig};
@@ -50,6 +53,10 @@ pub const FAIR_WEIGHTS: [u32; 3] = [1, 2, 4];
 /// Max relative deviation of a tenant's dispatched share from its
 /// weight share.
 pub const FAIR_SHARE_TOLERANCE: f64 = 0.10;
+/// Wall-clock budget for each gate phase's threads. The CI handicap
+/// drill (30 ms per task) needs ~25 s; a phase still running at this
+/// deadline is hung, and the gate reports it instead of stalling.
+pub const PHASE_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Committed floor on sustained session throughput (sessions/s over
 /// the whole multi-wave run) in release builds. Measured ~70-90
@@ -145,11 +152,30 @@ impl PilotGateMeasurement {
 /// Fresh journal dir for one gate phase. Both phases run with
 /// `state_dir` set: journaling fsyncs on every admission, so the
 /// committed floors must hold in the durable configuration, not just
-/// the in-memory one.
-fn gate_state_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("htpar-pilot-gate-{tag}-{}", std::process::id()));
+/// the in-memory one. Each call gets its own dir: gates running at once
+/// in one process must never share a journal, or one pilot recovers
+/// the other's live sessions and waits on them forever.
+fn gate_state_dir(tag: &str) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "htpar-pilot-gate-{tag}-{}-{call}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Join a gate thread by `deadline`. A thread still running then, or
+/// one that panicked, becomes an error naming `phase`.
+fn join_by<T>(handle: JoinHandle<T>, deadline: Instant, phase: &str) -> Result<T, String> {
+    while !handle.is_finished() {
+        if Instant::now() >= deadline {
+            return Err(format!("{phase} still running at its deadline"));
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.join().map_err(|_| format!("{phase} panicked"))
 }
 
 /// Run one complete session and return its time-to-first-task.
@@ -199,6 +225,7 @@ fn measure_throughput(
     let serve = std::thread::spawn(move || server.run(None));
 
     let started = Instant::now();
+    let deadline = started + PHASE_DEADLINE;
     let workers: Vec<_> = (0..PILOT_GATE_CONCURRENCY)
         .map(|w| {
             let spec = spec.clone();
@@ -218,14 +245,12 @@ fn measure_throughput(
         .collect();
     let mut ttfts = Vec::with_capacity(total_sessions as usize);
     for worker in workers {
-        ttfts.extend(worker.join().map_err(|_| "worker panicked".to_string())??);
+        ttfts.extend(join_by(worker, deadline, "throughput client")??);
     }
     let wall = started.elapsed();
 
-    let outcome = serve
-        .join()
-        .map_err(|_| "serve thread panicked".to_string())?
-        .map_err(|e| format!("serve: {e}"))?;
+    let outcome =
+        join_by(serve, deadline, "throughput serve loop")?.map_err(|e| format!("serve: {e}"))?;
     if outcome.completed != total_sessions * PILOT_GATE_TASKS_PER_SESSION {
         return Err(format!(
             "pilot completed {} of {} tasks",
@@ -257,6 +282,7 @@ fn measure_fairness(specs: Vec<String>) -> Result<f64, String> {
         .local_spec()
         .map_err(|e| format!("pilot spec: {e}"))?;
     let serve = std::thread::spawn(move || server.run(None));
+    let deadline = Instant::now() + PHASE_DEADLINE;
 
     // All three Submits race within a barrier-width of each other so
     // no tenant gets a meaningful head start on the backlog window.
@@ -290,12 +316,9 @@ fn measure_fairness(specs: Vec<String>) -> Result<f64, String> {
         })
         .collect();
     for client in clients {
-        client.join().map_err(|_| "client panicked".to_string())??;
+        join_by(client, deadline, "fairness client")??;
     }
-    serve
-        .join()
-        .map_err(|_| "serve thread panicked".to_string())?
-        .map_err(|e| format!("serve: {e}"))?;
+    join_by(serve, deadline, "fairness serve loop")?.map_err(|e| format!("serve: {e}"))?;
     let _ = std::fs::remove_dir_all(&state_dir);
 
     // Walk dispatch events chronologically; the contended window ends
@@ -418,6 +441,29 @@ mod tests {
         assert!(line.contains("\"sessions_per_sec\":12.0"));
         assert!(line.contains("\"p99_ttft_ms\":35.00"));
         assert!(line.contains("\"fairness_err\":0.0420"));
+    }
+
+    #[test]
+    fn gate_state_dirs_are_unique_per_call() {
+        // The two tests in `pilot_rate_gate.rs` run at once in one
+        // process with the same tags.
+        assert_ne!(gate_state_dir("throughput"), gate_state_dir("throughput"));
+    }
+
+    #[test]
+    fn join_by_names_the_phase_of_a_hung_thread() {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let stuck = std::thread::spawn(move || {
+            let _ = rx.recv();
+        });
+        let err = join_by(stuck, Instant::now(), "stuck phase").unwrap_err();
+        assert!(err.contains("stuck phase"), "{err}");
+        tx.send(()).unwrap();
+        let done = std::thread::spawn(|| 7);
+        assert_eq!(
+            join_by(done, Instant::now() + PHASE_DEADLINE, "quick"),
+            Ok(7)
+        );
     }
 
     #[test]

@@ -28,6 +28,7 @@ use htpar_core::sched::SchedPolicy;
 use htpar_net::agent::{self, AgentConfig};
 use htpar_net::client::{ClientEvent, SessionClient, SessionConfig};
 use htpar_net::driver::{run_driver, DriveOutcome, DriverConfig};
+use htpar_net::fleet::AgentStat;
 use htpar_net::frame::Payload;
 use htpar_net::local::LocalCluster;
 use htpar_net::serve::{PilotServer, ServeConfig, ServeOutcome, SERVE_ANNOUNCE_PREFIX};
@@ -194,6 +195,13 @@ fn parse_command_tail(argv: &[String], i: usize) -> (String, Option<Vec<String>>
     (words.join(" "), values)
 }
 
+/// The value word after the flag at `argv[i]`.
+fn flag_value(argv: &[String], i: usize, flag: &str) -> Result<String, String> {
+    argv.get(i + 1)
+        .cloned()
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
 /// Read and build a `--dag` file. `make` carries the `--make` render
 /// template (`{}` = target); `None` selects the `id: cmd` grammar.
 fn load_dag(path: &std::path::Path, make: Option<&str>) -> Result<Dag, String> {
@@ -263,24 +271,195 @@ fn run_agent(argv: &[String]) -> i32 {
     }
 }
 
+// ---------------------------------------------------------------- fleet
+
+/// The fleet flags `drive` and `serve` share: where the agents are, the
+/// slots each runs, heartbeat and lease timing, the I/O core, and the
+/// chaos hook.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetArgs {
+    pub agents: Vec<String>,
+    pub local_cluster: usize,
+    pub jobs_per_agent: u32,
+    pub heartbeat_ms: u32,
+    pub lease_window_ms: u64,
+    /// `--net-core`; `None` defers to `HTPAR_NET_CORE` / the default.
+    pub core: Option<NetCore>,
+    /// `--chaos-kill-agent IDX@DONE`.
+    pub chaos_kill: Option<(usize, u64)>,
+}
+
+impl Default for FleetArgs {
+    fn default() -> Self {
+        FleetArgs {
+            agents: Vec::new(),
+            local_cluster: 0,
+            jobs_per_agent: 2,
+            heartbeat_ms: 200,
+            lease_window_ms: 2_000,
+            core: None,
+            chaos_kill: None,
+        }
+    }
+}
+
+impl FleetArgs {
+    /// Parse the fleet flag at `argv[i]`, if it is one. Returns how many
+    /// words it took; 0 means `argv[i]` is not a fleet flag.
+    fn parse_flag(&mut self, argv: &[String], i: usize) -> Result<usize, String> {
+        match argv[i].as_str() {
+            "--agents" => {
+                self.agents = flag_value(argv, i, "--agents")?
+                    .split(',')
+                    .filter(|s| !s.is_empty())
+                    .map(str::to_string)
+                    .collect();
+            }
+            "--local-cluster" => {
+                self.local_cluster = flag_value(argv, i, "--local-cluster")?
+                    .parse()
+                    .map_err(|_| "--local-cluster needs a count".to_string())?;
+            }
+            "-j" | "--jobs-per-agent" => {
+                self.jobs_per_agent = flag_value(argv, i, "-j")?
+                    .parse()
+                    .map_err(|_| "-j needs a number".to_string())?;
+            }
+            "--heartbeat-ms" => {
+                self.heartbeat_ms = flag_value(argv, i, "--heartbeat-ms")?
+                    .parse()
+                    .map_err(|_| "--heartbeat-ms needs milliseconds".to_string())?;
+            }
+            "--lease-ms" => {
+                self.lease_window_ms = flag_value(argv, i, "--lease-ms")?
+                    .parse()
+                    .map_err(|_| "--lease-ms needs milliseconds".to_string())?;
+            }
+            "--net-core" => {
+                let v = flag_value(argv, i, "--net-core")?;
+                self.core =
+                    Some(NetCore::parse(&v).ok_or_else(|| {
+                        format!("unknown net core {v:?} (want reactor or threaded)")
+                    })?);
+            }
+            "--chaos-kill-agent" => {
+                self.chaos_kill = Some(parse_chaos(&flag_value(argv, i, "--chaos-kill-agent")?)?);
+            }
+            other => {
+                // `-j16` attached form, matching the main CLI grammar.
+                return match other.strip_prefix("-j") {
+                    Some(n) if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) => {
+                        self.jobs_per_agent =
+                            n.parse().map_err(|_| "-j needs a number".to_string())?;
+                        Ok(1)
+                    }
+                    _ => Ok(0),
+                };
+            }
+        }
+        Ok(2)
+    }
+
+    /// Cross-flag checks, once every flag is parsed.
+    fn validate(&self) -> Result<(), String> {
+        if self.agents.is_empty() && self.local_cluster == 0 {
+            return Err("one of --agents or --local-cluster is required".to_string());
+        }
+        match self.chaos_kill {
+            Some(_) if self.local_cluster == 0 => {
+                Err("--chaos-kill-agent requires --local-cluster".to_string())
+            }
+            Some((idx, _)) if idx >= self.local_cluster => Err(format!(
+                "--chaos-kill-agent index {idx} out of range for --local-cluster {}",
+                self.local_cluster
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Bring the fleet up for `htpar CMD` and run `body` on it: export
+    /// `--net-core` to spawned agents, spawn the `--local-cluster`, and
+    /// hand `body` the agent specs plus the `--chaos-kill-agent` hook.
+    /// `body` returns the exit code. After a clean run the drained local
+    /// agents are reaped; after a failed one they are killed, since some
+    /// may still wait for a driver that never dialed them.
+    fn run(
+        &self,
+        cmd: &str,
+        body: impl FnOnce(Vec<String>, Option<&mut dyn FnMut(u64)>) -> i32,
+    ) -> i32 {
+        if let Some(core) = self.core {
+            // Local-cluster agents pick their core up from the
+            // environment, so the flag must land before any children
+            // spawn.
+            std::env::set_var(ENV_NET_CORE, core.as_str());
+        }
+        let mut cluster = if self.local_cluster > 0 {
+            match LocalCluster::spawn_self(self.local_cluster) {
+                Ok(cluster) => Some(cluster),
+                Err(e) => {
+                    eprintln!("htpar {cmd}: spawning local cluster: {e}");
+                    return 1;
+                }
+            }
+        } else {
+            None
+        };
+        let agents = match &cluster {
+            Some(cluster) => cluster.specs.clone(),
+            None => self.agents.clone(),
+        };
+        // Chaos hook: SIGKILL one local agent at a deterministic point in
+        // the completion sequence.
+        let mut chaos = match (self.chaos_kill, cluster.as_mut()) {
+            (Some((idx, at)), Some(cluster)) => {
+                let mut fired = false;
+                Some(move |done: u64| {
+                    if !fired && done >= at {
+                        fired = true;
+                        eprintln!("htpar {cmd}: chaos: killing agent {idx} at done={done}");
+                        cluster.kill(idx);
+                    }
+                })
+            }
+            _ => None,
+        };
+        let code = body(agents, chaos.as_mut().map(|f| f as &mut dyn FnMut(u64)));
+        if code == 0 {
+            // Drained agents exit on their own; reap them. After a
+            // failure, dropping the cluster kills them instead.
+            if let Some(mut cluster) = cluster {
+                cluster.join();
+            }
+        }
+        code
+    }
+}
+
+/// One summary line per agent.
+fn print_agents(agents: &[AgentStat]) {
+    for (idx, agent) in agents.iter().enumerate() {
+        let mut line = format!("  agent {idx} ({}): {} done", agent.name, agent.done);
+        if agent.lost {
+            line.push_str(" [lost]");
+        }
+        if let Some(error) = &agent.error {
+            line.push_str(&format!(" [error: {error}]"));
+        }
+        eprintln!("{line}");
+    }
+}
+
 // ---------------------------------------------------------------- drive
 
 /// Parsed `htpar drive` invocation (separated from execution so the
 /// grammar is unit-testable without sockets).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriveSpec {
-    pub agents: Vec<String>,
-    pub local_cluster: usize,
-    pub jobs_per_agent: u32,
+    pub fleet: FleetArgs,
     pub joblog: Option<PathBuf>,
     pub resume: bool,
-    pub heartbeat_ms: u32,
-    pub lease_window_ms: u64,
     pub payload: Payload,
-    /// `--net-core`; `None` defers to `HTPAR_NET_CORE` / the default.
-    pub core: Option<NetCore>,
-    /// `--chaos-kill-agent IDX@DONE`.
-    pub chaos_kill: Option<(usize, u64)>,
     /// `--dag FILE`: dependency-aware drive; commands come from FILE.
     pub dag: Option<PathBuf>,
     /// `--make`: the `--dag` file is make-style `target: deps` lines,
@@ -295,16 +474,10 @@ pub struct DriveSpec {
 impl Default for DriveSpec {
     fn default() -> Self {
         DriveSpec {
-            agents: Vec::new(),
-            local_cluster: 0,
-            jobs_per_agent: 2,
+            fleet: FleetArgs::default(),
             joblog: None,
             resume: false,
-            heartbeat_ms: 200,
-            lease_window_ms: 2_000,
             payload: Payload::Shell,
-            core: None,
-            chaos_kill: None,
             dag: None,
             make: false,
             command: String::new(),
@@ -318,71 +491,27 @@ impl Default for DriveSpec {
 pub fn parse_drive(argv: &[String]) -> Result<DriveSpec, String> {
     let mut spec = DriveSpec::default();
     let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while i < argv.len() {
+        let taken = spec.fleet.parse_flag(argv, i)?;
+        if taken > 0 {
+            i += taken;
+            continue;
+        }
         match argv[i].as_str() {
-            "--agents" => {
-                spec.agents = value(argv, i, "--agents")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                i += 2;
-            }
-            "--local-cluster" => {
-                spec.local_cluster = value(argv, i, "--local-cluster")?
-                    .parse()
-                    .map_err(|_| "--local-cluster needs a count".to_string())?;
-                i += 2;
-            }
-            "-j" | "--jobs-per-agent" => {
-                spec.jobs_per_agent = value(argv, i, "-j")?
-                    .parse()
-                    .map_err(|_| "-j needs a number".to_string())?;
-                i += 2;
-            }
             "--joblog" => {
-                spec.joblog = Some(PathBuf::from(value(argv, i, "--joblog")?));
+                spec.joblog = Some(PathBuf::from(flag_value(argv, i, "--joblog")?));
                 i += 2;
             }
             "--resume" => {
                 spec.resume = true;
                 i += 1;
             }
-            "--heartbeat-ms" => {
-                spec.heartbeat_ms = value(argv, i, "--heartbeat-ms")?
-                    .parse()
-                    .map_err(|_| "--heartbeat-ms needs milliseconds".to_string())?;
-                i += 2;
-            }
-            "--lease-ms" => {
-                spec.lease_window_ms = value(argv, i, "--lease-ms")?
-                    .parse()
-                    .map_err(|_| "--lease-ms needs milliseconds".to_string())?;
-                i += 2;
-            }
             "--payload" => {
-                spec.payload = parse_payload(&value(argv, i, "--payload")?)?;
-                i += 2;
-            }
-            "--net-core" => {
-                let v = value(argv, i, "--net-core")?;
-                spec.core =
-                    Some(NetCore::parse(&v).ok_or_else(|| {
-                        format!("unknown net core {v:?} (want reactor or threaded)")
-                    })?);
-                i += 2;
-            }
-            "--chaos-kill-agent" => {
-                spec.chaos_kill = Some(parse_chaos(&value(argv, i, "--chaos-kill-agent")?)?);
+                spec.payload = parse_payload(&flag_value(argv, i, "--payload")?)?;
                 i += 2;
             }
             "--dag" => {
-                spec.dag = Some(PathBuf::from(value(argv, i, "--dag")?));
+                spec.dag = Some(PathBuf::from(flag_value(argv, i, "--dag")?));
                 i += 2;
             }
             "--make" => {
@@ -394,15 +523,6 @@ pub fn parse_drive(argv: &[String]) -> Result<DriveSpec, String> {
                 return Ok(spec);
             }
             other => {
-                // `-j16` attached form, matching the main CLI grammar.
-                if let Some(n) = other.strip_prefix("-j") {
-                    if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) {
-                        spec.jobs_per_agent =
-                            n.parse().map_err(|_| "-j needs a number".to_string())?;
-                        i += 1;
-                        continue;
-                    }
-                }
                 // An unrecognized `--flag` before the command is a typo,
                 // not a command word — absorbing it would silently eat
                 // everything after it (e.g. `--joblog`) into the template.
@@ -436,20 +556,7 @@ pub fn parse_drive(argv: &[String]) -> Result<DriveSpec, String> {
     } else if spec.command.is_empty() {
         return Err("a command template is required".to_string());
     }
-    if spec.agents.is_empty() && spec.local_cluster == 0 {
-        return Err("one of --agents or --local-cluster is required".to_string());
-    }
-    if spec.chaos_kill.is_some() && spec.local_cluster == 0 {
-        return Err("--chaos-kill-agent requires --local-cluster".to_string());
-    }
-    if let Some((idx, _)) = spec.chaos_kill {
-        if idx >= spec.local_cluster {
-            return Err(format!(
-                "--chaos-kill-agent index {idx} out of range for --local-cluster {}",
-                spec.local_cluster
-            ));
-        }
-    }
+    spec.fleet.validate()?;
     Ok(spec)
 }
 
@@ -533,92 +640,41 @@ fn run_drive(argv: &[String]) -> i32 {
         return 1;
     }
 
-    if let Some(core) = spec.core {
-        // Local-cluster agents pick their core up from the environment,
-        // so the flag must land before any children spawn.
-        std::env::set_var(ENV_NET_CORE, core.as_str());
-    }
-
-    let mut cluster = if spec.local_cluster > 0 {
-        match LocalCluster::spawn_self(spec.local_cluster) {
-            Ok(cluster) => Some(cluster),
-            Err(e) => {
-                eprintln!("htpar drive: spawning local cluster: {e}");
-                return 1;
-            }
-        }
-    } else {
-        None
-    };
-    let agents = match &cluster {
-        Some(cluster) => cluster.specs.clone(),
-        None => spec.agents.clone(),
-    };
-
     let command = if dag.is_some() {
         "{}".to_string()
     } else {
         spec.command.clone()
     };
-    let mut config = DriverConfig::new(agents, command);
-    config.deps = dag.as_ref().map(Dag::dep_seqs);
-    if let Some(core) = spec.core {
-        config.core = core;
-    }
-    config.jobs_per_agent = spec.jobs_per_agent;
-    config.payload = spec.payload;
-    config.heartbeat_ms = spec.heartbeat_ms;
-    config.lease_window_ms = spec.lease_window_ms;
-    config.drain_timeout = Duration::from_secs(10);
-    config.joblog = spec.joblog.clone();
-    config.resume = spec.resume;
-    config.bus = bus_from_env();
-
-    // Chaos hook: SIGKILL one local agent at a deterministic point in
-    // the completion sequence.
-    let mut chaos_cb: Option<Box<dyn FnMut(u64) + '_>> = match (spec.chaos_kill, cluster.as_mut()) {
-        (Some((idx, at)), Some(cluster)) => {
-            let mut fired = false;
-            // The closure holds the only &mut to the cluster while
-            // run_driver is live; join/drop below run after it is gone.
-            let cluster: &mut LocalCluster = cluster;
-            Some(Box::new(move |done: u64| {
-                if !fired && done >= at {
-                    fired = true;
-                    eprintln!("htpar drive: chaos: killing agent {idx} at done={done}");
-                    cluster.kill(idx);
-                }
-            }))
+    spec.fleet.run("drive", |agents, chaos| {
+        let mut config = DriverConfig::new(agents, command);
+        config.deps = dag.as_ref().map(Dag::dep_seqs);
+        if let Some(core) = spec.fleet.core {
+            config.core = core;
         }
-        _ => None,
-    };
-
-    let outcome = run_driver(
-        &config,
-        &inputs,
-        chaos_cb.as_deref_mut().map(|f| f as &mut dyn FnMut(u64)),
-    );
-    drop(chaos_cb);
-    let code = match outcome {
-        Ok(outcome) => {
-            print_summary(&outcome);
-            // A dep-failed skip is a terminal outcome, not missing work.
-            if outcome.completed + outcome.skipped + outcome.skipped_dep_failed == outcome.total {
-                0
-            } else {
+        config.jobs_per_agent = spec.fleet.jobs_per_agent;
+        config.payload = spec.payload;
+        config.heartbeat_ms = spec.fleet.heartbeat_ms;
+        config.lease_window_ms = spec.fleet.lease_window_ms;
+        config.joblog = spec.joblog.clone();
+        config.resume = spec.resume;
+        config.bus = bus_from_env();
+        match run_driver(&config, &inputs, chaos) {
+            Ok(outcome) => {
+                print_summary(&outcome);
+                // A dep-failed skip is a terminal outcome, not missing work.
+                if outcome.completed + outcome.skipped + outcome.skipped_dep_failed == outcome.total
+                {
+                    0
+                } else {
+                    1
+                }
+            }
+            Err(e) => {
+                eprintln!("htpar drive: {e}");
                 1
             }
         }
-        Err(e) => {
-            eprintln!("htpar drive: {e}");
-            1
-        }
-    };
-    if let Some(mut cluster) = cluster {
-        // Drained agents exit on their own; reap them.
-        cluster.join();
-    }
-    code
+    })
 }
 
 fn print_summary(outcome: &DriveOutcome) {
@@ -636,16 +692,7 @@ fn print_summary(outcome: &DriveOutcome) {
         outcome.skipped,
         outcome.duplicates,
     );
-    for (idx, agent) in outcome.agents.iter().enumerate() {
-        let mut line = format!("  agent {idx} ({}): {} done", agent.name, agent.done);
-        if agent.lost {
-            line.push_str(" [lost]");
-        }
-        if let Some(error) = &agent.error {
-            line.push_str(&format!(" [error: {error}]"));
-        }
-        eprintln!("{line}");
-    }
+    print_agents(&outcome.agents);
 }
 
 // ------------------------------------------------------------------ dag
@@ -683,23 +730,18 @@ impl Default for DagCmdSpec {
 pub fn parse_dag(argv: &[String]) -> Result<DagCmdSpec, String> {
     let mut spec = DagCmdSpec::default();
     let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while i < argv.len() {
         match argv[i].as_str() {
             "-j" | "--jobs" => {
                 spec.jobs = Some(
-                    value(argv, i, "-j")?
+                    flag_value(argv, i, "-j")?
                         .parse()
                         .map_err(|_| "-j needs a number".to_string())?,
                 );
                 i += 2;
             }
             "--joblog" => {
-                spec.joblog = Some(PathBuf::from(value(argv, i, "--joblog")?));
+                spec.joblog = Some(PathBuf::from(flag_value(argv, i, "--joblog")?));
                 i += 2;
             }
             "--resume" => {
@@ -707,7 +749,7 @@ pub fn parse_dag(argv: &[String]) -> Result<DagCmdSpec, String> {
                 i += 1;
             }
             "--make" => {
-                spec.make = Some(value(argv, i, "--make")?);
+                spec.make = Some(flag_value(argv, i, "--make")?);
                 i += 2;
             }
             "--no-shell" => {
@@ -856,10 +898,8 @@ fn print_dag_plan(dag: &Dag) {
 /// Parsed `htpar serve` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeSpec {
+    pub fleet: FleetArgs,
     pub listen: String,
-    pub agents: Vec<String>,
-    pub local_cluster: usize,
-    pub jobs_per_agent: u32,
     pub policy: SchedPolicy,
     pub max_queue: u64,
     pub oversub: u32,
@@ -870,10 +910,6 @@ pub struct ServeSpec {
     /// Compact the journal after this many closed sessions; 0 never.
     pub journal_compact_every: u64,
     pub max_sessions: Option<u64>,
-    pub heartbeat_ms: u32,
-    pub lease_window_ms: u64,
-    pub core: Option<NetCore>,
-    pub chaos_kill: Option<(usize, u64)>,
     pub announce: bool,
     pub help: bool,
 }
@@ -881,10 +917,8 @@ pub struct ServeSpec {
 impl Default for ServeSpec {
     fn default() -> Self {
         ServeSpec {
+            fleet: FleetArgs::default(),
             listen: "127.0.0.1:0".to_string(),
-            agents: Vec::new(),
-            local_cluster: 0,
-            jobs_per_agent: 2,
             policy: SchedPolicy::Fair,
             max_queue: 100_000,
             oversub: 4,
@@ -893,10 +927,6 @@ impl Default for ServeSpec {
             detach_ttl: 3_600,
             journal_compact_every: 64,
             max_sessions: None,
-            heartbeat_ms: 200,
-            lease_window_ms: 2_000,
-            core: None,
-            chaos_kill: None,
             announce: true,
             help: false,
         }
@@ -907,106 +937,62 @@ impl Default for ServeSpec {
 pub fn parse_serve(argv: &[String]) -> Result<ServeSpec, String> {
     let mut spec = ServeSpec::default();
     let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while i < argv.len() {
+        let taken = spec.fleet.parse_flag(argv, i)?;
+        if taken > 0 {
+            i += taken;
+            continue;
+        }
         match argv[i].as_str() {
             "--listen" => {
-                spec.listen = value(argv, i, "--listen")?;
-                i += 2;
-            }
-            "--agents" => {
-                spec.agents = value(argv, i, "--agents")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                i += 2;
-            }
-            "--local-cluster" => {
-                spec.local_cluster = value(argv, i, "--local-cluster")?
-                    .parse()
-                    .map_err(|_| "--local-cluster needs a count".to_string())?;
-                i += 2;
-            }
-            "-j" | "--jobs-per-agent" => {
-                spec.jobs_per_agent = value(argv, i, "-j")?
-                    .parse()
-                    .map_err(|_| "-j needs a number".to_string())?;
+                spec.listen = flag_value(argv, i, "--listen")?;
                 i += 2;
             }
             "--scheduler" => {
-                let v = value(argv, i, "--scheduler")?;
+                let v = flag_value(argv, i, "--scheduler")?;
                 spec.policy = SchedPolicy::parse(&v).ok_or_else(|| {
                     format!("unknown scheduler {v:?} (want fifo, fair, or priority)")
                 })?;
                 i += 2;
             }
             "--max-queue" => {
-                spec.max_queue = value(argv, i, "--max-queue")?
+                spec.max_queue = flag_value(argv, i, "--max-queue")?
                     .parse()
                     .map_err(|_| "--max-queue needs a count".to_string())?;
                 i += 2;
             }
             "--oversub" => {
-                spec.oversub = value(argv, i, "--oversub")?
+                spec.oversub = flag_value(argv, i, "--oversub")?
                     .parse()
                     .map_err(|_| "--oversub needs a number".to_string())?;
                 i += 2;
             }
             "--joblog-dir" => {
-                spec.joblog_dir = Some(PathBuf::from(value(argv, i, "--joblog-dir")?));
+                spec.joblog_dir = Some(PathBuf::from(flag_value(argv, i, "--joblog-dir")?));
                 i += 2;
             }
             "--state-dir" => {
-                spec.state_dir = Some(PathBuf::from(value(argv, i, "--state-dir")?));
+                spec.state_dir = Some(PathBuf::from(flag_value(argv, i, "--state-dir")?));
                 i += 2;
             }
             "--detach-ttl" => {
-                spec.detach_ttl = value(argv, i, "--detach-ttl")?
+                spec.detach_ttl = flag_value(argv, i, "--detach-ttl")?
                     .parse()
                     .map_err(|_| "--detach-ttl needs seconds".to_string())?;
                 i += 2;
             }
             "--journal-compact" => {
-                spec.journal_compact_every = value(argv, i, "--journal-compact")?
+                spec.journal_compact_every = flag_value(argv, i, "--journal-compact")?
                     .parse()
                     .map_err(|_| "--journal-compact needs a count".to_string())?;
                 i += 2;
             }
             "--max-sessions" => {
                 spec.max_sessions = Some(
-                    value(argv, i, "--max-sessions")?
+                    flag_value(argv, i, "--max-sessions")?
                         .parse()
                         .map_err(|_| "--max-sessions needs a count".to_string())?,
                 );
-                i += 2;
-            }
-            "--heartbeat-ms" => {
-                spec.heartbeat_ms = value(argv, i, "--heartbeat-ms")?
-                    .parse()
-                    .map_err(|_| "--heartbeat-ms needs milliseconds".to_string())?;
-                i += 2;
-            }
-            "--lease-ms" => {
-                spec.lease_window_ms = value(argv, i, "--lease-ms")?
-                    .parse()
-                    .map_err(|_| "--lease-ms needs milliseconds".to_string())?;
-                i += 2;
-            }
-            "--net-core" => {
-                let v = value(argv, i, "--net-core")?;
-                spec.core =
-                    Some(NetCore::parse(&v).ok_or_else(|| {
-                        format!("unknown net core {v:?} (want reactor or threaded)")
-                    })?);
-                i += 2;
-            }
-            "--chaos-kill-agent" => {
-                spec.chaos_kill = Some(parse_chaos(&value(argv, i, "--chaos-kill-agent")?)?);
                 i += 2;
             }
             "--quiet" => {
@@ -1017,33 +1003,10 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeSpec, String> {
                 spec.help = true;
                 return Ok(spec);
             }
-            other => {
-                if let Some(n) = other.strip_prefix("-j") {
-                    if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) {
-                        spec.jobs_per_agent =
-                            n.parse().map_err(|_| "-j needs a number".to_string())?;
-                        i += 1;
-                        continue;
-                    }
-                }
-                return Err(format!("unknown option {other}"));
-            }
+            other => return Err(format!("unknown option {other}")),
         }
     }
-    if spec.agents.is_empty() && spec.local_cluster == 0 {
-        return Err("one of --agents or --local-cluster is required".to_string());
-    }
-    if spec.chaos_kill.is_some() && spec.local_cluster == 0 {
-        return Err("--chaos-kill-agent requires --local-cluster".to_string());
-    }
-    if let Some((idx, _)) = spec.chaos_kill {
-        if idx >= spec.local_cluster && spec.local_cluster > 0 {
-            return Err(format!(
-                "--chaos-kill-agent index {idx} out of range for --local-cluster {}",
-                spec.local_cluster
-            ));
-        }
-    }
+    spec.fleet.validate()?;
     if spec.oversub == 0 {
         return Err("--oversub must be at least 1".to_string());
     }
@@ -1059,93 +1022,55 @@ fn run_serve(argv: &[String]) -> i32 {
         println!("{SERVE_USAGE}");
         return 0;
     }
-    if let Some(core) = spec.core {
-        std::env::set_var(ENV_NET_CORE, core.as_str());
-    }
-    let mut cluster = if spec.local_cluster > 0 {
-        match LocalCluster::spawn_self(spec.local_cluster) {
-            Ok(cluster) => Some(cluster),
-            Err(e) => {
-                eprintln!("htpar serve: spawning local cluster: {e}");
-                return 1;
-            }
-        }
-    } else {
-        None
-    };
-    let agents = match &cluster {
-        Some(cluster) => cluster.specs.clone(),
-        None => spec.agents.clone(),
-    };
+    spec.fleet.run("serve", |agents, chaos| {
+        let mut config = ServeConfig::new(agents, spec.listen.clone());
+        config.jobs_per_agent = spec.fleet.jobs_per_agent;
+        config.policy = spec.policy;
+        config.max_queue_per_tenant = spec.max_queue;
+        config.oversub = spec.oversub;
+        config.joblog_dir = spec.joblog_dir.clone();
+        config.state_dir = spec.state_dir.clone();
+        config.detach_ttl = if spec.detach_ttl == 0 {
+            None
+        } else {
+            Some(Duration::from_secs(spec.detach_ttl))
+        };
+        config.journal_compact_every = spec.journal_compact_every;
+        config.max_sessions = spec.max_sessions;
+        config.heartbeat_ms = spec.fleet.heartbeat_ms;
+        config.lease_window_ms = spec.fleet.lease_window_ms;
+        config.bus = bus_from_env();
 
-    let mut config = ServeConfig::new(agents, spec.listen.clone());
-    config.jobs_per_agent = spec.jobs_per_agent;
-    config.policy = spec.policy;
-    config.max_queue_per_tenant = spec.max_queue;
-    config.oversub = spec.oversub;
-    config.joblog_dir = spec.joblog_dir.clone();
-    config.state_dir = spec.state_dir.clone();
-    config.detach_ttl = if spec.detach_ttl == 0 {
-        None
-    } else {
-        Some(Duration::from_secs(spec.detach_ttl))
-    };
-    config.journal_compact_every = spec.journal_compact_every;
-    config.max_sessions = spec.max_sessions;
-    config.heartbeat_ms = spec.heartbeat_ms;
-    config.lease_window_ms = spec.lease_window_ms;
-    config.bus = bus_from_env();
-
-    let server = match PilotServer::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("htpar serve: {e}");
-            return 1;
-        }
-    };
-    if spec.announce {
-        match server.local_spec() {
-            Ok(addr) => {
-                println!("{SERVE_ANNOUNCE_PREFIX} {addr}");
-                let _ = std::io::stdout().flush();
-            }
+        let server = match PilotServer::bind(config) {
+            Ok(server) => server,
             Err(e) => {
                 eprintln!("htpar serve: {e}");
                 return 1;
             }
-        }
-    }
-
-    let mut chaos_cb: Option<Box<dyn FnMut(u64) + '_>> = match (spec.chaos_kill, cluster.as_mut()) {
-        (Some((idx, at)), Some(cluster)) => {
-            let mut fired = false;
-            let cluster: &mut LocalCluster = cluster;
-            Some(Box::new(move |done: u64| {
-                if !fired && done >= at {
-                    fired = true;
-                    eprintln!("htpar serve: chaos: killing agent {idx} at done={done}");
-                    cluster.kill(idx);
+        };
+        if spec.announce {
+            match server.local_spec() {
+                Ok(addr) => {
+                    println!("{SERVE_ANNOUNCE_PREFIX} {addr}");
+                    let _ = std::io::stdout().flush();
                 }
-            }))
+                Err(e) => {
+                    eprintln!("htpar serve: {e}");
+                    return 1;
+                }
+            }
         }
-        _ => None,
-    };
-    let outcome = server.run(chaos_cb.as_deref_mut().map(|f| f as &mut dyn FnMut(u64)));
-    drop(chaos_cb);
-    let code = match outcome {
-        Ok(outcome) => {
-            print_serve_summary(&outcome);
-            0
+        match server.run(chaos) {
+            Ok(outcome) => {
+                print_serve_summary(&outcome);
+                0
+            }
+            Err(e) => {
+                eprintln!("htpar serve: {e}");
+                1
+            }
         }
-        Err(e) => {
-            eprintln!("htpar serve: {e}");
-            1
-        }
-    };
-    if let Some(mut cluster) = cluster {
-        cluster.join();
-    }
-    code
+    })
 }
 
 fn print_serve_summary(outcome: &ServeOutcome) {
@@ -1165,16 +1090,7 @@ fn print_serve_summary(outcome: &ServeOutcome) {
             tenant.name, tenant.completed, tenant.rejected_submits
         );
     }
-    for (idx, agent) in outcome.agents.iter().enumerate() {
-        let mut line = format!("  agent {idx} ({}): {} done", agent.name, agent.done);
-        if agent.lost {
-            line.push_str(" [lost]");
-        }
-        if let Some(error) = &agent.error {
-            line.push_str(&format!(" [error: {error}]"));
-        }
-        eprintln!("{line}");
-    }
+    print_agents(&outcome.agents);
 }
 
 // --------------------------------------------------------------- submit
@@ -1226,52 +1142,47 @@ impl Default for SubmitSpec {
 pub fn parse_submit(argv: &[String]) -> Result<SubmitSpec, String> {
     let mut spec = SubmitSpec::default();
     let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while i < argv.len() {
         match argv[i].as_str() {
             "--connect" => {
-                spec.connect = value(argv, i, "--connect")?;
+                spec.connect = flag_value(argv, i, "--connect")?;
                 i += 2;
             }
             "--tenant" => {
-                spec.tenant = value(argv, i, "--tenant")?;
+                spec.tenant = flag_value(argv, i, "--tenant")?;
                 i += 2;
             }
             "--weight" => {
-                spec.weight = value(argv, i, "--weight")?
+                spec.weight = flag_value(argv, i, "--weight")?
                     .parse()
                     .map_err(|_| "--weight needs a number".to_string())?;
                 i += 2;
             }
             "--priority" => {
-                spec.priority = value(argv, i, "--priority")?
+                spec.priority = flag_value(argv, i, "--priority")?
                     .parse()
                     .map_err(|_| "--priority needs a number".to_string())?;
                 i += 2;
             }
             "--payload" => {
-                spec.payload = parse_payload(&value(argv, i, "--payload")?)?;
+                spec.payload = parse_payload(&flag_value(argv, i, "--payload")?)?;
                 i += 2;
             }
             "--batch" => {
-                spec.batch = value(argv, i, "--batch")?
+                spec.batch = flag_value(argv, i, "--batch")?
                     .parse()
                     .map_err(|_| "--batch needs a count".to_string())?;
                 i += 2;
             }
             "--retry-max" => {
-                spec.retry_max = value(argv, i, "--retry-max")?
+                spec.retry_max = flag_value(argv, i, "--retry-max")?
                     .parse()
                     .map_err(|_| "--retry-max needs a count".to_string())?;
                 i += 2;
             }
             "--detach" => {
                 spec.detach = Some(
-                    value(argv, i, "--detach")?
+                    flag_value(argv, i, "--detach")?
                         .parse()
                         .map_err(|_| "--detach needs a numeric key".to_string())?,
                 );
@@ -1279,14 +1190,14 @@ pub fn parse_submit(argv: &[String]) -> Result<SubmitSpec, String> {
             }
             "--reattach" => {
                 spec.reattach = Some(
-                    value(argv, i, "--reattach")?
+                    flag_value(argv, i, "--reattach")?
                         .parse()
                         .map_err(|_| "--reattach needs a numeric key".to_string())?,
                 );
                 i += 2;
             }
             "--dag" => {
-                spec.dag = Some(PathBuf::from(value(argv, i, "--dag")?));
+                spec.dag = Some(PathBuf::from(flag_value(argv, i, "--dag")?));
                 i += 2;
             }
             "--make" => {
@@ -1647,12 +1558,12 @@ mod tests {
              --chaos-kill-agent 2@500 task {} ::: a b c",
         ))
         .unwrap();
-        assert_eq!(spec.local_cluster, 4);
-        assert_eq!(spec.jobs_per_agent, 16);
+        assert_eq!(spec.fleet.local_cluster, 4);
+        assert_eq!(spec.fleet.jobs_per_agent, 16);
         assert_eq!(spec.joblog, Some(PathBuf::from("run.log")));
         assert!(spec.resume);
         assert_eq!(spec.payload, Payload::Noop);
-        assert_eq!(spec.chaos_kill, Some((2, 500)));
+        assert_eq!(spec.fleet.chaos_kill, Some((2, 500)));
         assert_eq!(spec.command, "task {}");
         assert_eq!(
             spec.values,
@@ -1663,7 +1574,7 @@ mod tests {
     #[test]
     fn drive_attached_jobs_form_and_unknown_flags() {
         let spec = parse_drive(&argv("--local-cluster 2 -j16 --joblog run.log task {}")).unwrap();
-        assert_eq!(spec.jobs_per_agent, 16);
+        assert_eq!(spec.fleet.jobs_per_agent, 16);
         assert_eq!(spec.joblog, Some(PathBuf::from("run.log")));
         assert_eq!(spec.command, "task {}");
         let err = parse_drive(&argv("--local-cluster 2 --jobslog run.log task {}")).unwrap_err();
@@ -1673,7 +1584,7 @@ mod tests {
     #[test]
     fn drive_agents_list_splits_on_commas() {
         let spec = parse_drive(&argv("--agents n1:4511,n2:4511 task {}")).unwrap();
-        assert_eq!(spec.agents, vec!["n1:4511", "n2:4511"]);
+        assert_eq!(spec.fleet.agents, vec!["n1:4511", "n2:4511"]);
         assert_eq!(spec.values, None, "stdin is the input source");
     }
 
@@ -1698,17 +1609,17 @@ mod tests {
              --net-core threaded --chaos-kill-agent 1@50 --quiet",
         ))
         .unwrap();
-        assert_eq!(spec.local_cluster, 4);
-        assert_eq!(spec.jobs_per_agent, 8);
+        assert_eq!(spec.fleet.local_cluster, 4);
+        assert_eq!(spec.fleet.jobs_per_agent, 8);
         assert_eq!(spec.policy, SchedPolicy::Priority);
         assert_eq!(spec.max_queue, 500);
         assert_eq!(spec.oversub, 2);
         assert_eq!(spec.joblog_dir, Some(PathBuf::from("logs")));
         assert_eq!(spec.max_sessions, Some(3));
-        assert_eq!(spec.heartbeat_ms, 100);
-        assert_eq!(spec.lease_window_ms, 900);
-        assert_eq!(spec.core, Some(NetCore::Threaded));
-        assert_eq!(spec.chaos_kill, Some((1, 50)));
+        assert_eq!(spec.fleet.heartbeat_ms, 100);
+        assert_eq!(spec.fleet.lease_window_ms, 900);
+        assert_eq!(spec.fleet.core, Some(NetCore::Threaded));
+        assert_eq!(spec.fleet.chaos_kill, Some((1, 50)));
         assert!(!spec.announce);
     }
 
@@ -1734,7 +1645,7 @@ mod tests {
     #[test]
     fn serve_defaults_and_validation() {
         let spec = parse_serve(&argv("--agents n1:4511,n2:4511")).unwrap();
-        assert_eq!(spec.agents, vec!["n1:4511", "n2:4511"]);
+        assert_eq!(spec.fleet.agents, vec!["n1:4511", "n2:4511"]);
         assert_eq!(spec.listen, "127.0.0.1:0");
         assert_eq!(spec.policy, SchedPolicy::Fair);
         assert_eq!(spec.max_queue, 100_000);
@@ -1820,11 +1731,11 @@ mod tests {
     #[test]
     fn net_core_grammar() {
         let spec = parse_drive(&argv("--local-cluster 2 --net-core threaded task {}")).unwrap();
-        assert_eq!(spec.core, Some(NetCore::Threaded));
+        assert_eq!(spec.fleet.core, Some(NetCore::Threaded));
         let spec = parse_drive(&argv("--local-cluster 2 --net-core reactor task {}")).unwrap();
-        assert_eq!(spec.core, Some(NetCore::Reactor));
+        assert_eq!(spec.fleet.core, Some(NetCore::Reactor));
         let spec = parse_drive(&argv("--local-cluster 2 task {}")).unwrap();
-        assert_eq!(spec.core, None, "unset defers to HTPAR_NET_CORE");
+        assert_eq!(spec.fleet.core, None, "unset defers to HTPAR_NET_CORE");
         assert!(parse_drive(&argv("--local-cluster 2 --net-core epoll task {}")).is_err());
     }
 

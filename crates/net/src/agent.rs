@@ -257,12 +257,13 @@ fn run_session_reactor(
     command: String,
 ) -> Result<AgentReport> {
     // HelloAck goes out while the socket is still blocking; everything
-    // after rides the reactor.
+    // after rides the reactor. It grants the slots the engine runs, which
+    // `build_engine` floors at one.
     let mut conn = conn;
     conn.write_all(
         &Frame::HelloAck {
             version: PROTOCOL_VERSION,
-            slots: jobs,
+            slots: jobs.max(1),
             agent: name.to_string(),
         }
         .encode(),

@@ -12,33 +12,30 @@
 //! at-least-once, the same contract as the simulated driver and GNU
 //! Parallel's `--resume`.
 //!
-//! Since PR 6, the product I/O core is a single-threaded epoll
-//! [`Reactor`]: every agent socket is non-blocking on one poll loop,
-//! writes go through bounded vectored-write queues
-//! ([`crate::nbio::FrameConn`]), completions arrive as coalesced
-//! `DoneBatch` frames, and the lease sweep ticks from the reactor's
-//! own timer heap. The PR 5 thread-per-connection core survives in
+//! The product I/O core is the agent [`crate::fleet`] on one epoll
+//! [`Reactor`]: non-blocking sockets, bounded vectored-write queues,
+//! coalesced `DoneBatch` completions, and a lease sweep ticking from the
+//! reactor's own timer heap. This module keeps only the driver's policy
+//! on top of it: placement, the exactly-once record, the DAG ready set,
+//! and reshard-on-loss. The PR 5 thread-per-connection core survives in
 //! [`crate::reference`] as the oracle the differential test suite
 //! compares joblogs against; [`DriverConfig::core`] selects.
 
-use std::collections::{HashSet, VecDeque};
-use std::io::Write;
-use std::os::fd::AsRawFd;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use htpar_cluster::driver_shard;
+use htpar_core::dag::ReadySet;
 use htpar_core::joblog::{self, JobLogWriter, LogEntry};
 use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
 
-use crate::conn::Conn;
-use crate::frame::{Decoder, Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK};
-use crate::lease::LeaseTracker;
-use crate::nbio::{Fill, Flush, FrameConn};
-use crate::reactor::{Interest, PollEvent, Reactor};
-use crate::{agent::read_next, NetCore, NetError, Result};
+use crate::fleet::{self, AgentStat, Fleet, TOK_TICK};
+use crate::frame::{Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION};
+use crate::reactor::{PollEvent, Reactor};
+use crate::{NetCore, NetError, Result};
 
 /// Driver-side configuration.
 pub struct DriverConfig {
@@ -55,8 +52,6 @@ pub struct DriverConfig {
     /// Silence window after which an agent is declared lost. Must
     /// comfortably exceed `heartbeat_ms`.
     pub lease_window_ms: u64,
-    /// How long to wait for `AgentExit` after sending `Drain`.
-    pub drain_timeout: Duration,
     /// Aggregated joblog path (one file for the whole cluster).
     pub joblog: Option<PathBuf>,
     /// Skip seqs already recorded in the joblog (`--resume`).
@@ -66,9 +61,9 @@ pub struct DriverConfig {
     /// Which I/O core runs the dispatch loop (reactor by default,
     /// threaded reference for differential runs).
     pub core: NetCore,
-    /// Reactor path: per-agent cap on bytes queued to a socket. A
-    /// slow-reading agent stalls at this bound while its tasks wait in
-    /// the driver's backlog — backpressure instead of unbounded memory.
+    /// Reactor path: per-agent cap on bytes queued to a socket
+    /// ([`fleet::WRITE_QUEUE_CAP`] by default). A slow-reading agent
+    /// stalls at this bound while its tasks wait in the fleet's backlog.
     pub write_queue_cap: usize,
     /// DAG drives: `deps[seq - 1]` lists the 1-based seqs that task
     /// depends on ([`htpar_core::dag::Dag::dep_seqs`]). When set, the
@@ -89,12 +84,11 @@ impl DriverConfig {
             payload: Payload::Shell,
             heartbeat_ms: 200,
             lease_window_ms: 2_000,
-            drain_timeout: Duration::from_secs(10),
             joblog: None,
             resume: false,
             bus: None,
             core: NetCore::from_env(),
-            write_queue_cap: 1 << 20,
+            write_queue_cap: fleet::WRITE_QUEUE_CAP,
             deps: None,
         }
     }
@@ -104,25 +98,6 @@ impl DriverConfig {
             bus.emit(event);
         }
     }
-}
-
-/// Per-agent accounting at the end of a drive.
-#[derive(Debug, Clone)]
-pub struct AgentStat {
-    /// Name from the agent's `HelloAck` (the joblog `Host` column).
-    pub name: String,
-    /// Tasks this agent completed (first completions only).
-    pub done: u64,
-    /// Whether the agent was declared lost mid-run.
-    pub lost: bool,
-    /// Read-side error that ended the connection, if it was not a
-    /// clean close.
-    pub error: Option<String>,
-    /// High-water mark of this agent's socket write queue (reactor
-    /// path; 0 on the threaded reference, which writes blocking). The
-    /// backpressure tests hold this to [`DriverConfig::write_queue_cap`]
-    /// plus at most one frame.
-    pub peak_queue_bytes: u64,
 }
 
 /// What a drive accomplished.
@@ -182,52 +157,6 @@ pub fn verify_exactly_once(entries: &[LogEntry], total: u64) -> std::result::Res
     Ok(())
 }
 
-/// Dial one agent and run the blocking `Hello`/`HelloAck` handshake.
-/// Returns the connection (still blocking), the decoder (which may
-/// hold over-read bytes), and the agent's name and granted slots.
-pub(crate) fn connect_handshake(
-    spec: &str,
-    hello_bytes: &[u8],
-) -> Result<(Conn, Decoder, String, u32)> {
-    let mut conn = Conn::connect(spec)?;
-    conn.set_nodelay()?;
-    conn.write_all(hello_bytes)?;
-    conn.flush()?;
-    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut dec = Decoder::new();
-    let (name, slots) = match read_next(&mut conn, &mut dec)? {
-        Some(Frame::HelloAck {
-            version,
-            slots,
-            agent,
-        }) => {
-            if version != PROTOCOL_VERSION {
-                return Err(NetError::Protocol(format!(
-                    "agent {spec} speaks protocol {version}, driver speaks {PROTOCOL_VERSION}"
-                )));
-            }
-            (agent, slots)
-        }
-        Some(Frame::AgentExit { reason, .. }) => {
-            return Err(NetError::Protocol(format!(
-                "agent {spec} refused: {reason}"
-            )))
-        }
-        Some(other) => {
-            return Err(NetError::Protocol(format!(
-                "agent {spec}: expected HelloAck, got {other:?}"
-            )))
-        }
-        None => {
-            return Err(NetError::Protocol(format!(
-                "agent {spec} closed during handshake"
-            )))
-        }
-    };
-    conn.set_read_timeout(None)?;
-    Ok((conn, dec, name, slots))
-}
-
 /// Connect, handshake, dispatch, recover, drain. `on_done` (when given)
 /// observes the global completion count after every newly recorded
 /// task — tests use it to trigger chaos (e.g. SIGKILL an agent once
@@ -248,54 +177,91 @@ pub fn run_driver(
 
 // -- Reactor dispatch loop ---------------------------------------------
 
-/// Timer token for the periodic lease-sweep tick.
-const TOK_TICK: usize = usize::MAX;
-/// Timer token for the drain-phase deadline.
-const TOK_DRAIN: usize = usize::MAX - 1;
-
-/// Reactor-side state for one agent connection.
-struct RAgent {
-    name: String,
-    /// Live connection; `None` once lost or shut down.
-    fc: Option<FrameConn<Conn>>,
-    /// Every seq ever placed on this agent (backlog included).
-    assigned: HashSet<u64>,
-    /// Tasks placed here but not yet queued to the socket — the
-    /// overflow beyond `write_queue_cap`.
-    backlog: VecDeque<TaskSpec>,
-    done: u64,
-    alive: bool,
-    exited: bool,
-    error: Option<String>,
-    /// Whether the fd is currently registered for write interest.
-    want_write: bool,
-    /// Handshake bytes written before the `FrameConn` took over.
-    pre_sent: u64,
-    /// Counter snapshots taken when the connection is dropped.
-    final_sent: u64,
-    final_received: u64,
-    final_peak: u64,
+/// One reactor drive: the agent fleet plus the driver's placement
+/// policy.
+struct Drive<'a> {
+    config: &'a DriverConfig,
+    inputs: &'a [Vec<String>],
+    reactor: Reactor,
+    fleet: Fleet,
+    /// Every seq ever placed on each agent (backlog included).
+    assigned: Vec<HashSet<u64>>,
+    /// Seqs with a joblog row: resumed, completed, or skipped-dep-failed.
+    recorded: HashSet<u64>,
 }
 
-impl RAgent {
-    fn sent_bytes(&self) -> u64 {
-        self.pre_sent
-            + self
-                .fc
-                .as_ref()
-                .map_or(self.final_sent, |fc| fc.sent_bytes())
+impl Drive<'_> {
+    /// The task for a 1-based seq, args from the input table.
+    fn task(&self, seq: u64) -> TaskSpec {
+        TaskSpec {
+            seq,
+            args: self
+                .inputs
+                .get((seq - 1) as usize)
+                .cloned()
+                .unwrap_or_default(),
+        }
     }
 
-    fn received_bytes(&self) -> u64 {
-        self.fc
-            .as_ref()
-            .map_or(self.final_received, |fc| fc.received_bytes())
+    /// Shard `tasks` across the alive agents with the NR-modulo split
+    /// and pump them onto the wire. A survivor dying mid-placement
+    /// escalates to [`Drive::handle_loss`], which re-shards its whole
+    /// unfinished assignment.
+    fn place(&mut self, tasks: Vec<TaskSpec>) -> Result<()> {
+        if tasks.is_empty() {
+            return Ok(());
+        }
+        let survivors = self.fleet.survivors();
+        if survivors.is_empty() {
+            return Err(NetError::AllAgentsLost {
+                remaining: tasks.len() as u64,
+            });
+        }
+        let shards = driver_shard(&tasks, survivors.len() as u32);
+        for (shard, &target) in shards.into_iter().zip(&survivors) {
+            if shard.is_empty() {
+                continue;
+            }
+            if !self.fleet.is_alive(target) {
+                // A re-shard nested in this loop already handled the
+                // target's loss; its shard must go to who is left.
+                self.place(shard)?;
+                continue;
+            }
+            self.config.emit(Event::ShardSent {
+                agent: target as u32,
+                tasks: shard.len() as u64,
+            });
+            self.assigned[target].extend(shard.iter().map(|t| t.seq));
+            self.fleet.enqueue(target, shard);
+            if !self.fleet.pump(&self.reactor, target) {
+                self.handle_loss(target)?;
+            }
+        }
+        Ok(())
     }
 
-    fn peak_queue_bytes(&self) -> u64 {
-        self.fc
-            .as_ref()
-            .map_or(self.final_peak, |fc| fc.peak_queued_bytes() as u64)
+    /// Declare `idx` lost and re-shard its unfinished work onto
+    /// survivors. Idempotent: a socket hangup and a lease expiry landing
+    /// in the same poll batch re-shard exactly once.
+    fn handle_loss(&mut self, idx: usize) -> Result<()> {
+        if !self.fleet.lose(&self.reactor, idx) {
+            return Ok(());
+        }
+        // Diff the lost shard against the aggregated joblog: only seqs
+        // with no recorded completion anywhere need to run again.
+        let mut lost: Vec<u64> = self.assigned[idx]
+            .iter()
+            .filter(|seq| !self.recorded.contains(seq))
+            .copied()
+            .collect();
+        lost.sort_unstable();
+        self.config.emit(Event::AgentLost {
+            agent: idx as u32,
+            outstanding: lost.len() as u64,
+        });
+        let tasks = lost.into_iter().map(|seq| self.task(seq)).collect();
+        self.place(tasks)
     }
 }
 
@@ -304,10 +270,14 @@ fn run_driver_reactor(
     inputs: &[Vec<String>],
     mut on_done: Option<&mut dyn FnMut(u64)>,
 ) -> Result<DriveOutcome> {
-    if config.agents.is_empty() {
-        return Err(NetError::Protocol("no agents configured".into()));
-    }
     let template = Template::parse(&config.command)?;
+    let render = |seq: u64| {
+        let args = inputs
+            .get((seq - 1) as usize)
+            .map(|a| a.as_slice())
+            .unwrap_or(&[]);
+        template.expand(&ExpandContext { args, seq, slot: 0 })
+    };
     let total = inputs.len() as u64;
     let started = Instant::now();
 
@@ -347,7 +317,7 @@ fn run_driver_reactor(
             inputs.len(),
             "deps table must cover every input"
         );
-        htpar_core::dag::ReadySet::from_deps(deps, &recorded)
+        ReadySet::from_deps(deps, &recorded)
     });
     let pending: Vec<TaskSpec> = match ready_set.as_mut() {
         Some(rs) => {
@@ -365,8 +335,9 @@ fn run_driver_reactor(
         None => None,
     };
 
-    // -- Connect + handshake (blocking, sequential), then go
-    // non-blocking and hand every socket to one reactor.
+    // -- Connect + handshake, then the initial placement: the awk
+    // NR-modulo split across all agents.
+    let reactor = Reactor::new()?;
     let hello = Frame::Hello {
         version: PROTOCOL_VERSION,
         jobs: config.jobs_per_agent,
@@ -374,264 +345,116 @@ fn run_driver_reactor(
         payload: config.payload,
         command: config.command.clone(),
     };
-    let hello_bytes = hello.encode();
-    let mut reactor = Reactor::new()?;
-    let mut agents: Vec<RAgent> = Vec::with_capacity(config.agents.len());
-    for (idx, spec) in config.agents.iter().enumerate() {
-        let (conn, dec, name, slots) = connect_handshake(spec, &hello_bytes)?;
-        conn.set_nonblocking(true)?;
-        reactor.register(conn.as_raw_fd(), idx, Interest::READ)?;
-        config.emit(Event::AgentConnected {
-            agent: idx as u32,
-            slots: slots as usize,
-        });
-        agents.push(RAgent {
-            name,
-            fc: Some(FrameConn::from_parts(conn, dec)),
-            assigned: HashSet::new(),
-            backlog: VecDeque::new(),
-            done: 0,
-            alive: true,
-            exited: false,
-            error: None,
-            want_write: false,
-            pre_sent: hello_bytes.len() as u64,
-            final_sent: 0,
-            final_received: 0,
-            final_peak: 0,
-        });
-    }
-
-    // -- Initial placement: the awk NR-modulo split across all agents.
-    let shards = driver_shard(&pending, agents.len() as u32);
-    for (idx, shard) in shards.into_iter().enumerate() {
-        assign(config, &mut agents[idx], idx, shard);
-    }
-    for idx in 0..agents.len() {
-        if !pump_and_flush(&reactor, &mut agents[idx], idx, config.write_queue_cap) {
-            handle_loss(config, &reactor, &mut agents, idx, &recorded, inputs)?;
-        }
-    }
+    let fleet = Fleet::connect(
+        &reactor,
+        &config.agents,
+        &hello,
+        config.lease_window_ms,
+        config.write_queue_cap,
+        config.bus.clone(),
+    )?;
+    let mut drive = Drive {
+        config,
+        inputs,
+        assigned: vec![HashSet::new(); fleet.len()],
+        reactor,
+        fleet,
+        recorded,
+    };
+    drive.place(pending)?;
 
     // -- Dispatch loop: one poll loop over every socket plus the lease
     // tick, all from the same reactor.
-    let lease = LeaseTracker::new(agents.len());
     let mut completed = 0u64;
     let mut duplicates = 0u64;
     let mut skipped_dep = 0u64;
     // Tasks unblocked by completions in the current poll batch, awaiting
     // placement on alive agents.
     let mut release: Vec<TaskSpec> = Vec::new();
-    let tick = Duration::from_millis((config.heartbeat_ms as u64 / 2).clamp(10, 200));
-    let mut tick_key = reactor.arm_timer(Instant::now() + tick, TOK_TICK);
+    let mut done: Vec<TaskDoneRec> = Vec::new();
+    let tick = fleet::tick_interval(config.heartbeat_ms);
+    let mut tick_key = drive.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
     let mut events: Vec<PollEvent> = Vec::with_capacity(256);
 
-    // Record one completion; returns false for a duplicate.
-    macro_rules! record_done {
-        ($idx:expr, $rec:expr) => {{
-            let rec: TaskDoneRec = $rec;
-            if recorded.contains(&rec.seq) {
-                // A re-sharded task finished on two agents; record-once
-                // keeps the joblog exact.
-                duplicates += 1;
-            } else {
-                recorded.insert(rec.seq);
-                agents[$idx].done += 1;
+    while completed + skipped_dep < goal {
+        if !drive.fleet.any_alive() {
+            return Err(NetError::AllAgentsLost {
+                remaining: goal - completed - skipped_dep,
+            });
+        }
+        events.clear();
+        drive
+            .reactor
+            .poll(&mut events, Some(Duration::from_millis(200)))?;
+        for ev in &events {
+            let (idx, readable, writable) = match *ev {
+                PollEvent::Timer { token: TOK_TICK } => {
+                    for idx in drive.fleet.expired() {
+                        drive.handle_loss(idx)?;
+                    }
+                    tick_key = drive.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
+                    continue;
+                }
+                PollEvent::Timer { .. } => continue,
+                PollEvent::Io {
+                    token,
+                    readable,
+                    writable,
+                    hangup,
+                } => (token, readable || hangup, writable),
+            };
+            let down = drive
+                .fleet
+                .io(&drive.reactor, idx, readable, writable, &mut done);
+            for rec in done.drain(..) {
+                if !drive.recorded.insert(rec.seq) {
+                    // A re-sharded task finished on two agents;
+                    // record-once keeps the joblog exact.
+                    duplicates += 1;
+                    continue;
+                }
+                drive.fleet.credit(idx);
                 completed += 1;
                 if let Some(log) = &mut log {
-                    let args = inputs
-                        .get((rec.seq - 1) as usize)
-                        .map(|a| a.as_slice())
-                        .unwrap_or(&[]);
-                    let command = template.expand(&ExpandContext {
-                        args,
-                        seq: rec.seq,
-                        slot: 0,
-                    });
                     log.record_entry(&LogEntry {
                         seq: rec.seq,
-                        host: agents[$idx].name.clone(),
+                        host: drive.fleet.name(idx).to_string(),
                         start: rec.start_epoch_us as f64 / 1e6,
                         runtime: rec.runtime_us as f64 / 1e6,
                         send: 0,
                         receive: rec.stdout.len() as u64,
                         exitval: rec.exitval,
                         signal: rec.signal,
-                        command,
+                        command: render(rec.seq),
                     })?;
                 }
                 if let Some(cb) = on_done.as_deref_mut() {
                     cb(completed);
                 }
                 if let Some(rs) = ready_set.as_mut() {
-                    let ok = rec.exitval == 0 && rec.signal == 0;
-                    let comp = rs.complete(rec.seq, ok);
-                    // Condemned descendants are terminal now: their
-                    // skip rows land right after the failing
-                    // dependency's row, so the joblog always lists a
-                    // task's dependencies before the task itself.
+                    let comp = rs.complete(rec.seq, rec.exitval == 0 && rec.signal == 0);
+                    // Condemned descendants are terminal now: their skip
+                    // rows land right after the failing dependency's
+                    // row, so the joblog always lists a task's
+                    // dependencies before the task itself.
                     for &seq in &comp.newly_skipped {
-                        recorded.insert(seq);
+                        drive.recorded.insert(seq);
                         skipped_dep += 1;
                         if let Some(log) = &mut log {
-                            let args = inputs
-                                .get((seq - 1) as usize)
-                                .map(|a| a.as_slice())
-                                .unwrap_or(&[]);
-                            let command = template.expand(&ExpandContext { args, seq, slot: 0 });
-                            log.record_entry(&htpar_core::dag::skip_entry(seq, &command))?;
+                            log.record_entry(&htpar_core::dag::skip_entry(seq, &render(seq)))?;
                         }
                     }
-                    for seq in comp.newly_ready {
-                        release.push(TaskSpec {
-                            seq,
-                            args: inputs.get((seq - 1) as usize).cloned().unwrap_or_default(),
-                        });
-                    }
+                    release.extend(comp.newly_ready.into_iter().map(|seq| drive.task(seq)));
                 }
             }
-        }};
-    }
-
-    while completed + skipped_dep < goal {
-        if agents.iter().all(|a| !a.alive) {
-            return Err(NetError::AllAgentsLost {
-                remaining: goal - completed - skipped_dep,
-            });
-        }
-        events.clear();
-        reactor.poll(&mut events, Some(Duration::from_millis(200)))?;
-        let batch = std::mem::take(&mut events);
-        for ev in &batch {
-            match *ev {
-                PollEvent::Timer { token: TOK_TICK } => {
-                    // Lease sweep from the reactor's own timer heap: a
-                    // live socket with a silent engine is as dead as a
-                    // closed one.
-                    for idx in 0..agents.len() {
-                        if agents[idx].alive && lease.expired(idx, config.lease_window_ms) {
-                            handle_loss(config, &reactor, &mut agents, idx, &recorded, inputs)?;
-                        }
-                    }
-                    tick_key = reactor.arm_timer(Instant::now() + tick, TOK_TICK);
-                }
-                PollEvent::Timer { .. } => {}
-                PollEvent::Io {
-                    token: idx,
-                    readable,
-                    writable,
-                    hangup,
-                } => {
-                    // Stale events for an agent already declared lost in
-                    // this same batch (e.g. its EPOLLHUP arriving with
-                    // the lease sweep) are dropped here — the event-level
-                    // half of idempotent death handling.
-                    if idx >= agents.len() || !agents[idx].alive {
-                        continue;
-                    }
-                    if readable || hangup {
-                        let fill = match agents[idx].fc.as_mut() {
-                            Some(fc) => fc.fill(),
-                            None => continue,
-                        };
-                        let mut conn_down = false;
-                        match &fill {
-                            Ok(Fill::Blocked) => {}
-                            Ok(Fill::Eof) => conn_down = true,
-                            Err(e) => {
-                                agents[idx].error.get_or_insert_with(|| e.to_string());
-                                conn_down = true;
-                            }
-                        }
-                        // Drain every frame the fill produced *before*
-                        // acting on EOF — the agent's final
-                        // DoneBatch/AgentExit often ride the same bytes
-                        // as the close. Not a while-let: the `fc` borrow
-                        // must end before `record_done!` touches
-                        // `agents[idx]` again.
-                        #[allow(clippy::while_let_loop)]
-                        loop {
-                            let frame = match agents[idx].fc.as_mut() {
-                                Some(fc) => fc.next_frame(),
-                                None => break,
-                            };
-                            match frame {
-                                Ok(Some(f)) => {
-                                    lease.touch(idx);
-                                    match f {
-                                        Frame::TaskDone {
-                                            seq,
-                                            exitval,
-                                            signal,
-                                            start_epoch_us,
-                                            runtime_us,
-                                            stdout,
-                                            stderr,
-                                        } => record_done!(
-                                            idx,
-                                            TaskDoneRec {
-                                                seq,
-                                                exitval,
-                                                signal,
-                                                start_epoch_us,
-                                                runtime_us,
-                                                stdout,
-                                                stderr,
-                                            }
-                                        ),
-                                        Frame::DoneBatch { results } => {
-                                            for rec in results {
-                                                record_done!(idx, rec);
-                                            }
-                                        }
-                                        Frame::Heartbeat { .. } => {}
-                                        Frame::AgentExit { .. } => {
-                                            agents[idx].exited = true;
-                                        }
-                                        other => {
-                                            return Err(NetError::Protocol(format!(
-                                                "unexpected agent frame {other:?}"
-                                            )))
-                                        }
-                                    }
-                                }
-                                Ok(None) => break,
-                                Err(e) => {
-                                    agents[idx]
-                                        .error
-                                        .get_or_insert_with(|| NetError::Frame(e).to_string());
-                                    conn_down = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if conn_down {
-                            handle_loss(config, &reactor, &mut agents, idx, &recorded, inputs)?;
-                            continue;
-                        }
-                    }
-                    if writable
-                        && !pump_and_flush(&reactor, &mut agents[idx], idx, config.write_queue_cap)
-                    {
-                        handle_loss(config, &reactor, &mut agents, idx, &recorded, inputs)?;
-                    }
-                }
+            if down {
+                drive.handle_loss(idx)?;
             }
         }
-        events = batch;
         // Place tasks unblocked in this batch. Only alive agents receive
         // them, so a re-shard after agent death still never ships an
         // unready task.
-        if !release.is_empty() {
-            dispatch_ready(
-                config,
-                &reactor,
-                &mut agents,
-                &mut release,
-                &recorded,
-                inputs,
-            )?;
-        }
+        drive.place(std::mem::take(&mut release))?;
         // One joblog flush per poll batch (not per row): complete lines
         // on disk keep `--resume` exact after a driver kill, while the
         // batch granularity keeps fsync traffic off the per-task path.
@@ -639,100 +462,12 @@ fn run_driver_reactor(
             log.flush()?;
         }
     }
-    reactor.cancel_timer(tick_key);
+    drive.reactor.cancel_timer(tick_key);
 
-    // -- Drain: tell survivors to finish and wait for their exits, on
-    // the same reactor with the deadline as one more timer.
-    for agent in agents.iter_mut() {
-        if !agent.alive {
-            continue;
-        }
-        // Everything still in the backlog is already recorded (the run
-        // hit its goal); it must not delay the drain.
-        agent.backlog.clear();
-        if let Some(fc) = agent.fc.as_mut() {
-            fc.queue_frame(&Frame::Drain);
-        }
-    }
-    for (idx, agent) in agents.iter_mut().enumerate() {
-        if agent.alive && !pump_and_flush(&reactor, agent, idx, config.write_queue_cap) {
-            drop_conn(&reactor, agent);
-            agent.alive = false;
-            agent.exited = true;
-        }
-    }
-    reactor.arm_timer(Instant::now() + config.drain_timeout, TOK_DRAIN);
-    'drain: while agents.iter().any(|a| a.alive && !a.exited) {
-        events.clear();
-        reactor.poll(&mut events, Some(Duration::from_millis(100)))?;
-        let batch = std::mem::take(&mut events);
-        for ev in &batch {
-            match *ev {
-                PollEvent::Timer { token: TOK_DRAIN } => break 'drain,
-                PollEvent::Timer { .. } => {}
-                PollEvent::Io {
-                    token: idx,
-                    readable,
-                    writable,
-                    hangup,
-                } => {
-                    if idx >= agents.len() || agents[idx].fc.is_none() {
-                        continue;
-                    }
-                    if readable || hangup {
-                        let fc = agents[idx].fc.as_mut().expect("checked above");
-                        let fill = fc.fill();
-                        let mut saw_exit = false;
-                        loop {
-                            match fc.next_frame() {
-                                Ok(Some(Frame::AgentExit { .. })) => saw_exit = true,
-                                Ok(Some(_)) => {}
-                                Ok(None) => break,
-                                Err(_) => {
-                                    saw_exit = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if saw_exit {
-                            agents[idx].exited = true;
-                        }
-                        match fill {
-                            Ok(Fill::Blocked) => {}
-                            Ok(Fill::Eof) => {
-                                // Post-drain close without AgentExit
-                                // still counts as gone; its work is
-                                // already complete.
-                                agents[idx].exited = true;
-                                drop_conn(&reactor, &mut agents[idx]);
-                            }
-                            Err(e) => {
-                                agents[idx].error.get_or_insert_with(|| e.to_string());
-                                agents[idx].exited = true;
-                                drop_conn(&reactor, &mut agents[idx]);
-                            }
-                        }
-                    }
-                    if writable
-                        && agents[idx].fc.is_some()
-                        && !pump_and_flush(&reactor, &mut agents[idx], idx, config.write_queue_cap)
-                    {
-                        agents[idx].exited = true;
-                        drop_conn(&reactor, &mut agents[idx]);
-                    }
-                }
-            }
-        }
-        events = batch;
-    }
-    for (idx, agent) in agents.iter_mut().enumerate() {
-        drop_conn(&reactor, agent);
-        config.emit(Event::FrameBytes {
-            agent: idx as u32,
-            sent: agent.sent_bytes(),
-            received: agent.received_bytes(),
-        });
-    }
+    // -- Drain. Every seq is recorded by now, so completions landing
+    // meanwhile are re-run duplicates and an agent lost here leaves
+    // nothing to re-shard.
+    drive.fleet.drain(&mut drive.reactor)?;
     if let Some(log) = &mut log {
         log.flush()?;
     }
@@ -743,209 +478,7 @@ fn run_driver_reactor(
         skipped,
         skipped_dep_failed: skipped_dep,
         duplicates,
-        agents: agents
-            .into_iter()
-            .map(|a| AgentStat {
-                peak_queue_bytes: a.peak_queue_bytes(),
-                name: a.name,
-                done: a.done,
-                lost: !a.alive,
-                error: a.error,
-            })
-            .collect(),
+        agents: drive.fleet.stats(),
         wall: started.elapsed(),
     })
-}
-
-/// Place a shard on an agent: record the assignment, park the tasks in
-/// its backlog (the pump moves them to the socket as the write queue
-/// allows), and emit the telemetry.
-fn assign(config: &DriverConfig, agent: &mut RAgent, idx: usize, shard: Vec<TaskSpec>) {
-    if shard.is_empty() {
-        return;
-    }
-    config.emit(Event::ShardSent {
-        agent: idx as u32,
-        tasks: shard.len() as u64,
-    });
-    for task in shard {
-        agent.assigned.insert(task.seq);
-        agent.backlog.push_back(task);
-    }
-}
-
-/// Shard newly-ready DAG tasks across the alive agents (same modulo
-/// placement as the initial split) and pump them onto the wire. A
-/// survivor dying mid-placement escalates to [`handle_loss`], which
-/// re-shards its whole unfinished assignment.
-fn dispatch_ready(
-    config: &DriverConfig,
-    reactor: &Reactor,
-    agents: &mut [RAgent],
-    release: &mut Vec<TaskSpec>,
-    recorded: &HashSet<u64>,
-    inputs: &[Vec<String>],
-) -> Result<()> {
-    let specs = std::mem::take(release);
-    let survivors: Vec<usize> = agents
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.alive)
-        .map(|(i, _)| i)
-        .collect();
-    if survivors.is_empty() {
-        return Err(NetError::AllAgentsLost {
-            remaining: specs.len() as u64,
-        });
-    }
-    let shards = driver_shard(&specs, survivors.len() as u32);
-    for (slot, shard) in shards.into_iter().enumerate() {
-        let target = survivors[slot];
-        assign(config, &mut agents[target], target, shard);
-        if !pump_and_flush(reactor, &mut agents[target], target, config.write_queue_cap) {
-            handle_loss(config, reactor, agents, target, recorded, inputs)?;
-        }
-    }
-    Ok(())
-}
-
-/// Move backlog tasks into the socket's write queue up to `cap`, then
-/// write as much as the socket takes, adjusting write interest to
-/// match. Returns `false` when the connection errored (caller
-/// escalates to [`handle_loss`]).
-fn pump_and_flush(reactor: &Reactor, agent: &mut RAgent, idx: usize, cap: usize) -> bool {
-    let Some(fc) = agent.fc.as_mut() else {
-        return false;
-    };
-    loop {
-        // Refill the write queue from the backlog, staying under the
-        // cap (but always queueing at least one frame so a cap smaller
-        // than a frame still makes progress).
-        while !agent.backlog.is_empty() && (fc.queued_bytes() == 0 || fc.queued_bytes() < cap) {
-            let take = agent.backlog.len().min(SHARD_CHUNK);
-            let tasks: Vec<TaskSpec> = agent.backlog.drain(..take).collect();
-            fc.queue_frame(&Frame::Shard { tasks });
-        }
-        if fc.queued_bytes() == 0 {
-            return set_write_interest(reactor, agent, idx, false);
-        }
-        match fc.flush() {
-            Ok(Flush::Drained) => {
-                if agent.backlog.is_empty() {
-                    return set_write_interest(reactor, agent, idx, false);
-                }
-                // More backlog fits now that the queue drained.
-            }
-            Ok(Flush::Blocked) => return set_write_interest(reactor, agent, idx, true),
-            Err(e) => {
-                agent.error.get_or_insert_with(|| e.to_string());
-                return false;
-            }
-        }
-    }
-}
-
-/// Toggle EPOLLOUT for an agent's socket, tracking the current state so
-/// unchanged interest costs no syscall.
-fn set_write_interest(reactor: &Reactor, agent: &mut RAgent, idx: usize, want: bool) -> bool {
-    if agent.want_write == want {
-        return true;
-    }
-    let Some(fc) = agent.fc.as_ref() else {
-        return false;
-    };
-    let interest = if want {
-        Interest::READ_WRITE
-    } else {
-        Interest::READ
-    };
-    if reactor
-        .reregister(fc.stream().as_raw_fd(), idx, interest)
-        .is_err()
-    {
-        return false;
-    }
-    agent.want_write = want;
-    true
-}
-
-/// Deregister and shut down an agent's connection, snapshotting its
-/// byte counters for the final telemetry.
-fn drop_conn(reactor: &Reactor, agent: &mut RAgent) {
-    if let Some(fc) = agent.fc.take() {
-        agent.final_sent = fc.sent_bytes();
-        agent.final_received = fc.received_bytes();
-        agent.final_peak = fc.peak_queued_bytes() as u64;
-        let _ = reactor.deregister(fc.stream().as_raw_fd());
-        fc.stream().shutdown();
-    }
-}
-
-/// Declare `idx` lost and re-shard its unfinished work onto survivors.
-/// Idempotent at the event level: the `alive` flag guards re-entry, and
-/// the poll loop drops already-pulled events for dead tokens — so a
-/// socket hangup and a lease expiry landing in the same poll batch
-/// re-shard exactly once.
-fn handle_loss(
-    config: &DriverConfig,
-    reactor: &Reactor,
-    agents: &mut [RAgent],
-    idx: usize,
-    recorded: &HashSet<u64>,
-    inputs: &[Vec<String>],
-) -> Result<()> {
-    if !agents[idx].alive {
-        return Ok(());
-    }
-    agents[idx].alive = false;
-    drop_conn(reactor, &mut agents[idx]);
-    agents[idx].backlog.clear();
-    // Diff the lost shard against the aggregated joblog: only seqs with
-    // no recorded completion anywhere need to run again.
-    let mut lost: Vec<u64> = agents[idx]
-        .assigned
-        .iter()
-        .filter(|seq| !recorded.contains(seq))
-        .copied()
-        .collect();
-    lost.sort_unstable();
-    config.emit(Event::AgentLost {
-        agent: idx as u32,
-        outstanding: lost.len() as u64,
-    });
-    if lost.is_empty() {
-        return Ok(());
-    }
-    let survivors: Vec<usize> = agents
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.alive)
-        .map(|(i, _)| i)
-        .collect();
-    if survivors.is_empty() {
-        return Err(NetError::AllAgentsLost {
-            remaining: lost.len() as u64,
-        });
-    }
-    // Rebuild full TaskSpecs (args come from the driver's input table,
-    // seq is 1-based) and split them across survivors with the same
-    // modulo placement as the initial sharding.
-    let specs: Vec<TaskSpec> = lost
-        .iter()
-        .map(|&seq| TaskSpec {
-            seq,
-            args: inputs.get((seq - 1) as usize).cloned().unwrap_or_default(),
-        })
-        .collect();
-    let shards = driver_shard(&specs, survivors.len() as u32);
-    for (slot, shard) in shards.into_iter().enumerate() {
-        let target = survivors[slot];
-        assign(config, &mut agents[target], target, shard);
-        if !pump_and_flush(reactor, &mut agents[target], target, config.write_queue_cap) {
-            // The survivor died while receiving the re-shard; recurse so
-            // its assignment (including what it just took over) moves on.
-            handle_loss(config, reactor, agents, target, recorded, inputs)?;
-        }
-    }
-    Ok(())
 }

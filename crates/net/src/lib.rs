@@ -19,16 +19,19 @@
 //! - [`nbio`] — non-blocking framed connections: buffered reads into
 //!   the incremental decoder, bounded vectored-write queues, and the
 //!   `MockConn` fault-injection shim.
-//! - [`lease`] — the driver's heartbeat failure detector.
+//! - [`lease`] — the heartbeat failure detector behind the fleet's
+//!   lease sweep.
 //! - [`agent`] — the node-side loop: accept one driver, run the engine.
-//! - [`driver`] — shard, dispatch, aggregate the joblog, recover. One
-//!   reactor thread drives every agent connection.
+//! - [`fleet`] — the agent connections `drive` and `serve` share: dial
+//!   and handshake, bounded write queues, completion decoding, lease
+//!   sweep, and the deadline-bounded drain, all on one reactor.
+//! - [`driver`] — shard, dispatch, aggregate the joblog, recover: the
+//!   one-shot placement policy over a [`fleet`].
 //! - [`reference`] — the PR 5 thread-per-connection core, kept verbatim
 //!   as the behavioral oracle for the differential test suite.
 //! - [`local`] — localhost mini-clusters of agent subprocesses.
-//! - [`remote`] — a socket-backed [`htpar_core::remote`] executor.
-//! - [`serve`] — the pilot service: a persistent fleet multiplexing
-//!   many client sessions through a pluggable multi-tenant scheduler.
+//! - [`serve`] — the pilot service: sessions and a pluggable
+//!   multi-tenant scheduler over a persistent [`fleet`].
 //! - [`journal`] — the pilot's write-ahead journal (`--state-dir`):
 //!   admission-fsynced session records that survive a pilot SIGKILL.
 //! - [`client`] — the blocking session client (`htpar submit`, load
@@ -38,6 +41,7 @@ pub mod agent;
 pub mod client;
 pub mod conn;
 pub mod driver;
+pub mod fleet;
 pub mod frame;
 pub mod journal;
 pub mod lease;
@@ -46,7 +50,6 @@ pub mod nbio;
 pub mod outlog;
 pub mod reactor;
 pub mod reference;
-pub mod remote;
 pub mod serve;
 
 use std::fmt;

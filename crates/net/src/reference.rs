@@ -32,7 +32,8 @@ use parking_lot::Mutex;
 
 use crate::agent::{read_next, task_done_frame, AgentReport};
 use crate::conn::Conn;
-use crate::driver::{AgentStat, DriveOutcome, DriverConfig};
+use crate::driver::{DriveOutcome, DriverConfig};
+use crate::fleet::{self, AgentStat, DRAIN_TIMEOUT};
 use crate::frame::{Decoder, Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK};
 use crate::lease::LeaseTracker;
 use crate::{NetError, Result};
@@ -111,7 +112,7 @@ pub fn run_driver_threaded(
     let mut agents: Vec<AgentConn> = Vec::with_capacity(config.agents.len());
     let mut reader_conns = Vec::with_capacity(config.agents.len());
     for (idx, spec) in config.agents.iter().enumerate() {
-        let (conn, dec, name, slots) = crate::driver::connect_handshake(spec, &hello_bytes)?;
+        let (conn, dec, name, slots) = fleet::handshake(spec, &hello_bytes)?;
         config.emit(Event::AgentConnected {
             agent: idx as u32,
             slots: slots as usize,
@@ -312,7 +313,7 @@ pub fn run_driver_threaded(
             }
         }
     }
-    let drain_deadline = Instant::now() + config.drain_timeout;
+    let drain_deadline = Instant::now() + DRAIN_TIMEOUT;
     while agents.iter().any(|a| a.alive && !a.exited) {
         let left = drain_deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
@@ -510,7 +511,7 @@ pub(crate) fn run_session_threaded(
         &dead,
         &Frame::HelloAck {
             version: PROTOCOL_VERSION,
-            slots: jobs,
+            slots: jobs.max(1),
             agent: name.to_string(),
         },
     );

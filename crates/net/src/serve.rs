@@ -11,9 +11,9 @@
 //! fair share, or strict priority — multiplexes those queues onto the
 //! shared slot pool.
 //!
-//! Everything runs on the one epoll [`Reactor`] the PR 6 driver
-//! introduced: the listening socket, every client session, every agent
-//! connection, and the lease-sweep tick are tokens on the same poll
+//! Everything runs on one epoll [`Reactor`]: the listening socket,
+//! every client session, the agent [`crate::fleet`] the one-shot driver
+//! runs on too, and the lease-sweep tick are tokens on the same poll
 //! loop. Agents are dialed once at bind time with [`Payload::Dynamic`],
 //! so a single fleet serves tenants with different payloads — the work
 //! kind rides in each task's first argument as a directive the agent
@@ -49,10 +49,9 @@ use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
 
 use crate::conn::{Conn, Listener};
-use crate::driver::{connect_handshake, AgentStat};
+use crate::fleet::{self, AgentStat, Fleet, TOK_TICK, WRITE_QUEUE_CAP};
 use crate::frame::{Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK};
 use crate::journal::{read_journal, JRecord, JTask, JournalWriter, JOURNAL_FILE};
-use crate::lease::LeaseTracker;
 use crate::nbio::{Fill, Flush, FrameConn};
 use crate::reactor::{Interest, PollEvent, Reactor};
 use crate::{NetError, Result};
@@ -107,8 +106,6 @@ pub struct ServeConfig {
     pub heartbeat_ms: u32,
     /// Silence window after which an agent is declared lost.
     pub lease_window_ms: u64,
-    /// How long to wait for `AgentExit` after the shutdown `Drain`.
-    pub drain_timeout: Duration,
     /// Which scheduler multiplexes tenants onto the slot pool.
     pub policy: SchedPolicy,
     /// Admission bound: a `Submit` that would push a tenant's queue past
@@ -126,8 +123,6 @@ pub struct ServeConfig {
     /// Exit after this many sessions have closed (tests and bounded
     /// benchmark runs); `None` serves forever.
     pub max_sessions: Option<u64>,
-    /// Per-connection cap on bytes queued to a socket.
-    pub write_queue_cap: usize,
     /// Directory for the write-ahead session journal. When set, every
     /// admission is fsynced before its `SessionAck` and a restarted
     /// pilot recovers accepted-but-unfinished work from it; `None`
@@ -151,14 +146,12 @@ impl ServeConfig {
             jobs_per_agent: 2,
             heartbeat_ms: 200,
             lease_window_ms: 2_000,
-            drain_timeout: Duration::from_secs(10),
             policy: SchedPolicy::Fair,
             max_queue_per_tenant: 100_000,
             oversub: 4,
             joblog_dir: None,
             bus: None,
             max_sessions: None,
-            write_queue_cap: 1 << 20,
             state_dir: None,
             detach_ttl: None,
             journal_compact_every: 64,
@@ -204,43 +197,13 @@ pub struct ServeOutcome {
 
 // -- Reactor tokens ----------------------------------------------------
 
-const TOK_TICK: usize = usize::MAX;
-const TOK_DRAIN: usize = usize::MAX - 1;
+/// Agents hold tokens `0..fleet.len()`; the fleet's timers sit at the
+/// top of the token space, just above the listener.
 const TOK_LISTENER: usize = usize::MAX - 2;
 /// Session tokens start here; everything below is an agent index.
 const CLIENT_BASE: usize = 1 << 32;
 
 // -- Internal state ----------------------------------------------------
-
-/// One dialed agent connection.
-struct SAgent {
-    name: String,
-    slots: u32,
-    fc: Option<FrameConn<Conn>>,
-    /// Wire seqs placed on this agent and not yet completed (includes
-    /// the pilot-side backlog below).
-    inflight: HashSet<u64>,
-    /// Tasks placed here but not yet queued to the socket.
-    backlog: VecDeque<TaskSpec>,
-    done: u64,
-    alive: bool,
-    exited: bool,
-    want_write: bool,
-    error: Option<String>,
-    /// Counter snapshots taken when the connection is dropped.
-    final_sent: u64,
-    final_received: u64,
-    final_peak: u64,
-}
-
-impl SAgent {
-    fn free(&self, oversub: u32) -> u64 {
-        if !self.alive {
-            return 0;
-        }
-        (self.slots as u64 * oversub as u64).saturating_sub(self.inflight.len() as u64)
-    }
-}
 
 /// One client session.
 struct Session {
@@ -332,16 +295,13 @@ pub struct PilotServer {
     config: ServeConfig,
     reactor: Reactor,
     listener: Listener,
-    agents: Vec<SAgent>,
+    fleet: Fleet,
 }
 
 impl PilotServer {
     /// Dial and handshake every agent (blocking, sequential), bind the
     /// session listener, and register both with a fresh reactor.
     pub fn bind(config: ServeConfig) -> Result<PilotServer> {
-        if config.agents.is_empty() {
-            return Err(NetError::Protocol("no agents configured".into()));
-        }
         // Agents run the dynamic engine: the per-task directive carries
         // the work, the template is pure pass-through.
         let hello = Frame::Hello {
@@ -350,34 +310,16 @@ impl PilotServer {
             heartbeat_ms: config.heartbeat_ms,
             payload: Payload::Dynamic,
             command: "{}".to_string(),
-        }
-        .encode();
+        };
         let reactor = Reactor::new()?;
-        let mut agents = Vec::with_capacity(config.agents.len());
-        for (idx, spec) in config.agents.iter().enumerate() {
-            let (conn, dec, name, slots) = connect_handshake(spec, &hello)?;
-            conn.set_nonblocking(true)?;
-            reactor.register(conn.as_raw_fd(), idx, Interest::READ)?;
-            config.emit(Event::AgentConnected {
-                agent: idx as u32,
-                slots: slots as usize,
-            });
-            agents.push(SAgent {
-                name,
-                slots,
-                fc: Some(FrameConn::from_parts(conn, dec)),
-                inflight: HashSet::new(),
-                backlog: VecDeque::new(),
-                done: 0,
-                alive: true,
-                exited: false,
-                want_write: false,
-                error: None,
-                final_sent: 0,
-                final_received: 0,
-                final_peak: 0,
-            });
-        }
+        let fleet = Fleet::connect(
+            &reactor,
+            &config.agents,
+            &hello,
+            config.lease_window_ms,
+            WRITE_QUEUE_CAP,
+            config.bus.clone(),
+        )?;
         let listener = Listener::bind(&config.listen)?;
         listener.set_nonblocking(true)?;
         reactor.register(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
@@ -385,7 +327,7 @@ impl PilotServer {
             config,
             reactor,
             listener,
-            agents,
+            fleet,
         })
     }
 
@@ -407,7 +349,10 @@ struct Pilot {
     config: ServeConfig,
     reactor: Reactor,
     listener: Listener,
-    agents: Vec<SAgent>,
+    fleet: Fleet,
+    /// Wire seqs placed on each agent and not yet completed (its fleet
+    /// backlog included).
+    placed: Vec<HashSet<u64>>,
     sessions: HashMap<u64, Session>,
     next_session: u64,
     sessions_closed: u64,
@@ -415,7 +360,6 @@ struct Pilot {
     tenant_ids: HashMap<String, usize>,
     scheduler: Box<dyn Scheduler>,
     inflight: HashMap<u64, InflightTask>,
-    lease: LeaseTracker,
     completed: u64,
     released: u64,
     duplicates: u64,
@@ -437,14 +381,14 @@ struct Pilot {
 
 impl Pilot {
     fn new(server: PilotServer) -> Result<Pilot> {
-        let capacity = server.agents.iter().map(|a| a.slots as usize).sum();
-        let lease = LeaseTracker::new(server.agents.len());
         let scheduler = server.config.policy.build();
         let mut pilot = Pilot {
             config: server.config,
             reactor: server.reactor,
             listener: server.listener,
-            agents: server.agents,
+            placed: vec![HashSet::new(); server.fleet.len()],
+            capacity: server.fleet.alive_slots(),
+            fleet: server.fleet,
             sessions: HashMap::new(),
             next_session: 0,
             sessions_closed: 0,
@@ -452,14 +396,12 @@ impl Pilot {
             tenant_ids: HashMap::new(),
             scheduler,
             inflight: HashMap::new(),
-            lease,
             completed: 0,
             released: 0,
             duplicates: 0,
             rejected_submits: 0,
             rr: 0,
             last_busy: None,
-            capacity,
             journal: None,
             pending_done: Vec::new(),
             closed_since_compaction: 0,
@@ -643,7 +585,7 @@ impl Pilot {
 
     fn run(mut self, mut on_done: Option<&mut dyn FnMut(u64)>) -> Result<ServeOutcome> {
         let started = Instant::now();
-        let tick = Duration::from_millis((self.config.heartbeat_ms as u64 / 2).clamp(10, 200));
+        let tick = fleet::tick_interval(self.config.heartbeat_ms);
         let mut tick_key = self.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
         let mut events: Vec<PollEvent> = Vec::with_capacity(256);
 
@@ -653,7 +595,7 @@ impl Pilot {
                     break;
                 }
             }
-            if self.agents.iter().all(|a| !a.alive) {
+            if !self.fleet.any_alive() {
                 return Err(NetError::AllAgentsLost {
                     remaining: self.scheduler.total_queued() + self.inflight.len() as u64,
                 });
@@ -665,12 +607,8 @@ impl Pilot {
             for ev in &batch {
                 match *ev {
                     PollEvent::Timer { token: TOK_TICK } => {
-                        for idx in 0..self.agents.len() {
-                            if self.agents[idx].alive
-                                && self.lease.expired(idx, self.config.lease_window_ms)
-                            {
-                                self.handle_agent_loss(idx)?;
-                            }
+                        for idx in self.fleet.expired() {
+                            self.handle_agent_loss(idx);
                         }
                         self.sweep_detach_ttl();
                         tick_key = self.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
@@ -684,8 +622,8 @@ impl Pilot {
                         readable,
                         writable,
                         hangup,
-                    } if token < self.agents.len() => {
-                        self.agent_event(token, readable, writable, hangup, &mut on_done)?;
+                    } if token < self.fleet.len() => {
+                        self.agent_event(token, readable || hangup, writable, &mut on_done)?;
                     }
                     PollEvent::Io {
                         token,
@@ -704,7 +642,7 @@ impl Pilot {
                 }
             }
             events = batch;
-            self.dispatch()?;
+            self.dispatch();
             for tenant in self.tenants.iter_mut() {
                 if let Some(log) = &mut tenant.log {
                     log.flush()?;
@@ -722,7 +660,7 @@ impl Pilot {
         self.reactor.cancel_timer(tick_key);
 
         // -- Shutdown: close any straggler sessions, then drain the
-        // fleet exactly like the one-shot driver does.
+        // fleet.
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         for id in ids {
             self.close_session(id, "shutdown");
@@ -757,20 +695,7 @@ impl Pilot {
                     rejected_submits: t.rejected_submits,
                 })
                 .collect(),
-            agents: self
-                .agents
-                .iter()
-                .map(|a| AgentStat {
-                    name: a.name.clone(),
-                    done: a.done,
-                    lost: !a.alive,
-                    error: a.error.clone(),
-                    peak_queue_bytes: a
-                        .fc
-                        .as_ref()
-                        .map_or(a.final_peak, |fc| fc.peak_queued_bytes() as u64),
-                })
-                .collect(),
+            agents: self.fleet.stats(),
             wall: started.elapsed(),
         })
     }
@@ -1544,97 +1469,21 @@ impl Pilot {
         idx: usize,
         readable: bool,
         writable: bool,
-        hangup: bool,
         on_done: &mut Option<&mut dyn FnMut(u64)>,
     ) -> Result<()> {
-        if !self.agents[idx].alive {
-            return Ok(());
+        let mut done = Vec::new();
+        let down = self
+            .fleet
+            .io(&self.reactor, idx, readable, writable, &mut done);
+        // Per-session delivery buffer for this read batch: group the
+        // completions so each client gets one coalesced DoneBatch.
+        let mut delivery: HashMap<u64, Vec<TaskDoneRec>> = HashMap::new();
+        for rec in done {
+            self.complete(idx, rec, &mut delivery, on_done)?;
         }
-        if readable || hangup {
-            let fill = match self.agents[idx].fc.as_mut() {
-                Some(fc) => fc.fill(),
-                None => return Ok(()),
-            };
-            let mut conn_down = false;
-            match &fill {
-                Ok(Fill::Blocked) => {}
-                Ok(Fill::Eof) => conn_down = true,
-                Err(e) => {
-                    let msg = e.to_string();
-                    self.agents[idx].error.get_or_insert(msg);
-                    conn_down = true;
-                }
-            }
-            // Per-session delivery buffer for this read batch: group the
-            // completions so each client gets one coalesced DoneBatch.
-            let mut delivery: HashMap<u64, Vec<TaskDoneRec>> = HashMap::new();
-            // Not a `while let`: the body needs `&mut self` (lease,
-            // completion routing), so the `fc` borrow must end each turn.
-            #[allow(clippy::while_let_loop)]
-            loop {
-                let frame = match self.agents[idx].fc.as_mut() {
-                    Some(fc) => fc.next_frame(),
-                    None => break,
-                };
-                match frame {
-                    Ok(Some(f)) => {
-                        self.lease.touch(idx);
-                        match f {
-                            Frame::TaskDone {
-                                seq,
-                                exitval,
-                                signal,
-                                start_epoch_us,
-                                runtime_us,
-                                stdout,
-                                stderr,
-                            } => self.complete(
-                                idx,
-                                TaskDoneRec {
-                                    seq,
-                                    exitval,
-                                    signal,
-                                    start_epoch_us,
-                                    runtime_us,
-                                    stdout,
-                                    stderr,
-                                },
-                                &mut delivery,
-                                on_done,
-                            )?,
-                            Frame::DoneBatch { results } => {
-                                for rec in results {
-                                    self.complete(idx, rec, &mut delivery, on_done)?;
-                                }
-                            }
-                            Frame::Heartbeat { .. } => {}
-                            Frame::AgentExit { .. } => {
-                                self.agents[idx].exited = true;
-                            }
-                            other => {
-                                return Err(NetError::Protocol(format!(
-                                    "unexpected agent frame {other:?}"
-                                )))
-                            }
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        let msg = NetError::Frame(e).to_string();
-                        self.agents[idx].error.get_or_insert(msg);
-                        conn_down = true;
-                        break;
-                    }
-                }
-            }
-            self.deliver(delivery);
-            if conn_down {
-                self.handle_agent_loss(idx)?;
-                return Ok(());
-            }
-        }
-        if writable && !self.pump_agent(idx) {
-            self.handle_agent_loss(idx)?;
+        self.deliver(delivery);
+        if down {
+            self.handle_agent_loss(idx);
         }
         Ok(())
     }
@@ -1653,12 +1502,12 @@ impl Pilot {
             self.duplicates += 1;
             return Ok(());
         };
-        self.agents[idx].inflight.remove(&rec.seq);
+        self.placed[idx].remove(&rec.seq);
         if inf.agent != idx {
             // The task was re-dispatched after this agent's lease
             // expired; the copy tracked in `inflight` lives elsewhere.
             // Re-insert and treat this completion as the duplicate.
-            self.agents[inf.agent].inflight.insert(rec.seq);
+            self.placed[inf.agent].insert(rec.seq);
             self.inflight.insert(rec.seq, inf);
             self.duplicates += 1;
             return Ok(());
@@ -1672,7 +1521,7 @@ impl Pilot {
             return Ok(());
         }
         session.completed += 1;
-        self.agents[idx].done += 1;
+        self.fleet.credit(idx);
         self.completed += 1;
         let tenant = &mut self.tenants[inf.tenant];
         tenant.completed += 1;
@@ -1693,7 +1542,7 @@ impl Pilot {
             if let Some(log) = &mut tenant.log {
                 log.record_entry(&LogEntry {
                     seq: inf.local_seq,
-                    host: self.agents[idx].name.clone(),
+                    host: self.fleet.name(idx).to_string(),
                     start: rec.start_epoch_us as f64 / 1e6,
                     runtime: rec.runtime_us as f64 / 1e6,
                     send: 0,
@@ -1737,92 +1586,18 @@ impl Pilot {
         }
     }
 
-    /// Move an agent's backlog into its write queue and flush, exactly
-    /// like the one-shot driver's pump. Returns `false` on write error.
-    fn pump_agent(&mut self, idx: usize) -> bool {
-        let cap = self.config.write_queue_cap;
-        let agent = &mut self.agents[idx];
-        let Some(fc) = agent.fc.as_mut() else {
-            return false;
-        };
-        loop {
-            while !agent.backlog.is_empty() && (fc.queued_bytes() == 0 || fc.queued_bytes() < cap) {
-                let take = agent.backlog.len().min(SHARD_CHUNK);
-                let tasks: Vec<TaskSpec> = agent.backlog.drain(..take).collect();
-                fc.queue_frame(&Frame::Shard { tasks });
-            }
-            if fc.queued_bytes() == 0 {
-                return self.set_agent_write_interest(idx, false);
-            }
-            match fc.flush() {
-                Ok(Flush::Drained) => {
-                    if agent.backlog.is_empty() {
-                        return self.set_agent_write_interest(idx, false);
-                    }
-                }
-                Ok(Flush::Blocked) => return self.set_agent_write_interest(idx, true),
-                Err(e) => {
-                    agent.error.get_or_insert_with(|| e.to_string());
-                    return false;
-                }
-            }
+    /// Declare an agent lost and release what it held.
+    fn handle_agent_loss(&mut self, idx: usize) {
+        if self.fleet.lose(&self.reactor, idx) {
+            self.release_agent(idx);
         }
     }
 
-    /// Deregister and shut down an agent's connection, snapshotting its
-    /// byte counters for the final telemetry.
-    fn drop_agent_conn(&mut self, idx: usize) {
-        let agent = &mut self.agents[idx];
-        if let Some(fc) = agent.fc.take() {
-            agent.final_sent = fc.sent_bytes();
-            agent.final_received = fc.received_bytes();
-            agent.final_peak = fc.peak_queued_bytes() as u64;
-            let _ = self.reactor.deregister(fc.stream().as_raw_fd());
-            fc.stream().shutdown();
-        }
-    }
-
-    fn set_agent_write_interest(&mut self, idx: usize, want: bool) -> bool {
-        let agent = &mut self.agents[idx];
-        if agent.want_write == want {
-            return true;
-        }
-        let Some(fc) = agent.fc.as_ref() else {
-            return false;
-        };
-        let interest = if want {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
-        };
-        if self
-            .reactor
-            .reregister(fc.stream().as_raw_fd(), idx, interest)
-            .is_err()
-        {
-            return false;
-        }
-        agent.want_write = want;
-        true
-    }
-
-    /// Declare an agent lost: requeue its in-flight work for live
-    /// sessions (head of the tenant queue, so recovered work runs
-    /// first), release the rest.
-    fn handle_agent_loss(&mut self, idx: usize) -> Result<()> {
-        if !self.agents[idx].alive {
-            return Ok(());
-        }
-        self.agents[idx].alive = false;
-        self.capacity = self
-            .agents
-            .iter()
-            .filter(|a| a.alive)
-            .map(|a| a.slots as usize)
-            .sum();
-        self.drop_agent_conn(idx);
-        self.agents[idx].backlog.clear();
-        let wire_seqs: Vec<u64> = self.agents[idx].inflight.drain().collect();
+    /// Requeue a lost agent's in-flight work for live sessions (head of
+    /// the tenant queue, so recovered work runs first), release the rest.
+    fn release_agent(&mut self, idx: usize) {
+        self.capacity = self.fleet.alive_slots();
+        let wire_seqs: Vec<u64> = self.placed[idx].drain().collect();
         let mut requeued_per_tenant: HashMap<usize, u64> = HashMap::new();
         let mut outstanding = 0u64;
         for wire in wire_seqs {
@@ -1850,18 +1625,26 @@ impl Pilot {
             agent: idx as u32,
             outstanding,
         });
-        Ok(())
     }
 
     // -- Dispatch ------------------------------------------------------
 
+    /// In-flight room on agent `idx`: its slots times `oversub`, less
+    /// what it already holds.
+    fn free(&self, idx: usize) -> u64 {
+        if !self.fleet.is_alive(idx) {
+            return 0;
+        }
+        (self.fleet.slots(idx) as u64 * self.config.oversub as u64)
+            .saturating_sub(self.placed[idx].len() as u64)
+    }
+
     /// Ask the scheduler for grants while the fleet has free capacity,
     /// placing granted tasks round-robin across agents with room.
-    fn dispatch(&mut self) -> Result<()> {
-        let oversub = self.config.oversub;
+    fn dispatch(&mut self) {
         let mut touched: HashSet<usize> = HashSet::new();
         loop {
-            let free_total: u64 = self.agents.iter().map(|a| a.free(oversub)).sum();
+            let free_total: u64 = (0..self.fleet.len()).map(|idx| self.free(idx)).sum();
             if free_total == 0 {
                 break;
             }
@@ -1872,9 +1655,9 @@ impl Pilot {
             while remaining > 0 {
                 // Next agent with room, round-robin for spread.
                 let mut target = None;
-                for step in 0..self.agents.len() {
-                    let idx = (self.rr + step) % self.agents.len();
-                    if self.agents[idx].free(oversub) > 0 {
+                for step in 0..self.fleet.len() {
+                    let idx = (self.rr + step) % self.fleet.len();
+                    if self.free(idx) > 0 {
                         target = Some(idx);
                         break;
                     }
@@ -1886,19 +1669,22 @@ impl Pilot {
                     self.scheduler.requeue(grant.tenant, remaining);
                     break;
                 };
-                self.rr = (idx + 1) % self.agents.len();
-                let take = remaining.min(self.agents[idx].free(oversub));
+                self.rr = (idx + 1) % self.fleet.len();
+                let take = remaining.min(self.free(idx));
                 let mut placed = 0u64;
                 for _ in 0..take {
                     let Some(task) = take_front(&mut self.tenants[grant.tenant].queue) else {
                         break;
                     };
                     let wire = wire_seq(task.session, task.local_seq);
-                    self.agents[idx].backlog.push_back(TaskSpec {
-                        seq: wire,
-                        args: vec![task.directive.clone()],
-                    });
-                    self.agents[idx].inflight.insert(wire);
+                    self.fleet.enqueue(
+                        idx,
+                        [TaskSpec {
+                            seq: wire,
+                            args: vec![task.directive.clone()],
+                        }],
+                    );
+                    self.placed[idx].insert(wire);
                     self.inflight.insert(
                         wire,
                         InflightTask {
@@ -1929,131 +1715,27 @@ impl Pilot {
             }
         }
         for idx in touched {
-            if self.agents[idx].alive && !self.pump_agent(idx) {
-                self.handle_agent_loss(idx)?;
+            if self.fleet.is_alive(idx) && !self.fleet.pump(&self.reactor, idx) {
+                self.handle_agent_loss(idx);
             }
         }
-        Ok(())
     }
 
     // -- Shutdown drain ------------------------------------------------
 
     fn drain_agents(&mut self) -> Result<()> {
-        for idx in 0..self.agents.len() {
-            if !self.agents[idx].alive {
-                continue;
-            }
-            self.agents[idx].backlog.clear();
-            if let Some(fc) = self.agents[idx].fc.as_mut() {
-                fc.queue_frame(&Frame::Drain);
-            }
-            if !self.pump_agent(idx) {
-                self.handle_agent_loss(idx)?;
-            }
+        let drained = self.fleet.drain(&mut self.reactor)?;
+        for idx in drained.lost {
+            self.release_agent(idx);
         }
-        self.reactor
-            .arm_timer(Instant::now() + self.config.drain_timeout, TOK_DRAIN);
-        let mut events: Vec<PollEvent> = Vec::with_capacity(64);
-        'drain: while self.agents.iter().any(|a| a.alive && !a.exited) {
-            events.clear();
-            self.reactor
-                .poll(&mut events, Some(Duration::from_millis(100)))?;
-            let batch = std::mem::take(&mut events);
-            for ev in &batch {
-                match *ev {
-                    PollEvent::Timer { token: TOK_DRAIN } => break 'drain,
-                    PollEvent::Timer { .. } => {}
-                    PollEvent::Io {
-                        token,
-                        readable,
-                        writable,
-                        hangup,
-                    } if token < self.agents.len() => {
-                        let idx = token;
-                        if self.agents[idx].fc.is_none() {
-                            continue;
-                        }
-                        if readable || hangup {
-                            // Completions still land during the drain
-                            // (e.g. a disconnected session's tasks
-                            // finishing); route them through the normal
-                            // path so the occupancy accounting zeroes.
-                            let fill = self.agents[idx].fc.as_mut().expect("checked").fill();
-                            let mut delivery = HashMap::new();
-                            let mut none = None;
-                            // Same shape as the main read loop: the body
-                            // re-borrows `self`, so no `while let`.
-                            #[allow(clippy::while_let_loop)]
-                            loop {
-                                let frame = match self.agents[idx].fc.as_mut() {
-                                    Some(fc) => fc.next_frame(),
-                                    None => break,
-                                };
-                                match frame {
-                                    Ok(Some(Frame::AgentExit { .. })) => {
-                                        self.agents[idx].exited = true;
-                                    }
-                                    Ok(Some(Frame::DoneBatch { results })) => {
-                                        for rec in results {
-                                            self.complete(idx, rec, &mut delivery, &mut none)?;
-                                        }
-                                    }
-                                    Ok(Some(Frame::TaskDone {
-                                        seq,
-                                        exitval,
-                                        signal,
-                                        start_epoch_us,
-                                        runtime_us,
-                                        stdout,
-                                        stderr,
-                                    })) => self.complete(
-                                        idx,
-                                        TaskDoneRec {
-                                            seq,
-                                            exitval,
-                                            signal,
-                                            start_epoch_us,
-                                            runtime_us,
-                                            stdout,
-                                            stderr,
-                                        },
-                                        &mut delivery,
-                                        &mut none,
-                                    )?,
-                                    Ok(Some(_)) => {}
-                                    Ok(None) => break,
-                                    Err(_) => {
-                                        self.agents[idx].exited = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            drop(delivery); // sessions are gone by now
-                            match fill {
-                                Ok(Fill::Blocked) => {}
-                                Ok(Fill::Eof) | Err(_) => {
-                                    self.agents[idx].exited = true;
-                                    self.drop_agent_conn(idx);
-                                }
-                            }
-                        }
-                        if writable && self.agents[idx].fc.is_some() && !self.pump_agent(idx) {
-                            self.agents[idx].exited = true;
-                            self.drop_agent_conn(idx);
-                        }
-                    }
-                    PollEvent::Io { .. } => {}
-                }
-            }
-            events = batch;
-        }
-        for idx in 0..self.agents.len() {
-            self.drop_agent_conn(idx);
-            self.emit(Event::FrameBytes {
-                agent: idx as u32,
-                sent: self.agents[idx].final_sent,
-                received: self.agents[idx].final_received,
-            });
+        // Completions still land during the drain (e.g. a disconnected
+        // session's tasks finishing); route them through the normal path
+        // so the occupancy accounting zeroes. The sessions are gone by
+        // now, so nothing is delivered.
+        let mut delivery = HashMap::new();
+        let mut no_callback: Option<&mut dyn FnMut(u64)> = None;
+        for (idx, rec) in drained.late {
+            self.complete(idx, rec, &mut delivery, &mut no_callback)?;
         }
         Ok(())
     }

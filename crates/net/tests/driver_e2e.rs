@@ -10,12 +10,10 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use htpar_core::joblog::{self, JobLogWriter, LogEntry};
-use htpar_core::Parallel;
 use htpar_net::agent::{self, AgentConfig};
 use htpar_net::conn::{Conn, Listener};
 use htpar_net::driver::{run_driver, verify_exactly_once, DriverConfig};
 use htpar_net::frame::{Decoder, Frame, Payload, PROTOCOL_VERSION};
-use htpar_net::remote::multi_host_over_sockets;
 use htpar_net::NetCore;
 use htpar_telemetry::{Event, EventBus, Recorder};
 
@@ -509,48 +507,6 @@ fn resume_skips_already_recorded_seqs() {
         assert_eq!(entry.seq % 2, 1, "seq {} was already recorded", entry.seq);
     }
     handle.join().expect("agent thread").expect("agent drained");
-}
-
-#[test]
-fn socket_backed_multi_host_quarantines_dead_agent() {
-    let live_spec = sock_spec("mh-live");
-    let handle = spawn_agent(&live_spec, "live");
-    let dead_spec = format!(
-        "unix:{}",
-        std::env::temp_dir()
-            .join(format!("htpar-e2e-mh-nobody-{}.sock", std::process::id()))
-            .display()
-    );
-
-    let multi =
-        multi_host_over_sockets(&[dead_spec.clone(), live_spec.clone()], 2).expect("build pool");
-    let pool = std::sync::Arc::clone(multi.pool());
-    let report = Parallel::new("echo hi-{}")
-        .jobs(2)
-        .executor(multi)
-        .args((1..=8).map(|i| i.to_string()))
-        .run()
-        .expect("run over sockets");
-
-    assert!(
-        report.all_succeeded(),
-        "all jobs migrated to the live agent"
-    );
-    let mut outputs: Vec<String> = report
-        .results
-        .iter()
-        .map(|r| r.stdout.trim().to_string())
-        .collect();
-    outputs.sort();
-    let mut expected: Vec<String> = (1..=8).map(|i| format!("hi-{i}")).collect();
-    expected.sort();
-    assert_eq!(outputs, expected);
-    assert_eq!(pool.quarantined(), vec![dead_spec]);
-
-    // Dropping the executor sent Drain (via Parallel's teardown), so the
-    // live agent exits on its own.
-    let report = handle.join().expect("agent thread").expect("agent exits");
-    assert_eq!(report.done, 8);
 }
 
 #[test]
