@@ -20,7 +20,7 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
-use htpar_bench::{gate, header, preamble, row};
+use htpar_bench::{gate, harness, header, preamble, row};
 use htpar_cluster::LaunchModel;
 use htpar_core::prelude::*;
 use htpar_core::stats::RateMeter;
@@ -123,7 +123,7 @@ fn real_sweep() {
 
 /// Laptop scale of the Fig. 3 acceptance run: `-j 64`, 100k in-process
 /// no-ops, observed by a [`MetricsRegistry`] on the bus — the same
-/// measurement core as the launch-rate gate, at 10x its task count. One
+/// measurement core as the launch gate, at 10x its task count. One
 /// JSONL record per trial lands in the `--jsonl` file, so before/after
 /// engine comparisons (`BENCH_fig3_launch_rate.json`) are reproducible
 /// with this binary alone.
@@ -135,19 +135,15 @@ fn laptop_scale_sweep(out: Option<&mut dyn Write>) {
     println!("laptop-scale dispatch ({TASKS} in-process no-ops at -j {JOBS}, bus-observed):");
     let mut lines = Vec::new();
     for trial in 1..=TRIALS {
-        let m = gate::measure(JOBS, TASKS, true);
-        let sustained = m.launch_rate_sustained.unwrap_or(0.0);
+        let (wall, sustained) = gate::measure(JOBS, TASKS, true, None);
+        let sustained = sustained.unwrap_or(0.0);
+        let tasks_per_sec = harness::rate(TASKS, wall);
         println!(
-            "  trial {trial}: {:>9.0} tasks/s wall-clock   {:>9.0}/s sustained (bus)",
-            m.tasks_per_sec, sustained
+            "  trial {trial}: {tasks_per_sec:>9.0} tasks/s wall-clock   {sustained:>9.0}/s sustained (bus)"
         );
         lines.push(format!(
-            "{{\"bench\":\"fig3_laptop_scale\",\"engine\":\"{engine}\",\"jobs\":{},\"tasks\":{},\"trial\":{trial},\"wall_secs\":{:.6},\"tasks_per_sec\":{:.0},\"launch_rate_sustained\":{:.0}}}",
-            m.jobs,
-            m.tasks,
-            m.wall.as_secs_f64(),
-            m.tasks_per_sec,
-            sustained
+            "{{\"bench\":\"fig3_laptop_scale\",\"engine\":\"{engine}\",\"jobs\":{JOBS},\"tasks\":{TASKS},\"trial\":{trial},\"wall_secs\":{:.6},\"tasks_per_sec\":{tasks_per_sec:.0},\"launch_rate_sustained\":{sustained:.0}}}",
+            wall.as_secs_f64(),
         ));
     }
     if let Some(out) = out {

@@ -1,12 +1,12 @@
-//! The DAG scheduling rate gate: ready-set release overhead with a
-//! checked-in floor.
+//! The DAG gates' workload: ready-set release overhead.
 //!
-//! The dispatch gate ([`crate::gate`]) prices the flat slot engine;
-//! this gate prices the DAG layer on top of it — in-degree decrement,
-//! ready-batch release through `Engine::run_batched`, completion
-//! callbacks — with in-process no-op tasks so the measured rate is
-//! pure scheduling cost. Three canonical topologies bound the shape
-//! space:
+//! The launch gate ([`crate::gate`]) prices the flat slot engine;
+//! this workload prices the DAG layer on top of it — in-degree
+//! decrement, ready-batch release through `Engine::run_batched`,
+//! completion callbacks — with in-process no-op tasks so the measured
+//! rate is pure scheduling cost. Three canonical topologies bound the
+//! shape space, one gate each (`dag_wide`, `dag_deep`, `dag_diamond`
+//! in [`crate::harness::GATES`]):
 //!
 //! - **wide**: N independent tasks — one initial release, the DAG
 //!   layer's overhead is a single callback per completion. Must stay
@@ -17,42 +17,19 @@
 //! - **diamond**: chained fan-out/fan-in blocks (a → b,c → d) — the
 //!   mixed case, two-wide parallelism with joins.
 
-use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use htpar_core::dag::{Dag, DagRunner, DagSpec};
-use htpar_core::prelude::*;
-use htpar_core::runner::{Engine, JobInput};
+use htpar_core::prelude::Options;
 
-/// Slot count of the canonical gate workload (matches the dispatch
+use crate::harness::{in_process, rate, run_flat, Ctx, Metrics};
+
+/// Slot count of the canonical gate workload (matches the launch
 /// gate; wide DAGs are dispatch-bound at the same `-j`).
 pub const GATE_JOBS: usize = 64;
 /// Task count of the canonical gate workload (the paper-scale DAG
-/// acceptance run; the issue pins 100k).
+/// acceptance run).
 pub const GATE_TASKS: u64 = 100_000;
-
-/// Per-topology floors in tasks/sec for release builds, set from
-/// measured rates on a 1-core CI box at roughly half the low end of
-/// repeated trials (see `BENCH_dag_rate_gate.json`): ordinary noise
-/// passes, a structural regression (per-task locking, per-release
-/// allocation storms, a lost batch path) fails every attempt.
-pub const FLOOR_WIDE_RELEASE: f64 = 500_000.0;
-pub const FLOOR_DEEP_RELEASE: f64 = 50_000.0;
-pub const FLOOR_DIAMOND_RELEASE: f64 = 60_000.0;
-/// Debug floors, where `cargo test` runs the same workload.
-pub const FLOOR_WIDE_DEBUG: f64 = 250_000.0;
-pub const FLOOR_DEEP_DEBUG: f64 = 35_000.0;
-pub const FLOOR_DIAMOND_DEBUG: f64 = 45_000.0;
-
-/// The wide topology must stay within this factor of the flat-list
-/// path measured in the same process: the DAG layer is scheduling, not
-/// a second execution path, and this is the number that proves it.
-pub const WIDE_OVERHEAD_FACTOR_CEIL: f64 = 6.0;
-
-/// Attempts before declaring a regression; transient host hiccups
-/// depress one trial, a real regression depresses all of them.
-pub const GATE_ATTEMPTS: usize = 3;
 
 /// Canonical gate topologies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,59 +39,8 @@ pub enum Topology {
     Diamond,
 }
 
-impl Topology {
-    pub const ALL: [Topology; 3] = [Topology::Wide, Topology::Deep, Topology::Diamond];
-
-    pub fn parse(s: &str) -> Option<Topology> {
-        match s {
-            "wide" => Some(Topology::Wide),
-            "deep" => Some(Topology::Deep),
-            "diamond" => Some(Topology::Diamond),
-            _ => None,
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Topology::Wide => "wide",
-            Topology::Deep => "deep",
-            Topology::Diamond => "diamond",
-        }
-    }
-}
-
-/// The floor matching this topology and how this code was compiled.
-pub fn floor(topology: Topology) -> f64 {
-    match (topology, cfg!(debug_assertions)) {
-        (Topology::Wide, false) => FLOOR_WIDE_RELEASE,
-        (Topology::Deep, false) => FLOOR_DEEP_RELEASE,
-        (Topology::Diamond, false) => FLOOR_DIAMOND_RELEASE,
-        (Topology::Wide, true) => FLOOR_WIDE_DEBUG,
-        (Topology::Deep, true) => FLOOR_DEEP_DEBUG,
-        (Topology::Diamond, true) => FLOOR_DIAMOND_DEBUG,
-    }
-}
-
-/// Artificial per-task cost (`HTPAR_DAG_GATE_HANDICAP_US`, in
-/// microseconds), for the drill that proves the gate can trip.
-pub fn handicap() -> Option<Duration> {
-    std::env::var("HTPAR_DAG_GATE_HANDICAP_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|us| *us > 0)
-        .map(Duration::from_micros)
-}
-
-fn payload() -> FnExecutor {
-    match handicap() {
-        Some(cost) => FnExecutor::sleep(cost),
-        None => FnExecutor::noop(),
-    }
-}
-
 /// Build the canonical `tasks`-node graph for a topology. Node
-/// commands are inert markers; the gate runs them through
-/// [`FnExecutor::noop`].
+/// commands are inert markers; the gate runs them in-process.
 pub fn build(topology: Topology, tasks: u64) -> Dag {
     let mut spec = DagSpec::new();
     for i in 0..tasks {
@@ -146,60 +72,18 @@ pub fn build(topology: Topology, tasks: u64) -> Dag {
     spec.build().expect("generated graphs are acyclic")
 }
 
-/// One gate run's numbers.
-#[derive(Debug, Clone, Copy)]
-pub struct DagGateMeasurement {
-    pub topology: Topology,
-    pub jobs: usize,
-    pub tasks: u64,
-    pub wall: Duration,
-    /// Whole-run tasks per second through the DAG layer (graph build
-    /// excluded: the gate prices scheduling, not parsing).
-    pub tasks_per_sec: f64,
-    /// The flat-list engine over the identical task count, same
-    /// process, same payload — the baseline the overhead factor is
-    /// priced against.
-    pub flat_tasks_per_sec: f64,
-}
-
-impl DagGateMeasurement {
-    /// How many times slower the DAG path is than the flat path.
-    pub fn overhead_factor(&self) -> f64 {
-        self.flat_tasks_per_sec / self.tasks_per_sec.max(1e-9)
-    }
-}
-
-/// Run the flat-list baseline: `tasks` no-op jobs straight through the
-/// engine at `-j jobs`.
-pub fn measure_flat(jobs: usize, tasks: u64) -> f64 {
-    let inputs: Vec<JobInput> = (1..=tasks)
-        .map(|seq| JobInput::new(seq, vec!["noop".to_string()]))
-        .collect();
-    let engine = Engine {
-        options: Options {
-            jobs,
-            shell: false,
-            ..Options::default()
-        },
-        template: Template::parse("{}").expect("static template"),
-        executor: Arc::new(payload()),
-        on_result: None,
-        skip: HashSet::new(),
-        gate: None,
-        bus: None,
-    };
-    let started = Instant::now();
-    let report = engine
-        .run(Box::new(inputs.into_iter()))
-        .expect("baseline workload runs");
-    assert_eq!(report.succeeded, tasks, "baseline must fully succeed");
-    tasks as f64 / started.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// Run `tasks` no-op jobs through the DAG layer at `-j jobs` on the
-/// given topology, plus the flat baseline for the overhead factor.
-pub fn measure(topology: Topology, jobs: usize, tasks: u64) -> DagGateMeasurement {
-    let flat = measure_flat(jobs, tasks);
+/// Run `tasks` jobs through the DAG layer at `-j jobs` on `topology`,
+/// each a no-op or a sleep of `handicap`, and the flat-list engine
+/// over the same task count as a clean baseline. Graph build is
+/// excluded: the gate prices scheduling, not parsing. `overhead` is how
+/// many times slower the DAG path ran than the flat path.
+pub(crate) fn measure(
+    topology: Topology,
+    jobs: usize,
+    tasks: u64,
+    handicap: Option<Duration>,
+) -> Metrics {
+    let flat_wall = run_flat("noop {}", false, jobs, tasks, in_process(None), None);
     let dag = build(topology, tasks);
     let runner = DagRunner {
         options: Options {
@@ -207,7 +91,7 @@ pub fn measure(topology: Topology, jobs: usize, tasks: u64) -> DagGateMeasuremen
             shell: false,
             ..Options::default()
         },
-        executor: Arc::new(payload()),
+        executor: in_process(handicap),
         bus: None,
     };
     let started = Instant::now();
@@ -215,32 +99,17 @@ pub fn measure(topology: Topology, jobs: usize, tasks: u64) -> DagGateMeasuremen
     let wall = started.elapsed();
     assert_eq!(report.failed, 0, "gate workload must fully succeed");
     assert_eq!(report.skipped_dep_failed, 0);
-    DagGateMeasurement {
-        topology,
-        jobs,
-        tasks,
-        wall,
-        tasks_per_sec: tasks as f64 / wall.as_secs_f64().max(1e-9),
-        flat_tasks_per_sec: flat,
-    }
+    let (dag, flat) = (rate(tasks, wall), rate(tasks, flat_wall));
+    vec![
+        ("tasks_per_s", dag),
+        ("flat_tasks_per_s", flat),
+        ("overhead", flat / dag.max(1e-9)),
+    ]
 }
 
-/// Run one topology's canonical workload up to [`GATE_ATTEMPTS`]
-/// times; return the first measurement at or above the floor, or the
-/// best of the failing attempts. Callers compare `tasks_per_sec` to
-/// [`floor`].
-pub fn measure_gated(topology: Topology) -> DagGateMeasurement {
-    let mut best: Option<DagGateMeasurement> = None;
-    for _ in 0..GATE_ATTEMPTS {
-        let m = measure(topology, GATE_JOBS, GATE_TASKS);
-        if m.tasks_per_sec >= floor(topology) {
-            return m;
-        }
-        if best.is_none_or(|b| m.tasks_per_sec > b.tasks_per_sec) {
-            best = Some(m);
-        }
-    }
-    best.expect("GATE_ATTEMPTS > 0")
+/// One gate trial: the canonical workload on `topology`.
+pub(crate) fn trial(topology: Topology, ctx: &Ctx) -> Result<Metrics, String> {
+    Ok(measure(topology, GATE_JOBS, GATE_TASKS, ctx.handicap))
 }
 
 #[cfg(test)]
@@ -249,10 +118,10 @@ mod tests {
 
     #[test]
     fn topologies_build_the_requested_size() {
-        for topo in Topology::ALL {
+        for topo in [Topology::Wide, Topology::Deep, Topology::Diamond] {
             for n in [1u64, 2, 3, 5, 8, 40] {
                 let dag = build(topo, n);
-                assert_eq!(dag.len() as u64, n, "{}/{n}", topo.name());
+                assert_eq!(dag.len() as u64, n, "{topo:?}/{n}");
             }
         }
         // Deep is a chain: every node but the first has one dep.
@@ -266,10 +135,7 @@ mod tests {
 
     #[test]
     fn measure_reports_consistent_numbers() {
-        let m = measure(Topology::Diamond, 4, 64);
-        assert_eq!(m.tasks, 64);
-        assert!(m.tasks_per_sec > 0.0);
-        assert!(m.flat_tasks_per_sec > 0.0);
-        assert!(m.overhead_factor() > 0.0);
+        let m = measure(Topology::Diamond, 4, 64, None);
+        assert!(m.iter().all(|&(_, v)| v > 0.0), "{m:?}");
     }
 }

@@ -1,22 +1,19 @@
-//! The launch-rate regression gate: a fixed dispatch-bound workload with
-//! a checked-in floor.
+//! The launch gate's workload: a fixed dispatch-bound run.
 //!
 //! The paper's Fig. 3 claim is that slot-pull dispatch sustains launch
-//! rates far above central schedulers; this module is the guardrail that
-//! keeps our engine honest about it. `measure` runs N in-process no-op
-//! tasks through the real engine at a fixed `-j`, so the measured rate is
-//! pure dispatch cost (input hand-out, slot bookkeeping, completion
-//! collection) with no fork/exec noise. The `launch_rate_gate` binary and
-//! the `launch_rate_gate` integration test compare that rate against
-//! [`floor`] and fail on a regression.
+//! rates far above central schedulers; this workload is the guardrail
+//! that keeps our engine honest about it. [`measure`] runs N in-process
+//! no-op tasks through the real engine at a fixed `-j`, so the measured
+//! rate is pure dispatch cost (input hand-out, slot bookkeeping,
+//! completion collection) with no fork/exec noise. The `launch` row in
+//! [`crate::harness::GATES`] holds its floor; `fig3_launch_rate` runs
+//! the same measurement at 10x the task count.
 
-use std::collections::HashSet;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use htpar_core::prelude::*;
-use htpar_core::runner::{Engine, JobInput};
 use htpar_telemetry::{EventBus, MetricsRegistry};
+
+use crate::harness::{in_process, rate, run_flat, Ctx, Metrics};
 
 /// Slot count of the canonical gate workload.
 pub const GATE_JOBS: usize = 64;
@@ -24,129 +21,36 @@ pub const GATE_JOBS: usize = 64;
 /// Fig. 3 acceptance run uses 100k).
 pub const GATE_TASKS: u64 = 10_000;
 
-/// Floor in tasks/sec for the canonical workload in release builds:
-/// 0.5x the low end of the sustained rate measured after the
-/// sharded-dispatch rework on a 1-core CI box (1.06-1.91M tasks/s over
-/// repeated trials), so ordinary scheduler noise passes while a
-/// structural regression (a lock back on the hot path, per-task
-/// syscalls) fails every attempt.
-pub const FLOOR_RELEASE: f64 = 500_000.0;
-/// Same floor for unoptimized (debug) builds, where `cargo test` runs
-/// (measured 0.5-1.1M tasks/s sustained on the same box).
-pub const FLOOR_DEBUG: f64 = 200_000.0;
-
-/// Attempts the gate makes before declaring a regression. Transient VM
-/// hiccups depress one run; a real regression depresses all of them.
-pub const GATE_ATTEMPTS: usize = 3;
-
-/// The floor matching how this code was compiled.
-pub fn floor() -> f64 {
-    if cfg!(debug_assertions) {
-        FLOOR_DEBUG
-    } else {
-        FLOOR_RELEASE
-    }
-}
-
-/// One gate run's numbers.
-#[derive(Debug, Clone, Copy)]
-pub struct GateMeasurement {
-    pub jobs: usize,
-    pub tasks: u64,
-    pub wall: Duration,
-    /// Whole-run wall-clock rate (includes engine setup/teardown).
-    pub tasks_per_sec: f64,
-    /// Sustained rate over `spawned` telemetry events, as defined by
-    /// [`MetricsRegistry::launch_rate_sustained`]. `None` when the run
-    /// was not observed by a bus.
-    pub launch_rate_sustained: Option<f64>,
-}
-
-impl GateMeasurement {
-    /// The rate the gate compares against the floor: the bus-observed
-    /// sustained rate when available, wall-clock otherwise.
-    pub fn gate_rate(&self) -> f64 {
-        self.launch_rate_sustained.unwrap_or(self.tasks_per_sec)
-    }
-}
-
-/// Optional artificial per-task cost, for verifying that the gate really
-/// fails on a slowdown (set `HTPAR_GATE_HANDICAP_US` to a microsecond
-/// count).
-pub fn handicap() -> Option<Duration> {
-    std::env::var("HTPAR_GATE_HANDICAP_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|us| *us > 0)
-        .map(Duration::from_micros)
-}
-
-fn payload() -> FnExecutor {
-    match handicap() {
-        Some(cost) => FnExecutor::sleep(cost),
-        None => FnExecutor::noop(),
-    }
-}
-
-/// Run `tasks` in-process no-op jobs through the engine at `-j jobs` and
-/// report the achieved rate. With `with_metrics`, a telemetry bus with a
-/// [`MetricsRegistry`] observes the run (the gate's configuration); without
-/// it the run is unobserved and the wall-clock rate is pure dispatch.
-pub fn measure(jobs: usize, tasks: u64, with_metrics: bool) -> GateMeasurement {
-    let inputs: Vec<JobInput> = (1..=tasks)
-        .map(|seq| JobInput::new(seq, vec![seq.to_string()]))
-        .collect();
-    let (bus, metrics) = if with_metrics {
+/// Run `tasks` in-process jobs through the engine at `-j jobs`, each a
+/// no-op or a sleep of `handicap`. Returns the wall time and, with
+/// `with_metrics`, the sustained rate over `spawned` telemetry events
+/// as [`MetricsRegistry::launch_rate_sustained`] defines it. Without a
+/// bus the run is unobserved and the wall-clock rate is pure dispatch.
+pub fn measure(
+    jobs: usize,
+    tasks: u64,
+    with_metrics: bool,
+    handicap: Option<Duration>,
+) -> (Duration, Option<f64>) {
+    let metrics = with_metrics.then(MetricsRegistry::shared);
+    let bus = metrics.as_ref().map(|m| {
         let bus = EventBus::shared();
-        let metrics = MetricsRegistry::shared();
-        bus.attach(metrics.clone());
-        (Some(bus), Some(metrics))
-    } else {
-        (None, None)
-    };
-    let engine = Engine {
-        options: Options {
-            jobs,
-            shell: false,
-            ..Options::default()
-        },
-        template: Template::parse("noop {}").expect("static template"),
-        executor: Arc::new(payload()),
-        on_result: None,
-        skip: HashSet::new(),
-        gate: None,
-        bus,
-    };
-    let started = Instant::now();
-    let report = engine
-        .run(Box::new(inputs.into_iter()))
-        .expect("gate workload runs");
-    let wall = started.elapsed();
-    assert_eq!(report.succeeded, tasks, "gate workload must fully succeed");
-    GateMeasurement {
-        jobs,
-        tasks,
-        wall,
-        tasks_per_sec: tasks as f64 / wall.as_secs_f64().max(1e-9),
-        launch_rate_sustained: metrics.and_then(|m| m.launch_rate_sustained()),
-    }
+        bus.attach(m.clone());
+        bus
+    });
+    let wall = run_flat("noop {}", false, jobs, tasks, in_process(handicap), bus);
+    (wall, metrics.and_then(|m| m.launch_rate_sustained()))
 }
 
-/// Run the canonical gate workload up to [`GATE_ATTEMPTS`] times and
-/// return the first measurement at or above the floor, or the best of
-/// the failing attempts. Callers compare `gate_rate()` to [`floor`].
-pub fn measure_gated() -> GateMeasurement {
-    let mut best: Option<GateMeasurement> = None;
-    for _ in 0..GATE_ATTEMPTS {
-        let m = measure(GATE_JOBS, GATE_TASKS, true);
-        if m.gate_rate() >= floor() {
-            return m;
-        }
-        if best.is_none_or(|b| m.gate_rate() > b.gate_rate()) {
-            best = Some(m);
-        }
-    }
-    best.expect("GATE_ATTEMPTS > 0")
+/// One gate trial: the canonical workload, observed through a
+/// [`MetricsRegistry`]; the gated rate is the bus-observed one.
+pub(crate) fn trial(ctx: &Ctx) -> Result<Metrics, String> {
+    let (wall, sustained) = measure(GATE_JOBS, GATE_TASKS, true, ctx.handicap);
+    let sustained = sustained.ok_or("the gate run must be bus-observed")?;
+    Ok(vec![
+        ("sustained_tasks_per_s", sustained),
+        ("tasks_per_s", rate(GATE_TASKS, wall)),
+    ])
 }
 
 #[cfg(test)]
@@ -155,17 +59,15 @@ mod tests {
 
     #[test]
     fn measure_reports_consistent_numbers() {
-        let m = measure(4, 200, true);
-        assert_eq!(m.tasks, 200);
-        assert!(m.tasks_per_sec > 0.0);
-        assert!(m.launch_rate_sustained.is_some());
-        assert!(m.gate_rate() > 0.0);
+        let (wall, sustained) = measure(4, 200, true, None);
+        assert!(rate(200, wall) > 0.0);
+        assert!(sustained.is_some_and(|r| r > 0.0));
     }
 
     #[test]
     fn unobserved_measure_has_no_bus_rate() {
-        let m = measure(2, 50, false);
-        assert!(m.launch_rate_sustained.is_none());
-        assert_eq!(m.gate_rate(), m.tasks_per_sec);
+        let (wall, sustained) = measure(2, 50, false, None);
+        assert!(sustained.is_none());
+        assert!(wall > Duration::ZERO);
     }
 }

@@ -15,14 +15,28 @@
 //! | `tab_data_motion` | §IV-E — DTN transfer + baselines |
 //! | `tab_srun_vs_parallel` | §IV — srun-per-task vs parallel dispatch |
 //!
-//! Criterion microbenchmarks (`cargo bench -p htpar-bench`) cover the
-//! engine's own hot paths: template expansion, dispatch overhead, queue
-//! throughput, the event engine, and the mini-rsync scan.
+//! The `gate` binary runs the regression gates: [`harness::GATES`] is
+//! the one table of checked-in floors, and each gate's workload lives
+//! in its own module:
+//!
+//! | Gate | Module | Workload |
+//! |---|---|---|
+//! | `launch` | [`gate`] | 10k in-process no-ops at `-j 64`, bus-observed |
+//! | `spawn` | [`spawngate`] | 1k real `/bin/true` launches at `-j 8` |
+//! | `sim` | [`simgate`] | fault-replay DES, 128 nodes × 1,024 tasks |
+//! | `net` | [`netgate`] | 100k tasks over 8 local agents vs in-process |
+//! | `pilot` | [`pilotgate`] | 24 pilot sessions, then 1:2:4 fair share |
+//! | `dag_wide`, `dag_deep`, `dag_diamond` | [`daggate`] | 100k-task DAGs at `-j 64` |
+//!
+//! Under `cargo test`, each gate's `*_rate_gate.rs` test file checks its
+//! rows at the debug floors through [`harness::run`] and runs its
+//! [`harness::drill`].
 
 use std::fmt::Display;
 
 pub mod daggate;
 pub mod gate;
+pub mod harness;
 pub mod netgate;
 pub mod pilotgate;
 pub mod simgate;

@@ -1,29 +1,24 @@
-//! The socket-path rate gate: mini-cluster dispatch throughput with a
-//! checked-in ceiling on its slowdown versus in-process dispatch.
+//! The net gate's workload: mini-cluster dispatch priced against
+//! in-process dispatch.
 //!
 //! The network subsystem (DESIGN.md §12) adds framing, syscalls, and
-//! process hops to every task. This gate keeps that overhead honest:
-//! it drives the canonical no-op workload through a real
+//! process hops to every task. This workload keeps that overhead
+//! honest: it drives the canonical no-op workload through a real
 //! `--local-cluster 8 -j 8` mini-cluster (eight agent subprocesses,
 //! Unix/TCP sockets, the full driver protocol) and compares the
 //! achieved rate against the in-process dispatch rate of
 //! [`crate::gate::measure`] on the same task count and total slot
-//! count. The gate fails when `in-process rate / socket rate` exceeds
-//! the committed factor — a *relative* floor, so it tracks the machine
-//! instead of assuming one.
-//!
-//! `HTPAR_NET_GATE_HANDICAP_US` injects an artificial per-task cost on
-//! the agent side (a `sleep:US` payload), the drill that proves the
-//! gate actually trips.
+//! count. The `net` row in [`crate::harness::GATES`] caps
+//! `in-process rate / socket rate` — a *relative* floor, so it tracks
+//! the machine instead of assuming one.
 
-use std::process::Command;
 use std::time::Duration;
 
 use htpar_net::driver::{run_driver, DriverConfig};
 use htpar_net::frame::Payload;
-use htpar_net::local::LocalCluster;
 
 use crate::gate;
+use crate::harness::{rate, Ctx, Metrics};
 
 /// Agent subprocesses in the canonical gate workload.
 pub const NET_GATE_AGENTS: usize = 8;
@@ -33,133 +28,41 @@ pub const NET_GATE_JOBS_PER_AGENT: u32 = 8;
 /// Task count of the canonical gate workload.
 pub const NET_GATE_TASKS: u64 = 100_000;
 
-/// Committed ceiling on `in-process rate / socket rate` for release
-/// builds. The epoll reactor core batches shards, coalesces acks, and
-/// feeds the agent engine batch-at-a-time, so the measured best-of-3
-/// slowdown on the 1-core CI box sits around 2.8–3.3× (socket ~500k
-/// tasks/s against a 1.4–2.8M tasks/s in-process reference). Per-trial
-/// spread reaches ~5.5× because the in-process reference speeds up as
-/// the box warms; the ceiling leaves headroom for that noise while a
-/// structural regression fails every attempt — the pre-batching
-/// per-item feed path, for comparison, measured 11–13×.
-pub const MAX_SLOWDOWN_RELEASE: f64 = 6.0;
-/// Same ceiling for unoptimized (debug) builds, where `cargo test`
-/// runs. Debug hits the byte-level framing/decode path much harder than
-/// the preloaded in-process reference, so the ratio is structurally
-/// worse: measured best-of-3 ~10–11×, per-trial spread to ~18×.
-pub const MAX_SLOWDOWN_DEBUG: f64 = 20.0;
-
-/// The ceiling matching how this code was compiled.
-pub fn max_slowdown() -> f64 {
-    if cfg!(debug_assertions) {
-        MAX_SLOWDOWN_DEBUG
-    } else {
-        MAX_SLOWDOWN_RELEASE
-    }
+/// The payload agents run: no-ops, or a sleep of `handicap` per task.
+pub(crate) fn payload(handicap: Option<Duration>) -> Payload {
+    handicap.map_or(Payload::Noop, |d| Payload::SleepUs(d.as_micros() as u64))
 }
 
-/// Artificial per-task agent-side cost (`HTPAR_NET_GATE_HANDICAP_US`),
-/// for verifying the gate really fails on a slowdown.
-pub fn handicap() -> Option<Duration> {
-    std::env::var("HTPAR_NET_GATE_HANDICAP_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|us| *us > 0)
-        .map(Duration::from_micros)
-}
-
-/// The payload the gate ships to agents: no-ops, unless the handicap
-/// drill is active.
-pub fn gate_payload() -> Payload {
-    match handicap() {
-        Some(cost) => Payload::SleepUs(cost.as_micros() as u64),
-        None => Payload::Noop,
-    }
-}
-
-/// One gate run's numbers: the socket path and its in-process reference.
-#[derive(Debug, Clone, Copy)]
-pub struct NetGateMeasurement {
-    pub agents: usize,
-    pub jobs_per_agent: u32,
-    pub tasks: u64,
-    /// Wall time of the socket-path drive (connect to drain).
-    pub wall: Duration,
-    /// End-to-end socket-path completion rate.
-    pub socket_tasks_per_sec: f64,
-    /// In-process dispatch rate at the same task count and total slots.
-    pub inproc_tasks_per_sec: f64,
-}
-
-impl NetGateMeasurement {
-    /// The number the gate compares against [`max_slowdown`].
-    pub fn slowdown(&self) -> f64 {
-        self.inproc_tasks_per_sec / self.socket_tasks_per_sec.max(1e-9)
-    }
-
-    /// One JSONL record, shaped like the other `BENCH_*.json` artifacts.
-    pub fn to_jsonl(&self, trial: usize) -> String {
-        format!(
-            "{{\"bench\":\"net_rate_gate\",\"trial\":{},\"agents\":{},\"jobs_per_agent\":{},\
-             \"tasks\":{},\"wall_secs\":{:.6},\"socket_tasks_per_sec\":{:.0},\
-             \"inproc_tasks_per_sec\":{:.0},\"slowdown\":{:.2}}}",
-            trial,
-            self.agents,
-            self.jobs_per_agent,
-            self.tasks,
-            self.wall.as_secs_f64(),
-            self.socket_tasks_per_sec,
-            self.inproc_tasks_per_sec,
-            self.slowdown(),
-        )
-    }
-}
-
-/// Run the gate workload once: spawn a mini-cluster from `base` (a
-/// binary that calls `maybe_become_agent` first thing in `main`), drive
-/// `tasks` `payload` tasks through it, and measure the in-process
-/// reference on the same machine moments later.
-pub fn measure_with<F: FnMut() -> Command>(
-    base: F,
-    payload: Payload,
-    tasks: u64,
-) -> Result<NetGateMeasurement, String> {
-    let mut cluster = LocalCluster::spawn_with(NET_GATE_AGENTS, base)
-        .map_err(|e| format!("spawning mini-cluster: {e}"))?;
-    let inputs: Vec<Vec<String>> = (1..=tasks).map(|i| vec![i.to_string()]).collect();
+/// One gate trial: drive the canonical workload through a mini-cluster
+/// spawned from `ctx`'s agent binary, then measure the in-process
+/// reference on the same machine moments later. The handicap applies
+/// to the agents only; the reference runs clean.
+pub(crate) fn trial(ctx: &Ctx) -> Result<Metrics, String> {
+    let cluster = ctx.cluster(NET_GATE_AGENTS)?;
+    let inputs: Vec<Vec<String>> = (1..=NET_GATE_TASKS).map(|i| vec![i.to_string()]).collect();
     let mut config = DriverConfig::new(cluster.specs.clone(), "noop {}");
     config.jobs_per_agent = NET_GATE_JOBS_PER_AGENT;
-    config.payload = payload;
+    config.payload = payload(ctx.handicap);
     let outcome = run_driver(&config, &inputs, None).map_err(|e| format!("driving: {e}"))?;
-    cluster.join();
-    if outcome.completed != tasks {
+    // The drained agents are exiting; dropping the cluster kills any
+    // straggler and reaps them all without an unbounded wait.
+    drop(cluster);
+    if outcome.completed != NET_GATE_TASKS {
         return Err(format!(
-            "gate drive completed {}/{} tasks",
-            outcome.completed, tasks
+            "gate drive completed {}/{NET_GATE_TASKS} tasks",
+            outcome.completed
         ));
     }
-    // In-process reference: same tasks, same total slot count, no bus —
-    // pure dispatch cost on this machine right now.
-    let inproc = gate::measure(
-        NET_GATE_AGENTS * NET_GATE_JOBS_PER_AGENT as usize,
-        tasks,
-        false,
-    );
-    Ok(NetGateMeasurement {
-        agents: NET_GATE_AGENTS,
-        jobs_per_agent: NET_GATE_JOBS_PER_AGENT,
-        tasks,
-        wall: outcome.wall,
-        socket_tasks_per_sec: outcome.tasks_per_sec(),
-        inproc_tasks_per_sec: inproc.tasks_per_sec,
-    })
-}
-
-/// Run the canonical workload via self-re-exec (the calling binary must
-/// invoke `maybe_become_agent` first thing in `main`).
-pub fn measure_self(tasks: u64) -> Result<NetGateMeasurement, String> {
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    measure_with(|| Command::new(&exe), gate_payload(), tasks)
+    // Same tasks, same total slot count, no bus: pure dispatch cost.
+    let slots = NET_GATE_AGENTS * NET_GATE_JOBS_PER_AGENT as usize;
+    let (inproc_wall, _) = gate::measure(slots, NET_GATE_TASKS, false, None);
+    let socket = outcome.tasks_per_sec();
+    let inproc = rate(NET_GATE_TASKS, inproc_wall);
+    Ok(vec![
+        ("slowdown", inproc / socket.max(1e-9)),
+        ("socket_tasks_per_s", socket),
+        ("inproc_tasks_per_s", inproc),
+    ])
 }
 
 #[cfg(test)]
@@ -167,30 +70,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slowdown_is_the_rate_ratio() {
-        let m = NetGateMeasurement {
-            agents: 4,
-            jobs_per_agent: 16,
-            tasks: 1000,
-            wall: Duration::from_secs(1),
-            socket_tasks_per_sec: 1000.0,
-            inproc_tasks_per_sec: 8000.0,
-        };
-        assert!((m.slowdown() - 8.0).abs() < 1e-9);
-        let line = m.to_jsonl(2);
-        assert!(line.contains("\"trial\":2"));
-        assert!(line.contains("\"slowdown\":8.00"));
-    }
-
-    #[test]
     fn payload_honors_handicap_grammar() {
-        // Env-independent check of the mapping itself.
+        assert_eq!(payload(None), Payload::Noop);
         assert_eq!(
-            match handicap() {
-                Some(cost) => Payload::SleepUs(cost.as_micros() as u64),
-                None => Payload::Noop,
-            },
-            gate_payload()
+            payload(Some(Duration::from_millis(3))),
+            Payload::SleepUs(3_000)
         );
     }
 }

@@ -1,9 +1,8 @@
-//! The pilot-service rate gate: sustained multi-session throughput,
-//! p99 time-to-first-task, and weighted fair-share accuracy, each with
-//! a checked-in floor.
+//! The pilot gate's workload: sustained multi-session throughput, p99
+//! time-to-first-task, and weighted fair-share accuracy.
 //!
 //! `htpar serve` (DESIGN.md §13) multiplexes many client sessions onto
-//! one persistent agent fleet. This gate keeps three promises honest:
+//! one persistent agent fleet. This workload keeps three promises honest:
 //!
 //! 1. **Session throughput** — waves of concurrent sessions through a
 //!    real `--local-cluster 4` fleet must sustain a committed
@@ -14,23 +13,24 @@
 //!    (admission plus scheduling plus dispatch plus one task).
 //! 3. **Fair share** — on a 3-tenant 1:2:4 shape with saturated
 //!    backlogs, each tenant's share of dispatched tasks must land
-//!    within [`FAIR_SHARE_TOLERANCE`] of its weight share.
+//!    within a committed tolerance of its weight share.
 //!
-//! `HTPAR_PILOT_GATE_HANDICAP_US` injects an artificial per-task cost
-//! into the throughput workload — the drill proving the gate trips.
+//! The rows live in [`crate::harness::GATES`] under `pilot`; a
+//! handicap slows every throughput-phase task, the drill proving the
+//! gate trips.
 
 use std::path::PathBuf;
-use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use htpar_net::client::{ClientEvent, SessionClient, SessionConfig};
 use htpar_net::frame::Payload;
-use htpar_net::local::LocalCluster;
 use htpar_net::serve::{PilotServer, ServeConfig};
 use htpar_telemetry::{Event, EventBus, Recorder};
+
+use crate::harness::{join_by, rate, Ctx, Metrics, PHASE_DEADLINE};
+use crate::netgate::payload;
 
 /// Agent subprocesses in the gate fleet (the ISSUE's canonical shape).
 pub const PILOT_GATE_AGENTS: usize = 4;
@@ -50,104 +50,6 @@ pub const PILOT_GATE_FAIR_TASKS: u64 = 3_000;
 pub const PILOT_GATE_FAIR_TASK_US: u64 = 400;
 /// Fairness-phase tenant weights (the ISSUE's 1:2:4 shape).
 pub const FAIR_WEIGHTS: [u32; 3] = [1, 2, 4];
-/// Max relative deviation of a tenant's dispatched share from its
-/// weight share.
-pub const FAIR_SHARE_TOLERANCE: f64 = 0.10;
-/// Wall-clock budget for each gate phase's threads. The CI handicap
-/// drill (30 ms per task) needs ~25 s; a phase still running at this
-/// deadline is hung, and the gate reports it instead of stalling.
-pub const PHASE_DEADLINE: Duration = Duration::from_secs(120);
-
-/// Committed floor on sustained session throughput (sessions/s over
-/// the whole multi-wave run) in release builds. Measured ~70-90
-/// sessions/s on the 1-core CI box; the floor leaves ~4x headroom.
-pub const MIN_SESSIONS_PER_SEC_RELEASE: f64 = 16.0;
-/// Debug floor: unoptimized framing/decode roughly halves the rate.
-pub const MIN_SESSIONS_PER_SEC_DEBUG: f64 = 6.0;
-/// Committed ceiling on p99 Submit-to-first-completion latency in
-/// release builds. Measured p99 ~15-40ms under 8-way contention.
-pub const MAX_P99_TTFT_RELEASE: Duration = Duration::from_millis(250);
-/// Debug ceiling.
-pub const MAX_P99_TTFT_DEBUG: Duration = Duration::from_millis(800);
-
-/// The floor matching how this code was compiled.
-pub fn min_sessions_per_sec() -> f64 {
-    if cfg!(debug_assertions) {
-        MIN_SESSIONS_PER_SEC_DEBUG
-    } else {
-        MIN_SESSIONS_PER_SEC_RELEASE
-    }
-}
-
-/// The ceiling matching how this code was compiled.
-pub fn max_p99_ttft() -> Duration {
-    if cfg!(debug_assertions) {
-        MAX_P99_TTFT_DEBUG
-    } else {
-        MAX_P99_TTFT_RELEASE
-    }
-}
-
-/// Artificial per-task cost (`HTPAR_PILOT_GATE_HANDICAP_US`) for the
-/// inverted drill: inflating every task must blow the TTFT ceiling.
-pub fn handicap() -> Option<Duration> {
-    std::env::var("HTPAR_PILOT_GATE_HANDICAP_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|us| *us > 0)
-        .map(Duration::from_micros)
-}
-
-/// Throughput-phase payload: no-ops unless the drill is active.
-pub fn gate_payload() -> Payload {
-    match handicap() {
-        Some(cost) => Payload::SleepUs(cost.as_micros() as u64),
-        None => Payload::Noop,
-    }
-}
-
-/// One gate run's numbers.
-#[derive(Debug, Clone, Copy)]
-pub struct PilotGateMeasurement {
-    pub sessions: usize,
-    pub concurrency: usize,
-    pub tasks_per_session: u64,
-    /// Wall time of the whole throughput phase.
-    pub wall: Duration,
-    /// Sessions completed per second, sustained across all waves.
-    pub sessions_per_sec: f64,
-    /// p99 of Submit-to-first-completion latency across all sessions.
-    pub p99_ttft: Duration,
-    /// Max relative deviation of dispatched share from weight share
-    /// across the fairness phase's three tenants.
-    pub fairness_err: f64,
-}
-
-impl PilotGateMeasurement {
-    /// All three floors at the compiled-in thresholds.
-    pub fn pass(&self) -> bool {
-        self.sessions_per_sec >= min_sessions_per_sec()
-            && self.p99_ttft <= max_p99_ttft()
-            && self.fairness_err <= FAIR_SHARE_TOLERANCE
-    }
-
-    /// One JSONL record, shaped like the other `BENCH_*.json` artifacts.
-    pub fn to_jsonl(&self, trial: usize) -> String {
-        format!(
-            "{{\"bench\":\"pilot_rate_gate\",\"trial\":{},\"sessions\":{},\"concurrency\":{},\
-             \"tasks_per_session\":{},\"wall_secs\":{:.6},\"sessions_per_sec\":{:.1},\
-             \"p99_ttft_ms\":{:.2},\"fairness_err\":{:.4}}}",
-            trial,
-            self.sessions,
-            self.concurrency,
-            self.tasks_per_session,
-            self.wall.as_secs_f64(),
-            self.sessions_per_sec,
-            self.p99_ttft.as_secs_f64() * 1e3,
-            self.fairness_err,
-        )
-    }
-}
 
 /// Fresh journal dir for one gate phase. Both phases run with
 /// `state_dir` set: journaling fsyncs on every admission, so the
@@ -166,24 +68,13 @@ fn gate_state_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Join a gate thread by `deadline`. A thread still running then, or
-/// one that panicked, becomes an error naming `phase`.
-fn join_by<T>(handle: JoinHandle<T>, deadline: Instant, phase: &str) -> Result<T, String> {
-    while !handle.is_finished() {
-        if Instant::now() >= deadline {
-            return Err(format!("{phase} still running at its deadline"));
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    handle.join().map_err(|_| format!("{phase} panicked"))
-}
-
-/// Run one complete session and return its time-to-first-task.
-fn run_session(spec: &str, tenant: &str, payload: Payload, tasks: u64) -> Result<Duration, String> {
-    let mut config = SessionConfig::new(spec, tenant);
-    config.payload = payload;
+/// Run one complete session of `tasks` tasks, submitted once every
+/// session sharing `start` has connected, and return its
+/// time-to-first-task.
+fn run_session(config: SessionConfig, tasks: u64, start: &Barrier) -> Result<Duration, String> {
     let mut client = SessionClient::connect(config).map_err(|e| format!("connect: {e}"))?;
     let inputs: Vec<Vec<String>> = (1..=tasks).map(|i| vec![i.to_string()]).collect();
+    start.wait();
     let submitted = Instant::now();
     let verdict = client.submit(&inputs).map_err(|e| format!("submit: {e}"))?;
     if !verdict.accepted {
@@ -205,121 +96,98 @@ fn run_session(spec: &str, tenant: &str, payload: Payload, tasks: u64) -> Result
     ttft.ok_or_else(|| "no completions observed".to_string())
 }
 
-/// Throughput phase: `PILOT_GATE_CONCURRENCY` client threads, each
-/// running `PILOT_GATE_WAVES` sessions back-to-back against one
-/// persistent pilot. Returns (wall, per-session TTFTs).
-fn measure_throughput(
-    specs: Vec<String>,
-    payload: Payload,
-) -> Result<(Duration, Vec<Duration>), String> {
-    let total_sessions = (PILOT_GATE_CONCURRENCY * PILOT_GATE_WAVES) as u64;
-    let state_dir = gate_state_dir("throughput");
-    let mut config = ServeConfig::new(specs, "127.0.0.1:0");
+/// Run one gate phase: a journaled pilot over a fresh mini-cluster
+/// (the pilot drains its fleet on exit) serves `sessions` sessions on
+/// its own thread while `drive` runs the clients against its spec,
+/// every join bounded by the phase deadline. Each session checks its
+/// own completions; this returns what `drive` returned.
+fn phase<T>(
+    ctx: &Ctx,
+    tag: &str,
+    sessions: usize,
+    bus: Option<Arc<EventBus>>,
+    drive: impl FnOnce(&str, Instant) -> Result<T, String>,
+) -> Result<T, String> {
+    // Dropped on return: a drained fleet is exiting, and the drop kills
+    // any straggler and reaps it without an unbounded wait.
+    let cluster = ctx.cluster(PILOT_GATE_AGENTS)?;
+    let state_dir = gate_state_dir(tag);
+    let mut config = ServeConfig::new(cluster.specs.clone(), "127.0.0.1:0");
     config.jobs_per_agent = PILOT_GATE_JOBS;
-    config.max_sessions = Some(total_sessions);
+    config.max_sessions = Some(sessions as u64);
     config.state_dir = Some(state_dir.clone());
-    let server = PilotServer::bind(config).map_err(|e| format!("pilot bind: {e}"))?;
-    let spec = server
-        .local_spec()
-        .map_err(|e| format!("pilot spec: {e}"))?;
-    let serve = std::thread::spawn(move || server.run(None));
-
-    let started = Instant::now();
-    let deadline = started + PHASE_DEADLINE;
-    let workers: Vec<_> = (0..PILOT_GATE_CONCURRENCY)
-        .map(|w| {
-            let spec = spec.clone();
-            std::thread::spawn(move || -> Result<Vec<Duration>, String> {
-                let mut ttfts = Vec::with_capacity(PILOT_GATE_WAVES);
-                for wave in 0..PILOT_GATE_WAVES {
-                    ttfts.push(run_session(
-                        &spec,
-                        &format!("client-{w}-{wave}"),
-                        payload,
-                        PILOT_GATE_TASKS_PER_SESSION,
-                    )?);
-                }
-                Ok(ttfts)
-            })
-        })
-        .collect();
-    let mut ttfts = Vec::with_capacity(total_sessions as usize);
-    for worker in workers {
-        ttfts.extend(join_by(worker, deadline, "throughput client")??);
-    }
-    let wall = started.elapsed();
-
-    let outcome =
-        join_by(serve, deadline, "throughput serve loop")?.map_err(|e| format!("serve: {e}"))?;
-    if outcome.completed != total_sessions * PILOT_GATE_TASKS_PER_SESSION {
-        return Err(format!(
-            "pilot completed {} of {} tasks",
-            outcome.completed,
-            total_sessions * PILOT_GATE_TASKS_PER_SESSION
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&state_dir);
-    Ok((wall, ttfts))
-}
-
-/// Fairness phase: three tenants with weights 1:2:4 submit identical
-/// saturating backlogs; the dispatched-task share of each tenant over
-/// the contended window (everyone backlogged) must track its weight
-/// share. Returns the max relative deviation.
-fn measure_fairness(specs: Vec<String>) -> Result<f64, String> {
-    let recorder = Recorder::shared();
-    let bus = Arc::new(EventBus::new());
-    bus.attach(recorder.clone());
-
-    let state_dir = gate_state_dir("fairness");
-    let mut config = ServeConfig::new(specs, "127.0.0.1:0");
-    config.jobs_per_agent = PILOT_GATE_JOBS;
-    config.max_sessions = Some(FAIR_WEIGHTS.len() as u64);
-    config.state_dir = Some(state_dir.clone());
-    config.bus = Some(bus);
+    config.bus = bus;
     let server = PilotServer::bind(config).map_err(|e| format!("pilot bind: {e}"))?;
     let spec = server
         .local_spec()
         .map_err(|e| format!("pilot spec: {e}"))?;
     let serve = std::thread::spawn(move || server.run(None));
     let deadline = Instant::now() + PHASE_DEADLINE;
+    let driven = drive(&spec, deadline)?;
+    join_by(serve, deadline, &format!("{tag} serve loop"))?.map_err(|e| format!("serve: {e}"))?;
+    let _ = std::fs::remove_dir_all(&state_dir);
+    Ok(driven)
+}
 
-    // All three Submits race within a barrier-width of each other so
-    // no tenant gets a meaningful head start on the backlog window.
-    let barrier = Arc::new(Barrier::new(FAIR_WEIGHTS.len()));
-    let clients: Vec<_> = FAIR_WEIGHTS
-        .iter()
-        .enumerate()
-        .map(|(i, &weight)| {
-            let spec = spec.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || -> Result<(), String> {
+/// Throughput phase: `PILOT_GATE_CONCURRENCY` client threads, each
+/// running `PILOT_GATE_WAVES` sessions back-to-back against one
+/// persistent pilot. Returns (wall, per-session TTFTs).
+fn measure_throughput(ctx: &Ctx) -> Result<(Duration, Vec<Duration>), String> {
+    let sessions = PILOT_GATE_CONCURRENCY * PILOT_GATE_WAVES;
+    let payload = payload(ctx.handicap);
+    phase(ctx, "throughput", sessions, None, |spec, deadline| {
+        let started = Instant::now();
+        let workers: Vec<_> = (0..PILOT_GATE_CONCURRENCY)
+            .map(|w| {
+                let spec = spec.to_string();
+                std::thread::spawn(move || -> Result<Vec<Duration>, String> {
+                    let alone = Barrier::new(1);
+                    let mut ttfts = Vec::with_capacity(PILOT_GATE_WAVES);
+                    for wave in 0..PILOT_GATE_WAVES {
+                        let mut config = SessionConfig::new(&spec, format!("client-{w}-{wave}"));
+                        config.payload = payload;
+                        ttfts.push(run_session(config, PILOT_GATE_TASKS_PER_SESSION, &alone)?);
+                    }
+                    Ok(ttfts)
+                })
+            })
+            .collect();
+        let mut ttfts = Vec::with_capacity(sessions);
+        for worker in workers {
+            ttfts.extend(join_by(worker, deadline, "throughput client")??);
+        }
+        Ok((started.elapsed(), ttfts))
+    })
+}
+
+/// Fairness phase: three tenants with weights 1:2:4 submit identical
+/// saturating backlogs; the dispatched-task share of each tenant over
+/// the contended window (everyone backlogged) must track its weight
+/// share. Returns the max relative deviation.
+fn measure_fairness(ctx: &Ctx) -> Result<f64, String> {
+    let recorder = Recorder::shared();
+    let bus = Arc::new(EventBus::new());
+    bus.attach(recorder.clone());
+    let tenants = FAIR_WEIGHTS.len();
+    phase(ctx, "fairness", tenants, Some(bus), |spec, deadline| {
+        // All three Submits race within a barrier-width of each other so
+        // no tenant gets a meaningful head start on the backlog window.
+        let barrier = Arc::new(Barrier::new(tenants));
+        let clients: Vec<_> = FAIR_WEIGHTS
+            .iter()
+            .map(|&weight| {
                 let mut config = SessionConfig::new(spec, format!("fair-{weight}x"));
                 config.weight = weight;
                 config.payload = Payload::SleepUs(PILOT_GATE_FAIR_TASK_US);
-                let mut client =
-                    SessionClient::connect(config).map_err(|e| format!("connect: {e}"))?;
-                let inputs: Vec<Vec<String>> = (1..=PILOT_GATE_FAIR_TASKS)
-                    .map(|i| vec![format!("{i}-{i}")])
-                    .collect();
-                barrier.wait();
-                let verdict = client.submit(&inputs).map_err(|e| format!("submit: {e}"))?;
-                if !verdict.accepted {
-                    return Err(format!("tenant {i} refused: {}", verdict.reason));
-                }
-                while client.completed() < PILOT_GATE_FAIR_TASKS {
-                    client.recv().map_err(|e| format!("recv: {e}"))?;
-                }
-                client.finish().map_err(|e| format!("finish: {e}"))?;
-                Ok(())
+                let barrier = barrier.clone();
+                std::thread::spawn(move || run_session(config, PILOT_GATE_FAIR_TASKS, &barrier))
             })
-        })
-        .collect();
-    for client in clients {
-        join_by(client, deadline, "fairness client")??;
-    }
-    join_by(serve, deadline, "fairness serve loop")?.map_err(|e| format!("serve: {e}"))?;
-    let _ = std::fs::remove_dir_all(&state_dir);
+            .collect();
+        for client in clients {
+            join_by(client, deadline, "fairness client")??;
+        }
+        Ok(())
+    })?;
 
     // Walk dispatch events chronologically; the contended window ends
     // when the first tenant's backlog is exhausted (after that, the
@@ -354,42 +222,19 @@ fn measure_fairness(specs: Vec<String>) -> Result<f64, String> {
     Ok(worst)
 }
 
-/// Run the full gate workload once: spawn a fresh mini-cluster from
-/// `base` (a binary calling `maybe_become_agent` first thing in
-/// `main`) for each phase, since the pilot drains its fleet on exit.
-pub fn measure_with<F: FnMut() -> Command>(
-    mut base: F,
-    payload: Payload,
-) -> Result<PilotGateMeasurement, String> {
-    let mut cluster = LocalCluster::spawn_with(PILOT_GATE_AGENTS, &mut base)
-        .map_err(|e| format!("spawning mini-cluster: {e}"))?;
-    let (wall, mut ttfts) = measure_throughput(cluster.specs.clone(), payload)?;
-    cluster.join();
-
-    let mut cluster = LocalCluster::spawn_with(PILOT_GATE_AGENTS, &mut base)
-        .map_err(|e| format!("spawning fairness cluster: {e}"))?;
-    let fairness_err = measure_fairness(cluster.specs.clone())?;
-    cluster.join();
-
+/// One gate trial: both phases, each on agents from `ctx`'s agent
+/// binary. The handicap slows the throughput phase's tasks.
+pub(crate) fn trial(ctx: &Ctx) -> Result<Metrics, String> {
+    let (wall, mut ttfts) = measure_throughput(ctx)?;
+    let fairness_err = measure_fairness(ctx)?;
     ttfts.sort_unstable();
     let p99_idx = ((ttfts.len() as f64 * 0.99).ceil() as usize).clamp(1, ttfts.len()) - 1;
     let sessions = PILOT_GATE_CONCURRENCY * PILOT_GATE_WAVES;
-    Ok(PilotGateMeasurement {
-        sessions,
-        concurrency: PILOT_GATE_CONCURRENCY,
-        tasks_per_session: PILOT_GATE_TASKS_PER_SESSION,
-        wall,
-        sessions_per_sec: sessions as f64 / wall.as_secs_f64().max(1e-9),
-        p99_ttft: ttfts[p99_idx],
-        fairness_err,
-    })
-}
-
-/// Run the canonical workload via self-re-exec (the calling binary must
-/// invoke `maybe_become_agent` first thing in `main`).
-pub fn measure_self() -> Result<PilotGateMeasurement, String> {
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    measure_with(|| Command::new(&exe), gate_payload())
+    Ok(vec![
+        ("sessions_per_s", rate(sessions as u64, wall)),
+        ("p99_ttft_ms", ttfts[p99_idx].as_secs_f64() * 1e3),
+        ("fairness_err", fairness_err),
+    ])
 }
 
 #[cfg(test)]
@@ -398,82 +243,37 @@ mod tests {
 
     #[test]
     fn pass_applies_all_three_floors() {
-        let good = PilotGateMeasurement {
-            sessions: 24,
-            concurrency: 8,
-            tasks_per_session: 500,
-            wall: Duration::from_secs(1),
-            sessions_per_sec: min_sessions_per_sec() + 1.0,
-            p99_ttft: max_p99_ttft() / 2,
-            fairness_err: FAIR_SHARE_TOLERANCE / 2.0,
-        };
-        assert!(good.pass());
-        assert!(!PilotGateMeasurement {
-            sessions_per_sec: min_sessions_per_sec() / 2.0,
-            ..good
+        let good = [
+            ("sessions_per_s", 100.0),
+            ("p99_ttft_ms", 1.0),
+            ("fairness_err", 0.01),
+        ];
+        assert!(crate::harness::check("pilot", &good).is_ok());
+        // An unreported metric counts as NaN, which misses every row.
+        assert!(crate::harness::check("pilot", &good[..2]).is_err());
+        for (i, bad) in [1.0, 10_000.0, 0.5].into_iter().enumerate() {
+            let mut metrics = good;
+            metrics[i].1 = bad;
+            let err = crate::harness::check("pilot", &metrics).unwrap_err();
+            assert!(err.contains(metrics[i].0), "{err}");
         }
-        .pass());
-        assert!(!PilotGateMeasurement {
-            p99_ttft: max_p99_ttft() * 2,
-            ..good
-        }
-        .pass());
-        assert!(!PilotGateMeasurement {
-            fairness_err: FAIR_SHARE_TOLERANCE * 2.0,
-            ..good
-        }
-        .pass());
-    }
-
-    #[test]
-    fn jsonl_record_carries_all_gate_numbers() {
-        let m = PilotGateMeasurement {
-            sessions: 24,
-            concurrency: 8,
-            tasks_per_session: 500,
-            wall: Duration::from_secs(2),
-            sessions_per_sec: 12.0,
-            p99_ttft: Duration::from_millis(35),
-            fairness_err: 0.042,
-        };
-        let line = m.to_jsonl(3);
-        assert!(line.contains("\"trial\":3"));
-        assert!(line.contains("\"sessions_per_sec\":12.0"));
-        assert!(line.contains("\"p99_ttft_ms\":35.00"));
-        assert!(line.contains("\"fairness_err\":0.0420"));
-    }
-
-    #[test]
-    fn gate_state_dirs_are_unique_per_call() {
-        // The two tests in `pilot_rate_gate.rs` run at once in one
-        // process with the same tags.
-        assert_ne!(gate_state_dir("throughput"), gate_state_dir("throughput"));
-    }
-
-    #[test]
-    fn join_by_names_the_phase_of_a_hung_thread() {
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let stuck = std::thread::spawn(move || {
-            let _ = rx.recv();
-        });
-        let err = join_by(stuck, Instant::now(), "stuck phase").unwrap_err();
-        assert!(err.contains("stuck phase"), "{err}");
-        tx.send(()).unwrap();
-        let done = std::thread::spawn(|| 7);
-        assert_eq!(
-            join_by(done, Instant::now() + PHASE_DEADLINE, "quick"),
-            Ok(7)
-        );
     }
 
     #[test]
     fn payload_honors_handicap_grammar() {
-        assert_eq!(
-            match handicap() {
-                Some(cost) => Payload::SleepUs(cost.as_micros() as u64),
-                None => Payload::Noop,
-            },
-            gate_payload()
-        );
+        // The pilot drill's handicap reaches every throughput-phase task
+        // as a sleep of exactly `drill_us`; a clean trial runs no-ops.
+        let drill_us = crate::harness::find("pilot")
+            .and_then(|g| g.drill_us)
+            .expect("the pilot gate has a drill");
+        let drill = Some(Duration::from_micros(drill_us));
+        assert_eq!(payload(drill), Payload::SleepUs(drill_us));
+        assert_eq!(payload(None), Payload::Noop);
+    }
+
+    #[test]
+    fn gate_state_dirs_are_unique_per_call() {
+        // Gates running at once in one process use the same tags.
+        assert_ne!(gate_state_dir("throughput"), gate_state_dir("throughput"));
     }
 }

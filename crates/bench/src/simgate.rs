@@ -1,5 +1,4 @@
-//! The simulated-event-rate regression gate: a fixed fault-replay-shaped
-//! DES workload with a checked-in floor.
+//! The sim gate's workload: a fixed fault-replay-shaped DES run.
 //!
 //! The paper's extreme-scale results (Fig. 1 weak scaling, the
 //! fault-resilient driver replay) run on `htpar_simkit`'s event engine;
@@ -12,63 +11,13 @@
 //! that `cancel_many` everything in flight and requeue the remainder onto
 //! survivors — with near-zero world bookkeeping, so the measured rate is
 //! pure event-core cost (schedule, cancel, mass-cancel, fire, far-future
-//! buckets). The `sim_rate_gate` binary and the `sim_rate_gate`
-//! integration test compare that rate against [`floor`] and fail on a
-//! regression.
+//! buckets). The `sim` row in [`crate::harness::GATES`] holds its floor.
 
 use std::time::{Duration, Instant};
 
 use htpar_simkit::{EventId, SimTime, Simulation};
 
-/// Canonical gate workload: 128 nodes x 1,024 tasks, 64 slots per node,
-/// one in eight nodes crashing mid-run. Roughly 400k scheduled events
-/// (two fired plus one cancelled watchdog per task), small enough to run
-/// in CI seconds, shaped enough to exercise every queue path.
-pub const GATE_NODES: u32 = 128;
-pub const GATE_TASKS_PER_NODE: u32 = 1_024;
-pub const GATE_JOBS: u32 = 64;
-/// One node in eight crashes mid-run (16 of 128): each crash mass-cancels
-/// the node's in-flight events and requeues its remainder.
-pub const GATE_CRASH_EVERY: u32 = 8;
-
-/// Floor in events/sec for the canonical workload in release builds:
-/// well under half the worst trial measured after the calendar-queue
-/// rework (8.6-11.8M events/s over repeated trials on the mid-run-crash
-/// workload, 13.3-23.1M on the earlier post-drain-crash variant; the
-/// old heap queue measured 3.3-3.6M on the same box). Scheduler noise
-/// passes; a
-/// structural regression (a hash lookup back on the hot path, per-event
-/// allocation, a tombstone drain) fails every attempt — the floor sits
-/// *above* the old engine's throughput, so even a full revert trips it.
-pub const FLOOR_RELEASE: f64 = 4_000_000.0;
-/// Same floor for unoptimized (debug) builds, where `cargo test` runs
-/// (measured 2.6-2.9M events/s after the rework).
-pub const FLOOR_DEBUG: f64 = 1_000_000.0;
-
-/// Attempts the gate makes before declaring a regression (same policy as
-/// the launch-rate gate: a transient VM hiccup depresses one run, a real
-/// regression depresses all of them).
-pub const GATE_ATTEMPTS: usize = 3;
-
-/// The floor matching how this code was compiled.
-pub fn floor() -> f64 {
-    if cfg!(debug_assertions) {
-        FLOOR_DEBUG
-    } else {
-        FLOOR_RELEASE
-    }
-}
-
-/// Optional artificial per-completion cost, for verifying that the gate
-/// really fails on a slowdown (set `HTPAR_SIM_GATE_HANDICAP_US` to a
-/// microsecond count — the drill twin of `HTPAR_GATE_HANDICAP_US`).
-pub fn handicap() -> Option<Duration> {
-    std::env::var("HTPAR_SIM_GATE_HANDICAP_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|us| *us > 0)
-        .map(Duration::from_micros)
-}
+use crate::harness::{metric, rate, Ctx, Metrics};
 
 /// Gate workload shape.
 #[derive(Debug, Clone, Copy)]
@@ -82,33 +31,21 @@ pub struct SimGateConfig {
 }
 
 impl SimGateConfig {
-    /// The canonical CI workload.
+    /// The canonical CI workload: 128 nodes x 1,024 tasks, 64 slots per
+    /// node, one node in eight (16 of 128) crashing mid-run; each crash
+    /// mass-cancels the node's in-flight events and requeues its
+    /// remainder. Roughly 400k scheduled events (two fired plus one
+    /// cancelled watchdog per task), small enough to run in CI seconds,
+    /// shaped enough to exercise every queue path.
     pub fn canonical() -> SimGateConfig {
         SimGateConfig {
-            nodes: GATE_NODES,
-            tasks_per_node: GATE_TASKS_PER_NODE,
-            jobs: GATE_JOBS,
-            crash_every: GATE_CRASH_EVERY,
+            nodes: 128,
+            tasks_per_node: 1_024,
+            jobs: 64,
+            crash_every: 8,
             seed: 2024,
         }
     }
-}
-
-/// One gate run's numbers.
-#[derive(Debug, Clone, Copy)]
-pub struct SimGateMeasurement {
-    pub nodes: u32,
-    pub tasks: u64,
-    /// Tasks that completed (original or requeued after a crash).
-    pub tasks_done: u64,
-    /// Events fired by the engine.
-    pub fired: u64,
-    /// Events cancelled before firing (watchdogs + crash mass-cancels).
-    pub cancelled: u64,
-    pub wall: Duration,
-    /// (fired + cancelled) / wall — the gate's metric: every scheduled
-    /// event costs one schedule plus one fire-or-cancel.
-    pub events_per_sec: f64,
 }
 
 /// Cheap deterministic mixer (splitmix64 finalizer) so per-task costs
@@ -270,8 +207,10 @@ fn crash(sim: &mut Simulation<GateWorld>, cfg: SimGateConfig, node: usize) {
     }
 }
 
-/// Run the gate workload once and report the achieved event rate.
-pub fn measure(cfg: SimGateConfig) -> SimGateMeasurement {
+/// Run the gate workload once, spinning `handicap` per completion, and
+/// report the event rate plus the trace's counts: events `fired` and
+/// `cancelled`, `tasks` planned and `tasks_done`.
+pub(crate) fn measure(cfg: SimGateConfig, handicap: Option<Duration>) -> Metrics {
     assert!(cfg.nodes >= 2 && cfg.tasks_per_node >= 1 && cfg.jobs >= 1);
     let tasks = cfg.nodes as u64 * cfg.tasks_per_node as u64;
     let world = GateWorld {
@@ -289,7 +228,7 @@ pub fn measure(cfg: SimGateConfig) -> SimGateMeasurement {
             .collect(),
         cancelled: 0,
         tasks_done: 0,
-        handicap: handicap(),
+        handicap,
     };
     let started = Instant::now();
     let mut sim = Simulation::with_seed(world, cfg.seed);
@@ -319,33 +258,28 @@ pub fn measure(cfg: SimGateConfig) -> SimGateMeasurement {
     let fired = sim.events_fired();
     let wall = started.elapsed();
     let world = sim.into_world();
-    let events = fired + world.cancelled;
-    SimGateMeasurement {
-        nodes: cfg.nodes,
-        tasks,
-        tasks_done: world.tasks_done,
-        fired,
-        cancelled: world.cancelled,
-        wall,
-        events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
-    }
+    vec![
+        // Every scheduled event costs one schedule plus one
+        // fire-or-cancel.
+        ("events_per_s", rate(fired + world.cancelled, wall)),
+        ("fired", fired as f64),
+        ("cancelled", world.cancelled as f64),
+        ("tasks", tasks as f64),
+        ("tasks_done", world.tasks_done as f64),
+    ]
 }
 
-/// Run the canonical gate workload up to [`GATE_ATTEMPTS`] times and
-/// return the first measurement at or above the floor, or the best of
-/// the failing attempts. Callers compare `events_per_sec` to [`floor`].
-pub fn measure_gated() -> SimGateMeasurement {
-    let mut best: Option<SimGateMeasurement> = None;
-    for _ in 0..GATE_ATTEMPTS {
-        let m = measure(SimGateConfig::canonical());
-        if m.events_per_sec >= floor() {
-            return m;
-        }
-        if best.is_none_or(|b| m.events_per_sec > b.events_per_sec) {
-            best = Some(m);
-        }
+/// One gate trial: the canonical workload, which must finish every task
+/// through its crashes and exercise the cancellation path.
+pub(crate) fn trial(ctx: &Ctx) -> Result<Metrics, String> {
+    let m = measure(SimGateConfig::canonical(), ctx.handicap);
+    let count = |name| metric(&m, name).unwrap_or(0.0);
+    if count("tasks_done") != count("tasks") || count("cancelled") == 0.0 {
+        return Err(format!(
+            "the workload lost tasks or cancelled nothing: {m:?}"
+        ));
     }
-    best.expect("GATE_ATTEMPTS > 0")
+    Ok(m)
 }
 
 #[cfg(test)]
@@ -362,32 +296,44 @@ mod tests {
         }
     }
 
+    fn count(m: &Metrics, name: &str) -> f64 {
+        metric(m, name).expect("measure reports every count")
+    }
+
     #[test]
     fn workload_conserves_tasks_through_crashes() {
-        let m = measure(tiny());
+        let m = measure(tiny(), None);
         // Crashed nodes requeue their remainder, so every task completes
         // somewhere (possibly more than `tasks` completions never happen:
         // requeue moves targets, it does not duplicate them).
-        assert_eq!(m.tasks_done, m.tasks, "lost tasks: {m:?}");
-        assert!(m.cancelled > 0, "watchdog cancels must be exercised");
-        assert!(m.fired > m.tasks, "completion + hop per task at minimum");
+        assert_eq!(
+            count(&m, "tasks_done"),
+            count(&m, "tasks"),
+            "lost tasks: {m:?}"
+        );
+        assert!(
+            count(&m, "cancelled") > 0.0,
+            "watchdog cancels must be exercised"
+        );
+        assert!(
+            count(&m, "fired") > count(&m, "tasks"),
+            "completion + hop per task at minimum"
+        );
     }
 
     #[test]
     fn workload_is_deterministic() {
-        let a = measure(tiny());
-        let b = measure(tiny());
-        assert_eq!(a.fired, b.fired);
-        assert_eq!(a.cancelled, b.cancelled);
-        assert_eq!(a.tasks_done, b.tasks_done);
+        // Everything but the leading rate is a count of the trace.
+        let (a, b) = (measure(tiny(), None), measure(tiny(), None));
+        assert_eq!(a[1..], b[1..]);
     }
 
     #[test]
     fn crash_free_run_cancels_exactly_one_watchdog_per_task() {
         let mut cfg = tiny();
         cfg.crash_every = 0;
-        let m = measure(cfg);
-        assert_eq!(m.cancelled, m.tasks);
-        assert_eq!(m.tasks_done, m.tasks);
+        let m = measure(cfg, None);
+        assert_eq!(count(&m, "cancelled"), count(&m, "tasks"));
+        assert_eq!(count(&m, "tasks_done"), count(&m, "tasks"));
     }
 }

@@ -1,28 +1,26 @@
-//! The process-launch rate gate: real `fork`/`exec`-bound work with a
-//! checked-in floor.
+//! The spawn gate's workload: real `fork`/`exec`-bound work.
 //!
-//! The dispatch gate ([`crate::gate`]) measures the engine with no-op
-//! in-process tasks; this gate measures the other half of the paper's
-//! launch-rate story — what it costs to start a *real* process per
-//! task. The workload is `/bin/true {}`-shaped: trivially short, shell
-//! bypass-eligible, so the measured rate is pure launch overhead
+//! The launch gate ([`crate::gate`]) measures the engine with no-op
+//! in-process tasks; this workload measures the other half of the
+//! paper's launch-rate story — what it costs to start a *real* process
+//! per task. The workload is `/bin/true {}`-shaped: trivially short,
+//! shell-bypass-eligible, so the measured rate is pure launch overhead
 //! (spawn syscall, pipe setup, reaping, output collection).
 //!
-//! `measure` runs the workload twice-shaped: `legacy = true` pins the
-//! portable `std::process::Command` path (`sh -c` + two reader threads
-//! per task), `legacy = false` takes the posix_spawn fast path (shell
+//! [`measure`] runs either path: `legacy = true` pins the portable
+//! `std::process::Command` path (`sh -c` + two reader threads per
+//! task), `legacy = false` takes the posix_spawn fast path (shell
 //! bypass + pooled pidfd reaper). The committed
-//! `BENCH_spawn_rate_gate.json` records both; the floor is set above
-//! the legacy rate so reverting the fast path trips the gate.
+//! `BENCH_spawn_rate_gate.json` records both; the `spawn` floor sits
+//! above the legacy rate so reverting the fast path trips the gate.
 
-use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use htpar_core::executor::{ExecContext, Executor, ProcessExecutor, TaskOutput};
 use htpar_core::job::CommandLine;
-use htpar_core::prelude::*;
-use htpar_core::runner::{Engine, JobInput};
+
+use crate::harness::{rate, run_flat, Ctx, Metrics};
 
 /// Slot count of the canonical gate workload. Launch rate scales with
 /// slots until the spawn path serializes; 8 is spawn-bound on a small
@@ -31,40 +29,6 @@ pub const GATE_JOBS: usize = 8;
 /// Task count of the canonical gate workload: enough launches that the
 /// per-process cost dominates engine setup.
 pub const GATE_TASKS: u64 = 1_000;
-
-/// Floor in launches/sec for release builds: midway between the legacy
-/// path's measured rate (530-554/s on a 1-core CI box) and the fast
-/// path's (1100-1210/s, 2.0-2.2x), so a revert to `sh -c` +
-/// reader-thread launches trips the gate on every attempt while
-/// ordinary load noise passes.
-pub const FLOOR_RELEASE: f64 = 750.0;
-/// Same floor for debug builds, where `cargo test` runs. Launch cost
-/// is almost entirely kernel time, so debug rates track release
-/// closely (legacy 541/s, fast 1108/s on the same box).
-pub const FLOOR_DEBUG: f64 = 700.0;
-
-/// Attempts before declaring a regression; transient host hiccups
-/// depress one trial, a real regression depresses all of them.
-pub const GATE_ATTEMPTS: usize = 3;
-
-/// The floor matching how this code was compiled.
-pub fn floor() -> f64 {
-    if cfg!(debug_assertions) {
-        FLOOR_DEBUG
-    } else {
-        FLOOR_RELEASE
-    }
-}
-
-/// Artificial per-launch cost (`HTPAR_SPAWN_GATE_HANDICAP_US`, in
-/// microseconds), for the drill that proves the gate can trip.
-pub fn handicap() -> Option<Duration> {
-    std::env::var("HTPAR_SPAWN_GATE_HANDICAP_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|us| *us > 0)
-        .map(Duration::from_micros)
-}
 
 /// Wraps a [`ProcessExecutor`] with a fixed pre-launch delay: the
 /// simulated "slow spawn path" for handicap drills.
@@ -80,75 +44,30 @@ impl Executor for HandicappedExecutor {
     }
 }
 
-/// One gate run's numbers.
-#[derive(Debug, Clone, Copy)]
-pub struct SpawnGateMeasurement {
-    pub jobs: usize,
-    pub tasks: u64,
-    pub wall: Duration,
-    /// Whole-run launches per second: every task is one real process.
-    pub launches_per_sec: f64,
-}
-
 /// Run `tasks` real `/bin/true {}` launches through the engine at
-/// `-j jobs`. `legacy` pins the portable spawn path; otherwise the
+/// `-j jobs`, each delayed by `handicap`, and return launches per
+/// second. `legacy` pins the portable spawn path; otherwise the
 /// posix_spawn fast path runs (when the platform supports it).
-pub fn measure(jobs: usize, tasks: u64, legacy: bool) -> SpawnGateMeasurement {
-    let inputs: Vec<JobInput> = (1..=tasks)
-        .map(|seq| JobInput::new(seq, vec![format!("arg-{seq}")]))
-        .collect();
+pub fn measure(jobs: usize, tasks: u64, legacy: bool, handicap: Option<Duration>) -> f64 {
     let base = if legacy {
         ProcessExecutor::shell().legacy()
     } else {
         ProcessExecutor::shell()
     };
-    let executor: Arc<dyn Executor> = match handicap() {
+    let executor: Arc<dyn Executor> = match handicap {
         Some(cost) => Arc::new(HandicappedExecutor { inner: base, cost }),
         None => Arc::new(base),
     };
-    let engine = Engine {
-        options: Options {
-            jobs,
-            shell: true,
-            ..Options::default()
-        },
-        template: Template::parse("/bin/true {}").expect("static template"),
-        executor,
-        on_result: None,
-        skip: HashSet::new(),
-        gate: None,
-        bus: None,
-    };
-    let started = Instant::now();
-    let report = engine
-        .run(Box::new(inputs.into_iter()))
-        .expect("gate workload runs");
-    let wall = started.elapsed();
-    assert_eq!(report.succeeded, tasks, "gate workload must fully succeed");
-    SpawnGateMeasurement {
-        jobs,
+    rate(
         tasks,
-        wall,
-        launches_per_sec: tasks as f64 / wall.as_secs_f64().max(1e-9),
-    }
+        run_flat("/bin/true {}", true, jobs, tasks, executor, None),
+    )
 }
 
-/// Run the canonical fast-path workload up to [`GATE_ATTEMPTS`] times;
-/// return the first measurement at or above the floor, or the best of
-/// the failing attempts. Callers compare `launches_per_sec` to
-/// [`floor`].
-pub fn measure_gated() -> SpawnGateMeasurement {
-    let mut best: Option<SpawnGateMeasurement> = None;
-    for _ in 0..GATE_ATTEMPTS {
-        let m = measure(GATE_JOBS, GATE_TASKS, false);
-        if m.launches_per_sec >= floor() {
-            return m;
-        }
-        if best.is_none_or(|b| m.launches_per_sec > b.launches_per_sec) {
-            best = Some(m);
-        }
-    }
-    best.expect("GATE_ATTEMPTS > 0")
+/// One gate trial: the canonical workload on the fast path.
+pub(crate) fn trial(ctx: &Ctx) -> Result<Metrics, String> {
+    let launches_per_s = measure(GATE_JOBS, GATE_TASKS, false, ctx.handicap);
+    Ok(vec![("launches_per_s", launches_per_s)])
 }
 
 #[cfg(test)]
@@ -158,9 +77,7 @@ mod tests {
     #[test]
     fn measure_runs_real_processes_on_both_paths() {
         for legacy in [false, true] {
-            let m = measure(4, 30, legacy);
-            assert_eq!(m.tasks, 30);
-            assert!(m.launches_per_sec > 0.0, "legacy={legacy}");
+            assert!(measure(4, 30, legacy, None) > 0.0, "legacy={legacy}");
         }
     }
 }

@@ -1,60 +1,39 @@
-//! The socket-path rate gate under `cargo test` (debug profile), plus
-//! the handicap drill proving the gate can trip.
+//! The socket-path gate under `cargo test` (debug floors): the `net` row
+//! of `htpar_bench::harness::GATES`, checked through the same harness as
+//! the `gate` binary, plus the drill proving it can trip.
 //!
-//! The mini-cluster agents are real subprocesses of the
-//! `net_rate_gate` binary (its `main` calls `maybe_become_agent`
-//! first); the test harness binary cannot serve as an agent itself
-//! because libtest owns its `main`.
+//! The mini-cluster agents are real subprocesses of the `gate` binary
+//! (its `main` calls `maybe_become_agent` first); the test harness
+//! binary cannot serve as an agent itself because libtest owns its
+//! `main`.
 
-use std::process::Command;
+use std::sync::{Mutex, PoisonError};
 
-use htpar_bench::netgate;
-use htpar_net::frame::Payload;
+use htpar_bench::harness::{self, Ctx, Gate};
 
-fn agent_binary() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_net_rate_gate"))
+/// Timed runs go one at a time: the drill's agents would take CPU from
+/// the trial being measured.
+static TIMED: Mutex<()> = Mutex::new(());
+
+fn net() -> &'static Gate {
+    harness::find("net").expect("the gate is in the table")
 }
 
 #[test]
 fn socket_path_stays_within_committed_slowdown() {
-    let mut best: Option<f64> = None;
-    for _ in 0..3 {
-        let m = netgate::measure_with(agent_binary, Payload::Noop, netgate::NET_GATE_TASKS)
-            .expect("gate workload runs");
-        assert_eq!(m.tasks, netgate::NET_GATE_TASKS);
-        assert!(m.socket_tasks_per_sec > 0.0);
-        let slowdown = m.slowdown();
-        if best.is_none_or(|b| slowdown < b) {
-            best = Some(slowdown);
-        }
-        if slowdown <= netgate::max_slowdown() {
-            break;
-        }
-    }
-    let best = best.unwrap();
-    assert!(
-        best <= netgate::max_slowdown(),
-        "socket path is {best:.2}x slower than in-process dispatch \
-         (ceiling {:.2}x)",
-        netgate::max_slowdown()
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let ctx = Ctx {
+        handicap: None,
+        agent: env!("CARGO_BIN_EXE_gate").into(),
+    };
+    harness::run(net(), &ctx, harness::TRIALS, None).unwrap_or_else(|misses| panic!("{misses}"));
 }
 
-/// The drill: a large artificial per-task cost on the agent side must
-/// blow well past the ceiling — otherwise the gate can never fail and
-/// is not protecting anything. 30ms/task across 64 slots caps the
-/// socket path at ~2k tasks/s, hundreds of times slower than
-/// in-process dispatch even in debug builds. Uses an explicit payload rather than
-/// `HTPAR_NET_GATE_HANDICAP_US` so parallel tests don't share env.
+/// The drill: a per-task cost on the agent side must blow past the
+/// slowdown ceiling, or the gate can never fail and protects nothing.
+/// The in-process reference runs clean.
 #[test]
 fn handicapped_socket_path_trips_the_gate() {
-    let m = netgate::measure_with(agent_binary, Payload::SleepUs(30_000), 1_000)
-        .expect("handicapped workload runs");
-    assert!(
-        m.slowdown() > netgate::max_slowdown(),
-        "30ms/task handicap only produced a {:.2}x slowdown \
-         (ceiling {:.2}x) — the gate would never trip",
-        m.slowdown(),
-        netgate::max_slowdown()
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    harness::drill(net(), env!("CARGO_BIN_EXE_gate").into()).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -1,67 +1,40 @@
-//! The pilot-service rate gate under `cargo test` (debug profile,
-//! debug floors), plus the handicap drill proving the gate can trip.
+//! The pilot-service gate under `cargo test` (debug floors): the three
+//! `pilot` rows of `htpar_bench::harness::GATES` (sessions/s, p99 TTFT,
+//! fair-share error), checked through the same harness as the `gate`
+//! binary, plus the drill proving it can trip.
 //!
-//! The mini-cluster agents are real subprocesses of the
-//! `pilot_rate_gate` binary (its `main` calls `maybe_become_agent`
-//! first); the test harness binary cannot serve as an agent itself
-//! because libtest owns its `main`.
+//! The mini-cluster agents are real subprocesses of the `gate` binary
+//! (its `main` calls `maybe_become_agent` first); the test harness
+//! binary cannot serve as an agent itself because libtest owns its
+//! `main`.
 
-use std::process::Command;
+use std::sync::{Mutex, PoisonError};
 
-use htpar_bench::pilotgate;
-use htpar_net::frame::Payload;
+use htpar_bench::harness::{self, Ctx, Gate};
 
-fn agent_binary() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_pilot_rate_gate"))
+/// Timed runs go one at a time: the drill's fleet would take CPU from
+/// the trial being measured.
+static TIMED: Mutex<()> = Mutex::new(());
+
+fn pilot() -> &'static Gate {
+    harness::find("pilot").expect("the gate is in the table")
 }
 
 #[test]
 fn pilot_service_clears_every_committed_floor() {
-    let mut best: Option<pilotgate::PilotGateMeasurement> = None;
-    for _ in 0..3 {
-        let m = pilotgate::measure_with(agent_binary, Payload::Noop).expect("gate workload runs");
-        assert_eq!(
-            m.sessions,
-            pilotgate::PILOT_GATE_CONCURRENCY * pilotgate::PILOT_GATE_WAVES
-        );
-        assert!(m.sessions_per_sec > 0.0);
-        if best.is_none_or(|b: pilotgate::PilotGateMeasurement| !b.pass()) {
-            best = Some(m);
-        }
-        if m.pass() {
-            break;
-        }
-    }
-    let best = best.unwrap();
-    assert!(
-        best.pass(),
-        "pilot gate floors missed: {:.1} sessions/s (floor {:.1}), p99 TTFT {:.2} ms \
-         (ceiling {} ms), fair-share err {:.3} (ceiling {})",
-        best.sessions_per_sec,
-        pilotgate::min_sessions_per_sec(),
-        best.p99_ttft.as_secs_f64() * 1e3,
-        pilotgate::max_p99_ttft().as_millis(),
-        best.fairness_err,
-        pilotgate::FAIR_SHARE_TOLERANCE
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let ctx = Ctx {
+        handicap: None,
+        agent: env!("CARGO_BIN_EXE_gate").into(),
+    };
+    harness::run(pilot(), &ctx, harness::TRIALS, None).unwrap_or_else(|misses| panic!("{misses}"));
 }
 
-/// The drill: a 10ms artificial cost on every throughput-phase task
-/// caps the fleet at ~1.6k tasks/s, so the 24-session run takes ~7.5s
-/// and sustained session throughput lands far below even the debug
-/// floor — if this doesn't trip the gate, the gate protects nothing.
-/// Uses an explicit payload rather than `HTPAR_PILOT_GATE_HANDICAP_US`
-/// so parallel tests don't share env.
+/// The drill: a per-task cost on every throughput-phase task must sink
+/// sustained session throughput below the floor, or the gate can never
+/// fail and protects nothing.
 #[test]
 fn handicapped_pilot_trips_the_gate() {
-    let m = pilotgate::measure_with(agent_binary, Payload::SleepUs(10_000))
-        .expect("handicapped workload runs");
-    assert!(
-        m.sessions_per_sec < pilotgate::min_sessions_per_sec(),
-        "10ms/task handicap still sustained {:.1} sessions/s \
-         (floor {:.1}) — the gate would never trip",
-        m.sessions_per_sec,
-        pilotgate::min_sessions_per_sec()
-    );
-    assert!(!m.pass());
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    harness::drill(pilot(), env!("CARGO_BIN_EXE_gate").into()).unwrap_or_else(|e| panic!("{e}"));
 }

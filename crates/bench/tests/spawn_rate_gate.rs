@@ -1,17 +1,28 @@
-//! The process-launch rate gate under `cargo test` (debug profile),
-//! plus the handicap drill proving the gate can trip.
+//! The process-launch gate under `cargo test` (debug floors): the
+//! `spawn` row of `htpar_bench::harness::GATES`, checked through the
+//! same harness as the `gate` binary, plus the drill proving it can trip.
 
+use std::sync::{Mutex, PoisonError};
+
+use htpar_bench::harness::{self, Ctx, Gate};
 use htpar_bench::spawngate;
+
+/// Timed runs go one at a time: launches measured at once would slow
+/// each other below the floor.
+static TIMED: Mutex<()> = Mutex::new(());
+
+fn spawn() -> &'static Gate {
+    harness::find("spawn").expect("the gate is in the table")
+}
 
 #[test]
 fn fast_path_launch_rate_stays_above_floor() {
-    let m = spawngate::measure_gated();
-    assert!(
-        m.launches_per_sec >= spawngate::floor(),
-        "launch rate {:.0}/s fell below the floor {:.0}/s",
-        m.launches_per_sec,
-        spawngate::floor()
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let ctx = Ctx {
+        handicap: None,
+        agent: env!("CARGO_BIN_EXE_gate").into(),
+    };
+    harness::run(spawn(), &ctx, harness::TRIALS, None).unwrap_or_else(|misses| panic!("{misses}"));
 }
 
 /// The fast path must actually beat the legacy path it replaced — on
@@ -21,37 +32,19 @@ fn fast_path_launch_rate_stays_above_floor() {
 /// path silently degrades to legacy behavior.
 #[test]
 fn fast_path_beats_legacy_path() {
-    let tasks = 300;
-    let legacy = spawngate::measure(spawngate::GATE_JOBS, tasks, true);
-    let fast = spawngate::measure(spawngate::GATE_JOBS, tasks, false);
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let legacy = spawngate::measure(spawngate::GATE_JOBS, 300, true, None);
+    let fast = spawngate::measure(spawngate::GATE_JOBS, 300, false, None);
     assert!(
-        fast.launches_per_sec > legacy.launches_per_sec * 1.2,
-        "fast path {:.0}/s is not meaningfully above legacy {:.0}/s",
-        fast.launches_per_sec,
-        legacy.launches_per_sec
+        fast > legacy * 1.2,
+        "fast path {fast:.0}/s is not meaningfully above legacy {legacy:.0}/s"
     );
 }
 
-/// The drill: a large artificial per-launch cost must land well below
-/// the floor — otherwise the gate can never fail and protects nothing.
-/// 20ms/launch across 8 slots caps the rate at ~400 launches/s, under
-/// both floors. Uses a child process so the env var cannot leak into
-/// concurrently running tests.
+/// The drill: a per-launch cost must land the rate below the floor, or
+/// the gate can never fail and protects nothing.
 #[test]
 fn handicapped_launch_rate_trips_the_gate() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_spawn_rate_gate"))
-        .args(["--tasks", "200"])
-        .env("HTPAR_SPAWN_GATE_HANDICAP_US", "20000")
-        .output()
-        .expect("gate binary runs");
-    assert!(
-        !out.status.success(),
-        "5ms/launch handicap did not trip the gate; stdout:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("below the floor"),
-        "gate failed for an unexpected reason; stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    harness::drill(spawn(), env!("CARGO_BIN_EXE_gate").into()).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -1,59 +1,37 @@
-//! Launch-rate regression gate (satellite of the sharded-dispatch PR).
+//! The launch-rate gate under `cargo test` (debug floors): the `launch`
+//! row of `htpar_bench::harness::GATES`, checked through the same
+//! harness as the `gate` binary, plus the drill proving it can trip.
 //!
-//! Runs the canonical gate workload — `GATE_TASKS` in-process no-op
-//! tasks at `-j GATE_JOBS`, observed by a `MetricsRegistry` on the
-//! telemetry bus — and fails if the achieved rate drops below the
-//! checked-in floor. The floor is ~0.5x the rate measured after the
-//! sharded-dispatch rework, so ordinary scheduler noise passes but a
-//! structural regression (a lock back on the hot path, accidental
-//! per-task syscalls) trips it.
-//!
-//! `HTPAR_GATE_HANDICAP_US` injects an artificial per-task sleep; CI
-//! uses it once to prove the gate actually fails on a slowdown.
+//! The canonical workload runs `GATE_TASKS` in-process no-op tasks at
+//! `-j GATE_JOBS`, observed by a `MetricsRegistry` on the telemetry bus;
+//! the gated rate is the bus-observed sustained one.
 
-use htpar_bench::gate;
+use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
+
+use htpar_bench::harness::{self, Ctx};
+
+/// The drill must not overlap the timed run: its handicapped trial
+/// would take CPU from the trial being measured.
+static TIMED: Mutex<()> = Mutex::new(());
 
 #[test]
 fn launch_rate_stays_above_floor() {
-    // Best-of-GATE_ATTEMPTS: a transient host hiccup depresses one run,
-    // a real regression depresses all of them.
-    let m = gate::measure_gated();
-    let rate = m.gate_rate();
-    let floor = gate::floor();
-    assert!(
-        m.launch_rate_sustained.is_some(),
-        "gate run must be bus-observed"
-    );
-    assert!(
-        rate >= floor,
-        "launch rate regressed: {rate:.0} tasks/s < floor {floor:.0} \
-         (jobs={}, tasks={}, wall={:?})",
-        m.jobs,
-        m.tasks,
-        m.wall
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let gate = harness::find("launch").expect("the gate is in the table");
+    // The launch workload spawns no agents.
+    let ctx = Ctx {
+        handicap: None,
+        agent: PathBuf::new(),
+    };
+    harness::run(gate, &ctx, harness::TRIALS, None).unwrap_or_else(|misses| panic!("{misses}"));
 }
 
+/// Not only slower: under its drill handicap one trial must miss the
+/// floor, or the gate protects nothing.
 #[test]
 fn handicap_knob_slows_the_gate_workload() {
-    // The CI slowdown drill depends on HTPAR_GATE_HANDICAP_US actually
-    // reaching the task body; pin that contract at a tiny scale rather
-    // than trusting the env var end to end only in CI.
-    std::env::set_var("HTPAR_GATE_HANDICAP_US", "2000");
-    let handicapped = gate::measure(4, 64, true);
-    std::env::remove_var("HTPAR_GATE_HANDICAP_US");
-    let clean = gate::measure(4, 64, true);
-    // 64 tasks x 2ms over 4 slots is >= 32ms of forced wall-clock; the
-    // clean run finishes the same workload in well under a tenth of that.
-    assert!(
-        handicapped.wall >= std::time::Duration::from_millis(30),
-        "handicap ignored: wall {:?}",
-        handicapped.wall
-    );
-    assert!(
-        handicapped.tasks_per_sec < clean.tasks_per_sec,
-        "handicapped rate {:.0} should trail clean rate {:.0}",
-        handicapped.tasks_per_sec,
-        clean.tasks_per_sec
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let gate = harness::find("launch").expect("the gate is in the table");
+    harness::drill(gate, PathBuf::new()).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -1,96 +1,62 @@
-//! Simulation event-rate regression gate (satellite of the
-//! calendar-queue event-core PR).
+//! The simulation event-rate gate under `cargo test` (debug floors): the
+//! `sim` row of `htpar_bench::harness::GATES`, checked through the same
+//! harness as the `gate` binary, plus the drill proving it can trip.
 //!
-//! Runs the canonical fault-replay-shaped workload — `GATE_NODES` ×
-//! `GATE_TASKS_PER_NODE` tasks at `-j GATE_JOBS`, one watchdog cancel
-//! per task, one node in `GATE_CRASH_EVERY` crashing mid-run — and
-//! fails if the engine's event throughput drops below the checked-in
-//! floor. The floors (release and debug) both sit *above* the rate the
-//! old binary-heap queue measured, so reverting the calendar queue — or
-//! reintroducing a per-event allocation, a hash per cancel, or tombstone
-//! drains — trips the gate rather than slipping through.
-//!
-//! `HTPAR_SIM_GATE_HANDICAP_US` injects an artificial per-completion
-//! spin; CI can use it to prove the gate actually fails on a slowdown.
+//! The canonical fault-replay-shaped workload (`SimGateConfig::canonical`)
+//! runs 128 nodes × 1,024 tasks, one watchdog cancel per task, one node
+//! in eight crashing mid-run. A trial fails unless every task finishes
+//! through the crashes and the cancellation path runs.
 
-use htpar_bench::simgate;
+use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
-/// `measure` reads `HTPAR_SIM_GATE_HANDICAP_US` at start-of-run, so the
-/// handicap drill must not overlap the timed gate runs: a leaked 500 µs
-/// per-completion spin would turn the 131k-task canonical workload into
-/// a minute of wall-clock and a false floor failure.
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+use htpar_bench::harness::{self, Ctx, Gate};
+
+/// Timed runs go one at a time: the drill's handicapped trial would take
+/// CPU from the trial being measured.
+static TIMED: Mutex<()> = Mutex::new(());
+
+fn sim() -> &'static Gate {
+    harness::find("sim").expect("the gate is in the table")
+}
+
+/// The sim workload spawns no agents.
+fn clean() -> Ctx {
+    Ctx {
+        handicap: None,
+        agent: PathBuf::new(),
+    }
+}
 
 #[test]
 fn sim_event_rate_stays_above_floor() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Best-of-GATE_ATTEMPTS: a transient host hiccup depresses one run,
-    // a real regression depresses all of them.
-    let m = simgate::measure_gated();
-    let floor = simgate::floor();
-    assert_eq!(
-        m.tasks_done, m.tasks,
-        "gate workload must finish every task through its crashes"
-    );
-    assert!(
-        m.cancelled > 0,
-        "gate workload must exercise the cancellation path"
-    );
-    assert!(
-        m.events_per_sec >= floor,
-        "sim event rate regressed: {:.0} events/s < floor {floor:.0} \
-         (nodes={}, tasks={}, fired={}, cancelled={}, wall={:?})",
-        m.events_per_sec,
-        m.nodes,
-        m.tasks,
-        m.fired,
-        m.cancelled,
-        m.wall
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    harness::run(sim(), &clean(), harness::TRIALS, None)
+        .unwrap_or_else(|misses| panic!("{misses}"));
 }
 
+/// Not only slower: under its drill handicap one trial must miss the
+/// floor, or the gate protects nothing.
 #[test]
 fn handicap_knob_slows_the_gate_workload() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The CI slowdown drill depends on HTPAR_SIM_GATE_HANDICAP_US
-    // reaching the completion handlers; pin that contract at a tiny
-    // scale rather than trusting the env var end to end only in CI.
-    let tiny = simgate::SimGateConfig {
-        nodes: 8,
-        tasks_per_node: 32,
-        jobs: 16,
-        crash_every: 4,
-        seed: 7,
-    };
-    std::env::set_var("HTPAR_SIM_GATE_HANDICAP_US", "500");
-    let handicapped = simgate::measure(tiny);
-    std::env::remove_var("HTPAR_SIM_GATE_HANDICAP_US");
-    let clean = simgate::measure(tiny);
-    assert_eq!(handicapped.tasks_done, clean.tasks_done);
-    // 256 tasks x 0.5 ms of forced spin is >= 128 ms of wall-clock; the
-    // clean run fires the same trace in a small fraction of that.
-    assert!(
-        handicapped.wall >= std::time::Duration::from_millis(100),
-        "handicap ignored: wall {:?}",
-        handicapped.wall
-    );
-    assert!(
-        handicapped.events_per_sec < clean.events_per_sec,
-        "handicapped rate {:.0} should trail clean rate {:.0}",
-        handicapped.events_per_sec,
-        clean.events_per_sec
-    );
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    harness::drill(sim(), PathBuf::new()).unwrap_or_else(|e| panic!("{e}"));
 }
 
+/// The canonical trace's counts are part of the gate's contract: both
+/// engines (heap then calendar) measured exactly this trace, which is
+/// what makes before/after rates comparable.
 #[test]
 fn gate_trace_is_identical_across_runs() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The gate's fired/cancelled totals are part of its determinism
-    // contract: both engines (heap then calendar) measured exactly this
-    // trace, which is what makes before/after rates comparable.
-    let a = simgate::measure(simgate::SimGateConfig::canonical());
-    let b = simgate::measure(simgate::SimGateConfig::canonical());
-    assert_eq!(a.fired, b.fired);
-    assert_eq!(a.cancelled, b.cancelled);
-    assert_eq!(a.tasks_done, b.tasks_done);
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let counts = || {
+        let metrics = (sim().trial)(&clean()).expect("the gate workload runs");
+        metrics
+            .into_iter()
+            .filter(|&(name, _)| name != "events_per_s")
+            .collect::<Vec<_>>()
+    };
+    let (a, b) = (counts(), counts());
+    assert!(a.iter().any(|&(name, _)| name == "fired"), "{a:?}");
+    assert_eq!(a, b);
 }
