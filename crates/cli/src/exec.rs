@@ -480,6 +480,63 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `--resume` over a joblog holding seqs 1-3 plus `tail`, a row for
+    /// seq 4 whose newline never landed. Seq 4 must run once with
+    /// seq 5, the run must succeed, and the log must end with exactly
+    /// one row per seq.
+    fn resume_over_torn_row(tag: &str, tail: &str) {
+        use htpar_core::joblog;
+        let dir = std::env::temp_dir().join(format!("htpar-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("joblog.tsv");
+        let _ = std::fs::remove_file(&log);
+        let log_s = log.to_str().unwrap();
+        let run_argv = |extra: &[&str], seqs: &[&str]| -> Result<RunReport> {
+            let mut argv = vec!["--joblog", log_s, "-k"];
+            argv.extend(extra);
+            argv.extend(["echo", "{}", ":::"]);
+            argv.extend(seqs);
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            execute(parse_args(&argv).unwrap(), std::io::empty(), |_, _| {})
+        };
+        run_argv(&[], &["1", "2", "3"]).unwrap();
+        let mut f = std::fs::OpenOptions::new().append(true).open(&log).unwrap();
+        std::io::Write::write_all(&mut f, tail.as_bytes()).unwrap();
+        drop(f);
+
+        let report = run_argv(&["--resume"], &["1", "2", "3", "4", "5"]).expect("resume runs");
+        assert_eq!(exit_code(&report), 0);
+        assert_eq!(report.skipped, 3);
+        let ran: Vec<u64> = report
+            .results
+            .iter()
+            .filter(|r| r.status.is_success())
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(ran, vec![4, 5]);
+        let mut seqs: Vec<u64> = joblog::read_log(&log)
+            .unwrap()
+            .iter()
+            .map(|e| e.seq)
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, vec![1, 2, 3, 4, 5], "one row per seq");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_reruns_a_row_torn_before_its_command_column() {
+        resume_over_torn_row("torn-short", "4\tlocalhost\t17");
+    }
+
+    #[test]
+    fn resume_reruns_a_torn_row_that_still_parses() {
+        resume_over_torn_row(
+            "torn-parses",
+            "4\tlocalhost\t17.000\t0.001\t0\t2\t0\t0\techo",
+        );
+    }
+
     #[test]
     fn linked_sources_via_cli() {
         let (report, out) = run(

@@ -91,7 +91,7 @@ fn submit_all(client: &mut SessionClient) {
 }
 
 fn joblog_rows(path: &PathBuf) -> usize {
-    joblog::read_log_tolerant(path).map_or(0, |e| e.len())
+    joblog::read_log(path).map_or(0, |e| e.len())
 }
 
 /// Regression: completions replayed from a *previous pilot life* must

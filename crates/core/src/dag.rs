@@ -748,10 +748,13 @@ impl DagRunner {
     pub fn run(self, dag: &Dag) -> Result<DagReport> {
         let total = dag.len() as u64;
         let joblog = self.options.joblog.clone();
-        let resume = self.options.resume != ResumeMode::Off;
-        let done = match (&joblog, resume) {
-            (Some(path), true) => joblog::successful_seqs(&joblog::read_log_tolerant(path)?),
-            _ => HashSet::new(),
+        let mode = match self.options.resume {
+            ResumeMode::Off => ResumeMode::Off,
+            _ => ResumeMode::ResumeFailed,
+        };
+        let done = match &joblog {
+            Some(path) => joblog::resume_set(path, mode)?,
+            None => HashSet::new(),
         };
         let log = match &joblog {
             Some(path) => Some(JobLogWriter::open(path)?),
@@ -1123,6 +1126,49 @@ mid2: raw
         let report = run_dag(&dag, Some(path), true);
         assert_eq!(report.resumed, 2);
         assert_eq!(report.engine.jobs_total, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_reruns_a_torn_row_before_its_dependents() {
+        let dir = std::env::temp_dir().join(format!("htpar-dag-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.tsv");
+        let dag = spec(&[
+            ("a", "ok-a", &[]),
+            ("b", "ok-b", &["a"]),
+            ("c", "ok-c", &["b"]),
+            ("d", "ok-d", &[]),
+        ])
+        .build()
+        .unwrap();
+        let row = |seq: u64, command: &str| {
+            LogEntry {
+                seq,
+                host: "h".into(),
+                start: 0.0,
+                runtime: 0.0,
+                send: 0,
+                receive: 0,
+                exitval: 0,
+                signal: 0,
+                command: command.into(),
+            }
+            .to_line()
+        };
+        // d's row is committed; a's successful row parses, but a crash
+        // mid-append kept its newline off the disk.
+        let text = format!("{}\n{}\n{}", joblog::HEADER, row(4, "ok-d"), row(1, "ok-a"));
+        std::fs::write(&path, text).unwrap();
+        let report = run_dag(&dag, Some(path.clone()), true);
+        assert_eq!(report.resumed, 1, "only d was done");
+        assert_eq!(report.engine.jobs_total, 3, "a, b and c ran");
+        let seqs: Vec<u64> = joblog::read_log(&path)
+            .unwrap()
+            .iter()
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(seqs, vec![4, 1, 2, 3], "a's row precedes its dependents'");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -137,8 +137,8 @@ pub trait Executor: Send + Sync {
 /// ([`crate::spawn`]): `posix_spawn` + the pooled pidfd reaper, no
 /// per-task threads. Everything else — and every platform without
 /// `pidfd_open` — runs the portable `std::process::Command` path.
-/// `HTPAR_SPAWN_LEGACY=1` (or [`ProcessExecutor::legacy`]) forces the
-/// portable path, which the spawn-rate gate uses as its "before" arm.
+/// [`ProcessExecutor::legacy`] forces the portable path, which the
+/// spawn-rate gate uses as its "before" arm.
 #[derive(Clone)]
 pub struct ProcessExecutor {
     use_shell: bool,
@@ -170,13 +170,6 @@ impl Default for ProcessExecutor {
             bus: None,
         }
     }
-}
-
-/// `HTPAR_SPAWN_LEGACY=1` disables the fast path process-wide (cached:
-/// this sits on the per-task hot path).
-fn legacy_forced_by_env() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("HTPAR_SPAWN_LEGACY").is_ok_and(|v| v == "1"))
 }
 
 impl ProcessExecutor {
@@ -226,7 +219,6 @@ impl ProcessExecutor {
     fn fast_eligible(&self, cmd: &CommandLine) -> bool {
         cfg!(target_os = "linux")
             && !self.legacy
-            && !legacy_forced_by_env()
             && self.line_cb.is_none()
             && cmd.stdin.is_none()
             && spawn::fast_path_available()

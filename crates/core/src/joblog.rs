@@ -9,15 +9,23 @@
 //!
 //! `Send`/`Receive` are byte counts of the job's stdin/stdout (we always
 //! send 0 and receive `stdout.len()`).
+//!
+//! Crash rule, shared by every log htpar appends to (this joblog, the
+//! pilot's `<tenant>.outlog` and its `pilot.journal`): a record exists
+//! only once its terminator is on disk. Readers ignore the bytes after
+//! the last terminator ([`committed_lines`]), and writers cut them away
+//! before appending ([`repair_torn_tail`]), so a writer killed
+//! mid-append loses only the record it was writing.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::{Duration, UNIX_EPOCH};
 
 use crate::error::{Error, Result};
 use crate::job::JobResult;
+use crate::options::ResumeMode;
 
 /// Column header, identical to GNU Parallel's.
 pub const HEADER: &str =
@@ -120,13 +128,16 @@ impl LogEntry {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escape a TSV field so the record stays one line: `\`, tab and
+/// newline become `\\`, `\t` and `\n`.
+pub fn escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('\t', "\\t")
         .replace('\n', "\\n")
 }
 
-fn unescape(s: &str) -> String {
+/// Invert [`escape`].
+pub fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -167,7 +178,7 @@ impl JobLogWriter {
     /// first — otherwise the next row would be appended onto the
     /// partial line and both records would be lost to parsers.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<JobLogWriter> {
-        repair_torn_tail(path.as_ref())?;
+        repair_torn_tail(path.as_ref()).map_err(Error::JobLog)?;
         let file = OpenOptions::new()
             .create(true)
             .append(true)
@@ -213,45 +224,58 @@ impl JobLogWriter {
     }
 }
 
-/// A row only counts once its newline reaches the file, so bytes after
-/// the last newline were never committed: truncate them before
-/// appending, keeping the log parseable by the strict reader.
-fn repair_torn_tail(path: &Path) -> Result<()> {
-    use std::io::{Read, Seek, SeekFrom};
+/// Truncate the bytes after the last newline of the line log at
+/// `path`: they were never committed, and appending behind them would
+/// fuse the next record onto the partial one. An absent file is left
+/// alone.
+pub fn repair_torn_tail(path: &Path) -> io::Result<()> {
     let mut file = match OpenOptions::new().read(true).write(true).open(path) {
         Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(Error::JobLog(e)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
     };
-    let len = file.metadata().map_err(Error::JobLog)?.len();
-    if len == 0 {
-        return Ok(());
+    let keep = committed_len(&mut file)?;
+    if keep < file.metadata()?.len() {
+        file.set_len(keep)?;
     }
-    file.seek(SeekFrom::End(-1)).map_err(Error::JobLog)?;
-    let mut last = [0u8; 1];
-    file.read_exact(&mut last).map_err(Error::JobLog)?;
-    if last[0] == b'\n' {
-        return Ok(());
-    }
-    // Walk back in chunks to the last newline (a large stdout column
-    // can stretch one row past any fixed tail window).
-    let mut keep = 0u64;
-    let mut pos = len;
+    Ok(())
+}
+
+/// The committed lines of the line log at `path`, without their
+/// newlines. Bytes after the last newline are a torn append and are
+/// never yielded; an absent file has no lines.
+pub fn committed_lines<P: AsRef<Path>>(
+    path: P,
+) -> io::Result<impl Iterator<Item = io::Result<String>>> {
+    let committed = match File::open(path) {
+        Ok(mut file) => {
+            let len = committed_len(&mut file)?;
+            file.rewind()?;
+            Some(BufReader::new(file.take(len)))
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+        Err(e) => return Err(e),
+    };
+    Ok(committed.into_iter().flat_map(BufRead::lines))
+}
+
+/// Length of `file` up to and including its last newline.
+fn committed_len(file: &mut File) -> io::Result<u64> {
+    // Walk back in chunks (a large stdout column can stretch one row
+    // past any fixed tail window).
+    let mut pos = file.metadata()?.len();
     let mut buf = [0u8; 4096];
-    'scan: while pos > 0 {
+    while pos > 0 {
         let n = std::cmp::min(buf.len() as u64, pos);
         pos -= n;
-        file.seek(SeekFrom::Start(pos)).map_err(Error::JobLog)?;
+        file.seek(SeekFrom::Start(pos))?;
         let chunk = &mut buf[..n as usize];
-        file.read_exact(chunk).map_err(Error::JobLog)?;
-        for i in (0..chunk.len()).rev() {
-            if chunk[i] == b'\n' {
-                keep = pos + i as u64 + 1;
-                break 'scan;
-            }
+        file.read_exact(chunk)?;
+        if let Some(i) = chunk.iter().rposition(|&b| b == b'\n') {
+            return Ok(pos + i as u64 + 1);
         }
     }
-    file.set_len(keep).map_err(Error::JobLog)
+    Ok(0)
 }
 
 /// Best-effort local hostname (joblogs are informational).
@@ -259,16 +283,13 @@ fn hostname() -> String {
     std::env::var("HOSTNAME").unwrap_or_else(|_| "localhost".to_string())
 }
 
-/// Parse a whole joblog. Unparseable files error; an absent file yields an
-/// empty list (a fresh `--resume` run starts from nothing).
+/// Parse a whole joblog's committed rows. A torn final row is skipped,
+/// but a malformed row that ends in a newline is an error; an absent
+/// file yields an empty list (a fresh `--resume` run starts from
+/// nothing).
 pub fn read_log<P: AsRef<Path>>(path: P) -> Result<Vec<LogEntry>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(Error::JobLog(e)),
-    };
     let mut entries = Vec::new();
-    for (idx, line) in BufReader::new(file).lines().enumerate() {
+    for (idx, line) in committed_lines(path).map_err(Error::JobLog)?.enumerate() {
         let line = line.map_err(Error::JobLog)?;
         if idx == 0 && line.starts_with("Seq\t") {
             continue;
@@ -281,36 +302,15 @@ pub fn read_log<P: AsRef<Path>>(path: P) -> Result<Vec<LogEntry>> {
     Ok(entries)
 }
 
-/// Like [`read_log`], but tolerant of a torn tail: a process SIGKILLed
-/// mid-append can leave a final partial line, and a recovery reader
-/// must skip that line rather than refuse the whole log. Only the
-/// *last* line may be dropped; an unparsable line followed by intact
-/// records is corruption, not a torn append, and still errors.
-pub fn read_log_tolerant<P: AsRef<Path>>(path: P) -> Result<Vec<LogEntry>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(Error::JobLog(e)),
-    };
-    let lines: Vec<String> = BufReader::new(file)
-        .lines()
-        .collect::<std::io::Result<_>>()
-        .map_err(Error::JobLog)?;
-    let mut entries = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        if idx == 0 && line.starts_with("Seq\t") {
-            continue;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match LogEntry::parse(line, idx + 1) {
-            Ok(entry) => entries.push(entry),
-            Err(_) if idx + 1 == lines.len() => break,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(entries)
+/// The seqs a run over the joblog at `path` skips under `mode`: none
+/// when off, every logged seq for `--resume`, every seq with a
+/// successful row for `--resume-failed`.
+pub fn resume_set<P: AsRef<Path>>(path: P, mode: ResumeMode) -> Result<HashSet<u64>> {
+    Ok(match mode {
+        ResumeMode::Off => HashSet::new(),
+        ResumeMode::Resume => completed_seqs(&read_log(path)?),
+        ResumeMode::ResumeFailed => successful_seqs(&read_log(path)?),
+    })
 }
 
 /// Sequence numbers recorded at all (for `--resume`).
@@ -440,8 +440,7 @@ mod tests {
                 .unwrap();
             write!(f, "3\tagent-0\t17").unwrap();
         }
-        assert!(read_log(&path).is_err(), "strict reader refuses the tear");
-        let entries = read_log_tolerant(&path).unwrap();
+        let entries = read_log(&path).unwrap();
         assert_eq!(entries.len(), 2, "intact prefix survives");
         assert_eq!(entries[1].seq, 2);
         // A malformed line *before* intact records is corruption and
@@ -459,7 +458,26 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(read_log_tolerant(&path).is_err());
+        assert!(read_log(&path).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_set_ignores_a_torn_row_that_parses() {
+        let dir = std::env::temp_dir().join(format!("htpar-joblog-rs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("resume.tsv");
+        let ok = |seq| LogEntry::from_result(&result(seq, JobStatus::Success), "h").to_line();
+        let failed = LogEntry::from_result(&result(2, JobStatus::Failed(1)), "h").to_line();
+        // Seq 3's row lost its last command byte: it parses, but its
+        // newline never landed, so it was never committed.
+        let torn = ok(3);
+        let text = format!("{HEADER}\n{}\n{failed}\n{}", ok(1), &torn[..torn.len() - 1]);
+        std::fs::write(&path, text).unwrap();
+        let set = |mode| resume_set(&path, mode).unwrap();
+        assert!(set(ResumeMode::Off).is_empty());
+        assert_eq!(set(ResumeMode::Resume), [1, 2].into_iter().collect());
+        assert_eq!(set(ResumeMode::ResumeFailed), [1].into_iter().collect());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -331,19 +331,9 @@ impl Parallel {
     }
 
     fn skip_set(&self) -> Result<std::collections::HashSet<u64>> {
-        let Some(log_path) = &self.options.joblog else {
-            return Ok(Default::default());
-        };
-        match self.options.resume {
-            ResumeMode::Off => Ok(Default::default()),
-            ResumeMode::Resume => {
-                let entries = joblog::read_log(log_path)?;
-                Ok(joblog::completed_seqs(&entries))
-            }
-            ResumeMode::ResumeFailed => {
-                let entries = joblog::read_log(log_path)?;
-                Ok(joblog::successful_seqs(&entries))
-            }
+        match &self.options.joblog {
+            Some(path) => joblog::resume_set(path, self.options.resume),
+            None => Ok(Default::default()),
         }
     }
 

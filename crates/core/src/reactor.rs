@@ -5,8 +5,8 @@
 //! thread per connection, a dedicated heartbeat thread per agent, and a
 //! `recv_timeout` tick loop in the driver. At mini-cluster scale that
 //! is a context switch (and usually a syscall-sized write) per frame —
-//! the 8–14× socket-vs-in-process dispatch gap `net_rate_gate`
-//! measured. This module replaces all of it with the classic
+//! the 8–14× socket-vs-in-process dispatch gap the `net` regression
+//! gate measured. This module replaces all of it with the classic
 //! event-loop shape the workflow-scheduler literature calls for:
 //! non-blocking sockets registered with a single `epoll` instance,
 //! readiness events tagged with caller tokens, and a deadline queue so

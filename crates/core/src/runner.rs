@@ -393,6 +393,10 @@ impl Engine {
                 results = collector.join().expect("collector thread panicked");
             }
         });
+        // Two workers finishing together can emit their occupancy
+        // samples out of order; one sample after all have joined makes
+        // the run's last reading the drained counter.
+        shared.emit_occupancy(0);
 
         let wall = started.elapsed();
         let shared =

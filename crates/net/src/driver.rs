@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use htpar_cluster::driver_shard;
 use htpar_core::dag::ReadySet;
 use htpar_core::joblog::{self, JobLogWriter, LogEntry};
+use htpar_core::options::ResumeMode;
 use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
 
@@ -282,20 +283,17 @@ fn run_driver_reactor(
     let started = Instant::now();
 
     // --resume: diff the full task list against the aggregated joblog.
-    let mut recorded: HashSet<u64> = HashSet::new();
-    if config.resume {
-        if let Some(path) = &config.joblog {
-            if config.deps.is_some() {
-                // DAG resume: failed and skipped-dep-failed rows must
-                // replay (with their whole downstream subgraph), so only
-                // successes count as done. Tolerant read: a driver
-                // SIGKILLed mid-append leaves a torn tail.
-                recorded = joblog::successful_seqs(&joblog::read_log_tolerant(path)?);
-            } else {
-                recorded = joblog::completed_seqs(&joblog::read_log(path)?);
-            }
-        }
-    }
+    // DAG resume replays failed and skipped-dep-failed rows (with their
+    // whole downstream subgraph), so only successes count as done.
+    let mode = match (config.resume, config.deps.is_some()) {
+        (false, _) => ResumeMode::Off,
+        (true, false) => ResumeMode::Resume,
+        (true, true) => ResumeMode::ResumeFailed,
+    };
+    let recorded = match &config.joblog {
+        Some(path) => joblog::resume_set(path, mode)?,
+        None => HashSet::new(),
+    };
     let skipped = recorded.len() as u64;
     let pending: Vec<TaskSpec> = inputs
         .iter()
@@ -416,17 +414,7 @@ fn run_driver_reactor(
                 drive.fleet.credit(idx);
                 completed += 1;
                 if let Some(log) = &mut log {
-                    log.record_entry(&LogEntry {
-                        seq: rec.seq,
-                        host: drive.fleet.name(idx).to_string(),
-                        start: rec.start_epoch_us as f64 / 1e6,
-                        runtime: rec.runtime_us as f64 / 1e6,
-                        send: 0,
-                        receive: rec.stdout.len() as u64,
-                        exitval: rec.exitval,
-                        signal: rec.signal,
-                        command: render(rec.seq),
-                    })?;
+                    log.record_entry(&rec.log_entry(drive.fleet.name(idx), render(rec.seq)))?;
                 }
                 if let Some(cb) = on_done.as_deref_mut() {
                     cb(completed);

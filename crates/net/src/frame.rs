@@ -19,6 +19,8 @@
 
 use std::fmt;
 
+use htpar_core::joblog::LogEntry;
+
 /// Protocol revision carried in the handshake. Bump on any wire change.
 /// v2 added [`Frame::DoneBatch`] (coalesced completion acks). v3 added
 /// the pilot-service session frames ([`Frame::Submit`],
@@ -79,6 +81,38 @@ pub struct TaskDoneRec {
     pub runtime_us: u64,
     pub stdout: String,
     pub stderr: String,
+}
+
+impl TaskDoneRec {
+    /// The joblog row recording this completion: run on `host` as
+    /// `command`, keyed by `self.seq`.
+    pub fn log_entry(&self, host: &str, command: String) -> LogEntry {
+        LogEntry {
+            seq: self.seq,
+            host: host.to_string(),
+            start: self.start_epoch_us as f64 / 1e6,
+            runtime: self.runtime_us as f64 / 1e6,
+            send: 0,
+            receive: self.stdout.len() as u64,
+            exitval: self.exitval,
+            signal: self.signal,
+            command,
+        }
+    }
+
+    /// The completion a joblog row records. A row keeps no output, so
+    /// the streams come from the caller (the pilot's retained outlog).
+    pub fn from_log_entry(entry: &LogEntry, stdout: String, stderr: String) -> TaskDoneRec {
+        TaskDoneRec {
+            seq: entry.seq,
+            exitval: entry.exitval,
+            signal: entry.signal,
+            start_epoch_us: (entry.start * 1e6) as u64,
+            runtime_us: (entry.runtime * 1e6) as u64,
+            stdout,
+            stderr,
+        }
+    }
 }
 
 /// A protocol message.
@@ -229,7 +263,7 @@ impl std::error::Error for FrameError {}
 
 // -- Encoding ----------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
@@ -421,15 +455,19 @@ impl Frame {
 
 // -- Decoding ----------------------------------------------------------
 
-/// Cursor over one frame body. Every accessor bounds-checks against the
-/// body end, so a hostile length field can never read out of range or
-/// trigger an oversized allocation.
-struct Body<'a> {
+/// Cursor over one frame (or journal record) body. Every accessor
+/// bounds-checks against the body end, so a hostile length field can
+/// never read out of range or trigger an oversized allocation.
+pub(crate) struct Body<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Body<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Body<'a> {
+        Body { buf, pos: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         if self.buf.len() - self.pos < n {
             return Err(FrameError::Malformed("truncated field"));
@@ -439,7 +477,7 @@ impl<'a> Body<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, FrameError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, FrameError> {
         Ok(self.take(1)?[0])
     }
 
@@ -447,11 +485,11 @@ impl<'a> Body<'a> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, FrameError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, FrameError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, FrameError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, FrameError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -459,7 +497,7 @@ impl<'a> Body<'a> {
         Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> Result<String, FrameError> {
+    pub(crate) fn string(&mut self) -> Result<String, FrameError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadUtf8)
@@ -502,7 +540,7 @@ impl<'a> Body<'a> {
         Ok(tasks)
     }
 
-    fn finish(self) -> Result<(), FrameError> {
+    pub(crate) fn finish(self) -> Result<(), FrameError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -512,7 +550,7 @@ impl<'a> Body<'a> {
 }
 
 fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
-    let mut b = Body { buf: body, pos: 0 };
+    let mut b = Body::new(body);
     let frame = match b.u8()? {
         TAG_HELLO => {
             let version = b.u16()?;

@@ -8,18 +8,22 @@
 //! replay the journal against the per-tenant joblogs, and re-dispatch
 //! exactly the unfinished seqs.
 //!
-//! Record wire format mirrors the frame codec: `[u32 LE len][u8 tag]
-//! [body]`. Completion (`Done`) records are written after the tenant
-//! joblog has been flushed, so on replay a seq counts as done if
-//! *either* the journal or the joblog says so — the joblog row is the
-//! commit record, the journal `Done` only spares a benign
-//! re-dispatch. A truncated or corrupt tail (the crash window of an
-//! in-flight append) is tolerated: recovery stops cleanly at the
-//! first bad record.
+//! Records use the frame codec's layout and field encoding:
+//! `[u32 LE len][u8 tag][body]`. Completion (`Done`) records are
+//! written after the tenant joblog has been flushed, so on replay a seq
+//! counts as done if *either* the journal or the joblog says so — the
+//! joblog row is the commit record, the journal `Done` only spares a
+//! benign re-dispatch. The crash rule is the joblog's
+//! ([`htpar_core::joblog`]): a record exists only once its last byte is
+//! on disk. Replay stops cleanly at the first truncated or corrupt
+//! record, and [`JournalWriter::open`] cuts that tail away before
+//! appending.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+
+use crate::frame::{put_str, Body, FrameError};
 
 /// File name of the journal inside `--state-dir`.
 pub const JOURNAL_FILE: &str = "pilot.journal";
@@ -65,11 +69,6 @@ pub enum JRecord {
     Detached { session: u64, detach_key: u64 },
     /// The session finished or was closed; replay skips it entirely.
     Closed { session: u64 },
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
 }
 
 impl JRecord {
@@ -127,55 +126,15 @@ impl JRecord {
     }
 }
 
-/// Bounds-checked little-endian cursor over one record body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
 /// Decode one record body (tag + payload, without the length prefix).
 /// `None` means corruption; the caller stops replay there.
 fn decode_record(body: &[u8]) -> Option<JRecord> {
-    let mut c = Cursor::new(body);
+    decode(body).ok()
+}
+
+fn decode(body: &[u8]) -> Result<JRecord, FrameError> {
+    let mut c = Body::new(body);
+    let corrupt = FrameError::Malformed("record count exceeds body");
     let rec = match c.u8()? {
         TAG_SESSION_OPEN => JRecord::SessionOpen {
             session: c.u64()?,
@@ -188,7 +147,7 @@ fn decode_record(body: &[u8]) -> Option<JRecord> {
             let n = c.u32()? as usize;
             // Hostile-count guard: each task needs ≥ 16 bytes.
             if n > body.len() / 16 + 1 {
-                return None;
+                return Err(corrupt);
             }
             let mut tasks = Vec::with_capacity(n);
             for _ in 0..n {
@@ -204,7 +163,7 @@ fn decode_record(body: &[u8]) -> Option<JRecord> {
             let session = c.u64()?;
             let n = c.u32()? as usize;
             if n > body.len() / 8 + 1 {
-                return None;
+                return Err(corrupt);
             }
             let mut seqs = Vec::with_capacity(n);
             for _ in 0..n {
@@ -217,12 +176,10 @@ fn decode_record(body: &[u8]) -> Option<JRecord> {
             detach_key: c.u64()?,
         },
         TAG_CLOSED => JRecord::Closed { session: c.u64()? },
-        _ => return None,
+        tag => return Err(FrameError::UnknownTag(tag)),
     };
-    if !c.finished() {
-        return None;
-    }
-    Some(rec)
+    c.finish()?;
+    Ok(rec)
 }
 
 /// Append-only journal writer. Records buffer in memory until
@@ -237,11 +194,18 @@ pub struct JournalWriter {
 
 impl JournalWriter {
     /// Open (append) the journal under `state_dir`, creating the
-    /// directory if needed.
+    /// directory if needed. The file is first cut back to the prefix
+    /// [`read_journal`] replays: a torn record was never committed, and
+    /// appending behind it would make the next replay read its length
+    /// over the new records.
     pub fn open(state_dir: &Path) -> io::Result<JournalWriter> {
         std::fs::create_dir_all(state_dir)?;
         let path = state_dir.join(JOURNAL_FILE);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let (_, intact) = replay(&path)?;
+        if file.metadata()?.len() > intact {
+            file.set_len(intact)?;
+        }
         Ok(JournalWriter {
             file,
             buf: Vec::new(),
@@ -349,12 +313,18 @@ pub struct CompactStats {
 /// replay at the last intact record rather than failing, since a
 /// crash mid-append is exactly the case the journal exists for.
 pub fn read_journal(path: &Path) -> io::Result<Vec<JRecord>> {
+    Ok(replay(path)?.0)
+}
+
+/// The records [`read_journal`] returns and the byte length of the
+/// prefix they span.
+fn replay(path: &Path) -> io::Result<(Vec<JRecord>, u64)> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
             f.read_to_end(&mut bytes)?;
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e),
     }
     let mut recs = Vec::new();
@@ -370,7 +340,7 @@ pub fn read_journal(path: &Path) -> io::Result<Vec<JRecord>> {
         }
         pos += 4 + len;
     }
-    Ok(recs)
+    Ok((recs, pos as u64))
 }
 
 #[cfg(test)]
@@ -597,6 +567,38 @@ mod tests {
         body.extend_from_slice(&7u64.to_le_bytes());
         body.extend_from_slice(&(1u32 << 31).to_le_bytes());
         assert_eq!(decode_record(&body), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopen_after_torn_record_cuts_it_before_appending() {
+        let dir = temp_dir("torn-reopen");
+        let recs = sample_records();
+        {
+            let mut w = JournalWriter::open(&dir).unwrap();
+            w.append(&recs[0]);
+            w.append(&recs[1]);
+            w.sync().unwrap();
+        }
+        // A pilot killed mid-append leaves the head of a record: its
+        // length prefix, tag and part of its body.
+        let path = dir.join(JOURNAL_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&recs[2].encode()[..7]);
+        std::fs::write(&path, &bytes).unwrap();
+        let next = JRecord::SessionOpen {
+            session: 1,
+            tenant: "bio/align".into(),
+            weight: 2,
+            priority: 0,
+        };
+        {
+            let mut w = JournalWriter::open(&dir).unwrap();
+            w.append(&next);
+            w.sync().unwrap();
+        }
+        let got = read_journal(&path).unwrap();
+        assert_eq!(got, vec![recs[0].clone(), recs[1].clone(), next]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

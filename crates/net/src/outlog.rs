@@ -9,11 +9,15 @@
 //! produced output, living next to `<tenant>.joblog`. Completions with
 //! no output are not written; replay defaults their streams to empty
 //! strings, so the sidecar stays proportional to actual output volume.
+//! Fields use the joblog's escaping and lines follow its crash rule
+//! ([`htpar_core::joblog`]): a line exists once its newline is on disk.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
+
+use htpar_core::joblog::{committed_lines, escape, repair_torn_tail, unescape};
 
 /// Append-mode retained-output writer, one per tenant, opened lazily
 /// alongside the tenant joblog.
@@ -23,7 +27,10 @@ pub struct OutLog {
 }
 
 impl OutLog {
+    /// Open (creating or appending), first cutting away a torn final
+    /// line so the next record does not fuse onto it.
     pub fn open<P: AsRef<Path>>(path: P) -> std::io::Result<OutLog> {
+        repair_torn_tail(path.as_ref())?;
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(OutLog {
             out: BufWriter::new(file),
@@ -45,17 +52,12 @@ impl OutLog {
 }
 
 /// Load retained outputs keyed by seq. A missing file is an empty map
-/// (retention starts with the first completion that has output). Torn
-/// or malformed lines — a crash mid-append — are skipped, and a later
-/// duplicate row wins, matching the joblog's tolerant read.
+/// (retention starts with the first completion that has output). A
+/// torn final line is not read, malformed lines are skipped, and a
+/// later duplicate row wins.
 pub fn read_outputs<P: AsRef<Path>>(path: P) -> std::io::Result<HashMap<u64, (String, String)>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(HashMap::new()),
-        Err(e) => return Err(e),
-    };
     let mut map = HashMap::new();
-    for line in BufReader::new(file).lines() {
+    for line in committed_lines(path)? {
         let line = line?;
         let mut parts = line.splitn(3, '\t');
         let (Some(seq), Some(out), Some(err)) = (parts.next(), parts.next(), parts.next()) else {
@@ -67,36 +69,6 @@ pub fn read_outputs<P: AsRef<Path>>(path: P) -> std::io::Result<HashMap<u64, (St
         map.insert(seq, (unescape(out), unescape(err)));
     }
     Ok(map)
-}
-
-// Same escape scheme as the joblog command column: the record stays
-// one physical line per task no matter what the task printed.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('\t', "\\t")
-        .replace('\n', "\\n")
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('t') => out.push('\t'),
-                Some('n') => out.push('\n'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -137,6 +109,22 @@ mod tests {
         let map = read_outputs(&path).unwrap();
         assert_eq!(map[&1], ("ok".to_string(), String::new()));
         assert_eq!(map.len(), 1, "torn and field-short lines are skipped");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopen_after_torn_line_keeps_the_next_record() {
+        let dir = std::env::temp_dir().join(format!("htpar-outlog3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.outlog");
+        std::fs::write(&path, "1\tok\t\n7\tpartial-out").unwrap();
+        let mut log = OutLog::open(&path).unwrap();
+        log.record(8, "fresh\n", "warn").unwrap();
+        log.flush().unwrap();
+        let map = read_outputs(&path).unwrap();
+        assert_eq!(map[&8], ("fresh\n".to_string(), "warn".to_string()));
+        assert_eq!(map[&1], ("ok".to_string(), String::new()));
+        assert!(!map.contains_key(&7), "the torn line was never committed");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

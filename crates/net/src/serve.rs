@@ -43,7 +43,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use htpar_core::joblog::{self, JobLogWriter, LogEntry};
+use htpar_core::joblog::{self, JobLogWriter};
+use htpar_core::options::ResumeMode;
 use htpar_core::sched::{SchedPolicy, Scheduler};
 use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
@@ -518,11 +519,7 @@ impl Pilot {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         let path =
                             joblog_dir.join(format!("{}.joblog", sanitize_tenant(&r.tenant)));
-                        let seqs: HashSet<u64> = joblog::read_log_tolerant(&path)?
-                            .iter()
-                            .map(|e| e.seq)
-                            .collect();
-                        e.insert(seqs)
+                        e.insert(joblog::resume_set(&path, ResumeMode::Resume)?)
                     }
                 };
                 done.extend(from_log.intersection(&accepted_seqs).copied());
@@ -1033,18 +1030,12 @@ impl Pilot {
             }
             let safe = sanitize_tenant(&self.tenants[tidx].name);
             let mut outputs = crate::outlog::read_outputs(dir.join(format!("{safe}.outlog")))?;
-            for e in joblog::read_log_tolerant(dir.join(format!("{safe}.joblog")))? {
+            for e in joblog::read_log(dir.join(format!("{safe}.joblog")))? {
                 if recorded.contains(&e.seq) {
                     let (stdout, stderr) = outputs.remove(&e.seq).unwrap_or_default();
-                    by_seq.entry(e.seq).or_insert(TaskDoneRec {
-                        seq: e.seq,
-                        exitval: e.exitval,
-                        signal: e.signal,
-                        start_epoch_us: (e.start * 1e6) as u64,
-                        runtime_us: (e.runtime * 1e6) as u64,
-                        stdout,
-                        stderr,
-                    });
+                    by_seq
+                        .entry(e.seq)
+                        .or_insert(TaskDoneRec::from_log_entry(&e, stdout, stderr));
                 }
             }
         }
@@ -1520,6 +1511,11 @@ impl Pilot {
             self.duplicates += 1;
             return Ok(());
         }
+        // Log and deliver under the session-local seq the client submitted.
+        let rec = TaskDoneRec {
+            seq: inf.local_seq,
+            ..rec
+        };
         session.completed += 1;
         self.fleet.credit(idx);
         self.completed += 1;
@@ -1540,30 +1536,16 @@ impl Pilot {
                 )?);
             }
             if let Some(log) = &mut tenant.log {
-                log.record_entry(&LogEntry {
-                    seq: inf.local_seq,
-                    host: self.fleet.name(idx).to_string(),
-                    start: rec.start_epoch_us as f64 / 1e6,
-                    runtime: rec.runtime_us as f64 / 1e6,
-                    send: 0,
-                    receive: rec.stdout.len() as u64,
-                    exitval: rec.exitval,
-                    signal: rec.signal,
-                    command: inf.command,
-                })?;
+                log.record_entry(&rec.log_entry(self.fleet.name(idx), inf.command))?;
             }
             if let Some(outlog) = &mut tenant.outlog {
-                outlog.record(inf.local_seq, &rec.stdout, &rec.stderr)?;
+                outlog.record(rec.seq, &rec.stdout, &rec.stderr)?;
             }
         }
         if self.journal.is_some() {
             self.pending_done.push((inf.session, inf.local_seq));
         }
-        // Deliver with the session-local seq the client submitted.
-        delivery.entry(inf.session).or_default().push(TaskDoneRec {
-            seq: inf.local_seq,
-            ..rec
-        });
+        delivery.entry(inf.session).or_default().push(rec);
         if let Some(cb) = on_done.as_deref_mut() {
             cb(self.completed);
         }

@@ -16,7 +16,7 @@
 //!    calendar (timing-wheel) queue over a generational slab — O(1)
 //!    schedule and cancel, no per-event heap allocation for small
 //!    handler captures — which sustains millions of events per second in
-//!    release builds (guarded by the `sim_rate_gate` bench). The
+//!    release builds (guarded by the `sim` regression gate). The
 //!    original binary-heap queue survives as [`reference::HeapQueue`],
 //!    the reference model the calendar queue is differentially tested
 //!    against.
