@@ -2,20 +2,23 @@
 //!
 //! The launch gate ([`crate::gate`]) prices the flat slot engine;
 //! this workload prices the DAG layer on top of it — in-degree
-//! decrement, ready-batch release through `Engine::run_batched`,
-//! completion callbacks — with in-process no-op tasks so the measured
-//! rate is pure scheduling cost. Three canonical topologies bound the
-//! shape space, one gate each (`dag_wide`, `dag_deep`, `dag_diamond`
-//! in [`crate::harness::GATES`]):
+//! decrement and release on the worker that finished the dependency —
+//! with in-process no-op tasks so the measured rate is pure scheduling
+//! cost. Three canonical topologies bound the shape space, one gate
+//! each (`dag_wide`, `dag_deep`, `dag_diamond` in
+//! [`crate::harness::GATES`]):
 //!
-//! - **wide**: N independent tasks — one initial release, the DAG
-//!   layer's overhead is a single callback per completion. Must stay
-//!   within a small factor of the flat-list path.
+//! - **wide**: N independent tasks — one initial release, sent in
+//!   chunk-sized batches that every slot claims from; the DAG layer's
+//!   overhead is one release-hook call per completion. Must stay within
+//!   a small factor of the flat-list path.
 //! - **deep**: one N-long chain — every release waits on the previous
-//!   completion, so the rate is the full round-trip cost
-//!   (callback → channel → slot → completion) with zero parallelism.
+//!   completion, and the finishing worker runs the next link itself, so
+//!   the rate is the per-link release cost (lock, in-degree decrement,
+//!   continuation) with zero parallelism and no thread hop.
 //! - **diamond**: chained fan-out/fan-in blocks (a → b,c → d) — the
-//!   mixed case, two-wide parallelism with joins.
+//!   mixed case: the finishing worker keeps one arm and sends the other
+//!   to an idle slot through the channel, and each join waits on both.
 
 use std::time::{Duration, Instant};
 

@@ -182,37 +182,47 @@ pub const GATES: &[Gate] = &[
         ],
         drill_us: Some(10_000),
     },
-    // DAG floors sit at roughly half the low end of repeated trials on
-    // a 1-core CI box (see `BENCH_dag_rate_gate.json`): ordinary noise
-    // passes, a structural regression (per-task locking, per-release
-    // allocation storms, a lost batch path) fails every trial.
+    // DAG floors sit at roughly half the low end of 10 trials per
+    // profile on a 2-vCPU VM (see `BENCH_dag_rate_gate.json`): ordinary
+    // noise passes, a structural regression (per-task locking,
+    // per-release allocation storms, a lost batch path, a release that
+    // hops threads again) fails every trial.
     Gate {
         name: "dag_wide",
         trial: |ctx| daggate::trial(Topology::Wide, ctx),
         floors: &[
+            // Release measured 1.01-1.62M tasks/s, debug 329-411k;
+            // floors unchanged.
             at_least("tasks_per_s", 500_000.0, 250_000.0),
             // The DAG layer is scheduling, not a second execution path:
             // a dependency-free DAG stays within this factor of the flat
-            // path measured in the same trial.
+            // path measured in the same trial (0.95-1.26x measured).
             at_most("overhead", 6.0, 6.0),
         ],
-        // The runner hands its one initial release batch to a single
-        // slot, so handicapped tasks run serially: 20 us/task already
-        // caps the rate near 12k/s, and 100k tasks take ~8 s in debug.
-        drill_us: Some(20),
+        // The initial release goes out in chunk-sized batches that all
+        // 64 slots claim, so handicapped tasks run 64 at a time: 1 ms
+        // per task caps the rate at 64k tasks/s, under both floors on
+        // any box. The launch drill uses the same value.
+        drill_us: Some(1_000),
     },
     // A serial 100k chain cannot carry a per-task handicap in a test's
     // time budget, so the deep and diamond gates have no drill.
     Gate {
         name: "dag_deep",
         trial: |ctx| daggate::trial(Topology::Deep, ctx),
-        floors: &[at_least("tasks_per_s", 50_000.0, 35_000.0)],
+        // The finishing worker runs each next link itself: release
+        // measured 820-981k tasks/s, debug 289-398k, so a collector
+        // round trip back on every link (35-123k release) fails every
+        // trial.
+        floors: &[at_least("tasks_per_s", 400_000.0, 140_000.0)],
         drill_us: None,
     },
     Gate {
         name: "dag_diamond",
         trial: |ctx| daggate::trial(Topology::Diamond, ctx),
-        floors: &[at_least("tasks_per_s", 60_000.0, 45_000.0)],
+        // Release measured 396-494k tasks/s, debug 178-227k; with a
+        // collector round trip per completion, 50-105k release.
+        floors: &[at_least("tasks_per_s", 200_000.0, 90_000.0)],
         drill_us: None,
     },
 ];

@@ -3,7 +3,7 @@
 //! checked through the same harness as the `gate` binary, plus the drill
 //! proving the wide gate can trip.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use htpar_bench::harness::{self, Ctx};
 
@@ -11,44 +11,15 @@ use htpar_bench::harness::{self, Ctx};
 /// other below their floors.
 static TIMED: Mutex<()> = Mutex::new(());
 
-fn clean() -> Ctx {
-    Ctx {
+/// Run the gate called `name` through the harness, alone.
+fn run_alone(name: &str) {
+    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let gate = harness::find(name).expect("the gate is in the table");
+    let ctx = Ctx {
         handicap: None,
         agent: env!("CARGO_BIN_EXE_gate").into(),
-    }
-}
-
-/// The verdict of chain gate `i` (deep, diamond). The chains run side by
-/// side, trial for trial, as their debug floors were measured: every
-/// link hands off between threads, and on a VM a handoff to an idle vCPU
-/// pays a wakeup that a busy neighbour hides (alone, both chains run
-/// 20-40% slower). Each passes at its first trial that clears its row,
-/// as under `harness::run`. Whichever chain test comes first runs both.
-fn chain_verdict(i: usize) -> Result<(), String> {
-    static CHAINS: OnceLock<[Result<(), String>; 2]> = OnceLock::new();
-    CHAINS.get_or_init(|| {
-        let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
-        let chains = ["dag_deep", "dag_diamond"]
-            .map(|name| harness::find(name).expect("the gate is in the table"));
-        let mut verdicts = chains.map(|g| Err(format!("{}: no trial ran", g.name)));
-        for _ in 0..harness::TRIALS {
-            let trials = std::thread::scope(|s| {
-                let runs = chains.map(|g| s.spawn(move || (g.trial)(&clean())));
-                runs.map(|run| run.join().expect("a gate trial panicked"))
-            });
-            for ((verdict, gate), metrics) in verdicts.iter_mut().zip(chains).zip(trials) {
-                println!("{}: {metrics:?}", gate.name);
-                if verdict.is_err() {
-                    *verdict = metrics.and_then(|m| harness::check(gate.name, &m));
-                }
-            }
-            if verdicts.iter().all(Result::is_ok) {
-                break;
-            }
-        }
-        verdicts
-    })[i]
-        .clone()
+    };
+    harness::run(gate, &ctx, harness::TRIALS, None).unwrap_or_else(|misses| panic!("{misses}"));
 }
 
 /// Both wide rows: the rate floor, and the ceiling on how many times
@@ -56,19 +27,18 @@ fn chain_verdict(i: usize) -> Result<(), String> {
 /// trial.
 #[test]
 fn wide_dag_rate_stays_above_floor() {
-    let _alone = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
-    let gate = harness::find("dag_wide").expect("the gate is in the table");
-    harness::run(gate, &clean(), harness::TRIALS, None).unwrap_or_else(|misses| panic!("{misses}"));
+    run_alone("dag_wide");
 }
 
+/// One chain: each link runs on the slot that finished the one before.
 #[test]
 fn deep_dag_rate_stays_above_floor() {
-    chain_verdict(0).unwrap_or_else(|misses| panic!("{misses}"));
+    run_alone("dag_deep");
 }
 
 #[test]
 fn diamond_dag_rate_stays_above_floor() {
-    chain_verdict(1).unwrap_or_else(|misses| panic!("{misses}"));
+    run_alone("dag_diamond");
 }
 
 /// The drill: a per-task handicap must land the wide DAG below its

@@ -6,9 +6,14 @@
 //! are other tasks' outputs. The design keeps the paper's thesis intact
 //! — the DAG layer adds *scheduling*, not a second execution path. A
 //! [`ReadySet`] tracks in-degrees and releases tasks the moment their
-//! last dependency completes; released batches flow through the same
-//! engine ([`Engine::run_batched`]), the same sharded dispatch, and the
-//! same joblog as a flat list. Ready-set overhead is O(1) per edge: one
+//! last dependency completes. Release runs on the worker that finished
+//! the dependency ([`Engine::run_released`]), with no central scheduler
+//! thread: under one lock it writes the task's joblog row, completes
+//! the ready set and keeps the first newly-ready task as its own next
+//! job, so a chain stays on one slot; the rest go out in
+//! [`chunk_size`] batches for idle slots to claim. Released tasks run
+//! through the same engine, the same sharded dispatch, and the same
+//! joblog as a flat list. Ready-set overhead is O(1) per edge: one
 //! in-degree decrement when a dependency completes.
 //!
 //! ## Spec grammar (command mode)
@@ -49,6 +54,12 @@
 //! *successful* row are not re-run; failed tasks, their skipped
 //! descendants, and anything unrecorded (including in-flight tasks lost
 //! to a crash) replay. That is exactly the affected subgraph.
+//!
+//! Joblog rows are buffered and flushed by the flat engine's rule: after
+//! a task that ran at least 500 µs (before its successors are released),
+//! every 64 rows, before a worker parks on an empty channel, and once at
+//! the end of the run, where a write error fails the run. A crash loses
+//! at most the unflushed rows, and `--resume` re-runs those tasks.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -57,12 +68,14 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use htpar_telemetry::EventBus;
 use parking_lot::Mutex;
 
+use crate::crossbeam_channel::Sender;
+use crate::dispatch::chunk_size;
 use crate::error::{Error, Result};
 use crate::executor::Executor;
 use crate::job::JobResult;
 use crate::joblog::{self, JobLogWriter, LogEntry};
 use crate::options::{Options, ResumeMode};
-use crate::runner::{Engine, JobInput, RunReport};
+use crate::runner::{Engine, JobInput, Release, RunReport, DELIVER_BATCH, PROMPT_DELIVERY};
 use crate::template::{ExpandContext, Template};
 
 /// Host column marker for a task skipped because a dependency failed.
@@ -583,32 +596,41 @@ impl ReadySet {
         // the joblog) always lists a node after every one of its
         // dependencies, and a node with an in-flight dependency is not
         // logged before that dependency's own row.
-        let mut stack: Vec<(usize, bool)> = vec![(idx, !ok)];
-        while let Some((at, bad)) = stack.pop() {
-            for d in 0..self.dependents[at].len() {
-                let dep = self.dependents[at][d] as usize;
-                if self.state[dep] != NodeState::Waiting {
-                    continue;
-                }
-                if bad {
-                    self.poisoned[dep] = true;
-                }
-                self.indeg[dep] -= 1;
-                if self.indeg[dep] == 0 {
-                    if self.poisoned[dep] {
-                        self.state[dep] = NodeState::SkippedDep;
-                        self.skipped += 1;
-                        self.unfinished -= 1;
-                        out.newly_skipped.push(dep as u64 + 1);
-                        stack.push((dep, true));
-                    } else {
-                        self.state[dep] = NodeState::Dispatched;
-                        out.newly_ready.push(dep as u64 + 1);
-                    }
+        let mut condemned = Vec::new();
+        self.resolve(idx, !ok, &mut out, &mut condemned);
+        while let Some(at) = condemned.pop() {
+            self.resolve(at, true, &mut out, &mut condemned);
+        }
+        out
+    }
+
+    /// Count terminal node `at` against each waiting dependent, which
+    /// it poisons if `bad`. A dependent whose count reaches zero is
+    /// released, or condemned and pushed onto `condemned` to pass the
+    /// failure on.
+    fn resolve(&mut self, at: usize, bad: bool, out: &mut Completion, condemned: &mut Vec<usize>) {
+        for d in 0..self.dependents[at].len() {
+            let dep = self.dependents[at][d] as usize;
+            if self.state[dep] != NodeState::Waiting {
+                continue;
+            }
+            if bad {
+                self.poisoned[dep] = true;
+            }
+            self.indeg[dep] -= 1;
+            if self.indeg[dep] == 0 {
+                if self.poisoned[dep] {
+                    self.state[dep] = NodeState::SkippedDep;
+                    self.skipped += 1;
+                    self.unfinished -= 1;
+                    out.newly_skipped.push(dep as u64 + 1);
+                    condemned.push(dep);
+                } else {
+                    self.state[dep] = NodeState::Dispatched;
+                    out.newly_ready.push(dep as u64 + 1);
                 }
             }
         }
-        out
     }
 
     /// True once every node is terminal (done, failed, skipped, or
@@ -647,66 +669,127 @@ impl DagReport {
     }
 }
 
-/// Mutable state shared with the engine's completion callback.
+/// The DAG layer's release hook ([`Engine::run_released`]): the worker
+/// that finished a task writes its joblog row, completes the ready set
+/// and keeps the first newly-ready task as its own next job.
+struct DagRelease<'d> {
+    dag: &'d Dag,
+    /// Slot count, which sizes released batches.
+    jobs: usize,
+    state: Mutex<DagState>,
+}
+
+/// What finishing workers share, under one lock.
 struct DagState {
     ready: ReadySet,
-    /// Release channel into [`Engine::run_batched`]; dropped when the
-    /// graph is finished so the engine sees end-of-input.
-    tx: Option<crate::crossbeam_channel::Sender<Vec<JobInput>>>,
+    /// Release channel into the engine; dropped when the graph is
+    /// finished (or a `--halt` policy stops the run) so the engine sees
+    /// end-of-input.
+    tx: Option<Sender<Vec<JobInput>>>,
     log: Option<JobLogWriter>,
-    /// Node commands by index, for skip rows.
-    commands: Arc<Vec<String>>,
-    ids: Arc<Vec<String>>,
+    /// Rows written since the last flush.
+    unflushed: usize,
     failed_ids: Vec<String>,
-    /// First joblog I/O error from the callback, surfaced after the run.
+    /// First joblog I/O error, surfaced after the run.
     io_error: Option<Error>,
 }
 
 impl DagState {
-    fn on_done(&mut self, result: &JobResult) {
+    /// Append one row with `write`, keeping the first error.
+    fn write(&mut self, write: impl FnOnce(&mut JobLogWriter) -> Result<()>) {
         if let Some(log) = &mut self.log {
-            if let Err(e) = log.record(result) {
+            if let Err(e) = write(log) {
                 self.io_error.get_or_insert(e);
             }
+            self.unflushed += 1;
         }
-        let ok = result.status.is_success();
-        if !ok {
-            self.failed_ids
-                .push(self.ids[(result.seq - 1) as usize].clone());
+    }
+
+    /// Push any buffered rows to the file.
+    fn flush(&mut self) {
+        if self.unflushed == 0 {
+            return;
         }
-        let comp = self.ready.complete(result.seq, ok);
-        // Skip rows land after the finishing task's row (just recorded
-        // above), and `newly_skipped` is ordered dependencies-first, so
-        // the joblog lists every task's dependencies before the task
-        // itself.
-        for &seq in &comp.newly_skipped {
-            if let Some(log) = &mut self.log {
-                let entry = skip_entry(seq, &self.commands[(seq - 1) as usize]);
-                if let Err(e) = log.record_entry(&entry) {
-                    self.io_error.get_or_insert(e);
-                }
+        self.unflushed = 0;
+        if let Some(Err(e)) = self.log.as_mut().map(JobLogWriter::flush) {
+            self.io_error.get_or_insert(e);
+        }
+    }
+}
+
+impl DagRelease<'_> {
+    fn command(&self, seq: u64) -> &str {
+        &self.dag.nodes[(seq - 1) as usize].command
+    }
+
+    fn job(&self, seq: u64) -> JobInput {
+        JobInput::new(seq, vec![self.command(seq).to_string()])
+    }
+}
+
+impl Release for DagRelease<'_> {
+    fn done(&self, result: &JobResult) -> Option<JobInput> {
+        let (ready, tx) = {
+            let mut st = self.state.lock();
+            st.write(|log| log.record(result));
+            let ok = result.status.is_success();
+            if !ok {
+                let id = self.dag.nodes[(result.seq - 1) as usize].id.clone();
+                st.failed_ids.push(id);
             }
-        }
-        if !comp.newly_ready.is_empty() {
-            let batch: Vec<JobInput> = comp
-                .newly_ready
-                .iter()
-                .map(|&seq| JobInput::new(seq, vec![self.commands[(seq - 1) as usize].clone()]))
-                .collect();
-            if let Some(tx) = &self.tx {
-                // Unbounded channel: never blocks the collector thread.
-                let _ = tx.send(batch);
+            let comp = st.ready.complete(result.seq, ok);
+            // Skip rows land after the finishing task's row, and
+            // `newly_skipped` is ordered dependencies-first, so the
+            // joblog lists every task's dependencies before the task
+            // itself. Each row is written before any dependent is
+            // released, so released work can never log ahead of it.
+            for &seq in &comp.newly_skipped {
+                st.write(|log| log.record_entry(&skip_entry(seq, self.command(seq))));
             }
-        }
-        if let Some(log) = &mut self.log {
-            if let Err(e) = log.flush() {
-                self.io_error.get_or_insert(e);
+            // The flat engine's flush rule: a slow task's row reaches the
+            // file before its successors start; fast rows go in batches.
+            if result.runtime >= PROMPT_DELIVERY || st.unflushed >= DELIVER_BATCH {
+                st.flush();
             }
+            if st.ready.is_finished() {
+                // Closing the channel is what ends the engine run.
+                st.tx = None;
+            }
+            let tx = match comp.newly_ready.len() {
+                0 | 1 => None,
+                _ => st.tx.clone(),
+            };
+            (comp.newly_ready, tx)
+        };
+        let mut ready = ready.into_iter().map(|seq| self.job(seq));
+        let next = ready.next();
+        if let Some(tx) = tx {
+            send_batches(&tx, ready, self.jobs);
         }
-        if self.ready.is_finished() {
-            // Closing the channel is what ends the engine run.
-            self.tx = None;
-        }
+        next
+    }
+
+    fn park(&self) {
+        self.state.lock().flush();
+    }
+
+    fn halt(&self) {
+        self.state.lock().tx = None;
+    }
+}
+
+/// Send released `jobs` into the engine in [`chunk_size`] batches, so
+/// idle slots claim them instead of one slot taking the whole release.
+fn send_batches(
+    tx: &Sender<Vec<JobInput>>,
+    mut jobs: impl ExactSizeIterator<Item = JobInput>,
+    slots: usize,
+) {
+    let size = chunk_size(jobs.len(), slots);
+    while jobs.len() > 0 {
+        // Unbounded channel whose receiver outlives every sender: never
+        // blocks, never fails.
+        let _ = tx.send(jobs.by_ref().take(size).collect());
     }
 }
 
@@ -730,8 +813,8 @@ pub fn skip_entry(seq: u64, command: &str) -> LogEntry {
     }
 }
 
-/// In-process DAG execution: ready-set release over
-/// [`Engine::run_batched`].
+/// In-process DAG execution: ready-set release on the finishing worker,
+/// over [`Engine::run_released`].
 ///
 /// `options.joblog`/`options.resume` are handled by this layer (the DAG
 /// owns the joblog so skip rows interleave correctly); the remaining
@@ -762,61 +845,46 @@ impl DagRunner {
         };
 
         let mut ready = ReadySet::resumed(dag, &done);
-        let commands = Arc::new(
-            dag.nodes
-                .iter()
-                .map(|n| n.command.clone())
-                .collect::<Vec<_>>(),
-        );
-        let ids = Arc::new(dag.nodes.iter().map(|n| n.id.clone()).collect::<Vec<_>>());
-
-        let (tx, rx) = crate::crossbeam_channel::unbounded::<Vec<JobInput>>();
         let initial = ready.take_ready();
-        if !initial.is_empty() {
-            let batch: Vec<JobInput> = initial
-                .iter()
-                .map(|&seq| JobInput::new(seq, vec![commands[(seq - 1) as usize].clone()]))
-                .collect();
-            tx.send(batch).expect("receiver held locally");
-        }
-        // Nothing will ever complete on an already-finished graph (empty
-        // or fully resumed), so the callback can't close the channel —
-        // drop the sender here or the engine waits on it forever.
         let finished = ready.is_finished();
-        let tx = if finished {
-            drop(tx);
-            None
-        } else {
-            Some(tx)
+        let jobs = self.options.jobs;
+        let release = DagRelease {
+            dag,
+            jobs,
+            state: Mutex::new(DagState {
+                ready,
+                tx: None,
+                log,
+                unflushed: 0,
+                failed_ids: Vec::new(),
+                io_error: None,
+            }),
         };
-        let state = Arc::new(Mutex::new(DagState {
-            ready,
-            tx,
-            log,
-            commands: Arc::clone(&commands),
-            ids: Arc::clone(&ids),
-            failed_ids: Vec::new(),
-            io_error: None,
-        }));
+        let (tx, rx) = crate::crossbeam_channel::unbounded::<Vec<JobInput>>();
+        send_batches(&tx, initial.into_iter().map(|seq| release.job(seq)), jobs);
+        // Nothing will ever complete on an already-finished graph (empty
+        // or fully resumed), so no hook can close the channel: drop the
+        // sender here or the engine waits on it forever.
+        release.state.lock().tx = (!finished).then_some(tx);
 
         let mut engine_options = self.options;
         engine_options.joblog = None;
         engine_options.resume = ResumeMode::Off;
-        let cb_state = Arc::clone(&state);
         let engine = Engine {
             options: engine_options,
             template: Template::parse("{}")?,
             executor: self.executor,
-            on_result: Some(Arc::new(move |r: &JobResult| {
-                cb_state.lock().on_done(r);
-            })),
+            on_result: None,
             skip: HashSet::new(),
             gate: None,
             bus: self.bus,
         };
-        let engine_report = engine.run_batched(rx)?;
+        let engine_report = engine.run_released(rx, &release)?;
 
-        let mut st = state.lock();
+        let mut st = release.state.into_inner();
+        if let Some(Err(e)) = st.log.as_mut().map(JobLogWriter::flush) {
+            st.io_error.get_or_insert(e);
+        }
         if let Some(e) = st.io_error.take() {
             return Err(e);
         }
@@ -827,7 +895,7 @@ impl DagRunner {
             failed,
             skipped_dep_failed: skipped,
             resumed: pre_done,
-            failed_ids: std::mem::take(&mut st.failed_ids),
+            failed_ids: st.failed_ids,
         })
     }
 }
@@ -1023,6 +1091,19 @@ mid2: raw
         assert_eq!(rs.counts(), (2, 0, 0, 2));
     }
 
+    fn runner(jobs: usize, keep_order: bool, exec: FnExecutor) -> DagRunner {
+        DagRunner {
+            options: Options {
+                jobs,
+                keep_order,
+                shell: false,
+                ..Options::default()
+            },
+            executor: Arc::new(exec),
+            bus: None,
+        }
+    }
+
     fn run_dag(dag: &Dag, joblog: Option<std::path::PathBuf>, resume: bool) -> DagReport {
         let exec = FnExecutor::new(|cmd: &CommandLine| {
             if cmd.rendered().contains("fail") {
@@ -1035,23 +1116,12 @@ mid2: raw
                 Ok(TaskOutput::stdout(format!("ran {}\n", cmd.rendered())))
             }
         });
-        DagRunner {
-            options: Options {
-                jobs: 4,
-                joblog,
-                resume: if resume {
-                    ResumeMode::ResumeFailed
-                } else {
-                    ResumeMode::Off
-                },
-                shell: false,
-                ..Options::default()
-            },
-            executor: Arc::new(exec),
-            bus: None,
+        let mut run = runner(4, false, exec);
+        run.options.joblog = joblog;
+        if resume {
+            run.options.resume = ResumeMode::ResumeFailed;
         }
-        .run(dag)
-        .unwrap()
+        run.run(dag).unwrap()
     }
 
     #[test]
@@ -1170,6 +1240,155 @@ mid2: raw
             .collect();
         assert_eq!(seqs, vec![4, 1, 2, 3], "a's row precedes its dependents'");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Released work spreads over idle slots: 16 independent 20 ms tasks
+    /// at `-j 8` overlap, where one slot claiming the whole initial
+    /// release would run them one at a time.
+    #[test]
+    fn wide_dag_of_real_tasks_runs_in_parallel() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let (r, p) = (Arc::clone(&running), Arc::clone(&peak));
+        let exec = FnExecutor::new(move |_| {
+            let now = r.fetch_add(1, Ordering::SeqCst) + 1;
+            p.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(20));
+            r.fetch_sub(1, Ordering::SeqCst);
+            Ok(TaskOutput::success())
+        });
+        let mut s = DagSpec::new();
+        for i in 0..16 {
+            s.task(format!("t{i}"), "sleep", vec![]).unwrap();
+        }
+        let report = runner(8, false, exec).run(&s.build().unwrap()).unwrap();
+        assert!(report.all_succeeded());
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak >= 4, "at most {peak} of 8 slots ran at once");
+    }
+
+    /// `keep_order` orders the report, never the release: in the
+    /// make-mode graph `out: mid` / `mid: raw` the leaf `raw` is seq 3,
+    /// and seqs 1 and 2 wait on it, so a release that waited for
+    /// in-order delivery would never start them.
+    #[test]
+    fn keep_order_dag_finishes() {
+        let dag = DagSpec::parse_make("out: mid\nmid: raw\n", "make {}")
+            .unwrap()
+            .build()
+            .unwrap();
+        let (tx, rx) = crate::crossbeam_channel::bounded(1);
+        std::thread::spawn(move || {
+            let _ = tx.send(runner(2, true, FnExecutor::noop()).run(&dag));
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a keep_order DAG run hung")
+            .unwrap();
+        assert!(report.all_succeeded());
+        let seqs: Vec<u64> = report.engine.results.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+    }
+
+    /// The worker that finishes a link runs the next one itself: every
+    /// link of a chain lands on one slot.
+    #[test]
+    fn chain_links_run_on_one_slot() {
+        let slots = Arc::new(Mutex::new(HashSet::new()));
+        let seen = Arc::clone(&slots);
+        let exec = FnExecutor::new(move |cmd: &CommandLine| {
+            seen.lock().insert(cmd.slot);
+            Ok(TaskOutput::success())
+        });
+        let mut s = DagSpec::new();
+        for i in 0..200 {
+            let deps = if i == 0 {
+                vec![]
+            } else {
+                vec![format!("t{}", i - 1)]
+            };
+            s.task(format!("t{i}"), "link", deps).unwrap();
+        }
+        let report = runner(4, false, exec).run(&s.build().unwrap()).unwrap();
+        assert_eq!(report.engine.jobs_total, 200);
+        let slots = slots.lock().clone();
+        assert_eq!(slots.len(), 1, "slots used: {slots:?}");
+    }
+
+    /// Flush before release: a dependency that ran at least 500 µs has
+    /// its row in the file when its dependent starts.
+    #[test]
+    fn slow_dependency_row_is_on_disk_when_its_dependent_starts() {
+        let dir = std::env::temp_dir().join(format!("htpar-dag-flush-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.tsv");
+        let _ = std::fs::remove_file(&path);
+        let misses = Arc::new(Mutex::new(Vec::new()));
+        let (log, seen) = (path.clone(), Arc::clone(&misses));
+        let exec = FnExecutor::new(move |cmd: &CommandLine| {
+            if cmd.rendered() == "slow" {
+                std::thread::sleep(Duration::from_millis(2));
+            } else {
+                let dep = cmd.seq - 1;
+                let rows = joblog::read_log(&log).unwrap();
+                if !rows.iter().any(|row| row.seq == dep) {
+                    seen.lock().push(dep);
+                }
+            }
+            Ok(TaskOutput::success())
+        });
+        // Eight `slow -> check` pairs: seq 2k+1 is slow, seq 2k+2 reads
+        // the log for it.
+        let mut s = DagSpec::new();
+        for k in 0..8 {
+            s.task(format!("slow{k}"), "slow", vec![]).unwrap();
+            s.task(format!("check{k}"), "check", vec![format!("slow{k}")])
+                .unwrap();
+        }
+        let mut run = runner(4, false, exec);
+        run.options.joblog = Some(path.clone());
+        let report = run.run(&s.build().unwrap()).unwrap();
+        assert!(report.all_succeeded());
+        assert_eq!(*misses.lock(), Vec::<u64>::new(), "rows missing at start");
+        assert_eq!(joblog::read_log(&path).unwrap().len(), 16);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `--halt` policy ends a DAG run: workers parked on the release
+    /// channel see its end instead of waiting on a graph that will
+    /// never finish.
+    #[test]
+    fn halted_dag_run_ends() {
+        use crate::halt::{HaltDecision, HaltPolicy, HaltWhen};
+        let exec = FnExecutor::new(|cmd: &CommandLine| {
+            if cmd.rendered() == "fail" {
+                std::thread::sleep(Duration::from_millis(20));
+                Ok(TaskOutput::failed(1, "boom"))
+            } else {
+                Ok(TaskOutput::success())
+            }
+        });
+        let dag = spec(&[
+            ("a", "fail", &[]),
+            ("b", "ok", &["a"]),
+            ("c", "ok", &[]),
+            ("d", "ok", &["c"]),
+        ])
+        .build()
+        .unwrap();
+        let mut run = runner(4, false, exec);
+        run.options.halt = HaltPolicy::fail_count(1, HaltWhen::Soon);
+        let (tx, rx) = crate::crossbeam_channel::bounded(1);
+        std::thread::spawn(move || {
+            let _ = tx.send(run.run(&dag));
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a halted DAG run hung")
+            .unwrap();
+        assert_eq!(report.failed, 1);
+        assert_eq!(report.engine.halted, Some(HaltDecision::StopSoon));
     }
 
     #[test]

@@ -109,7 +109,8 @@ pub enum JobSource {
     /// whole `Vec` per channel round-trip and then run it with no shared
     /// state, the streaming analogue of [`ChunkQueue`] chunks. Built for
     /// the network agent, where tasks arrive in multi-thousand-task
-    /// shard frames and per-item channel hops would dominate dispatch.
+    /// shard frames and per-item channel hops would dominate dispatch;
+    /// the DAG layer sends its releases here in [`chunk_size`] batches.
     Batched(Receiver<Vec<JobInput>>),
 }
 
@@ -151,10 +152,14 @@ pub enum Feed {
     Done,
 }
 
-/// One worker's view of the source: a claimed local chunk plus the shared
-/// refill path. `next()` is lock-free until the local chunk runs dry.
+/// One worker's view of the source: a one-job continuation slot, a
+/// claimed local chunk, and the shared refill path, read in that order.
+/// `next()` is lock-free until the slot and the local chunk run dry.
 pub struct WorkerFeed<'a> {
     source: &'a JobSource,
+    /// A job this worker released for itself (a DAG successor of the
+    /// task it just finished), run before anything else it holds.
+    next_up: Option<JobInput>,
     local: std::vec::IntoIter<JobInput>,
 }
 
@@ -162,8 +167,22 @@ impl<'a> WorkerFeed<'a> {
     pub fn new(source: &'a JobSource) -> WorkerFeed<'a> {
         WorkerFeed {
             source,
+            next_up: None,
             local: Vec::new().into_iter(),
         }
+    }
+
+    /// Make `job` this worker's next job, ahead of its chunk and the
+    /// shared source. The slot holds one job: a worker fills it at most
+    /// once per job it runs.
+    pub fn continue_with(&mut self, job: JobInput) {
+        debug_assert!(self.next_up.is_none(), "continuation slot already full");
+        self.next_up = Some(job);
+    }
+
+    /// The continuation slot, else the local chunk.
+    fn held(&mut self) -> Option<JobInput> {
+        self.next_up.take().or_else(|| self.local.next())
     }
 
     /// The next job, refilling from the shared source when the local
@@ -174,7 +193,7 @@ impl<'a> WorkerFeed<'a> {
     /// worker feed a footgun.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<JobInput> {
-        if let Some(job) = self.local.next() {
+        if let Some(job) = self.held() {
             return Some(job);
         }
         match self.source {
@@ -197,7 +216,7 @@ impl<'a> WorkerFeed<'a> {
     /// letting the worker hand off buffered completions before it
     /// parks on the channel.
     pub fn try_next(&mut self) -> Feed {
-        if let Some(job) = self.local.next() {
+        if let Some(job) = self.held() {
             return Feed::Job(job);
         }
         match self.source {
@@ -380,6 +399,24 @@ mod tests {
         );
         drop(tx);
         assert!(matches!(feed.try_next(), Feed::Done));
+    }
+
+    #[test]
+    fn continuation_runs_before_the_chunk_and_the_channel() {
+        let (tx, rx) = crossbeam_channel::unbounded::<Vec<JobInput>>();
+        let source = JobSource::batched(rx);
+        tx.send(inputs(2)).unwrap();
+        tx.send(inputs(1)).unwrap();
+        let mut feed = WorkerFeed::new(&source);
+        assert!(matches!(feed.try_next(), Feed::Job(j) if j.seq == 1));
+        feed.continue_with(JobInput::new(9, Vec::new()));
+        assert!(matches!(feed.try_next(), Feed::Job(j) if j.seq == 9));
+        assert!(matches!(feed.try_next(), Feed::Job(j) if j.seq == 2));
+        drop(tx);
+        feed.continue_with(JobInput::new(8, Vec::new()));
+        assert_eq!(feed.next().map(|j| j.seq), Some(8));
+        assert_eq!(feed.next().map(|j| j.seq), Some(1));
+        assert!(feed.next().is_none());
     }
 
     #[test]

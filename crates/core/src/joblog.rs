@@ -46,41 +46,28 @@ pub struct LogEntry {
 }
 
 impl LogEntry {
-    /// Build an entry from a finished job.
-    pub fn from_result(result: &JobResult, host: &str) -> LogEntry {
-        let start = result
-            .started_at
-            .duration_since(UNIX_EPOCH)
-            .unwrap_or(Duration::ZERO)
-            .as_secs_f64();
-        LogEntry {
-            seq: result.seq,
-            host: host.to_string(),
-            start,
-            runtime: result.runtime.as_secs_f64(),
-            send: 0,
-            receive: result.stdout.len() as u64,
-            exitval: result.status.exitval(),
-            signal: result.status.signal(),
-            command: result.command.clone(),
-        }
-    }
-
     /// Serialize as a joblog row. Newlines/tabs in the command are escaped
     /// so the file stays line-oriented.
     pub fn to_line(&self) -> String {
-        format!(
-            "{}\t{}\t{:.3}\t{:.3}\t{}\t{}\t{}\t{}\t{}",
-            self.seq,
-            self.host,
-            self.start,
-            self.runtime,
-            self.send,
-            self.receive,
-            self.exitval,
-            self.signal,
-            escape(&self.command)
-        )
+        let mut line = Vec::with_capacity(64 + self.command.len());
+        self.row()
+            .encode(&mut line)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(line).expect("escaping keeps UTF-8 intact")
+    }
+
+    fn row(&self) -> Row<'_> {
+        Row {
+            seq: self.seq,
+            host: &self.host,
+            start: self.start,
+            runtime: self.runtime,
+            send: self.send,
+            receive: self.receive,
+            exitval: self.exitval,
+            signal: self.signal,
+            command: &self.command,
+        }
     }
 
     /// Parse one row. `line_no` only feeds error messages.
@@ -128,12 +115,85 @@ impl LogEntry {
     }
 }
 
+/// One joblog row by reference: the one encoder behind
+/// [`JobLogWriter::record`], [`JobLogWriter::record_entry`] and
+/// [`LogEntry::to_line`], writing straight into its output with no
+/// intermediate strings.
+struct Row<'a> {
+    seq: u64,
+    host: &'a str,
+    start: f64,
+    runtime: f64,
+    send: u64,
+    receive: u64,
+    exitval: i32,
+    signal: i32,
+    command: &'a str,
+}
+
+impl<'a> Row<'a> {
+    /// The row for a job this process ran on `host`.
+    fn of_result(result: &'a JobResult, host: &'a str) -> Row<'a> {
+        let start = result
+            .started_at
+            .duration_since(UNIX_EPOCH)
+            .unwrap_or(Duration::ZERO)
+            .as_secs_f64();
+        Row {
+            seq: result.seq,
+            host,
+            start,
+            runtime: result.runtime.as_secs_f64(),
+            send: 0,
+            receive: result.stdout.len() as u64,
+            exitval: result.status.exitval(),
+            signal: result.status.signal(),
+            command: &result.command,
+        }
+    }
+
+    /// Write the row without its newline.
+    fn encode(&self, out: &mut impl Write) -> io::Result<()> {
+        write!(
+            out,
+            "{}\t{}\t{:.3}\t{:.3}\t{}\t{}\t{}\t{}\t",
+            self.seq,
+            self.host,
+            self.start,
+            self.runtime,
+            self.send,
+            self.receive,
+            self.exitval,
+            self.signal
+        )?;
+        escape_into(self.command, out)
+    }
+}
+
 /// Escape a TSV field so the record stays one line: `\`, tab and
 /// newline become `\\`, `\t` and `\n`.
 pub fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('\t', "\\t")
-        .replace('\n', "\\n")
+    let mut out = Vec::with_capacity(s.len());
+    escape_into(s, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("escaping keeps UTF-8 intact")
+}
+
+/// [`escape`] `s` straight into `out`, copying unescaped runs whole.
+fn escape_into(s: &str, out: &mut impl Write) -> io::Result<()> {
+    let bytes = s.as_bytes();
+    let mut from = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escaped: &[u8] = match b {
+            b'\\' => b"\\\\",
+            b'\t' => b"\\t",
+            b'\n' => b"\\n",
+            _ => continue,
+        };
+        out.write_all(&bytes[from..i])?;
+        out.write_all(escaped)?;
+        from = i + 1;
+    }
+    out.write_all(&bytes[from..])
 }
 
 /// Invert [`escape`].
@@ -161,10 +221,13 @@ pub fn unescape(s: &str) -> String {
 
 /// An append-mode joblog writer.
 ///
-/// Rows are buffered (the engine's collector drains completions in
-/// batches, so buffering turns per-job write syscalls into one per
-/// batch); call [`JobLogWriter::flush`] after a batch to make the rows
-/// durable for concurrent `--resume` readers. Dropping the writer also
+/// Rows are encoded straight into a write buffer and reach the file on
+/// [`JobLogWriter::flush`], so a caller that flushes per batch pays one
+/// write syscall per batch, not per row. The engine's collector flushes
+/// once per drained batch; the DAG layer follows the same rule from the
+/// workers (after a task that ran at least 500 µs, every 64 rows, before
+/// a worker parks, and at the end of the run). Flush to make rows
+/// visible to concurrent `--resume` readers. Dropping the writer also
 /// flushes.
 pub struct JobLogWriter {
     file: std::io::BufWriter<File>,
@@ -190,7 +253,7 @@ impl JobLogWriter {
             host: hostname(),
         };
         if empty {
-            writer.write_line(HEADER)?;
+            writeln!(writer.file, "{HEADER}").map_err(Error::JobLog)?;
             writer.flush()?;
         }
         Ok(writer)
@@ -200,28 +263,28 @@ impl JobLogWriter {
     ///
     /// [`flush`]: JobLogWriter::flush
     pub fn record(&mut self, result: &JobResult) -> Result<()> {
-        let entry = LogEntry::from_result(result, &self.host);
-        self.write_line(&entry.to_line())
+        let row = Row::of_result(result, &self.host);
+        write_row(&mut self.file, &row)
     }
 
     /// Append a pre-built entry, keeping its own `host` column — the
     /// aggregation path for drivers that log completions reported by
     /// remote agents rather than jobs run in this process.
     pub fn record_entry(&mut self, entry: &LogEntry) -> Result<()> {
-        self.write_line(&entry.to_line())
+        write_row(&mut self.file, &entry.row())
     }
 
     /// Push buffered rows to the file.
     pub fn flush(&mut self) -> Result<()> {
         self.file.flush().map_err(Error::JobLog)
     }
+}
 
-    fn write_line(&mut self, line: &str) -> Result<()> {
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|_| self.file.write_all(b"\n"))
-            .map_err(Error::JobLog)
-    }
+/// One row and its newline.
+fn write_row(out: &mut impl Write, row: &Row) -> Result<()> {
+    row.encode(out)
+        .and_then(|_| out.write_all(b"\n"))
+        .map_err(Error::JobLog)
 }
 
 /// Truncate the bytes after the last newline of the line log at
@@ -350,9 +413,58 @@ mod tests {
         }
     }
 
+    /// The entry `record` writes for `result` on `host`, read back.
+    fn logged(result: &JobResult, host: &str) -> LogEntry {
+        let mut line = Vec::new();
+        Row::of_result(result, host).encode(&mut line).unwrap();
+        LogEntry::parse(std::str::from_utf8(&line).unwrap(), 1).unwrap()
+    }
+
+    /// Every column of a row, byte for byte: the `{:.3}` times, a
+    /// negative exitval, a signal, and a command that needs escaping,
+    /// through all three encoding entry points.
+    #[test]
+    fn rows_encode_byte_for_byte() {
+        let dir = std::env::temp_dir().join(format!("htpar-joblog-gold-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gold.tsv");
+        let _ = std::fs::remove_file(&path);
+        let mut killed = result(7, JobStatus::Signaled(9));
+        killed.command = "printf 'a\tb\nc' \\ end".into();
+        killed.started_at = UNIX_EPOCH + Duration::from_millis(1_700_000_000_250);
+        let skipped = LogEntry {
+            seq: 8,
+            host: "skipped-dep-failed".into(),
+            start: 12.5,
+            runtime: 0.0,
+            send: 0,
+            receive: 0,
+            exitval: -2,
+            signal: 0,
+            command: "x\\y\tz".into(),
+        };
+        {
+            let mut w = JobLogWriter::open(&path).unwrap();
+            w.record(&killed).unwrap();
+            w.record_entry(&skipped).unwrap();
+            w.record(&result(9, JobStatus::Failed(2))).unwrap();
+        }
+        let host = std::env::var("HOSTNAME").unwrap_or_else(|_| "localhost".to_string());
+        let skip_row = "8\tskipped-dep-failed\t12.500\t0.000\t0\t0\t-2\t0\tx\\\\y\\tz";
+        let want = format!(
+            "{HEADER}\n\
+             7\t{host}\t1700000000.250\t1.234\t0\t4\t-1\t9\tprintf 'a\\tb\\nc' \\\\ end\n\
+             {skip_row}\n\
+             9\t{host}\t1700000000.000\t1.234\t0\t4\t2\t0\techo a9\n"
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        assert_eq!(skipped.to_line(), skip_row);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn entry_round_trips() {
-        let entry = LogEntry::from_result(&result(7, JobStatus::Failed(2)), "nid001");
+        let entry = logged(&result(7, JobStatus::Failed(2)), "nid001");
         let parsed = LogEntry::parse(&entry.to_line(), 1).unwrap();
         assert_eq!(parsed, entry);
     }
@@ -361,7 +473,7 @@ mod tests {
     fn commands_with_tabs_and_newlines_round_trip() {
         let mut r = result(1, JobStatus::Success);
         r.command = "echo\t'a\nb' \\ weird".into();
-        let entry = LogEntry::from_result(&r, "h");
+        let entry = logged(&r, "h");
         let line = entry.to_line();
         assert!(!line.contains('\n'));
         let parsed = LogEntry::parse(&line, 1).unwrap();
@@ -402,11 +514,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = JobLogWriter::open(&path).unwrap();
-            w.record_entry(&LogEntry::from_result(
-                &result(1, JobStatus::Success),
-                "agent-3",
-            ))
-            .unwrap();
+            w.record_entry(&logged(&result(1, JobStatus::Success), "agent-3"))
+                .unwrap();
         }
         let entries = read_log(&path).unwrap();
         assert_eq!(entries[0].host, "agent-3");
@@ -454,7 +563,7 @@ mod tests {
             writeln!(
                 f,
                 "{}",
-                LogEntry::from_result(&result(4, JobStatus::Success), "h").to_line()
+                logged(&result(4, JobStatus::Success), "h").to_line()
             )
             .unwrap();
         }
@@ -467,8 +576,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("htpar-joblog-rs-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("resume.tsv");
-        let ok = |seq| LogEntry::from_result(&result(seq, JobStatus::Success), "h").to_line();
-        let failed = LogEntry::from_result(&result(2, JobStatus::Failed(1)), "h").to_line();
+        let ok = |seq| logged(&result(seq, JobStatus::Success), "h").to_line();
+        let failed = logged(&result(2, JobStatus::Failed(1)), "h").to_line();
         // Seq 3's row lost its last command byte: it parses, but its
         // newline never landed, so it was never committed.
         let torn = ok(3);
@@ -524,10 +633,10 @@ mod tests {
     #[test]
     fn resume_sets() {
         let entries = vec![
-            LogEntry::from_result(&result(1, JobStatus::Success), "h"),
-            LogEntry::from_result(&result(2, JobStatus::Failed(1)), "h"),
-            LogEntry::from_result(&result(2, JobStatus::Success), "h"), // retry succeeded
-            LogEntry::from_result(&result(3, JobStatus::Signaled(9)), "h"),
+            logged(&result(1, JobStatus::Success), "h"),
+            logged(&result(2, JobStatus::Failed(1)), "h"),
+            logged(&result(2, JobStatus::Success), "h"), // retry succeeded
+            logged(&result(3, JobStatus::Signaled(9)), "h"),
         ];
         let completed = completed_seqs(&entries);
         assert_eq!(completed, [1, 2, 3].into_iter().collect());
@@ -537,7 +646,7 @@ mod tests {
 
     #[test]
     fn signaled_jobs_are_not_successes() {
-        let entry = LogEntry::from_result(&result(1, JobStatus::Signaled(9)), "h");
+        let entry = logged(&result(1, JobStatus::Signaled(9)), "h");
         assert!(!entry.succeeded());
         assert_eq!(entry.exitval, -1);
         assert_eq!(entry.signal, 9);

@@ -14,7 +14,9 @@
 //!   buffer (one uncontended lock) and a dedicated collector thread
 //!   drains those buffers into the results vector, the `--keep-order`
 //!   reorder buffer, the joblog, and `--results` directories. Workers
-//!   never contend on shared output state.
+//!   never contend on shared output state. The one exception is a DAG's
+//!   release hook ([`Engine::run_released`]), which the finishing
+//!   worker runs itself so a successor starts without a thread hop.
 //! - **Bookkeeping**: launch counts and halt tallies are atomics; the
 //!   only remaining global lock is `--delay`'s launch spacer, which by
 //!   definition serializes launches.
@@ -128,13 +130,14 @@ const FEEDER_POLL: Duration = Duration::from_millis(50);
 const FEED_CAPACITY: usize = 4096;
 
 /// Completions a worker buffers locally before handing the batch to the
-/// collector; amortizes the per-slot buffer lock across fast tasks.
-const DELIVER_BATCH: usize = 64;
+/// collector; amortizes the per-slot buffer lock across fast tasks. The
+/// DAG joblog flushes at the same interval.
+pub(crate) const DELIVER_BATCH: usize = 64;
 
 /// Jobs slower than this are handed over immediately rather than
 /// batched, so progress consumers and the joblog stay current for
 /// human-scale workloads.
-const PROMPT_DELIVERY: Duration = Duration::from_micros(500);
+pub(crate) const PROMPT_DELIVERY: Duration = Duration::from_micros(500);
 
 /// Collector backpressure threshold for `jobs` slots: when this many
 /// completions are buffered awaiting the collector, workers park until
@@ -148,6 +151,22 @@ fn backlog_limit(jobs: usize) -> usize {
 
 /// Callback invoked per finished job.
 pub type ResultCallback = Arc<dyn Fn(&JobResult) + Send + Sync>;
+
+/// Worker-side completion hook for [`Engine::run_released`]: the DAG
+/// layer's ready-set release, run by the worker that finished the task
+/// instead of a collector round trip later.
+pub(crate) trait Release: Send + Sync {
+    /// Account for `result` (every result a worker produces, dry-run
+    /// included) and release whatever it unblocked. The returned job is
+    /// the calling worker's own next one.
+    fn done(&self, result: &JobResult) -> Option<JobInput>;
+    /// The calling worker found the input empty and is about to park.
+    fn park(&self);
+    /// A `--halt` policy stopped the run: release nothing more, so that
+    /// workers parked on the input see its end.
+    fn halt(&self);
+}
+
 /// The engine's input stream.
 pub type JobStream = Box<dyn Iterator<Item = JobInput> + Send>;
 
@@ -167,12 +186,13 @@ struct CompletionMsg {
 }
 
 /// Everything shared between worker threads for one run.
-struct Shared {
+struct Shared<'r> {
     options: Options,
     template: Template,
     executor: Arc<dyn Executor>,
     source: JobSource,
     on_result: Option<ResultCallback>,
+    release: Option<&'r dyn Release>,
     skip: HashSet<u64>,
     gate: Option<Arc<dyn Gate>>,
     tally: AtomicTally,
@@ -205,7 +225,7 @@ struct Shared {
     run_inst: Instant,
 }
 
-impl Shared {
+impl Shared<'_> {
     fn emit(&self, event: Event) {
         if let Some(sinks) = &self.sinks {
             sinks.emit(event);
@@ -285,7 +305,7 @@ enum EngineInput {
 impl Engine {
     /// Run a finite or streaming sequence of job inputs to completion.
     pub fn run(self, input: JobStream) -> Result<RunReport> {
-        self.run_with(EngineInput::Stream(input))
+        self.run_with(EngineInput::Stream(input), None)
     }
 
     /// Run a batch-granular streaming input to completion: the producer
@@ -295,10 +315,22 @@ impl Engine {
     /// already receives work in bulk (the network agent's shard frames)
     /// pays dispatch overhead per batch, not per task.
     pub fn run_batched(self, input: Receiver<Vec<JobInput>>) -> Result<RunReport> {
-        self.run_with(EngineInput::Batches(input))
+        self.run_with(EngineInput::Batches(input), None)
     }
 
-    fn run_with(self, input: EngineInput) -> Result<RunReport> {
+    /// [`Engine::run_batched`] with `release` called by each worker on
+    /// every result it produces. A job the hook hands back becomes that
+    /// worker's next job, so a chain of released tasks stays on one slot
+    /// with no channel or thread hop per link.
+    pub(crate) fn run_released(
+        self,
+        input: Receiver<Vec<JobInput>>,
+        release: &dyn Release,
+    ) -> Result<RunReport> {
+        self.run_with(EngineInput::Batches(input), Some(release))
+    }
+
+    fn run_with(self, input: EngineInput, release: Option<&dyn Release>) -> Result<RunReport> {
         self.options.validate()?;
         let started = Instant::now();
         let jobs = self.options.jobs;
@@ -334,6 +366,7 @@ impl Engine {
             executor: self.executor,
             source,
             on_result: self.on_result,
+            release,
             skip: self.skip,
             gate: self.gate,
             tally: AtomicTally::default(),
@@ -361,7 +394,8 @@ impl Engine {
         // `--results` directories, telemetry bus), nothing consumes
         // completions mid-run: workers accumulate results locally and the
         // collector thread is not spawned at all, so the hot path has
-        // zero cross-thread completion traffic.
+        // zero cross-thread completion traffic. A release hook runs on
+        // the workers themselves and needs no collector.
         let direct = shared.on_result.is_none()
             && shared.sinks.is_none()
             && joblog.is_none()
@@ -458,19 +492,26 @@ fn feed_stream(input: JobStream, tx: Sender<JobInput>, shared: &Shared) {
 
 /// One slot's dispatch loop. Returns the results accumulated locally in
 /// direct mode (see [`Engine::run`]); with a collector the return is
-/// empty and completions flow through [`flush_pending`] instead.
+/// empty and completions flow through [`Worker::flush`] instead.
 fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> Vec<JobResult> {
-    let mut feed = WorkerFeed::new(&shared.source);
     let halt_never = shared.options.halt.is_never();
     let check_skip = !shared.skip.is_empty();
     let needs_argv = shared.executor.needs_argv();
     let slow_path = shared.gate.is_some() || shared.options.delay.is_some();
-    let mut pending: Vec<CompletionMsg> = Vec::new();
-    let mut local: Vec<JobResult> = if direct {
+    let local = if direct {
         let per_slot = shared.source.len_hint().unwrap_or(0) / shared.options.jobs.max(1);
         Vec::with_capacity(per_slot + 16)
     } else {
         Vec::new()
+    };
+    let mut w = Worker {
+        slot,
+        shared,
+        wake,
+        direct,
+        feed: WorkerFeed::new(&shared.source),
+        pending: Vec::new(),
+        local,
     };
     loop {
         if shared.halt_state.load(Ordering::SeqCst) != RUN {
@@ -479,12 +520,15 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
         // Non-blocking pull first: if the source has nothing ready yet
         // (streaming feeder lagging), hand off buffered completions
         // before parking on the channel.
-        let job = match feed.try_next() {
+        let job = match w.feed.try_next() {
             Feed::Job(job) => job,
             Feed::Done => break,
             Feed::Pending => {
-                flush_pending(shared, wake, slot, &mut pending);
-                match feed.next() {
+                w.flush();
+                if let Some(release) = shared.release {
+                    release.park();
+                }
+                match w.feed.next() {
                     Some(job) => job,
                     None => break,
                 }
@@ -503,17 +547,7 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
         if check_skip && shared.skip.contains(&seq) {
             let rendered = render(shared, seq, &args, slot, false).0;
             let result = JobResult::skipped(seq, args, rendered);
-            deliver(
-                shared,
-                wake,
-                slot,
-                direct,
-                &mut pending,
-                &mut local,
-                result,
-                false,
-                false,
-            );
+            w.deliver(result, false, false);
             continue;
         }
 
@@ -523,7 +557,7 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
         if slow_path {
             // About to potentially block in the gate or the launch
             // spacer: completions must not sit in the local batch.
-            flush_pending(shared, wake, slot, &mut pending);
+            w.flush();
         }
         if let Some(gate) = &shared.gate {
             // Hold the launch until the gate permits, still honoring a
@@ -539,17 +573,7 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
             if halted {
                 shared.emit_occupancy(-1);
                 let result = JobResult::skipped(seq, args, String::new());
-                deliver(
-                    shared,
-                    wake,
-                    slot,
-                    direct,
-                    &mut pending,
-                    &mut local,
-                    result,
-                    false,
-                    false,
-                );
+                w.deliver(result, false, false);
                 break;
             }
         }
@@ -591,17 +615,7 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
                 },
             );
             shared.emit_occupancy_at(at, -1);
-            deliver(
-                shared,
-                wake,
-                slot,
-                direct,
-                &mut pending,
-                &mut local,
-                result,
-                false,
-                false,
-            );
+            w.deliver(result, false, false);
             continue;
         }
 
@@ -644,11 +658,11 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
         // policy.
         if !halt_never {
             let tally = shared.tally.record(&result.status);
-            match shared
+            let decision = shared
                 .options
                 .halt
-                .decide_with_total(&tally, shared.total_jobs)
-            {
+                .decide_with_total(&tally, shared.total_jobs);
+            match decision {
                 HaltDecision::Continue => {}
                 HaltDecision::StopSoon => {
                     let _ = shared.halt_state.compare_exchange(
@@ -660,6 +674,11 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
                 }
                 HaltDecision::StopNow => {
                     shared.halt_state.store(STOP_NOW, Ordering::SeqCst);
+                }
+            }
+            if decision != HaltDecision::Continue {
+                if let Some(release) = shared.release {
+                    release.halt();
                 }
             }
         }
@@ -686,92 +705,90 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
         shared.emit_occupancy_at(done_at, -1);
 
         let prompt = runtime >= PROMPT_DELIVERY;
-        deliver(
-            shared,
-            wake,
-            slot,
-            direct,
-            &mut pending,
-            &mut local,
-            result,
-            true,
-            prompt,
-        );
+        w.deliver(result, true, prompt);
     }
-    flush_pending(shared, wake, slot, &mut pending);
-    local
+    w.flush();
+    w.local
 }
 
-/// Route one finished job to wherever this run's completions go: the
-/// worker-local results vector in direct mode, or the batched collector
-/// hand-off otherwise (flushed when the batch fills or the job ran long
-/// enough that humans are watching the joblog).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn deliver(
-    shared: &Shared,
-    wake: &Sender<usize>,
+/// One slot's dispatch state: its view of the input and where its
+/// finished jobs go.
+struct Worker<'a> {
     slot: usize,
+    shared: &'a Shared<'a>,
+    wake: &'a Sender<usize>,
+    /// No collector: results accumulate in `local` (see [`Engine::run`]).
     direct: bool,
-    pending: &mut Vec<CompletionMsg>,
-    local: &mut Vec<JobResult>,
-    result: JobResult,
-    log: bool,
-    prompt: bool,
-) {
-    if direct {
-        local.push(result);
-        return;
-    }
-    pending.push(CompletionMsg { result, log });
-    if prompt || pending.len() >= DELIVER_BATCH {
-        flush_pending(shared, wake, slot, pending);
-    }
+    feed: WorkerFeed<'a>,
+    pending: Vec<CompletionMsg>,
+    local: Vec<JobResult>,
 }
 
-/// Hand a worker's batch of finished jobs to the collector: append onto
-/// this slot's buffer (single-producer, so the lock is uncontended
-/// except against a drain) and wake the collector only on the
-/// empty→nonempty transition.
-fn flush_pending(
-    shared: &Shared,
-    wake: &Sender<usize>,
-    slot: usize,
-    pending: &mut Vec<CompletionMsg>,
-) {
-    if pending.is_empty() {
-        return;
+impl Worker<'_> {
+    /// Route one finished job: first through the release hook, whose
+    /// continuation becomes this slot's next job, then to the
+    /// worker-local results vector in direct mode, or the batched
+    /// collector hand-off otherwise (flushed when the batch fills or the
+    /// job ran long enough that humans are watching the joblog).
+    #[inline]
+    fn deliver(&mut self, result: JobResult, log: bool, prompt: bool) {
+        if let Some(release) = self.shared.release {
+            if let Some(next) = release.done(&result) {
+                self.feed.continue_with(next);
+            }
+        }
+        if self.direct {
+            self.local.push(result);
+            return;
+        }
+        self.pending.push(CompletionMsg { result, log });
+        if prompt || self.pending.len() >= DELIVER_BATCH {
+            self.flush();
+        }
     }
-    let idx = slot - 1;
-    let n = pending.len();
-    // Count the batch before it becomes takeable. `drain_slot` subtracts
-    // exactly what it takes from the buffer, so if this slot has a wake in
-    // flight a drain can interleave between the append and a late
-    // `fetch_add`, subtract items that were never counted, and wrap the
-    // counter to ~2^64. Workers sampling the backlog in that window park
-    // on `drain_cv`; once the counter self-corrects every later drain sees
-    // `before < limit`, never notifies, and the parked workers are
-    // stranded for good. Adding first keeps `backlog >= buffered items`
-    // at all times (the buffer mutex orders the add before any take).
-    shared.backlog.fetch_add(n, Ordering::Relaxed);
-    let was_empty = {
-        let mut buf = shared.slot_buffers[idx].lock();
-        let was_empty = buf.is_empty();
-        buf.append(pending);
-        was_empty
-    };
-    if was_empty {
-        // A send can only fail after the collector exited, which only
-        // happens after every worker (and thus this sender) is gone.
-        let _ = wake.send(idx);
-    }
-    // Backpressure: park until the collector works the backlog down.
-    // Every buffered record is reachable by the collector (each
-    // nonempty buffer has a wake in flight), so this always terminates.
-    if shared.backlog.load(Ordering::Relaxed) >= shared.backlog_limit {
-        let mut guard = shared.drain_mutex.lock();
-        while shared.backlog.load(Ordering::Relaxed) >= shared.backlog_limit {
-            shared.drain_cv.wait(&mut guard);
+
+    /// Hand this worker's batch of finished jobs to the collector: append
+    /// onto this slot's buffer (single-producer, so the lock is
+    /// uncontended except against a drain) and wake the collector only on
+    /// the empty→nonempty transition.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let shared = self.shared;
+        let idx = self.slot - 1;
+        let n = self.pending.len();
+        // Count the batch before it becomes takeable. `drain_slot`
+        // subtracts exactly what it takes from the buffer, so if this slot
+        // has a wake in flight a drain can interleave between the append
+        // and a late `fetch_add`, subtract items that were never counted,
+        // and wrap the counter to ~2^64. Workers sampling the backlog in
+        // that window park on `drain_cv`; once the counter self-corrects
+        // every later drain sees `before < limit`, never notifies, and the
+        // parked workers are stranded for good. Adding first keeps
+        // `backlog >= buffered items` at all times (the buffer mutex
+        // orders the add before any take).
+        shared.backlog.fetch_add(n, Ordering::Relaxed);
+        let was_empty = {
+            let mut buf = shared.slot_buffers[idx].lock();
+            let was_empty = buf.is_empty();
+            buf.append(&mut self.pending);
+            was_empty
+        };
+        if was_empty {
+            // A send can only fail after the collector exited, which only
+            // happens after every worker (and thus this sender) is gone.
+            let _ = self.wake.send(idx);
+        }
+        // Backpressure: park until the collector works the backlog down.
+        // Every buffered record is reachable by the collector (each
+        // nonempty buffer has a wake in flight), so this always
+        // terminates.
+        if shared.backlog.load(Ordering::Relaxed) >= shared.backlog_limit {
+            let mut guard = shared.drain_mutex.lock();
+            while shared.backlog.load(Ordering::Relaxed) >= shared.backlog_limit {
+                shared.drain_cv.wait(&mut guard);
+            }
         }
     }
 }
@@ -1044,7 +1061,7 @@ mod tests {
         assert_eq!(delivered.load(Ordering::Relaxed), 500);
     }
 
-    /// Regression: `flush_pending` must account a batch in `backlog`
+    /// Regression: `Worker::flush` must account a batch in `backlog`
     /// *before* appending it to the slot buffer. When a wake was already
     /// in flight for the slot, the collector could take the appended
     /// items ahead of the late `fetch_add`, wrap the counter to ~2^64,
