@@ -385,3 +385,46 @@ fn joblog_resume_via_cli() {
     assert_eq!(out, "", "all jobs skipped on resume");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `-k` with `--halt soon,fail=1`: seq 1 fails slowly while the other
+/// slot runs the later seqs, and seqs 2-4 (the rest of seq 1's chunk)
+/// never run. Every job that ran still prints, in seq order: one line
+/// per exit-0 joblog row.
+#[test]
+fn keep_order_output_survives_a_halt() {
+    let dir = std::env::temp_dir().join(format!("htpar-keep-order-halt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("halt.joblog");
+    let _ = std::fs::remove_file(&log);
+    let seqs: Vec<String> = (1..=64).map(|i| i.to_string()).collect();
+    let mut args = vec![
+        "-j2",
+        "-k",
+        "--halt",
+        "soon,fail=1",
+        "--joblog",
+        log.to_str().unwrap(),
+        "if [ {} = 1 ]; then sleep 0.3; exit 1; fi; echo out{}",
+        ":::",
+    ];
+    args.extend(seqs.iter().map(String::as_str));
+    let (out, _, code) = run_with_stdin(&args, "");
+    assert_eq!(code, 1, "one failed job");
+
+    let mut ok: Vec<u64> = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .skip(1)
+        .map(|row| row.split('\t').collect::<Vec<_>>())
+        .filter(|cols| cols[6] == "0")
+        .map(|cols| cols[0].parse().unwrap())
+        .collect();
+    ok.sort_unstable();
+    assert!(ok.len() > 1, "the other slot ran later seqs: {ok:?}");
+    let printed: Vec<u64> = out
+        .lines()
+        .map(|line| line.strip_prefix("out").unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(printed, ok, "stdout:\n{out}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

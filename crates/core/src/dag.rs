@@ -55,11 +55,12 @@
 //! descendants, and anything unrecorded (including in-flight tasks lost
 //! to a crash) replay. That is exactly the affected subgraph.
 //!
-//! Joblog rows are buffered and flushed by the flat engine's rule: after
-//! a task that ran at least 500 µs (before its successors are released),
-//! every 64 rows, before a worker parks on an empty channel, and once at
-//! the end of the run, where a write error fails the run. A crash loses
-//! at most the unflushed rows, and `--resume` re-runs those tasks.
+//! Joblog rows go through the flat engine's sink and are flushed by its
+//! rule: after a task that ran at least 500 µs (before its successors
+//! are released), every 64 rows, before a worker parks on an empty
+//! channel, and once at the end of the run, which then fails with the
+//! first write error if there was one. A crash loses at most the
+//! unflushed rows, and `--resume` re-runs those tasks.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -73,7 +74,7 @@ use crate::dispatch::chunk_size;
 use crate::error::{Error, Result};
 use crate::executor::Executor;
 use crate::job::JobResult;
-use crate::joblog::{self, JobLogWriter, LogEntry};
+use crate::joblog::{self, LogEntry, LogSink};
 use crate::options::{Options, ResumeMode};
 use crate::runner::{Engine, JobInput, Release, RunReport, DELIVER_BATCH, PROMPT_DELIVERY};
 use crate::template::{ExpandContext, Template};
@@ -686,35 +687,8 @@ struct DagState {
     /// finished (or a `--halt` policy stops the run) so the engine sees
     /// end-of-input.
     tx: Option<Sender<Vec<JobInput>>>,
-    log: Option<JobLogWriter>,
-    /// Rows written since the last flush.
-    unflushed: usize,
+    log: LogSink,
     failed_ids: Vec<String>,
-    /// First joblog I/O error, surfaced after the run.
-    io_error: Option<Error>,
-}
-
-impl DagState {
-    /// Append one row with `write`, keeping the first error.
-    fn write(&mut self, write: impl FnOnce(&mut JobLogWriter) -> Result<()>) {
-        if let Some(log) = &mut self.log {
-            if let Err(e) = write(log) {
-                self.io_error.get_or_insert(e);
-            }
-            self.unflushed += 1;
-        }
-    }
-
-    /// Push any buffered rows to the file.
-    fn flush(&mut self) {
-        if self.unflushed == 0 {
-            return;
-        }
-        self.unflushed = 0;
-        if let Some(Err(e)) = self.log.as_mut().map(JobLogWriter::flush) {
-            self.io_error.get_or_insert(e);
-        }
-    }
 }
 
 impl DagRelease<'_> {
@@ -731,7 +705,7 @@ impl Release for DagRelease<'_> {
     fn done(&self, result: &JobResult) -> Option<JobInput> {
         let (ready, tx) = {
             let mut st = self.state.lock();
-            st.write(|log| log.record(result));
+            st.log.record(result);
             let ok = result.status.is_success();
             if !ok {
                 let id = self.dag.nodes[(result.seq - 1) as usize].id.clone();
@@ -744,12 +718,12 @@ impl Release for DagRelease<'_> {
             // itself. Each row is written before any dependent is
             // released, so released work can never log ahead of it.
             for &seq in &comp.newly_skipped {
-                st.write(|log| log.record_entry(&skip_entry(seq, self.command(seq))));
+                st.log.record_entry(&skip_entry(seq, self.command(seq)));
             }
             // The flat engine's flush rule: a slow task's row reaches the
             // file before its successors start; fast rows go in batches.
-            if result.runtime >= PROMPT_DELIVERY || st.unflushed >= DELIVER_BATCH {
-                st.flush();
+            if result.runtime >= PROMPT_DELIVERY || st.log.unflushed() >= DELIVER_BATCH {
+                st.log.flush();
             }
             if st.ready.is_finished() {
                 // Closing the channel is what ends the engine run.
@@ -770,7 +744,7 @@ impl Release for DagRelease<'_> {
     }
 
     fn park(&self) {
-        self.state.lock().flush();
+        self.state.lock().log.flush();
     }
 
     fn halt(&self) {
@@ -839,10 +813,7 @@ impl DagRunner {
             Some(path) => joblog::resume_set(path, mode)?,
             None => HashSet::new(),
         };
-        let log = match &joblog {
-            Some(path) => Some(JobLogWriter::open(path)?),
-            None => None,
-        };
+        let log = LogSink::open(joblog.as_deref())?;
 
         let mut ready = ReadySet::resumed(dag, &done);
         let initial = ready.take_ready();
@@ -855,9 +826,7 @@ impl DagRunner {
                 ready,
                 tx: None,
                 log,
-                unflushed: 0,
                 failed_ids: Vec::new(),
-                io_error: None,
             }),
         };
         let (tx, rx) = crate::crossbeam_channel::unbounded::<Vec<JobInput>>();
@@ -881,13 +850,8 @@ impl DagRunner {
         };
         let engine_report = engine.run_released(rx, &release)?;
 
-        let mut st = release.state.into_inner();
-        if let Some(Err(e)) = st.log.as_mut().map(JobLogWriter::flush) {
-            st.io_error.get_or_insert(e);
-        }
-        if let Some(e) = st.io_error.take() {
-            return Err(e);
-        }
+        let st = release.state.into_inner();
+        st.log.finish()?;
         let (_done, failed, skipped, pre_done) = st.ready.counts();
         Ok(DagReport {
             engine: engine_report,

@@ -223,12 +223,12 @@ pub fn unescape(s: &str) -> String {
 ///
 /// Rows are encoded straight into a write buffer and reach the file on
 /// [`JobLogWriter::flush`], so a caller that flushes per batch pays one
-/// write syscall per batch, not per row. The engine's collector flushes
-/// once per drained batch; the DAG layer follows the same rule from the
-/// workers (after a task that ran at least 500 µs, every 64 rows, before
-/// a worker parks, and at the end of the run). Flush to make rows
-/// visible to concurrent `--resume` readers. Dropping the writer also
-/// flushes.
+/// write syscall per batch, not per row. In-process runs write through
+/// one [`LogSink`]: the engine flushes once per batch a worker hands
+/// over, and the DAG layer after a task that ran at least 500 µs, every
+/// 64 rows and before a worker parks; both flush at the end of the run.
+/// Flush to make rows visible to concurrent `--resume` readers. Dropping
+/// the writer also flushes.
 pub struct JobLogWriter {
     file: std::io::BufWriter<File>,
     host: String,
@@ -277,6 +277,77 @@ impl JobLogWriter {
     /// Push buffered rows to the file.
     pub fn flush(&mut self) -> Result<()> {
         self.file.flush().map_err(Error::JobLog)
+    }
+}
+
+/// The joblog of one in-process run, written by the engine's workers
+/// and by the DAG layer's release hook, each under its run-wide lock.
+///
+/// A failed write or flush does not stop the run: the sink keeps the
+/// first error and [`LogSink::finish`] returns it once the run is over.
+/// Without `--joblog` every call does nothing.
+pub(crate) struct LogSink {
+    writer: Option<JobLogWriter>,
+    /// Rows written since the last flush.
+    unflushed: usize,
+    /// First write or flush error.
+    error: Option<Error>,
+}
+
+impl LogSink {
+    /// A sink over the joblog at `path` (see [`JobLogWriter::open`]), or
+    /// one that logs nothing.
+    pub(crate) fn open(path: Option<&Path>) -> Result<LogSink> {
+        Ok(LogSink {
+            writer: path.map(JobLogWriter::open).transpose()?,
+            unflushed: 0,
+            error: None,
+        })
+    }
+
+    pub(crate) fn is_open(&self) -> bool {
+        self.writer.is_some()
+    }
+
+    /// Rows written since the last flush.
+    pub(crate) fn unflushed(&self) -> usize {
+        self.unflushed
+    }
+
+    /// Append the row of a job this process ran.
+    pub(crate) fn record(&mut self, result: &JobResult) {
+        self.write(|w| w.record(result));
+    }
+
+    /// Append a pre-built row.
+    pub(crate) fn record_entry(&mut self, entry: &LogEntry) {
+        self.write(|w| w.record_entry(entry));
+    }
+
+    fn write(&mut self, write: impl FnOnce(&mut JobLogWriter) -> Result<()>) {
+        if let Some(writer) = &mut self.writer {
+            if let Err(e) = write(writer) {
+                self.error.get_or_insert(e);
+            }
+            self.unflushed += 1;
+        }
+    }
+
+    /// Push the rows written since the last flush to the file.
+    pub(crate) fn flush(&mut self) {
+        if self.unflushed == 0 {
+            return;
+        }
+        self.unflushed = 0;
+        if let Some(Err(e)) = self.writer.as_mut().map(JobLogWriter::flush) {
+            self.error.get_or_insert(e);
+        }
+    }
+
+    /// Flush the last rows; the first error of the run, if any.
+    pub(crate) fn finish(mut self) -> Result<()> {
+        self.flush();
+        self.error.map_or(Ok(()), Err)
     }
 }
 
@@ -619,6 +690,44 @@ mod tests {
         let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2, 4]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// On a full disk every flush fails. The sink keeps the first error,
+    /// goes on taking rows, and returns that error once the run is over.
+    #[test]
+    fn sink_returns_its_first_error_at_the_end() {
+        // Built by hand: `open` would already fail on the header.
+        let full = OpenOptions::new().write(true).open("/dev/full").unwrap();
+        let mut sink = LogSink {
+            writer: Some(JobLogWriter {
+                file: std::io::BufWriter::new(full),
+                host: "h".into(),
+            }),
+            unflushed: 0,
+            error: None,
+        };
+        sink.record(&result(1, JobStatus::Success));
+        assert!(sink.error.is_none(), "a row waits in the buffer");
+        sink.flush();
+        assert!(
+            matches!(&sink.error, Some(Error::JobLog(e)) if e.kind() == io::ErrorKind::StorageFull),
+            "{:?}",
+            sink.error
+        );
+        assert_eq!(sink.unflushed(), 0);
+        sink.record(&result(2, JobStatus::Failed(1)));
+        sink.record_entry(&logged(&result(3, JobStatus::Success), "agent-1"));
+        assert_eq!(sink.unflushed(), 2);
+        match sink.finish() {
+            Err(Error::JobLog(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
+            other => panic!("expected the full-disk error, got {other:?}"),
+        }
+        // A sink with no joblog logs nothing and never fails.
+        let mut none = LogSink::open(None).unwrap();
+        none.record(&result(1, JobStatus::Success));
+        assert!(!none.is_open());
+        assert_eq!(none.unflushed(), 0);
+        assert!(none.finish().is_ok());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   `{n}`/`{n.}`/…, custom replacement strings.
 //! - **Input sources** ([`input`]): argument lists with `:::`-style
 //!   cartesian products and `:::+`-style linking, line readers.
-//! - **Slot-based scheduling** ([`runner`], [`slot`]): `-j N` slots, GNU
-//!   Parallel's lowest-free-slot reuse semantics, per-job environment.
+//! - **Slot-based scheduling** ([`runner`]): `-j N` slots, each a worker
+//!   that pulls its next input the moment it frees up, per-job
+//!   environment.
 //! - **Output discipline** ([`output`]): grouped per-job output,
 //!   `--keep-order`, `--tag`.
 //! - **Job logs and resume** ([`joblog`]): `--joblog`, `--resume`,
@@ -69,7 +70,6 @@ pub mod remote;
 pub mod runner;
 pub mod sched;
 pub mod semaphore;
-pub mod slot;
 pub mod spawn;
 pub mod sshexec;
 pub mod stats;

@@ -10,29 +10,31 @@
 //! - **Input side** ([`crate::dispatch`]): finite inputs are partitioned
 //!   into chunks claimed by a single atomic `fetch_add`; streaming inputs
 //!   flow through a bounded channel fed by a dedicated feeder thread.
-//! - **Completion side**: workers append finished jobs to a per-slot
-//!   buffer (one uncontended lock) and a dedicated collector thread
-//!   drains those buffers into the results vector, the `--keep-order`
-//!   reorder buffer, the joblog, and `--results` directories. Workers
-//!   never contend on shared output state. The one exception is a DAG's
-//!   release hook ([`Engine::run_released`]), which the finishing
-//!   worker runs itself so a successor starts without a thread hop.
+//! - **Completion side**: the worker that finishes a job delivers it.
+//!   It keeps its own results and writes its own `--results`
+//!   directories. When a joblog or an `on_result` callback consumes
+//!   results mid-run, the worker hands them over in batches under one
+//!   run-wide lock, which keeps callbacks serialized and joblog rows
+//!   whole. A run with neither takes no lock, telemetry or not. A DAG's
+//!   release hook ([`Engine::run_released`]) also runs on the finishing
+//!   worker, so a successor starts without a thread hop.
 //! - **Bookkeeping**: launch counts and halt tallies are atomics; the
-//!   only remaining global lock is `--delay`'s launch spacer, which by
-//!   definition serializes launches.
+//!   only other global locks are the hand-over above and `--delay`'s
+//!   launch spacer, which by definition serializes launches.
 //!
 //! Per-task lifecycle events are still emitted synchronously by the
 //! worker that runs the job, so telemetry event order per task is
 //! identical to the pre-sharded engine.
 
 use std::collections::HashSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
 use crossbeam_channel::{Receiver, SendTimeoutError, Sender};
 use htpar_telemetry::{Event, EventBus, SinkSet};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::batch::{expand_context_replace, expand_xargs};
 use crate::dispatch::{Feed, JobSource, WorkerFeed};
@@ -41,7 +43,7 @@ use crate::executor::{ExecContext, Executor};
 use crate::gate::Gate;
 use crate::halt::{AtomicTally, HaltDecision};
 use crate::job::{CommandLine, JobResult, JobStatus};
-use crate::joblog::JobLogWriter;
+use crate::joblog::LogSink;
 use crate::options::{BatchMode, Options};
 use crate::output::ReorderBuffer;
 use crate::stats::RunSummary;
@@ -71,8 +73,8 @@ impl JobInput {
 /// Outcome of a full run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Every job the engine saw, in completion order (or input order with
-    /// `keep_order`).
+    /// Every job the engine saw: each slot's jobs in completion order,
+    /// one slot after another (input order with `keep_order`).
     pub results: Vec<JobResult>,
     pub jobs_total: u64,
     pub succeeded: u64,
@@ -130,7 +132,7 @@ const FEEDER_POLL: Duration = Duration::from_millis(50);
 const FEED_CAPACITY: usize = 4096;
 
 /// Completions a worker buffers locally before handing the batch to the
-/// collector; amortizes the per-slot buffer lock across fast tasks. The
+/// run's consumers; amortizes the hand-over lock across fast tasks. The
 /// DAG joblog flushes at the same interval.
 pub(crate) const DELIVER_BATCH: usize = 64;
 
@@ -139,22 +141,11 @@ pub(crate) const DELIVER_BATCH: usize = 64;
 /// human-scale workloads.
 pub(crate) const PROMPT_DELIVERY: Duration = Duration::from_micros(500);
 
-/// Collector backpressure threshold for `jobs` slots: when this many
-/// completions are buffered awaiting the collector, workers park until
-/// it catches up. Without the bound, `jobs` producers starve the single
-/// collector on a saturated machine and the buffered results grow
-/// without limit — unbounded memory and a working set that falls out of
-/// cache.
-fn backlog_limit(jobs: usize) -> usize {
-    (jobs * DELIVER_BATCH * 2).max(1024)
-}
-
 /// Callback invoked per finished job.
 pub type ResultCallback = Arc<dyn Fn(&JobResult) + Send + Sync>;
 
 /// Worker-side completion hook for [`Engine::run_released`]: the DAG
-/// layer's ready-set release, run by the worker that finished the task
-/// instead of a collector round trip later.
+/// layer's ready-set release, run by the worker that finished the task.
 pub(crate) trait Release: Send + Sync {
     /// Account for `result` (every result a worker produces, dry-run
     /// included) and release whatever it unblocked. The returned job is
@@ -177,12 +168,45 @@ pub fn retry_backoff(base: Duration, attempt: u32) -> Duration {
     base * (1u32 << attempt.min(10))
 }
 
-/// One finished (or skipped) job on its way to the collector. `log`
-/// distinguishes executed jobs (joblog + `--results` rows) from
-/// skipped/dry-run records, which are reported but never logged.
-struct CompletionMsg {
-    result: JobResult,
-    log: bool,
+/// The consumers workers hand finished jobs to mid-run, behind one
+/// run-wide lock. [`Shared::delivery`] has one only when a joblog or a
+/// callback is set.
+struct Delivery {
+    log: LogSink,
+    on_result: Option<ResultCallback>,
+    /// `--keep-order` with a callback: results wait here for every
+    /// earlier seq.
+    reorder: Option<ReorderBuffer>,
+}
+
+impl Delivery {
+    /// Log and pass on one worker's batch, then flush its rows.
+    fn take(&mut self, batch: &[JobResult], shared: &Shared) {
+        for result in batch {
+            if shared.ran(result) {
+                self.log.record(result);
+            }
+            if let Some(cb) = &self.on_result {
+                match &mut self.reorder {
+                    Some(reorder) => reorder.push(result.clone()).iter().for_each(|r| cb(r)),
+                    None => cb(result),
+                }
+            }
+        }
+        // One flush per batch, not per row: a concurrent resume reader
+        // (kill -9 mid-run) sees every handed-over job without a write
+        // syscall per task.
+        self.log.flush();
+    }
+
+    /// End of run: pass on what a halt left waiting behind a gap in the
+    /// seqs, in seq order, then return the joblog's first error.
+    fn finish(self) -> Result<()> {
+        if let (Some(cb), Some(mut reorder)) = (&self.on_result, self.reorder) {
+            reorder.drain().iter().for_each(|r| cb(r));
+        }
+        self.log.finish()
+    }
 }
 
 /// Everything shared between worker threads for one run.
@@ -191,7 +215,8 @@ struct Shared<'r> {
     template: Template,
     executor: Arc<dyn Executor>,
     source: JobSource,
-    on_result: Option<ResultCallback>,
+    /// `None` when nothing consumes results mid-run.
+    delivery: Option<Mutex<Delivery>>,
     release: Option<&'r dyn Release>,
     skip: HashSet<u64>,
     gate: Option<Arc<dyn Gate>>,
@@ -207,17 +232,6 @@ struct Shared<'r> {
     sinks: Option<SinkSet>,
     /// Slots currently executing a job (for occupancy telemetry).
     busy: AtomicUsize,
-    /// Per-slot completion buffers, drained by the collector thread.
-    /// Each is written by exactly one worker, so the lock is uncontended
-    /// except against the collector's drain.
-    slot_buffers: Vec<Mutex<Vec<CompletionMsg>>>,
-    /// Completion records buffered but not yet drained.
-    backlog: AtomicUsize,
-    /// Backpressure: workers park here when `backlog` exceeds
-    /// `backlog_limit`; the collector notifies after each drain.
-    backlog_limit: usize,
-    drain_mutex: Mutex<()>,
-    drain_cv: Condvar,
     /// Wall-clock/monotonic anchor pair: per-job `started_at` stamps are
     /// derived as `run_sys + (now - run_inst)`, saving a `SystemTime`
     /// syscall per task.
@@ -274,6 +288,12 @@ impl Shared<'_> {
     /// Wall-clock stamp for a monotonic instant within this run.
     fn stamp(&self, at: Instant) -> SystemTime {
         self.run_sys + at.saturating_duration_since(self.run_inst)
+    }
+
+    /// Whether `result` ran, and so has a joblog row and a `--results`
+    /// directory: skipped and dry-run records are reported only.
+    fn ran(&self, result: &JobResult) -> bool {
+        !self.options.dry_run && result.status != JobStatus::Skipped
     }
 }
 
@@ -335,10 +355,15 @@ impl Engine {
         let started = Instant::now();
         let jobs = self.options.jobs;
 
-        let joblog = match &self.options.joblog {
-            Some(path) => Some(JobLogWriter::open(path)?),
-            None => None,
-        };
+        let log = LogSink::open(self.options.joblog.as_deref())?;
+        let delivery = (log.is_open() || self.on_result.is_some()).then(|| {
+            Mutex::new(Delivery {
+                log,
+                reorder: (self.options.keep_order && self.on_result.is_some())
+                    .then(ReorderBuffer::new),
+                on_result: self.on_result,
+            })
+        });
 
         // Exact-size inputs (argument lists, --pipe blocks) are
         // partitioned up front for chunked hand-out; unsized iterators
@@ -365,7 +390,7 @@ impl Engine {
             template: self.template,
             executor: self.executor,
             source,
-            on_result: self.on_result,
+            delivery,
             release,
             skip: self.skip,
             gate: self.gate,
@@ -380,32 +405,11 @@ impl Engine {
                 .map(|bus| bus.sink_set())
                 .filter(|sinks| !sinks.is_empty()),
             busy: AtomicUsize::new(0),
-            slot_buffers: (0..jobs).map(|_| Mutex::new(Vec::new())).collect(),
-            backlog: AtomicUsize::new(0),
-            backlog_limit: backlog_limit(jobs),
-            drain_mutex: Mutex::new(()),
-            drain_cv: Condvar::new(),
             run_sys: SystemTime::now(),
             run_inst: Instant::now(),
         });
 
-        let (wake_tx, wake_rx) = crossbeam_channel::unbounded::<usize>();
-        // With no completion-side observers (result callback, joblog,
-        // `--results` directories, telemetry bus), nothing consumes
-        // completions mid-run: workers accumulate results locally and the
-        // collector thread is not spawned at all, so the hot path has
-        // zero cross-thread completion traffic. A release hook runs on
-        // the workers themselves and needs no collector.
-        let direct = shared.on_result.is_none()
-            && shared.sinks.is_none()
-            && joblog.is_none()
-            && shared.options.results_dir.is_none();
-        let mut results = Vec::new();
-        std::thread::scope(|scope| {
-            let collector = (!direct).then(|| {
-                let shared = Arc::clone(&shared);
-                scope.spawn(move || collect(&shared, wake_rx, joblog))
-            });
+        let mut per_slot: Vec<Vec<JobResult>> = std::thread::scope(|scope| {
             if let Some((feed_tx, input)) = stream {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || feed_stream(input, feed_tx, &shared));
@@ -413,28 +417,36 @@ impl Engine {
             let workers: Vec<_> = (1..=jobs)
                 .map(|slot| {
                     let shared = Arc::clone(&shared);
-                    let wake = wake_tx.clone();
-                    scope.spawn(move || worker(slot, &shared, &wake, direct))
+                    scope.spawn(move || worker(slot, &shared))
                 })
                 .collect();
-            // Workers hold the remaining wake senders; when the last one
-            // exits, the collector sees the disconnect and finishes.
-            drop(wake_tx);
-            for handle in workers {
-                results.extend(handle.join().expect("worker thread panicked"));
-            }
-            if let Some(collector) = collector {
-                results = collector.join().expect("collector thread panicked");
-            }
+            workers
+                .into_iter()
+                .map(|handle| handle.join().expect("worker thread panicked"))
+                .collect()
         });
+        // Keep the longest slot's results and append the others to it, so
+        // a run that one slot did most of (a one-slot agent, a DAG chain)
+        // copies next to nothing.
+        let longest = (0..jobs)
+            .max_by_key(|&i| per_slot[i].len())
+            .expect("options validated jobs >= 1");
+        let mut results = per_slot.swap_remove(longest);
+        results.reserve(per_slot.iter().map(Vec::len).sum());
+        for mut rest in per_slot {
+            results.append(&mut rest);
+        }
         // Two workers finishing together can emit their occupancy
         // samples out of order; one sample after all have joined makes
         // the run's last reading the drained counter.
         shared.emit_occupancy(0);
 
-        let wall = started.elapsed();
         let shared =
             Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("all workers joined by scope"));
+        if let Some(delivery) = shared.delivery {
+            delivery.into_inner().finish()?;
+        }
+        let wall = started.elapsed();
         if shared.options.keep_order {
             results.sort_by_key(|r| r.seq);
         }
@@ -490,28 +502,18 @@ fn feed_stream(input: JobStream, tx: Sender<JobInput>, shared: &Shared) {
     }
 }
 
-/// One slot's dispatch loop. Returns the results accumulated locally in
-/// direct mode (see [`Engine::run`]); with a collector the return is
-/// empty and completions flow through [`Worker::flush`] instead.
-fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> Vec<JobResult> {
+/// One slot's dispatch loop. Returns every result the slot produced.
+fn worker(slot: usize, shared: &Shared) -> Vec<JobResult> {
     let halt_never = shared.options.halt.is_never();
     let check_skip = !shared.skip.is_empty();
     let needs_argv = shared.executor.needs_argv();
     let slow_path = shared.gate.is_some() || shared.options.delay.is_some();
-    let local = if direct {
-        let per_slot = shared.source.len_hint().unwrap_or(0) / shared.options.jobs.max(1);
-        Vec::with_capacity(per_slot + 16)
-    } else {
-        Vec::new()
-    };
+    let per_slot = shared.source.len_hint().unwrap_or(0) / shared.options.jobs.max(1);
     let mut w = Worker {
-        slot,
         shared,
-        wake,
-        direct,
         feed: WorkerFeed::new(&shared.source),
-        pending: Vec::new(),
-        local,
+        results: Vec::with_capacity(per_slot + 16),
+        delivered: 0,
     };
     loop {
         if shared.halt_state.load(Ordering::SeqCst) != RUN {
@@ -547,7 +549,7 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
         if check_skip && shared.skip.contains(&seq) {
             let rendered = render(shared, seq, &args, slot, false).0;
             let result = JobResult::skipped(seq, args, rendered);
-            w.deliver(result, false, false);
+            w.deliver(result, false);
             continue;
         }
 
@@ -573,7 +575,7 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
             if halted {
                 shared.emit_occupancy(-1);
                 let result = JobResult::skipped(seq, args, String::new());
-                w.deliver(result, false, false);
+                w.deliver(result, false);
                 break;
             }
         }
@@ -615,7 +617,7 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
                 },
             );
             shared.emit_occupancy_at(at, -1);
-            w.deliver(result, false, false);
+            w.deliver(result, false);
             continue;
         }
 
@@ -652,10 +654,9 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
             tries,
         };
 
-        // Halt bookkeeping stays on the worker (not the collector) so a
-        // `--halt` threshold stops dispatch before the *next* pull, but
-        // the tally is skipped entirely for the default never-halt
-        // policy.
+        // Halt bookkeeping runs before the hand-over so a `--halt`
+        // threshold stops dispatch before the *next* pull, but the tally
+        // is skipped entirely for the default never-halt policy.
         if !halt_never {
             let tally = shared.tally.record(&result.status);
             let decision = shared
@@ -704,192 +705,73 @@ fn worker(slot: usize, shared: &Shared, wake: &Sender<usize>, direct: bool) -> V
         }
         shared.emit_occupancy_at(done_at, -1);
 
-        let prompt = runtime >= PROMPT_DELIVERY;
-        w.deliver(result, true, prompt);
+        w.deliver(result, runtime >= PROMPT_DELIVERY);
     }
     w.flush();
-    w.local
+    w.results
 }
 
-/// One slot's dispatch state: its view of the input and where its
-/// finished jobs go.
+/// One slot's dispatch state: its view of the input and the jobs it
+/// finished.
 struct Worker<'a> {
-    slot: usize,
     shared: &'a Shared<'a>,
-    wake: &'a Sender<usize>,
-    /// No collector: results accumulate in `local` (see [`Engine::run`]).
-    direct: bool,
     feed: WorkerFeed<'a>,
-    pending: Vec<CompletionMsg>,
-    local: Vec<JobResult>,
+    /// Every result this slot produced, in completion order.
+    results: Vec<JobResult>,
+    /// How many of `results` went past [`Worker::flush`].
+    delivered: usize,
 }
 
 impl Worker<'_> {
     /// Route one finished job: first through the release hook, whose
-    /// continuation becomes this slot's next job, then to the
-    /// worker-local results vector in direct mode, or the batched
-    /// collector hand-off otherwise (flushed when the batch fills or the
-    /// job ran long enough that humans are watching the joblog).
+    /// continuation becomes this slot's next job, then into this slot's
+    /// `--results` directory and results, handed over in batches (at
+    /// once when the job ran long enough that humans are watching).
     #[inline]
-    fn deliver(&mut self, result: JobResult, log: bool, prompt: bool) {
-        if let Some(release) = self.shared.release {
+    fn deliver(&mut self, result: JobResult, prompt: bool) {
+        let shared = self.shared;
+        if let Some(release) = shared.release {
             if let Some(next) = release.done(&result) {
                 self.feed.continue_with(next);
             }
         }
-        if self.direct {
-            self.local.push(result);
-            return;
+        if let Some(dir) = &shared.options.results_dir {
+            if shared.ran(&result) {
+                write_results_dir(dir, &result);
+            }
         }
-        self.pending.push(CompletionMsg { result, log });
-        if prompt || self.pending.len() >= DELIVER_BATCH {
+        self.results.push(result);
+        if prompt || self.results.len() - self.delivered >= DELIVER_BATCH {
             self.flush();
         }
     }
 
-    /// Hand this worker's batch of finished jobs to the collector: append
-    /// onto this slot's buffer (single-producer, so the lock is
-    /// uncontended except against a drain) and wake the collector only on
-    /// the empty→nonempty transition.
+    /// Hand the results since the last flush to the run's consumers
+    /// under their one lock; a run without consumers takes no lock.
     fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let shared = self.shared;
-        let idx = self.slot - 1;
-        let n = self.pending.len();
-        // Count the batch before it becomes takeable. `drain_slot`
-        // subtracts exactly what it takes from the buffer, so if this slot
-        // has a wake in flight a drain can interleave between the append
-        // and a late `fetch_add`, subtract items that were never counted,
-        // and wrap the counter to ~2^64. Workers sampling the backlog in
-        // that window park on `drain_cv`; once the counter self-corrects
-        // every later drain sees `before < limit`, never notifies, and the
-        // parked workers are stranded for good. Adding first keeps
-        // `backlog >= buffered items` at all times (the buffer mutex
-        // orders the add before any take).
-        shared.backlog.fetch_add(n, Ordering::Relaxed);
-        let was_empty = {
-            let mut buf = shared.slot_buffers[idx].lock();
-            let was_empty = buf.is_empty();
-            buf.append(&mut self.pending);
-            was_empty
-        };
-        if was_empty {
-            // A send can only fail after the collector exited, which only
-            // happens after every worker (and thus this sender) is gone.
-            let _ = self.wake.send(idx);
-        }
-        // Backpressure: park until the collector works the backlog down.
-        // Every buffered record is reachable by the collector (each
-        // nonempty buffer has a wake in flight), so this always
-        // terminates.
-        if shared.backlog.load(Ordering::Relaxed) >= shared.backlog_limit {
-            let mut guard = shared.drain_mutex.lock();
-            while shared.backlog.load(Ordering::Relaxed) >= shared.backlog_limit {
-                shared.drain_cv.wait(&mut guard);
+        let batch = &self.results[self.delivered..];
+        if let Some(delivery) = &self.shared.delivery {
+            if !batch.is_empty() {
+                delivery.lock().take(batch, self.shared);
             }
         }
+        self.delivered = self.results.len();
     }
 }
 
-/// The collector thread: drains per-slot completion buffers into the
-/// results vector, `--keep-order` reorder buffer, joblog, and `--results`
-/// directories. Owning all of that state on one thread removes every
-/// completion-side lock from the workers' hot path.
-fn collect(shared: &Shared, wake: Receiver<usize>, joblog: Option<JobLogWriter>) -> Vec<JobResult> {
-    let mut st = CollectorState {
-        // Pre-size for preloaded inputs: the results vector holds one
-        // entry per job, and growth reallocations of a 100k-element
-        // vector are measurable on the collector's critical path.
-        results: Vec::with_capacity(shared.source.len_hint().unwrap_or(0)),
-        reorder: ReorderBuffer::new(),
-        joblog,
-        last_backlog: 0,
-    };
-    while let Ok(idx) = wake.recv() {
-        drain_slot(shared, idx, &mut st);
-    }
-    // All workers are gone; sweep any buffers whose wake raced the
-    // disconnect.
-    for idx in 0..shared.slot_buffers.len() {
-        drain_slot(shared, idx, &mut st);
-    }
-    st.results
-}
-
-struct CollectorState {
-    results: Vec<JobResult>,
-    reorder: ReorderBuffer,
-    joblog: Option<JobLogWriter>,
-    last_backlog: usize,
-}
-
-fn drain_slot(shared: &Shared, idx: usize, st: &mut CollectorState) {
-    let msgs = std::mem::take(&mut *shared.slot_buffers[idx].lock());
-    if msgs.is_empty() {
-        return;
-    }
-    let before = shared.backlog.fetch_sub(msgs.len(), Ordering::Relaxed);
-    if before >= shared.backlog_limit {
-        // Workers may be parked on the backpressure condvar; taking the
-        // mutex before notifying closes the check-then-wait race.
-        let _guard = shared.drain_mutex.lock();
-        shared.drain_cv.notify_all();
-    }
-    let mut logged = false;
-    for msg in msgs {
-        let result = msg.result;
-        if msg.log {
-            if let Some(log) = &mut st.joblog {
-                // Joblog write failures must not take down the run; the
-                // log is advisory. GNU Parallel behaves the same way.
-                let _ = log.record(&result);
-                logged = true;
-            }
-            if let Some(dir) = &shared.options.results_dir {
-                // --results: one directory per sequence number with the
-                // job's streams and exit status; write failures are
-                // advisory.
-                let job_dir = dir.join(result.seq.to_string());
-                let _ = std::fs::create_dir_all(&job_dir)
-                    .and_then(|_| std::fs::write(job_dir.join("stdout"), &result.stdout))
-                    .and_then(|_| std::fs::write(job_dir.join("stderr"), &result.stderr))
-                    .and_then(|_| {
-                        std::fs::write(
-                            job_dir.join("exitval"),
-                            format!("{}\n", result.status.exitval()),
-                        )
-                    });
-            }
-        }
-        if let Some(cb) = &shared.on_result {
-            if shared.options.keep_order {
-                let ready = st.reorder.push(result.clone());
-                for r in &ready {
-                    cb(r);
-                }
-            } else {
-                cb(&result);
-            }
-        }
-        st.results.push(result);
-    }
-    if logged {
-        // Flush per drained batch, not per row: a concurrent resume
-        // reader (kill -9 mid-run) sees every completed job without a
-        // write syscall per task.
-        if let Some(log) = &mut st.joblog {
-            let _ = log.flush();
-        }
-    }
-    if shared.sinks.is_some() {
-        let pending = shared.backlog.load(Ordering::Relaxed);
-        if pending != st.last_backlog {
-            st.last_backlog = pending;
-            shared.emit(Event::CollectorBacklog { pending });
-        }
-    }
+/// `--results`: one directory per sequence number with the job's
+/// streams and exit status. Write failures are advisory.
+fn write_results_dir(dir: &Path, result: &JobResult) {
+    let job_dir = dir.join(result.seq.to_string());
+    let _ = std::fs::create_dir_all(&job_dir)
+        .and_then(|_| std::fs::write(job_dir.join("stdout"), &result.stdout))
+        .and_then(|_| std::fs::write(job_dir.join("stderr"), &result.stderr))
+        .and_then(|_| {
+            std::fs::write(
+                job_dir.join("exitval"),
+                format!("{}\n", result.status.exitval()),
+            )
+        });
 }
 
 /// Render the shell form of a job, plus the argv form when the executor
@@ -1033,6 +915,8 @@ mod tests {
         assert_eq!(seqs, (1..=1000).collect::<Vec<_>>(), "exactly once each");
     }
 
+    /// Every result of a batched run reaches the callback (the name is
+    /// from when a collector thread made the hand-over).
     #[test]
     fn run_batched_with_collector_delivers_every_result() {
         let delivered = Arc::new(AtomicU64::new(0));
@@ -1061,14 +945,10 @@ mod tests {
         assert_eq!(delivered.load(Ordering::Relaxed), 500);
     }
 
-    /// Regression: `Worker::flush` must account a batch in `backlog`
-    /// *before* appending it to the slot buffer. When a wake was already
-    /// in flight for the slot, the collector could take the appended
-    /// items ahead of the late `fetch_add`, wrap the counter to ~2^64,
-    /// and strand every worker that sampled the backlog in that window
-    /// on `drain_cv` — a whole-run deadlock. Repeated collector-observed
-    /// runs at high slot counts keep drains and flushes interleaving;
-    /// the watchdog turns a recurrence into a failure, not a hang.
+    /// Thirty-two workers handing batches to one callback contend on the
+    /// hand-over lock for the whole run (the test is named for the
+    /// backpressure scheme that lock replaced, which once deadlocked
+    /// here). The watchdog turns a hang into a failure.
     #[test]
     fn collector_backpressure_accounting_never_deadlocks() {
         for _ in 0..3 {
@@ -1082,14 +962,14 @@ mod tests {
                     },
                     exec,
                 );
-                // A result callback forces the collector path (non-direct).
+                // A result callback makes every worker hand over.
                 eng.on_result = Some(Arc::new(|_: &JobResult| {}));
                 let report = eng.run(inputs(40_000)).unwrap();
                 let _ = done_tx.send(report);
             });
             let report = done_rx
                 .recv_timeout(Duration::from_secs(120))
-                .expect("collector-observed run deadlocked on backpressure");
+                .expect("callback-observed run deadlocked on the hand-over");
             assert_eq!(report.succeeded, 40_000);
         }
     }
@@ -1447,30 +1327,36 @@ mod tests {
             .any(|e| matches!(e, Event::Failed { seq: 1, exit: 3 })));
     }
 
+    /// `-k` with `--halt`: chunked hand-out can leave seqs unrun behind
+    /// the job that tripped the halt, so every later result waits in
+    /// the reorder buffer for them. The end of the run hands those on
+    /// in seq order.
     #[test]
-    fn collector_backlog_gauge_ends_drained() {
-        use htpar_telemetry::MetricsRegistry;
-        let bus = EventBus::shared();
-        let metrics = MetricsRegistry::shared();
-        bus.attach(metrics.clone());
+    fn keep_order_hands_on_every_result_after_a_halt() {
+        let exec = FnExecutor::new(|cmd| {
+            if cmd.seq == 1 {
+                std::thread::sleep(Duration::from_millis(300));
+                return Ok(TaskOutput::failed(1, "slow failure"));
+            }
+            Ok(TaskOutput::success())
+        });
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
         let mut eng = engine(
             Options {
-                jobs: 8,
+                jobs: 2,
+                keep_order: true,
+                halt: HaltPolicy::fail_count(1, HaltWhen::Soon),
                 ..Options::default()
             },
-            FnExecutor::noop(),
+            exec,
         );
-        eng.bus = Some(Arc::clone(&bus));
-        let report = eng.run(inputs(500)).unwrap();
-        assert_eq!(report.succeeded, 500);
-        let snap = metrics.snapshot();
-        assert_eq!(
-            snap.collector_backlog, 0,
-            "collector drained everything by run end"
-        );
-        // The run completed, so every buffered record was drained even if
-        // a backlog was observed transiently.
-        assert!(snap.collector_backlog_peak <= 500);
+        eng.on_result = Some(Arc::new(move |r: &JobResult| seen2.lock().push(r.seq)));
+        let report = eng.run(inputs(64)).unwrap();
+        assert_eq!(report.halted, Some(HaltDecision::StopSoon));
+        let ran: Vec<u64> = report.results.iter().map(|r| r.seq).collect();
+        assert!(ran.len() > 1 && ran.len() < 64, "ran {ran:?}");
+        assert_eq!(*seen.lock(), ran, "every job that ran, in seq order");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! An agent binds a listening socket, accepts exactly one driver
 //! connection, handshakes, and then runs the `htpar-core` [`Engine`]
 //! over a streaming job source fed by inbound `Shard` frames — so every
-//! dispatch-path optimization (chunked hand-out, per-slot buffers,
-//! collector thread) applies unchanged to network-fed work.
+//! dispatch-path optimization (batched hand-out, completions delivered
+//! by the worker that finished them) applies unchanged to network-fed
+//! work.
 //!
 //! Since PR 6 the session's I/O runs on one reactor thread: the socket
 //! and a [`Waker`] self-pipe sit on the same epoll loop, heartbeats

@@ -62,7 +62,8 @@ pub enum Event {
     /// Pending depth of the ingest queue after a push or pop.
     QueueDepth { depth: usize },
     /// Completion records buffered in per-slot buffers, not yet drained
-    /// by the engine's collector thread (emitted after each drain batch).
+    /// by a collector thread. The engine no longer has one and never
+    /// emits this; the variant stays so sinks that match on it compile.
     CollectorBacklog { pending: usize },
 
     // -- DES milestones -------------------------------------------------

@@ -73,11 +73,6 @@ pub struct MetricsSnapshot {
     pub queue_depth: usize,
     /// Latest slot occupancy seen (gauge): `(busy, total)`.
     pub slot_occupancy: (usize, usize),
-    /// Latest engine collector backlog seen (gauge): completion records
-    /// buffered but not yet drained by the collector thread, and the
-    /// high-water mark across the run.
-    pub collector_backlog: usize,
-    pub collector_backlog_peak: usize,
     /// Runtime distribution of completed tasks.
     pub runtime: HistogramSummary,
     /// In-parent launch-cost distribution (`latency_us` of
@@ -193,8 +188,6 @@ pub struct MetricsRegistry {
     queue_depth: AtomicUsize,
     slot_busy: AtomicUsize,
     slot_total: AtomicUsize,
-    collector_backlog: AtomicUsize,
-    collector_backlog_peak: AtomicUsize,
     spawn_count: AtomicU64,
     spawn_first_ns: AtomicU64,
     spawn_last_ns: AtomicU64,
@@ -219,8 +212,6 @@ impl Default for MetricsRegistry {
             queue_depth: AtomicUsize::new(0),
             slot_busy: AtomicUsize::new(0),
             slot_total: AtomicUsize::new(0),
-            collector_backlog: AtomicUsize::new(0),
-            collector_backlog_peak: AtomicUsize::new(0),
             spawn_count: AtomicU64::new(0),
             spawn_first_ns: AtomicU64::new(NO_SPAWN),
             spawn_last_ns: AtomicU64::new(0),
@@ -294,8 +285,6 @@ impl MetricsRegistry {
                 self.slot_busy.load(Ordering::Relaxed),
                 self.slot_total.load(Ordering::Relaxed),
             ),
-            collector_backlog: self.collector_backlog.load(Ordering::Relaxed),
-            collector_backlog_peak: self.collector_backlog_peak.load(Ordering::Relaxed),
             runtime: {
                 let mut samples = Vec::new();
                 for shard in &self.runtimes_us {
@@ -370,11 +359,6 @@ impl Sink for MetricsRegistry {
                 self.slot_busy.store(*busy, Ordering::Relaxed);
                 self.slot_total.store(*total, Ordering::Relaxed);
             }
-            Event::CollectorBacklog { pending } => {
-                self.collector_backlog.store(*pending, Ordering::Relaxed);
-                self.collector_backlog_peak
-                    .fetch_max(*pending, Ordering::Relaxed);
-            }
             Event::Launch { tasks, .. } => {
                 self.launched_tasks.fetch_add(*tasks, Ordering::Relaxed);
             }
@@ -440,16 +424,9 @@ mod tests {
         feed(&reg, 0, Event::QueueDepth { depth: 5 });
         feed(&reg, 1, Event::QueueDepth { depth: 2 });
         feed(&reg, 2, Event::SlotOccupancy { busy: 3, total: 8 });
-        feed(&reg, 3, Event::CollectorBacklog { pending: 7 });
-        feed(&reg, 4, Event::CollectorBacklog { pending: 1 });
         let snap = reg.snapshot();
         assert_eq!(snap.queue_depth, 2);
         assert_eq!(snap.slot_occupancy, (3, 8));
-        assert_eq!(snap.collector_backlog, 1, "gauge tracks latest");
-        assert_eq!(
-            snap.collector_backlog_peak, 7,
-            "peak is the high-water mark"
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! to finish — and assert the two agree task by task. The chaos draws
 //! are keyed per `(seq, attempt)` (`ChaosExecutor::seeded_per_seq`), so
 //! any divergence is the dispatch path's fault: a dropped chunk, a
-//! double-claimed input, a completion lost between worker, collector,
-//! and joblog, or retry accounting that depends on interleaving.
+//! double-claimed input, a completion lost between worker and joblog,
+//! or retry accounting that depends on interleaving.
 
 use std::collections::BTreeMap;
 use std::path::Path;
