@@ -146,8 +146,9 @@ where
             eprintln!("{}", p.snapshot().render());
         }
         // --tagstring renders a custom per-job tag; --tag uses the args.
+        // No shell reads a tag, so its values stay unquoted, as in GNU.
         let custom_tag = tag_template.as_ref().map(|tpl| {
-            tpl.expand(&ExpandContext {
+            tpl.expand_raw(&ExpandContext {
                 args: &result.args,
                 seq: result.seq,
                 slot: result.slot,
@@ -289,7 +290,9 @@ mod tests {
         let shim = dir.join("fake-ssh");
         std::fs::write(
             &shim,
-            "#!/bin/sh\nhost=$3\nshift 6\nout=$(sh -c \"$1\")\necho \"$host=$out\"\n",
+            // Joins the remote words like OpenSSH: `-o BatchMode=yes
+            // <host> --`, then the command line in "$*".
+            "#!/bin/sh\nhost=$3\nshift 4\nout=$(sh -c \"$*\")\necho \"$host=$out\"\n",
         )
         .unwrap();
         #[cfg(unix)]

@@ -9,14 +9,15 @@
 //! `-X` packs as many file names as fit into each rsync invocation by
 //! repeating the *word* containing `{}` once per argument.
 
-use crate::template::{ExpandContext, Template, Token};
+use crate::template::{push_value, shell_quote, PathOp, Template, Token};
 
 /// Greedily split `args` into batches subject to a character budget and an
 /// optional per-batch argument cap.
 ///
 /// `base_len` is the length of the command with zero arguments;
 /// `per_arg_overhead` is the constant extra cost per inserted argument
-/// (separator plus repeated context for `-X`).
+/// (separator plus repeated context for `-X`). Each argument costs its
+/// shell-quoted length, which is what the rendered command carries.
 ///
 /// Every batch contains at least one argument even if that argument alone
 /// blows the budget — matching xargs/parallel, which never drop input.
@@ -33,7 +34,7 @@ pub fn plan_batches(
         let mut end = start;
         let mut used = base_len;
         while end < args.len() {
-            let cost = args[end].len() + per_arg_overhead;
+            let cost = shell_quote(&args[end]).len() + per_arg_overhead;
             let fits = used + cost <= max_chars || end == start;
             let under_cap = max_args.is_none_or(|cap| end - start < cap);
             if fits && under_cap {
@@ -50,21 +51,25 @@ pub fn plan_batches(
 }
 
 /// Expand a template in `-m` (xargs) mode: the batch's arguments are
-/// inserted space-separated at each `{}` site.
+/// inserted at each `{}` site, each shell-quoted on its own and
+/// space-separated.
 pub fn expand_xargs(template: &Template, batch: &[String], seq: u64, slot: usize) -> String {
-    let joined = batch.join(" ");
-    let args = [joined];
-    let ctx = ExpandContext {
-        args: &args,
-        seq,
-        slot,
-    };
-    template.expand(&ctx)
+    let quote = template.quotes_values();
+    let mut out = String::new();
+    push_tokens(&mut out, template.tokens(), batch, seq, slot, quote);
+    if !template.has_placeholder() {
+        // xargs behaviour: append the whole batch.
+        for arg in batch {
+            out.push(' ');
+            push_value(&mut out, arg, quote);
+        }
+    }
+    out
 }
 
 /// Expand a template in `-X` (context replace) mode: any *word* containing
 /// a replacement string is repeated once per argument; words without
-/// replacement strings appear once.
+/// replacement strings appear once. Each argument is shell-quoted.
 ///
 /// `echo pre-{}-post` over `[a, b]` → `echo pre-a-post pre-b-post`.
 pub fn expand_context_replace(
@@ -73,21 +78,15 @@ pub fn expand_context_replace(
     seq: u64,
     slot: usize,
 ) -> String {
-    // Partition the token stream into words (split literal tokens on
-    // spaces), then expand each word per-argument if it contains any
-    // argument placeholder.
-    let words = split_words(template);
+    let quote = template.quotes_values();
     let mut out = String::new();
-    for word in words {
-        let has_arg_token = word
-            .iter()
-            .any(|t| matches!(t, Token::Arg(_) | Token::Positional(..)));
-        if has_arg_token {
+    for word in split_words(template) {
+        if has_site(&word) {
             for arg in batch {
-                push_word(&mut out, &word, std::slice::from_ref(arg), seq, slot);
+                push_word(&mut out, &word, std::slice::from_ref(arg), seq, slot, quote);
             }
         } else {
-            push_word(&mut out, &word, batch, seq, slot);
+            push_word(&mut out, &word, batch, seq, slot, quote);
         }
     }
     if !template.has_placeholder() {
@@ -96,47 +95,132 @@ pub fn expand_context_replace(
             if !out.is_empty() {
                 out.push(' ');
             }
-            out.push_str(arg);
+            push_value(&mut out, arg, quote);
         }
     }
     out
 }
 
-fn push_word(out: &mut String, word: &[Token], args: &[String], seq: u64, slot: usize) {
-    let mut rendered = String::new();
-
-    for tok in word {
-        match tok {
-            Token::Literal(text) => rendered.push_str(text),
-            Token::Arg(op) => {
-                // Inside a context-replaced word `args` is one element;
-                // elsewhere bare {} would join, which cannot happen here
-                // because such words take the has_arg_token path.
-                let mut first = true;
-                for a in args {
-                    if !first {
-                        rendered.push(' ');
-                    }
-                    rendered.push_str(&op.apply(a));
-                    first = false;
-                }
+/// The `--no-shell` argv of a batch, built word by word like
+/// [`Template::expand_argv`]: every value is exactly one argv word,
+/// joined to the literal text around its site. With `context_replace`
+/// (`-X`) a word holding a site repeats once per value; otherwise
+/// (`-m`) the site's values split the word at their boundaries.
+pub fn batch_argv(
+    template: &Template,
+    batch: &[String],
+    seq: u64,
+    slot: usize,
+    context_replace: bool,
+) -> Vec<String> {
+    let mut argv = Vec::new();
+    for word in split_words(template) {
+        if context_replace && has_site(&word) {
+            for arg in batch {
+                push_argv_words(&mut argv, &word, std::slice::from_ref(arg), seq, slot);
             }
-            Token::Positional(n, op) => {
-                if let Some(a) = args.get(n - 1) {
-                    rendered.push_str(&op.apply(a));
-                }
-            }
-            Token::Seq => rendered.push_str(&seq.to_string()),
-            Token::Slot => rendered.push_str(&slot.to_string()),
+        } else {
+            push_argv_words(&mut argv, &word, batch, seq, slot);
         }
     }
-    if rendered.is_empty() {
-        return;
+    if !template.has_placeholder() {
+        argv.extend(batch.iter().cloned());
     }
-    if !out.is_empty() {
+    argv.retain(|w| !w.is_empty());
+    argv
+}
+
+/// Whether a word holds a replacement site.
+fn has_site(word: &[Token]) -> bool {
+    word.iter()
+        .any(|t| matches!(t, Token::Arg(_) | Token::Positional(..)))
+}
+
+/// The values a replacement site takes from a batch, with its path op.
+/// A batch has one input source, so `{}` and `{1}` both stand for all
+/// of `args`; any other positional has no value. `None`: not a site.
+fn site_values<'a>(tok: &Token, args: &'a [String]) -> Option<(PathOp, &'a [String])> {
+    match *tok {
+        Token::Arg(op) | Token::Positional(1, op) => Some((op, args)),
+        Token::Positional(_, op) => Some((op, &[])),
+        _ => None,
+    }
+}
+
+/// Append `tokens` rendered for `args`: literal text verbatim, each
+/// value at a site through its path op and `quote`, space-separated.
+fn push_tokens(
+    out: &mut String,
+    tokens: &[Token],
+    args: &[String],
+    seq: u64,
+    slot: usize,
+    quote: bool,
+) {
+    for tok in tokens {
+        match site_values(tok, args) {
+            Some((op, values)) => {
+                for (i, v) in values.iter().enumerate() {
+                    if i > 0 {
+                        out.push(' ');
+                    }
+                    push_value(out, op.apply(v), quote);
+                }
+            }
+            None => push_fixed(out, tok, seq, slot),
+        }
+    }
+}
+
+/// Append one space-separated word; a word that renders empty adds
+/// nothing, not even its separator.
+fn push_word(
+    out: &mut String,
+    word: &[Token],
+    args: &[String],
+    seq: u64,
+    slot: usize,
+    quote: bool,
+) {
+    let mark = out.len();
+    if mark > 0 {
         out.push(' ');
     }
-    out.push_str(&rendered);
+    let body = out.len();
+    push_tokens(out, word, args, seq, slot, quote);
+    if out.len() == body {
+        out.truncate(mark);
+    }
+}
+
+/// Append one template word as raw argv words: the boundary between
+/// two values at a site starts a new word.
+fn push_argv_words(argv: &mut Vec<String>, word: &[Token], args: &[String], seq: u64, slot: usize) {
+    let mut cur = String::new();
+    for tok in word {
+        match site_values(tok, args) {
+            Some((op, values)) => {
+                for (i, v) in values.iter().enumerate() {
+                    if i > 0 {
+                        argv.push(std::mem::take(&mut cur));
+                    }
+                    cur.push_str(op.apply(v));
+                }
+            }
+            None => push_fixed(&mut cur, tok, seq, slot),
+        }
+    }
+    argv.push(cur);
+}
+
+/// Literal text and the per-job numbers: never quoted.
+fn push_fixed(out: &mut String, tok: &Token, seq: u64, slot: usize) {
+    match tok {
+        Token::Literal(text) => out.push_str(text),
+        Token::Seq => out.push_str(&seq.to_string()),
+        Token::Slot => out.push_str(&slot.to_string()),
+        Token::Arg(_) | Token::Positional(..) => {}
+    }
 }
 
 /// Split a template's token stream into whitespace-delimited words.
@@ -259,6 +343,67 @@ mod tests {
         let t = Template::parse("cp {} {}.bak").unwrap();
         let out = expand_context_replace(&t, &strs(&["f"]), 1, 1);
         assert_eq!(out, "cp f f.bak");
+    }
+
+    #[test]
+    fn batches_quote_each_argument_on_its_own() {
+        let args = strs(&["a b", "c;d", ""]);
+        for tpl in ["echo {}", "echo"] {
+            let t = Template::parse(tpl).unwrap();
+            assert_eq!(expand_xargs(&t, &args, 1, 1), "echo 'a b' 'c;d' ''");
+            assert_eq!(
+                expand_context_replace(&t, &args, 1, 1),
+                "echo 'a b' 'c;d' ''"
+            );
+        }
+        let t = Template::parse("cp {} dst/{/.}.bak").unwrap();
+        let args = strs(&["in/x y.txt", "in/z.txt"]);
+        assert_eq!(
+            expand_context_replace(&t, &args, 1, 1),
+            "cp 'in/x y.txt' in/z.txt dst/'x y'.bak dst/z.bak"
+        );
+        assert_eq!(
+            expand_xargs(&t, &args, 1, 1),
+            "cp 'in/x y.txt' in/z.txt dst/'x y' z.bak"
+        );
+    }
+
+    #[test]
+    fn one_source_makes_positional_one_the_whole_batch() {
+        let t = Template::parse("echo {1} {2}").unwrap();
+        assert_eq!(
+            expand_xargs(&t, &strs(&["a", "b c"]), 1, 1),
+            "echo a 'b c' "
+        );
+    }
+
+    #[test]
+    fn batch_argv_makes_each_value_one_word() {
+        let args = strs(&["a b", "c"]);
+        let printf = Template::parse("printf [%s]\\n").unwrap();
+        for context_replace in [false, true] {
+            assert_eq!(
+                batch_argv(&printf, &args, 1, 1, context_replace),
+                ["printf", "[%s]\\n", "a b", "c"]
+            );
+        }
+        let t = Template::parse("cp pre{}post {#} /dst/").unwrap();
+        assert_eq!(
+            batch_argv(&t, &args, 4, 1, true),
+            ["cp", "prea bpost", "precpost", "4", "/dst/"]
+        );
+        assert_eq!(
+            batch_argv(&t, &args, 4, 1, false),
+            ["cp", "prea b", "cpost", "4", "/dst/"]
+        );
+    }
+
+    #[test]
+    fn the_budget_counts_quoted_lengths() {
+        // `'a b'` costs 5, not 3: base 5 + 2 × (5 + 1) = 17 > 16.
+        let args = strs(&["a b", "c d"]);
+        assert_eq!(plan_batches(&args, None, 16, 5, 1), vec![0..1, 1..2]);
+        assert_eq!(plan_batches(&args, None, 17, 5, 1), vec![0..2]);
     }
 
     mod props {

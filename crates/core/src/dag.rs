@@ -233,15 +233,11 @@ impl DagSpec {
                     for (k, arg) in args.iter().enumerate() {
                         let member = format!("{id}.{}", k + 1);
                         let arg_vec = [arg.to_string()];
-                        let rendered = if tpl.has_placeholder() {
-                            tpl.expand(&ExpandContext {
-                                args: &arg_vec,
-                                seq: (k + 1) as u64,
-                                slot: 1,
-                            })
-                        } else {
-                            format!("{tpl_src} {arg}")
-                        };
+                        let rendered = tpl.expand(&ExpandContext {
+                            args: &arg_vec,
+                            seq: (k + 1) as u64,
+                            slot: 1,
+                        });
                         spec.task(member.clone(), rendered, deps.clone())
                             .map_err(|e| parse_err(&e.to_string()))?;
                         members.push(member);
@@ -271,15 +267,11 @@ impl DagSpec {
         })?;
         let render = |target: &str| {
             let args = [target.to_string()];
-            if tpl.has_placeholder() {
-                tpl.expand(&ExpandContext {
-                    args: &args,
-                    seq: 1,
-                    slot: 1,
-                })
-            } else {
-                format!("{command} {target}")
-            }
+            tpl.expand(&ExpandContext {
+                args: &args,
+                seq: 1,
+                slot: 1,
+            })
         };
         let mut spec = DagSpec::new();
         let mut referenced: Vec<String> = Vec::new();

@@ -3,9 +3,10 @@
 //! The scheduling engine is independent of *how* a command runs. Three
 //! executors ship here and in the simulator crates:
 //!
-//! - [`ProcessExecutor`] — real OS processes, via `sh -c` or direct argv.
-//!   Used by the stress benchmarks that measure this machine's actual
-//!   process launch rate (paper Fig. 3).
+//! - [`ProcessExecutor`] — real OS processes, via `sh -c` or direct argv;
+//!   a rendered command whose only shell syntax is quoted values runs
+//!   as argv. Used by the stress benchmarks that measure this machine's
+//!   actual process launch rate (paper Fig. 3).
 //! - [`FnExecutor`] — an in-process closure. Used by tests, in-memory
 //!   workloads, and anywhere fork/exec cost would drown the signal.
 //! - `htpar-cluster`'s simulated executor — runs `CommandLine`s on a
@@ -126,11 +127,13 @@ pub trait Executor: Send + Sync {
 
 /// Executes commands as real OS processes.
 ///
-/// With `use_shell`, GNU Parallel semantics apply: the rendered command
-/// is interpreted by `sh -c` — unless the [`crate::spawn::bypass_argv`]
+/// With `use_shell`, GNU Parallel semantics apply: the rendered command,
+/// its replacement values already shell-quoted by the template, is
+/// interpreted by `sh -c` — unless the [`crate::spawn::bypass_argv`]
 /// analyzer proves no shell is needed, in which case the argv execs
-/// directly. Without `use_shell`, the argv rendering always execs
-/// directly.
+/// directly; quoted values alone never force the shell. Without
+/// `use_shell`, the argv rendering (raw values, one word each) always
+/// execs directly.
 ///
 /// On Linux, plain commands (no `--pipe` stdin block, no
 /// `--line-buffer` streaming) take the launch fast path

@@ -36,7 +36,7 @@ use crossbeam_channel::{Receiver, SendTimeoutError, Sender};
 use htpar_telemetry::{Event, EventBus, SinkSet};
 use parking_lot::Mutex;
 
-use crate::batch::{expand_context_replace, expand_xargs};
+use crate::batch::{batch_argv, expand_context_replace, expand_xargs};
 use crate::dispatch::{Feed, JobSource, WorkerFeed};
 use crate::error::Result;
 use crate::executor::{ExecContext, Executor};
@@ -783,34 +783,23 @@ fn render(
     slot: usize,
     needs_argv: bool,
 ) -> (String, Vec<String>) {
-    let split = |rendered: &str| -> Vec<String> {
-        if needs_argv {
-            rendered.split_whitespace().map(String::from).collect()
-        } else {
-            Vec::new()
-        }
+    let template = &shared.template;
+    let ctx = ExpandContext { args, seq, slot };
+    let (rendered, argv) = match shared.options.batch {
+        BatchMode::Single => (
+            template.expand(&ctx),
+            needs_argv.then(|| template.expand_argv(&ctx)),
+        ),
+        BatchMode::Xargs => (
+            expand_xargs(template, args, seq, slot),
+            needs_argv.then(|| batch_argv(template, args, seq, slot, false)),
+        ),
+        BatchMode::ContextReplace => (
+            expand_context_replace(template, args, seq, slot),
+            needs_argv.then(|| batch_argv(template, args, seq, slot, true)),
+        ),
     };
-    match shared.options.batch {
-        BatchMode::Single => {
-            let ctx = ExpandContext { args, seq, slot };
-            let argv = if needs_argv {
-                shared.template.expand_argv(&ctx)
-            } else {
-                Vec::new()
-            };
-            (shared.template.expand(&ctx), argv)
-        }
-        BatchMode::Xargs => {
-            let rendered = expand_xargs(&shared.template, args, seq, slot);
-            let argv = split(&rendered);
-            (rendered, argv)
-        }
-        BatchMode::ContextReplace => {
-            let rendered = expand_context_replace(&shared.template, args, seq, slot);
-            let argv = split(&rendered);
-            (rendered, argv)
-        }
-    }
+    (rendered, argv.unwrap_or_default())
 }
 
 fn apply_delay(shared: &Shared) {

@@ -16,10 +16,12 @@
 //!   steady state: one contiguous buffer of NUL-terminated strings plus
 //!   reused pointer tables, refilled per task.
 //! - **Shell bypass** ([`bypass_argv`]): commands whose rendered text
-//!   contains no shell metacharacters (and whose first word is not a
-//!   shell reserved word or builtin) exec directly as argv, skipping
-//!   the `sh -c` layer entirely. Anything else falls back to `sh -c`,
-//!   preserving GNU Parallel semantics byte-for-byte.
+//!   has no unquoted shell metacharacter (and whose first word is not
+//!   a shell reserved word or builtin) exec directly as argv, skipping
+//!   the `sh -c` layer entirely. The analyzer reads the quotes
+//!   [`crate::template::shell_quote`] puts around replacement values,
+//!   so a quoted value never forces the shell. Anything else falls
+//!   back to `sh -c`, preserving GNU Parallel semantics byte-for-byte.
 //! - **Pooled reaper** ([`Reaper`]): one thread owns an epoll
 //!   [`Reactor`] registered with every in-flight child's stdout/stderr
 //!   pipe and its pidfd (`pidfd_open(2)`). Pipes drain into per-task
@@ -110,47 +112,92 @@ const SHELL_WORDS: &[&str] = &[
     "unalias", "unset", "until", "wait", "while",
 ];
 
-/// Bytes that never need shell interpretation. Everything outside this
-/// set — quotes, globs, redirects, `$`, backticks, braces, `~`, `#`,
-/// `!`, backslash, newlines, non-ASCII — forces the `sh -c` path.
-fn safe_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric()
-        || matches!(
-            b,
-            b'_' | b'-' | b'.' | b'/' | b':' | b'@' | b'%' | b'+' | b',' | b'='
-        )
-}
+/// Bytes that never need shell interpretation outside quotes: a lookup
+/// table, since the analyzer reads every byte of every command.
+/// Everything outside this set — globs, redirects, `$`, backticks,
+/// braces, `~`, `#`, `!`, backslash, newlines, non-ASCII, and quotes
+/// other than the two forms [`bypass_argv`] reads — forces the `sh -c`
+/// path.
+static SAFE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric()
+            || matches!(
+                c,
+                b'_' | b'-' | b'.' | b'/' | b':' | b'@' | b'%' | b'+' | b',' | b'='
+            );
+        b += 1;
+    }
+    table
+};
 
 /// Shell-bypass analysis: if `rendered` can exec directly as argv with
 /// semantics identical to `sh -c <rendered>`, return that argv.
 ///
 /// The rules are deliberately conservative (GNU Parallel's approach):
-/// only space/tab-separated words of [`safe_byte`] characters qualify,
-/// the first word may not contain `=` (a shell variable assignment) and
-/// may not be a reserved word or builtin ([`SHELL_WORDS`]). `None`
-/// means "needs a shell".
+/// words are separated by spaces and tabs, and a word is built from
+/// [`SAFE`] bytes plus exactly the two quote forms
+/// [`crate::template::shell_quote`] writes: a `'…'` span, whose bytes
+/// are all literal, and a run of `'` inside `"…"`. So a quoted
+/// value never forces a shell, while an unquoted metacharacter, an
+/// unbalanced quote and any other `"` do. The first word may not be
+/// quoted, may not contain `=` (a shell variable assignment) and may
+/// not be a reserved word or builtin ([`SHELL_WORDS`]). `None` means
+/// "needs a shell".
 pub fn bypass_argv(rendered: &str) -> Option<Vec<String>> {
+    let b = rendered.as_bytes();
     let mut words: Vec<String> = Vec::new();
-    let mut cur = String::new();
-    for &b in rendered.as_bytes() {
-        match b {
-            b' ' | b'\t' => {
-                if !cur.is_empty() {
-                    words.push(std::mem::take(&mut cur));
+    let mut i = 0;
+    loop {
+        while i < b.len() && matches!(b[i], b' ' | b'\t') {
+            i += 1;
+        }
+        if i == b.len() {
+            break;
+        }
+        // Every cut below sits next to an ASCII byte, so slicing
+        // `rendered` never splits a character.
+        let mut word = String::new();
+        let mut quoted = false;
+        while i < b.len() && !matches!(b[i], b' ' | b'\t') {
+            let start = i;
+            match b[i] {
+                b'\'' => {
+                    let len = b[i + 1..].iter().position(|&c| c == b'\'')?;
+                    word.push_str(&rendered[i + 1..i + 1 + len]);
+                    i += len + 2;
+                    quoted = true;
+                }
+                b'"' => {
+                    let len = b[i + 1..].iter().take_while(|&&c| c == b'\'').count();
+                    if len == 0 || b.get(i + 1 + len) != Some(&b'"') {
+                        return None;
+                    }
+                    word.push_str(&rendered[i + 1..i + 1 + len]);
+                    i += len + 2;
+                    quoted = true;
+                }
+                _ => {
+                    while i < b.len() && SAFE[b[i] as usize] {
+                        i += 1;
+                    }
+                    if i == start {
+                        return None; // an unquoted metacharacter
+                    }
+                    word.push_str(&rendered[start..i]);
                 }
             }
-            b if safe_byte(b) => cur.push(b as char),
-            _ => return None,
         }
+        if words.is_empty()
+            && (quoted || word.contains('=') || SHELL_WORDS.binary_search(&word.as_str()).is_ok())
+        {
+            return None;
+        }
+        words.push(word);
     }
-    if !cur.is_empty() {
-        words.push(cur);
-    }
-    let first = words.first()?;
-    if first.contains('=') || SHELL_WORDS.binary_search(&first.as_str()).is_ok() {
-        return None;
-    }
-    Some(words)
+    (!words.is_empty()).then_some(words)
 }
 
 // -- Launch plan and spawn ---------------------------------------------
@@ -721,6 +768,21 @@ mod tests {
     }
 
     #[test]
+    fn bypass_reads_the_quotes_shell_quote_writes() {
+        let words = |s: &[&str]| Some(s.iter().map(|w| w.to_string()).collect::<Vec<_>>());
+        assert_eq!(bypass_argv("x 'quoted'"), words(&["x", "quoted"]));
+        assert_eq!(bypass_argv("x ''"), words(&["x", ""]));
+        assert_eq!(bypass_argv("x 'a b' c"), words(&["x", "a b", "c"]));
+        assert_eq!(bypass_argv(r#"x 'it'"'"'s'"#), words(&["x", "it's"]));
+        assert_eq!(bypass_argv(r#"x "''"'a'"'""#), words(&["x", "''a'"]));
+        assert_eq!(
+            bypass_argv("x pre'*; $(y)'post"),
+            words(&["x", "pre*; $(y)post"])
+        );
+        assert_eq!(bypass_argv("x '\n\t~#café'"), words(&["x", "\n\t~#café"]));
+    }
+
+    #[test]
     fn bypass_rejects_metacharacters() {
         for cmd in [
             "a | b",
@@ -729,8 +791,16 @@ mod tests {
             "echo $HOME",
             "x; y",
             "x && y",
-            "x 'quoted'",
             "x \"quoted\"",
+            "x 'unbalanced",
+            "x 'a'b'",
+            "x \"'",
+            "x \"\"",
+            "x \"'a\"",
+            "x '*'*",
+            "'x' y",
+            "\"'\"x y",
+            "'FOO=bar' cmd",
             "ls *.txt",
             "ls ?.txt",
             "ls [ab].txt",

@@ -1,15 +1,22 @@
 //! SSH transport for remote hosts: the executor behind `--sshlogin`.
 //!
 //! [`SshExecutor`] wraps a job's shell command in an `ssh` invocation
-//! (`ssh [user@]host -- sh -c '<command>'`) and runs it through a local
-//! [`ProcessExecutor`]. Combined with [`crate::remote::MultiHostExecutor`]
-//! this gives the full GNU `--sshlogin` data path; tests substitute a
-//! fake `ssh` binary on `PATH`, since real remote hosts are out of reach
+//! (`ssh [user@]host -- "sh -c <quoted command>"`) and runs it through a
+//! local [`ProcessExecutor`]. OpenSSH joins its remote words with spaces
+//! and hands the line to the login shell, so the rendered command (its
+//! values already quoted by [`crate::template`]) travels as one remote
+//! word, quoted once more with [`shell_quote`], as GNU Parallel does:
+//! the login shell removes that layer and `sh -c` interprets the
+//! command exactly once, like a local run. Combined with
+//! [`crate::remote::MultiHostExecutor`] this gives the full GNU
+//! `--sshlogin` data path; tests substitute a fake `ssh` that joins its
+//! words the way OpenSSH does, since real remote hosts are out of reach
 //! in an offline environment.
 
 use crate::executor::{ExecContext, Executor, ProcessExecutor, TaskOutput};
 use crate::job::CommandLine;
 use crate::remote::Sshlogin;
+use crate::template::shell_quote;
 
 /// Executes each command on a remote host via `ssh`.
 pub struct SshExecutor {
@@ -51,12 +58,9 @@ impl SshExecutor {
             "BatchMode=yes".to_string(),
             self.login.login_string(),
             "--".to_string(),
-            "sh".to_string(),
-            "-c".to_string(),
-            // Single argv element: ssh passes it to the remote shell
-            // verbatim; `sh -c` then interprets it exactly once, like a
-            // local run would.
-            rendered.to_string(),
+            // One remote word: ssh would join separate words with spaces
+            // and the login shell would split them again.
+            format!("sh -c {}", shell_quote(rendered)),
         ]
     }
 }
@@ -111,6 +115,19 @@ mod tests {
         CommandLine::new(1, 1, vec![], rendered.to_string(), vec![], vec![])
     }
 
+    /// A stand-in `ssh` in `dir`: it receives `-o BatchMode=yes <host>
+    /// --` and the remote words, joins those words with spaces the way
+    /// OpenSSH does, and runs `body` with `$host` and the joined
+    /// command line in `"$*"` (what the login shell would run).
+    fn joining_shim(dir: &std::path::Path, body: &str) -> std::path::PathBuf {
+        use std::os::unix::fs::PermissionsExt;
+        std::fs::create_dir_all(dir).unwrap();
+        let shim = dir.join("fake-ssh");
+        std::fs::write(&shim, format!("#!/bin/sh\nhost=$3\nshift 4\n{body}\n")).unwrap();
+        std::fs::set_permissions(&shim, std::fs::Permissions::from_mode(0o755)).unwrap();
+        shim
+    }
+
     #[test]
     fn argv_shape_and_quoting() {
         let exec = SshExecutor::new(Sshlogin::parse("alice@n01").unwrap());
@@ -119,10 +136,19 @@ mod tests {
         assert_eq!(argv[1..3], ["-o".to_string(), "BatchMode=yes".to_string()]);
         assert_eq!(argv[3], "alice@n01");
         assert_eq!(argv[4], "--");
-        assert_eq!(argv[5..7], ["sh".to_string(), "-c".to_string()]);
-        // The command is ONE argv element, untouched.
-        assert_eq!(argv[7], "echo 'a b' > /tmp/x; wc -l");
-        assert_eq!(argv.len(), 8);
+        // The remote command is ONE word, quoted once more for the
+        // login shell that OpenSSH hands it to.
+        assert_eq!(argv[5], r#"sh -c 'echo '"'"'a b'"'"' > /tmp/x; wc -l'"#);
+        assert_eq!(argv.len(), 6);
+        // The login shell's unquoting gives back the rendered command.
+        let out = std::process::Command::new("sh")
+            .args(["-c", &format!("printf %s {}", &argv[5]["sh -c ".len()..])])
+            .output()
+            .unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "echo 'a b' > /tmp/x; wc -l"
+        );
     }
 
     #[test]
@@ -130,19 +156,7 @@ mod tests {
         // A shim that prints the "host" and runs the command locally —
         // what a real ssh would do, minus the network.
         let dir = std::env::temp_dir().join(format!("htpar-ssh-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let shim = dir.join("fake-ssh");
-        std::fs::write(
-            &shim,
-            "#!/bin/sh\n# args: -o BatchMode=yes <host> -- sh -c <cmd>\nhost=$3\nshift 6\necho \"via:$host\"\nexec sh -c \"$1\"\n",
-        )
-        .unwrap();
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::PermissionsExt;
-            std::fs::set_permissions(&shim, std::fs::Permissions::from_mode(0o755)).unwrap();
-        }
-
+        let shim = joining_shim(&dir, "echo \"via:$host\"\nexec sh -c \"$*\"");
         let exec = SshExecutor::new(Sshlogin::parse("2/worker07").unwrap())
             .with_program(shim.display().to_string());
         let out = exec.execute(
@@ -158,19 +172,7 @@ mod tests {
     fn fake_ssh_cluster_through_the_engine() {
         use crate::prelude::*;
         let dir = std::env::temp_dir().join(format!("htpar-sshc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let shim = dir.join("fake-ssh");
-        std::fs::write(
-            &shim,
-            "#!/bin/sh\nhost=$3\nshift 6\nout=$(sh -c \"$1\")\necho \"$host:$out\"\n",
-        )
-        .unwrap();
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::PermissionsExt;
-            std::fs::set_permissions(&shim, std::fs::Permissions::from_mode(0o755)).unwrap();
-        }
-
+        let shim = joining_shim(&dir, "out=$(sh -c \"$*\")\necho \"$host:$out\"");
         let multi =
             multi_host_from_specs(&["2/nodeA", "2/nodeB"], 1, &shim.display().to_string()).unwrap();
         let report = Parallel::new("echo job-{}")
@@ -192,6 +194,29 @@ mod tests {
             "both remote hosts served jobs"
         );
         assert!(report.results[3].stdout.ends_with("job-3\n"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn remote_commands_keep_every_word_and_run_values_literally() {
+        // Through a shim that joins words like OpenSSH, the whole
+        // command runs remotely and a hostile value stays one word.
+        use crate::prelude::*;
+        let dir = std::env::temp_dir().join(format!("htpar-sshq-{}", std::process::id()));
+        let body = format!("cd '{}' && exec sh -c \"$*\"", dir.display());
+        let shim = joining_shim(&dir, &body);
+        let multi = multi_host_from_specs(&["2/h"], 1, &shim.display().to_string()).unwrap();
+        let report = Parallel::new("echo hello {}")
+            .jobs(2)
+            .keep_order(true)
+            .executor(multi)
+            .args(["world", "w;touch PWNED"])
+            .run()
+            .unwrap();
+        assert!(report.all_succeeded(), "{:?}", report.results);
+        let out: Vec<&str> = report.results.iter().map(|r| r.stdout.as_str()).collect();
+        assert_eq!(out, ["hello world\n", "hello w;touch PWNED\n"]);
+        assert!(!dir.join("PWNED").exists(), "a value ran as a command");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

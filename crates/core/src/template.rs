@@ -18,8 +18,99 @@
 //! A template with no replacement string at all behaves like `xargs`: the
 //! engine appends the argument(s) at the end (see
 //! [`Template::has_placeholder`]).
+//!
+//! # Quoting
+//!
+//! [`Template::expand`] renders the command `sh -c` runs, so it
+//! shell-quotes every value it inserts, after the value's path
+//! operation and including xargs-appended arguments, by GNU Parallel's
+//! rule ([`shell_quote`]): `echo {}` over `it's` renders
+//! `echo 'it'"'"'s'`, and the shell sees the value as one literal word.
+//! `{#}`, `{%}` and the template's own text are never quoted. Two forms
+//! insert values raw: a template that is exactly `{}`, whose value *is*
+//! the command (GNU's command-less mode, and how DAG runs and the pilot
+//! pass pre-rendered commands through the engine), and
+//! [`Template::expand_raw`] (`--tagstring`). [`Template::expand_argv`]
+//! (`--no-shell`) needs no quoting: each value is already one argv word.
+//! The shell-bypass analyzer ([`crate::spawn::bypass_argv`]) reads
+//! exactly the quotes [`shell_quote`] writes, so quoting never forces a
+//! launch through `sh -c`.
+
+use std::borrow::Cow;
+use std::fmt::Write;
 
 use crate::error::{Error, Result};
+
+/// Bytes GNU Parallel leaves bare: `[-_.+A-Za-z0-9/]`. A lookup table
+/// rather than a chain of comparisons, because the check runs on every
+/// value of every task.
+static BARE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || matches!(c, b'-' | b'_' | b'.' | b'+' | b'/');
+        b += 1;
+    }
+    table
+};
+
+/// Whether `v` can reach the shell unquoted: non-empty, every byte bare.
+fn is_bare(v: &str) -> bool {
+    !v.is_empty() && v.bytes().fold(true, |bare, b| bare & BARE[b as usize])
+}
+
+/// Shell-quote one value by GNU Parallel's rule: a value whose bytes
+/// all lie in `[-_.+A-Za-z0-9/]` stays bare, the empty value becomes
+/// `''`, and anything else is single-quoted, with each run of `'`
+/// written as `"…"` between the single-quoted spans (`it's` →
+/// `'it'"'"'s'`, `'x` → `"'"'x'`). `sh` reads the result back as
+/// exactly `v`, whatever bytes it holds.
+pub fn shell_quote(v: &str) -> Cow<'_, str> {
+    if is_bare(v) {
+        return Cow::Borrowed(v);
+    }
+    let mut out = String::with_capacity(v.len() + 2);
+    push_quoted(&mut out, v);
+    Cow::Owned(out)
+}
+
+/// Append [`shell_quote`]`(v)` to `out` without an intermediate string.
+fn push_quoted(out: &mut String, v: &str) {
+    if is_bare(v) {
+        out.push_str(v);
+        return;
+    }
+    if v.is_empty() {
+        out.push_str("''");
+        return;
+    }
+    // Alternate maximal runs: `'` runs inside `"…"`, the rest inside
+    // `'…'`. `'` is ASCII, so every cut is a char boundary.
+    let bytes = v.as_bytes();
+    let mut start = 0;
+    while start < bytes.len() {
+        let quote = bytes[start] == b'\'';
+        let end = bytes[start..]
+            .iter()
+            .position(|&b| (b == b'\'') != quote)
+            .map_or(bytes.len(), |n| start + n);
+        let wrap = if quote { '"' } else { '\'' };
+        out.push(wrap);
+        out.push_str(&v[start..end]);
+        out.push(wrap);
+        start = end;
+    }
+}
+
+/// Append a value, shell-quoted when `quote` is set.
+pub(crate) fn push_value(out: &mut String, v: &str, quote: bool) {
+    if quote {
+        push_quoted(out, v);
+    } else {
+        out.push_str(v);
+    }
+}
 
 /// Path-style post-processing applied to an argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,14 +128,15 @@ pub enum PathOp {
 }
 
 impl PathOp {
-    /// Apply the operation to an argument string.
-    pub fn apply(self, arg: &str) -> String {
+    /// Apply the operation to an argument string. Every result is a
+    /// slice of `arg` or a constant, so expansion allocates nothing here.
+    pub fn apply(self, arg: &str) -> &str {
         match self {
-            PathOp::None => arg.to_string(),
-            PathOp::NoExt => strip_ext(arg).to_string(),
-            PathOp::Base => basename(arg).to_string(),
+            PathOp::None => arg,
+            PathOp::NoExt => strip_ext(arg),
+            PathOp::Base => basename(arg),
             PathOp::Dir => dirname(arg),
-            PathOp::BaseNoExt => strip_ext(basename(arg)).to_string(),
+            PathOp::BaseNoExt => strip_ext(basename(arg)),
         }
     }
 
@@ -69,11 +161,11 @@ fn basename(arg: &str) -> &str {
 }
 
 /// Everything before the final `/`; `.` if there is no `/`; `/` for root.
-fn dirname(arg: &str) -> String {
+fn dirname(arg: &str) -> &str {
     match arg.rfind('/') {
-        Some(0) => "/".to_string(),
-        Some(i) => arg[..i].to_string(),
-        None => ".".to_string(),
+        Some(0) => "/",
+        Some(i) => &arg[..i],
+        None => ".",
     }
 }
 
@@ -120,6 +212,9 @@ pub struct ExpandContext<'a> {
 pub struct Template {
     tokens: Vec<Token>,
     has_placeholder: bool,
+    /// False only for the pass-through template `{}` (see the module
+    /// docs on quoting).
+    quotes_values: bool,
     source: String,
 }
 
@@ -155,9 +250,11 @@ impl Template {
         if !literal.is_empty() {
             tokens.push(Token::Literal(literal));
         }
+        let quotes_values = tokens != [Token::Arg(PathOp::None)];
         Ok(Template {
             tokens,
             has_placeholder,
+            quotes_values,
             source: s.to_string(),
         })
     }
@@ -197,16 +294,36 @@ impl Template {
         &self.tokens
     }
 
-    /// Expand to a single string.
+    /// Whether [`Template::expand`] shell-quotes values: every template
+    /// but the pass-through `{}`.
+    pub(crate) fn quotes_values(&self) -> bool {
+        self.quotes_values
+    }
+
+    /// Expand to the command line `sh -c` runs: each value shell-quoted
+    /// (see the module docs), unless the template is exactly `{}`.
     pub fn expand(&self, ctx: &ExpandContext<'_>) -> String {
-        let mut out = String::with_capacity(self.source.len() + 16);
+        self.render(ctx, self.quotes_values)
+    }
+
+    /// Expand with every value inserted verbatim, for text that no
+    /// shell reads (`--tagstring`).
+    pub fn expand_raw(&self, ctx: &ExpandContext<'_>) -> String {
+        self.render(ctx, false)
+    }
+
+    fn render(&self, ctx: &ExpandContext<'_>, quote: bool) -> String {
+        // Room for every value twice (`{}` beside a path op) plus quotes
+        // and numbers, so the common template never regrows.
+        let values: usize = ctx.args.iter().map(String::len).sum();
+        let mut out = String::with_capacity(self.source.len() + 2 * values + 16);
         for tok in &self.tokens {
-            expand_token(tok, ctx, &mut out);
+            expand_token(tok, ctx, quote, &mut out);
         }
-        if !self.has_placeholder && !ctx.args.is_empty() {
+        if !self.has_placeholder {
             for arg in ctx.args {
                 out.push(' ');
-                out.push_str(arg);
+                push_value(&mut out, arg, quote);
             }
         }
         out
@@ -238,7 +355,7 @@ impl Template {
                     }
                 }
                 other => {
-                    expand_token(other, ctx, &mut word);
+                    expand_token(other, ctx, false, &mut word);
                     word_has_token = true;
                 }
             }
@@ -252,28 +369,32 @@ impl Template {
     }
 }
 
-fn expand_token(tok: &Token, ctx: &ExpandContext<'_>, out: &mut String) {
+fn expand_token(tok: &Token, ctx: &ExpandContext<'_>, quote: bool, out: &mut String) {
     match tok {
         Token::Literal(text) => out.push_str(text),
         Token::Arg(op) => {
             // With multiple input sources and a bare `{}`, GNU inserts all
-            // of them space-separated.
+            // of them space-separated, each quoted on its own.
             let mut first = true;
             for arg in ctx.args {
                 if !first {
                     out.push(' ');
                 }
-                out.push_str(&op.apply(arg));
+                push_value(out, op.apply(arg), quote);
                 first = false;
             }
         }
         Token::Positional(n, op) => {
             if let Some(arg) = ctx.args.get(n - 1) {
-                out.push_str(&op.apply(arg));
+                push_value(out, op.apply(arg), quote);
             }
         }
-        Token::Seq => out.push_str(&ctx.seq.to_string()),
-        Token::Slot => out.push_str(&ctx.slot.to_string()),
+        Token::Seq => {
+            let _ = write!(out, "{}", ctx.seq);
+        }
+        Token::Slot => {
+            let _ = write!(out, "{}", ctx.slot);
+        }
     }
 }
 
@@ -325,7 +446,57 @@ mod tests {
 
     #[test]
     fn whole_argument() {
-        assert_eq!(expand("echo {}", "a b"), "echo a b");
+        // A value with a space stays one shell word.
+        assert_eq!(expand("echo {}", "a b"), "echo 'a b'");
+    }
+
+    #[test]
+    fn shell_quote_follows_gnu_parallel() {
+        for (value, quoted) in [
+            ("plain-_.+/Az09", "plain-_.+/Az09"),
+            ("", "''"),
+            ("a b", "'a b'"),
+            ("it's", r#"'it'"'"'s'"#),
+            ("'x", r#""'"'x'"#),
+            ("x'", r#"'x'"'""#),
+            ("'", r#""'""#),
+            ("a''b", r#"'a'"''"'b'"#),
+            ("$HOME", "'$HOME'"),
+            ("x;touch PWNED", "'x;touch PWNED'"),
+            ("λ", "'λ'"),
+            ("k=v", "'k=v'"),
+        ] {
+            assert_eq!(shell_quote(value), quoted, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn values_are_quoted_after_path_ops_and_when_appended() {
+        assert_eq!(expand("cat {/}", "d/my file.txt"), "cat 'my file.txt'");
+        assert_eq!(expand("mv {} {.}", "a b.c"), "mv 'a b.c' 'a b'");
+        assert_eq!(expand("wc -l", "my file.txt"), "wc -l 'my file.txt'");
+        assert_eq!(expand("echo {#}-{%} {}", "x;y"), "echo 7-3 'x;y'");
+        let args = vec!["a b".to_string(), "c".to_string()];
+        assert_eq!(
+            Template::parse("go {} {2}").unwrap().expand(&ctx(&args)),
+            "go 'a b' c c"
+        );
+    }
+
+    #[test]
+    fn bare_braces_pass_the_value_through_as_the_command() {
+        assert_eq!(expand("{}", "echo a; echo b"), "echo a; echo b");
+        assert_eq!(expand(" {}", "a b"), " 'a b'");
+        assert_eq!(expand("{.}", "a b.c"), "'a b'");
+        let t = Template::parse_with_replacement("CMD", "CMD").unwrap();
+        assert_eq!(t.expand(&ctx(&one("echo hi"))), "echo hi");
+    }
+
+    #[test]
+    fn expand_raw_inserts_values_verbatim() {
+        let args = one("a b;c");
+        let t = Template::parse("<{}> {#}").unwrap();
+        assert_eq!(t.expand_raw(&ctx(&args)), "<a b;c> 7");
     }
 
     #[test]
@@ -459,17 +630,48 @@ mod tests {
 
     #[test]
     fn unicode_literals_survive() {
-        assert_eq!(expand("écho «{}»", "λ"), "écho «λ»");
+        // Template text is never quoted; a non-ASCII value is.
+        assert_eq!(expand("écho «{}»", "λ"), "écho «'λ'»");
     }
 
     mod props {
         use super::*;
         use proptest::prelude::*;
 
+        /// Arbitrary non-NUL text: every other ASCII byte, extra quotes
+        /// and whitespace, and two- to four-byte characters.
+        fn any_value() -> impl Strategy<Value = String> {
+            proptest::collection::vec(0u32..200, 0..16).prop_map(|codes| {
+                codes
+                    .into_iter()
+                    .map(|c| match c {
+                        0..=127 => char::from_u32(c.max(1)).expect("ASCII"),
+                        128..=159 => ['\'', '\'', '"', ' ', '\t', '\n', '\\', '$'][c as usize % 8],
+                        160..=179 => char::from_u32(c + 0x50).expect("Latin script"),
+                        _ => ['λ', '€', '😀', '\u{fffd}'][c as usize % 4],
+                    })
+                    .collect()
+            })
+        }
+
         proptest! {
             #[test]
             fn parse_never_panics(s in ".{0,200}") {
                 let _ = Template::parse(&s);
+            }
+
+            #[test]
+            fn quoted_values_read_back_exactly(v in any_value()) {
+                // `sh` reads the quoted value back as the value...
+                let q = shell_quote(&v);
+                let out = std::process::Command::new("sh")
+                    .args(["-c", &format!("printf %s {q}")])
+                    .output()
+                    .expect("run sh");
+                prop_assert_eq!(String::from_utf8_lossy(&out.stdout), v.as_str(), "{}", q);
+                // ...and so does the shell-bypass analyzer.
+                let argv = crate::spawn::bypass_argv(&format!("/bin/x {q}"));
+                prop_assert_eq!(argv, Some(vec!["/bin/x".to_string(), v.clone()]), "{}", q);
             }
 
             #[test]
@@ -479,7 +681,8 @@ mod tests {
                 let args = vec![arg.clone()];
                 let c = ExpandContext { args: &args, seq: 1, slot: 1 };
                 let expanded = t.expand(&c);
-                prop_assert_eq!(expanded, format!("{} {}", s, arg));
+                // The empty value is appended as `''`.
+                prop_assert_eq!(expanded, format!("{} {}", s, shell_quote(&arg)));
             }
 
             #[test]
@@ -505,10 +708,10 @@ mod tests {
             fn absolute_paths_recompose(arg in "/([a-z.]{1,8}/){0,3}[a-z.]{0,8}") {
                 // Root-anchored paths: `{//}` is "/" exactly when the only
                 // slash is the leading one, and recomposition is exact.
-                let args = vec![arg.clone()];
-                let c = ExpandContext { args: &args, seq: 1, slot: 1 };
-                let dir = Template::parse("{//}").unwrap().expand(&c);
-                let base = Template::parse("{/}").unwrap().expand(&c);
+                // The basename may be empty, which `expand` would quote,
+                // so this checks the path ops themselves.
+                let dir = PathOp::Dir.apply(&arg);
+                let base = PathOp::Base.apply(&arg);
                 prop_assert!(!base.contains('/'), "basename never keeps a slash");
                 let recomposed = if dir == "/" { format!("/{base}") } else { format!("{dir}/{base}") };
                 prop_assert_eq!(recomposed, arg);
@@ -533,13 +736,11 @@ mod tests {
 
             #[test]
             fn base_noext_is_strip_after_base(arg in "(/)?([a-zA-Z0-9_.]{1,6}/){0,3}[a-zA-Z0-9_.]{0,6}") {
-                // The fused `{/.}` equals `{.}` applied to the `{/}` result.
-                let args = vec![arg.clone()];
-                let c = ExpandContext { args: &args, seq: 1, slot: 1 };
-                let fused = Template::parse("{/.}").unwrap().expand(&c);
-                let base = vec![Template::parse("{/}").unwrap().expand(&c)];
-                let cb = ExpandContext { args: &base, seq: 1, slot: 1 };
-                let staged = Template::parse("{.}").unwrap().expand(&cb);
+                // The fused `{/.}` equals `{.}` applied to the `{/}`
+                // result. The basename may be empty, which `expand` would
+                // quote, so this checks the path ops themselves.
+                let fused = PathOp::BaseNoExt.apply(&arg);
+                let staged = PathOp::NoExt.apply(PathOp::Base.apply(&arg));
                 prop_assert_eq!(fused, staged);
             }
 

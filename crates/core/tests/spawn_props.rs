@@ -7,6 +7,7 @@
 use htpar_core::executor::{ExecContext, Executor, ProcessExecutor};
 use htpar_core::job::CommandLine;
 use htpar_core::spawn::bypass_argv;
+use htpar_core::template::shell_quote;
 use proptest::prelude::*;
 
 /// Every byte `sh` could interpret: quoting, expansion, substitution,
@@ -35,8 +36,9 @@ fn run_both(
 }
 
 proptest! {
-    /// Any rendered command containing a shell metacharacter anywhere
-    /// must refuse the bypass — no exceptions, no position-dependence.
+    /// Any rendered command containing an unquoted shell metacharacter
+    /// anywhere must refuse the bypass — no exceptions, no
+    /// position-dependence.
     #[test]
     fn metacharacters_always_force_sh(
         prefix in "[a-zA-Z0-9_./:@%+,= -]{0,12}",
@@ -75,6 +77,26 @@ proptest! {
             bypass_argv(&rendered).is_some(),
             "{rendered:?} is metachar-free and must bypass"
         );
+        let (fast, legacy) = run_both(&rendered);
+        prop_assert_eq!(&fast.status, &legacy.status, "{}", rendered);
+        prop_assert_eq!(&fast.stdout, &legacy.stdout, "{}", rendered);
+        prop_assert_eq!(&fast.stderr, &legacy.stderr, "{}", rendered);
+    }
+}
+
+proptest! {
+    /// Quoted values are transparent too: `/bin/echo` over values full
+    /// of metacharacters, each written by `shell_quote`, bypasses the
+    /// shell and prints byte-identical output to the `sh -c` path.
+    #[test]
+    fn quoted_values_bypass_and_agree_with_sh(
+        values in proptest::collection::vec(r#"[a-z '"$;*?~#`\\(){}<>|&!\n\t=é-]{0,10}"#, 1..4),
+    ) {
+        let quoted: Vec<String> = values.iter().map(|v| shell_quote(v).into_owned()).collect();
+        let rendered = format!("/bin/echo {}", quoted.join(" "));
+        let mut argv = vec!["/bin/echo".to_string()];
+        argv.extend(values.iter().cloned());
+        prop_assert_eq!(bypass_argv(&rendered), Some(argv), "{}", rendered);
         let (fast, legacy) = run_both(&rendered);
         prop_assert_eq!(&fast.status, &legacy.status, "{}", rendered);
         prop_assert_eq!(&fast.stdout, &legacy.stdout, "{}", rendered);

@@ -39,11 +39,14 @@ pub enum Event {
     Spawned { seq: u64, slot: usize },
     /// The process-launch fast path execed the rendered command
     /// directly as argv — no `sh -c` layer (see
-    /// `htpar_core::spawn::bypass_argv`). `latency_us` is the in-parent
-    /// launch cost: argv/env arena fill through `posix_spawn` return.
+    /// `htpar_core::spawn::bypass_argv`): the command had no unquoted
+    /// metacharacter, so shell-quoted replacement values land here too.
+    /// `latency_us` is the in-parent launch cost: argv/env arena fill
+    /// through `posix_spawn` return.
     ShellBypass { seq: u64, latency_us: u64 },
-    /// The fast path fell back to `sh -c` (the command needs shell
-    /// interpretation). Same `latency_us` definition as `ShellBypass`.
+    /// The fast path fell back to `sh -c` (the command's own text needs
+    /// shell interpretation). Same `latency_us` definition as
+    /// `ShellBypass`.
     ShFallback { seq: u64, latency_us: u64 },
     /// The job finished. `runtime` is wall time of the final attempt.
     Completed {
