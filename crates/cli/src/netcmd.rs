@@ -32,7 +32,6 @@ use htpar_net::fleet::AgentStat;
 use htpar_net::frame::Payload;
 use htpar_net::local::LocalCluster;
 use htpar_net::serve::{PilotServer, ServeConfig, ServeOutcome, SERVE_ANNOUNCE_PREFIX};
-use htpar_net::{NetCore, ENV_NET_CORE};
 use htpar_telemetry::{EventBus, JsonlWriter};
 
 pub const AGENT_USAGE: &str = "\
@@ -54,8 +53,6 @@ COMMAND... [::: ARGS...]
                          (default: 2000)
       --payload KIND     what agents run: shell (default), noop, or
                          sleep:MICROS (measurement payloads)
-      --net-core CORE    I/O core: reactor (default) or threaded (the
-                         reference core; also via HTPAR_NET_CORE)
       --chaos-kill-agent IDX@DONE
                          SIGKILL local agent IDX once DONE tasks have
                          completed (requires --local-cluster)
@@ -118,8 +115,6 @@ usage: htpar serve (--agents SPEC[,SPEC...] | --local-cluster N) [OPTIONS]
       --heartbeat-ms MS  agent heartbeat interval (default: 200)
       --lease-ms MS      declare an agent lost after MS of silence
                          (default: 2000)
-      --net-core CORE    I/O core for spawned agents: reactor (default)
-                         or threaded (also via HTPAR_NET_CORE)
       --chaos-kill-agent IDX@DONE
                          SIGKILL local agent IDX once DONE tasks have
                          completed (requires --local-cluster)
@@ -274,8 +269,7 @@ fn run_agent(argv: &[String]) -> i32 {
 // ---------------------------------------------------------------- fleet
 
 /// The fleet flags `drive` and `serve` share: where the agents are, the
-/// slots each runs, heartbeat and lease timing, the I/O core, and the
-/// chaos hook.
+/// slots each runs, heartbeat and lease timing, and the chaos hook.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetArgs {
     pub agents: Vec<String>,
@@ -283,8 +277,6 @@ pub struct FleetArgs {
     pub jobs_per_agent: u32,
     pub heartbeat_ms: u32,
     pub lease_window_ms: u64,
-    /// `--net-core`; `None` defers to `HTPAR_NET_CORE` / the default.
-    pub core: Option<NetCore>,
     /// `--chaos-kill-agent IDX@DONE`.
     pub chaos_kill: Option<(usize, u64)>,
 }
@@ -297,7 +289,6 @@ impl Default for FleetArgs {
             jobs_per_agent: 2,
             heartbeat_ms: 200,
             lease_window_ms: 2_000,
-            core: None,
             chaos_kill: None,
         }
     }
@@ -335,13 +326,6 @@ impl FleetArgs {
                     .parse()
                     .map_err(|_| "--lease-ms needs milliseconds".to_string())?;
             }
-            "--net-core" => {
-                let v = flag_value(argv, i, "--net-core")?;
-                self.core =
-                    Some(NetCore::parse(&v).ok_or_else(|| {
-                        format!("unknown net core {v:?} (want reactor or threaded)")
-                    })?);
-            }
             "--chaos-kill-agent" => {
                 self.chaos_kill = Some(parse_chaos(&flag_value(argv, i, "--chaos-kill-agent")?)?);
             }
@@ -377,9 +361,9 @@ impl FleetArgs {
         }
     }
 
-    /// Bring the fleet up for `htpar CMD` and run `body` on it: export
-    /// `--net-core` to spawned agents, spawn the `--local-cluster`, and
-    /// hand `body` the agent specs plus the `--chaos-kill-agent` hook.
+    /// Bring the fleet up for `htpar CMD` and run `body` on it: spawn the
+    /// `--local-cluster`, and hand `body` the agent specs plus the
+    /// `--chaos-kill-agent` hook.
     /// `body` returns the exit code. After a clean run the drained local
     /// agents are reaped; after a failed one they are killed, since some
     /// may still wait for a driver that never dialed them.
@@ -388,12 +372,6 @@ impl FleetArgs {
         cmd: &str,
         body: impl FnOnce(Vec<String>, Option<&mut dyn FnMut(u64)>) -> i32,
     ) -> i32 {
-        if let Some(core) = self.core {
-            // Local-cluster agents pick their core up from the
-            // environment, so the flag must land before any children
-            // spawn.
-            std::env::set_var(ENV_NET_CORE, core.as_str());
-        }
         let mut cluster = if self.local_cluster > 0 {
             match LocalCluster::spawn_self(self.local_cluster) {
                 Ok(cluster) => Some(cluster),
@@ -648,9 +626,6 @@ fn run_drive(argv: &[String]) -> i32 {
     spec.fleet.run("drive", |agents, chaos| {
         let mut config = DriverConfig::new(agents, command);
         config.deps = dag.as_ref().map(Dag::dep_seqs);
-        if let Some(core) = spec.fleet.core {
-            config.core = core;
-        }
         config.jobs_per_agent = spec.fleet.jobs_per_agent;
         config.payload = spec.payload;
         config.heartbeat_ms = spec.fleet.heartbeat_ms;
@@ -1606,7 +1581,7 @@ mod tests {
         let spec = parse_serve(&argv(
             "--local-cluster 4 -j 8 --scheduler priority --max-queue 500 --oversub 2 \
              --joblog-dir logs --max-sessions 3 --heartbeat-ms 100 --lease-ms 900 \
-             --net-core threaded --chaos-kill-agent 1@50 --quiet",
+             --chaos-kill-agent 1@50 --quiet",
         ))
         .unwrap();
         assert_eq!(spec.fleet.local_cluster, 4);
@@ -1618,7 +1593,6 @@ mod tests {
         assert_eq!(spec.max_sessions, Some(3));
         assert_eq!(spec.fleet.heartbeat_ms, 100);
         assert_eq!(spec.fleet.lease_window_ms, 900);
-        assert_eq!(spec.fleet.core, Some(NetCore::Threaded));
         assert_eq!(spec.fleet.chaos_kill, Some((1, 50)));
         assert!(!spec.announce);
     }
@@ -1730,13 +1704,18 @@ mod tests {
 
     #[test]
     fn net_core_grammar() {
-        let spec = parse_drive(&argv("--local-cluster 2 --net-core threaded task {}")).unwrap();
-        assert_eq!(spec.fleet.core, Some(NetCore::Threaded));
-        let spec = parse_drive(&argv("--local-cluster 2 --net-core reactor task {}")).unwrap();
-        assert_eq!(spec.fleet.core, Some(NetCore::Reactor));
-        let spec = parse_drive(&argv("--local-cluster 2 task {}")).unwrap();
-        assert_eq!(spec.fleet.core, None, "unset defers to HTPAR_NET_CORE");
-        assert!(parse_drive(&argv("--local-cluster 2 --net-core epoll task {}")).is_err());
+        // The reactor is the only net core; the old selector is a typo
+        // like any other unknown flag.
+        for core in ["reactor", "threaded"] {
+            let err = parse_drive(&argv(&format!(
+                "--local-cluster 2 --net-core {core} task {{}}"
+            )))
+            .unwrap_err();
+            assert!(err.contains("unknown option --net-core"), "{err}");
+            let err =
+                parse_serve(&argv(&format!("--local-cluster 2 --net-core {core}"))).unwrap_err();
+            assert!(err.contains("unknown option --net-core"), "{err}");
+        }
     }
 
     #[test]

@@ -84,10 +84,10 @@ fn assert_exactly_once(log: &Path, total: u64) {
 /// A 10k-task mini-cluster run with one agent SIGKILLed mid-flight:
 /// the run completes, and the merged joblog holds exactly one row per
 /// seq — the killed agent's unfinished work re-ran on survivors, its
-/// finished work did not. Parameterized over the net core so the chaos
-/// matrix covers both the epoll reactor and the threaded reference.
-fn run_chaos_sigkill(core: &str) {
-    let log = temp_path(&format!("chaos-{core}.joblog"));
+/// finished work did not.
+#[test]
+fn chaos_sigkill_agent_mid_run_completes_exactly_once() {
+    let log = temp_path("chaos.joblog");
     let _ = std::fs::remove_file(&log);
     let total = 10_000u64;
     let (stderr, code) = drive(
@@ -96,8 +96,6 @@ fn run_chaos_sigkill(core: &str) {
             "4",
             "-j",
             "4",
-            "--net-core",
-            core,
             "--payload",
             "sleep:200",
             "--chaos-kill-agent",
@@ -122,16 +120,6 @@ fn run_chaos_sigkill(core: &str) {
     assert_eq!((completed, reported_total, skipped), (total, total, 0));
     assert_exactly_once(&log, total);
     let _ = std::fs::remove_file(&log);
-}
-
-#[test]
-fn chaos_sigkill_agent_mid_run_completes_exactly_once() {
-    run_chaos_sigkill("reactor");
-}
-
-#[test]
-fn chaos_sigkill_on_threaded_core_completes_exactly_once() {
-    run_chaos_sigkill("threaded");
 }
 
 /// Kill the *driver* mid-run, then `--resume`: the second run skips

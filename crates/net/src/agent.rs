@@ -7,15 +7,11 @@
 //! by the worker that finished them) applies unchanged to network-fed
 //! work.
 //!
-//! Since PR 6 the session's I/O runs on one reactor thread: the socket
-//! and a [`Waker`] self-pipe sit on the same epoll loop, heartbeats
-//! fire from the reactor's timer heap instead of a dedicated thread,
-//! and task completions from the engine's worker threads are coalesced
-//! into `DoneBatch` frames — many acks per syscall where the threaded
-//! core paid a locked `write`+`flush` each. The engine itself runs on
-//! the calling thread, exactly as before. The PR 5 threaded session
-//! survives in [`crate::reference`] for differential testing;
-//! [`AgentConfig::core`] selects.
+//! The session's I/O runs on one reactor thread: the socket and a
+//! [`Waker`] self-pipe sit on the same epoll loop, heartbeats fire from
+//! the reactor's timer heap, and task completions from the engine's
+//! worker threads are coalesced into `DoneBatch` frames, many acks per
+//! syscall. The engine itself runs on the calling thread.
 
 use std::io::{Read, Write};
 use std::os::fd::AsRawFd;
@@ -26,14 +22,14 @@ use std::time::{Duration, Instant, UNIX_EPOCH};
 use htpar_core::executor::{ExecContext, Executor, FnExecutor, ProcessExecutor, TaskOutput};
 use htpar_core::job::{CommandLine, JobResult};
 use htpar_core::options::Options;
+use htpar_core::reactor::{Interest, PollEvent, Reactor, Waker};
 use htpar_core::runner::{Engine, JobInput};
 use htpar_core::template::Template;
 
 use crate::conn::{Conn, Listener};
 use crate::frame::{Decoder, Frame, Payload, TaskDoneRec, PROTOCOL_VERSION};
 use crate::nbio::{Fill, Flush, FrameConn};
-use crate::reactor::{Interest, PollEvent, Reactor, Waker};
-use crate::{NetCore, NetError, Result};
+use crate::{NetError, Result};
 
 /// Marker line an announcing agent prints to stdout once its socket is
 /// bound: `HTPAR_AGENT_LISTENING <spec>`. Parents that spawn agents on
@@ -56,10 +52,6 @@ pub struct AgentConfig {
     pub name: String,
     /// Print the [`ANNOUNCE_PREFIX`] line once listening.
     pub announce: bool,
-    /// Which I/O core runs the session (defaults from
-    /// [`crate::ENV_NET_CORE`], so spawned clusters inherit the
-    /// driver's choice through the environment).
-    pub core: NetCore,
 }
 
 impl AgentConfig {
@@ -68,7 +60,6 @@ impl AgentConfig {
             listen: listen.into(),
             name: format!("agent-{}", std::process::id()),
             announce: false,
-            core: NetCore::from_env(),
         }
     }
 }
@@ -114,15 +105,15 @@ pub fn serve(config: &AgentConfig) -> Result<AgentReport> {
         std::io::stdout().flush().ok();
     }
     let conn = listener.accept()?;
-    run_on_conn(conn, &config.name, config.core)
+    run_on_conn(conn, &config.name)
 }
 
 /// Run one driver session over an established connection.
-pub fn run_on_conn(mut conn: Conn, name: &str, core: NetCore) -> Result<AgentReport> {
+pub fn run_on_conn(mut conn: Conn, name: &str) -> Result<AgentReport> {
     // The driver must speak first, promptly.
     conn.set_read_timeout(Some(Duration::from_secs(30)))?;
     let mut dec = Decoder::new();
-    let hello = match read_next(&mut conn, &mut dec)? {
+    let (jobs, heartbeat_ms, payload, command) = match read_next(&mut conn, &mut dec)? {
         Some(Frame::Hello {
             version,
             jobs,
@@ -146,22 +137,8 @@ pub fn run_on_conn(mut conn: Conn, name: &str, core: NetCore) -> Result<AgentRep
         Some(other) => return Err(NetError::Protocol(format!("expected Hello, got {other:?}"))),
         None => return Err(NetError::Protocol("driver closed before Hello".into())),
     };
-    let (jobs, heartbeat_ms, payload, command) = hello;
     conn.set_read_timeout(None)?;
-    match core {
-        NetCore::Reactor => {
-            run_session_reactor(conn, dec, name, jobs, heartbeat_ms, payload, command)
-        }
-        NetCore::Threaded => crate::reference::run_session_threaded(
-            conn,
-            dec,
-            name,
-            jobs,
-            heartbeat_ms,
-            payload,
-            command,
-        ),
-    }
+    run_session(conn, dec, name, jobs, heartbeat_ms, payload, command)
 }
 
 /// Executor for [`Payload::Dynamic`] sessions (v3+): the work kind rides
@@ -169,7 +146,7 @@ pub fn run_on_conn(mut conn: Conn, name: &str, core: NetCore) -> Result<AgentRep
 /// engine serves tenants with different payloads. Directive grammar:
 /// `noop`, `sleep:MICROS`, or `sh:COMMAND` (run via the shell executor,
 /// exactly like a [`Payload::Shell`] session would run COMMAND).
-pub(crate) fn dynamic_executor() -> FnExecutor {
+fn dynamic_executor() -> FnExecutor {
     let shell = ProcessExecutor::shell();
     FnExecutor::new(move |cmd: &CommandLine| {
         let directive = cmd.rendered();
@@ -198,7 +175,7 @@ pub(crate) fn dynamic_executor() -> FnExecutor {
     })
 }
 
-/// Build the engine all sessions run (shared by both cores' callers).
+/// Build the engine a session runs.
 fn build_engine(
     jobs: u32,
     payload: Payload,
@@ -245,10 +222,9 @@ fn feed_batch(shard_len: usize, jobs: u32) -> usize {
     (shard_len / (jobs.max(1) as usize * 2)).clamp(1, FEED_BATCH)
 }
 
-/// Reactor session: the engine runs on this thread; one I/O thread owns
-/// the socket, the waker, and the heartbeat timer.
-#[allow(clippy::too_many_arguments)]
-fn run_session_reactor(
+/// One session: the engine runs on this thread; one I/O thread owns the
+/// socket, the waker, and the heartbeat timer.
+fn run_session(
     conn: Conn,
     dec: Decoder,
     name: &str,
@@ -551,7 +527,7 @@ fn set_sock_interest(reactor: &Reactor, fc: &FrameConn<Conn>, current: bool, wan
 }
 
 /// One finished job as a wire completion record.
-pub(crate) fn task_done_rec(result: &JobResult) -> TaskDoneRec {
+fn task_done_rec(result: &JobResult) -> TaskDoneRec {
     let start_epoch_us = result
         .started_at
         .duration_since(UNIX_EPOCH)
@@ -565,20 +541,5 @@ pub(crate) fn task_done_rec(result: &JobResult) -> TaskDoneRec {
         runtime_us: result.runtime.as_micros() as u64,
         stdout: result.stdout.clone(),
         stderr: result.stderr.clone(),
-    }
-}
-
-/// Encode one finished job as a legacy per-task `TaskDone` frame (the
-/// threaded reference core's ack shape).
-pub(crate) fn task_done_frame(result: &JobResult) -> Frame {
-    let r = task_done_rec(result);
-    Frame::TaskDone {
-        seq: r.seq,
-        exitval: r.exitval,
-        signal: r.signal,
-        start_epoch_us: r.start_epoch_us,
-        runtime_us: r.runtime_us,
-        stdout: r.stdout,
-        stderr: r.stderr,
     }
 }

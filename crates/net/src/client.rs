@@ -342,26 +342,6 @@ impl SessionClient {
                 self.completed += results.len() as u64;
                 self.buffered.push_back(ClientEvent::Done(results));
             }
-            Frame::TaskDone {
-                seq,
-                exitval,
-                signal,
-                start_epoch_us,
-                runtime_us,
-                stdout,
-                stderr,
-            } => {
-                self.completed += 1;
-                self.buffered.push_back(ClientEvent::Done(vec![TaskDoneRec {
-                    seq,
-                    exitval,
-                    signal,
-                    start_epoch_us,
-                    runtime_us,
-                    stdout,
-                    stderr,
-                }]));
-            }
             Frame::SessionDone { completed, reason } => {
                 self.buffered
                     .push_back(ClientEvent::SessionDone { completed, reason });

@@ -29,15 +29,6 @@ impl Conn {
         }
     }
 
-    /// Clone the handle so a reader thread and a writer can share the
-    /// connection (both halves refer to the same socket).
-    pub fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
-    }
-
     /// Bound a blocking read; `None` blocks indefinitely.
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         match self {
@@ -46,7 +37,7 @@ impl Conn {
         }
     }
 
-    /// Disable Nagle on TCP (tiny frames — `TaskDone`, `Heartbeat` —
+    /// Disable Nagle on TCP (tiny frames — `DoneBatch`, `Heartbeat` —
     /// dominate this protocol; 40 ms delayed-ACK stalls would cap the
     /// task rate). No-op for Unix sockets.
     pub fn set_nodelay(&self) -> io::Result<()> {
@@ -56,8 +47,8 @@ impl Conn {
         }
     }
 
-    /// Switch between blocking and non-blocking mode. The reactor path
-    /// handshakes blocking, then flips the socket non-blocking before
+    /// Switch between blocking and non-blocking mode. Both ends
+    /// handshake blocking, then flip the socket non-blocking before
     /// registering it with the poll loop.
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
@@ -66,7 +57,7 @@ impl Conn {
         }
     }
 
-    /// Shut down both halves, unblocking any reader thread.
+    /// Shut down both halves, so the peer reads EOF.
     pub fn shutdown(&self) {
         let _ = match self {
             Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),

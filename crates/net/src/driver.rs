@@ -12,14 +12,12 @@
 //! at-least-once, the same contract as the simulated driver and GNU
 //! Parallel's `--resume`.
 //!
-//! The product I/O core is the agent [`crate::fleet`] on one epoll
+//! The I/O core is the agent [`crate::fleet`] on one epoll
 //! [`Reactor`]: non-blocking sockets, bounded vectored-write queues,
 //! coalesced `DoneBatch` completions, and a lease sweep ticking from the
 //! reactor's own timer heap. This module keeps only the driver's policy
 //! on top of it: placement, the exactly-once record, the DAG ready set,
-//! and reshard-on-loss. The PR 5 thread-per-connection core survives in
-//! [`crate::reference`] as the oracle the differential test suite
-//! compares joblogs against; [`DriverConfig::core`] selects.
+//! and reshard-on-loss.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -30,12 +28,12 @@ use htpar_cluster::driver_shard;
 use htpar_core::dag::ReadySet;
 use htpar_core::joblog::{self, JobLogWriter, LogEntry};
 use htpar_core::options::ResumeMode;
+use htpar_core::reactor::{PollEvent, Reactor};
 use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
 
 use crate::fleet::{self, AgentStat, Fleet, TOK_TICK};
 use crate::frame::{Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION};
-use crate::reactor::{PollEvent, Reactor};
 use crate::{NetCore, NetError, Result};
 
 /// Driver-side configuration.
@@ -59,12 +57,12 @@ pub struct DriverConfig {
     pub resume: bool,
     /// Telemetry bus for agent lifecycle / shard / frame-byte events.
     pub bus: Option<Arc<EventBus>>,
-    /// Which I/O core runs the dispatch loop (reactor by default,
-    /// threaded reference for differential runs).
+    /// Nothing reads this field: the reactor is the only core. It stays
+    /// until the benchmark stops setting it.
     pub core: NetCore,
-    /// Reactor path: per-agent cap on bytes queued to a socket
-    /// ([`fleet::WRITE_QUEUE_CAP`] by default). A slow-reading agent
-    /// stalls at this bound while its tasks wait in the fleet's backlog.
+    /// Per-agent cap on bytes queued to a socket ([`fleet::WRITE_QUEUE_CAP`]
+    /// by default). A slow-reading agent stalls at this bound while its
+    /// tasks wait in the fleet's backlog.
     pub write_queue_cap: usize,
     /// DAG drives: `deps[seq - 1]` lists the 1-based seqs that task
     /// depends on ([`htpar_core::dag::Dag::dep_seqs`]). When set, the
@@ -88,7 +86,7 @@ impl DriverConfig {
             joblog: None,
             resume: false,
             bus: None,
-            core: NetCore::from_env(),
+            core: NetCore::Reactor,
             write_queue_cap: fleet::WRITE_QUEUE_CAP,
             deps: None,
         }
@@ -158,28 +156,7 @@ pub fn verify_exactly_once(entries: &[LogEntry], total: u64) -> std::result::Res
     Ok(())
 }
 
-/// Connect, handshake, dispatch, recover, drain. `on_done` (when given)
-/// observes the global completion count after every newly recorded
-/// task — tests use it to trigger chaos (e.g. SIGKILL an agent once
-/// `done` crosses a threshold) at a deterministic point in the run.
-pub fn run_driver(
-    config: &DriverConfig,
-    inputs: &[Vec<String>],
-    on_done: Option<&mut dyn FnMut(u64)>,
-) -> Result<DriveOutcome> {
-    match config.core {
-        NetCore::Reactor => run_driver_reactor(config, inputs, on_done),
-        NetCore::Threaded if config.deps.is_some() => Err(NetError::Protocol(
-            "DAG drives require the reactor core (--net-core reactor)".into(),
-        )),
-        NetCore::Threaded => crate::reference::run_driver_threaded(config, inputs, on_done),
-    }
-}
-
-// -- Reactor dispatch loop ---------------------------------------------
-
-/// One reactor drive: the agent fleet plus the driver's placement
-/// policy.
+/// One drive: the agent fleet plus the driver's placement policy.
 struct Drive<'a> {
     config: &'a DriverConfig,
     inputs: &'a [Vec<String>],
@@ -266,7 +243,11 @@ impl Drive<'_> {
     }
 }
 
-fn run_driver_reactor(
+/// Connect, handshake, dispatch, recover, drain. `on_done` (when given)
+/// observes the global completion count after every newly recorded
+/// task — tests use it to trigger chaos (e.g. SIGKILL an agent once
+/// `done` crosses a threshold) at a deterministic point in the run.
+pub fn run_driver(
     config: &DriverConfig,
     inputs: &[Vec<String>],
     mut on_done: Option<&mut dyn FnMut(u64)>,

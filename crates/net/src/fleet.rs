@@ -20,6 +20,7 @@ use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use htpar_core::reactor::{Interest, PollEvent, Reactor};
 use htpar_telemetry::{Event, EventBus};
 
 use crate::agent::read_next;
@@ -27,11 +28,10 @@ use crate::conn::Conn;
 use crate::frame::{Decoder, Frame, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK};
 use crate::lease::LeaseTracker;
 use crate::nbio::{Fill, Flush, FrameConn};
-use crate::reactor::{Interest, PollEvent, Reactor};
 use crate::{NetError, Result};
 
 /// How long a drain waits for `AgentExit` after sending `Drain`.
-pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Default per-agent cap on bytes queued to a socket. A slow-reading
 /// agent stalls at this bound while its tasks wait in the fleet's
@@ -55,16 +55,16 @@ pub struct AgentStat {
     /// Read-side error that ended the connection, if it was not a
     /// clean close.
     pub error: Option<String>,
-    /// High-water mark of this agent's socket write queue (0 on the
-    /// threaded reference, which writes blocking). The backpressure
-    /// tests hold this to the write-queue cap plus at most one frame.
+    /// High-water mark of this agent's socket write queue. The
+    /// backpressure tests hold this to the write-queue cap plus at most
+    /// one frame.
     pub peak_queue_bytes: u64,
 }
 
 /// Dial one agent and run the blocking `Hello`/`HelloAck` handshake.
 /// Returns the connection (still blocking), the decoder (which may
 /// hold over-read bytes), and the agent's name and granted slots.
-pub(crate) fn handshake(spec: &str, hello_bytes: &[u8]) -> Result<(Conn, Decoder, String, u32)> {
+fn handshake(spec: &str, hello_bytes: &[u8]) -> Result<(Conn, Decoder, String, u32)> {
     let mut conn = Conn::connect(spec)?;
     conn.set_nodelay()?;
     conn.write_all(hello_bytes)?;
@@ -360,23 +360,6 @@ impl Fleet {
             };
             self.lease.touch(idx);
             match frame {
-                Frame::TaskDone {
-                    seq,
-                    exitval,
-                    signal,
-                    start_epoch_us,
-                    runtime_us,
-                    stdout,
-                    stderr,
-                } => done.push(TaskDoneRec {
-                    seq,
-                    exitval,
-                    signal,
-                    start_epoch_us,
-                    runtime_us,
-                    stdout,
-                    stderr,
-                }),
                 Frame::DoneBatch { results } if done.is_empty() => *done = results,
                 Frame::DoneBatch { results } => done.extend(results),
                 Frame::Heartbeat { .. } => {}

@@ -27,8 +27,10 @@ use htpar_core::joblog::LogEntry;
 /// [`Frame::SessionAck`], [`Frame::SessionDone`]) and the
 /// [`Payload::Dynamic`] per-task directive payload. v4 added the
 /// durable-session frames ([`Frame::Detach`], [`Frame::Reattach`],
-/// [`Frame::ReattachAck`]).
-pub const PROTOCOL_VERSION: u16 = 4;
+/// [`Frame::ReattachAck`]). v5 retired the per-task `TaskDone` frame
+/// (tag 4): completions travel only in [`Frame::DoneBatch`], and a peer
+/// that still sends tag 4 is refused at `Hello`.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard ceiling on one frame's body. A `Shard` of [`SHARD_CHUNK`] tasks
 /// with generous arguments stays far below this; anything bigger is a
@@ -67,10 +69,9 @@ pub struct TaskSpec {
     pub args: Vec<String>,
 }
 
-/// One completion record inside a [`Frame::DoneBatch`]. Field-for-field
-/// the body of a [`Frame::TaskDone`]; agents coalesce many of these per
-/// frame so an ack costs a fraction of a syscall instead of a
-/// write+flush each.
+/// One completion record inside a [`Frame::DoneBatch`]; agents coalesce
+/// many of these per frame so an ack costs a fraction of a syscall
+/// instead of a write+flush each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskDoneRec {
     pub seq: u64,
@@ -139,20 +140,8 @@ pub enum Frame {
     },
     /// Driver → agent: a batch of task assignments.
     Shard { tasks: Vec<TaskSpec> },
-    /// Agent → driver: one task finished.
-    TaskDone {
-        seq: u64,
-        exitval: i32,
-        signal: i32,
-        /// Task start, microseconds since the Unix epoch (agent clock).
-        start_epoch_us: u64,
-        runtime_us: u64,
-        stdout: String,
-        stderr: String,
-    },
-    /// Agent → driver: many tasks finished (coalesced ack; v2+). The
-    /// legacy per-task [`Frame::TaskDone`] stays valid so mixed streams
-    /// decode, but agents send batches.
+    /// Agent → driver (and pilot → client): tasks finished, coalesced
+    /// into one ack (v2+).
     DoneBatch { results: Vec<TaskDoneRec> },
     /// Agent → driver: liveness lease renewal.
     Heartbeat { done: u64, inflight: u32 },
@@ -214,7 +203,7 @@ pub enum Frame {
 const TAG_HELLO: u8 = 1;
 const TAG_HELLO_ACK: u8 = 2;
 const TAG_SHARD: u8 = 3;
-const TAG_TASK_DONE: u8 = 4;
+// Tag 4 was the per-task `TaskDone` (v1–v4); it stays unassigned.
 const TAG_HEARTBEAT: u8 = 5;
 const TAG_DRAIN: u8 = 6;
 const TAG_AGENT_EXIT: u8 = 7;
@@ -268,24 +257,14 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-#[allow(clippy::too_many_arguments)]
-fn put_done_fields(
-    out: &mut Vec<u8>,
-    seq: u64,
-    exitval: i32,
-    signal: i32,
-    start_epoch_us: u64,
-    runtime_us: u64,
-    stdout: &str,
-    stderr: &str,
-) {
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&exitval.to_le_bytes());
-    out.extend_from_slice(&signal.to_le_bytes());
-    out.extend_from_slice(&start_epoch_us.to_le_bytes());
-    out.extend_from_slice(&runtime_us.to_le_bytes());
-    put_str(out, stdout);
-    put_str(out, stderr);
+fn put_done_rec(out: &mut Vec<u8>, r: &TaskDoneRec) {
+    out.extend_from_slice(&r.seq.to_le_bytes());
+    out.extend_from_slice(&r.exitval.to_le_bytes());
+    out.extend_from_slice(&r.signal.to_le_bytes());
+    out.extend_from_slice(&r.start_epoch_us.to_le_bytes());
+    out.extend_from_slice(&r.runtime_us.to_le_bytes());
+    put_str(out, &r.stdout);
+    put_str(out, &r.stderr);
 }
 
 fn put_payload(out: &mut Vec<u8>, p: Payload) {
@@ -345,41 +324,11 @@ impl Frame {
                 body.push(TAG_SHARD);
                 put_tasks(&mut body, tasks);
             }
-            Frame::TaskDone {
-                seq,
-                exitval,
-                signal,
-                start_epoch_us,
-                runtime_us,
-                stdout,
-                stderr,
-            } => {
-                body.push(TAG_TASK_DONE);
-                put_done_fields(
-                    &mut body,
-                    *seq,
-                    *exitval,
-                    *signal,
-                    *start_epoch_us,
-                    *runtime_us,
-                    stdout,
-                    stderr,
-                );
-            }
             Frame::DoneBatch { results } => {
                 body.push(TAG_DONE_BATCH);
                 body.extend_from_slice(&(results.len() as u32).to_le_bytes());
                 for r in results {
-                    put_done_fields(
-                        &mut body,
-                        r.seq,
-                        r.exitval,
-                        r.signal,
-                        r.start_epoch_us,
-                        r.runtime_us,
-                        &r.stdout,
-                        &r.stderr,
-                    );
+                    put_done_rec(&mut body, r);
                 }
             }
             Frame::Heartbeat { done, inflight } => {
@@ -579,18 +528,6 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
         TAG_SHARD => Frame::Shard {
             tasks: b.tasks(body.len())?,
         },
-        TAG_TASK_DONE => {
-            let r = b.done_rec()?;
-            Frame::TaskDone {
-                seq: r.seq,
-                exitval: r.exitval,
-                signal: r.signal,
-                start_epoch_us: r.start_epoch_us,
-                runtime_us: r.runtime_us,
-                stdout: r.stdout,
-                stderr: r.stderr,
-            }
-        }
         TAG_DONE_BATCH => {
             let count = b.u32()? as usize;
             // A record is at least 40 bytes of fixed fields; reject
@@ -753,15 +690,6 @@ mod tests {
                 },
             ],
         });
-        round_trip(Frame::TaskDone {
-            seq: 42,
-            exitval: -1,
-            signal: 9,
-            start_epoch_us: 1_700_000_000_000_000,
-            runtime_us: 12345,
-            stdout: "out\n".into(),
-            stderr: "λ err".into(),
-        });
         round_trip(Frame::DoneBatch {
             results: vec![
                 TaskDoneRec {
@@ -920,10 +848,13 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        let mut d = Decoder::new();
-        d.extend(&1u32.to_le_bytes());
-        d.extend(&[200u8]);
-        assert_eq!(d.next_frame(), Err(FrameError::UnknownTag(200)));
+        // 4 is the retired per-task `TaskDone` tag.
+        for tag in [200u8, 4] {
+            let mut d = Decoder::new();
+            d.extend(&1u32.to_le_bytes());
+            d.extend(&[tag]);
+            assert_eq!(d.next_frame(), Err(FrameError::UnknownTag(tag)));
+        }
     }
 
     #[test]
@@ -1085,28 +1016,16 @@ mod tests {
                                 .collect(),
                         }
                     }
-                    4 | 5 => Frame::TaskDone {
-                        seq: rng.next_u64(),
-                        exitval: rng.below(512) as i32 - 256,
-                        signal: rng.below(64) as i32,
-                        start_epoch_us: rng.next_u64(),
-                        runtime_us: rng.next_u64(),
-                        stdout: arb_string(rng),
-                        stderr: arb_string(rng),
-                    },
-                    6 => {
-                        if rng.below(2) == 0 {
-                            Frame::Heartbeat {
-                                done: rng.next_u64(),
-                                inflight: rng.below(1 << 20) as u32,
-                            }
-                        } else {
-                            let n = rng.below(16) as usize;
-                            Frame::DoneBatch {
-                                results: (0..n).map(|_| arb_done_rec(rng)).collect(),
-                            }
+                    4 | 5 => {
+                        let n = rng.below(16) as usize;
+                        Frame::DoneBatch {
+                            results: (0..n).map(|_| arb_done_rec(rng)).collect(),
                         }
                     }
+                    6 => Frame::Heartbeat {
+                        done: rng.next_u64(),
+                        inflight: rng.below(1 << 20) as u32,
+                    },
                     7 => {
                         if rng.below(2) == 0 {
                             Frame::Drain

@@ -1,21 +1,20 @@
 //! Heartbeat leases: the driver's failure detector.
 //!
-//! Every inbound frame from an agent (heartbeats, but also `TaskDone`
+//! Every inbound frame from an agent (heartbeats, but also `DoneBatch`
 //! traffic — a busy agent should never be declared dead for skipping a
-//! heartbeat tick) renews that agent's lease. The driver's main loop
+//! heartbeat tick) renews that agent's lease. The fleet's lease sweep
 //! polls [`LeaseTracker::expired`]; an agent whose lease has gone stale
 //! for longer than the configured window is treated exactly like a
 //! closed socket: its unfinished work is re-sharded onto survivors.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Tracks the last-heard-from time of each agent, in milliseconds since
-/// tracker creation. Touches are lock-free so reader threads can renew
-/// leases without synchronizing with the main loop.
+/// tracker creation. The reactor thread that decodes an agent's frames
+/// is the one that renews and sweeps its lease.
 pub struct LeaseTracker {
     epoch: Instant,
-    last_heard_ms: Vec<AtomicU64>,
+    last_heard_ms: Vec<u64>,
 }
 
 impl LeaseTracker {
@@ -23,7 +22,7 @@ impl LeaseTracker {
     pub fn new(n: usize) -> LeaseTracker {
         LeaseTracker {
             epoch: Instant::now(),
-            last_heard_ms: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            last_heard_ms: vec![0; n],
         }
     }
 
@@ -32,14 +31,14 @@ impl LeaseTracker {
     }
 
     /// Renew `agent`'s lease (any inbound frame counts).
-    pub fn touch(&self, agent: usize) {
-        self.last_heard_ms[agent].store(self.now_ms(), Ordering::Relaxed);
+    pub fn touch(&mut self, agent: usize) {
+        self.last_heard_ms[agent] = self.now_ms();
     }
 
     /// Milliseconds since `agent` was last heard from.
     pub fn silence_ms(&self, agent: usize) -> u64 {
         let now = self.now_ms();
-        now.saturating_sub(self.last_heard_ms[agent].load(Ordering::Relaxed))
+        now.saturating_sub(self.last_heard_ms[agent])
     }
 
     /// Whether `agent`'s lease is older than `window_ms`.
@@ -63,7 +62,7 @@ mod tests {
 
     #[test]
     fn silence_expires_a_lease_and_touch_renews_it() {
-        let t = LeaseTracker::new(2);
+        let mut t = LeaseTracker::new(2);
         std::thread::sleep(Duration::from_millis(40));
         t.touch(1);
         assert!(t.expired(0, 20), "agent 0 went silent");

@@ -11,14 +11,14 @@
 //!
 //! Layers:
 //! - [`frame`] — the length-prefixed binary protocol (versioned
-//!   handshake, `Shard`, `TaskDone`/`DoneBatch`, `Heartbeat`, `Drain`,
+//!   handshake, `Shard`, `DoneBatch`, `Heartbeat`, `Drain`,
 //!   `AgentExit`).
 //! - [`conn`] — one connection type over TCP or Unix sockets.
-//! - [`reactor`] — hand-rolled epoll event loop with a unified timer
-//!   heap (heartbeats, leases, and drain deadlines all fire here).
 //! - [`nbio`] — non-blocking framed connections: buffered reads into
 //!   the incremental decoder, bounded vectored-write queues, and the
-//!   `MockConn` fault-injection shim.
+//!   `MockConn` fault-injection shim. Every socket here runs on
+//!   `htpar_core::reactor`, the hand-rolled epoll loop whose timer heap
+//!   fires heartbeats, leases and drain deadlines.
 //! - [`lease`] — the heartbeat failure detector behind the fleet's
 //!   lease sweep.
 //! - [`agent`] — the node-side loop: accept one driver, run the engine.
@@ -27,8 +27,6 @@
 //!   sweep, and the deadline-bounded drain, all on one reactor.
 //! - [`driver`] — shard, dispatch, aggregate the joblog, recover: the
 //!   one-shot placement policy over a [`fleet`].
-//! - [`reference`] — the PR 5 thread-per-connection core, kept verbatim
-//!   as the behavioral oracle for the differential test suite.
 //! - [`local`] — localhost mini-clusters of agent subprocesses.
 //! - [`serve`] — the pilot service: sessions and a pluggable
 //!   multi-tenant scheduler over a persistent [`fleet`].
@@ -36,6 +34,10 @@
 //!   admission-fsynced session records that survive a pilot SIGKILL.
 //! - [`client`] — the blocking session client (`htpar submit`, load
 //!   generators, tests).
+//!
+//! The differential suite (`tests/differential.rs`) holds a fault-free
+//! drive to the joblog of an in-process `htpar_core` run of the same
+//! workload.
 
 pub mod agent;
 pub mod client;
@@ -48,8 +50,6 @@ pub mod lease;
 pub mod local;
 pub mod nbio;
 pub mod outlog;
-pub mod reactor;
-pub mod reference;
 pub mod serve;
 
 use std::fmt;
@@ -57,47 +57,18 @@ use std::io;
 
 use crate::frame::FrameError;
 
-/// Which I/O core runs a driver or agent. The reactor is the product
-/// path; the threaded core is the reference oracle the differential
-/// suite compares it against.
+/// The net I/O core: the epoll reactor is the only one. Nothing reads
+/// this type; it stays until the benchmark stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetCore {
-    /// Single-threaded epoll reactor (default).
+    /// Single-threaded epoll reactor.
     #[default]
     Reactor,
-    /// PR 5 thread-per-connection core ([`reference`]).
-    Threaded,
 }
 
-/// Env var selecting the I/O core in spawned agents and CLI runs
-/// (`reactor` | `threaded`).
+/// Former env var selecting the net core. Nothing reads it; it stays
+/// until the benchmark stops clearing it.
 pub const ENV_NET_CORE: &str = "HTPAR_NET_CORE";
-
-impl NetCore {
-    /// Parse a selector as used by `--net-core` and [`ENV_NET_CORE`].
-    pub fn parse(s: &str) -> Option<NetCore> {
-        match s {
-            "reactor" => Some(NetCore::Reactor),
-            "threaded" => Some(NetCore::Threaded),
-            _ => None,
-        }
-    }
-
-    /// Core selected by [`ENV_NET_CORE`], defaulting to the reactor.
-    pub fn from_env() -> NetCore {
-        match std::env::var(ENV_NET_CORE) {
-            Ok(v) => NetCore::parse(&v).unwrap_or_default(),
-            Err(_) => NetCore::Reactor,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            NetCore::Reactor => "reactor",
-            NetCore::Threaded => "threaded",
-        }
-    }
-}
 
 /// Errors from the driver/agent state machines.
 #[derive(Debug)]

@@ -1,5 +1,6 @@
 //! Non-blocking framed connections: the buffered read/write state
-//! machine between the [`crate::reactor::Reactor`] and the frame codec.
+//! machine between the [`htpar_core::reactor::Reactor`] and the frame
+//! codec.
 //!
 //! A [`FrameConn`] owns one non-blocking byte stream plus a read-side
 //! incremental [`Decoder`] and a write-side queue of encoded frames.
@@ -10,7 +11,7 @@
 //!
 //! Writes are *vectored*: the queue keeps each encoded frame as its own
 //! buffer and hands a window of them to one `writev`, so batching many
-//! small frames (`TaskDone` acks, heartbeats) costs one syscall and
+//! small frames (`DoneBatch` acks, heartbeats) costs one syscall and
 //! zero concatenation copies. Partial writes at any byte boundary —
 //! including mid-frame, straddling two queued buffers — are resumed
 //! exactly where they stopped.
@@ -118,10 +119,6 @@ impl<S: NbStream> FrameConn<S> {
 
     pub fn stream(&self) -> &S {
         &self.stream
-    }
-
-    pub fn stream_mut(&mut self) -> &mut S {
-        &mut self.stream
     }
 
     /// Unwritten bytes currently queued (the caller's backpressure

@@ -45,6 +45,7 @@ use std::time::{Duration, Instant};
 
 use htpar_core::joblog::{self, JobLogWriter};
 use htpar_core::options::ResumeMode;
+use htpar_core::reactor::{Interest, PollEvent, Reactor};
 use htpar_core::sched::{SchedPolicy, Scheduler};
 use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
@@ -54,7 +55,6 @@ use crate::fleet::{self, AgentStat, Fleet, TOK_TICK, WRITE_QUEUE_CAP};
 use crate::frame::{Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK};
 use crate::journal::{read_journal, JRecord, JTask, JournalWriter, JOURNAL_FILE};
 use crate::nbio::{Fill, Flush, FrameConn};
-use crate::reactor::{Interest, PollEvent, Reactor};
 use crate::{NetError, Result};
 
 /// Announce line the CLI prints once the pilot is accepting sessions,

@@ -1,22 +1,25 @@
-//! Differential harness: the reactor net core must be behaviorally
-//! identical to the threaded reference core. The same seeded workload
-//! runs through both paths end to end (real agent sessions, real
-//! sockets, real joblogs); after normalizing the two volatile timing
-//! columns, the sorted joblogs must match byte for byte.
+//! Differential harness: the in-process engine is the oracle for the
+//! net path. The same seeded workload runs once as a drive (real agent
+//! sessions, real sockets, an aggregated joblog) and once as an
+//! in-process `Parallel` run of the same template; after pinning the
+//! host and the two volatile timing columns, the sorted joblogs must
+//! match byte for byte.
 //!
-//! Placement is deterministic (NR-modulo over the agent list), so in a
-//! fault-free run every column except `start`/`runtime` is a pure
-//! function of the inputs: seq, host, send/receive byte counts,
-//! exitval, signal, and the rendered command.
+//! Placement is deterministic (NR-modulo over the agent list), so the
+//! drive's host column is a pure function of the seq and is checked on
+//! its own: seq `n` runs on agent `a{n % AGENTS}`. Every other column
+//! (seq, send/receive byte counts, exitval, signal, and the rendered
+//! command) must agree with the engine's.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use htpar_core::executor::FnExecutor;
 use htpar_core::joblog::{self, LogEntry};
+use htpar_core::parallel::Parallel;
 use htpar_net::agent::{self, AgentConfig};
 use htpar_net::driver::{run_driver, verify_exactly_once, DriverConfig};
 use htpar_net::frame::Payload;
-use htpar_net::NetCore;
 
 const TASKS: u64 = 10_000;
 const AGENTS: usize = 4;
@@ -64,25 +67,33 @@ fn wait_bound(spec: &str) {
     panic!("agent never bound {spec}");
 }
 
-/// One canonical joblog row with the volatile wall-clock columns
-/// (`start`, `runtime`) pinned to zero. Everything else must be
-/// identical across net cores.
+fn temp_joblog(tag: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("htpar-diff-{tag}-{}.joblog", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// One canonical joblog row with the host and the volatile wall-clock
+/// columns (`start`, `runtime`) pinned. Everything else must be
+/// identical between the drive and the in-process run.
 fn normalize(entry: &LogEntry) -> String {
     format!(
-        "{}\t{}\t0\t0\t{}\t{}\t{}\t{}\t{}",
-        entry.seq,
-        entry.host,
-        entry.send,
-        entry.receive,
-        entry.exitval,
-        entry.signal,
-        entry.command
+        "{}\thost\t0\t0\t{}\t{}\t{}\t{}\t{}",
+        entry.seq, entry.send, entry.receive, entry.exitval, entry.signal, entry.command
     )
 }
 
-/// Run the seeded workload through one net core (driver and agents both
-/// on that core) and return the normalized, sorted joblog.
-fn run_core(core: NetCore, tag: &str) -> Vec<String> {
+/// Joblog rows checked exactly-once, then normalized and sorted.
+fn normalized_rows(entries: &[LogEntry]) -> Vec<String> {
+    verify_exactly_once(entries, TASKS).expect("one row per seq");
+    let mut rows: Vec<String> = entries.iter().map(normalize).collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// Drive the seeded workload over `AGENTS` in-process agent sessions
+/// and return the aggregated joblog.
+fn run_drive(tag: &str) -> Vec<LogEntry> {
     let specs: Vec<String> = (0..AGENTS)
         .map(|i| sock_spec(&format!("{tag}{i}")))
         .collect();
@@ -94,7 +105,6 @@ fn run_core(core: NetCore, tag: &str) -> Vec<String> {
                 listen: spec.clone(),
                 name: format!("a{i}"),
                 announce: false,
-                core,
             };
             let handle = std::thread::spawn(move || agent::serve(&config));
             wait_bound(spec);
@@ -102,11 +112,8 @@ fn run_core(core: NetCore, tag: &str) -> Vec<String> {
         })
         .collect();
 
-    let log_path =
-        std::env::temp_dir().join(format!("htpar-diff-{tag}-{}.joblog", std::process::id()));
-    let _ = std::fs::remove_file(&log_path);
+    let log_path = temp_joblog(tag);
     let mut config = DriverConfig::new(specs, "task {}");
-    config.core = core;
     config.payload = Payload::Noop;
     config.jobs_per_agent = 4;
     config.joblog = Some(log_path.clone());
@@ -120,28 +127,54 @@ fn run_core(core: NetCore, tag: &str) -> Vec<String> {
             .expect("agent thread")
             .expect("clean agent exit");
     }
-
-    let entries = joblog::read_log(&log_path).expect("readable joblog");
-    verify_exactly_once(&entries, TASKS).expect("one row per seq");
-    let mut rows: Vec<String> = entries.iter().map(normalize).collect();
-    rows.sort_unstable();
-    rows
+    read_log(&log_path)
 }
 
+/// Run the same template over the same inputs in-process, with the
+/// agents' no-op payload, and return its joblog.
+fn run_in_process(tag: &str) -> Vec<LogEntry> {
+    let log_path = temp_joblog(tag);
+    let report = Parallel::new("task {}")
+        .jobs(4)
+        .executor(FnExecutor::noop())
+        .joblog(&log_path)
+        .args(seeded_inputs().into_iter().flatten())
+        .run()
+        .expect("in-process run succeeds");
+    assert_eq!(report.succeeded, TASKS);
+    read_log(&log_path)
+}
+
+fn read_log(path: &Path) -> Vec<LogEntry> {
+    let entries = joblog::read_log(path).expect("readable joblog");
+    let _ = std::fs::remove_file(path);
+    entries
+}
+
+/// Kept under its original name: the in-process engine has replaced the
+/// retired threaded net core as the oracle.
 #[test]
 fn reactor_and_threaded_cores_produce_identical_joblogs() {
-    let threaded = run_core(NetCore::Threaded, "thr");
-    let reactor = run_core(NetCore::Reactor, "rea");
+    let drive = run_drive("drv");
+    for entry in &drive {
+        let want = format!("a{}", entry.seq % AGENTS as u64);
+        assert_eq!(
+            entry.host, want,
+            "seq {} ran off its NR-modulo agent",
+            entry.seq
+        );
+    }
+    let drive = normalized_rows(&drive);
+    let engine = normalized_rows(&run_in_process("eng"));
 
-    assert_eq!(threaded.len() as u64, TASKS);
     // Byte-identical after sorting: compare as one blob so a mismatch
     // reports the first differing row, not ten thousand lines.
-    let threaded_blob = threaded.join("\n");
-    let reactor_blob = reactor.join("\n");
-    if threaded_blob != reactor_blob {
-        for (t, r) in threaded.iter().zip(reactor.iter()) {
-            assert_eq!(t, r, "first divergent joblog row");
+    let drive_blob = drive.join("\n");
+    let engine_blob = engine.join("\n");
+    if drive_blob != engine_blob {
+        for (d, e) in drive.iter().zip(engine.iter()) {
+            assert_eq!(d, e, "first divergent joblog row");
         }
     }
-    assert_eq!(threaded_blob.into_bytes(), reactor_blob.into_bytes());
+    assert_eq!(drive_blob.into_bytes(), engine_blob.into_bytes());
 }

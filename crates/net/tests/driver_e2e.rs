@@ -13,8 +13,7 @@ use htpar_core::joblog::{self, JobLogWriter, LogEntry};
 use htpar_net::agent::{self, AgentConfig};
 use htpar_net::conn::{Conn, Listener};
 use htpar_net::driver::{run_driver, verify_exactly_once, DriverConfig};
-use htpar_net::frame::{Decoder, Frame, Payload, PROTOCOL_VERSION};
-use htpar_net::NetCore;
+use htpar_net::frame::{Decoder, Frame, Payload, TaskDoneRec, PROTOCOL_VERSION};
 use htpar_telemetry::{Event, EventBus, Recorder};
 
 /// Unique Unix-socket spec for one test.
@@ -36,29 +35,19 @@ fn wait_bound(spec: &str) {
     panic!("agent never bound {spec}");
 }
 
-/// Spawn a real agent session on a thread, running the given net core.
-fn spawn_agent_core(
+/// Spawn a real agent session on a thread.
+fn spawn_agent(
     spec: &str,
     name: &str,
-    core: NetCore,
 ) -> std::thread::JoinHandle<htpar_net::Result<agent::AgentReport>> {
     let config = AgentConfig {
         listen: spec.to_string(),
         name: name.to_string(),
         announce: false,
-        core,
     };
     let handle = std::thread::spawn(move || agent::serve(&config));
     wait_bound(spec);
     handle
-}
-
-/// Spawn a real agent session on a thread (default reactor core).
-fn spawn_agent(
-    spec: &str,
-    name: &str,
-) -> std::thread::JoinHandle<htpar_net::Result<agent::AgentReport>> {
-    spawn_agent_core(spec, name, NetCore::Reactor)
 }
 
 /// Test-side frame reader (EOF → `None`).
@@ -83,25 +72,38 @@ fn temp_joblog(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("htpar-e2e-{tag}-{}.joblog", std::process::id()))
 }
 
-/// Happy path, parameterized over the driver and agent net cores: the
-/// reactor and threaded implementations must be interchangeable on
-/// either end of the wire.
-fn run_happy(tag: &str, driver_core: NetCore, agent_core: NetCore) {
-    let specs: Vec<String> = (0..3).map(|i| sock_spec(&format!("{tag}{i}"))).collect();
+/// A hand-rolled agent's ack for one finished task: a one-record
+/// `DoneBatch`, the only completion frame the protocol has.
+fn done_frame(seq: u64) -> Frame {
+    Frame::DoneBatch {
+        results: vec![TaskDoneRec {
+            seq,
+            exitval: 0,
+            signal: 0,
+            start_epoch_us: 0,
+            runtime_us: 1_000,
+            stdout: String::new(),
+            stderr: String::new(),
+        }],
+    }
+}
+
+#[test]
+fn three_agents_complete_all_tasks_exactly_once() {
+    let specs: Vec<String> = (0..3).map(|i| sock_spec(&format!("happy{i}"))).collect();
     let handles: Vec<_> = specs
         .iter()
         .enumerate()
-        .map(|(i, s)| spawn_agent_core(s, &format!("a{i}"), agent_core))
+        .map(|(i, s)| spawn_agent(s, &format!("a{i}")))
         .collect();
 
     let recorder = Recorder::shared();
     let bus = EventBus::shared();
     bus.attach(recorder.clone());
 
-    let log_path = temp_joblog(tag);
+    let log_path = temp_joblog("happy");
     let _ = std::fs::remove_file(&log_path);
     let mut config = DriverConfig::new(specs, "task {}");
-    config.core = driver_core;
     config.payload = Payload::Noop;
     config.jobs_per_agent = 4;
     config.joblog = Some(log_path.clone());
@@ -143,25 +145,6 @@ fn run_happy(tag: &str, driver_core: NetCore, agent_core: NetCore) {
 }
 
 #[test]
-fn three_agents_complete_all_tasks_exactly_once() {
-    run_happy("happy", NetCore::Reactor, NetCore::Reactor);
-}
-
-#[test]
-fn threaded_core_still_drives_end_to_end() {
-    run_happy("happy-thr", NetCore::Threaded, NetCore::Threaded);
-}
-
-#[test]
-fn mixed_cores_interoperate_over_the_wire() {
-    // Same protocol, different cores on each end: a reactor driver must
-    // accept per-task `TaskDone` from threaded agents, and a threaded
-    // driver must accept coalesced `DoneBatch` from reactor agents.
-    run_happy("happy-rt", NetCore::Reactor, NetCore::Threaded);
-    run_happy("happy-tr", NetCore::Threaded, NetCore::Reactor);
-}
-
-#[test]
 fn agent_death_reshards_unfinished_work() {
     let steady_spec = sock_spec("death-steady");
     let flaky_spec = sock_spec("death-flaky");
@@ -188,16 +171,7 @@ fn agent_death_reshards_unfinished_work() {
             panic!("expected a shard");
         };
         for task in tasks.iter().take(5) {
-            let done = Frame::TaskDone {
-                seq: task.seq,
-                exitval: 0,
-                signal: 0,
-                start_epoch_us: 0,
-                runtime_us: 1_000,
-                stdout: String::new(),
-                stderr: String::new(),
-            };
-            conn.write_all(&done.encode()).unwrap();
+            conn.write_all(&done_frame(task.seq).encode()).unwrap();
         }
         conn.flush().unwrap();
         conn.shutdown();
@@ -318,16 +292,7 @@ fn lease_expiry_and_socket_loss_race_resolves_to_one_reshard() {
         // just past the lease window and hang up: the driver sees the
         // expiry and the hangup back to back, whichever lands first.
         for task in tasks.iter().take(3) {
-            let done = Frame::TaskDone {
-                seq: task.seq,
-                exitval: 0,
-                signal: 0,
-                start_epoch_us: 0,
-                runtime_us: 1_000,
-                stdout: String::new(),
-                stderr: String::new(),
-            };
-            conn.write_all(&done.encode()).unwrap();
+            conn.write_all(&done_frame(task.seq).encode()).unwrap();
         }
         conn.flush().unwrap();
         std::thread::sleep(Duration::from_millis(350));
@@ -511,26 +476,30 @@ fn resume_skips_already_recorded_seqs() {
 
 #[test]
 fn version_mismatch_is_refused_with_agent_exit() {
-    let spec = sock_spec("vermis");
-    let handle = spawn_agent(&spec, "a0");
+    // A newer driver, and an older one that may still send the retired
+    // per-task `TaskDone` frame: both are refused at `Hello`.
+    for version in [PROTOCOL_VERSION + 1, PROTOCOL_VERSION - 1] {
+        let spec = sock_spec(&format!("vermis{version}"));
+        let handle = spawn_agent(&spec, "a0");
 
-    let mut conn = Conn::connect(&spec).expect("dial agent");
-    let hello = Frame::Hello {
-        version: PROTOCOL_VERSION + 1,
-        jobs: 1,
-        heartbeat_ms: 1_000,
-        payload: Payload::Noop,
-        command: "{}".to_string(),
-    };
-    conn.write_all(&hello.encode()).unwrap();
-    conn.flush().unwrap();
-    let mut dec = Decoder::new();
-    match read_frame(&mut conn, &mut dec) {
-        Some(Frame::AgentExit { done, reason }) => {
-            assert_eq!(done, 0);
-            assert!(reason.contains("version mismatch"), "reason: {reason}");
+        let mut conn = Conn::connect(&spec).expect("dial agent");
+        let hello = Frame::Hello {
+            version,
+            jobs: 1,
+            heartbeat_ms: 1_000,
+            payload: Payload::Noop,
+            command: "{}".to_string(),
+        };
+        conn.write_all(&hello.encode()).unwrap();
+        conn.flush().unwrap();
+        let mut dec = Decoder::new();
+        match read_frame(&mut conn, &mut dec) {
+            Some(Frame::AgentExit { done, reason }) => {
+                assert_eq!(done, 0);
+                assert!(reason.contains("version mismatch"), "reason: {reason}");
+            }
+            other => panic!("v{version}: expected AgentExit, got {other:?}"),
         }
-        other => panic!("expected AgentExit, got {other:?}"),
+        assert!(handle.join().expect("agent thread").is_err());
     }
-    assert!(handle.join().expect("agent thread").is_err());
 }

@@ -16,7 +16,6 @@ use htpar_net::conn::{Conn, Listener};
 use htpar_net::driver::{run_driver, verify_exactly_once, DriverConfig};
 use htpar_net::frame::{Decoder, Frame, Payload, PROTOCOL_VERSION};
 use htpar_net::serve::{PilotServer, ServeConfig};
-use htpar_net::NetCore;
 
 fn sock_spec(tag: &str) -> String {
     let path = std::env::temp_dir().join(format!("htpar-fleet-{tag}-{}.sock", std::process::id()));
@@ -38,13 +37,11 @@ fn wait_bound(spec: &str) {
 fn spawn_agent(
     spec: &str,
     name: &str,
-    core: NetCore,
 ) -> std::thread::JoinHandle<htpar_net::Result<agent::AgentReport>> {
     let config = AgentConfig {
         listen: spec.to_string(),
         name: name.to_string(),
         announce: false,
-        core,
     };
     let handle = std::thread::spawn(move || agent::serve(&config));
     wait_bound(spec);
@@ -118,10 +115,9 @@ fn drive_survives_losses_nested_inside_a_reshard() {
     within(Duration::from_secs(60), || {
         let specs: Vec<String> = (0..4).map(|i| sock_spec(&format!("cascade-{i}"))).collect();
         let quitters: Vec<_> = specs[..3].iter().map(|s| spawn_quitter(s)).collect();
-        let steady = spawn_agent(&specs[3], "steady", NetCore::Reactor);
+        let steady = spawn_agent(&specs[3], "steady");
 
         let mut config = DriverConfig::new(specs, "task {}");
-        config.core = NetCore::Reactor;
         config.payload = Payload::Noop;
         let total = 40u64;
         let outcome = run_driver(&config, &inputs(total), None).expect("drive survives");
@@ -144,35 +140,32 @@ fn drive_survives_losses_nested_inside_a_reshard() {
 /// dispatches, and the session waits forever.
 #[test]
 fn pilot_at_zero_jobs_per_agent_still_runs_sessions() {
-    for core in [NetCore::Reactor, NetCore::Threaded] {
-        within(Duration::from_secs(30), move || {
-            let tag = core.as_str();
-            let agent_spec = sock_spec(&format!("j0-{tag}-agent"));
-            let agent = spawn_agent(&agent_spec, "a0", core);
-            let mut config = ServeConfig::new(vec![agent_spec], sock_spec(&format!("j0-{tag}")));
-            config.jobs_per_agent = 0;
-            config.max_sessions = Some(1);
-            let server = PilotServer::bind(config).expect("pilot binds");
-            let spec = server.local_spec().expect("pilot spec");
-            let serve = std::thread::spawn(move || server.run(None));
+    within(Duration::from_secs(30), || {
+        let agent_spec = sock_spec("j0-agent");
+        let agent = spawn_agent(&agent_spec, "a0");
+        let mut config = ServeConfig::new(vec![agent_spec], sock_spec("j0"));
+        config.jobs_per_agent = 0;
+        config.max_sessions = Some(1);
+        let server = PilotServer::bind(config).expect("pilot binds");
+        let spec = server.local_spec().expect("pilot spec");
+        let serve = std::thread::spawn(move || server.run(None));
 
-            let mut session = SessionConfig::new(spec, "tenant-j0");
-            session.payload = Payload::Noop;
-            let mut client = SessionClient::connect(session).expect("session connects");
-            assert!(client.submit(&inputs(3)).expect("submit").accepted);
-            assert_eq!(client.finish().expect("session finishes"), 3);
+        let mut session = SessionConfig::new(spec, "tenant-j0");
+        session.payload = Payload::Noop;
+        let mut client = SessionClient::connect(session).expect("session connects");
+        assert!(client.submit(&inputs(3)).expect("submit").accepted);
+        assert_eq!(client.finish().expect("session finishes"), 3);
 
-            let outcome = serve
-                .join()
-                .expect("serve thread")
-                .expect("clean serve exit");
-            assert_eq!(outcome.completed, 3);
-            agent
-                .join()
-                .expect("agent thread")
-                .expect("agent drained cleanly");
-        });
-    }
+        let outcome = serve
+            .join()
+            .expect("serve thread")
+            .expect("clean serve exit");
+        assert_eq!(outcome.completed, 3);
+        agent
+            .join()
+            .expect("agent thread")
+            .expect("agent drained cleanly");
+    });
 }
 
 /// An agent that handshakes and then never reads or writes again (a
@@ -184,7 +177,7 @@ fn serve_lease_expiry_requeues_a_silent_agents_work() {
     within(Duration::from_secs(60), || {
         let steady_spec = sock_spec("lease-steady");
         let silent_spec = sock_spec("lease-silent");
-        let steady = spawn_agent(&steady_spec, "steady", NetCore::Reactor);
+        let steady = spawn_agent(&steady_spec, "steady");
 
         let silent_listener = Listener::bind(&silent_spec).expect("bind silent");
         let (hold_tx, hold_rx) = mpsc::channel::<()>();

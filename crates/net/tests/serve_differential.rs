@@ -1,6 +1,6 @@
 //! Serve-vs-drive differential: a single-tenant session through the
 //! pilot service must produce the same work as a one-shot `drive` run
-//! of the identical workload — on both net cores. Placement differs
+//! of the identical workload. Placement differs
 //! (the pilot round-robins over free agents, the driver shards
 //! NR-modulo), so the `host` column is pinned along with the two
 //! wall-clock columns; everything else — seq, byte counts, exitval,
@@ -20,7 +20,6 @@ use htpar_net::conn::Conn;
 use htpar_net::driver::{run_driver, verify_exactly_once, DriverConfig};
 use htpar_net::frame::{Decoder, Frame, Payload, PROTOCOL_VERSION};
 use htpar_net::serve::{PilotServer, ServeConfig};
-use htpar_net::NetCore;
 
 const TASKS: u64 = 10_000;
 const AGENTS: usize = 4;
@@ -77,7 +76,7 @@ fn normalize(entry: &LogEntry) -> String {
 
 type AgentHandle = std::thread::JoinHandle<htpar_net::Result<agent::AgentReport>>;
 
-fn spawn_agents(core: NetCore, tag: &str) -> (Vec<String>, Vec<AgentHandle>) {
+fn spawn_agents(tag: &str) -> (Vec<String>, Vec<AgentHandle>) {
     let specs: Vec<String> = (0..AGENTS)
         .map(|i| sock_spec(&format!("{tag}{i}")))
         .collect();
@@ -89,7 +88,6 @@ fn spawn_agents(core: NetCore, tag: &str) -> (Vec<String>, Vec<AgentHandle>) {
                 listen: spec.clone(),
                 name: format!("a{i}"),
                 announce: false,
-                core,
             };
             let handle = std::thread::spawn(move || agent::serve(&config));
             wait_bound(spec);
@@ -101,8 +99,8 @@ fn spawn_agents(core: NetCore, tag: &str) -> (Vec<String>, Vec<AgentHandle>) {
 
 /// Run the workload as one session through the pilot and return the
 /// normalized, sorted tenant joblog.
-fn run_serve(core: NetCore, tag: &str) -> Vec<String> {
-    let (specs, handles) = spawn_agents(core, tag);
+fn run_serve(tag: &str) -> Vec<String> {
+    let (specs, handles) = spawn_agents(tag);
     let log_dir = std::env::temp_dir().join(format!("htpar-sdiff-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&log_dir);
 
@@ -148,13 +146,12 @@ fn run_serve(core: NetCore, tag: &str) -> Vec<String> {
 
 /// Run the same workload through a one-shot `drive` and return the
 /// normalized, sorted joblog.
-fn run_drive(core: NetCore, tag: &str) -> Vec<String> {
-    let (specs, handles) = spawn_agents(core, tag);
+fn run_drive(tag: &str) -> Vec<String> {
+    let (specs, handles) = spawn_agents(tag);
     let log_path =
         std::env::temp_dir().join(format!("htpar-sdiff-{tag}-{}.joblog", std::process::id()));
     let _ = std::fs::remove_file(&log_path);
     let mut config = DriverConfig::new(specs, "task {}");
-    config.core = core;
     config.payload = Payload::Noop;
     config.jobs_per_agent = 4;
     config.joblog = Some(log_path.clone());
@@ -185,18 +182,13 @@ fn assert_identical(a: &[String], b: &[String], what: &str) {
     }
 }
 
+/// Kept under its original name from when a second, threaded net core
+/// ran the same pair; the reactor is now the only core.
 #[test]
 fn serve_matches_drive_on_both_cores() {
-    let drive_reactor = run_drive(NetCore::Reactor, "drv-rea");
-    let serve_reactor = run_serve(NetCore::Reactor, "srv-rea");
-    assert_identical(&drive_reactor, &serve_reactor, "reactor");
-
-    let drive_threaded = run_drive(NetCore::Threaded, "drv-thr");
-    let serve_threaded = run_serve(NetCore::Threaded, "srv-thr");
-    assert_identical(&drive_threaded, &serve_threaded, "threaded");
-
-    // And across cores: the four runs are one equivalence class.
-    assert_identical(&serve_reactor, &serve_threaded, "serve cross-core");
+    let drive = run_drive("drv");
+    let serve = run_serve("srv");
+    assert_identical(&drive, &serve, "serve vs drive");
 }
 
 #[test]
@@ -206,7 +198,6 @@ fn old_version_client_gets_a_typed_refusal() {
         listen: agent_spec.clone(),
         name: "a0".to_string(),
         announce: false,
-        core: NetCore::Reactor,
     };
     let agent = std::thread::spawn(move || agent::serve(&agent_config));
     wait_bound(&agent_spec);
