@@ -170,11 +170,12 @@ pub const GATES: &[Gate] = &[
         trial: pilotgate::trial,
         floors: &[
             // Sustained over the whole multi-wave run. Release measured
-            // ~70-90 sessions/s on the 1-core CI box (~4x headroom);
-            // unoptimized framing/decode roughly halves it in debug.
+            // 135-185 sessions/s on a shared 2-vCPU VM
+            // (BENCH_pilot_rate_gate.json, ~8x headroom); unoptimized
+            // framing/decode roughly halves it in debug.
             at_least("sessions_per_s", 16.0, 6.0),
-            // p99 Submit-to-first-completion; release measured ~15-40 ms
-            // under 8-way contention.
+            // p99 Submit-to-first-completion; release measured 4.8-13.0
+            // ms under 8-way contention on the same VM.
             at_most("p99_ttft_ms", 250.0, 800.0),
             // Max relative deviation of a tenant's dispatched share from
             // its weight share on the 1:2:4 shape.

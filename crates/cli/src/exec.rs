@@ -367,11 +367,11 @@ mod tests {
     fn exit_code_caps_at_101() {
         use htpar_core::runner::RunReport;
         let report = RunReport {
-            results: vec![],
             jobs_total: 500,
             succeeded: 0,
             failed: 500,
             skipped: 0,
+            busy: std::time::Duration::ZERO,
             wall: std::time::Duration::ZERO,
             launch_rate: 0.0,
             halted: None,
@@ -400,25 +400,31 @@ mod tests {
 
     #[test]
     fn fault_rate_one_fails_every_job_with_exit_199() {
-        let (report, _) = run(
-            &[
-                "--fault-rate",
-                "1.0",
-                "-k",
-                "true",
-                "{}",
-                ":::",
-                "1",
-                "2",
-                "3",
-            ],
-            "",
-        );
+        use htpar_telemetry::{Event, Recorder};
+        let argv: Vec<String> = "--fault-rate 1.0 -k true {} ::: 1 2 3"
+            .split(' ')
+            .map(String::from)
+            .collect();
+        let bus = EventBus::shared();
+        let rec = Recorder::shared();
+        bus.attach(rec.clone());
+        let report = execute_observed(
+            parse_args(&argv).unwrap(),
+            std::io::empty(),
+            |_, _| {},
+            Some(bus),
+        )
+        .unwrap();
         assert_eq!(report.failed, 3);
-        assert!(
-            report.results.iter().all(|r| r.status.exitval() == 199),
-            "all injected"
-        );
+        let exits: Vec<i32> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Failed { exit, .. } => Some(*exit),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(exits, vec![199; 3], "all injected");
     }
 
     #[test]
@@ -494,15 +500,26 @@ mod tests {
         let log = dir.join("joblog.tsv");
         let _ = std::fs::remove_file(&log);
         let log_s = log.to_str().unwrap();
+        let printed = Arc::new(Mutex::new(Vec::new()));
         let run_argv = |extra: &[&str], seqs: &[&str]| -> Result<RunReport> {
             let mut argv = vec!["--joblog", log_s, "-k"];
             argv.extend(extra);
             argv.extend(["echo", "{}", ":::"]);
             argv.extend(seqs);
             let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-            execute(parse_args(&argv).unwrap(), std::io::empty(), |_, _| {})
+            let printed = Arc::clone(&printed);
+            execute(
+                parse_args(&argv).unwrap(),
+                std::io::empty(),
+                move |out, _| {
+                    if !out.is_empty() {
+                        printed.lock().unwrap().push(out.to_string());
+                    }
+                },
+            )
         };
         run_argv(&[], &["1", "2", "3"]).unwrap();
+        printed.lock().unwrap().clear();
         let mut f = std::fs::OpenOptions::new().append(true).open(&log).unwrap();
         std::io::Write::write_all(&mut f, tail.as_bytes()).unwrap();
         drop(f);
@@ -510,13 +527,7 @@ mod tests {
         let report = run_argv(&["--resume"], &["1", "2", "3", "4", "5"]).expect("resume runs");
         assert_eq!(exit_code(&report), 0);
         assert_eq!(report.skipped, 3);
-        let ran: Vec<u64> = report
-            .results
-            .iter()
-            .filter(|r| r.status.is_success())
-            .map(|r| r.seq)
-            .collect();
-        assert_eq!(ran, vec![4, 5]);
+        assert_eq!(*printed.lock().unwrap(), vec!["4\n", "5\n"]);
         let mut seqs: Vec<u64> = joblog::read_log(&log)
             .unwrap()
             .iter()

@@ -141,7 +141,14 @@ usage: htpar submit --connect ADDR [OPTIONS] COMMAND... [::: ARGS...]
                      arrive, so the pilot sees ordinary batches
   --make             with --dag: FILE is make-style `target: deps`
                      lines rendered through the COMMAND tail
-With no ::: source, arguments are read from stdin, one per line.";
+With no ::: source, arguments are read from stdin, one per line.
+Exit status: 0 when every task completed with exit 0; 2 when the pilot
+still refused a batch after --retry-max retries; 1 otherwise: a task
+failed (with --dag, also one skipped after a failed dependency), the
+session ended short, or an error. --detach exits 0 once the pilot holds
+the work. --reattach applies the same rule, but a task that finished
+while detached keeps its exit code only when the pilot runs with
+--joblog-dir; otherwise it counts as exit 0.";
 
 /// Dispatch a net subcommand. `None` means `argv` is a classic
 /// `parallel`-style invocation and the caller should fall through.
@@ -1241,6 +1248,40 @@ fn submit_backoff(attempt: u32) -> Duration {
     htpar_core::runner::retry_backoff(Duration::from_millis(10), attempt)
 }
 
+/// Submit one batch. Admission refusals are backpressure: back off with
+/// a capped exponential schedule and resubmit the same batch. A bounded
+/// retry count turns a wedged tenant queue into a typed error instead
+/// of an infinite spin. `Err` carries the exit status: 2 when the pilot
+/// still refuses after `retry_max` retries, 1 on a connection error.
+fn submit_with_backoff(
+    client: &mut SessionClient,
+    batch: &[Vec<String>],
+    retry_max: u32,
+) -> Result<(), i32> {
+    let mut attempt = 0u32;
+    loop {
+        match client.submit(batch) {
+            Ok(verdict) if verdict.accepted => return Ok(()),
+            Ok(_) if attempt < retry_max => {
+                std::thread::sleep(submit_backoff(attempt));
+                attempt += 1;
+            }
+            Ok(verdict) => {
+                eprintln!(
+                    "htpar submit: tenant queue still full after {retry_max} \
+                     backpressure retries (last refusal: {}); giving up",
+                    verdict.reason
+                );
+                return Err(2);
+            }
+            Err(e) => {
+                eprintln!("htpar submit: {e}");
+                return Err(1);
+            }
+        }
+    }
+}
+
 fn run_submit(argv: &[String]) -> i32 {
     let spec = match parse_submit(argv) {
         Ok(spec) => spec,
@@ -1297,32 +1338,9 @@ fn run_submit(argv: &[String]) -> i32 {
     };
     let started = std::time::Instant::now();
     for batch in inputs.chunks(spec.batch) {
-        // Admission refusals are backpressure: back off with a capped
-        // exponential schedule and resubmit the same batch. A bounded
-        // retry count turns a wedged tenant queue into a typed error
-        // instead of an infinite spin.
-        let mut attempt = 0u32;
-        loop {
-            match client.submit(batch) {
-                Ok(verdict) if verdict.accepted => break,
-                Ok(verdict) => {
-                    if attempt >= spec.retry_max {
-                        eprintln!(
-                            "htpar submit: tenant queue still full after {} \
-                             backpressure retries (last refusal: {}); giving up",
-                            spec.retry_max, verdict.reason
-                        );
-                        client.abort();
-                        return 2;
-                    }
-                    std::thread::sleep(submit_backoff(attempt));
-                    attempt += 1;
-                }
-                Err(e) => {
-                    eprintln!("htpar submit: {e}");
-                    return 1;
-                }
-            }
+        if let Err(code) = submit_with_backoff(&mut client, batch, spec.retry_max) {
+            client.abort();
+            return code;
         }
     }
     let submitted = client.submitted();
@@ -1353,7 +1371,7 @@ fn run_submit(argv: &[String]) -> i32 {
         "htpar submit: {completed}/{submitted} task(s) completed in {:.2}s ({failed} failed)",
         started.elapsed().as_secs_f64()
     );
-    if completed == submitted {
+    if failed == 0 && completed == submitted {
         0
     } else {
         1
@@ -1392,30 +1410,9 @@ fn run_submit_dag(spec: &SubmitSpec, dag: &Dag) -> i32 {
                 .iter()
                 .map(|&seq| vec![dag.node((seq - 1) as usize).command.clone()])
                 .collect();
-            // Same backpressure discipline as the flat path: capped
-            // exponential backoff, bounded retries.
-            let mut attempt = 0u32;
-            loop {
-                match client.submit(&batch) {
-                    Ok(verdict) if verdict.accepted => break,
-                    Ok(verdict) => {
-                        if attempt >= spec.retry_max {
-                            eprintln!(
-                                "htpar submit: tenant queue still full after {} \
-                                 backpressure retries (last refusal: {}); giving up",
-                                spec.retry_max, verdict.reason
-                            );
-                            client.abort();
-                            return 2;
-                        }
-                        std::thread::sleep(submit_backoff(attempt));
-                        attempt += 1;
-                    }
-                    Err(e) => {
-                        eprintln!("htpar submit: {e}");
-                        return 1;
-                    }
-                }
+            if let Err(code) = submit_with_backoff(&mut client, &batch, spec.retry_max) {
+                client.abort();
+                return code;
             }
             node_for.extend_from_slice(chunk);
             at = end;
@@ -1505,7 +1502,7 @@ fn run_reattach(spec: &SubmitSpec, key: u64) -> i32 {
          ({failed} failed)",
         started.elapsed().as_secs_f64()
     );
-    if completed == submitted {
+    if failed == 0 && completed == submitted {
         0
     } else {
         1

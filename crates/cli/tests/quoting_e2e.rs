@@ -7,6 +7,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::{Arc, Mutex};
 
 use htpar_core::prelude::*;
 
@@ -92,14 +93,18 @@ fn corpus_runs_literally_through_parallel() {
     // `printf` is a shell builtin, so the first template runs through
     // `sh -c`; the absolute path takes the shell bypass.
     for template in ["printf '%s\\n' {}", "/usr/bin/printf '%s\\n' {}"] {
+        let results = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&results);
         let report = Parallel::new(template)
             .jobs(2)
             .keep_order(true)
             .args(values.clone())
+            .on_result(move |r| seen.lock().unwrap().push(r.clone()))
             .run()
             .unwrap();
-        assert!(report.all_succeeded(), "{template}: {:?}", report.results);
-        let out: String = report.results.iter().map(|r| r.stdout.as_str()).collect();
+        let results = results.lock().unwrap();
+        assert!(report.all_succeeded(), "{template}: {:?}", *results);
+        let out: String = results.iter().map(|r| r.stdout.as_str()).collect();
         assert_eq!(out, expected_lines(&values), "{template}");
     }
     assert!(!marker.exists(), "a value ran as a command");

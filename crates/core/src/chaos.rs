@@ -101,8 +101,18 @@ impl Executor for ChaosExecutor {
 mod tests {
     use super::*;
     use crate::executor::FnExecutor;
-    use crate::job::JobStatus;
+    use crate::job::{JobResult, JobStatus};
     use crate::prelude::Parallel;
+
+    /// Attach a callback that collects every result.
+    fn collecting(p: Parallel) -> (Parallel, Arc<Mutex<Vec<JobResult>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        (
+            p.on_result(move |r| seen2.lock().unwrap().push(r.clone())),
+            seen,
+        )
+    }
 
     #[test]
     fn zero_probability_is_transparent() {
@@ -119,14 +129,18 @@ mod tests {
     #[test]
     fn one_probability_fails_everything() {
         let chaos = ChaosExecutor::new(FnExecutor::noop(), 1.0, 1);
-        let report = Parallel::new("x {}")
-            .jobs(2)
-            .executor(chaos)
-            .args((0..10).map(|i| i.to_string()))
-            .run()
-            .unwrap();
+        let (p, seen) = collecting(
+            Parallel::new("x {}")
+                .jobs(2)
+                .executor(chaos)
+                .args((0..10).map(|i| i.to_string())),
+        );
+        let report = p.run().unwrap();
         assert_eq!(report.failed, 10);
-        assert!(matches!(report.results[0].status, JobStatus::Failed(199)));
+        assert!(matches!(
+            seen.lock().unwrap()[0].status,
+            JobStatus::Failed(199)
+        ));
     }
 
     #[test]
@@ -147,16 +161,17 @@ mod tests {
         // p=0.3 with 6 retries: P(all 7 attempts fail) ≈ 0.02% — a 500-job
         // run should come out clean.
         let chaos = ChaosExecutor::new(FnExecutor::noop(), 0.3, 11);
-        let report = Parallel::new("x {}")
-            .jobs(4)
-            .retries(6)
-            .executor(chaos)
-            .args((0..500).map(|i| i.to_string()))
-            .run()
-            .unwrap();
+        let (p, seen) = collecting(
+            Parallel::new("x {}")
+                .jobs(4)
+                .retries(6)
+                .executor(chaos)
+                .args((0..500).map(|i| i.to_string())),
+        );
+        let report = p.run().unwrap();
         assert_eq!(report.failed, 0, "retries absorbed injected failures");
         // Some retries actually happened.
-        assert!(report.results.iter().any(|r| r.tries > 0));
+        assert!(seen.lock().unwrap().iter().any(|r| r.tries > 0));
     }
 
     #[test]
@@ -165,15 +180,17 @@ mod tests {
         // per-seq mode can promise this: any -j produces the same
         // per-task outcomes and retry counts.
         let outcome = |jobs: usize| {
-            let report = Parallel::new("x {}")
-                .jobs(jobs)
-                .retries(2)
-                .executor(ChaosExecutor::seeded_per_seq(FnExecutor::noop(), 0.4, 5))
-                .args((0..300).map(|i| i.to_string()))
-                .run()
-                .unwrap();
-            let mut seen: Vec<(u64, bool, u32)> = report
-                .results
+            let (p, results) = collecting(
+                Parallel::new("x {}")
+                    .jobs(jobs)
+                    .retries(2)
+                    .executor(ChaosExecutor::seeded_per_seq(FnExecutor::noop(), 0.4, 5))
+                    .args((0..300).map(|i| i.to_string())),
+            );
+            p.run().unwrap();
+            let mut seen: Vec<(u64, bool, u32)> = results
+                .lock()
+                .unwrap()
                 .iter()
                 .map(|r| (r.seq, r.status.is_success(), r.tries))
                 .collect();
@@ -189,14 +206,20 @@ mod tests {
     #[test]
     fn attempt_counter_counts_retries() {
         let chaos = ChaosExecutor::new(FnExecutor::noop(), 0.5, 3);
-        let report = Parallel::new("x {}")
-            .jobs(1)
-            .retries(2)
-            .executor(chaos)
-            .args((0..50).map(|i| i.to_string()))
-            .run()
-            .unwrap();
-        let expected: u64 = report.results.iter().map(|r| r.tries as u64 + 1).sum();
+        let (p, seen) = collecting(
+            Parallel::new("x {}")
+                .jobs(1)
+                .retries(2)
+                .executor(chaos)
+                .args((0..50).map(|i| i.to_string())),
+        );
+        let report = p.run().unwrap();
+        let expected: u64 = seen
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|r| r.tries as u64 + 1)
+            .sum();
         // `attempts` is only reachable before the executor moves into the
         // builder; reconstruct via tries instead.
         assert!(expected >= 50);

@@ -42,7 +42,6 @@ pub fn chunk_size(n: usize, jobs: usize) -> usize {
 pub struct ChunkQueue {
     chunks: Vec<Mutex<Vec<JobInput>>>,
     cursor: AtomicUsize,
-    total: usize,
 }
 
 impl ChunkQueue {
@@ -54,28 +53,24 @@ impl ChunkQueue {
 
     /// Partition straight off an iterator, skipping the intermediate
     /// `Vec` a `collect()`-then-partition would shuffle through.
-    /// `total_hint` sizes the chunks (use the exact length when known);
-    /// the recorded total is counted from what the iterator yields.
+    /// `total_hint` sizes the chunks (use the exact length when known).
     pub fn from_iter<I>(mut it: I, total_hint: usize, jobs: usize) -> ChunkQueue
     where
         I: Iterator<Item = JobInput>,
     {
         let chunk = chunk_size(total_hint, jobs);
         let mut chunks = Vec::with_capacity(total_hint / chunk + 1);
-        let mut total = 0;
         loop {
             let mut c: Vec<JobInput> = Vec::with_capacity(chunk);
             c.extend(it.by_ref().take(chunk));
             if c.is_empty() {
                 break;
             }
-            total += c.len();
             chunks.push(Mutex::new(c));
         }
         ChunkQueue {
             chunks,
             cursor: AtomicUsize::new(0),
-            total,
         }
     }
 
@@ -128,15 +123,6 @@ impl JobSource {
     /// Build the batch-granular streaming variant.
     pub fn batched(rx: Receiver<Vec<JobInput>>) -> JobSource {
         JobSource::Batched(rx)
-    }
-
-    /// Total job count when known up front (preloaded sources), so
-    /// consumers can pre-size result buffers.
-    pub fn len_hint(&self) -> Option<usize> {
-        match self {
-            JobSource::Preloaded(q) => Some(q.total),
-            JobSource::Streaming(_) | JobSource::Batched(_) => None,
-        }
     }
 }
 
@@ -350,7 +336,6 @@ mod tests {
     fn batched_feed_flattens_batches_in_order() {
         let (tx, rx) = crossbeam_channel::unbounded::<Vec<JobInput>>();
         let source = JobSource::batched(rx);
-        assert_eq!(source.len_hint(), None);
         let producer = std::thread::spawn(move || {
             let all = inputs(100);
             for chunk in all.chunks(7) {

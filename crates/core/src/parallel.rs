@@ -27,16 +27,21 @@ pub use crate::runner::RunReport;
 ///
 /// ```
 /// use htpar_core::prelude::*;
+/// use std::sync::{Arc, Mutex};
 ///
 /// // parallel -j8 -k gzip {} ::: a.log b.log  (dry run)
+/// let out = Arc::new(Mutex::new(String::new()));
+/// let sink = Arc::clone(&out);
 /// let report = Parallel::new("gzip {}")
 ///     .jobs(8)
 ///     .keep_order(true)
 ///     .dry_run(true)
 ///     .args(["a.log", "b.log"])
+///     .on_result(move |result| sink.lock().unwrap().push_str(&result.stdout))
 ///     .run()
 ///     .unwrap();
-/// assert_eq!(report.results[0].stdout, "gzip a.log\n");
+/// assert_eq!(report.succeeded, 2);
+/// assert_eq!(*out.lock().unwrap(), "gzip a.log\ngzip b.log\n");
 /// ```
 pub struct Parallel {
     command: String,
@@ -273,7 +278,8 @@ impl Parallel {
     }
 
     /// Callback fired as each job finishes (input order with
-    /// `keep_order`, completion order otherwise).
+    /// `keep_order`, completion order otherwise). This is where a caller
+    /// sees each job's output: the [`RunReport`] carries counts only.
     pub fn on_result<F>(mut self, f: F) -> Self
     where
         F: Fn(&JobResult) + Send + Sync + 'static,
@@ -457,33 +463,47 @@ mod tests {
     use crate::executor::{FnExecutor, TaskOutput};
     use parking_lot::Mutex;
 
+    /// Attach a callback that collects each job's stdout in the order
+    /// the engine hands results on.
+    fn collecting(p: Parallel) -> (Parallel, Arc<Mutex<Vec<String>>>) {
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let out2 = Arc::clone(&out);
+        (
+            p.on_result(move |r| out2.lock().push(r.stdout.clone())),
+            out,
+        )
+    }
+
     #[test]
     fn end_to_end_with_fn_executor() {
-        let report = Parallel::new("process {}")
-            .jobs(3)
-            .keep_order(true)
-            .args(["x", "y", "z"])
-            .executor(FnExecutor::new(|cmd| {
-                Ok(TaskOutput::stdout(format!("<{}>", cmd.rendered())))
-            }))
-            .run()
-            .unwrap();
+        let (p, out) = collecting(
+            Parallel::new("process {}")
+                .jobs(3)
+                .keep_order(true)
+                .args(["x", "y", "z"])
+                .executor(FnExecutor::new(|cmd| {
+                    Ok(TaskOutput::stdout(format!("<{}>", cmd.rendered())))
+                })),
+        );
+        let report = p.run().unwrap();
         assert_eq!(report.jobs_total, 3);
-        let out: Vec<&str> = report.results.iter().map(|r| r.stdout.as_str()).collect();
-        assert_eq!(out, vec!["<process x>", "<process y>", "<process z>"]);
+        assert_eq!(
+            *out.lock(),
+            vec!["<process x>", "<process y>", "<process z>"]
+        );
     }
 
     #[test]
     fn end_to_end_with_real_processes() {
-        let report = Parallel::new("echo hello-{}")
-            .jobs(4)
-            .keep_order(true)
-            .args(["1", "2"])
-            .run()
-            .unwrap();
+        let (p, out) = collecting(
+            Parallel::new("echo hello-{}")
+                .jobs(4)
+                .keep_order(true)
+                .args(["1", "2"]),
+        );
+        let report = p.run().unwrap();
         assert!(report.all_succeeded());
-        assert_eq!(report.results[0].stdout, "hello-1\n");
-        assert_eq!(report.results[1].stdout, "hello-2\n");
+        assert_eq!(*out.lock(), vec!["hello-1\n", "hello-2\n"]);
     }
 
     #[test]
@@ -500,15 +520,16 @@ mod tests {
 
     #[test]
     fn linked_inputs_zip() {
-        let report = Parallel::new("mv {1} {2}")
-            .dry_run(true)
-            .keep_order(true)
-            .args(["a", "b"])
-            .args_linked(["a.bak", "b.bak"])
-            .run()
-            .unwrap();
+        let (p, out) = collecting(
+            Parallel::new("mv {1} {2}")
+                .dry_run(true)
+                .keep_order(true)
+                .args(["a", "b"])
+                .args_linked(["a.bak", "b.bak"]),
+        );
+        let report = p.run().unwrap();
         assert_eq!(report.jobs_total, 2);
-        assert_eq!(report.results[0].stdout, "mv a a.bak\n");
+        assert_eq!(out.lock()[0], "mv a a.bak\n");
     }
 
     #[test]
@@ -519,54 +540,57 @@ mod tests {
 
     #[test]
     fn input_lines_feed_jobs() {
-        let report = Parallel::new("wc {}")
-            .dry_run(true)
-            .keep_order(true)
-            .input_lines("f1\nf2\n".as_bytes())
-            .run()
-            .unwrap();
+        let (p, out) = collecting(
+            Parallel::new("wc {}")
+                .dry_run(true)
+                .keep_order(true)
+                .input_lines("f1\nf2\n".as_bytes()),
+        );
+        let report = p.run().unwrap();
         assert_eq!(report.jobs_total, 2);
-        assert_eq!(report.results[1].stdout, "wc f2\n");
+        assert_eq!(out.lock()[1], "wc f2\n");
     }
 
     #[test]
     fn custom_replacement_string() {
-        let report = Parallel::new("cp F F.bak")
-            .replacement("F")
-            .dry_run(true)
-            .keep_order(true)
-            .args(["data"])
-            .run()
-            .unwrap();
-        assert_eq!(report.results[0].stdout, "cp data data.bak\n");
+        let (p, out) = collecting(
+            Parallel::new("cp F F.bak")
+                .replacement("F")
+                .dry_run(true)
+                .keep_order(true)
+                .args(["data"]),
+        );
+        p.run().unwrap();
+        assert_eq!(*out.lock(), vec!["cp data data.bak\n"]);
     }
 
     #[test]
     fn xargs_mode_batches() {
-        let report = Parallel::new("echo {}")
-            .xargs()
-            .max_args(2)
-            .dry_run(true)
-            .keep_order(true)
-            .args(["a", "b", "c"])
-            .run()
-            .unwrap();
+        let (p, out) = collecting(
+            Parallel::new("echo {}")
+                .xargs()
+                .max_args(2)
+                .dry_run(true)
+                .keep_order(true)
+                .args(["a", "b", "c"]),
+        );
+        let report = p.run().unwrap();
         assert_eq!(report.jobs_total, 2);
-        assert_eq!(report.results[0].stdout, "echo a b\n");
-        assert_eq!(report.results[1].stdout, "echo c\n");
+        assert_eq!(*out.lock(), vec!["echo a b\n", "echo c\n"]);
     }
 
     #[test]
     fn context_replace_batches() {
-        let report = Parallel::new("rsync -R {} /dst/")
-            .context_replace()
-            .max_args(3)
-            .dry_run(true)
-            .args(["f1", "f2", "f3"])
-            .run()
-            .unwrap();
+        let (p, out) = collecting(
+            Parallel::new("rsync -R {} /dst/")
+                .context_replace()
+                .max_args(3)
+                .dry_run(true)
+                .args(["f1", "f2", "f3"]),
+        );
+        let report = p.run().unwrap();
         assert_eq!(report.jobs_total, 1);
-        assert_eq!(report.results[0].stdout, "rsync -R f1 f2 f3 /dst/\n");
+        assert_eq!(*out.lock(), vec!["rsync -R f1 f2 f3 /dst/\n"]);
     }
 
     #[test]
@@ -749,18 +773,21 @@ mod tests {
             }
             // writer drops => stream closes
         });
-        let report = Parallel::new("handle {}")
-            .jobs(2)
-            .keep_order(true)
-            .executor(FnExecutor::new(|cmd| {
-                Ok(TaskOutput::stdout(cmd.args[0].clone()))
-            }))
-            .run_stream(queue)
-            .unwrap();
+        let (p, out) = collecting(
+            Parallel::new("handle {}")
+                .jobs(2)
+                .keep_order(true)
+                .executor(FnExecutor::new(|cmd| {
+                    Ok(TaskOutput::stdout(cmd.args[0].clone()))
+                })),
+        );
+        let report = p.run_stream(queue).unwrap();
         handle.join().unwrap();
         assert_eq!(report.jobs_total, 5);
-        let got: Vec<&str> = report.results.iter().map(|r| r.stdout.as_str()).collect();
-        assert_eq!(got, vec!["item0", "item1", "item2", "item3", "item4"]);
+        assert_eq!(
+            *out.lock(),
+            vec!["item0", "item1", "item2", "item3", "item4"]
+        );
     }
 
     #[test]
@@ -789,36 +816,27 @@ mod tests {
         // cat bigfile | parallel --pipe --block 8 wc -l : each job counts
         // its block's lines; the total equals the input's line count.
         let input = (0..50).map(|i| format!("line{i}\n")).collect::<String>();
-        let report = Parallel::new("wc -l")
-            .jobs(4)
-            .keep_order(true)
-            .run_pipe(input.as_bytes(), 64)
-            .unwrap();
+        let (p, out) = collecting(Parallel::new("wc -l").jobs(4).keep_order(true));
+        let report = p.run_pipe(input.as_bytes(), 64).unwrap();
         assert!(report.jobs_total > 1, "multiple blocks");
-        let total: u64 = report
-            .results
+        let total: u64 = out
+            .lock()
             .iter()
-            .map(|r| r.stdout.trim().parse::<u64>().unwrap())
+            .map(|o| o.trim().parse::<u64>().unwrap())
             .sum();
         assert_eq!(total, 50);
     }
 
     #[test]
     fn pipe_mode_with_fn_executor_sees_blocks() {
-        let report = Parallel::new("count")
-            .jobs(2)
-            .keep_order(true)
-            .executor(FnExecutor::new(|cmd| {
+        let (p, out) = collecting(Parallel::new("count").jobs(2).keep_order(true).executor(
+            FnExecutor::new(|cmd| {
                 let block = cmd.stdin.as_deref().unwrap_or("");
                 Ok(TaskOutput::stdout(block.lines().count().to_string()))
-            }))
-            .run_pipe("a\nb\nc\nd\ne\n".as_bytes(), 4)
-            .unwrap();
-        let total: usize = report
-            .results
-            .iter()
-            .map(|r| r.stdout.parse::<usize>().unwrap())
-            .sum();
+            }),
+        ));
+        p.run_pipe("a\nb\nc\nd\ne\n".as_bytes(), 4).unwrap();
+        let total: usize = out.lock().iter().map(|o| o.parse::<usize>().unwrap()).sum();
         assert_eq!(total, 5);
     }
 
@@ -871,7 +889,9 @@ mod tests {
     fn shuffle_changes_dispatch_order_not_seqs() {
         let order = Arc::new(Mutex::new(Vec::new()));
         let o2 = Arc::clone(&order);
-        let report = Parallel::new("s {}")
+        let delivered = Arc::new(Mutex::new(Vec::new()));
+        let d2 = Arc::clone(&delivered);
+        Parallel::new("s {}")
             .jobs(1)
             .shuffle(42)
             .keep_order(true)
@@ -879,14 +899,14 @@ mod tests {
                 o2.lock().push(cmd.seq);
                 Ok(TaskOutput::success())
             }))
+            .on_result(move |r| d2.lock().push(r.seq))
             .args((0..20).map(|i| i.to_string()))
             .run()
             .unwrap();
         let dispatched = order.lock().clone();
         assert_ne!(dispatched, (1..=20).collect::<Vec<u64>>(), "order shuffled");
-        // keep_order still sorts the report by seq.
-        let seqs: Vec<u64> = report.results.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, (1..=20).collect::<Vec<u64>>());
+        // keep_order still hands results on by seq.
+        assert_eq!(*delivered.lock(), (1..=20).collect::<Vec<u64>>());
         // Same seed, same order.
         let order_b = Arc::new(Mutex::new(Vec::new()));
         let ob = Arc::clone(&order_b);

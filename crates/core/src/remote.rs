@@ -250,8 +250,16 @@ impl Executor for MultiHostExecutor {
 mod tests {
     use super::*;
     use crate::executor::FnExecutor;
+    use crate::job::JobResult;
     use crate::prelude::Parallel;
     use std::time::Duration;
+
+    /// Attach a callback that collects every result.
+    fn collecting(p: Parallel) -> (Parallel, Arc<Mutex<Vec<JobResult>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        (p.on_result(move |r| seen2.lock().push(r.clone())), seen)
+    }
 
     #[test]
     fn parse_forms() {
@@ -349,12 +357,13 @@ mod tests {
         let total = multi.pool().total_slots();
         assert_eq!(total, 4);
         let pool = Arc::clone(multi.pool());
-        let report = Parallel::new("job {}")
-            .jobs(total)
-            .executor(multi)
-            .args((0..40).map(|i| i.to_string()))
-            .run()
-            .unwrap();
+        let (p, results) = collecting(
+            Parallel::new("job {}")
+                .jobs(total)
+                .executor(multi)
+                .args((0..40).map(|i| i.to_string())),
+        );
+        let report = p.run().unwrap();
         assert!(report.all_succeeded());
         let dispatched = pool.dispatched();
         assert_eq!(dispatched.len(), 2);
@@ -363,7 +372,7 @@ mod tests {
         // Least-loaded placement keeps the split near even.
         assert!(a >= 12 && b >= 12, "split {a}/{b}");
         // Every job saw its host's login.
-        for r in &report.results {
+        for r in results.lock().iter() {
             assert!(
                 r.stdout == "a:alpha" || r.stdout == "b:beta",
                 "{}",
@@ -394,12 +403,13 @@ mod tests {
         )
         .unwrap();
         let pool = Arc::clone(multi.pool());
-        let report = Parallel::new("job {}")
-            .jobs(4)
-            .executor(multi)
-            .args((0..20).map(|i| i.to_string()))
-            .run()
-            .unwrap();
+        let (p, results) = collecting(
+            Parallel::new("job {}")
+                .jobs(4)
+                .executor(multi)
+                .args((0..20).map(|i| i.to_string())),
+        );
+        let report = p.run().unwrap();
         assert!(report.all_succeeded(), "all jobs migrated to solid");
         assert_eq!(pool.quarantined(), vec!["flaky".to_string()]);
         // Flaky saw at most a few probes before the first transport
@@ -409,7 +419,8 @@ mod tests {
             "flaky probed {} times",
             flaky_attempts.load(Ordering::SeqCst)
         );
-        for r in &report.results {
+        assert_eq!(results.lock().len(), 20);
+        for r in results.lock().iter() {
             assert_eq!(r.stdout, "s:solid");
         }
     }
@@ -430,14 +441,15 @@ mod tests {
         // -j4 over 2 one-slot hosts: some workers are parked in
         // acquire() when the quarantines land; notify_all must wake
         // them so they fail fast instead of waiting forever.
-        let report = Parallel::new("job {}")
-            .jobs(4)
-            .executor(multi)
-            .args((0..8).map(|i| i.to_string()))
-            .run()
-            .unwrap();
+        let (p, results) = collecting(
+            Parallel::new("job {}")
+                .jobs(4)
+                .executor(multi)
+                .args((0..8).map(|i| i.to_string())),
+        );
+        let report = p.run().unwrap();
         assert_eq!(report.failed, 8);
-        for r in &report.results {
+        for r in results.lock().iter() {
             assert!(
                 matches!(&r.status, crate::job::JobStatus::ExecError(m)
                     if m.starts_with(crate::executor::TRANSPORT_ERROR_PREFIX)),

@@ -10,14 +10,14 @@
 //! - **Input side** ([`crate::dispatch`]): finite inputs are partitioned
 //!   into chunks claimed by a single atomic `fetch_add`; streaming inputs
 //!   flow through a bounded channel fed by a dedicated feeder thread.
-//! - **Completion side**: the worker that finishes a job delivers it.
-//!   It keeps its own results and writes its own `--results`
-//!   directories. When a joblog or an `on_result` callback consumes
-//!   results mid-run, the worker hands them over in batches under one
-//!   run-wide lock, which keeps callbacks serialized and joblog rows
-//!   whole. A run with neither takes no lock, telemetry or not. A DAG's
-//!   release hook ([`Engine::run_released`]) also runs on the finishing
-//!   worker, so a successor starts without a thread hop.
+//! - **Completion side**: the worker that finishes a job counts it,
+//!   runs a DAG's release hook ([`Engine::run_released`]) so a
+//!   successor starts without a thread hop, and writes its `--results`
+//!   directory. When a joblog or an `on_result` callback consumes
+//!   results, the worker hands them over in batches under one run-wide
+//!   lock, which keeps callbacks serialized and joblog rows whole. A
+//!   run with neither takes no lock, telemetry or not. Then the result
+//!   is dropped: the [`RunReport`] carries counts only.
 //! - **Bookkeeping**: launch counts and halt tallies are atomics; the
 //!   only other global locks are the hand-over above and `--delay`'s
 //!   launch spacer, which by definition serializes launches.
@@ -41,7 +41,7 @@ use crate::dispatch::{Feed, JobSource, WorkerFeed};
 use crate::error::Result;
 use crate::executor::{ExecContext, Executor};
 use crate::gate::Gate;
-use crate::halt::{AtomicTally, HaltDecision};
+use crate::halt::{AtomicTally, HaltDecision, Tally};
 use crate::job::{CommandLine, JobResult, JobStatus};
 use crate::joblog::LogSink;
 use crate::options::{BatchMode, Options};
@@ -70,16 +70,16 @@ impl JobInput {
     }
 }
 
-/// Outcome of a full run.
+/// Outcome of a full run: counts only. Each [`JobResult`] went to the
+/// run's consumers as it finished and was then dropped.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Every job the engine saw: each slot's jobs in completion order,
-    /// one slot after another (input order with `keep_order`).
-    pub results: Vec<JobResult>,
     pub jobs_total: u64,
     pub succeeded: u64,
     pub failed: u64,
     pub skipped: u64,
+    /// Sum of the jobs' runtimes.
+    pub busy: Duration,
     pub wall: Duration,
     /// Job launches per second of wall time.
     pub launch_rate: f64,
@@ -93,11 +93,6 @@ impl RunReport {
         self.failed == 0 && self.succeeded + self.skipped == self.jobs_total
     }
 
-    /// The failing results.
-    pub fn failures(&self) -> impl Iterator<Item = &JobResult> {
-        self.results.iter().filter(|r| r.status.is_failure())
-    }
-
     /// Aggregate into a [`RunSummary`].
     pub fn summary(&self) -> RunSummary {
         RunSummary {
@@ -107,7 +102,7 @@ impl RunReport {
             skipped: self.skipped,
             wall: self.wall,
             launch_rate: self.launch_rate,
-            busy: self.results.iter().map(|r| r.runtime).sum(),
+            busy: self.busy,
         }
     }
 }
@@ -181,15 +176,15 @@ struct Delivery {
 
 impl Delivery {
     /// Log and pass on one worker's batch, then flush its rows.
-    fn take(&mut self, batch: &[JobResult], shared: &Shared) {
+    fn take(&mut self, batch: impl Iterator<Item = JobResult>, shared: &Shared) {
         for result in batch {
-            if shared.ran(result) {
-                self.log.record(result);
+            if shared.ran(&result) {
+                self.log.record(&result);
             }
             if let Some(cb) = &self.on_result {
                 match &mut self.reorder {
-                    Some(reorder) => reorder.push(result.clone()).iter().for_each(|r| cb(r)),
-                    None => cb(result),
+                    Some(reorder) => reorder.push(result).iter().for_each(|r| cb(r)),
+                    None => cb(&result),
                 }
             }
         }
@@ -409,7 +404,7 @@ impl Engine {
             run_inst: Instant::now(),
         });
 
-        let mut per_slot: Vec<Vec<JobResult>> = std::thread::scope(|scope| {
+        let run = std::thread::scope(|scope| {
             if let Some((feed_tx, input)) = stream {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || feed_stream(input, feed_tx, &shared));
@@ -423,19 +418,8 @@ impl Engine {
             workers
                 .into_iter()
                 .map(|handle| handle.join().expect("worker thread panicked"))
-                .collect()
+                .fold(SlotTally::default(), SlotTally::add)
         });
-        // Keep the longest slot's results and append the others to it, so
-        // a run that one slot did most of (a one-slot agent, a DAG chain)
-        // copies next to nothing.
-        let longest = (0..jobs)
-            .max_by_key(|&i| per_slot[i].len())
-            .expect("options validated jobs >= 1");
-        let mut results = per_slot.swap_remove(longest);
-        results.reserve(per_slot.iter().map(Vec::len).sum());
-        for mut rest in per_slot {
-            results.append(&mut rest);
-        }
         // Two workers finishing together can emit their occupancy
         // samples out of order; one sample after all have joined makes
         // the run's last reading the drained counter.
@@ -447,19 +431,6 @@ impl Engine {
             delivery.into_inner().finish()?;
         }
         let wall = started.elapsed();
-        if shared.options.keep_order {
-            results.sort_by_key(|r| r.seq);
-        }
-        let mut succeeded = 0;
-        let mut failed = 0;
-        let mut skipped = 0;
-        for r in &results {
-            match () {
-                _ if r.status.is_success() => succeeded += 1,
-                _ if r.status.is_failure() => failed += 1,
-                _ => skipped += 1,
-            }
-        }
         let launches = shared.launches.into_inner();
         let halted = match shared.halt_state.load(Ordering::SeqCst) {
             STOP_SOON => Some(HaltDecision::StopSoon),
@@ -467,17 +438,17 @@ impl Engine {
             _ => None,
         };
         Ok(RunReport {
-            jobs_total: results.len() as u64,
-            succeeded,
-            failed,
-            skipped,
+            jobs_total: run.jobs,
+            succeeded: run.outcomes.succeeded,
+            failed: run.outcomes.failed,
+            skipped: run.jobs - run.outcomes.completed(),
+            busy: run.busy,
             launch_rate: if wall.as_secs_f64() > 0.0 {
                 launches as f64 / wall.as_secs_f64()
             } else {
                 0.0
             },
             wall,
-            results,
             halted,
         })
     }
@@ -502,18 +473,17 @@ fn feed_stream(input: JobStream, tx: Sender<JobInput>, shared: &Shared) {
     }
 }
 
-/// One slot's dispatch loop. Returns every result the slot produced.
-fn worker(slot: usize, shared: &Shared) -> Vec<JobResult> {
+/// One slot's dispatch loop. Returns the slot's counts.
+fn worker(slot: usize, shared: &Shared) -> SlotTally {
     let halt_never = shared.options.halt.is_never();
     let check_skip = !shared.skip.is_empty();
     let needs_argv = shared.executor.needs_argv();
     let slow_path = shared.gate.is_some() || shared.options.delay.is_some();
-    let per_slot = shared.source.len_hint().unwrap_or(0) / shared.options.jobs.max(1);
     let mut w = Worker {
         shared,
         feed: WorkerFeed::new(&shared.source),
-        results: Vec::with_capacity(per_slot + 16),
-        delivered: 0,
+        tally: SlotTally::default(),
+        batch: Vec::new(),
     };
     loop {
         if shared.halt_state.load(Ordering::SeqCst) != RUN {
@@ -708,28 +678,50 @@ fn worker(slot: usize, shared: &Shared) -> Vec<JobResult> {
         w.deliver(result, runtime >= PROMPT_DELIVERY);
     }
     w.flush();
-    w.results
+    w.tally
 }
 
-/// One slot's dispatch state: its view of the input and the jobs it
-/// finished.
+/// One slot's counts, summed into the [`RunReport`] after the join.
+#[derive(Default)]
+struct SlotTally {
+    outcomes: Tally,
+    jobs: u64,
+    busy: Duration,
+}
+
+impl SlotTally {
+    fn add(mut self, other: SlotTally) -> SlotTally {
+        self.outcomes.succeeded += other.outcomes.succeeded;
+        self.outcomes.failed += other.outcomes.failed;
+        self.jobs += other.jobs;
+        self.busy += other.busy;
+        self
+    }
+}
+
+/// One slot's dispatch state: its view of the input, its counts and
+/// the results it has yet to hand over.
 struct Worker<'a> {
     shared: &'a Shared<'a>,
     feed: WorkerFeed<'a>,
-    /// Every result this slot produced, in completion order.
-    results: Vec<JobResult>,
-    /// How many of `results` went past [`Worker::flush`].
-    delivered: usize,
+    tally: SlotTally,
+    /// At most [`DELIVER_BATCH`] results awaiting the hand-over; always
+    /// empty when the run has no consumer. The buffer is reused.
+    batch: Vec<JobResult>,
 }
 
 impl Worker<'_> {
-    /// Route one finished job: first through the release hook, whose
-    /// continuation becomes this slot's next job, then into this slot's
-    /// `--results` directory and results, handed over in batches (at
-    /// once when the job ran long enough that humans are watching).
+    /// Route one finished job: count it, run the release hook, whose
+    /// continuation becomes this slot's next job, and write its
+    /// `--results` directory. Then the job goes to the run's consumers
+    /// in batches (at once when it ran long enough that humans are
+    /// watching), or is dropped when there are none.
     #[inline]
     fn deliver(&mut self, result: JobResult, prompt: bool) {
         let shared = self.shared;
+        self.tally.outcomes.record(&result.status);
+        self.tally.jobs += 1;
+        self.tally.busy += result.runtime;
         if let Some(release) = shared.release {
             if let Some(next) = release.done(&result) {
                 self.feed.continue_with(next);
@@ -740,22 +732,22 @@ impl Worker<'_> {
                 write_results_dir(dir, &result);
             }
         }
-        self.results.push(result);
-        if prompt || self.results.len() - self.delivered >= DELIVER_BATCH {
-            self.flush();
+        if shared.delivery.is_some() {
+            self.batch.push(result);
+            if prompt || self.batch.len() >= DELIVER_BATCH {
+                self.flush();
+            }
         }
     }
 
-    /// Hand the results since the last flush to the run's consumers
-    /// under their one lock; a run without consumers takes no lock.
+    /// Hand the buffered results to the run's consumers under their one
+    /// lock; a run without consumers buffers nothing and takes no lock.
     fn flush(&mut self) {
-        let batch = &self.results[self.delivered..];
         if let Some(delivery) = &self.shared.delivery {
-            if !batch.is_empty() {
-                delivery.lock().take(batch, self.shared);
+            if !self.batch.is_empty() {
+                delivery.lock().take(self.batch.drain(..), self.shared);
             }
         }
-        self.delivered = self.results.len();
     }
 }
 
@@ -839,6 +831,17 @@ mod tests {
             gate: None,
             bus: None,
         }
+    }
+
+    /// Run `eng` with a callback that collects every result in the
+    /// order the engine hands them on.
+    fn run_collecting(mut eng: Engine, input: JobStream) -> (RunReport, Vec<JobResult>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        eng.on_result = Some(Arc::new(move |r: &JobResult| seen2.lock().push(r.clone())));
+        let report = eng.run(input).unwrap();
+        let results = std::mem::take(&mut *seen.lock());
+        (report, results)
     }
 
     #[test]
@@ -971,17 +974,18 @@ mod tests {
             std::thread::sleep(Duration::from_millis(d));
             Ok(TaskOutput::success())
         });
-        let report = engine(
-            Options {
-                jobs: 8,
-                keep_order: true,
-                ..Options::default()
-            },
-            exec,
-        )
-        .run(inputs(8))
-        .unwrap();
-        let seqs: Vec<u64> = report.results.iter().map(|r| r.seq).collect();
+        let (_, results) = run_collecting(
+            engine(
+                Options {
+                    jobs: 8,
+                    keep_order: true,
+                    ..Options::default()
+                },
+                exec,
+            ),
+            inputs(8),
+        );
+        let seqs: Vec<u64> = results.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (1..=8).collect::<Vec<_>>());
     }
 
@@ -1017,20 +1021,22 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
             Ok(TaskOutput::success())
         });
-        let report = engine(
-            Options {
-                jobs: 4,
-                ..Options::default()
-            },
-            exec,
-        )
-        .run(inputs(40))
-        .unwrap();
-        for r in &report.results {
+        let (_, results) = run_collecting(
+            engine(
+                Options {
+                    jobs: 4,
+                    ..Options::default()
+                },
+                exec,
+            ),
+            inputs(40),
+        );
+        assert_eq!(results.len(), 40);
+        for r in &results {
             assert!(r.slot >= 1 && r.slot <= 4, "slot {} out of range", r.slot);
         }
         // All four slots got used with 40 jobs.
-        let used: HashSet<usize> = report.results.iter().map(|r| r.slot).collect();
+        let used: HashSet<usize> = results.iter().map(|r| r.slot).collect();
         assert_eq!(used.len(), 4);
     }
 
@@ -1046,18 +1052,19 @@ mod tests {
                 Ok(TaskOutput::success())
             }
         });
-        let report = engine(
-            Options {
-                jobs: 1,
-                retries: 3,
-                ..Options::default()
-            },
-            exec,
-        )
-        .run(inputs(1))
-        .unwrap();
+        let (report, results) = run_collecting(
+            engine(
+                Options {
+                    jobs: 1,
+                    retries: 3,
+                    ..Options::default()
+                },
+                exec,
+            ),
+            inputs(1),
+        );
         assert_eq!(report.succeeded, 1);
-        assert_eq!(report.results[0].tries, 2);
+        assert_eq!(results[0].tries, 2);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
     }
 
@@ -1098,19 +1105,20 @@ mod tests {
     #[test]
     fn retries_exhaust_to_failure() {
         let exec = FnExecutor::new(|_| Ok(TaskOutput::failed(7, "always")));
-        let report = engine(
-            Options {
-                jobs: 1,
-                retries: 2,
-                ..Options::default()
-            },
-            exec,
-        )
-        .run(inputs(1))
-        .unwrap();
+        let (report, results) = run_collecting(
+            engine(
+                Options {
+                    jobs: 1,
+                    retries: 2,
+                    ..Options::default()
+                },
+                exec,
+            ),
+            inputs(1),
+        );
         assert_eq!(report.failed, 1);
-        assert_eq!(report.results[0].status, JobStatus::Failed(7));
-        assert_eq!(report.results[0].tries, 2);
+        assert_eq!(results[0].status, JobStatus::Failed(7));
+        assert_eq!(results[0].tries, 2);
     }
 
     #[test]
@@ -1152,12 +1160,12 @@ mod tests {
             exec,
         );
         eng.skip = [1, 3].into_iter().collect();
-        let report = eng.run(inputs(4)).unwrap();
+        let (report, results) = run_collecting(eng, inputs(4));
         assert_eq!(report.skipped, 2);
         assert_eq!(report.succeeded, 2);
         assert_eq!(ran.load(Ordering::SeqCst), 2);
-        assert_eq!(report.results[0].status, JobStatus::Skipped);
-        assert_eq!(report.results[1].status, JobStatus::Success);
+        assert_eq!(results[0].status, JobStatus::Skipped);
+        assert_eq!(results[1].status, JobStatus::Success);
     }
 
     #[test]
@@ -1168,19 +1176,21 @@ mod tests {
             r2.fetch_add(1, Ordering::SeqCst);
             Ok(TaskOutput::success())
         });
-        let report = engine(
-            Options {
-                jobs: 2,
-                dry_run: true,
-                keep_order: true,
-                ..Options::default()
-            },
-            exec,
-        )
-        .run(inputs(3))
-        .unwrap();
+        let (report, results) = run_collecting(
+            engine(
+                Options {
+                    jobs: 2,
+                    dry_run: true,
+                    keep_order: true,
+                    ..Options::default()
+                },
+                exec,
+            ),
+            inputs(3),
+        );
         assert_eq!(ran.load(Ordering::SeqCst), 0);
-        assert_eq!(report.results[0].stdout, "cmd a1\n");
+        assert_eq!(report.succeeded, 3);
+        assert_eq!(results[0].stdout, "cmd a1\n");
     }
 
     #[test]
@@ -1237,9 +1247,9 @@ mod tests {
             exec,
         );
         eng.template = Template::parse("task {#} on slot {%}: {}").unwrap();
-        let report = eng.run(inputs(2)).unwrap();
-        assert_eq!(report.results[0].stdout, "task 1 on slot 1: a1");
-        assert_eq!(report.results[1].stdout, "task 2 on slot 1: a2");
+        let (_, results) = run_collecting(eng, inputs(2));
+        assert_eq!(results[0].stdout, "task 1 on slot 1: a1");
+        assert_eq!(results[1].stdout, "task 2 on slot 1: a2");
     }
 
     #[test]
@@ -1322,7 +1332,10 @@ mod tests {
     /// in seq order.
     #[test]
     fn keep_order_hands_on_every_result_after_a_halt() {
-        let exec = FnExecutor::new(|cmd| {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let ran2 = Arc::clone(&ran);
+        let exec = FnExecutor::new(move |cmd| {
+            ran2.lock().push(cmd.seq);
             if cmd.seq == 1 {
                 std::thread::sleep(Duration::from_millis(300));
                 return Ok(TaskOutput::failed(1, "slow failure"));
@@ -1343,8 +1356,10 @@ mod tests {
         eng.on_result = Some(Arc::new(move |r: &JobResult| seen2.lock().push(r.seq)));
         let report = eng.run(inputs(64)).unwrap();
         assert_eq!(report.halted, Some(HaltDecision::StopSoon));
-        let ran: Vec<u64> = report.results.iter().map(|r| r.seq).collect();
+        let mut ran = ran.lock().clone();
+        ran.sort_unstable();
         assert!(ran.len() > 1 && ran.len() < 64, "ran {ran:?}");
+        assert_eq!(report.jobs_total, ran.len() as u64);
         assert_eq!(*seen.lock(), ran, "every job that ran, in seq order");
     }
 

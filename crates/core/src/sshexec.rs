@@ -110,6 +110,18 @@ pub fn multi_host_from_specs(
 mod tests {
     use super::*;
     use crate::executor::ExecContext;
+    use crate::job::JobResult;
+    use crate::prelude::Parallel;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
+
+    /// Attach a callback that collects every result in the order the
+    /// engine hands them on.
+    fn collecting(p: Parallel) -> (Parallel, Arc<Mutex<Vec<JobResult>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        (p.on_result(move |r| seen2.lock().push(r.clone())), seen)
+    }
 
     fn cmdline(rendered: &str) -> CommandLine {
         CommandLine::new(1, 1, vec![], rendered.to_string(), vec![], vec![])
@@ -175,16 +187,17 @@ mod tests {
         let shim = joining_shim(&dir, "out=$(sh -c \"$*\")\necho \"$host:$out\"");
         let multi =
             multi_host_from_specs(&["2/nodeA", "2/nodeB"], 1, &shim.display().to_string()).unwrap();
-        let report = Parallel::new("echo job-{}")
-            .jobs(4)
-            .keep_order(true)
-            .executor(multi)
-            .args((0..8).map(|i| i.to_string()))
-            .run()
-            .unwrap();
+        let (p, results) = collecting(
+            Parallel::new("echo job-{}")
+                .jobs(4)
+                .keep_order(true)
+                .executor(multi)
+                .args((0..8).map(|i| i.to_string())),
+        );
+        let report = p.run().unwrap();
         assert!(report.all_succeeded());
-        let hosts: std::collections::HashSet<&str> = report
-            .results
+        let results = results.lock();
+        let hosts: std::collections::HashSet<&str> = results
             .iter()
             .map(|r| r.stdout.split(':').next().unwrap())
             .collect();
@@ -193,7 +206,7 @@ mod tests {
             ["nodeA", "nodeB"].into_iter().collect(),
             "both remote hosts served jobs"
         );
-        assert!(report.results[3].stdout.ends_with("job-3\n"));
+        assert!(results[3].stdout.ends_with("job-3\n"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -206,15 +219,17 @@ mod tests {
         let body = format!("cd '{}' && exec sh -c \"$*\"", dir.display());
         let shim = joining_shim(&dir, &body);
         let multi = multi_host_from_specs(&["2/h"], 1, &shim.display().to_string()).unwrap();
-        let report = Parallel::new("echo hello {}")
-            .jobs(2)
-            .keep_order(true)
-            .executor(multi)
-            .args(["world", "w;touch PWNED"])
-            .run()
-            .unwrap();
-        assert!(report.all_succeeded(), "{:?}", report.results);
-        let out: Vec<&str> = report.results.iter().map(|r| r.stdout.as_str()).collect();
+        let (p, results) = collecting(
+            Parallel::new("echo hello {}")
+                .jobs(2)
+                .keep_order(true)
+                .executor(multi)
+                .args(["world", "w;touch PWNED"]),
+        );
+        let report = p.run().unwrap();
+        let results = results.lock();
+        assert!(report.all_succeeded(), "{:?}", *results);
+        let out: Vec<&str> = results.iter().map(|r| r.stdout.as_str()).collect();
         assert_eq!(out, ["hello world\n", "hello w;touch PWNED\n"]);
         assert!(!dir.join("PWNED").exists(), "a value ran as a command");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -224,14 +239,15 @@ mod tests {
     fn localhost_spec_runs_directly() {
         let multi = multi_host_from_specs(&[":"], 2, "ssh").unwrap();
         use crate::prelude::*;
-        let report = Parallel::new("echo here-{}")
-            .jobs(2)
-            .keep_order(true)
-            .executor(multi)
-            .args(["x"])
-            .run()
-            .unwrap();
-        assert_eq!(report.results[0].stdout, "here-x\n");
+        let (p, results) = collecting(
+            Parallel::new("echo here-{}")
+                .jobs(2)
+                .keep_order(true)
+                .executor(multi)
+                .args(["x"]),
+        );
+        p.run().unwrap();
+        assert_eq!(results.lock()[0].stdout, "here-x\n");
     }
 
     #[test]

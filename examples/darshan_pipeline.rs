@@ -68,10 +68,8 @@ fn main() -> Result<()> {
         }))
         .args((1..=12).map(|m| m.to_string()))
         .args((0..=2).map(|a| a.to_string()))
+        .on_result(|r| print!("{}", r.stdout))
         .run()?;
-    for r in &report.results {
-        print!("{}", r.stdout);
-    }
     println!(
         "{} aggregation tasks, wall {:?}\n",
         report.jobs_total, report.wall

@@ -13,6 +13,8 @@
 //! recopied.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use htpar_core::prelude::*;
 use htpar_examples::Workspace;
@@ -20,6 +22,9 @@ use htpar_transfer::{find_files, sync_tree, SyncOptions, SyncStats};
 
 fn run_transfer(files: &[String], dst: &Path) -> Result<(u64, u64)> {
     let dst = dst.to_path_buf();
+    let copied = Arc::new(AtomicU64::new(0));
+    let skipped = Arc::new(AtomicU64::new(0));
+    let (copied_in, skipped_in) = (Arc::clone(&copied), Arc::clone(&skipped));
     let report = Parallel::new("rsync -R -Ha {} /lustre/proj/")
         .jobs(8)
         .context_replace() // -X: pack many files per rsync invocation
@@ -37,14 +42,15 @@ fn run_transfer(files: &[String], dst: &Path) -> Result<(u64, u64)> {
             )))
         }))
         .args(files.to_vec())
+        .on_result(move |r| {
+            let mut parts = r.stdout.split_whitespace();
+            let mut next = || parts.next().unwrap_or("0").parse::<u64>().unwrap_or(0);
+            copied_in.fetch_add(next(), Ordering::Relaxed);
+            skipped_in.fetch_add(next(), Ordering::Relaxed);
+        })
         .run()?;
-    let mut copied = 0u64;
-    let mut skipped = 0u64;
-    for r in &report.results {
-        let mut parts = r.stdout.split_whitespace();
-        copied += parts.next().unwrap_or("0").parse::<u64>().unwrap_or(0);
-        skipped += parts.next().unwrap_or("0").parse::<u64>().unwrap_or(0);
-    }
+    let copied = copied.load(Ordering::Relaxed);
+    let skipped = skipped.load(Ordering::Relaxed);
     println!(
         "  {} rsync batches over {} files: {copied} copied, {skipped} up-to-date",
         report.jobs_total,

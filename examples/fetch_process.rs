@@ -63,13 +63,10 @@ fn main() -> Result<()> {
             }
             Ok(TaskOutput::stdout(goes::process_batch(&images, 10.0)))
         }))
+        .on_result(|result| println!("[procdata]{}", result.stdout.trim_end()))
         .run_stream(queue)?;
 
     fetcher.join().expect("fetcher thread");
-
-    for result in &report.results {
-        println!("[procdata]{}", result.stdout.trim_end());
-    }
     println!(
         "\nprocessed {} batches, all succeeded: {}",
         report.jobs_total,

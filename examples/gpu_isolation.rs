@@ -14,6 +14,7 @@
 //! broken binding would pile everything on device 0.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use htpar_core::prelude::*;
 use htpar_examples::Workspace;
@@ -35,7 +36,9 @@ fn main() -> Result<()> {
         ws.root.display()
     );
 
-    let report = Parallel::new("HIP_VISIBLE_DEVICES={%} celer-sim {}")
+    let by_device: Arc<Mutex<BTreeMap<u32, u32>>> = Arc::default();
+    let tally = Arc::clone(&by_device);
+    Parallel::new("HIP_VISIBLE_DEVICES={%} celer-sim {}")
         .jobs(8)
         .keep_order(true)
         .executor(FnExecutor::new(move |cmd| {
@@ -54,18 +57,19 @@ fn main() -> Result<()> {
             )))
         }))
         .args(inputs)
+        .on_result(move |r| {
+            print!("{}", r.stdout);
+            *tally
+                .lock()
+                .expect("device tally poisoned")
+                .entry(device_for_slot(r.slot))
+                .or_insert(0) += 1;
+        })
         .run()?;
 
-    for r in &report.results {
-        print!("{}", r.stdout);
-    }
     println!("\nwork distribution across GPUs:");
     let mut devices_used = 0;
-    let mut by_device: BTreeMap<u32, u32> = BTreeMap::new();
-    for r in &report.results {
-        *by_device.entry(device_for_slot(r.slot)).or_insert(0) += 1;
-    }
-    for (device, tasks) in &by_device {
+    for (device, tasks) in by_device.lock().expect("device tally poisoned").iter() {
         println!("  GPU {device}: {tasks} tasks");
         devices_used += 1;
     }

@@ -12,18 +12,20 @@ use htpar_core::prelude::*;
 fn main() -> Result<()> {
     // 1. Real processes: `echo` over three inputs, two slots, ordered
     //    output. This is `parallel -j2 -k echo hello-{} ::: a b c`.
+    //    Each job's output is printed as it finishes, as GNU Parallel
+    //    does; the report that comes back holds counts only.
     println!("-- real processes --");
     let report = Parallel::new("echo hello-{}")
         .jobs(2)
         .keep_order(true)
         .args(["a", "b", "c"])
+        .on_result(|result| {
+            print!(
+                "seq {} (slot {}): {}",
+                result.seq, result.slot, result.stdout
+            )
+        })
         .run()?;
-    for result in &report.results {
-        print!(
-            "seq {} (slot {}): {}",
-            result.seq, result.slot, result.stdout
-        );
-    }
     println!(
         "{} jobs, {} ok, wall {:?}, {:.0} launches/s",
         report.jobs_total, report.succeeded, report.wall, report.launch_rate
@@ -32,29 +34,25 @@ fn main() -> Result<()> {
     // 2. Replacement strings: path operations on file-name arguments,
     //    dry-run so nothing executes.
     println!("\n-- replacement strings (dry run) --");
-    let report = Parallel::new("convert {} thumbs/{/.}.png # from {//}")
+    Parallel::new("convert {} thumbs/{/.}.png # from {//}")
         .dry_run(true)
         .keep_order(true)
         .args(["shots/alpha.jpg", "shots/beta.jpg"])
+        .on_result(|r| print!("{}", r.stdout))
         .run()?;
-    for r in &report.results {
-        print!("{}", r.stdout);
-    }
 
     // 3. In-process executor: no fork/exec, just the scheduling engine —
     //    the mode the simulators and tests use.
     println!("\n-- in-process executor --");
-    let report = Parallel::new("task {#} of slot {%}: {}")
+    Parallel::new("task {#} of slot {%}: {}")
         .jobs(4)
         .keep_order(true)
         .executor(FnExecutor::new(|cmd| {
             Ok(TaskOutput::stdout(format!("[ran] {}\n", cmd.rendered())))
         }))
         .args((1..=6).map(|i| format!("input{i}")))
+        .on_result(|r| print!("{}", r.stdout))
         .run()?;
-    for r in &report.results {
-        print!("{}", r.stdout);
-    }
 
     // 4. Cartesian product of input sources: the §IV-B Darshan grid,
     //    `parallel ... ::: {1..12} ::: {0..2}` — 36 jobs.

@@ -14,12 +14,13 @@ use htpar_examples::Workspace;
 
 fn main() -> Result<()> {
     let ws = Workspace::new("remote");
-    // A stand-in for ssh: prints the target host, then runs the command
-    // locally — the data path is identical, minus the network.
+    // A stand-in for ssh: prints the target host, then joins the remote
+    // words with spaces and runs them locally, as OpenSSH's remote shell
+    // does — the data path is identical, minus the network.
     let shim = ws.path("fake-ssh");
     std::fs::write(
         &shim,
-        "#!/bin/sh\n# argv: -o BatchMode=yes <host> -- sh -c <cmd>\nhost=$3\nshift 6\nout=$(sh -c \"$1\")\necho \"[$host] $out\"\n",
+        "#!/bin/sh\n# argv: -o BatchMode=yes <host> -- <remote words>\nhost=$3\nshift 4\nout=$(sh -c \"$*\")\necho \"[$host] $out\"\n",
     )?;
     #[cfg(unix)]
     {
@@ -45,11 +46,8 @@ fn main() -> Result<()> {
         .keep_order(true)
         .executor(multi)
         .args((1..=24).map(|i| i.to_string()))
+        .on_result(|r| print!("{}", r.stdout))
         .run()?;
-
-    for r in &report.results {
-        print!("{}", r.stdout);
-    }
     println!();
     println!("placement (slot-aware, least-loaded host wins):");
     let placement: BTreeMap<String, u64> = pool.dispatched().into_iter().collect();

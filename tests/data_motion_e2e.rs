@@ -2,6 +2,7 @@
 //! parallel mini-rsync, plus the modeled DTN comparison.
 
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 use htpar_core::prelude::*;
 use htpar_integration_tests::TestDir;
@@ -25,6 +26,8 @@ fn build_tree(dir: &TestDir, files: usize) -> Vec<String> {
 
 fn parallel_rsync(files: &[String], dst: &Path, jobs: usize) -> (u64, u64) {
     let dst = dst.to_path_buf();
+    let totals = Arc::new(Mutex::new((0, 0)));
+    let t2 = Arc::clone(&totals);
     let report = Parallel::new("rsync -R -Ha {} /dst/")
         .jobs(jobs)
         .context_replace()
@@ -41,16 +44,16 @@ fn parallel_rsync(files: &[String], dst: &Path, jobs: usize) -> (u64, u64) {
             )))
         }))
         .args(files.to_vec())
+        .on_result(move |r| {
+            let mut it = r.stdout.split_whitespace();
+            let mut totals = t2.lock().unwrap();
+            totals.0 += it.next().unwrap().parse::<u64>().unwrap();
+            totals.1 += it.next().unwrap().parse::<u64>().unwrap();
+        })
         .run()
         .unwrap();
     assert!(report.all_succeeded());
-    let mut copied = 0;
-    let mut fresh = 0;
-    for r in &report.results {
-        let mut it = r.stdout.split_whitespace();
-        copied += it.next().unwrap().parse::<u64>().unwrap();
-        fresh += it.next().unwrap().parse::<u64>().unwrap();
-    }
+    let (copied, fresh) = *totals.lock().unwrap();
     (copied, fresh)
 }
 

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 use htpar_core::chaos::ChaosExecutor;
 use htpar_core::joblog;
@@ -27,25 +28,37 @@ fn chaotic(seed: u64) -> ChaosExecutor {
     ChaosExecutor::seeded_per_seq(FnExecutor::noop(), P_FAIL, seed)
 }
 
-fn run(seed: u64, jobs: usize, log: &Path, resume: bool, tasks: usize) -> RunReport {
+/// A run's counts plus every result its callback received, in the
+/// order the engine handed them on.
+struct Run {
+    report: RunReport,
+    results: Vec<JobResult>,
+}
+
+fn run(seed: u64, jobs: usize, log: &Path, resume: bool, tasks: usize) -> Run {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen2 = Arc::clone(&seen);
     let builder = Parallel::new("t {}")
         .jobs(jobs)
         .retries(RETRIES)
         .keep_order(true)
         .joblog(log)
         .executor(chaotic(seed))
+        .on_result(move |r| seen2.lock().unwrap().push(r.clone()))
         .args((0..tasks).map(|i| i.to_string()));
     let builder = if resume { builder.resume() } else { builder };
-    builder.run().expect("stress run")
+    let report = builder.run().expect("stress run");
+    let results = std::mem::take(&mut *seen.lock().unwrap());
+    Run { report, results }
 }
 
 /// Deterministic projection of a run: seq -> (succeeded, tries), taken
-/// from the in-memory results. Timestamps and runtimes are excluded —
+/// from the delivered results. Timestamps and runtimes are excluded —
 /// they legitimately differ between runs.
-fn outcomes(reports: &[&RunReport]) -> BTreeMap<u64, (bool, u32)> {
+fn outcomes(runs: &[&Run]) -> BTreeMap<u64, (bool, u32)> {
     let mut map = BTreeMap::new();
-    for report in reports {
-        for r in &report.results {
+    for run in runs {
+        for r in &run.results {
             // Resume passes report already-logged tasks as skipped with
             // no attempt made; only executed tasks carry an outcome.
             if r.status != JobStatus::Skipped {
@@ -74,7 +87,7 @@ fn parallel_kill_resume_matches_single_threaded_reference() {
         // Reference: single-threaded, uninterrupted.
         let ref_log = dir.path(&format!("ref-{seed}.joblog"));
         let reference = run(seed, 1, &ref_log, false, TASKS);
-        assert_eq!(reference.jobs_total, TASKS as u64, "seed {seed}");
+        assert_eq!(reference.report.jobs_total, TASKS as u64, "seed {seed}");
 
         // Stress: -j 256, killed after a seed-dependent prefix of the
         // input (simulating a worker box dying mid-run), then resumed
@@ -85,19 +98,20 @@ fn parallel_kill_resume_matches_single_threaded_reference() {
         let pass2 = run(seed, STRESS_JOBS, &stress_log, true, TASKS);
 
         // RunReport totals across kill+resume equal the reference's.
+        let (r1, r2, rr) = (&pass1.report, &pass2.report, &reference.report);
         assert_eq!(
-            pass1.succeeded + pass2.succeeded,
-            reference.succeeded,
+            r1.succeeded + r2.succeeded,
+            rr.succeeded,
             "seed {seed}: succeeded diverged"
         );
         assert_eq!(
-            pass1.failed + pass2.failed,
-            reference.failed,
+            r1.failed + r2.failed,
+            rr.failed,
             "seed {seed}: failed diverged"
         );
-        assert_eq!(pass2.jobs_total, TASKS as u64, "seed {seed}");
+        assert_eq!(r2.jobs_total, TASKS as u64, "seed {seed}");
         assert_eq!(
-            pass2.skipped, pass1.jobs_total,
+            r2.skipped, r1.jobs_total,
             "seed {seed}: resume must skip exactly the killed run's completions"
         );
 
@@ -116,8 +130,8 @@ fn parallel_kill_resume_matches_single_threaded_reference() {
         );
 
         // keep_order holds under contention: results arrive seq-sorted.
-        for report in [&reference, &pass1, &pass2] {
-            let seqs: Vec<u64> = report.results.iter().map(|r| r.seq).collect();
+        for run in [&reference, &pass1, &pass2] {
+            let seqs: Vec<u64> = run.results.iter().map(|r| r.seq).collect();
             let mut sorted = seqs.clone();
             sorted.sort_unstable();
             assert_eq!(seqs, sorted, "seed {seed}: keep_order violated");

@@ -10,34 +10,56 @@ use htpar_core::prelude::*;
 use htpar_integration_tests::TestDir;
 use std::sync::Mutex;
 
+type Collected = Arc<Mutex<Vec<JobResult>>>;
+
+/// Attach a callback that collects every result in the order the
+/// engine hands them on.
+fn collecting(p: Parallel) -> (Parallel, Collected) {
+    let seen: Collected = Arc::default();
+    let seen2 = Arc::clone(&seen);
+    (
+        p.on_result(move |r| seen2.lock().unwrap().push(r.clone())),
+        seen,
+    )
+}
+
+/// The collected stdouts, in hand-over order.
+fn stdouts(seen: &Collected) -> Vec<String> {
+    seen.lock()
+        .unwrap()
+        .iter()
+        .map(|r| r.stdout.clone())
+        .collect()
+}
+
 #[test]
 fn real_processes_with_path_ops_and_order() {
-    let report = Parallel::new("echo {/.} from {//}")
-        .jobs(4)
-        .keep_order(true)
-        .args(["/data/a.txt", "/data/b.log", "/other/c.csv"])
-        .run()
-        .unwrap();
+    let (p, seen) = collecting(
+        Parallel::new("echo {/.} from {//}")
+            .jobs(4)
+            .keep_order(true)
+            .args(["/data/a.txt", "/data/b.log", "/other/c.csv"]),
+    );
+    let report = p.run().unwrap();
     assert!(report.all_succeeded());
-    let out: Vec<&str> = report.results.iter().map(|r| r.stdout.as_str()).collect();
     assert_eq!(
-        out,
+        stdouts(&seen),
         vec!["a from /data\n", "b from /data\n", "c from /other\n"]
     );
 }
 
 #[test]
 fn environment_carries_seq_and_slot_to_real_processes() {
-    let report = Parallel::new("echo $PARALLEL_SEQ:$PARALLEL_JOBSLOT")
-        .jobs(1)
-        .keep_order(true)
-        .args(["x", "y"])
-        .run()
-        .unwrap();
+    let (p, seen) = collecting(
+        Parallel::new("echo $PARALLEL_SEQ:$PARALLEL_JOBSLOT")
+            .jobs(1)
+            .keep_order(true)
+            .args(["x", "y"]),
+    );
+    p.run().unwrap();
     // No {} in the template: the engine appends the argument (xargs
     // behaviour), so the arg shows up after the env expansion.
-    assert_eq!(report.results[0].stdout, "1:1 x\n");
-    assert_eq!(report.results[1].stdout, "2:1 y\n");
+    assert_eq!(stdouts(&seen), vec!["1:1 x\n", "2:1 y\n"]);
 }
 
 #[test]
@@ -64,17 +86,18 @@ fn joblog_resume_workflow_across_runs() {
 
     // Fix the flake, resume failed only.
     std::fs::remove_file(&flaky_flag).unwrap();
-    let report = Parallel::new(&cmd)
-        .jobs(2)
-        .joblog(&log)
-        .resume_failed()
-        .keep_order(true)
-        .args(["a", "b", "c"])
-        .run()
-        .unwrap();
+    let (p, seen) = collecting(
+        Parallel::new(&cmd)
+            .jobs(2)
+            .joblog(&log)
+            .resume_failed()
+            .keep_order(true)
+            .args(["a", "b", "c"]),
+    );
+    let report = p.run().unwrap();
     assert_eq!(report.skipped, 2, "a and c skipped");
     assert_eq!(report.succeeded, 1, "b re-ran and succeeded");
-    assert_eq!(report.results[1].stdout, "ok-b\n");
+    assert_eq!(stdouts(&seen)[1], "ok-b\n");
 
     // A third run with --resume skips everything.
     let report = Parallel::new(&cmd)
@@ -91,16 +114,18 @@ fn joblog_resume_workflow_across_runs() {
 fn timeout_and_retries_interact() {
     // Each attempt sleeps 5 s and is killed at 50 ms; 2 retries = 3
     // attempts, all timing out.
-    let report = Parallel::new("sleep {}")
-        .jobs(1)
-        .timeout(Duration::from_millis(50))
-        .retries(2)
-        .args(["5"])
-        .run()
-        .unwrap();
+    let (p, seen) = collecting(
+        Parallel::new("sleep {}")
+            .jobs(1)
+            .timeout(Duration::from_millis(50))
+            .retries(2)
+            .args(["5"]),
+    );
+    let report = p.run().unwrap();
     assert_eq!(report.failed, 1);
-    assert_eq!(report.results[0].status, JobStatus::TimedOut);
-    assert_eq!(report.results[0].tries, 2);
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen[0].status, JobStatus::TimedOut);
+    assert_eq!(seen[0].tries, 2);
 }
 
 #[test]
@@ -118,14 +143,15 @@ fn halt_on_failures_stops_early_with_real_processes() {
 
 #[test]
 fn tag_output_helper_applies_to_results() {
-    let report = Parallel::new("printf 'l1\\nl2\\n'")
-        .jobs(2)
-        .tag(true)
-        .keep_order(true)
-        .args(["alpha"])
-        .run()
-        .unwrap();
-    let r = &report.results[0];
+    let (p, seen) = collecting(
+        Parallel::new("printf 'l1\\nl2\\n'")
+            .jobs(2)
+            .tag(true)
+            .keep_order(true)
+            .args(["alpha"]),
+    );
+    p.run().unwrap();
+    let r = &seen.lock().unwrap()[0];
     assert_eq!(tag_lines(&r.args, &r.stdout), "alpha\tl1\nalpha\tl2\n");
 }
 
@@ -138,14 +164,11 @@ fn streaming_input_with_real_processes() {
             std::thread::sleep(Duration::from_millis(3));
         }
     });
-    let report = Parallel::new("echo got-{}")
-        .jobs(3)
-        .keep_order(true)
-        .run_stream(queue)
-        .unwrap();
+    let (p, seen) = collecting(Parallel::new("echo got-{}").jobs(3).keep_order(true));
+    let report = p.run_stream(queue).unwrap();
     producer.join().unwrap();
     assert_eq!(report.jobs_total, 6);
-    assert_eq!(report.results[5].stdout, "got-v5\n");
+    assert_eq!(stdouts(&seen)[5], "got-v5\n");
 }
 
 #[test]
@@ -172,30 +195,29 @@ fn file_backed_queue_drives_the_engine() {
         }
     });
 
-    let report = Parallel::new("echo ts={}")
-        .jobs(2)
-        .keep_order(true)
-        .run_stream(queue)
-        .unwrap();
+    let (p, seen) = collecting(Parallel::new("echo ts={}").jobs(2).keep_order(true));
+    let report = p.run_stream(queue).unwrap();
     appender.join().unwrap();
     assert_eq!(report.jobs_total, 3);
-    assert_eq!(report.results[2].stdout, "ts=t3\n");
+    assert_eq!(stdouts(&seen)[2], "ts=t3\n");
 }
 
 #[test]
 fn xargs_batching_with_real_wc() {
     // 10 args, batches of 4 -> 3 jobs; `echo` sees whole batches.
-    let report = Parallel::new("echo {}")
-        .xargs()
-        .max_args(4)
-        .jobs(2)
-        .keep_order(true)
-        .args((0..10).map(|i| format!("w{i}")))
-        .run()
-        .unwrap();
+    let (p, seen) = collecting(
+        Parallel::new("echo {}")
+            .xargs()
+            .max_args(4)
+            .jobs(2)
+            .keep_order(true)
+            .args((0..10).map(|i| format!("w{i}"))),
+    );
+    let report = p.run().unwrap();
     assert_eq!(report.jobs_total, 3);
-    assert_eq!(report.results[0].stdout, "w0 w1 w2 w3\n");
-    assert_eq!(report.results[2].stdout, "w8 w9\n");
+    let out = stdouts(&seen);
+    assert_eq!(out[0], "w0 w1 w2 w3\n");
+    assert_eq!(out[2], "w8 w9\n");
 }
 
 #[test]

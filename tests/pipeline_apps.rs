@@ -9,6 +9,17 @@ use htpar_workloads::darshan::{generate_archive_slice, DarshanLog, IoSummary};
 use htpar_workloads::forge::{generate_corpus, CorpusStats};
 use htpar_workloads::goes;
 
+/// Attach a callback that collects each job's stdout in the order the
+/// engine hands results on.
+fn collecting(p: Parallel) -> (Parallel, Arc<Mutex<Vec<String>>>) {
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let out2 = Arc::clone(&out);
+    (
+        p.on_result(move |r| out2.lock().unwrap().push(r.stdout.clone())),
+        out,
+    )
+}
+
 #[test]
 fn fetch_process_pipeline_overlaps_stages() {
     // Fetcher pushes batch timestamps while the processor consumes them;
@@ -32,21 +43,22 @@ fn fetch_process_pipeline_overlaps_stages() {
     };
 
     let fp = Arc::clone(&first_processed);
-    let report = Parallel::new("process {}")
-        .jobs(8)
-        .keep_order(true)
-        .executor(FnExecutor::new(move |cmd| {
-            let ts: u64 = cmd.args[0].parse().unwrap();
-            let images = goes::fetch_all_regions(ts, 48, 48);
-            let out = goes::process_batch(&images, 10.0);
-            let mut first = fp.lock().unwrap();
-            if first.is_none() {
-                *first = Some(std::time::Instant::now());
-            }
-            Ok(TaskOutput::stdout(out))
-        }))
-        .run_stream(queue)
-        .unwrap();
+    let (p, outputs) = collecting(
+        Parallel::new("process {}")
+            .jobs(8)
+            .keep_order(true)
+            .executor(FnExecutor::new(move |cmd| {
+                let ts: u64 = cmd.args[0].parse().unwrap();
+                let images = goes::fetch_all_regions(ts, 48, 48);
+                let out = goes::process_batch(&images, 10.0);
+                let mut first = fp.lock().unwrap();
+                if first.is_none() {
+                    *first = Some(std::time::Instant::now());
+                }
+                Ok(TaskOutput::stdout(out))
+            })),
+    );
+    let report = p.run_stream(queue).unwrap();
     fetcher.join().unwrap();
 
     assert_eq!(report.jobs_total, 4);
@@ -60,8 +72,10 @@ fn fetch_process_pipeline_overlaps_stages() {
         "processing began before fetching finished (pipeline overlap)"
     );
     // Outputs carry eight region fractions each.
-    for r in &report.results {
-        let nums = r.stdout.lines().last().unwrap().split_whitespace().count();
+    let outputs = outputs.lock().unwrap();
+    assert_eq!(outputs.len(), 4);
+    for out in outputs.iter() {
+        let nums = out.lines().last().unwrap().split_whitespace().count();
         assert_eq!(nums, 8);
     }
 }
@@ -79,28 +93,28 @@ fn darshan_grid_parallel_equals_sequential() {
     }
 
     // Parallel, through the engine (keep_order makes results comparable).
-    let report = Parallel::new("darshan_arch {1} {2}")
-        .jobs(12)
-        .keep_order(true)
-        .executor(FnExecutor::new(move |cmd| {
-            let month: u32 = cmd.args[0].parse().unwrap();
-            let app_idx: usize = cmd.args[1].parse().unwrap();
-            let logs = generate_archive_slice(99, month, apps[app_idx], 50);
-            let mut sum = IoSummary::default();
-            for log in &logs {
-                sum.add(&DarshanLog::parse(&log.to_text()).unwrap());
-            }
-            Ok(TaskOutput::stdout(serde_stub::to_line(&sum)))
-        }))
-        .args((1..=12).map(|m| m.to_string()))
-        .args((0..=2).map(|a| a.to_string()))
-        .run()
-        .unwrap();
+    let (p, outputs) = collecting(
+        Parallel::new("darshan_arch {1} {2}")
+            .jobs(12)
+            .keep_order(true)
+            .executor(FnExecutor::new(move |cmd| {
+                let month: u32 = cmd.args[0].parse().unwrap();
+                let app_idx: usize = cmd.args[1].parse().unwrap();
+                let logs = generate_archive_slice(99, month, apps[app_idx], 50);
+                let mut sum = IoSummary::default();
+                for log in &logs {
+                    sum.add(&DarshanLog::parse(&log.to_text()).unwrap());
+                }
+                Ok(TaskOutput::stdout(serde_stub::to_line(&sum)))
+            }))
+            .args((1..=12).map(|m| m.to_string()))
+            .args((0..=2).map(|a| a.to_string())),
+    );
+    let report = p.run().unwrap();
 
     assert_eq!(report.jobs_total, 36);
-    for (result, exp) in report.results.iter().zip(&expected) {
-        assert_eq!(result.stdout, serde_stub::to_line(exp));
-    }
+    let expected: Vec<String> = expected.iter().map(serde_stub::to_line).collect();
+    assert_eq!(*outputs.lock().unwrap(), expected);
 }
 
 /// Tiny stable serialization for comparing summaries through stdout.
@@ -123,23 +137,25 @@ fn forge_curation_shards_merge_to_sequential_totals() {
     // Shard the corpus over 6 parallel curation tasks.
     let corpus = Arc::new(corpus);
     let c2 = Arc::clone(&corpus);
-    let report = Parallel::new("curate shard {}")
-        .jobs(3)
-        .keep_order(true)
-        .executor(FnExecutor::new(move |cmd| {
-            let shard: usize = cmd.args[0].parse().unwrap();
-            let chunk = 3000 / 6;
-            let stats = CorpusStats::process(&c2[shard * chunk..(shard + 1) * chunk]);
-            Ok(TaskOutput::stdout(serde_json_line(&stats)))
-        }))
-        .args((0..6).map(|i| i.to_string()))
-        .run()
-        .unwrap();
+    let (p, outputs) = collecting(
+        Parallel::new("curate shard {}")
+            .jobs(3)
+            .keep_order(true)
+            .executor(FnExecutor::new(move |cmd| {
+                let shard: usize = cmd.args[0].parse().unwrap();
+                let chunk = 3000 / 6;
+                let stats = CorpusStats::process(&c2[shard * chunk..(shard + 1) * chunk]);
+                Ok(TaskOutput::stdout(serde_json_line(&stats)))
+            }))
+            .args((0..6).map(|i| i.to_string())),
+    );
+    p.run().unwrap();
 
-    let merged = report
-        .results
+    let outputs = outputs.lock().unwrap();
+    assert_eq!(outputs.len(), 6);
+    let merged = outputs
         .iter()
-        .map(|r| parse_json_line(&r.stdout))
+        .map(|out| parse_json_line(out))
         .fold(CorpusStats::default(), |acc, s| acc.merge(&s));
     assert_eq!(merged, whole, "parallel map + merge == sequential");
     assert!(merged.tokens > 0);

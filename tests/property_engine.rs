@@ -4,16 +4,35 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use htpar_core::chaos::ChaosExecutor;
+use htpar_core::executor::ExecContext;
 use htpar_core::prelude::*;
+
+/// Each attempt's `(seq, slot, succeeded)`, in the order they ended.
+type Attempts = Arc<Mutex<Vec<(u64, usize, bool)>>>;
+
+/// Records every attempt on its way out of `inner`.
+struct Recording<E> {
+    inner: E,
+    attempts: Attempts,
+}
+
+impl<E: Executor> Executor for Recording<E> {
+    fn execute(&self, cmd: &CommandLine, ctx: &ExecContext) -> TaskOutput {
+        let out = self.inner.execute(cmd, ctx);
+        let ok = out.status.is_success();
+        self.attempts.lock().unwrap().push((cmd.seq, cmd.slot, ok));
+        out
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every job appears exactly once in the report, with counts that
-    /// sum, whatever the slot count, failure rate, or retry policy.
+    /// Every job runs to exactly one outcome, with counts that sum,
+    /// whatever the slot count, failure rate, or retry policy.
     #[test]
     fn engine_conserves_jobs(
         n in 1usize..120,
@@ -23,31 +42,51 @@ proptest! {
         keep_order in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
-        let report = Parallel::new("t {}")
+        let attempts: Attempts = Arc::default();
+        let mut run = Parallel::new("t {}")
             .jobs(jobs)
             .retries(retries)
             .keep_order(keep_order)
-            .executor(ChaosExecutor::new(FnExecutor::noop(), fail_prob, seed))
-            .args((0..n).map(|i| i.to_string()))
-            .run()
-            .unwrap();
+            .executor(Recording {
+                inner: ChaosExecutor::new(FnExecutor::noop(), fail_prob, seed),
+                attempts: Arc::clone(&attempts),
+            })
+            .args((0..n).map(|i| i.to_string()));
+        // Half the cases add a consumer, which `-k` feeds in seq order;
+        // the others run with none, where the engine only counts.
+        let delivered = Arc::new(Mutex::new(Vec::new()));
+        if keep_order {
+            let d2 = Arc::clone(&delivered);
+            run = run.on_result(move |r| d2.lock().unwrap().push(r.seq));
+        }
+        let report = run.run().unwrap();
         prop_assert_eq!(report.jobs_total, n as u64);
-        prop_assert_eq!(report.results.len(), n);
         prop_assert_eq!(
             report.succeeded + report.failed + report.skipped,
             report.jobs_total
         );
-        // Every seq 1..=n exactly once.
-        let mut seqs: Vec<u64> = report.results.iter().map(|r| r.seq).collect();
-        seqs.sort_unstable();
-        prop_assert_eq!(seqs, (1..=n as u64).collect::<Vec<_>>());
-        if keep_order {
-            let ordered: Vec<u64> = report.results.iter().map(|r| r.seq).collect();
-            prop_assert_eq!(ordered, (1..=n as u64).collect::<Vec<_>>());
+        // Every seq 1..=n ran exactly once: failed attempts, each one
+        // retried, then at most one success, on a slot in range.
+        let mut by_seq = vec![Vec::new(); n + 1];
+        for &(seq, slot, ok) in attempts.lock().unwrap().iter() {
+            prop_assert!(slot >= 1 && slot <= jobs);
+            prop_assert!((1..=n as u64).contains(&seq), "seq {}", seq);
+            by_seq[seq as usize].push(ok);
         }
-        // Slots always in range.
-        for r in &report.results {
-            prop_assert!(r.slot >= 1 && r.slot <= jobs);
+        let mut succeeded = 0;
+        for (seq, tries) in by_seq.iter().enumerate().skip(1) {
+            let ok = tries.last() == Some(&true);
+            let failures = tries.len() - usize::from(ok);
+            prop_assert!(tries[..failures].iter().all(|&t| !t), "seq {} ran after success", seq);
+            let retries = retries as usize;
+            let settled = if ok { failures <= retries } else { failures == retries + 1 };
+            prop_assert!(settled, "seq {} tries {:?}", seq, tries);
+            succeeded += u64::from(ok);
+        }
+        prop_assert_eq!(report.succeeded, succeeded);
+        if keep_order {
+            let delivered = delivered.lock().unwrap().clone();
+            prop_assert_eq!(delivered, (1..=n as u64).collect::<Vec<_>>());
         }
     }
 
@@ -83,15 +122,17 @@ proptest! {
         args in proptest::collection::vec("[a-zA-Z0-9_./-]{1,16}", 1..30),
     ) {
         let expect: Vec<String> = args.iter().map(|a| format!("cmd {a} out/{a}.x")).collect();
-        let report = Parallel::new("cmd {} out/{}.x")
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g2 = Arc::clone(&got);
+        Parallel::new("cmd {} out/{}.x")
             .jobs(4)
             .keep_order(true)
             .executor(FnExecutor::new(|cmd| Ok(TaskOutput::stdout(cmd.rendered().to_string()))))
+            .on_result(move |r| g2.lock().unwrap().push(r.stdout.clone()))
             .args(args.clone())
             .run()
             .unwrap();
-        let got: Vec<&str> = report.results.iter().map(|r| r.stdout.as_str()).collect();
-        prop_assert_eq!(got, expect.iter().map(String::as_str).collect::<Vec<_>>());
+        prop_assert_eq!(got.lock().unwrap().clone(), expect);
     }
 
     /// Pipe-mode blocks partition stdin losslessly through the engine.

@@ -59,6 +59,8 @@ fn five_stage_pipeline_on_real_files_matches_direct_processing() {
         let events2 = Arc::clone(&events);
         let out = Arc::new(Mutex::new(Vec::<(usize, IoSummary)>::new()));
         let out2 = Arc::clone(&out);
+        let failures = Arc::new(Mutex::new(Vec::<JobResult>::new()));
+        let failures2 = Arc::clone(&failures);
         let report = Parallel::new("stage-op {}")
             .jobs(3)
             .executor(FnExecutor::new(move |cmd| {
@@ -95,12 +97,17 @@ fn five_stage_pipeline_on_real_files_matches_direct_processing() {
                 Ok(TaskOutput::success())
             }))
             .args(ops)
+            .on_result(move |r| {
+                if r.status.is_failure() {
+                    failures2.lock().unwrap().push(r.clone());
+                }
+            })
             .run()
             .unwrap();
         assert!(
             report.all_succeeded(),
             "stage {stage}: {:?}",
-            report.failures().collect::<Vec<_>>()
+            failures.lock().unwrap()
         );
         for (ds, summary) in out.lock().unwrap().drain(..) {
             summaries[ds] = Some(summary);
