@@ -98,8 +98,6 @@ usage: htpar serve (--agents SPEC[,SPEC...] | --local-cluster N) [OPTIONS]
                          weighted fair share), or priority
       --max-queue N      per-tenant admission bound; a Submit past it
                          gets a SessionAck refusal (default: 100000)
-      --oversub N        in-flight target per agent, in multiples of
-                         its slots (default: 4)
       --joblog-dir DIR   per-tenant joblogs, DIR/<tenant>.joblog
       --state-dir DIR    write-ahead session journal (DIR/pilot.journal);
                          a restarted pilot recovers accepted-but-
@@ -884,7 +882,6 @@ pub struct ServeSpec {
     pub listen: String,
     pub policy: SchedPolicy,
     pub max_queue: u64,
-    pub oversub: u32,
     pub joblog_dir: Option<PathBuf>,
     pub state_dir: Option<PathBuf>,
     /// Detach TTL in seconds; 0 holds detached sessions forever.
@@ -903,7 +900,6 @@ impl Default for ServeSpec {
             listen: "127.0.0.1:0".to_string(),
             policy: SchedPolicy::Fair,
             max_queue: 100_000,
-            oversub: 4,
             joblog_dir: None,
             state_dir: None,
             detach_ttl: 3_600,
@@ -941,12 +937,6 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeSpec, String> {
                 spec.max_queue = flag_value(argv, i, "--max-queue")?
                     .parse()
                     .map_err(|_| "--max-queue needs a count".to_string())?;
-                i += 2;
-            }
-            "--oversub" => {
-                spec.oversub = flag_value(argv, i, "--oversub")?
-                    .parse()
-                    .map_err(|_| "--oversub needs a number".to_string())?;
                 i += 2;
             }
             "--joblog-dir" => {
@@ -989,9 +979,6 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeSpec, String> {
         }
     }
     spec.fleet.validate()?;
-    if spec.oversub == 0 {
-        return Err("--oversub must be at least 1".to_string());
-    }
     Ok(spec)
 }
 
@@ -1009,7 +996,6 @@ fn run_serve(argv: &[String]) -> i32 {
         config.jobs_per_agent = spec.fleet.jobs_per_agent;
         config.policy = spec.policy;
         config.max_queue_per_tenant = spec.max_queue;
-        config.oversub = spec.oversub;
         config.joblog_dir = spec.joblog_dir.clone();
         config.state_dir = spec.state_dir.clone();
         config.detach_ttl = if spec.detach_ttl == 0 {
@@ -1576,7 +1562,7 @@ mod tests {
     #[test]
     fn serve_grammar_parses() {
         let spec = parse_serve(&argv(
-            "--local-cluster 4 -j 8 --scheduler priority --max-queue 500 --oversub 2 \
+            "--local-cluster 4 -j 8 --scheduler priority --max-queue 500 \
              --joblog-dir logs --max-sessions 3 --heartbeat-ms 100 --lease-ms 900 \
              --chaos-kill-agent 1@50 --quiet",
         ))
@@ -1585,7 +1571,6 @@ mod tests {
         assert_eq!(spec.fleet.jobs_per_agent, 8);
         assert_eq!(spec.policy, SchedPolicy::Priority);
         assert_eq!(spec.max_queue, 500);
-        assert_eq!(spec.oversub, 2);
         assert_eq!(spec.joblog_dir, Some(PathBuf::from("logs")));
         assert_eq!(spec.max_sessions, Some(3));
         assert_eq!(spec.fleet.heartbeat_ms, 100);
@@ -1627,7 +1612,6 @@ mod tests {
         );
         assert!(parse_serve(&argv("--agents a --chaos-kill-agent 0@5")).is_err());
         assert!(parse_serve(&argv("--local-cluster 2 --chaos-kill-agent 2@5")).is_err());
-        assert!(parse_serve(&argv("--local-cluster 2 --oversub 0")).is_err());
         let err = parse_serve(&argv("--local-cluster 2 --scheduler lifo")).unwrap_err();
         assert!(err.contains("unknown scheduler"), "{err}");
         let err = parse_serve(&argv("--local-cluster 2 extra")).unwrap_err();

@@ -19,6 +19,17 @@
 //! kind rides in each task's first argument as a directive the agent
 //! renders through the `"{}"` template.
 //!
+//! Each agent gets an in-flight window sized from its own measurements
+//! (`Window`): its slots, plus enough tasks to cover its measured
+//! completion rate over its round trip and a `QUEUE_TARGET` (1 ms) of
+//! queueing. Short tasks keep a deep window, so a slot that frees
+//! finds its next task already on the node instead of waiting for a
+//! pilot round trip; long tasks settle at `slots + 1`, so scheduling
+//! decisions stay late. A window that drains goes back to `slots + 1`.
+//! A new tenant waits about `QUEUE_TARGET` behind work already placed
+//! while that work is as short as the work the window was measured on;
+//! long tasks placed while short ones keep a window deep wait longer.
+//!
 //! Guarantees (enforced by `serve_e2e`, `serve_differential`, and the
 //! scheduler property suite):
 //! - recording is exactly-once per session (re-run work after an agent
@@ -95,7 +106,9 @@ fn wire_seq_checked(session: u64, local_seq: u64) -> Option<u64> {
     Some(((session + 1) << SESSION_SEQ_BITS) | local_seq)
 }
 
-/// Pilot-side configuration.
+/// Pilot-side configuration. How many tasks each agent holds in flight
+/// is not configured: the pilot sizes every agent's window from that
+/// agent's measured completion rate and round trip.
 pub struct ServeConfig {
     /// Agent address specs to dial at bind time.
     pub agents: Vec<String>,
@@ -112,10 +125,6 @@ pub struct ServeConfig {
     /// Admission bound: a `Submit` that would push a tenant's queue past
     /// this depth is refused.
     pub max_queue_per_tenant: u64,
-    /// In-flight target per agent, in multiples of its granted slots.
-    /// Keeping this small keeps scheduling decisions late (fairness);
-    /// raising it hides dispatch latency (throughput).
-    pub oversub: u32,
     /// Directory for per-tenant joblogs (`<tenant>.joblog`); `None`
     /// disables logging.
     pub joblog_dir: Option<PathBuf>,
@@ -149,7 +158,6 @@ impl ServeConfig {
             lease_window_ms: 2_000,
             policy: SchedPolicy::Fair,
             max_queue_per_tenant: 100_000,
-            oversub: 4,
             joblog_dir: None,
             bus: None,
             max_sessions: None,
@@ -159,9 +167,10 @@ impl ServeConfig {
         }
     }
 
-    fn emit(&self, event: Event) {
+    /// Emit the event `event` builds; without a bus it is never built.
+    fn emit(&self, event: impl FnOnce() -> Event) {
         if let Some(bus) = &self.bus {
-            bus.emit(event);
+            bus.emit(event());
         }
     }
 }
@@ -276,6 +285,139 @@ struct InflightTask {
     local_seq: u64,
     command: String,
     directive: String,
+    /// When a probe was placed (see [`Window::place`]); `None` for a
+    /// task that queues at its agent.
+    sent: Option<Instant>,
+}
+
+/// The longest a task should sit queued at an agent before a slot
+/// takes it (`H` in DESIGN.md §13), at the completion rate the window
+/// last measured. A newly arrived tenant waits about this long behind
+/// other tenants' work already placed only while that work is about as
+/// long as the tasks the window was measured on: longer tasks placed in
+/// a window sized for short ones hold it for longer.
+const QUEUE_TARGET: Duration = Duration::from_millis(1);
+
+/// Weight of each new sample in an agent's completion-rate average.
+const RATE_GAIN: f64 = 0.5;
+
+/// How long an agent's smallest probe round trip stands before a larger
+/// one replaces it.
+const RTT_HORIZON: Duration = Duration::from_secs(1);
+
+/// One agent's in-flight window: how many tasks the pilot keeps placed
+/// on it. The limit is `slots + max(1, ⌈rate × (rtt + QUEUE_TARGET)⌉)`,
+/// capped at [`SHARD_CHUNK`] (at `slots + 1` for an agent with more
+/// slots than that), where
+/// - `rate` averages the agent's completions per second over intervals
+///   of at least [`QUEUE_TARGET`] in which it held work;
+/// - `rtt` is the smallest `arrival − dispatch − runtime` among the
+///   probes of the last [`RTT_HORIZON`]: tasks placed while the agent
+///   held fewer tasks than slots, so they start as they arrive. A task
+///   that queued at the agent would count the queue this window builds.
+///   A probe's round trip also counts the pilot's own loop, which grows
+///   with the windows it serves; the smallest recent one is the round
+///   trip without that growth, so windows do not feed on it.
+///
+/// An underfed agent completes about `window / (rtt + task)` tasks per
+/// second, so tasks shorter than the queue target grow the window
+/// geometrically until the agent's slots stay busy; tasks longer than
+/// it settle at `slots + 1`. A new window starts at that floor, and
+/// goes back to it whenever its agent drains. No method reads a clock:
+/// callers pass the time in.
+struct Window {
+    slots: u64,
+    /// Tasks placed on the agent and not yet completed, its fleet
+    /// backlog included.
+    held: u64,
+    limit: u64,
+    /// Completions per second, averaged over measured intervals.
+    rate: Option<f64>,
+    /// Smallest probe round trip within the horizon, and when it was
+    /// measured.
+    rtt: Option<(Duration, Instant)>,
+    /// Start of the current interval; `None` while the agent is idle.
+    since: Option<Instant>,
+    /// Completions in the current interval.
+    done: u64,
+}
+
+impl Window {
+    fn new(slots: u32) -> Window {
+        let slots = u64::from(slots);
+        Window {
+            slots,
+            held: 0,
+            limit: slots + 1,
+            rate: None,
+            rtt: None,
+            since: None,
+            done: 0,
+        }
+    }
+
+    /// Tasks the agent may take before it is full.
+    fn free(&self) -> u64 {
+        self.limit.saturating_sub(self.held)
+    }
+
+    /// Place one task at `now`. Returns whether it is a probe: one of
+    /// the agent's slots is free for it, so it starts as it arrives.
+    fn place(&mut self, now: Instant) -> bool {
+        self.since.get_or_insert(now);
+        self.held += 1;
+        self.held <= self.slots
+    }
+
+    /// One placed task completed at `now`; `rtt` is its round trip if
+    /// it was a probe.
+    fn complete(&mut self, rtt: Option<Duration>, now: Instant) {
+        debug_assert!(self.held > 0, "completion on an agent holding nothing");
+        self.held = self.held.saturating_sub(1);
+        self.done += 1;
+        if let Some(rtt) = rtt {
+            let stands = self.rtt.is_some_and(|(min, at)| {
+                min < rtt && now.saturating_duration_since(at) < RTT_HORIZON
+            });
+            if !stands {
+                self.rtt = Some((rtt, now));
+            }
+        }
+    }
+
+    /// Close the interval at `now` once it has lasted the queue target,
+    /// and size the window from what it measured.
+    fn measure(&mut self, now: Instant) {
+        let Some(since) = self.since else {
+            return;
+        };
+        let span = now.saturating_duration_since(since);
+        if span < QUEUE_TARGET || self.done == 0 {
+            return;
+        }
+        let sample = self.done as f64 / span.as_secs_f64();
+        let rate = self.rate.map_or(sample, |r| r + RATE_GAIN * (sample - r));
+        self.rate = Some(rate);
+        self.since = Some(now);
+        self.done = 0;
+        let rtt = self.rtt.map_or(Duration::ZERO, |(rtt, _)| rtt);
+        let ahead = (rate * (rtt + QUEUE_TARGET).as_secs_f64()).ceil().max(1.0) as u64;
+        let cap = (SHARD_CHUNK as u64).max(self.slots + 1);
+        self.limit = (self.slots + ahead).min(cap);
+    }
+
+    /// If the agent holds nothing after a dispatch round, end the
+    /// interval without a sample (idle time is not a measure of its
+    /// rate) and put the window back at its floor, so the next busy
+    /// period is sized from its own completions, not from the last one's.
+    fn idle(&mut self) {
+        if self.held == 0 {
+            self.since = None;
+            self.done = 0;
+            self.rate = None;
+            self.limit = self.slots + 1;
+        }
+    }
 }
 
 struct Tenant {
@@ -351,9 +493,8 @@ struct Pilot {
     reactor: Reactor,
     listener: Listener,
     fleet: Fleet,
-    /// Wire seqs placed on each agent and not yet completed (its fleet
-    /// backlog included).
-    placed: Vec<HashSet<u64>>,
+    /// Each agent's in-flight window and the count it holds.
+    windows: Vec<Window>,
     sessions: HashMap<u64, Session>,
     next_session: u64,
     sessions_closed: u64,
@@ -368,7 +509,7 @@ struct Pilot {
     /// Round-robin cursor over agents for grant placement.
     rr: usize,
     /// Last occupancy emitted, to keep the event stream edge-triggered.
-    last_busy: Option<usize>,
+    last_occupancy: Option<(usize, usize)>,
     capacity: usize,
     /// Write-ahead journal; `Some` iff `config.state_dir` is set.
     journal: Option<JournalWriter>,
@@ -387,7 +528,9 @@ impl Pilot {
             config: server.config,
             reactor: server.reactor,
             listener: server.listener,
-            placed: vec![HashSet::new(); server.fleet.len()],
+            windows: (0..server.fleet.len())
+                .map(|idx| Window::new(server.fleet.slots(idx)))
+                .collect(),
             capacity: server.fleet.alive_slots(),
             fleet: server.fleet,
             sessions: HashMap::new(),
@@ -402,7 +545,7 @@ impl Pilot {
             duplicates: 0,
             rejected_submits: 0,
             rr: 0,
-            last_busy: None,
+            last_occupancy: None,
             journal: None,
             pending_done: Vec::new(),
             closed_since_compaction: 0,
@@ -555,28 +698,40 @@ impl Pilot {
             recovered_sessions += 1;
             recovered_tasks += unfinished;
         }
-        self.emit(Event::PilotRecovered {
+        self.emit(|| Event::PilotRecovered {
             sessions: recovered_sessions,
             tasks: recovered_tasks,
         });
         Ok(())
     }
 
-    fn emit(&self, event: Event) {
+    fn emit(&self, event: impl FnOnce() -> Event) {
         self.config.emit(event);
     }
 
+    /// A session's tenant name for telemetry; empty before it binds one.
+    fn tenant_name(&self, tenant: Option<usize>) -> String {
+        tenant
+            .map(|t| self.tenants[t].name.clone())
+            .unwrap_or_default()
+    }
+
     fn emit_occupancy(&mut self) {
+        if self.config.bus.is_none() {
+            return;
+        }
+        // `busy` counts dispatched-not-completed tasks, which exceed raw
+        // slots by design. `total` sums the live agents' windows, each
+        // at least what its agent holds (a window can shrink below
+        // that), so busy <= total always holds.
         let busy = self.inflight.len();
-        if self.last_busy != Some(busy) {
-            self.last_busy = Some(busy);
-            // `busy` counts dispatched-not-completed tasks, which can
-            // exceed raw slots by design; report the oversubscribed
-            // ceiling so busy <= total always holds.
-            self.emit(Event::SlotOccupancy {
-                busy,
-                total: self.capacity * self.config.oversub as usize,
-            });
+        let total = (0..self.fleet.len())
+            .filter(|&idx| self.fleet.is_alive(idx))
+            .map(|idx| self.windows[idx].limit.max(self.windows[idx].held) as usize)
+            .sum();
+        if self.last_occupancy != Some((busy, total)) {
+            self.last_occupancy = Some((busy, total));
+            self.emit(|| Event::SlotOccupancy { busy, total });
         }
     }
 
@@ -653,6 +808,11 @@ impl Pilot {
             // cause a benign re-dispatch, never a lost completion.
             self.flush_done_records()?;
             self.emit_occupancy();
+            // Telemetry too, so a killed pilot's event file ends at its
+            // last loop, not at its last full buffer.
+            if let Some(bus) = &self.config.bus {
+                bus.flush();
+            }
         }
         self.reactor.cancel_timer(tick_key);
 
@@ -905,7 +1065,7 @@ impl Pilot {
             });
             j.sync()?;
         }
-        self.emit(Event::SessionDetached {
+        self.emit(|| Event::SessionDetached {
             session: id,
             tenant: self.tenants[tidx].name.clone(),
         });
@@ -992,7 +1152,7 @@ impl Pilot {
             });
         }
         let replayed = self.replay_recorded(tid)?;
-        self.emit(Event::SessionReattached {
+        self.emit(|| Event::SessionReattached {
             session: tid,
             tenant,
             replayed,
@@ -1168,7 +1328,7 @@ impl Pilot {
                 };
                 self.scheduler.set_tenant(tidx, weight, priority);
                 self.sessions.get_mut(&id).expect("session alive").tenant = Some(tidx);
-                self.emit(Event::SessionOpened {
+                self.emit(|| Event::SessionOpened {
                     session: id,
                     tenant: tenant.clone(),
                 });
@@ -1188,7 +1348,7 @@ impl Pilot {
         let ack = if let Some(seq) = bad_seq {
             self.rejected_submits += 1;
             self.tenants[tidx].rejected_submits += 1;
-            self.emit(Event::SubmitRejected {
+            self.emit(|| Event::SubmitRejected {
                 session: id,
                 tenant: self.tenants[tidx].name.clone(),
                 tasks: n,
@@ -1203,7 +1363,7 @@ impl Pilot {
         } else if depth + n > self.config.max_queue_per_tenant {
             self.rejected_submits += 1;
             self.tenants[tidx].rejected_submits += 1;
-            self.emit(Event::SubmitRejected {
+            self.emit(|| Event::SubmitRejected {
                 session: id,
                 tenant: self.tenants[tidx].name.clone(),
                 tasks: n,
@@ -1311,13 +1471,10 @@ impl Pilot {
                 reason: "complete".to_string(),
             });
         }
-        let tenant = session
-            .tenant
-            .map(|t| self.tenants[t].name.clone())
-            .unwrap_or_default();
-        self.emit(Event::SessionClosed {
+        let tenant = session.tenant;
+        self.emit(|| Event::SessionClosed {
             session: id,
-            tenant,
+            tenant: self.tenant_name(tenant),
             completed,
             reason: "complete".to_string(),
         });
@@ -1390,13 +1547,9 @@ impl Pilot {
             return;
         };
         if !session.closing {
-            let tenant = session
-                .tenant
-                .map(|t| self.tenants[t].name.clone())
-                .unwrap_or_default();
-            self.emit(Event::SessionClosed {
+            self.emit(|| Event::SessionClosed {
                 session: id,
-                tenant,
+                tenant: self.tenant_name(session.tenant),
                 completed: session.completed,
                 reason: reason.to_string(),
             });
@@ -1469,9 +1622,11 @@ impl Pilot {
         // Per-session delivery buffer for this read batch: group the
         // completions so each client gets one coalesced DoneBatch.
         let mut delivery: HashMap<u64, Vec<TaskDoneRec>> = HashMap::new();
+        let now = Instant::now();
         for rec in done {
-            self.complete(idx, rec, &mut delivery, on_done)?;
+            self.complete(idx, rec, now, &mut delivery, on_done)?;
         }
+        self.windows[idx].measure(now);
         self.deliver(delivery);
         if down {
             self.handle_agent_loss(idx);
@@ -1479,13 +1634,15 @@ impl Pilot {
         Ok(())
     }
 
-    /// Record one completion from agent `idx`. Dead-session completions
-    /// are released (their slot frees, nothing is recorded); duplicate
-    /// completions after a lease-expiry re-dispatch are dropped.
+    /// Record one completion from agent `idx`, which arrived at `now`.
+    /// Dead-session completions are released (their slot frees, nothing
+    /// is recorded); duplicate completions after a lease-expiry
+    /// re-dispatch are dropped.
     fn complete(
         &mut self,
         idx: usize,
         rec: TaskDoneRec,
+        now: Instant,
         delivery: &mut HashMap<u64, Vec<TaskDoneRec>>,
         on_done: &mut Option<&mut dyn FnMut(u64)>,
     ) -> Result<()> {
@@ -1493,16 +1650,20 @@ impl Pilot {
             self.duplicates += 1;
             return Ok(());
         };
-        self.placed[idx].remove(&rec.seq);
         if inf.agent != idx {
             // The task was re-dispatched after this agent's lease
-            // expired; the copy tracked in `inflight` lives elsewhere.
-            // Re-insert and treat this completion as the duplicate.
-            self.placed[inf.agent].insert(rec.seq);
+            // expired; the copy tracked in `inflight` lives elsewhere
+            // and counts in that agent's window. Re-insert and treat
+            // this completion as the duplicate.
             self.inflight.insert(rec.seq, inf);
             self.duplicates += 1;
             return Ok(());
         }
+        let rtt = inf.sent.map(|sent| {
+            now.saturating_duration_since(sent)
+                .saturating_sub(Duration::from_micros(rec.runtime_us))
+        });
+        self.windows[idx].complete(rtt, now);
         let Some(session) = self.sessions.get_mut(&inf.session) else {
             self.released += 1;
             return Ok(());
@@ -1521,7 +1682,7 @@ impl Pilot {
         self.completed += 1;
         let tenant = &mut self.tenants[inf.tenant];
         tenant.completed += 1;
-        self.config.emit(Event::TenantTaskDone {
+        self.config.emit(|| Event::TenantTaskDone {
             tenant: tenant.name.clone(),
             session: inf.session,
             seq: inf.local_seq,
@@ -1579,14 +1740,18 @@ impl Pilot {
     /// the tenant queue, so recovered work runs first), release the rest.
     fn release_agent(&mut self, idx: usize) {
         self.capacity = self.fleet.alive_slots();
-        let wire_seqs: Vec<u64> = self.placed[idx].drain().collect();
+        let wire_seqs: Vec<u64> = self
+            .inflight
+            .iter()
+            .filter(|(_, inf)| inf.agent == idx)
+            .map(|(&wire, _)| wire)
+            .collect();
+        debug_assert_eq!(wire_seqs.len() as u64, self.windows[idx].held);
+        self.windows[idx].held = 0;
         let mut requeued_per_tenant: HashMap<usize, u64> = HashMap::new();
-        let mut outstanding = 0u64;
+        let outstanding = wire_seqs.len() as u64;
         for wire in wire_seqs {
-            let Some(inf) = self.inflight.remove(&wire) else {
-                continue;
-            };
-            outstanding += 1;
+            let inf = self.inflight.remove(&wire).expect("collected above");
             if !self.sessions.contains_key(&inf.session) {
                 // Dead session: the work is simply released.
                 self.released += 1;
@@ -1603,7 +1768,7 @@ impl Pilot {
         for (tenant, n) in requeued_per_tenant {
             self.scheduler.requeue(tenant, n);
         }
-        self.emit(Event::AgentLost {
+        self.emit(|| Event::AgentLost {
             agent: idx as u32,
             outstanding,
         });
@@ -1611,20 +1776,21 @@ impl Pilot {
 
     // -- Dispatch ------------------------------------------------------
 
-    /// In-flight room on agent `idx`: its slots times `oversub`, less
-    /// what it already holds.
+    /// In-flight room on agent `idx`: its window, less what it already
+    /// holds.
     fn free(&self, idx: usize) -> u64 {
         if !self.fleet.is_alive(idx) {
             return 0;
         }
-        (self.fleet.slots(idx) as u64 * self.config.oversub as u64)
-            .saturating_sub(self.placed[idx].len() as u64)
+        self.windows[idx].free()
     }
 
     /// Ask the scheduler for grants while the fleet has free capacity,
     /// placing granted tasks round-robin across agents with room.
     fn dispatch(&mut self) {
         let mut touched: HashSet<usize> = HashSet::new();
+        // One timestamp for everything this round places.
+        let mut stamp = None;
         loop {
             let free_total: u64 = (0..self.fleet.len()).map(|idx| self.free(idx)).sum();
             if free_total == 0 {
@@ -1633,6 +1799,7 @@ impl Pilot {
             let Some(grant) = self.scheduler.grant(free_total.min(SHARD_CHUNK as u64)) else {
                 break;
             };
+            let now = *stamp.get_or_insert_with(Instant::now);
             let mut remaining = grant.n;
             while remaining > 0 {
                 // Next agent with room, round-robin for spread.
@@ -1655,7 +1822,7 @@ impl Pilot {
                 let take = remaining.min(self.free(idx));
                 let mut placed = 0u64;
                 for _ in 0..take {
-                    let Some(task) = take_front(&mut self.tenants[grant.tenant].queue) else {
+                    let Some(task) = self.tenants[grant.tenant].queue.pop_front() else {
                         break;
                     };
                     let wire = wire_seq(task.session, task.local_seq);
@@ -1666,7 +1833,7 @@ impl Pilot {
                             args: vec![task.directive.clone()],
                         }],
                     );
-                    self.placed[idx].insert(wire);
+                    let probe = self.windows[idx].place(now);
                     self.inflight.insert(
                         wire,
                         InflightTask {
@@ -1676,12 +1843,13 @@ impl Pilot {
                             local_seq: task.local_seq,
                             command: task.command,
                             directive: task.directive,
+                            sent: probe.then_some(now),
                         },
                     );
                     placed += 1;
                 }
                 if placed > 0 {
-                    self.emit(Event::TenantShardSent {
+                    self.emit(|| Event::TenantShardSent {
                         tenant: self.tenants[grant.tenant].name.clone(),
                         agent: idx as u32,
                         tasks: placed,
@@ -1695,6 +1863,9 @@ impl Pilot {
                 }
                 remaining -= placed;
             }
+        }
+        for window in &mut self.windows {
+            window.idle();
         }
         for idx in touched {
             if self.fleet.is_alive(idx) && !self.fleet.pump(&self.reactor, idx) {
@@ -1716,15 +1887,12 @@ impl Pilot {
         // now, so nothing is delivered.
         let mut delivery = HashMap::new();
         let mut no_callback: Option<&mut dyn FnMut(u64)> = None;
+        let now = Instant::now();
         for (idx, rec) in drained.late {
-            self.complete(idx, rec, &mut delivery, &mut no_callback)?;
+            self.complete(idx, rec, now, &mut delivery, &mut no_callback)?;
         }
         Ok(())
     }
-}
-
-fn take_front(queue: &mut VecDeque<QTask>) -> Option<QTask> {
-    queue.pop_front()
 }
 
 /// Make a tenant name safe as a file stem. Names that survive
@@ -1787,6 +1955,207 @@ mod tests {
         assert_eq!(wire_seq_checked(0, 0), None);
         assert_eq!(wire_seq_checked(u64::MAX, 1), None);
         assert_eq!(wire_seq_checked(0, u64::MAX), None);
+    }
+
+    /// What one agent did under a [`Window`] in [`simulate`].
+    struct Run {
+        /// The limit after each measured interval.
+        limits: Vec<u64>,
+        /// Most tasks the agent held at once.
+        peak_held: u64,
+    }
+
+    /// Closed-loop model of one agent under a [`Window`], on synthetic
+    /// time: `slots` slots take tasks first come first served, each task
+    /// runs `task`, and a frame spends half of `rtt` on the wire each
+    /// way. The pilot tops the window up whenever a completion arrives,
+    /// as `dispatch` does.
+    fn simulate(slots: u32, task: Duration, rtt: Duration, run: Duration) -> Run {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        const ARRIVE: u8 = 0;
+        const FINISH: u8 = 1;
+        const DONE: u8 = 2;
+        let t0 = Instant::now();
+        let half = rtt / 2;
+        let mut window = Window::new(slots);
+        let mut idle_slots = u64::from(slots);
+        // Tasks waiting at the agent, each with its probe stamp.
+        let mut waiting: VecDeque<Option<Instant>> = VecDeque::new();
+        // (when, tie-break, what, probe stamp), earliest first.
+        let mut events = BinaryHeap::new();
+        let mut order = 0u64;
+        let mut push = |events: &mut BinaryHeap<_>, at: Duration, what: u8, sent| {
+            order += 1;
+            events.push(Reverse((at, order, what, sent)));
+        };
+        let mut out = Run {
+            limits: Vec::new(),
+            peak_held: 0,
+        };
+        let mut fill = |window: &mut Window, events: &mut BinaryHeap<_>, at: Duration| {
+            let now = t0 + at;
+            for _ in 0..window.free() {
+                let probe = window.place(now);
+                push(events, at + half, ARRIVE, probe.then_some(now));
+            }
+        };
+        fill(&mut window, &mut events, Duration::ZERO);
+        while let Some(Reverse((at, _, what, sent))) = events.pop() {
+            if at > run {
+                break;
+            }
+            match what {
+                ARRIVE if idle_slots > 0 => {
+                    idle_slots -= 1;
+                    events.push(Reverse((at + task, 0, FINISH, sent)));
+                }
+                ARRIVE => waiting.push_back(sent),
+                FINISH => {
+                    events.push(Reverse((at + half, 0, DONE, sent)));
+                    match waiting.pop_front() {
+                        Some(next) => events.push(Reverse((at + task, 0, FINISH, next))),
+                        None => idle_slots += 1,
+                    }
+                }
+                _ => {
+                    let now = t0 + at;
+                    window.complete(sent.map(|s| now - s - task), now);
+                    window.measure(now);
+                    if window.done == 0 {
+                        out.limits.push(window.limit);
+                    }
+                    fill(&mut window, &mut events, at);
+                    out.peak_held = out.peak_held.max(window.held);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn window_grows_geometrically_for_short_tasks() {
+        // 5 µs tasks behind a 50 µs round trip: the starting window of 3
+        // leaves both slots idle most of each round trip.
+        let run = simulate(
+            2,
+            Duration::from_micros(5),
+            Duration::from_micros(50),
+            Duration::from_millis(50),
+        );
+        assert!(
+            run.limits[..3].iter().any(|&l| l > 4 * 2),
+            "limits {:?}",
+            &run.limits[..3]
+        );
+        // Saturated, the agent completes 400k/s: the window covers the
+        // round trip and the queue target of that, and no more.
+        let last = *run.limits.last().expect("measured");
+        assert!((400..=480).contains(&last), "settled at {last}");
+        assert!(run.peak_held <= SHARD_CHUNK as u64);
+    }
+
+    #[test]
+    fn window_holds_slots_plus_one_for_long_tasks() {
+        let run = simulate(
+            2,
+            Duration::from_millis(20),
+            Duration::from_micros(50),
+            Duration::from_secs(1),
+        );
+        assert!(run.limits.len() >= 40, "{} intervals", run.limits.len());
+        assert!(run.limits.iter().all(|&l| l == 3), "{:?}", run.limits);
+        assert_eq!(run.peak_held, 3);
+    }
+
+    #[test]
+    fn window_covers_a_long_round_trip() {
+        // A 2 ms round trip is longer than the queue target; the window
+        // must still grow to keep the slot busy through it.
+        let rtt = Duration::from_millis(2);
+        let task = Duration::from_micros(5);
+        let run = simulate(1, task, rtt, Duration::from_millis(300));
+        let rate = 1.0 / task.as_secs_f64();
+        let last = *run.limits.last().expect("measured");
+        assert!(
+            last as f64 >= rate * rtt.as_secs_f64(),
+            "settled at {last}, under rate × rtt"
+        );
+        assert!(run.limits.iter().all(|&l| l <= SHARD_CHUNK as u64));
+    }
+
+    #[test]
+    fn window_never_exceeds_shard_chunk() {
+        let t0 = Instant::now();
+        let mut window = Window::new(4);
+        for round in 0..5u32 {
+            // Back-to-back intervals: the pilot refills the window at
+            // each completion batch, so the agent never drains.
+            let start = t0 + QUEUE_TARGET * round;
+            let n = window.free();
+            for _ in 0..n {
+                window.place(start);
+            }
+            for _ in 0..n {
+                window.complete(Some(Duration::from_millis(10)), start);
+            }
+            // Thousands of completions per millisecond over a 10 ms
+            // round trip ask for far more than a shard.
+            window.measure(start + QUEUE_TARGET);
+            assert!(window.limit <= SHARD_CHUNK as u64, "{}", window.limit);
+        }
+        assert_eq!(window.limit, SHARD_CHUNK as u64);
+    }
+
+    #[test]
+    fn window_keeps_the_smallest_recent_round_trip() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut window = Window::new(1);
+        let probe_round = |window: &mut Window, at: Instant, rtt: Duration| {
+            window.place(at);
+            window.complete(Some(rtt), at + rtt);
+            window.measure(at + QUEUE_TARGET);
+            window.idle();
+            window.rtt.map(|(rtt, _)| rtt)
+        };
+        assert_eq!(probe_round(&mut window, t0, ms(1)), Some(ms(1)));
+        // A pilot stall inflates one probe; the smaller round trip stands.
+        let inflated = probe_round(&mut window, t0 + ms(10), ms(5));
+        assert_eq!(inflated, Some(ms(1)));
+        // Past the horizon, a larger round trip replaces it.
+        let later = probe_round(&mut window, t0 + RTT_HORIZON + ms(20), ms(5));
+        assert_eq!(later, Some(ms(5)));
+    }
+
+    #[test]
+    fn a_drained_window_starts_again_from_its_floor() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut window = Window::new(1);
+        // Two tasks placed at `at` complete by `at + span`; the pilot
+        // then finds nothing to place and the agent drains.
+        let busy_period = |window: &mut Window, at: Instant, span: Duration| {
+            assert!(window.place(at), "first task finds the slot free");
+            window.place(at);
+            window.complete(Some(ms(1)), at + ms(1));
+            window.complete(None, at + span);
+            window.measure(at + span);
+            let measured = window.limit;
+            window.idle();
+            measured
+        };
+        let short = busy_period(&mut window, t0, ms(2));
+        assert!(short > 2, "1000/s over 2 ms reaches past slots + 1");
+        assert_eq!(window.limit, 2, "drained: back at slots + 1");
+        // The idle second between busy periods is in no interval, so a
+        // second burst measures what the first did.
+        assert_eq!(busy_period(&mut window, t0 + ms(1000), ms(2)), short);
+        // Long tasks are sized from their own completions alone: had
+        // the short tasks' rate stayed in the average, this would read 3.
+        let long = busy_period(&mut window, t0 + ms(2000), ms(40));
+        assert_eq!(long, 2);
     }
 
     #[test]

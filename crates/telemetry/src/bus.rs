@@ -11,6 +11,11 @@ use crate::event::Event;
 pub trait Sink: Send + Sync {
     /// `at` is the offset from bus creation (monotonic).
     fn record(&self, at: Duration, event: &Event);
+
+    /// Write out anything `record` buffered. A long-running emitter
+    /// calls it ([`EventBus::flush`]) where it flushes its own logs, so
+    /// a killed process loses only the events since.
+    fn flush(&self) {}
 }
 
 /// Lock-cheap multi-producer event bus.
@@ -68,6 +73,16 @@ impl EventBus {
         let sinks = self.sinks.read().expect("sink list poisoned");
         for sink in sinks.iter() {
             sink.record(at, &event);
+        }
+    }
+
+    /// Flush every attached sink (see [`Sink::flush`]).
+    pub fn flush(&self) {
+        if self.sink_count.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        for sink in self.sinks.read().expect("sink list poisoned").iter() {
+            sink.flush();
         }
     }
 

@@ -143,6 +143,10 @@ impl Sink for JsonlWriter {
         // Telemetry must never take down the workload; drop on I/O error.
         let _ = writeln!(out, "{line}");
     }
+
+    fn flush(&self) {
+        let _ = JsonlWriter::flush(self);
+    }
 }
 
 impl Drop for JsonlWriter {
@@ -225,6 +229,18 @@ mod tests {
         let second = serde_json::from_str(lines[1]).unwrap();
         assert_eq!(second["type"].as_str(), Some("node_up"));
         assert_eq!(second["node"].as_u64(), Some(3));
+    }
+
+    #[test]
+    fn bus_flush_writes_out_buffered_jsonl() {
+        let (writer, buffer) = JsonlWriter::in_memory();
+        let bus = EventBus::shared();
+        bus.attach(writer);
+        bus.emit(Event::NodeUp { node: 1 });
+        assert!(buffer.lock().unwrap().is_empty(), "the line is buffered");
+        bus.flush();
+        let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
+        assert_eq!(text.lines().count(), 1);
     }
 
     #[test]
