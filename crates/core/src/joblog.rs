@@ -116,19 +116,23 @@ impl LogEntry {
 }
 
 /// One joblog row by reference: the one encoder behind
-/// [`JobLogWriter::record`], [`JobLogWriter::record_entry`] and
-/// [`LogEntry::to_line`], writing straight into its output with no
-/// intermediate strings.
-struct Row<'a> {
-    seq: u64,
-    host: &'a str,
-    start: f64,
-    runtime: f64,
-    send: u64,
-    receive: u64,
-    exitval: i32,
-    signal: i32,
-    command: &'a str,
+/// [`JobLogWriter::record`], [`JobLogWriter::record_row`],
+/// [`JobLogWriter::record_entry`] and [`LogEntry::to_line`], writing
+/// straight into its output with no intermediate strings. Callers that
+/// hold a completion's fields build one in place instead of a
+/// [`LogEntry`].
+pub struct Row<'a> {
+    pub seq: u64,
+    pub host: &'a str,
+    /// Seconds since the Unix epoch.
+    pub start: f64,
+    /// Seconds.
+    pub runtime: f64,
+    pub send: u64,
+    pub receive: u64,
+    pub exitval: i32,
+    pub signal: i32,
+    pub command: &'a str,
 }
 
 impl<'a> Row<'a> {
@@ -152,22 +156,79 @@ impl<'a> Row<'a> {
         }
     }
 
-    /// Write the row without its newline.
+    /// Write the row without its newline: the bytes
+    /// `"{seq}\t{host}\t{start:.3}\t{runtime:.3}\t…"` would give, from
+    /// integer code.
     fn encode(&self, out: &mut impl Write) -> io::Result<()> {
-        write!(
-            out,
-            "{}\t{}\t{:.3}\t{:.3}\t{}\t{}\t{}\t{}\t",
-            self.seq,
-            self.host,
-            self.start,
-            self.runtime,
-            self.send,
-            self.receive,
-            self.exitval,
-            self.signal
-        )?;
+        put_u64(out, self.seq)?;
+        out.write_all(b"\t")?;
+        out.write_all(self.host.as_bytes())?;
+        out.write_all(b"\t")?;
+        put_millis(out, self.start)?;
+        out.write_all(b"\t")?;
+        put_millis(out, self.runtime)?;
+        out.write_all(b"\t")?;
+        put_u64(out, self.send)?;
+        out.write_all(b"\t")?;
+        put_u64(out, self.receive)?;
+        out.write_all(b"\t")?;
+        put_i64(out, self.exitval.into())?;
+        out.write_all(b"\t")?;
+        put_i64(out, self.signal.into())?;
+        out.write_all(b"\t")?;
         escape_into(self.command, out)
     }
+}
+
+/// Write `n` in decimal.
+fn put_u64(out: &mut impl Write, mut n: u64) -> io::Result<()> {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_all(&digits[at..])
+}
+
+/// Write `n` in decimal, with a `-` when negative.
+fn put_i64(out: &mut impl Write, n: i64) -> io::Result<()> {
+    if n < 0 {
+        out.write_all(b"-")?;
+    }
+    put_u64(out, n.unsigned_abs())
+}
+
+/// Write `secs` exactly as `{:.3}` does. `{:.3}` rounds the exact value
+/// of `secs` half to even. Below 2^44 the product `secs × 1000` is
+/// within 2^-10 of that exact value, so when its fraction is more than
+/// 2^-8 away from one half, both round to the same integer and the
+/// digits come from integer code. Near a tie, and for negative,
+/// huge or non-finite values, the formatter decides.
+fn put_millis(out: &mut impl Write, secs: f64) -> io::Result<()> {
+    const FAST_BELOW: f64 = (1u64 << 44) as f64;
+    let scaled = secs * 1000.0;
+    if secs.is_sign_positive() && scaled < FAST_BELOW {
+        let whole = scaled.floor();
+        let frac = scaled - whole;
+        if (frac - 0.5).abs() > 1.0 / 256.0 {
+            let millis = whole as u64 + u64::from(frac > 0.5);
+            put_u64(out, millis / 1000)?;
+            let rem = millis % 1000;
+            let digit = |d: u64| b'0' + d as u8;
+            return out.write_all(&[
+                b'.',
+                digit(rem / 100),
+                digit(rem / 10 % 10),
+                digit(rem % 10),
+            ]);
+        }
+    }
+    write!(out, "{secs:.3}")
 }
 
 /// Escape a TSV field so the record stays one line: `\`, tab and
@@ -272,6 +333,13 @@ impl JobLogWriter {
     /// remote agents rather than jobs run in this process.
     pub fn record_entry(&mut self, entry: &LogEntry) -> Result<()> {
         write_row(&mut self.file, &entry.row())
+    }
+
+    /// Append a row built in place, keeping its own `host` column: what
+    /// [`record_entry`](JobLogWriter::record_entry) writes, without an
+    /// owned [`LogEntry`].
+    pub fn record_row(&mut self, row: &Row) -> Result<()> {
+        write_row(&mut self.file, row)
     }
 
     /// Push buffered rows to the file.
@@ -804,6 +872,65 @@ mod tests {
                 prop_assert!(!line.contains('\n'), "log stays line-oriented");
                 let parsed = LogEntry::parse(&line, 1).unwrap();
                 prop_assert_eq!(parsed, entry);
+            }
+
+            /// The integer encoder writes the bytes the formatter did
+            /// for every column: agent microsecond times, arbitrary bit
+            /// patterns, exact decimal ties (odd sixteenths round half
+            /// to even), the doubles either side of them, and the
+            /// nearest doubles to ties that are not exact.
+            #[test]
+            fn rows_match_the_formatter_byte_for_byte(
+                seq in any::<u64>(),
+                micros in any::<u64>(),
+                bits in any::<u64>(),
+                tie in 0u64..1 << 40,
+                send in any::<u64>(),
+                exitval in any::<i32>(),
+                signal in any::<i32>(),
+                command in "[ -~]{0,12}",
+            ) {
+                let exact_tie = (2 * tie + 1) as f64 / 16.0;
+                let times = [
+                    micros as f64 / 1e6,
+                    (micros % 100_000_000_000_000) as f64 / 1e6,
+                    f64::from_bits(bits),
+                    exact_tie,
+                    f64::from_bits(exact_tie.to_bits() + 1),
+                    f64::from_bits(exact_tie.to_bits() - 1),
+                    (2 * tie + 1) as f64 / 2000.0,
+                    -exact_tie,
+                ];
+                for &start in &times {
+                    for &runtime in &times {
+                        let row = Row {
+                            seq,
+                            host: "agent-1",
+                            start,
+                            runtime,
+                            send,
+                            receive: micros,
+                            exitval,
+                            signal,
+                            command: &command,
+                        };
+                        let mut got = Vec::new();
+                        row.encode(&mut got).unwrap();
+                        let want = format!(
+                            "{}\t{}\t{:.3}\t{:.3}\t{}\t{}\t{}\t{}\t{}",
+                            row.seq,
+                            row.host,
+                            row.start,
+                            row.runtime,
+                            row.send,
+                            row.receive,
+                            row.exitval,
+                            row.signal,
+                            escape(row.command)
+                        );
+                        prop_assert_eq!(String::from_utf8(got).unwrap(), want);
+                    }
+                }
             }
 
             #[test]

@@ -13,7 +13,7 @@ use std::io::Write;
 
 use crate::agent::read_next;
 use crate::conn::Conn;
-use crate::frame::{Decoder, Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION};
+use crate::frame::{encode_submit, Decoder, Frame, Payload, TaskDoneRec, PROTOCOL_VERSION};
 use crate::{NetError, Result};
 
 /// How a session presents itself to the pilot.
@@ -140,28 +140,22 @@ impl SessionClient {
 
     /// Submit one batch of tasks (one `Vec<String>` of template args
     /// per task) and wait for the admission verdict, buffering any
-    /// completion traffic that arrives in between. On refusal the
-    /// batch's seqs are reused by the next submit, so a caller can
+    /// completion traffic that arrives in between. The batch's seqs
+    /// continue the session's accepted ones, as the pilot requires. On
+    /// refusal they are reused by the next submit, so a caller can
     /// back off and resubmit the same work.
     pub fn submit(&mut self, tasks: &[Vec<String>]) -> Result<SubmitVerdict> {
         let submit_id = self.next_submit_id;
         self.next_submit_id += 1;
-        let specs: Vec<TaskSpec> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, args)| TaskSpec {
-                seq: self.next_seq + i as u64,
-                args: args.clone(),
-            })
-            .collect();
-        let frame = Frame::Submit {
-            tenant: self.config.tenant.clone(),
-            weight: self.config.weight,
-            priority: self.config.priority,
+        let frame = encode_submit(
+            &self.config.tenant,
+            self.config.weight,
+            self.config.priority,
             submit_id,
-            tasks: specs,
-        };
-        self.conn.write_all(&frame.encode())?;
+            self.next_seq,
+            tasks,
+        );
+        self.conn.write_all(&frame)?;
         self.conn.flush()?;
         loop {
             match read_next(&mut self.conn, &mut self.dec)? {
@@ -353,5 +347,92 @@ impl SessionClient {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    use crate::conn::Listener;
+    use crate::frame::TaskSpec;
+
+    /// The client encodes each `Submit` straight from the caller's
+    /// arguments: the bytes on the wire are `Frame::Submit { .. }`'s
+    /// encoding, seqs continuing across submits.
+    #[test]
+    fn submit_bytes_are_the_submit_frame() {
+        let path = std::env::temp_dir().join(format!("htpar-client-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let spec = format!("unix:{}", path.display());
+        let listener = Listener::bind(&spec).unwrap();
+        let batches: Vec<Vec<Vec<String>>> = vec![
+            vec![vec!["x y".into()], vec![], vec!["λ".into(), String::new()]],
+            vec![vec!["next".into()]],
+        ];
+        let n = batches.len();
+        let pilot = std::thread::spawn(move || {
+            let mut conn = listener.accept().unwrap();
+            conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            let mut dec = Decoder::new();
+            assert!(matches!(
+                read_next(&mut conn, &mut dec).unwrap(),
+                Some(Frame::Hello { .. })
+            ));
+            let ack = Frame::HelloAck {
+                version: PROTOCOL_VERSION,
+                slots: 1,
+                agent: "pilot".into(),
+            };
+            conn.write_all(&ack.encode()).unwrap();
+            let mut frames = Vec::new();
+            for submit_id in 1..=n as u64 {
+                let mut len = [0u8; 4];
+                conn.read_exact(&mut len).unwrap();
+                let mut frame = len.to_vec();
+                frame.resize(4 + u32::from_le_bytes(len) as usize, 0);
+                conn.read_exact(&mut frame[4..]).unwrap();
+                frames.push(frame);
+                let verdict = Frame::SessionAck {
+                    submit_id,
+                    accepted: true,
+                    queued: 0,
+                    reason: String::new(),
+                };
+                conn.write_all(&verdict.encode()).unwrap();
+            }
+            frames
+        });
+        let mut config = SessionConfig::new(spec, "team/a");
+        config.weight = 3;
+        config.priority = 2;
+        let mut client = SessionClient::connect(config).unwrap();
+        for batch in &batches {
+            assert!(client.submit(batch).unwrap().accepted);
+        }
+        let got = pilot.join().unwrap();
+        let mut seq = 0;
+        for (i, batch) in batches.iter().enumerate() {
+            let want = Frame::Submit {
+                tenant: "team/a".into(),
+                weight: 3,
+                priority: 2,
+                submit_id: i as u64 + 1,
+                tasks: batch
+                    .iter()
+                    .map(|args| {
+                        seq += 1;
+                        TaskSpec {
+                            seq,
+                            args: args.clone(),
+                        }
+                    })
+                    .collect(),
+            };
+            assert_eq!(got[i], want.encode(), "submit {}", i + 1);
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -211,7 +211,7 @@ impl Drive<'_> {
                 tasks: shard.len() as u64,
             });
             self.assigned[target].extend(shard.iter().map(|t| t.seq));
-            self.fleet.enqueue(target, shard);
+            self.fleet.enqueue(target, &shard);
             if !self.fleet.pump(&self.reactor, target) {
                 self.handle_loss(target)?;
             }
@@ -395,7 +395,7 @@ pub fn run_driver(
                 drive.fleet.credit(idx);
                 completed += 1;
                 if let Some(log) = &mut log {
-                    log.record_entry(&rec.log_entry(drive.fleet.name(idx), render(rec.seq)))?;
+                    log.record_row(&rec.row(drive.fleet.name(idx), &render(rec.seq)))?;
                 }
                 if let Some(cb) = on_done.as_deref_mut() {
                     cb(completed);

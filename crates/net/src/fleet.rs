@@ -25,7 +25,9 @@ use htpar_telemetry::{Event, EventBus};
 
 use crate::agent::read_next;
 use crate::conn::Conn;
-use crate::frame::{Decoder, Frame, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK};
+use crate::frame::{
+    Decoder, Frame, ShardBytes, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK,
+};
 use crate::lease::LeaseTracker;
 use crate::nbio::{Fill, Flush, FrameConn};
 use crate::{NetError, Result};
@@ -116,9 +118,10 @@ struct Agent {
     slots: u32,
     /// Live connection; `None` once lost, exited, or drained.
     fc: Option<FrameConn<Conn>>,
-    /// Tasks placed here but not yet queued to the socket: the overflow
-    /// beyond the write-queue cap.
-    backlog: VecDeque<TaskSpec>,
+    /// Tasks placed here but not yet queued to the socket (the overflow
+    /// beyond the write-queue cap), already encoded as `Shard` frames of
+    /// at most [`SHARD_CHUNK`] tasks; only the last one takes more.
+    backlog: VecDeque<ShardBytes>,
     done: u64,
     alive: bool,
     /// `AgentExit` received (or the socket closed during the drain).
@@ -288,8 +291,28 @@ impl Fleet {
 
     /// Park tasks in the agent's backlog; [`Fleet::pump`] moves them to
     /// the socket as the write queue allows.
-    pub(crate) fn enqueue(&mut self, idx: usize, tasks: impl IntoIterator<Item = TaskSpec>) {
-        self.agents[idx].backlog.extend(tasks);
+    pub(crate) fn enqueue(&mut self, idx: usize, tasks: &[TaskSpec]) {
+        for task in tasks {
+            self.open_shard(idx).push(task.seq, &task.args);
+        }
+    }
+
+    /// Park one task whose single argument `arg` writes straight into
+    /// the agent's backlog bytes.
+    pub(crate) fn enqueue_with(&mut self, idx: usize, seq: u64, arg: impl FnOnce(&mut Vec<u8>)) {
+        self.open_shard(idx).push_with(seq, arg);
+    }
+
+    /// The backlog frame that takes the agent's next task.
+    fn open_shard(&mut self, idx: usize) -> &mut ShardBytes {
+        let backlog = &mut self.agents[idx].backlog;
+        if backlog
+            .back()
+            .is_none_or(|shard| shard.tasks() >= SHARD_CHUNK)
+        {
+            backlog.push_back(ShardBytes::new());
+        }
+        backlog.back_mut().expect("pushed above")
     }
 
     /// Move backlog tasks into the socket's write queue up to the cap,
@@ -306,10 +329,11 @@ impl Fleet {
             // Refill the write queue from the backlog, staying under the
             // cap (but always queueing at least one frame so a cap
             // smaller than a frame still makes progress).
-            while !agent.backlog.is_empty() && (fc.queued_bytes() == 0 || fc.queued_bytes() < cap) {
-                let take = agent.backlog.len().min(SHARD_CHUNK);
-                let tasks: Vec<TaskSpec> = agent.backlog.drain(..take).collect();
-                fc.queue_frame(&Frame::Shard { tasks });
+            while fc.queued_bytes() == 0 || fc.queued_bytes() < cap {
+                let Some(shard) = agent.backlog.pop_front() else {
+                    break;
+                };
+                fc.queue_bytes(shard.finish());
             }
             if fc.queued_bytes() == 0 {
                 return agent.set_write_interest(reactor, idx, false);
@@ -501,5 +525,107 @@ impl Fleet {
                     .map_or(a.final_peak, |fc| fc.peak_queued_bytes() as u64),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
+
+    /// A fleet of one agent on one end of a socket pair, and the pair's
+    /// other end.
+    fn one_agent(write_queue_cap: usize) -> (Fleet, Reactor, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        ours.set_nonblocking(true).unwrap();
+        theirs.set_nonblocking(true).unwrap();
+        let reactor = Reactor::new().unwrap();
+        reactor
+            .register(ours.as_raw_fd(), 0, Interest::READ)
+            .unwrap();
+        let agent = Agent {
+            name: "a0".into(),
+            slots: 1,
+            fc: Some(FrameConn::new(Conn::Unix(ours))),
+            backlog: VecDeque::new(),
+            done: 0,
+            alive: true,
+            exited: false,
+            error: None,
+            want_write: false,
+            pre_sent: 0,
+            final_sent: 0,
+            final_received: 0,
+            final_peak: 0,
+        };
+        let fleet = Fleet {
+            agents: vec![agent],
+            lease: LeaseTracker::new(1),
+            lease_window_ms: 60_000,
+            write_queue_cap,
+            bus: None,
+        };
+        (fleet, reactor, theirs)
+    }
+
+    /// The backlog is encoded in place, task by task, through the
+    /// driver's `enqueue` and the pilot's `enqueue_with`; what reaches
+    /// the socket is byte for byte the `Shard` frames of the same tasks
+    /// in chunks of `SHARD_CHUNK`, whatever the write-queue cap.
+    #[test]
+    fn backlog_bytes_are_the_shard_frames_of_the_same_tasks() {
+        let tasks: Vec<TaskSpec> = (1..=5_000u64)
+            .map(|seq| TaskSpec {
+                seq: (seq << 40) | seq,
+                args: match seq % 4 {
+                    0 if seq <= 3_000 => vec![],
+                    1 if seq <= 3_000 => vec!["a b".into(), format!("λ{seq}")],
+                    _ => vec![format!("sh:echo {seq}")],
+                },
+            })
+            .collect();
+        let frames: Vec<Vec<u8>> = tasks
+            .chunks(SHARD_CHUNK)
+            .map(|chunk| {
+                Frame::Shard {
+                    tasks: chunk.to_vec(),
+                }
+                .encode()
+            })
+            .collect();
+        let largest = frames.iter().map(Vec::len).max().unwrap();
+        let want = frames.concat();
+        for cap in [1, WRITE_QUEUE_CAP] {
+            let (mut fleet, reactor, mut peer) = one_agent(cap);
+            let (driver, pilot) = tasks.split_at(3_000);
+            fleet.enqueue(0, driver);
+            for task in pilot {
+                fleet.enqueue_with(0, task.seq, |out| {
+                    out.extend_from_slice(task.args[0].as_bytes())
+                });
+            }
+            let mut got = Vec::new();
+            let mut buf = [0u8; 64 * 1024];
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while got.len() < want.len() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{} of {} bytes",
+                    got.len(),
+                    want.len()
+                );
+                assert!(fleet.pump(&reactor, 0), "pump failed");
+                while let Ok(n) = peer.read(&mut buf) {
+                    if n == 0 {
+                        break;
+                    }
+                    got.extend_from_slice(&buf[..n]);
+                }
+            }
+            assert_eq!(got, want, "write-queue cap {cap}");
+            // Backpressure: the cap plus at most one frame.
+            assert!(fleet.stats()[0].peak_queue_bytes as usize <= cap + largest);
+        }
     }
 }

@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use htpar_core::joblog::LogEntry;
+use htpar_core::joblog::{LogEntry, Row};
 
 /// Protocol revision carried in the handshake. Bump on any wire change.
 /// v2 added [`Frame::DoneBatch`] (coalesced completion acks). v3 added
@@ -87,10 +87,10 @@ pub struct TaskDoneRec {
 impl TaskDoneRec {
     /// The joblog row recording this completion: run on `host` as
     /// `command`, keyed by `self.seq`.
-    pub fn log_entry(&self, host: &str, command: String) -> LogEntry {
-        LogEntry {
+    pub fn row<'a>(&self, host: &'a str, command: &'a str) -> Row<'a> {
+        Row {
             seq: self.seq,
-            host: host.to_string(),
+            host,
             start: self.start_epoch_us as f64 / 1e6,
             runtime: self.runtime_us as f64 / 1e6,
             send: 0,
@@ -267,7 +267,7 @@ fn put_done_rec(out: &mut Vec<u8>, r: &TaskDoneRec) {
     put_str(out, &r.stderr);
 }
 
-fn put_payload(out: &mut Vec<u8>, p: Payload) {
+pub(crate) fn put_payload(out: &mut Vec<u8>, p: Payload) {
     match p {
         Payload::Shell => out.push(PAYLOAD_SHELL),
         Payload::Noop => out.push(PAYLOAD_NOOP),
@@ -279,22 +279,123 @@ fn put_payload(out: &mut Vec<u8>, p: Payload) {
     }
 }
 
-/// Task-list encoding shared by `Shard` and `Submit`.
-fn put_tasks(out: &mut Vec<u8>, tasks: &[TaskSpec]) {
+/// Task-list encoding shared by `Shard`, `Submit` and the journal's
+/// `Accepted` record: a count, then each task's seq and arguments.
+pub(crate) fn put_tasks<'a>(
+    out: &mut Vec<u8>,
+    tasks: impl ExactSizeIterator<Item = (u64, &'a [String])>,
+) {
     out.extend_from_slice(&(tasks.len() as u32).to_le_bytes());
-    for task in tasks {
-        out.extend_from_slice(&task.seq.to_le_bytes());
-        out.extend_from_slice(&(task.args.len() as u32).to_le_bytes());
-        for arg in &task.args {
-            put_str(out, arg);
-        }
+    for (seq, args) in tasks {
+        put_task(out, seq, args);
+    }
+}
+
+/// One task of a task list: its seq, then its arguments.
+fn put_task(out: &mut Vec<u8>, seq: u64, args: &[String]) {
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(args.len() as u32).to_le_bytes());
+    for arg in args {
+        put_str(out, arg);
+    }
+}
+
+/// Start a length-prefixed record with `tag` in `out`; returns where it
+/// starts, for [`end_record`].
+pub(crate) fn begin_record(out: &mut Vec<u8>, tag: u8) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.push(tag);
+    at
+}
+
+/// Write the length prefix of the record [`begin_record`] started at
+/// `at`, now that its body is complete.
+pub(crate) fn end_record(out: &mut [u8], at: usize) {
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The bytes of `Frame::Submit { .. }.encode()` for tasks numbered
+/// `first_seq..` in the order of `args`, without building a
+/// [`TaskSpec`] per task.
+pub(crate) fn encode_submit(
+    tenant: &str,
+    weight: u32,
+    priority: u32,
+    submit_id: u64,
+    first_seq: u64,
+    args: &[Vec<String>],
+) -> Vec<u8> {
+    let values: usize = args.iter().flatten().map(|a| 4 + a.len()).sum();
+    let mut out = Vec::with_capacity(29 + tenant.len() + 12 * args.len() + values);
+    let at = begin_record(&mut out, TAG_SUBMIT);
+    put_str(&mut out, tenant);
+    out.extend_from_slice(&weight.to_le_bytes());
+    out.extend_from_slice(&priority.to_le_bytes());
+    out.extend_from_slice(&submit_id.to_le_bytes());
+    put_tasks(
+        &mut out,
+        args.iter()
+            .enumerate()
+            .map(|(i, a)| (first_seq + i as u64, a.as_slice())),
+    );
+    end_record(&mut out, at);
+    out
+}
+
+/// One `Shard` frame encoded in place, task by task: the bytes
+/// `Frame::Shard { tasks }.encode()` gives for the same tasks, with no
+/// [`TaskSpec`] per task.
+pub(crate) struct ShardBytes {
+    buf: Vec<u8>,
+    tasks: u32,
+}
+
+impl ShardBytes {
+    pub(crate) fn new() -> ShardBytes {
+        let mut buf = Vec::with_capacity(256);
+        begin_record(&mut buf, TAG_SHARD);
+        // The task count, written by `finish`.
+        buf.extend_from_slice(&[0; 4]);
+        ShardBytes { buf, tasks: 0 }
+    }
+
+    pub(crate) fn tasks(&self) -> usize {
+        self.tasks as usize
+    }
+
+    /// Append a task with `args`.
+    pub(crate) fn push(&mut self, seq: u64, args: &[String]) {
+        put_task(&mut self.buf, seq, args);
+        self.tasks += 1;
+    }
+
+    /// Append a task with one argument, whose UTF-8 bytes `arg` writes.
+    pub(crate) fn push_with(&mut self, seq: u64, arg: impl FnOnce(&mut Vec<u8>)) {
+        self.buf.extend_from_slice(&seq.to_le_bytes());
+        self.buf.extend_from_slice(&1u32.to_le_bytes());
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        arg(&mut self.buf);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.tasks += 1;
+    }
+
+    /// The finished frame, length prefix included.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        self.buf[5..9].copy_from_slice(&self.tasks.to_le_bytes());
+        end_record(&mut self.buf, 0);
+        self.buf
     }
 }
 
 impl Frame {
     /// Serialize as one length-prefixed frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(32);
+        let mut body = Vec::with_capacity(self.size_hint());
+        body.extend_from_slice(&[0; 4]);
         match self {
             Frame::Hello {
                 version,
@@ -322,7 +423,7 @@ impl Frame {
             }
             Frame::Shard { tasks } => {
                 body.push(TAG_SHARD);
-                put_tasks(&mut body, tasks);
+                put_tasks(&mut body, tasks.iter().map(|t| (t.seq, t.args.as_slice())));
             }
             Frame::DoneBatch { results } => {
                 body.push(TAG_DONE_BATCH);
@@ -354,7 +455,7 @@ impl Frame {
                 body.extend_from_slice(&weight.to_le_bytes());
                 body.extend_from_slice(&priority.to_le_bytes());
                 body.extend_from_slice(&submit_id.to_le_bytes());
-                put_tasks(&mut body, tasks);
+                put_tasks(&mut body, tasks.iter().map(|t| (t.seq, t.args.as_slice())));
             }
             Frame::SessionAck {
                 submit_id,
@@ -395,10 +496,32 @@ impl Frame {
                 put_str(&mut body, reason);
             }
         }
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        end_record(&mut body, 0);
+        body
+    }
+
+    /// Room for the encoded frame: exact for the batch frames, which can
+    /// be large, and enough for the others.
+    fn size_hint(&self) -> usize {
+        let tasks = |tasks: &[TaskSpec]| -> usize {
+            tasks
+                .iter()
+                .map(|t| 12 + t.args.iter().map(|a| 4 + a.len()).sum::<usize>())
+                .sum()
+        };
+        match self {
+            Frame::Shard { tasks: t } => 9 + tasks(t),
+            Frame::Submit {
+                tenant, tasks: t, ..
+            } => 29 + tenant.len() + tasks(t),
+            Frame::DoneBatch { results } => {
+                9 + results
+                    .iter()
+                    .map(|r| 40 + r.stdout.len() + r.stderr.len())
+                    .sum::<usize>()
+            }
+            _ => 64,
+        }
     }
 }
 
@@ -446,10 +569,24 @@ impl<'a> Body<'a> {
         Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub(crate) fn string(&mut self) -> Result<String, FrameError> {
+    /// A string field, borrowed from the body.
+    pub(crate) fn str(&mut self) -> Result<&'a str, FrameError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| FrameError::BadUtf8)
+    }
+
+    pub(crate) fn string(&mut self) -> Result<String, FrameError> {
+        self.str().map(str::to_owned)
+    }
+
+    pub(crate) fn payload(&mut self) -> Result<Payload, FrameError> {
+        Ok(match self.u8()? {
+            PAYLOAD_SHELL => Payload::Shell,
+            PAYLOAD_NOOP => Payload::Noop,
+            PAYLOAD_SLEEP => Payload::SleepUs(self.u64()?),
+            PAYLOAD_DYNAMIC => Payload::Dynamic,
+            _ => return Err(FrameError::Malformed("unknown payload kind")),
+        })
     }
 
     fn done_rec(&mut self) -> Result<TaskDoneRec, FrameError> {
@@ -464,22 +601,25 @@ impl<'a> Body<'a> {
         })
     }
 
-    /// Task-list decoding shared by `Shard` and `Submit`, with the
-    /// hostile-count guards applied before any allocation.
-    fn tasks(&mut self, body_len: usize) -> Result<Vec<TaskSpec>, FrameError> {
+    /// A count of items of at least `min` bytes each, refused when the
+    /// rest of the body cannot hold that many: the hostile-count guard
+    /// that runs before any allocation.
+    pub(crate) fn count(&mut self, min: usize, what: &'static str) -> Result<usize, FrameError> {
         let count = self.u32()? as usize;
-        // A task is at least 12 bytes (seq + argc); reject counts the
-        // remaining body cannot possibly hold before reserving.
-        if count > (body_len - self.pos) / 12 {
-            return Err(FrameError::Malformed("task count exceeds body"));
+        if count > (self.buf.len() - self.pos) / min {
+            return Err(FrameError::Malformed(what));
         }
+        Ok(count)
+    }
+
+    /// Task-list decoding shared by `Shard`, `Submit` and the journal's
+    /// `Accepted` record. A task is at least 12 bytes (seq + argc).
+    pub(crate) fn tasks(&mut self) -> Result<Vec<TaskSpec>, FrameError> {
+        let count = self.count(12, "task count exceeds body")?;
         let mut tasks = Vec::with_capacity(count);
         for _ in 0..count {
             let seq = self.u64()?;
-            let argc = self.u32()? as usize;
-            if argc > (body_len - self.pos) / 4 {
-                return Err(FrameError::Malformed("arg count exceeds body"));
-            }
+            let argc = self.count(4, "arg count exceeds body")?;
             let mut args = Vec::with_capacity(argc);
             for _ in 0..argc {
                 args.push(self.string()?);
@@ -487,6 +627,18 @@ impl<'a> Body<'a> {
             tasks.push(TaskSpec { seq, args });
         }
         Ok(tasks)
+    }
+
+    /// Check a task list as [`Body::tasks`] reads it, allocating
+    /// nothing.
+    pub(crate) fn skip_tasks(&mut self) -> Result<(), FrameError> {
+        for _ in 0..self.count(12, "task count exceeds body")? {
+            self.u64()?;
+            for _ in 0..self.count(4, "arg count exceeds body")? {
+                self.str()?;
+            }
+        }
+        Ok(())
     }
 
     pub(crate) fn finish(self) -> Result<(), FrameError> {
@@ -501,40 +653,22 @@ impl<'a> Body<'a> {
 fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
     let mut b = Body::new(body);
     let frame = match b.u8()? {
-        TAG_HELLO => {
-            let version = b.u16()?;
-            let jobs = b.u32()?;
-            let heartbeat_ms = b.u32()?;
-            let payload = match b.u8()? {
-                PAYLOAD_SHELL => Payload::Shell,
-                PAYLOAD_NOOP => Payload::Noop,
-                PAYLOAD_SLEEP => Payload::SleepUs(b.u64()?),
-                PAYLOAD_DYNAMIC => Payload::Dynamic,
-                _ => return Err(FrameError::Malformed("unknown payload kind")),
-            };
-            Frame::Hello {
-                version,
-                jobs,
-                heartbeat_ms,
-                payload,
-                command: b.string()?,
-            }
-        }
+        TAG_HELLO => Frame::Hello {
+            version: b.u16()?,
+            jobs: b.u32()?,
+            heartbeat_ms: b.u32()?,
+            payload: b.payload()?,
+            command: b.string()?,
+        },
         TAG_HELLO_ACK => Frame::HelloAck {
             version: b.u16()?,
             slots: b.u32()?,
             agent: b.string()?,
         },
-        TAG_SHARD => Frame::Shard {
-            tasks: b.tasks(body.len())?,
-        },
+        TAG_SHARD => Frame::Shard { tasks: b.tasks()? },
         TAG_DONE_BATCH => {
-            let count = b.u32()? as usize;
-            // A record is at least 40 bytes of fixed fields; reject
-            // counts the remaining body cannot possibly hold.
-            if count > (body.len() - b.pos) / 40 {
-                return Err(FrameError::Malformed("done batch count exceeds body"));
-            }
+            // A record is at least 40 bytes of fixed fields.
+            let count = b.count(40, "done batch count exceeds body")?;
             let mut results = Vec::with_capacity(count);
             for _ in 0..count {
                 results.push(b.done_rec()?);
@@ -560,7 +694,7 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
                 weight,
                 priority,
                 submit_id,
-                tasks: b.tasks(body.len())?,
+                tasks: b.tasks()?,
             }
         }
         TAG_SESSION_ACK => Frame::SessionAck {

@@ -54,6 +54,7 @@ pub mod serve;
 
 use std::fmt;
 use std::io;
+use std::path::PathBuf;
 
 use crate::frame::FrameError;
 
@@ -84,6 +85,9 @@ pub enum NetError {
     AllAgentsLost { remaining: u64 },
     /// An error bubbled up from the embedded `htpar-core` engine.
     Core(htpar_core::error::Error),
+    /// The pilot journal at `path` was written by an older pilot, whose
+    /// records held rendered commands instead of arguments.
+    OlderJournal { path: PathBuf },
 }
 
 impl fmt::Display for NetError {
@@ -96,6 +100,12 @@ impl fmt::Display for NetError {
                 write!(f, "all agents lost with {remaining} tasks unfinished")
             }
             NetError::Core(e) => write!(f, "engine error: {e}"),
+            NetError::OlderJournal { path } => write!(
+                f,
+                "journal {} was written by an older pilot and cannot be replayed; \
+                 finish its sessions with that pilot, or move the file away",
+                path.display()
+            ),
         }
     }
 }

@@ -73,7 +73,8 @@ pub enum Fill {
 
 /// Max buffers handed to one vectored write. Linux caps `iovcnt` at
 /// 1024 (IOV_MAX); staying far below keeps the slice array on the
-/// stack while still amortizing the syscall across many small frames.
+/// stack (no allocation per flush) while still amortizing the syscall
+/// across many small frames.
 const WRITEV_BATCH: usize = 64;
 
 /// One buffered, framed, non-blocking connection.
@@ -165,12 +166,14 @@ impl<S: NbStream> FrameConn<S> {
     /// syscall; resumes partial writes at the exact byte offset.
     pub fn flush(&mut self) -> io::Result<Flush> {
         while !self.wq.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.wq.len().min(WRITEV_BATCH));
+            let mut slices = [IoSlice::new(&[]); WRITEV_BATCH];
+            let mut n = 0;
             for (i, buf) in self.wq.iter().take(WRITEV_BATCH).enumerate() {
                 let start = if i == 0 { self.head_off } else { 0 };
-                slices.push(IoSlice::new(&buf[start..]));
+                slices[i] = IoSlice::new(&buf[start..]);
+                n = i + 1;
             }
-            match self.stream.write_vectored(&slices) {
+            match self.stream.write_vectored(&slices[..n]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,

@@ -19,6 +19,19 @@
 //! kind rides in each task's first argument as a directive the agent
 //! renders through the `"{}"` template.
 //!
+//! A task carries as little through the pilot as through the one-shot
+//! driver. A session holds its template, its payload and the arguments of its accepted
+//! tasks once, moved out of the decoded `Submit`; a queued task is a
+//! `(session, local seq)` pair and an in-flight one adds its agent.
+//! Dispatch writes each directive straight into the agent's `Shard`
+//! bytes, and a completion renders its command once, for its joblog
+//! row, then drops the task's arguments. A `Submit` must carry the
+//! seqs that continue the session's (`submitted+1 ..= submitted+n`),
+//! or it gets a typed refusal, so its arguments sit in a table by seq
+//! and taking a task's marks it recorded. One
+//! fsync per loop turn commits every admission and detach of the turn;
+//! their acks wait for it, and the turn dispatches after it.
+//!
 //! Each agent gets an in-flight window sized from its own measurements
 //! (`Window`): its slots, plus enough tasks to cover its measured
 //! completion rate over its round trip and a `QUEUE_TARGET` (1 ms) of
@@ -44,13 +57,16 @@
 //!   decode, not a socket drop;
 //! - with `--state-dir`, sessions are durable: a `Detach`ed client may
 //!   drop its socket and `Reattach` later by key, and every admission
-//!   is fsynced to a write-ahead [`crate::journal`] so a SIGKILLed
-//!   pilot restarts with exactly the unfinished seqs re-dispatched
-//!   (see `DESIGN.md` §13 "Durability").
+//!   is in the fsynced write-ahead [`crate::journal`] before its ack,
+//!   so a SIGKILLed pilot restarts with exactly the unfinished seqs
+//!   re-dispatched, their commands rendered again from the journaled
+//!   template and arguments (see `DESIGN.md` §13 "Durability").
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::io::Write;
 use std::os::fd::AsRawFd;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,7 +80,7 @@ use htpar_telemetry::{Event, EventBus};
 use crate::conn::{Conn, Listener};
 use crate::fleet::{self, AgentStat, Fleet, TOK_TICK, WRITE_QUEUE_CAP};
 use crate::frame::{Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK};
-use crate::journal::{read_journal, JRecord, JTask, JournalWriter, JOURNAL_FILE};
+use crate::journal::{read_journal, JRecord, JournalWriter, JOURNAL_FILE};
 use crate::nbio::{Fill, Flush, FrameConn};
 use crate::{NetError, Result};
 
@@ -215,6 +231,31 @@ const CLIENT_BASE: usize = 1 << 32;
 
 // -- Internal state ----------------------------------------------------
 
+/// Hashes the integer keys the pilot assigns itself (session ids, and
+/// wire seqs built from them and validated dense local seqs) with one
+/// multiply. A client cannot choose these keys, so they need no defence
+/// against collisions built on purpose.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
 /// One client session.
 struct Session {
     fc: Option<FrameConn<Conn>>,
@@ -223,12 +264,18 @@ struct Session {
     /// Tenant index bound by the first `Submit`.
     tenant: Option<usize>,
     payload: Payload,
+    /// The template from the client's `Hello`; its source is journaled.
     template: Option<Template>,
-    /// Tasks accepted (admission passed) over the session's lifetime.
-    submitted: u64,
+    /// Arguments of the accepted tasks, indexed by local seq − 1 (local
+    /// seqs run `1..=args.len()`). Recording a task takes its arguments,
+    /// so `None` marks a recorded seq (the exactly-once guard) and only
+    /// unfinished work holds any.
+    args: Vec<Option<Vec<String>>>,
     completed: u64,
-    /// Local seqs already recorded (exactly-once guard).
-    recorded: HashSet<u64>,
+    /// Frames queued to the client wait for the loop turn's journal
+    /// sync: an admission or detach ack is sent only once its record
+    /// is on disk.
+    awaiting_sync: bool,
     /// Client sent its `SessionDone`.
     client_done: bool,
     /// Final frame queued; close once the socket drains.
@@ -253,9 +300,9 @@ impl Session {
             tenant: None,
             payload: Payload::Noop,
             template: None,
-            submitted: 0,
+            args: Vec::new(),
             completed: 0,
-            recorded: HashSet::new(),
+            awaiting_sync: false,
             client_done: false,
             closing: false,
             want_write: false,
@@ -265,16 +312,47 @@ impl Session {
             journaled: false,
         }
     }
+
+    /// Tasks accepted (admission passed) over the session's lifetime.
+    fn submitted(&self) -> u64 {
+        self.args.len() as u64
+    }
+
+    /// The command of local seq `seq` with `args`: the joblog's Command
+    /// column, and what a shell directive runs.
+    fn render(&self, args: &[String], seq: u64) -> String {
+        let template = self
+            .template
+            .as_ref()
+            .expect("sessions with tasks have a template");
+        template.expand(&ExpandContext { args, seq, slot: 0 })
+    }
+
+    /// Write the directive the agent runs for local seq `seq`: `noop`,
+    /// `sleep:MICROS`, or `sh:` and the rendered command. A
+    /// dynamic-payload session's rendered command is its directive.
+    fn put_directive(&self, out: &mut Vec<u8>, seq: u64) {
+        let args = self.args[(seq - 1) as usize]
+            .as_deref()
+            .expect("a dispatched task is not recorded yet");
+        match self.payload {
+            Payload::Noop => out.extend_from_slice(b"noop"),
+            Payload::SleepUs(us) => {
+                let _ = write!(out, "sleep:{us}");
+            }
+            Payload::Shell => {
+                out.extend_from_slice(b"sh:");
+                out.extend_from_slice(self.render(args, seq).as_bytes());
+            }
+            Payload::Dynamic => out.extend_from_slice(self.render(args, seq).as_bytes()),
+        }
+    }
 }
 
 /// One admitted, not-yet-dispatched task.
 struct QTask {
     session: u64,
     local_seq: u64,
-    /// Joblog command column (the session template, expanded).
-    command: String,
-    /// Dynamic-payload directive the agent executes.
-    directive: String,
 }
 
 /// One dispatched, not-yet-completed task.
@@ -283,8 +361,6 @@ struct InflightTask {
     tenant: usize,
     session: u64,
     local_seq: u64,
-    command: String,
-    directive: String,
     /// When a probe was placed (see [`Window::place`]); `None` for a
     /// task that queues at its agent.
     sent: Option<Instant>,
@@ -310,7 +386,12 @@ const RTT_HORIZON: Duration = Duration::from_secs(1);
 /// capped at [`SHARD_CHUNK`] (at `slots + 1` for an agent with more
 /// slots than that), where
 /// - `rate` averages the agent's completions per second over intervals
-///   of at least [`QUEUE_TARGET`] in which it held work;
+///   in which it held work, each lasting at least [`QUEUE_TARGET`] and
+///   taking at least one completion per slot. A shorter interval reads
+///   one slot's completion as the whole agent's rate: two `-j 2` slots
+///   finishing 20 ms tasks a few milliseconds apart read as several
+///   hundred tasks a second, and under load that grew the window past
+///   `slots + 1`;
 /// - `rtt` is the smallest `arrival − dispatch − runtime` among the
 ///   probes of the last [`RTT_HORIZON`]: tasks placed while the agent
 ///   held fewer tasks than slots, so they start as they arrive. A task
@@ -385,14 +466,15 @@ impl Window {
         }
     }
 
-    /// Close the interval at `now` once it has lasted the queue target,
-    /// and size the window from what it measured.
+    /// Close the interval at `now` once it has lasted the queue target
+    /// and taken a completion per slot, and size the window from what it
+    /// measured.
     fn measure(&mut self, now: Instant) {
         let Some(since) = self.since else {
             return;
         };
         let span = now.saturating_duration_since(since);
-        if span < QUEUE_TARGET || self.done == 0 {
+        if span < QUEUE_TARGET || self.done < self.slots {
             return;
         }
         let sample = self.done as f64 / span.as_secs_f64();
@@ -439,12 +521,21 @@ pub struct PilotServer {
     reactor: Reactor,
     listener: Listener,
     fleet: Fleet,
+    /// The journal a previous pilot left in `state_dir`, replayed by
+    /// [`PilotServer::run`].
+    journal: Vec<JRecord>,
 }
 
 impl PilotServer {
-    /// Dial and handshake every agent (blocking, sequential), bind the
-    /// session listener, and register both with a fresh reactor.
+    /// Read the journal in `state_dir` if there is one (refusing one in
+    /// an older layout), dial and handshake every agent (blocking,
+    /// sequential), bind the session listener, and register both with
+    /// a fresh reactor.
     pub fn bind(config: ServeConfig) -> Result<PilotServer> {
+        let journal = match &config.state_dir {
+            Some(dir) => read_journal(&dir.join(JOURNAL_FILE))?,
+            None => Vec::new(),
+        };
         // Agents run the dynamic engine: the per-task directive carries
         // the work, the template is pure pass-through.
         let hello = Frame::Hello {
@@ -471,6 +562,7 @@ impl PilotServer {
             reactor,
             listener,
             fleet,
+            journal,
         })
     }
 
@@ -495,13 +587,19 @@ struct Pilot {
     fleet: Fleet,
     /// Each agent's in-flight window and the count it holds.
     windows: Vec<Window>,
-    sessions: HashMap<u64, Session>,
+    sessions: IdMap<Session>,
     next_session: u64,
     sessions_closed: u64,
     tenants: Vec<Tenant>,
     tenant_ids: HashMap<String, usize>,
     scheduler: Box<dyn Scheduler>,
-    inflight: HashMap<u64, InflightTask>,
+    /// Dispatched tasks by wire seq.
+    inflight: IdMap<InflightTask>,
+    /// Completions of the current read batch by session, kept between
+    /// batches for its capacity.
+    delivery: IdMap<Vec<TaskDoneRec>>,
+    /// Agents a dispatch round placed tasks on, kept between rounds.
+    touched: Vec<usize>,
     completed: u64,
     released: u64,
     duplicates: u64,
@@ -513,6 +611,9 @@ struct Pilot {
     capacity: usize,
     /// Write-ahead journal; `Some` iff `config.state_dir` is set.
     journal: Option<JournalWriter>,
+    /// Sessions whose queued frames wait for this loop turn's journal
+    /// sync ([`Pilot::commit`]).
+    unsynced: Vec<u64>,
     /// Completions recorded since the last journal flush, appended as
     /// `Done` records *after* the tenant joblogs flush each loop.
     pending_done: Vec<(u64, u64)>,
@@ -533,13 +634,15 @@ impl Pilot {
                 .collect(),
             capacity: server.fleet.alive_slots(),
             fleet: server.fleet,
-            sessions: HashMap::new(),
+            sessions: IdMap::default(),
             next_session: 0,
             sessions_closed: 0,
             tenants: Vec::new(),
             tenant_ids: HashMap::new(),
             scheduler,
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
+            delivery: IdMap::default(),
+            touched: Vec::new(),
             completed: 0,
             released: 0,
             duplicates: 0,
@@ -547,33 +650,37 @@ impl Pilot {
             rr: 0,
             last_occupancy: None,
             journal: None,
+            unsynced: Vec::new(),
             pending_done: Vec::new(),
             closed_since_compaction: 0,
         };
         if let Some(dir) = pilot.config.state_dir.clone() {
-            pilot.recover(&dir)?;
+            pilot.recover(server.journal)?;
             pilot.journal = Some(JournalWriter::open(&dir)?);
         }
         Ok(pilot)
     }
 
-    /// Rebuild the session table from a previous pilot's journal:
-    /// unclosed sessions come back under their original ids (so wire
-    /// seqs stay stable) as detached sessions awaiting reattach, with
-    /// exactly the unfinished seqs re-queued. A seq counts as done if
+    /// Rebuild the session table from a previous pilot's journal
+    /// records: unclosed sessions come back under their original ids
+    /// (so wire seqs stay stable) as detached sessions awaiting
+    /// reattach, with their templates and the arguments of exactly the
+    /// unfinished seqs, which are re-queued. A seq counts as done if
     /// the journal says so *or* the tenant joblog holds its row — the
     /// joblog flush precedes the journal `Done` flush, so either
     /// surviving record proves completion.
-    fn recover(&mut self, dir: &Path) -> Result<()> {
+    fn recover(&mut self, recs: Vec<JRecord>) -> Result<()> {
         struct RSession {
             tenant: String,
             weight: u32,
             priority: u32,
-            accepted: Vec<JTask>,
+            payload: Payload,
+            template: String,
+            /// Accepted tasks' arguments, by local seq − 1.
+            args: Vec<Option<Vec<String>>>,
             done: HashSet<u64>,
             detach_key: u64,
         }
-        let recs = read_journal(&dir.join(JOURNAL_FILE))?;
         if recs.is_empty() {
             return Ok(());
         }
@@ -587,6 +694,8 @@ impl Pilot {
                     tenant,
                     weight,
                     priority,
+                    payload,
+                    template,
                 } => {
                     max_id = max_id.max(session);
                     order.push(session);
@@ -596,7 +705,9 @@ impl Pilot {
                             tenant,
                             weight,
                             priority,
-                            accepted: Vec::new(),
+                            payload,
+                            template,
+                            args: Vec::new(),
                             done: HashSet::new(),
                             detach_key: 0,
                         },
@@ -604,7 +715,18 @@ impl Pilot {
                 }
                 JRecord::Accepted { session, tasks } => {
                     if let Some(r) = rs.get_mut(&session) {
-                        r.accepted.extend(tasks);
+                        for task in tasks {
+                            // Admission took only seqs that continue the
+                            // session's accepted ones.
+                            if task.seq != r.args.len() as u64 + 1 {
+                                return Err(NetError::Protocol(format!(
+                                    "journal: session {session} accepted seq {} after {}",
+                                    task.seq,
+                                    r.args.len()
+                                )));
+                            }
+                            r.args.push(Some(task.args));
+                        }
                     }
                 }
                 JRecord::Done { session, seqs } => {
@@ -637,24 +759,9 @@ impl Pilot {
             let Some(r) = rs.remove(&id) else {
                 continue;
             };
-            let tidx = match self.tenant_ids.get(&r.tenant) {
-                Some(&tidx) => tidx,
-                None => {
-                    let tidx = self.tenants.len();
-                    self.tenant_ids.insert(r.tenant.clone(), tidx);
-                    self.tenants.push(Tenant {
-                        name: r.tenant.clone(),
-                        queue: VecDeque::new(),
-                        log: None,
-                        outlog: None,
-                        completed: 0,
-                        rejected_submits: 0,
-                    });
-                    tidx
-                }
-            };
+            let tidx = self.tenant_index(&r.tenant);
             self.scheduler.set_tenant(tidx, r.weight, r.priority);
-            let accepted_seqs: HashSet<u64> = r.accepted.iter().map(|t| t.local_seq).collect();
+            let accepted = 1..=r.args.len() as u64;
             let mut done = r.done;
             if let Some(joblog_dir) = &self.config.joblog_dir {
                 let from_log = match log_seqs.entry(tidx) {
@@ -665,31 +772,31 @@ impl Pilot {
                         e.insert(joblog::resume_set(&path, ResumeMode::Resume)?)
                     }
                 };
-                done.extend(from_log.intersection(&accepted_seqs).copied());
+                done.extend(from_log.iter().filter(|s| accepted.contains(s)));
             }
-            done.retain(|s| accepted_seqs.contains(s));
+            done.retain(|s| accepted.contains(s));
+            let mut session = Session::fresh(None);
+            session.active = true;
+            session.tenant = Some(tidx);
+            session.payload = r.payload;
+            session.template = Some(Template::parse(&r.template)?);
+            session.args = r.args;
             let mut unfinished = 0u64;
-            for task in r.accepted {
-                if done.contains(&task.local_seq) {
+            for seq in accepted {
+                if done.contains(&seq) {
+                    session.args[(seq - 1) as usize] = None;
                     continue;
                 }
                 self.tenants[tidx].queue.push_back(QTask {
                     session: id,
-                    local_seq: task.local_seq,
-                    command: task.command,
-                    directive: task.directive,
+                    local_seq: seq,
                 });
                 unfinished += 1;
             }
             if unfinished > 0 {
                 self.scheduler.enqueue(tidx, unfinished);
             }
-            let mut session = Session::fresh(None);
-            session.active = true;
-            session.tenant = Some(tidx);
-            session.submitted = (done.len() as u64) + unfinished;
             session.completed = done.len() as u64;
-            session.recorded = done;
             session.detached = true;
             session.detach_key = r.detach_key;
             session.detached_at = Some(Instant::now());
@@ -703,6 +810,24 @@ impl Pilot {
             tasks: recovered_tasks,
         });
         Ok(())
+    }
+
+    /// The index of tenant `name`, added on first use.
+    fn tenant_index(&mut self, name: &str) -> usize {
+        if let Some(&tidx) = self.tenant_ids.get(name) {
+            return tidx;
+        }
+        let tidx = self.tenants.len();
+        self.tenant_ids.insert(name.to_string(), tidx);
+        self.tenants.push(Tenant {
+            name: name.to_string(),
+            queue: VecDeque::new(),
+            log: None,
+            outlog: None,
+            completed: 0,
+            rejected_submits: 0,
+        });
+        tidx
     }
 
     fn emit(&self, event: impl FnOnce() -> Event) {
@@ -794,6 +919,9 @@ impl Pilot {
                 }
             }
             events = batch;
+            // One fsync makes the turn's admissions durable before their
+            // acks go out and before any of their tasks is dispatched.
+            self.commit()?;
             self.dispatch();
             for tenant in self.tenants.iter_mut() {
                 if let Some(log) = &mut tenant.log {
@@ -1031,8 +1159,8 @@ impl Pilot {
 
     /// Mark a session durable-detached: the client may drop its socket
     /// after the ack and reattach later by `detach_key`. The detach is
-    /// journaled and fsynced before the ack so the key survives a
-    /// pilot crash.
+    /// journaled, and its ack waits for the turn's fsync so the key
+    /// survives a pilot crash.
     fn session_detach(&mut self, id: u64, detach_key: u64) -> Result<bool> {
         let session = self.sessions.get_mut(&id).expect("session alive");
         if !session.active {
@@ -1057,13 +1185,13 @@ impl Pilot {
         session.detached = true;
         session.detach_key = detach_key;
         session.detached_at = Some(Instant::now());
-        let queued = session.submitted - session.completed;
+        let queued = session.submitted() - session.completed;
         if let Some(j) = self.journal.as_mut() {
             j.append(&JRecord::Detached {
                 session: id,
                 detach_key,
             });
-            j.sync()?;
+            self.await_sync(id);
         }
         self.emit(|| Event::SessionDetached {
             session: id,
@@ -1134,7 +1262,7 @@ impl Pilot {
         // last accepted task completes.
         session.client_done = true;
         session.want_write = false;
-        let (submitted, completed) = (session.submitted, session.completed);
+        let (submitted, completed) = (session.submitted(), session.completed);
         if let Some(fc) = session.fc.as_ref() {
             let _ = self.reactor.reregister(
                 fc.stream().as_raw_fd(),
@@ -1170,14 +1298,18 @@ impl Pilot {
     /// `Done` survived) replay as zeros with empty output. Returns the
     /// number of seqs replayed.
     fn replay_recorded(&mut self, id: u64) -> Result<u64> {
-        let (tidx, recorded) = {
+        let (tidx, seqs) = {
             let session = self.sessions.get(&id).expect("session alive");
             (
                 session.tenant.expect("reattached sessions have a tenant"),
-                session.recorded.clone(),
+                (1..)
+                    .zip(&session.args)
+                    .filter(|(_, args)| args.is_none())
+                    .map(|(seq, _)| seq)
+                    .collect::<Vec<u64>>(),
             )
         };
-        if recorded.is_empty() {
+        if seqs.is_empty() {
             return Ok(0);
         }
         let mut by_seq: HashMap<u64, TaskDoneRec> = HashMap::new();
@@ -1191,7 +1323,7 @@ impl Pilot {
             let safe = sanitize_tenant(&self.tenants[tidx].name);
             let mut outputs = crate::outlog::read_outputs(dir.join(format!("{safe}.outlog")))?;
             for e in joblog::read_log(dir.join(format!("{safe}.joblog")))? {
-                if recorded.contains(&e.seq) {
+                if seqs.binary_search(&e.seq).is_ok() {
                     let (stdout, stderr) = outputs.remove(&e.seq).unwrap_or_default();
                     by_seq
                         .entry(e.seq)
@@ -1199,8 +1331,6 @@ impl Pilot {
                 }
             }
         }
-        let mut seqs: Vec<u64> = recorded.into_iter().collect();
-        seqs.sort_unstable();
         let n = seqs.len() as u64;
         let session = self.sessions.get_mut(&id).expect("session alive");
         let Some(fc) = session.fc.as_mut() else {
@@ -1272,17 +1402,19 @@ impl Pilot {
             self.pending_done.clear();
             return Ok(());
         };
-        let mut by_session: HashMap<u64, Vec<u64>> = HashMap::new();
-        for (session, seq) in self.pending_done.drain(..) {
-            by_session.entry(session).or_default().push(seq);
+        self.pending_done.sort_unstable();
+        for run in self.pending_done.chunk_by(|a, b| a.0 == b.0) {
+            j.append_done(run[0].0, run.iter().map(|&(_, seq)| seq));
         }
-        for (session, seqs) in by_session {
-            j.append(&JRecord::Done { session, seqs });
-        }
+        self.pending_done.clear();
         j.flush()?;
         Ok(())
     }
 
+    /// Admit one `Submit`: its tasks must carry the seqs that continue
+    /// the session's accepted ones, in order, and fit the tenant's
+    /// queue bound. Admitted arguments move into the session; the ack
+    /// waits for the loop turn's journal sync.
     #[allow(clippy::too_many_arguments)]
     fn session_submit(
         &mut self,
@@ -1310,22 +1442,7 @@ impl Pilot {
                 tidx
             }
             None => {
-                let tidx = match self.tenant_ids.get(&tenant) {
-                    Some(&tidx) => tidx,
-                    None => {
-                        let tidx = self.tenants.len();
-                        self.tenant_ids.insert(tenant.clone(), tidx);
-                        self.tenants.push(Tenant {
-                            name: tenant.clone(),
-                            queue: VecDeque::new(),
-                            log: None,
-                            outlog: None,
-                            completed: 0,
-                            rejected_submits: 0,
-                        });
-                        tidx
-                    }
-                };
+                let tidx = self.tenant_index(&tenant);
                 self.scheduler.set_tenant(tidx, weight, priority);
                 self.sessions.get_mut(&id).expect("session alive").tenant = Some(tidx);
                 self.emit(|| Event::SessionOpened {
@@ -1337,30 +1454,38 @@ impl Pilot {
         };
         let depth = self.tenants[tidx].queue.len() as u64;
         let n = tasks.len() as u64;
+        let first = self.sessions[&id].submitted() + 1;
+        // Seqs run 1..=n per session with no gaps or repeats: two tasks
+        // under one seq would share one wire seq and one in-flight entry.
         // A seq outside its 40-bit field (or a session id outside its
-        // 24-bit field) would alias another session's wire seqs and
-        // misroute completions; refuse the whole batch with a typed
-        // verdict instead of silently overflowing.
-        let bad_seq = tasks
+        // 24-bit field) would alias another session's wire seqs. Either
+        // way the whole batch gets a typed refusal.
+        let misnumbered = tasks
             .iter()
-            .find(|t| wire_seq_checked(id, t.seq).is_none())
-            .map(|t| t.seq);
-        let ack = if let Some(seq) = bad_seq {
-            self.rejected_submits += 1;
-            self.tenants[tidx].rejected_submits += 1;
-            self.emit(|| Event::SubmitRejected {
-                session: id,
-                tenant: self.tenants[tidx].name.clone(),
-                tasks: n,
-                queued: depth,
+            .zip(first..)
+            .find(|(t, due)| t.seq != *due)
+            .map(|(t, due)| {
+                format!(
+                    "seq {} where {due} was due: seqs continue the session's, in order",
+                    t.seq
+                )
             });
-            Frame::SessionAck {
-                submit_id,
-                accepted: false,
-                queued: depth,
-                reason: format!("local seq {seq} outside [1, {MAX_LOCAL_SEQ}]"),
-            }
+        let refusal = if let Some(reason) = misnumbered {
+            Some(reason)
+        } else if n > 0 && wire_seq_checked(id, first + n - 1).is_none() {
+            Some(format!(
+                "local seq {} outside [1, {MAX_LOCAL_SEQ}]",
+                first + n - 1
+            ))
         } else if depth + n > self.config.max_queue_per_tenant {
+            Some(format!(
+                "tenant queue at {depth} of {}; resubmit after draining",
+                self.config.max_queue_per_tenant
+            ))
+        } else {
+            None
+        };
+        let ack = if let Some(reason) = refusal {
             self.rejected_submits += 1;
             self.tenants[tidx].rejected_submits += 1;
             self.emit(|| Event::SubmitRejected {
@@ -1373,70 +1498,42 @@ impl Pilot {
                 submit_id,
                 accepted: false,
                 queued: depth,
-                reason: format!(
-                    "tenant queue at {depth} of {}; resubmit after draining",
-                    self.config.max_queue_per_tenant
-                ),
+                reason,
             }
         } else {
-            let (payload, template) = {
-                let session = self.sessions.get(&id).expect("session alive");
-                (
-                    session.payload,
-                    session.template.clone().expect("active session"),
-                )
-            };
-            let mut journaled_tasks: Vec<JTask> = Vec::new();
-            for task in tasks {
-                let command = template.expand(&ExpandContext {
-                    args: &task.args,
-                    seq: task.seq,
-                    slot: 0,
-                });
-                let directive = match payload {
-                    Payload::Shell => format!("sh:{command}"),
-                    Payload::Noop => "noop".to_string(),
-                    Payload::SleepUs(us) => format!("sleep:{us}"),
-                    // A dynamic-payload session supplies directives
-                    // directly as the rendered template.
-                    Payload::Dynamic => command.clone(),
-                };
-                if self.journal.is_some() {
-                    journaled_tasks.push(JTask {
-                        local_seq: task.seq,
-                        command: command.clone(),
-                        directive: directive.clone(),
-                    });
-                }
-                self.tenants[tidx].queue.push_back(QTask {
-                    session: id,
-                    local_seq: task.seq,
-                    command,
-                    directive,
-                });
-            }
+            let queue = &mut self.tenants[tidx].queue;
+            queue.extend((first..first + n).map(|local_seq| QTask {
+                session: id,
+                local_seq,
+            }));
             self.scheduler.enqueue(tidx, n);
             let session = self.sessions.get_mut(&id).expect("session alive");
-            session.submitted += n;
             let needs_open = !session.journaled;
             session.journaled = true;
-            // Journal and fsync the admission *before* the ack is
-            // queued: once the client sees `accepted`, the work
-            // survives a pilot SIGKILL.
+            // Journal the admission before the ack: the ack waits for
+            // the turn's fsync, so once the client sees `accepted`, the
+            // work survives a pilot SIGKILL.
             if let Some(j) = self.journal.as_mut() {
                 if needs_open {
                     j.append(&JRecord::SessionOpen {
                         session: id,
-                        tenant: self.tenants[tidx].name.clone(),
+                        tenant,
                         weight,
                         priority,
+                        payload: session.payload,
+                        template: session
+                            .template
+                            .as_ref()
+                            .expect("active session")
+                            .source()
+                            .to_string(),
                     });
                 }
-                j.append(&JRecord::Accepted {
-                    session: id,
-                    tasks: journaled_tasks,
-                });
-                j.sync()?;
+                j.append_accepted(id, &tasks);
+            }
+            session.args.extend(tasks.into_iter().map(|t| Some(t.args)));
+            if self.journal.is_some() {
+                self.await_sync(id);
             }
             Frame::SessionAck {
                 submit_id,
@@ -1453,6 +1550,37 @@ impl Pilot {
         Ok(self.sessions.contains_key(&id))
     }
 
+    /// Hold session `id`'s queued frames until the loop turn's journal
+    /// sync.
+    fn await_sync(&mut self, id: u64) {
+        let session = self.sessions.get_mut(&id).expect("session alive");
+        if !session.awaiting_sync {
+            session.awaiting_sync = true;
+            self.unsynced.push(id);
+        }
+    }
+
+    /// Make the loop turn's journal records durable with one fsync,
+    /// then send the frames that waited for it.
+    fn commit(&mut self) -> Result<()> {
+        if self.unsynced.is_empty() {
+            return Ok(());
+        }
+        if let Some(j) = self.journal.as_mut() {
+            j.sync()?;
+        }
+        let mut ids = std::mem::take(&mut self.unsynced);
+        for &id in &ids {
+            if let Some(session) = self.sessions.get_mut(&id) {
+                session.awaiting_sync = false;
+                self.pump_session(id);
+            }
+        }
+        ids.clear();
+        self.unsynced = ids;
+        Ok(())
+    }
+
     /// If the session has received its client `SessionDone` and every
     /// accepted task is complete, queue the final pilot `SessionDone`
     /// and start closing. Returns `false` once the session is gone.
@@ -1460,7 +1588,7 @@ impl Pilot {
         let Some(session) = self.sessions.get_mut(&id) else {
             return false;
         };
-        if !session.client_done || session.closing || session.completed < session.submitted {
+        if !session.client_done || session.closing || session.completed < session.submitted() {
             return true;
         }
         let completed = session.completed;
@@ -1484,10 +1612,14 @@ impl Pilot {
 
     /// Flush a session's write queue, adjusting write interest; tear
     /// the session down on write error, or on drain when it is closing.
+    /// A session awaiting the turn's journal sync keeps its frames.
     fn pump_session(&mut self, id: u64) {
         let Some(session) = self.sessions.get_mut(&id) else {
             return;
         };
+        if session.awaiting_sync {
+            return;
+        }
         let Some(fc) = session.fc.as_mut() else {
             return;
         };
@@ -1619,36 +1751,41 @@ impl Pilot {
         let down = self
             .fleet
             .io(&self.reactor, idx, readable, writable, &mut done);
-        // Per-session delivery buffer for this read batch: group the
-        // completions so each client gets one coalesced DoneBatch.
-        let mut delivery: HashMap<u64, Vec<TaskDoneRec>> = HashMap::new();
         let now = Instant::now();
-        for rec in done {
-            self.complete(idx, rec, now, &mut delivery, on_done)?;
+        let n = done.len();
+        for (i, rec) in done.into_iter().enumerate() {
+            if let Some((session, rec)) = self.complete(idx, rec, now, on_done)? {
+                self.delivery
+                    .entry(session)
+                    .or_insert_with(|| Vec::with_capacity(n - i))
+                    .push(rec);
+            }
         }
         self.windows[idx].measure(now);
-        self.deliver(delivery);
+        self.deliver();
         if down {
             self.handle_agent_loss(idx);
         }
         Ok(())
     }
 
-    /// Record one completion from agent `idx`, which arrived at `now`.
-    /// Dead-session completions are released (their slot frees, nothing
-    /// is recorded); duplicate completions after a lease-expiry
+    /// Record one completion from agent `idx`, which arrived at `now`:
+    /// its command is rendered here, once, for its joblog row, and its
+    /// arguments are dropped. Returns the session to deliver it to and
+    /// the completion under its session-local seq. Dead-session
+    /// completions are released (their slot frees, nothing is
+    /// recorded); duplicate completions after a lease-expiry
     /// re-dispatch are dropped.
     fn complete(
         &mut self,
         idx: usize,
         rec: TaskDoneRec,
         now: Instant,
-        delivery: &mut HashMap<u64, Vec<TaskDoneRec>>,
         on_done: &mut Option<&mut dyn FnMut(u64)>,
-    ) -> Result<()> {
+    ) -> Result<Option<(u64, TaskDoneRec)>> {
         let Some(inf) = self.inflight.remove(&rec.seq) else {
             self.duplicates += 1;
-            return Ok(());
+            return Ok(None);
         };
         if inf.agent != idx {
             // The task was re-dispatched after this agent's lease
@@ -1657,7 +1794,7 @@ impl Pilot {
             // this completion as the duplicate.
             self.inflight.insert(rec.seq, inf);
             self.duplicates += 1;
-            return Ok(());
+            return Ok(None);
         }
         let rtt = inf.sent.map(|sent| {
             now.saturating_duration_since(sent)
@@ -1666,12 +1803,12 @@ impl Pilot {
         self.windows[idx].complete(rtt, now);
         let Some(session) = self.sessions.get_mut(&inf.session) else {
             self.released += 1;
-            return Ok(());
+            return Ok(None);
         };
-        if !session.recorded.insert(inf.local_seq) {
+        let Some(args) = session.args[(inf.local_seq - 1) as usize].take() else {
             self.duplicates += 1;
-            return Ok(());
-        }
+            return Ok(None);
+        };
         // Log and deliver under the session-local seq the client submitted.
         let rec = TaskDoneRec {
             seq: inf.local_seq,
@@ -1697,7 +1834,8 @@ impl Pilot {
                 )?);
             }
             if let Some(log) = &mut tenant.log {
-                log.record_entry(&rec.log_entry(self.fleet.name(idx), inf.command))?;
+                let command = session.render(&args, inf.local_seq);
+                log.record_row(&rec.row(self.fleet.name(idx), &command))?;
             }
             if let Some(outlog) = &mut tenant.outlog {
                 outlog.record(rec.seq, &rec.stdout, &rec.stderr)?;
@@ -1706,17 +1844,18 @@ impl Pilot {
         if self.journal.is_some() {
             self.pending_done.push((inf.session, inf.local_seq));
         }
-        delivery.entry(inf.session).or_default().push(rec);
         if let Some(cb) = on_done.as_deref_mut() {
             cb(self.completed);
         }
-        Ok(())
+        Ok(Some((inf.session, rec)))
     }
 
-    /// Queue coalesced DoneBatches to their sessions and let finished
-    /// sessions start closing.
-    fn deliver(&mut self, delivery: HashMap<u64, Vec<TaskDoneRec>>) {
-        for (id, results) in delivery {
+    /// Queue the read batch's completions to their sessions, one
+    /// coalesced DoneBatch each, and let finished sessions start
+    /// closing.
+    fn deliver(&mut self) {
+        let mut delivery = std::mem::take(&mut self.delivery);
+        for (id, results) in delivery.drain() {
             let Some(session) = self.sessions.get_mut(&id) else {
                 continue;
             };
@@ -1727,6 +1866,7 @@ impl Pilot {
                 self.pump_session(id);
             }
         }
+        self.delivery = delivery;
     }
 
     /// Declare an agent lost and release what it held.
@@ -1760,8 +1900,6 @@ impl Pilot {
             self.tenants[inf.tenant].queue.push_front(QTask {
                 session: inf.session,
                 local_seq: inf.local_seq,
-                command: inf.command,
-                directive: inf.directive,
             });
             *requeued_per_tenant.entry(inf.tenant).or_default() += 1;
         }
@@ -1788,7 +1926,7 @@ impl Pilot {
     /// Ask the scheduler for grants while the fleet has free capacity,
     /// placing granted tasks round-robin across agents with room.
     fn dispatch(&mut self) {
-        let mut touched: HashSet<usize> = HashSet::new();
+        let mut touched = std::mem::take(&mut self.touched);
         // One timestamp for everything this round places.
         let mut stamp = None;
         loop {
@@ -1826,13 +1964,11 @@ impl Pilot {
                         break;
                     };
                     let wire = wire_seq(task.session, task.local_seq);
-                    self.fleet.enqueue(
-                        idx,
-                        [TaskSpec {
-                            seq: wire,
-                            args: vec![task.directive.clone()],
-                        }],
-                    );
+                    // Queued work of a closed session is purged at close.
+                    let session = &self.sessions[&task.session];
+                    self.fleet.enqueue_with(idx, wire, |out| {
+                        session.put_directive(out, task.local_seq);
+                    });
                     let probe = self.windows[idx].place(now);
                     self.inflight.insert(
                         wire,
@@ -1841,8 +1977,6 @@ impl Pilot {
                             tenant: grant.tenant,
                             session: task.session,
                             local_seq: task.local_seq,
-                            command: task.command,
-                            directive: task.directive,
                             sent: probe.then_some(now),
                         },
                     );
@@ -1854,7 +1988,9 @@ impl Pilot {
                         agent: idx as u32,
                         tasks: placed,
                     });
-                    touched.insert(idx);
+                    if !touched.contains(&idx) {
+                        touched.push(idx);
+                    }
                 }
                 if placed < take {
                     // The tenant queue ran dry ahead of the scheduler's
@@ -1867,11 +2003,13 @@ impl Pilot {
         for window in &mut self.windows {
             window.idle();
         }
-        for idx in touched {
+        for &idx in &touched {
             if self.fleet.is_alive(idx) && !self.fleet.pump(&self.reactor, idx) {
                 self.handle_agent_loss(idx);
             }
         }
+        touched.clear();
+        self.touched = touched;
     }
 
     // -- Shutdown drain ------------------------------------------------
@@ -1885,11 +2023,10 @@ impl Pilot {
         // session's tasks finishing); route them through the normal path
         // so the occupancy accounting zeroes. The sessions are gone by
         // now, so nothing is delivered.
-        let mut delivery = HashMap::new();
         let mut no_callback: Option<&mut dyn FnMut(u64)> = None;
         let now = Instant::now();
         for (idx, rec) in drained.late {
-            self.complete(idx, rec, now, &mut delivery, &mut no_callback)?;
+            self.complete(idx, rec, now, &mut no_callback)?;
         }
         Ok(())
     }
