@@ -7,12 +7,12 @@
 //! shell-bypass-eligible, so the measured rate is pure launch overhead
 //! (spawn syscall, pipe setup, reaping, output collection).
 //!
-//! [`measure`] runs either path: `legacy = true` pins the portable
-//! `std::process::Command` path (`sh -c` + two reader threads per
-//! task), `legacy = false` takes the posix_spawn fast path (shell
-//! bypass + pooled pidfd reaper). The committed
-//! `BENCH_spawn_rate_gate.json` records both; the `spawn` floor sits
-//! above the legacy rate so reverting the fast path trips the gate.
+//! [`measure`] runs the one launch path `ProcessExecutor` has: shell
+//! bypass, `posix_spawn` and the pooled pidfd reaper. The committed
+//! `BENCH_spawn_rate_gate.json` also records the rate of the portable
+//! `std::process::Command` path (`sh -c` + two reader threads per task)
+//! that this path replaced; the `spawn` floor sits above that rate, so
+//! a launch path that slow again trips the gate.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,14 +46,9 @@ impl Executor for HandicappedExecutor {
 
 /// Run `tasks` real `/bin/true {}` launches through the engine at
 /// `-j jobs`, each delayed by `handicap`, and return launches per
-/// second. `legacy` pins the portable spawn path; otherwise the
-/// posix_spawn fast path runs (when the platform supports it).
-pub fn measure(jobs: usize, tasks: u64, legacy: bool, handicap: Option<Duration>) -> f64 {
-    let base = if legacy {
-        ProcessExecutor::shell().legacy()
-    } else {
-        ProcessExecutor::shell()
-    };
+/// second.
+pub fn measure(jobs: usize, tasks: u64, handicap: Option<Duration>) -> f64 {
+    let base = ProcessExecutor::shell();
     let executor: Arc<dyn Executor> = match handicap {
         Some(cost) => Arc::new(HandicappedExecutor { inner: base, cost }),
         None => Arc::new(base),
@@ -64,9 +59,9 @@ pub fn measure(jobs: usize, tasks: u64, legacy: bool, handicap: Option<Duration>
     )
 }
 
-/// One gate trial: the canonical workload on the fast path.
+/// One gate trial: the canonical workload.
 pub(crate) fn trial(ctx: &Ctx) -> Result<Metrics, String> {
-    let launches_per_s = measure(GATE_JOBS, GATE_TASKS, false, ctx.handicap);
+    let launches_per_s = measure(GATE_JOBS, GATE_TASKS, ctx.handicap);
     Ok(vec![("launches_per_s", launches_per_s)])
 }
 
@@ -76,8 +71,9 @@ mod tests {
 
     #[test]
     fn measure_runs_real_processes_on_both_paths() {
-        for legacy in [false, true] {
-            assert!(measure(4, 30, legacy, None) > 0.0, "legacy={legacy}");
+        // The plain launch path and the handicapped one the drills use.
+        for handicap in [None, Some(Duration::from_millis(1))] {
+            assert!(measure(4, 30, handicap) > 0.0, "handicap={handicap:?}");
         }
     }
 }

@@ -5,6 +5,8 @@ use std::io::BufRead;
 
 use std::sync::Arc;
 
+use htpar_core::chaos::ChaosExecutor;
+use htpar_core::executor::StreamKind;
 use htpar_core::input::InputSource;
 use htpar_core::output::tag_lines;
 use htpar_core::prelude::*;
@@ -50,7 +52,6 @@ where
     R: BufRead + Send + 'static,
     F: Fn(&str, &str) + Send + Sync + Clone + 'static,
 {
-    let emit_line = emit.clone();
     let tag = spec.options.tag;
     let use_shell = spec.options.shell;
     let tag_template = match &spec.tagstring {
@@ -69,67 +70,45 @@ where
     if let Some(min_free) = spec.memfree_bytes {
         builder = builder.gate(htpar_core::gate::MemFreeGate::new(min_free));
     }
-    // `--fault-rate`: wrap whichever executor the spec selects in a
+    // `--line-buffer` streams lines straight through `emit`; the
+    // per-job grouped emission below is suppressed.
+    let line_buffer = spec.line_buffer && spec.sshlogins.is_empty();
+    // `--fault-rate` wraps whichever executor the spec selects in a
     // seeded chaos layer. Draws are keyed per (seq, attempt), so a
     // given seed fails the same seqs regardless of worker interleaving
     // — which is what makes `--joblog` + `--resume-failed` campaigns
     // reproducible.
     let chaos = spec.fault_rate.filter(|rate| *rate > 0.0);
     let fault_seed = spec.fault_seed;
-    let line_buffer = spec.line_buffer && spec.sshlogins.is_empty() && !spec.pipe;
-    if line_buffer {
-        // Stream lines straight through `emit2`; the per-job grouped
-        // emission below is suppressed (stderr keeps flowing grouped).
-        use htpar_core::executor::{ProcessExecutor, StreamKind};
-        let e = Arc::new(emit_line.clone());
-        let exec_base = if use_shell {
+    if spec.sshlogins.is_empty() {
+        let mut exec = if use_shell {
             ProcessExecutor::shell()
         } else {
             ProcessExecutor::no_shell()
         };
-        let lb = exec_base.line_buffered(move |ev| match ev.kind {
-            StreamKind::Stdout => e(&format!("{}\n", ev.line), ""),
-            StreamKind::Stderr => e("", &format!("{}\n", ev.line)),
-        });
-        builder = match chaos {
-            Some(rate) => builder.executor(htpar_core::chaos::ChaosExecutor::seeded_per_seq(
-                lb, rate, fault_seed,
-            )),
-            None => builder.executor(lb),
-        };
-    }
-    if !spec.sshlogins.is_empty() {
+        if let Some(bus) = &bus {
+            exec = exec.observed(Arc::clone(bus));
+        }
+        if line_buffer {
+            // The one conversion to text for the `&str` sink, as the
+            // grouped output gets it.
+            let e = emit.clone();
+            exec = exec.line_buffered(move |ev| {
+                let line = format!("{}\n", String::from_utf8_lossy(&ev.line));
+                match ev.kind {
+                    StreamKind::Stdout => e(&line, ""),
+                    StreamKind::Stderr => e("", &line),
+                }
+            });
+        }
+        builder = with_chaos(builder, exec, chaos, fault_seed);
+    } else {
         let specs: Vec<&str> = spec.sshlogins.iter().map(String::as_str).collect();
         let multi = htpar_core::sshexec::multi_host_from_specs(&specs, 1, &spec.ssh_cmd)?;
         // Size the slot pool to the hosts unless -j was explicit... the
         // pool itself caps per-host concurrency either way.
         builder = builder.jobs(multi.pool().total_slots());
-        builder = match chaos {
-            Some(rate) => builder.executor(htpar_core::chaos::ChaosExecutor::seeded_per_seq(
-                multi, rate, fault_seed,
-            )),
-            None => builder.executor(multi),
-        };
-    }
-    if chaos.is_some() && !line_buffer && spec.sshlogins.is_empty() {
-        // No other branch picked an executor: wrap the default process
-        // executor the builder would otherwise construct.
-        use htpar_core::executor::ProcessExecutor;
-        let base = if use_shell {
-            ProcessExecutor::shell()
-        } else {
-            ProcessExecutor::no_shell()
-        };
-        // Keep launch-path telemetry flowing even under chaos wrapping.
-        let base = match &bus {
-            Some(b) => base.observed(Arc::clone(b)),
-            None => base,
-        };
-        builder = builder.executor(htpar_core::chaos::ChaosExecutor::seeded_per_seq(
-            base,
-            chaos.unwrap_or_default(),
-            fault_seed,
-        ));
+        builder = with_chaos(builder, multi, chaos, fault_seed);
     }
     if let Some(repl) = &spec.replacement {
         builder = builder.replacement(repl.clone());
@@ -212,6 +191,19 @@ where
     builder.run()
 }
 
+/// Run on `exec`, behind a seeded chaos layer when `--fault-rate` asks.
+fn with_chaos<E: Executor + 'static>(
+    builder: Parallel,
+    exec: E,
+    chaos: Option<f64>,
+    seed: u64,
+) -> Parallel {
+    match chaos {
+        Some(rate) => builder.executor(ChaosExecutor::seeded_per_seq(exec, rate, seed)),
+        None => builder.executor(exec),
+    }
+}
+
 fn push(builder: Parallel, source: InputSource) -> Parallel {
     use htpar_core::input::LinkMode;
     match source.mode {
@@ -281,6 +273,51 @@ mod tests {
             .collect();
         lines.sort();
         assert_eq!(lines, vec!["x-1", "x-2", "x-3"]);
+    }
+
+    #[test]
+    fn pipe_line_buffer_streams_lines_as_they_land() {
+        // Three one-line blocks on three slots: every job's first line
+        // must be out before any job's second, as with plain
+        // `--line-buffer` (`line_buffer_interleaves_concurrent_jobs`).
+        let (report, out) = run(
+            &[
+                "--pipe",
+                "--block",
+                "1",
+                "-j",
+                "3",
+                "--line-buffer",
+                "echo a; sleep 0.3; echo b",
+            ],
+            "1\n2\n3\n",
+        );
+        assert!(report.all_succeeded());
+        assert_eq!(report.jobs_total, 3);
+        let lines: Vec<&str> = out.iter().flat_map(|chunk| chunk.lines()).collect();
+        assert_eq!(lines, ["a", "a", "a", "b", "b", "b"], "{out:?}");
+    }
+
+    #[test]
+    fn line_buffer_runs_report_launch_events() {
+        let recorder = htpar_telemetry::Recorder::shared();
+        let bus = EventBus::shared();
+        bus.attach(Arc::clone(&recorder) as _);
+        let argv: Vec<String> = ["--line-buffer", "-k", "/bin/echo {}", ":::", "x", "y"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let report = execute_observed(
+            parse_args(&argv).unwrap(),
+            std::io::Cursor::new(Vec::new()),
+            |_: &str, _: &str| {},
+            Some(bus),
+        )
+        .unwrap();
+        assert!(report.all_succeeded());
+        let kinds = recorder.kinds();
+        let launches = kinds.iter().filter(|k| **k == "shell_bypass").count();
+        assert_eq!(launches, 2, "events: {kinds:?}");
     }
 
     #[test]

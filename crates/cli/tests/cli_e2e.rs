@@ -95,6 +95,27 @@ fn pipe_mode_end_to_end() {
 }
 
 #[test]
+fn line_buffer_keeps_lines_that_are_not_utf8() {
+    // Line 2 holds byte 0xFF. `--line-buffer` must print all four
+    // lines, the same bytes as grouped output.
+    let dir = std::env::temp_dir().join(format!("htpar-lb-ff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let f = dir.join("f");
+    std::fs::write(&f, b"one\nt\xffwo\nthree\nfour\n").unwrap();
+    let f = f.to_str().unwrap();
+    let stdout = |args: &[&str]| {
+        let out = htpar().args(args).stdin(Stdio::null()).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        out.stdout
+    };
+    let grouped = stdout(&["cat", ":::", f]);
+    let streamed = stdout(&["--line-buffer", "cat", ":::", f]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(grouped.split(|&b| b == b'\n').count(), 5, "{grouped:?}");
+    assert_eq!(streamed, grouped);
+}
+
+#[test]
 fn tag_marks_output_lines() {
     let (out, _, _) = run_with_stdin(&["-k", "--tag", "echo", "hi", "#", "{}", ":::", "a"], "");
     assert_eq!(out, "a\thi\n");

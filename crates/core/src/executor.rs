@@ -5,23 +5,23 @@
 //!
 //! - [`ProcessExecutor`] — real OS processes, via `sh -c` or direct argv;
 //!   a rendered command whose only shell syntax is quoted values runs
-//!   as argv. Used by the stress benchmarks that measure this machine's
-//!   actual process launch rate (paper Fig. 3).
+//!   as argv. Every launch, `--pipe` blocks, `--line-buffer` streaming
+//!   and `--timeout` included, goes through [`crate::spawn`]:
+//!   `posix_spawn` plus one pooled reaper thread. Used by the stress
+//!   benchmarks that measure this machine's actual process launch rate
+//!   (paper Fig. 3).
 //! - [`FnExecutor`] — an in-process closure. Used by tests, in-memory
 //!   workloads, and anywhere fork/exec cost would drown the signal.
 //! - `htpar-cluster`'s simulated executor — runs `CommandLine`s on a
 //!   simulated supercomputer.
 
-use std::io::{BufRead, BufReader, Read};
-use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use htpar_telemetry::{Event, EventBus};
 
-use crate::deadline::{DeadlineWheel, TimerGuard};
 use crate::job::{CommandLine, JobStatus};
-use crate::spawn::{self, LaunchPlan};
+use crate::spawn::{self, LaunchPlan, LineSink};
 
 /// Which stream a streamed line came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,11 +36,13 @@ pub struct LineEvent {
     pub seq: u64,
     pub slot: usize,
     pub kind: StreamKind,
-    /// The line, without its trailing newline.
-    pub line: String,
+    /// The line's bytes, without its trailing newline.
+    pub line: Vec<u8>,
 }
 
 /// Callback receiving lines as they are produced, while jobs still run.
+/// It runs on the reaper thread, so a callback that blocks holds up
+/// every job's collection, as GNU Parallel's single writer does.
 pub type LineCallback = Arc<dyn Fn(&LineEvent) + Send + Sync>;
 
 /// What an executor hands back for one attempt.
@@ -59,6 +61,15 @@ pub struct TaskOutput {
 pub const TRANSPORT_ERROR_PREFIX: &str = "transport: ";
 
 impl TaskOutput {
+    /// A status with no output.
+    fn bare(status: JobStatus) -> TaskOutput {
+        TaskOutput {
+            status,
+            stdout: String::new(),
+            stderr: String::new(),
+        }
+    }
+
     /// Successful output with the given stdout.
     pub fn stdout<S: Into<String>>(out: S) -> TaskOutput {
         TaskOutput {
@@ -135,20 +146,15 @@ pub trait Executor: Send + Sync {
 /// `use_shell`, the argv rendering (raw values, one word each) always
 /// execs directly.
 ///
-/// On Linux, plain commands (no `--pipe` stdin block, no
-/// `--line-buffer` streaming) take the launch fast path
-/// ([`crate::spawn`]): `posix_spawn` + the pooled pidfd reaper, no
-/// per-task threads. Everything else — and every platform without
-/// `pidfd_open` — runs the portable `std::process::Command` path.
-/// [`ProcessExecutor::legacy`] forces the portable path, which the
-/// spawn-rate gate uses as its "before" arm.
+/// Every task launches with `posix_spawn` and is collected by the
+/// pooled pidfd reaper ([`crate::spawn`]), which also writes its
+/// `--pipe` block, streams its `--line-buffer` lines and enforces its
+/// `--timeout`: no per-task threads, one blocking receive per task.
 #[derive(Clone)]
 pub struct ProcessExecutor {
     use_shell: bool,
     /// `--line-buffer`: stream each output line as it appears.
     line_cb: Option<LineCallback>,
-    /// Force the portable `std::process` path.
-    legacy: bool,
     /// When set, the spawner emits `shell_bypass`/`sh_fallback` events
     /// carrying the per-task launch latency.
     bus: Option<Arc<EventBus>>,
@@ -159,7 +165,6 @@ impl std::fmt::Debug for ProcessExecutor {
         f.debug_struct("ProcessExecutor")
             .field("use_shell", &self.use_shell)
             .field("line_buffered", &self.line_cb.is_some())
-            .field("legacy", &self.legacy)
             .finish()
     }
 }
@@ -169,7 +174,6 @@ impl Default for ProcessExecutor {
         ProcessExecutor {
             use_shell: true,
             line_cb: None,
-            legacy: false,
             bus: None,
         }
     }
@@ -192,7 +196,8 @@ impl ProcessExecutor {
     /// Stream output lines to `cb` as they appear (GNU `--line-buffer`):
     /// lines from concurrent jobs interleave, each delivered the moment
     /// its newline lands, while the full output is still captured in the
-    /// job's [`TaskOutput`].
+    /// job's [`TaskOutput`]. `cb` runs on the reaper thread; a panic in
+    /// it loses that line only.
     pub fn line_buffered<F>(mut self, cb: F) -> ProcessExecutor
     where
         F: Fn(&LineEvent) + Send + Sync + 'static,
@@ -201,130 +206,10 @@ impl ProcessExecutor {
         self
     }
 
-    /// Force the portable `std::process::Command` path (no
-    /// `posix_spawn`, no shell bypass, per-task reader threads). The
-    /// spawn-rate gate measures this as its "before" arm.
-    pub fn legacy(mut self) -> ProcessExecutor {
-        self.legacy = true;
-        self
-    }
-
     /// Emit `shell_bypass`/`sh_fallback` launch-latency events to `bus`.
     pub fn observed(mut self, bus: Arc<EventBus>) -> ProcessExecutor {
         self.bus = Some(bus);
         self
-    }
-
-    /// Whether this task runs on the launch fast path: Linux with
-    /// `pidfd_open`, not forced legacy, and a plain command (a `--pipe`
-    /// stdin block needs a writer thread; `--line-buffer` needs
-    /// per-line streaming — both stay on the portable path).
-    fn fast_eligible(&self, cmd: &CommandLine) -> bool {
-        cfg!(target_os = "linux")
-            && !self.legacy
-            && self.line_cb.is_none()
-            && cmd.stdin.is_none()
-            && spawn::fast_path_available()
-    }
-
-    fn build_command(&self, cmd: &CommandLine) -> Option<Command> {
-        let mut command = if self.use_shell {
-            let mut c = Command::new("sh");
-            c.arg("-c").arg(cmd.rendered());
-            c
-        } else {
-            let argv = cmd.argv();
-            let program = argv.first()?;
-            let mut c = Command::new(program);
-            c.args(&argv[1..]);
-            c
-        };
-        command.env("PARALLEL_SEQ", cmd.seq.to_string());
-        command.env("PARALLEL_JOBSLOT", cmd.slot.to_string());
-        for (k, v) in &cmd.env {
-            command.env(k, v);
-        }
-        if cmd.stdin.is_some() {
-            command.stdin(Stdio::piped());
-        } else {
-            command.stdin(Stdio::null());
-        }
-        command.stdout(Stdio::piped());
-        command.stderr(Stdio::piped());
-        Some(command)
-    }
-
-    /// The launch fast path: shell-bypass analysis, `posix_spawn`, and
-    /// collection through the pooled pidfd reaper.
-    fn execute_fast(&self, cmd: &CommandLine, ctx: &ExecContext) -> TaskOutput {
-        let plan = if self.use_shell {
-            match spawn::bypass_argv(cmd.rendered()) {
-                Some(argv) => LaunchPlan::Direct(argv),
-                None => LaunchPlan::Shell(cmd.rendered().to_string()),
-            }
-        } else {
-            let argv = cmd.argv();
-            if argv.is_empty() {
-                return TaskOutput {
-                    status: JobStatus::ExecError("empty command".into()),
-                    stdout: String::new(),
-                    stderr: String::new(),
-                };
-            }
-            LaunchPlan::Direct(argv.to_vec())
-        };
-        let started = Instant::now();
-        let spawned = match spawn::launch(&plan, cmd) {
-            Ok(s) => s,
-            Err(e) => return spawn_failure(&e),
-        };
-        if let Some(bus) = &self.bus {
-            let latency_us = started.elapsed().as_micros() as u64;
-            let seq = cmd.seq;
-            bus.emit(if plan.is_bypass() {
-                Event::ShellBypass { seq, latency_us }
-            } else {
-                Event::ShFallback { seq, latency_us }
-            });
-        }
-        let pid = spawned.pid as u32;
-        let timer = ctx.timeout.map(|limit| DeadlineWheel::arm_kill(pid, limit));
-        let collected = if spawned.pidfd >= 0 {
-            wait_collect(spawn::Reaper::global().collect(spawned), &timer)
-        } else {
-            // `pidfd_open` failed after a successful spawn (fd
-            // pressure): degraded blocking collection, never a leak.
-            Some(spawn::collect_inline(spawned))
-        };
-        let Some(collected) = collected else {
-            // Abandoned: our timer killed the child but a grandchild
-            // holds the pipes open. Same contract as the portable
-            // path — report the timeout now, let the reaper finish
-            // draining in the background.
-            return TaskOutput {
-                status: JobStatus::TimedOut,
-                stdout: String::new(),
-                stderr: String::new(),
-            };
-        };
-        if let (Some(timer), Some(raw)) = (&timer, collected.raw_status) {
-            if timer.fired() && !spawn::status_exited(raw) {
-                return TaskOutput {
-                    status: JobStatus::TimedOut,
-                    stdout: String::new(),
-                    stderr: String::new(),
-                };
-            }
-        }
-        let status = match collected.raw_status {
-            Some(raw) => spawn::decode_wait_status(raw),
-            None => JobStatus::ExecError("wait for child failed".into()),
-        };
-        TaskOutput {
-            status,
-            stdout: String::from_utf8_lossy(&collected.stdout).into_owned(),
-            stderr: String::from_utf8_lossy(&collected.stderr).into_owned(),
-        }
     }
 }
 
@@ -339,138 +224,54 @@ fn spawn_failure(e: &std::io::Error) -> TaskOutput {
     }
 }
 
-/// Block until the reaper delivers the task's collection. With a
-/// timeout armed, poll the guard so a kill whose EOF never arrives (a
-/// grandchild inherited the pipes) abandons collection after a short
-/// grace instead of stalling the slot for the grandchild's lifetime.
-fn wait_collect(
-    rx: crate::crossbeam_channel::Receiver<spawn::Collected>,
-    timer: &Option<TimerGuard>,
-) -> Option<spawn::Collected> {
-    use crate::crossbeam_channel::RecvTimeoutError;
-    let Some(timer) = timer else {
-        return rx.recv().ok();
-    };
-    let mut fired_at: Option<Instant> = None;
-    loop {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(collected) => return Some(collected),
-            Err(RecvTimeoutError::Disconnected) => return None,
-            Err(RecvTimeoutError::Timeout) => {
-                if timer.fired() {
-                    let at = *fired_at.get_or_insert_with(Instant::now);
-                    if at.elapsed() > Duration::from_millis(500) {
-                        return None;
-                    }
-                }
+impl Executor for ProcessExecutor {
+    fn execute(&self, cmd: &CommandLine, ctx: &ExecContext) -> TaskOutput {
+        let plan = if self.use_shell {
+            match spawn::bypass_argv(cmd.rendered()) {
+                Some(argv) => LaunchPlan::Direct(argv),
+                None => LaunchPlan::Shell(cmd.rendered().to_string()),
             }
-        }
-    }
-}
-
-impl ProcessExecutor {
-    fn execute_legacy(&self, cmd: &CommandLine, ctx: &ExecContext) -> TaskOutput {
-        let Some(mut command) = self.build_command(cmd) else {
-            return TaskOutput {
-                status: JobStatus::ExecError("empty command".into()),
-                stdout: String::new(),
-                stderr: String::new(),
-            };
+        } else {
+            let argv = cmd.argv();
+            if argv.is_empty() {
+                return TaskOutput::bare(JobStatus::ExecError("empty command".into()));
+            }
+            LaunchPlan::Direct(argv.to_vec())
         };
-        let mut child = match command.spawn() {
-            Ok(c) => c,
+        let started = Instant::now();
+        let mut spawned = match spawn::launch(&plan, cmd) {
+            Ok(s) => s,
             Err(e) => return spawn_failure(&e),
         };
-        // Feed stdin on its own thread (a large --pipe block must not
-        // deadlock against the output pipes), and drain output pipes on
-        // background threads so a chatty child can never deadlock against
-        // a full pipe while we wait on it.
-        if let (Some(mut child_stdin), Some(block)) = (child.stdin.take(), cmd.stdin.clone()) {
-            std::thread::spawn(move || {
-                use std::io::Write;
-                let _ = child_stdin.write_all(block.as_bytes());
+        if let Some(bus) = &self.bus {
+            let latency_us = started.elapsed().as_micros() as u64;
+            let seq = cmd.seq;
+            bus.emit(if plan.is_bypass() {
+                Event::ShellBypass { seq, latency_us }
+            } else {
+                Event::ShFallback { seq, latency_us }
             });
         }
-        let (stdout_handle, stderr_handle) = match &self.line_cb {
-            None => (
-                child.stdout.take().map(spawn_reader),
-                child.stderr.take().map(spawn_reader),
-            ),
-            Some(cb) => (
-                child.stdout.take().map(|r| {
-                    spawn_line_reader(r, cmd.seq, cmd.slot, StreamKind::Stdout, Arc::clone(cb))
-                }),
-                child.stderr.take().map(|r| {
-                    spawn_line_reader(r, cmd.seq, cmd.slot, StreamKind::Stderr, Arc::clone(cb))
-                }),
-            ),
+        spawned.deadline = ctx.timeout.map(|limit| Instant::now() + limit);
+        spawned.lines = self.line_cb.as_ref().map(|cb| LineSink {
+            cb: Arc::clone(cb),
+            seq: cmd.seq,
+            slot: cmd.slot,
+        });
+        let Ok(collected) = spawn::Reaper::global().collect(spawned).recv() else {
+            return TaskOutput::bare(JobStatus::ExecError("reaper thread exited".into()));
         };
-
-        // Block in wait(2) — zero CPU while the job runs. Timeout
-        // enforcement is delegated to the process-wide deadline wheel:
-        // one timer armed per attempt, cancelled on drop when the guard
-        // goes out of scope, so idle slots never poll.
-        let timer = ctx
-            .timeout
-            .map(|limit| DeadlineWheel::arm_kill(child.id(), limit));
-        let exit = match child.wait() {
-            Ok(status) => status,
-            Err(e) => {
-                return TaskOutput {
-                    status: JobStatus::ExecError(e.to_string()),
-                    stdout: join_reader(stdout_handle),
-                    stderr: join_reader(stderr_handle),
-                }
-            }
-        };
-        if let Some(timer) = &timer {
-            // Attribute a signal death to the timeout only if our timer
-            // actually delivered the kill; a job killed from elsewhere
-            // stays `Signaled`.
-            if timer.fired() && exit.code().is_none() {
-                // Do not join the pipe readers: a grandchild that
-                // survived the kill may hold the pipe open and would
-                // stall us for its full lifetime. The detached reader
-                // threads exit when the pipe finally closes.
-                return TaskOutput {
-                    status: JobStatus::TimedOut,
-                    stdout: String::new(),
-                    stderr: String::new(),
-                };
-            }
+        if collected.timed_out {
+            return TaskOutput::bare(JobStatus::TimedOut);
         }
-
-        let stdout = join_reader(stdout_handle);
-        let stderr = join_reader(stderr_handle);
-        let status = if exit.success() {
-            JobStatus::Success
-        } else if let Some(code) = exit.code() {
-            JobStatus::Failed(code)
-        } else {
-            #[cfg(unix)]
-            {
-                use std::os::unix::process::ExitStatusExt;
-                JobStatus::Signaled(exit.signal().unwrap_or(0))
-            }
-            #[cfg(not(unix))]
-            {
-                JobStatus::Failed(-1)
-            }
+        let status = match collected.raw_status {
+            Some(raw) => spawn::decode_wait_status(raw),
+            None => JobStatus::ExecError("wait for child failed".into()),
         };
         TaskOutput {
             status,
-            stdout,
-            stderr,
-        }
-    }
-}
-
-impl Executor for ProcessExecutor {
-    fn execute(&self, cmd: &CommandLine, ctx: &ExecContext) -> TaskOutput {
-        if self.fast_eligible(cmd) {
-            self.execute_fast(cmd, ctx)
-        } else {
-            self.execute_legacy(cmd, ctx)
+            stdout: String::from_utf8_lossy(&collected.stdout).into_owned(),
+            stderr: String::from_utf8_lossy(&collected.stderr).into_owned(),
         }
     }
 
@@ -478,52 +279,6 @@ impl Executor for ProcessExecutor {
     fn needs_argv(&self) -> bool {
         !self.use_shell
     }
-}
-
-type ReaderHandle = std::thread::JoinHandle<String>;
-
-fn spawn_reader<R: Read + Send + 'static>(mut r: R) -> ReaderHandle {
-    std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = r.read_to_end(&mut buf);
-        String::from_utf8_lossy(&buf).into_owned()
-    })
-}
-
-/// Reader that emits a [`LineEvent`] per line while accumulating the
-/// full stream.
-fn spawn_line_reader<R: Read + Send + 'static>(
-    r: R,
-    seq: u64,
-    slot: usize,
-    kind: StreamKind,
-    cb: LineCallback,
-) -> ReaderHandle {
-    std::thread::spawn(move || {
-        let mut reader = BufReader::new(r);
-        let mut acc = String::new();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {
-                    acc.push_str(&line);
-                    cb(&LineEvent {
-                        seq,
-                        slot,
-                        kind,
-                        line: line.trim_end_matches('\n').to_string(),
-                    });
-                }
-            }
-        }
-        acc
-    })
-}
-
-fn join_reader(handle: Option<ReaderHandle>) -> String {
-    handle.and_then(|h| h.join().ok()).unwrap_or_default()
 }
 
 /// Runs jobs as in-process closures.
@@ -641,13 +396,11 @@ mod tests {
     #[test]
     fn missing_binary_is_exit_255() {
         // GNU Parallel convention: a job that cannot be started at all
-        // records exit 255 — on the fast path and the portable path.
-        for exec in [
-            ProcessExecutor::no_shell(),
-            ProcessExecutor::no_shell().legacy(),
-        ] {
+        // records exit 255 — from the argv form and from a shell-mode
+        // command that bypasses `sh -c`.
+        for exec in [ProcessExecutor::no_shell(), ProcessExecutor::shell()] {
             let out = exec.execute(
-                &cmdline("x", &["/definitely/not/here"]),
+                &cmdline("/definitely/not/here", &["/definitely/not/here"]),
                 &ExecContext::default(),
             );
             assert_eq!(out.status, JobStatus::Failed(255));
@@ -659,6 +412,31 @@ mod tests {
         }
     }
 
+    /// The reference for the launch path: `sh -c` through
+    /// `std::process`, with the env the engine sets and stdin from
+    /// `/dev/null`. It shares no code with `spawn`.
+    fn std_sh(rendered: &str) -> TaskOutput {
+        use std::os::unix::process::ExitStatusExt;
+        let out = std::process::Command::new("sh")
+            .arg("-c")
+            .arg(rendered)
+            .env("PARALLEL_SEQ", "1")
+            .env("PARALLEL_JOBSLOT", "1")
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run sh");
+        let status = match (out.status.code(), out.status.signal()) {
+            (Some(0), _) => JobStatus::Success,
+            (Some(code), _) => JobStatus::Failed(code),
+            (None, sig) => JobStatus::Signaled(sig.unwrap_or(0)),
+        };
+        TaskOutput {
+            status,
+            stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
+            stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+        }
+    }
+
     #[test]
     fn fast_and_legacy_paths_agree() {
         for rendered in [
@@ -667,12 +445,10 @@ mod tests {
         ] {
             let fast =
                 ProcessExecutor::shell().execute(&cmdline(rendered, &[]), &ExecContext::default());
-            let legacy = ProcessExecutor::shell()
-                .legacy()
-                .execute(&cmdline(rendered, &[]), &ExecContext::default());
-            assert_eq!(fast.status, legacy.status, "{rendered}");
-            assert_eq!(fast.stdout, legacy.stdout, "{rendered}");
-            assert_eq!(fast.stderr, legacy.stderr, "{rendered}");
+            let reference = std_sh(rendered);
+            assert_eq!(fast.status, reference.status, "{rendered}");
+            assert_eq!(fast.stdout, reference.stdout, "{rendered}");
+            assert_eq!(fast.stderr, reference.stderr, "{rendered}");
         }
     }
 
@@ -758,7 +534,8 @@ mod tests {
         let events: Arc<Mutex<Vec<(u64, StreamKind, String)>>> = Arc::new(Mutex::new(Vec::new()));
         let e2 = Arc::clone(&events);
         let exec = ProcessExecutor::shell().line_buffered(move |ev| {
-            e2.lock().unwrap().push((ev.seq, ev.kind, ev.line.clone()));
+            let line = String::from_utf8_lossy(&ev.line).into_owned();
+            e2.lock().unwrap().push((ev.seq, ev.kind, line));
         });
         let out = exec.execute(
             &cmdline("echo one; echo err >&2; echo two", &[]),
@@ -802,6 +579,86 @@ mod tests {
         // Both jobs' first lines arrive before either job's second line.
         let first_two: std::collections::HashSet<u64> = seqs[..2].iter().copied().collect();
         assert_eq!(first_two.len(), 2, "interleaved: {seqs:?}");
+    }
+
+    #[test]
+    fn line_buffer_streams_bytes_and_the_unterminated_tail() {
+        use std::sync::Mutex;
+        let lines: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
+        let l2 = Arc::clone(&lines);
+        let exec = ProcessExecutor::shell().line_buffered(move |ev| {
+            l2.lock().unwrap().push(ev.line.clone());
+        });
+        let out = exec.execute(
+            &cmdline(r"printf 'a\n\377b\nc'", &[]),
+            &ExecContext::default(),
+        );
+        assert_eq!(out.status, JobStatus::Success);
+        let want: Vec<Vec<u8>> = vec![b"a".to_vec(), b"\xffb".to_vec(), b"c".to_vec()];
+        assert_eq!(*lines.lock().unwrap(), want);
+    }
+
+    #[test]
+    fn a_panicking_line_callback_spares_the_reaper() {
+        let exec = ProcessExecutor::shell().line_buffered(|ev| {
+            assert!(ev.line != b"boom", "callback panics on purpose");
+        });
+        let out = exec.execute(
+            &cmdline("echo boom; echo after", &[]),
+            &ExecContext::default(),
+        );
+        assert_eq!(out.status, JobStatus::Success);
+        assert_eq!(out.stdout, "boom\nafter\n", "capture is whole");
+        // The reaper thread survived: the next job still completes.
+        let out = ProcessExecutor::shell()
+            .execute(&cmdline("/bin/echo next", &[]), &ExecContext::default());
+        assert_eq!(out.stdout, "next\n");
+    }
+
+    #[test]
+    fn timeout_with_a_grandchild_holding_the_pipes_frees_the_slot() {
+        use crate::prelude::Parallel;
+        use std::sync::Mutex;
+        let statuses: Arc<Mutex<Vec<(u64, JobStatus)>>> = Arc::default();
+        let s2 = Arc::clone(&statuses);
+        let start = Instant::now();
+        // One slot: job 2 can start only once job 1's slot is free, and
+        // job 1's background `sleep 3` keeps its pipes open for 3 s.
+        let report = Parallel::new("if [ {} = 1 ]; then sleep 3 & sleep 3; else echo next; fi")
+            .jobs(1)
+            .timeout(Duration::from_millis(200))
+            .args(["1", "2"])
+            .on_result(move |r| s2.lock().unwrap().push((r.seq, r.status.clone())))
+            .run()
+            .unwrap();
+        let elapsed = start.elapsed();
+        let mut statuses = statuses.lock().unwrap().clone();
+        statuses.sort_by_key(|(seq, _)| *seq);
+        assert_eq!(
+            statuses,
+            vec![(1, JobStatus::TimedOut), (2, JobStatus::Success)]
+        );
+        assert_eq!(report.failed, 1);
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "slot held for {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn timeout_kills_a_pipe_job_that_never_reads_its_block() {
+        let ctx = ExecContext {
+            timeout: Some(Duration::from_millis(200)),
+        };
+        let cmd = cmdline("sleep 3", &[]).with_stdin("x".repeat(2 << 20));
+        let start = Instant::now();
+        let out = ProcessExecutor::shell().execute(&cmd, &ctx);
+        assert_eq!(out.status, JobStatus::TimedOut);
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -50,7 +50,6 @@
 pub mod batch;
 pub mod chaos;
 pub mod dag;
-pub mod deadline;
 pub mod dispatch;
 pub mod error;
 pub mod executor;

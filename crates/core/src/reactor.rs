@@ -239,6 +239,13 @@ impl Reactor {
     /// never reused).
     pub fn cancel_timer(&mut self, key: TimerKey) {
         self.cancelled.insert(key.0);
+        // Lazy deletion must not let cancelled entries pile up (the
+        // reaper cancels a far `--timeout` for almost every task): once
+        // they are half the heap, drop them all in one pass.
+        if self.cancelled.len() > 64 && self.cancelled.len() * 2 > self.timers.len() {
+            let cancelled = std::mem::take(&mut self.cancelled);
+            self.timers.retain(|t| !cancelled.contains(&t.key));
+        }
     }
 
     /// The earliest pending deadline, if any timer is armed.
@@ -463,6 +470,29 @@ mod tests {
             }
         }
         assert_eq!(fired, vec![8], "cancelled timer 7 must not fire");
+    }
+
+    #[test]
+    fn cancelled_timers_do_not_pile_up() {
+        let mut r = Reactor::new().unwrap();
+        let far = Instant::now() + Duration::from_secs(3600);
+        r.arm_timer(Instant::now() + Duration::from_millis(10), 1);
+        for token in 0..10_000 {
+            let key = r.arm_timer(far, token);
+            r.cancel_timer(key);
+        }
+        assert!(r.timers.len() <= 130, "heap holds {}", r.timers.len());
+        assert!(r.cancelled.len() <= 130, "set holds {}", r.cancelled.len());
+        // The live timer survives the compactions and still fires.
+        let mut fired = Vec::new();
+        while fired.is_empty() {
+            for event in drain_poll(&mut r, Duration::from_millis(200)) {
+                if let PollEvent::Timer { token } = event {
+                    fired.push(token);
+                }
+            }
+        }
+        assert_eq!(fired, vec![1]);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The process-launch fast path: `posix_spawn`, shell bypass, and a
-//! pooled pidfd reaper.
+//! The process-launch path: `posix_spawn`, shell bypass, and a pooled
+//! pidfd reaper that owns every child from spawn to delivery.
 //!
 //! The paper's headline metric is per-task *launch* overhead on real
 //! processes (Fig. 3), and the classic pilot-system bottleneck is
-//! exactly the launcher's fork/exec path. The portable executor pays
-//! three separate taxes per task: a full `fork` of the (possibly
-//! large-RSS) driver via `std::process::Command`, an extra `/bin/sh`
-//! exec layer for every command, and 2–3 freshly spawned reader/waiter
-//! threads. This module removes all three:
+//! exactly the launcher's fork/exec path. A naive launcher pays three
+//! separate taxes per task: a full `fork` of the (possibly large-RSS)
+//! driver, an extra `/bin/sh` exec layer for every command, and 2–3
+//! freshly spawned reader/writer/waiter threads. This module removes
+//! all three:
 //!
 //! - **`posix_spawn` FFI** ([`launch`]): vfork-class process creation —
 //!   the child borrows the parent's address space until exec, so spawn
@@ -23,28 +23,33 @@
 //!   so a quoted value never forces the shell. Anything else falls
 //!   back to `sh -c`, preserving GNU Parallel semantics byte-for-byte.
 //! - **Pooled reaper** ([`Reaper`]): one thread owns an epoll
-//!   [`Reactor`] registered with every in-flight child's stdout/stderr
-//!   pipe and its pidfd (`pidfd_open(2)`). Pipes drain into per-task
-//!   buffers as data arrives; exits are reaped with `WNOHANG` when the
-//!   pidfd turns readable; the worker that spawned the task blocks on a
-//!   one-shot channel. Thread count is O(slots), not O(tasks).
+//!   [`Reactor`] registered with every in-flight child's pipes and its
+//!   pidfd (`pidfd_open(2)`). It writes a `--pipe` block into the
+//!   child's stdin as the pipe drains, reads stdout/stderr into
+//!   per-task buffers (streaming each `--line-buffer` line as it
+//!   lands), reaps exits with `WNOHANG` when the pidfd turns readable,
+//!   and enforces `--timeout` with a reactor timer and `kill(2)`. A
+//!   child without a pidfd (pre-5.3 kernel, fd exhaustion) is polled
+//!   on a short timer instead. The worker that spawned the task blocks
+//!   on a one-shot channel. Thread count is O(slots), not O(tasks).
 //!
-//! `ProcessExecutor` routes plain commands (no `--pipe` stdin block, no
-//! `--line-buffer` streaming) through this path on Linux and falls back
-//! to the portable `std::process` path otherwise — see
-//! [`crate::executor`] and DESIGN.md §14.
+//! [`crate::executor::ProcessExecutor`] runs every command through this
+//! path — see DESIGN.md §14.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ffi::c_void;
 use std::io;
 use std::os::fd::RawFd;
+use std::panic::AssertUnwindSafe;
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 
+use crate::executor::{LineCallback, LineEvent, StreamKind};
 use crate::job::{CommandLine, JobStatus};
-use crate::reactor::{Interest, PollEvent, Reactor, WakeHandle, Waker};
+use crate::reactor::{Interest, PollEvent, Reactor, TimerKey, WakeHandle, Waker};
 
 // -- FFI ---------------------------------------------------------------
 
@@ -67,6 +72,7 @@ mod sys {
     pub const O_NONBLOCK: c_int = 0o4000;
     pub const F_SETFL: c_int = 4;
     pub const WNOHANG: c_int = 1;
+    pub const SIGKILL: c_int = 9;
     /// `pidfd_open` has one syscall number on every 64-bit arch (it
     /// postdates the asm-generic unification).
     pub const SYS_PIDFD_OPEN: c_long = 434;
@@ -91,9 +97,10 @@ mod sys {
         pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn open(path: *const c_char, flags: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
         pub fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
-        pub fn getpid() -> c_int;
+        pub fn kill(pid: c_int, sig: c_int) -> c_int;
         pub fn syscall(num: c_long, ...) -> c_long;
     }
 }
@@ -220,14 +227,52 @@ impl LaunchPlan {
 }
 
 /// A child launched by [`launch`]: its pid, a pidfd for exit
-/// notification (`-1` when `pidfd_open` failed), and the parent's
-/// non-blocking read ends of its stdout/stderr pipes.
+/// notification (`-1` when `pidfd_open` failed), the parent's
+/// non-blocking ends of its pipes, and what the [`Reaper`] does for it
+/// besides collecting its exit and output.
 #[derive(Debug)]
 pub struct Spawned {
     pub pid: i32,
     pub pidfd: RawFd,
     pub stdout_fd: RawFd,
     pub stderr_fd: RawFd,
+    /// The write end of the child's stdin pipe and the `--pipe` block to
+    /// write into it; `None` when stdin is `/dev/null`.
+    pub stdin: Option<(RawFd, Vec<u8>)>,
+    /// `--timeout`: SIGKILL the child if it has not exited by then.
+    pub deadline: Option<Instant>,
+    /// `--line-buffer`: where each output line goes as it lands.
+    pub lines: Option<LineSink>,
+}
+
+/// A `--line-buffer` callback and the job whose lines it receives.
+pub struct LineSink {
+    pub cb: LineCallback,
+    pub seq: u64,
+    pub slot: usize,
+}
+
+impl std::fmt::Debug for LineSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LineSink")
+            .field("seq", &self.seq)
+            .field("slot", &self.slot)
+            .finish_non_exhaustive()
+    }
+}
+
+impl LineSink {
+    /// Hand one line to the callback. A panicking callback loses its
+    /// line, not the reaper thread every other job depends on.
+    fn emit(&self, kind: StreamKind, line: &[u8]) {
+        let event = LineEvent {
+            seq: self.seq,
+            slot: self.slot,
+            kind,
+            line: line.to_vec(),
+        };
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| (self.cb)(&event)));
+    }
 }
 
 /// Per-thread reusable spawn buffers: all argv/env strings for one
@@ -302,8 +347,8 @@ thread_local! {
     static ARENA: RefCell<Arena> = RefCell::new(Arena::default());
 }
 
-/// Shared read end of `/dev/null` dup2'd onto every child's stdin (the
-/// fast path only handles tasks without a `--pipe` stdin block).
+/// Shared read end of `/dev/null` dup2'd onto the stdin of every child
+/// that gets no `--pipe` block.
 fn dev_null() -> io::Result<RawFd> {
     static FD: OnceLock<RawFd> = OnceLock::new();
     let fd = *FD.get_or_init(|| unsafe {
@@ -315,27 +360,14 @@ fn dev_null() -> io::Result<RawFd> {
     Ok(fd)
 }
 
-/// Whether this kernel supports `pidfd_open` (probed once, on our own
-/// pid). Without it the executor stays on the portable path.
-pub fn fast_path_available() -> bool {
-    static SUPPORTED: OnceLock<bool> = OnceLock::new();
-    *SUPPORTED.get_or_init(|| {
-        let fd = unsafe { sys::syscall(sys::SYS_PIDFD_OPEN, sys::getpid(), 0) };
-        if fd >= 0 {
-            unsafe { sys::close(fd as i32) };
-            true
-        } else {
-            false
-        }
-    })
-}
-
-fn cloexec_pipe() -> io::Result<(RawFd, RawFd)> {
+/// Open a CLOEXEC pipe into `ends` as `[read, write]`.
+fn cloexec_pipe(ends: &mut [RawFd]) -> io::Result<()> {
     let mut fds = [0i32; 2];
     if unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_CLOEXEC) } < 0 {
         return Err(io::Error::last_os_error());
     }
-    Ok((fds[0], fds[1]))
+    ends.copy_from_slice(&fds);
+    Ok(())
 }
 
 fn close_fd(fd: RawFd) {
@@ -344,10 +376,18 @@ fn close_fd(fd: RawFd) {
     }
 }
 
-/// Launch one command via `posix_spawnp`: stdin from `/dev/null`,
+fn set_nonblocking(fd: RawFd) {
+    // SAFETY: `fcntl(F_SETFL)` takes an int and touches no memory; a
+    // bad fd only makes it fail.
+    unsafe { sys::fcntl(fd, sys::F_SETFL, sys::O_NONBLOCK) };
+}
+
+/// Launch one command via `posix_spawnp`: stdin from a fresh pipe when
+/// the task carries a `--pipe` block (copied into the returned
+/// [`Spawned`] for the reaper to write) and from `/dev/null` otherwise,
 /// stdout/stderr to fresh pipes, env = parent env + `PARALLEL_SEQ` /
 /// `PARALLEL_JOBSLOT` + the task's own vars (task vars win). Returns
-/// the child with non-blocking read ends; on error every fd is closed
+/// the child with non-blocking parent ends; on error every fd is closed
 /// and nothing ran.
 pub fn launch(plan: &LaunchPlan, cmd: &CommandLine) -> io::Result<Spawned> {
     ARENA.with(|cell| {
@@ -370,13 +410,13 @@ pub fn launch(plan: &LaunchPlan, cmd: &CommandLine) -> io::Result<Spawned> {
         }
         build_env(arena, cmd)?;
         arena.finish();
-        spawn_with(arena, plan)
+        spawn_with(arena, plan, cmd.stdin.as_deref())
     })
 }
 
 /// Fill the arena's env table: parent environment minus overridden
 /// keys, then `PARALLEL_SEQ`/`PARALLEL_JOBSLOT`, then the task's vars —
-/// the same precedence `std::process::Command::env` produces.
+/// the precedence a `std::process` child gets from `.env(..)` calls.
 fn build_env(arena: &mut Arena, cmd: &CommandLine) -> io::Result<()> {
     use std::os::unix::ffi::OsStrExt;
     let seq = cmd.seq.to_string();
@@ -404,26 +444,44 @@ fn build_env(arena: &mut Arena, cmd: &CommandLine) -> io::Result<()> {
     Ok(())
 }
 
-fn spawn_with(arena: &Arena, plan: &LaunchPlan) -> io::Result<Spawned> {
-    let null_fd = dev_null()?;
-    let (out_r, out_w) = cloexec_pipe()?;
-    let (err_r, err_w) = match cloexec_pipe() {
-        Ok(p) => p,
+fn spawn_with(arena: &Arena, plan: &LaunchPlan, block: Option<&str>) -> io::Result<Spawned> {
+    // [stdin read, stdin write, stdout read, stdout write, stderr read,
+    // stderr write]; the stdin pair stays -1 without a block, and the
+    // child reads the shared `/dev/null` instead.
+    let mut fds = [-1; 6];
+    let close_all = |fds: &[RawFd]| fds.iter().for_each(|&fd| close_fd(fd));
+    let opened = match block {
+        Some(_) => cloexec_pipe(&mut fds[0..2]),
+        None => Ok(()),
+    }
+    .and_then(|()| cloexec_pipe(&mut fds[2..4]))
+    .and_then(|()| cloexec_pipe(&mut fds[4..6]))
+    .and_then(|()| {
+        if block.is_some() {
+            Ok(fds[0])
+        } else {
+            dev_null()
+        }
+    });
+    let child_stdin = match opened {
+        Ok(fd) => fd,
         Err(e) => {
-            close_fd(out_r);
-            close_fd(out_w);
+            close_all(&fds);
             return Err(e);
         }
     };
-    let close_all = |fds: &[RawFd]| fds.iter().for_each(|&fd| close_fd(fd));
 
     let mut pid: i32 = 0;
+    // SAFETY: `fa` is initialized before use and destroyed after; the
+    // argv and env pointer tables are NULL-terminated and point into
+    // `arena`, which `finish` built and which outlives the call; every
+    // fd named in a dup2 action is open.
     let rc = unsafe {
         let mut fa: sys::FileActions = std::mem::zeroed();
         sys::posix_spawn_file_actions_init(&mut fa);
-        sys::posix_spawn_file_actions_adddup2(&mut fa, null_fd, 0);
-        sys::posix_spawn_file_actions_adddup2(&mut fa, out_w, 1);
-        sys::posix_spawn_file_actions_adddup2(&mut fa, err_w, 2);
+        sys::posix_spawn_file_actions_adddup2(&mut fa, child_stdin, 0);
+        sys::posix_spawn_file_actions_adddup2(&mut fa, fds[3], 1);
+        sys::posix_spawn_file_actions_adddup2(&mut fa, fds[5], 2);
         let rc = sys::posix_spawnp(
             &mut pid,
             arena.argv_ptrs[0],
@@ -435,11 +493,11 @@ fn spawn_with(arena: &Arena, plan: &LaunchPlan) -> io::Result<Spawned> {
         sys::posix_spawn_file_actions_destroy(&mut fa);
         rc
     };
-    // Parent never writes; drop the child's ends regardless of outcome.
-    close_fd(out_w);
-    close_fd(err_w);
+    // Drop the child's ends regardless of outcome.
+    close_all(&[fds[0], fds[3], fds[5]]);
+    let [_, stdin_w, out_r, _, err_r, _] = fds;
     if rc != 0 {
-        close_all(&[out_r, err_r]);
+        close_all(&[stdin_w, out_r, err_r]);
         let what = match plan {
             LaunchPlan::Direct(words) => words[0].clone(),
             LaunchPlan::Shell(_) => "sh".to_string(),
@@ -449,10 +507,11 @@ fn spawn_with(arena: &Arena, plan: &LaunchPlan) -> io::Result<Spawned> {
             format!("{what}: {}", io::Error::from_raw_os_error(rc)),
         ));
     }
-    // The reaper reads these from epoll callbacks; they must not block.
-    unsafe {
-        sys::fcntl(out_r, sys::F_SETFL, sys::O_NONBLOCK);
-        sys::fcntl(err_r, sys::F_SETFL, sys::O_NONBLOCK);
+    // The reaper drives these from epoll events; they must not block.
+    for fd in [stdin_w, out_r, err_r] {
+        if fd >= 0 {
+            set_nonblocking(fd);
+        }
     }
     let pidfd = unsafe { sys::syscall(sys::SYS_PIDFD_OPEN, pid, 0) } as RawFd;
     Ok(Spawned {
@@ -460,6 +519,9 @@ fn spawn_with(arena: &Arena, plan: &LaunchPlan) -> io::Result<Spawned> {
         pidfd,
         stdout_fd: out_r,
         stderr_fd: err_r,
+        stdin: block.map(|b| (stdin_w, b.as_bytes().to_vec())),
+        deadline: None,
+        lines: None,
     })
 }
 
@@ -489,11 +551,14 @@ pub fn decode_wait_status(raw: i32) -> JobStatus {
 // -- Pooled reaper -----------------------------------------------------
 
 /// Everything the reaper collected for one task: the raw `waitpid`
-/// status (`None` only if the wait itself failed) and the drained
-/// output streams.
+/// status (`None` if the wait itself failed, or the task timed out
+/// before it was reaped) and the drained output streams.
 #[derive(Debug)]
 pub struct Collected {
     pub raw_status: Option<i32>,
+    /// The deadline passed and the child did not exit normally: the
+    /// reaper killed it, or gave up on pipes a grandchild holds open.
+    pub timed_out: bool,
     pub stdout: Vec<u8>,
     pub stderr: Vec<u8>,
 }
@@ -506,17 +571,34 @@ struct Registration {
 /// The pooled collector: one process-wide thread whose epoll reactor
 /// owns every in-flight child's pipes and pidfd. Workers hand children
 /// over with [`Reaper::collect`] and block on the returned channel —
-/// no per-task reader or waiter threads exist anywhere.
+/// no per-task reader, writer, waiter or timer threads exist anywhere.
 pub struct Reaper {
     reg_tx: Sender<Registration>,
     wake: WakeHandle,
 }
 
-/// Waker token; task tokens are `id << 2 | kind` with id ≥ 1.
+/// How long a killed child's pipes may stay open before the reaper
+/// hands back `timed_out` anyway: a grandchild that inherited them can
+/// hold them for its whole life.
+const KILL_GRACE: Duration = Duration::from_millis(500);
+/// How often a child without a registered pidfd is polled with
+/// `WNOHANG`.
+const POLL_TICK: Duration = Duration::from_millis(1);
+
+/// Waker token; task tokens are `id << 3 | kind` with id ≥ 1, for fd
+/// readiness and timers alike.
 const TOK_WAKER: usize = 0;
 const KIND_PIDFD: usize = 1;
-const KIND_STDOUT: usize = 2;
-const KIND_STDERR: usize = 3;
+const KIND_STDIN: usize = 2;
+const KIND_STDOUT: usize = 3;
+const KIND_STDERR: usize = 4;
+const KIND_DEADLINE: usize = 5;
+const KIND_GRACE: usize = 6;
+const KIND_TICK: usize = 7;
+
+fn token(id: usize, kind: usize) -> usize {
+    (id << 3) | kind
+}
 
 impl Reaper {
     /// The process-wide reaper, started on first use.
@@ -536,10 +618,11 @@ impl Reaper {
     }
 
     /// Hand a spawned child to the reaper; the returned channel yields
-    /// exactly one [`Collected`] when the child has exited *and* both
-    /// pipes hit EOF. Dropping the receiver abandons the task: the
-    /// reaper still drains and reaps it (no zombies, no fd leaks), the
-    /// result just goes nowhere.
+    /// exactly one [`Collected`]: when the child has exited *and* both
+    /// output pipes hit EOF, or [`KILL_GRACE`] after its deadline
+    /// passed. Dropping the receiver abandons the task: the reaper
+    /// still drains and reaps it (no zombies, no fd leaks), the result
+    /// just goes nowhere.
     pub fn collect(&self, spawned: Spawned) -> Receiver<Collected> {
         let (tx, rx) = bounded(1);
         // The reaper thread runs for the process lifetime; if it is
@@ -550,22 +633,33 @@ impl Reaper {
     }
 }
 
-struct TaskState {
-    pid: i32,
-    pidfd: RawFd,
-    out_fd: RawFd,
-    err_fd: RawFd,
-    stdout: Vec<u8>,
-    stderr: Vec<u8>,
-    raw_status: Option<i32>,
-    reaped: bool,
-    tx: Sender<Collected>,
+/// One output pipe and what has come through it.
+struct Output {
+    fd: RawFd,
+    buf: Vec<u8>,
+    /// Start of the first line not yet streamed (`--line-buffer`).
+    line_start: usize,
 }
 
-impl TaskState {
-    fn done(&self) -> bool {
-        self.reaped && self.out_fd < 0 && self.err_fd < 0
-    }
+struct TaskState {
+    id: usize,
+    pid: i32,
+    pidfd: RawFd,
+    stdin_fd: RawFd,
+    stdin: Vec<u8>,
+    written: usize,
+    /// Stdout, then stderr.
+    out: [Output; 2],
+    raw_status: Option<i32>,
+    reaped: bool,
+    killed: bool,
+    /// The armed deadline or grace timer, and the `WNOHANG` poll tick.
+    timer: Option<TimerKey>,
+    tick: Option<TimerKey>,
+    lines: Option<LineSink>,
+    /// `None` once the result went out: a timed-out task whose pipes a
+    /// grandchild holds keeps draining, into nothing.
+    tx: Option<Sender<Collected>>,
 }
 
 fn reaper_loop(mut reactor: Reactor, waker: Waker, reg_rx: Receiver<Registration>) {
@@ -581,114 +675,223 @@ fn reaper_loop(mut reactor: Reactor, waker: Waker, reg_rx: Receiver<Registration
             continue;
         }
         for ev in &events {
-            let PollEvent::Io { token, .. } = *ev else {
-                continue;
-            };
+            let (PollEvent::Io { token, .. } | PollEvent::Timer { token }) = *ev;
             if token == TOK_WAKER {
                 waker.drain();
                 while let Ok(reg) = reg_rx.try_recv() {
-                    admit(&reactor, &mut tasks, &mut next_id, reg);
+                    let task = TaskState::admit(&mut reactor, next_id, reg);
+                    tasks.insert(next_id, task);
+                    next_id += 1;
                 }
                 continue;
             }
-            let (id, kind) = (token >> 2, token & 3);
+            let (id, kind) = (token >> 3, token & 7);
             let Some(task) = tasks.get_mut(&id) else {
                 continue; // stale event for an already-finished task
             };
-            match kind {
-                KIND_PIDFD => {
-                    let mut raw: i32 = 0;
-                    let rc = unsafe { sys::waitpid(task.pid, &mut raw, sys::WNOHANG) };
-                    if rc == 0 {
-                        continue; // spurious readiness; exit not visible yet
-                    }
-                    task.raw_status = (rc == task.pid).then_some(raw);
-                    task.reaped = true;
-                    let _ = reactor.deregister(task.pidfd);
-                    close_fd(task.pidfd);
-                    task.pidfd = -1;
-                }
-                KIND_STDOUT | KIND_STDERR => {
-                    let (fd, buf) = if kind == KIND_STDOUT {
-                        (task.out_fd, &mut task.stdout)
-                    } else {
-                        (task.err_fd, &mut task.stderr)
-                    };
-                    if fd >= 0 && drain_pipe(fd, buf) {
-                        let _ = reactor.deregister(fd);
-                        close_fd(fd);
-                        if kind == KIND_STDOUT {
-                            task.out_fd = -1;
-                        } else {
-                            task.err_fd = -1;
-                        }
-                    }
-                }
-                _ => {}
-            }
-            if task.done() {
-                let task = tasks.remove(&id).expect("present");
-                // A worker that abandoned its task (timeout with the
-                // pipes held open) dropped the receiver; ignore.
-                let _ = task.tx.send(Collected {
-                    raw_status: task.raw_status,
-                    stdout: task.stdout,
-                    stderr: task.stderr,
-                });
+            task.on_event(&mut reactor, kind);
+            if task.reaped && task.out.iter().all(|o| o.fd < 0) {
+                tasks.remove(&id).expect("present").finish(&mut reactor);
             }
         }
     }
 }
 
-fn admit(
-    reactor: &Reactor,
-    tasks: &mut HashMap<usize, TaskState>,
-    next_id: &mut usize,
-    reg: Registration,
-) {
-    let id = *next_id;
-    *next_id += 1;
-    let s = reg.spawned;
-    let ok = reactor
-        .register(s.pidfd, (id << 2) | KIND_PIDFD, Interest::READ)
-        .and_then(|_| reactor.register(s.stdout_fd, (id << 2) | KIND_STDOUT, Interest::READ))
-        .and_then(|_| reactor.register(s.stderr_fd, (id << 2) | KIND_STDERR, Interest::READ));
-    if ok.is_err() {
-        // Should-never-happen path (bad fd / epoll limit): reap the
-        // child synchronously so it cannot zombify, best-effort drain.
-        let _ = reactor.deregister(s.pidfd);
-        let _ = reactor.deregister(s.stdout_fd);
-        let _ = reactor.deregister(s.stderr_fd);
-        let mut raw: i32 = 0;
-        let rc = unsafe { sys::waitpid(s.pid, &mut raw, 0) };
-        let mut stdout = Vec::new();
-        let mut stderr = Vec::new();
-        drain_pipe(s.stdout_fd, &mut stdout);
-        drain_pipe(s.stderr_fd, &mut stderr);
-        close_fd(s.pidfd);
-        close_fd(s.stdout_fd);
-        close_fd(s.stderr_fd);
-        let _ = reg.tx.send(Collected {
-            raw_status: (rc == s.pid).then_some(raw),
-            stdout,
-            stderr,
-        });
-        return;
-    }
-    tasks.insert(
-        id,
-        TaskState {
+impl TaskState {
+    /// Register the child's fds and arm its timers. A child without a
+    /// pidfd, or one whose fds the reactor refused, is polled on a
+    /// short timer instead; it stays on the reaper either way.
+    fn admit(reactor: &mut Reactor, id: usize, reg: Registration) -> TaskState {
+        let s = reg.spawned;
+        let (stdin_fd, stdin) = s.stdin.unwrap_or((-1, Vec::new()));
+        let mut task = TaskState {
+            id,
             pid: s.pid,
             pidfd: s.pidfd,
-            out_fd: s.stdout_fd,
-            err_fd: s.stderr_fd,
-            stdout: Vec::new(),
-            stderr: Vec::new(),
+            stdin_fd,
+            stdin,
+            written: 0,
+            out: [s.stdout_fd, s.stderr_fd].map(|fd| Output {
+                fd,
+                buf: Vec::new(),
+                line_start: 0,
+            }),
             raw_status: None,
             reaped: false,
-            tx: reg.tx,
-        },
-    );
+            killed: false,
+            timer: None,
+            tick: None,
+            lines: s.lines,
+            tx: Some(reg.tx),
+        };
+        let registered = [
+            (task.pidfd, KIND_PIDFD, Interest::READ),
+            (task.stdin_fd, KIND_STDIN, Interest::WRITE),
+            (task.out[0].fd, KIND_STDOUT, Interest::READ),
+            (task.out[1].fd, KIND_STDERR, Interest::READ),
+        ]
+        .into_iter()
+        .filter(|&(fd, _, _)| fd >= 0)
+        .all(|(fd, kind, interest)| reactor.register(fd, token(id, kind), interest).is_ok());
+        if !registered || task.pidfd < 0 {
+            task.tick = Some(reactor.arm_timer(Instant::now(), token(id, KIND_TICK)));
+        }
+        if let Some(at) = s.deadline {
+            task.timer = Some(reactor.arm_timer(at, token(id, KIND_DEADLINE)));
+        }
+        task
+    }
+
+    fn on_event(&mut self, reactor: &mut Reactor, kind: usize) {
+        match kind {
+            KIND_PIDFD => self.try_reap(reactor),
+            KIND_STDIN => self.pump_stdin(reactor),
+            KIND_STDOUT | KIND_STDERR => self.pump_output(reactor, kind - KIND_STDOUT),
+            KIND_DEADLINE => {
+                // Not reaped means the pid is still ours: no reuse race.
+                if !self.reaped {
+                    // SAFETY: a plain syscall; it touches no memory.
+                    unsafe { sys::kill(self.pid, sys::SIGKILL) };
+                    self.killed = true;
+                }
+                let at = Instant::now() + KILL_GRACE;
+                self.timer = Some(reactor.arm_timer(at, token(self.id, KIND_GRACE)));
+            }
+            KIND_GRACE => {
+                self.timer = None;
+                if let Some(tx) = self.tx.take() {
+                    let _ = tx.send(Collected {
+                        raw_status: None,
+                        timed_out: true,
+                        stdout: Vec::new(),
+                        stderr: Vec::new(),
+                    });
+                }
+                self.lines = None;
+                for o in &mut self.out {
+                    o.buf = Vec::new();
+                }
+            }
+            KIND_TICK => {
+                // Fds the reactor refused get pumped here; for the
+                // registered ones these reads just find nothing.
+                self.pump_stdin(reactor);
+                self.pump_output(reactor, 0);
+                self.pump_output(reactor, 1);
+                self.try_reap(reactor);
+                let at = Instant::now() + POLL_TICK;
+                self.tick = Some(reactor.arm_timer(at, token(self.id, KIND_TICK)));
+            }
+            _ => {}
+        }
+    }
+
+    fn try_reap(&mut self, reactor: &Reactor) {
+        if self.reaped {
+            return;
+        }
+        let mut raw: i32 = 0;
+        let rc = unsafe { sys::waitpid(self.pid, &mut raw, sys::WNOHANG) };
+        if rc == 0 {
+            return; // spurious readiness; exit not visible yet
+        }
+        self.raw_status = (rc == self.pid).then_some(raw);
+        self.reaped = true;
+        if self.pidfd >= 0 {
+            let _ = reactor.deregister(self.pidfd);
+            close_fd(self.pidfd);
+            self.pidfd = -1;
+        }
+        self.close_stdin(reactor);
+    }
+
+    /// Write as much of the block as the pipe takes; close the pipe once
+    /// it is all written or the child stopped reading.
+    fn pump_stdin(&mut self, reactor: &Reactor) {
+        if self.stdin_fd < 0 {
+            return;
+        }
+        while self.written < self.stdin.len() {
+            let rest = &self.stdin[self.written..];
+            // SAFETY: `write` reads at most `rest.len()` bytes from the
+            // live slice `rest`.
+            let n =
+                unsafe { sys::write(self.stdin_fd, rest.as_ptr() as *const c_void, rest.len()) };
+            if n >= 0 {
+                self.written += n as usize;
+                continue;
+            }
+            match io::Error::last_os_error().kind() {
+                io::ErrorKind::WouldBlock => return,
+                io::ErrorKind::Interrupted => continue,
+                // EPIPE (Rust programs ignore SIGPIPE): the child
+                // closed its stdin without reading the whole block.
+                _ => break,
+            }
+        }
+        self.close_stdin(reactor);
+    }
+
+    fn close_stdin(&mut self, reactor: &Reactor) {
+        if self.stdin_fd >= 0 {
+            let _ = reactor.deregister(self.stdin_fd);
+            close_fd(self.stdin_fd);
+            self.stdin_fd = -1;
+            self.stdin = Vec::new();
+        }
+    }
+
+    fn pump_output(&mut self, reactor: &Reactor, idx: usize) {
+        let o = &mut self.out[idx];
+        if o.fd < 0 {
+            return;
+        }
+        let scanned = o.buf.len();
+        let eof = drain_pipe(o.fd, &mut o.buf);
+        if eof {
+            let _ = reactor.deregister(o.fd);
+            close_fd(o.fd);
+            o.fd = -1;
+        }
+        if self.tx.is_none() {
+            o.buf.clear(); // delivered already: nobody reads this
+            return;
+        }
+        let Some(lines) = &self.lines else {
+            return;
+        };
+        let kind = [StreamKind::Stdout, StreamKind::Stderr][idx];
+        let mut from = scanned;
+        while let Some(nl) = o.buf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + nl;
+            lines.emit(kind, &o.buf[o.line_start..end]);
+            o.line_start = end + 1;
+            from = end + 1;
+        }
+        if eof && o.line_start < o.buf.len() {
+            lines.emit(kind, &o.buf[o.line_start..]);
+            o.line_start = o.buf.len();
+        }
+    }
+
+    /// Reaped with both output pipes at EOF: cancel the timers and hand
+    /// the result over, unless the grace already did. A worker that
+    /// dropped its receiver just never sees it.
+    fn finish(mut self, reactor: &mut Reactor) {
+        for key in [self.timer.take(), self.tick.take()].into_iter().flatten() {
+            reactor.cancel_timer(key);
+        }
+        let timed_out = self.killed && !self.raw_status.is_some_and(status_exited);
+        let [stdout, stderr] = self.out;
+        if let Some(tx) = self.tx {
+            let _ = tx.send(Collected {
+                raw_status: self.raw_status,
+                timed_out,
+                stdout: stdout.buf,
+                stderr: stderr.buf,
+            });
+        }
+    }
 }
 
 /// Drain a non-blocking pipe into `buf`. Returns true at EOF (or on a
@@ -710,35 +913,6 @@ fn drain_pipe(fd: RawFd, buf: &mut Vec<u8>) -> bool {
             io::ErrorKind::Interrupted => continue,
             _ => true,
         };
-    }
-}
-
-/// Degraded one-off collection for a child whose `pidfd_open` failed
-/// after a successful spawn (fd exhaustion): reader thread per stream,
-/// blocking `waitpid` — exactly the portable path's shape, used only
-/// on this rare path so the child never leaks.
-pub fn collect_inline(s: Spawned) -> Collected {
-    use std::io::Read;
-    use std::os::fd::FromRawFd;
-    let spawn_drain = |fd: RawFd| {
-        // Back to blocking: these reads run on their own thread.
-        unsafe { sys::fcntl(fd, sys::F_SETFL, 0) };
-        std::thread::spawn(move || {
-            let mut f = unsafe { std::fs::File::from_raw_fd(fd) };
-            let mut buf = Vec::new();
-            let _ = f.read_to_end(&mut buf);
-            buf
-        })
-    };
-    let out_h = spawn_drain(s.stdout_fd);
-    let err_h = spawn_drain(s.stderr_fd);
-    let mut raw: i32 = 0;
-    let rc = unsafe { sys::waitpid(s.pid, &mut raw, 0) };
-    close_fd(s.pidfd);
-    Collected {
-        raw_status: (rc == s.pid).then_some(raw),
-        stdout: out_h.join().unwrap_or_default(),
-        stderr: err_h.join().unwrap_or_default(),
     }
 }
 
@@ -897,6 +1071,46 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// What `pidfd_open` failing leaves the reaper: a child it can only
+    /// poll with `WNOHANG`.
+    fn without_pidfd(plan: &LaunchPlan) -> Spawned {
+        let mut spawned = launch(plan, &cmdline("x")).unwrap();
+        close_fd(spawned.pidfd);
+        spawned.pidfd = -1;
+        spawned
+    }
+
+    #[test]
+    fn reaper_collects_a_child_without_a_pidfd() {
+        let spawned = without_pidfd(&LaunchPlan::Shell("echo out; echo err >&2; exit 3".into()));
+        let c = Reaper::global().collect(spawned).recv().unwrap();
+        assert_eq!(
+            decode_wait_status(c.raw_status.unwrap()),
+            JobStatus::Failed(3)
+        );
+        assert_eq!(c.stdout, b"out\n");
+        assert_eq!(c.stderr, b"err\n");
+        assert!(!c.timed_out);
+    }
+
+    #[test]
+    fn reaper_kills_a_child_without_a_pidfd_at_its_deadline() {
+        let mut spawned = without_pidfd(&LaunchPlan::Direct(vec!["sleep".into(), "5".into()]));
+        let start = std::time::Instant::now();
+        spawned.deadline = Some(start + Duration::from_millis(50));
+        let c = Reaper::global().collect(spawned).recv().unwrap();
+        assert!(c.timed_out);
+        assert_eq!(
+            decode_wait_status(c.raw_status.unwrap()),
+            JobStatus::Signaled(9)
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Differential property tests for the launch fast path
+//! Differential property tests for the launch path
 //! (`htpar_core::spawn`): the shell-bypass analyzer must be *safe*
 //! (anything that could mean something to `sh` falls back to `sh -c`)
 //! and *transparent* (commands it does bypass behave byte-for-byte
-//! like the portable `sh -c` + reader-thread path).
+//! like `sh -c` run through `std::process`, a reference that shares no
+//! code with the launch path).
 
-use htpar_core::executor::{ExecContext, Executor, ProcessExecutor};
-use htpar_core::job::CommandLine;
+use std::os::unix::process::ExitStatusExt;
+use std::process::{Command, Stdio};
+
+use htpar_core::executor::{ExecContext, Executor, ProcessExecutor, TaskOutput};
+use htpar_core::job::{CommandLine, JobStatus};
 use htpar_core::spawn::bypass_argv;
 use htpar_core::template::shell_quote;
 use proptest::prelude::*;
@@ -22,17 +26,30 @@ fn cmdline(rendered: &str) -> CommandLine {
     CommandLine::new(1, 1, vec![], rendered.to_string(), vec![], vec![])
 }
 
-fn run_both(
-    rendered: &str,
-) -> (
-    htpar_core::executor::TaskOutput,
-    htpar_core::executor::TaskOutput,
-) {
+/// The launch path's output for `rendered`, and the reference's:
+/// `sh -c` through `std::process::Command`, with the env the engine
+/// sets (`cmdline` is seq 1, slot 1) and stdin from `/dev/null`.
+fn run_both(rendered: &str) -> (TaskOutput, TaskOutput) {
     let fast = ProcessExecutor::shell().execute(&cmdline(rendered), &ExecContext::default());
-    let legacy = ProcessExecutor::shell()
-        .legacy()
-        .execute(&cmdline(rendered), &ExecContext::default());
-    (fast, legacy)
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(rendered)
+        .env("PARALLEL_SEQ", "1")
+        .env("PARALLEL_JOBSLOT", "1")
+        .stdin(Stdio::null())
+        .output()
+        .expect("run sh");
+    let status = match (out.status.code(), out.status.signal()) {
+        (Some(0), _) => JobStatus::Success,
+        (Some(code), _) => JobStatus::Failed(code),
+        (None, sig) => JobStatus::Signaled(sig.unwrap_or(0)),
+    };
+    let reference = TaskOutput {
+        status,
+        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
+        stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+    };
+    (fast, reference)
 }
 
 proptest! {

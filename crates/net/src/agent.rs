@@ -190,9 +190,9 @@ fn build_engine(
         },
         template: Template::parse(command)?,
         executor: match payload {
-            // The default `ProcessExecutor` takes the posix_spawn fast
-            // path (shell bypass + pooled pidfd reaper) when available,
-            // so agent-hosted shell sessions launch at local-path rates.
+            // `ProcessExecutor` launches through posix_spawn and the
+            // pooled pidfd reaper (with shell bypass), so agent-hosted
+            // shell sessions launch at local-path rates.
             Payload::Shell => Arc::new(ProcessExecutor::shell()),
             Payload::Noop => Arc::new(FnExecutor::noop()),
             Payload::SleepUs(us) => Arc::new(FnExecutor::sleep(Duration::from_micros(us))),
