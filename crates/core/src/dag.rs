@@ -10,8 +10,9 @@
 //! the dependency ([`Engine::run_released`]), with no central scheduler
 //! thread: under one lock it writes the task's joblog row, completes
 //! the ready set and keeps the first newly-ready task as its own next
-//! job, so a chain stays on one slot; the rest go out in
-//! [`chunk_size`] batches for idle slots to claim. Released tasks run
+//! job, so a chain stays on one slot; the rest go out through
+//! [`send_chunks`], the batch rule every producer of engine input
+//! shares, for idle slots to claim. Released tasks run
 //! through the same engine, the same sharded dispatch, and the same
 //! joblog as a flat list. Ready-set overhead is O(1) per edge: one
 //! in-degree decrement when a dependency completes.
@@ -70,7 +71,7 @@ use htpar_telemetry::EventBus;
 use parking_lot::Mutex;
 
 use crate::crossbeam_channel::Sender;
-use crate::dispatch::chunk_size;
+use crate::dispatch::send_chunks;
 use crate::error::{Error, Result};
 use crate::executor::Executor;
 use crate::job::JobResult;
@@ -730,7 +731,9 @@ impl Release for DagRelease<'_> {
         let mut ready = ready.into_iter().map(|seq| self.job(seq));
         let next = ready.next();
         if let Some(tx) = tx {
-            send_batches(&tx, ready, self.jobs);
+            // The rest go out in chunk-sized batches, so idle slots
+            // claim them instead of one slot taking the whole release.
+            send_chunks(&tx, ready, self.jobs);
         }
         next
     }
@@ -741,21 +744,6 @@ impl Release for DagRelease<'_> {
 
     fn halt(&self) {
         self.state.lock().tx = None;
-    }
-}
-
-/// Send released `jobs` into the engine in [`chunk_size`] batches, so
-/// idle slots claim them instead of one slot taking the whole release.
-fn send_batches(
-    tx: &Sender<Vec<JobInput>>,
-    mut jobs: impl ExactSizeIterator<Item = JobInput>,
-    slots: usize,
-) {
-    let size = chunk_size(jobs.len(), slots);
-    while jobs.len() > 0 {
-        // Unbounded channel whose receiver outlives every sender: never
-        // blocks, never fails.
-        let _ = tx.send(jobs.by_ref().take(size).collect());
     }
 }
 
@@ -822,7 +810,7 @@ impl DagRunner {
             }),
         };
         let (tx, rx) = crate::crossbeam_channel::unbounded::<Vec<JobInput>>();
-        send_batches(&tx, initial.into_iter().map(|seq| release.job(seq)), jobs);
+        send_chunks(&tx, initial.into_iter().map(|seq| release.job(seq)), jobs);
         // Nothing will ever complete on an already-finished graph (empty
         // or fully resumed), so no hook can close the channel: drop the
         // sender here or the engine waits on it forever.

@@ -1,128 +1,56 @@
-//! Sharded job hand-out for the engine's hot dispatch path.
+//! The engine's one way in: every run is fed `Vec<JobInput>` batches
+//! down one channel.
 //!
-//! The old engine funnelled every worker through one mutex-guarded input
-//! iterator: one lock round-trip per task, and at high `-j` exactly the
-//! central-scheduler serialization the paper argues against. This module
-//! replaces that cursor with chunked hand-out:
+//! Each of the `-j` workers pulls a whole batch per channel operation
+//! and then works through it with no shared state, so the amortized
+//! per-task cost of input hand-out is one channel operation per batch,
+//! and there is no central scheduler: a slot takes the next batch the
+//! moment it runs dry. Three producers fill the channel, and all of
+//! them size their batches by one rule, [`chunk_size`], through
+//! [`send_chunks`]:
 //!
-//! - **Preloaded inputs** (the common case — argument lists, `--pipe`
-//!   blocks, anything with a known length) are partitioned up front into
-//!   contiguous chunks. A worker claims a chunk with a single
-//!   `fetch_add` on the shared cursor and then works through it with no
-//!   shared state at all, so the amortized per-task dispatch cost is
-//!   1/chunk-len of an atomic increment.
-//! - **Streaming inputs** (`--follow` queues and other unbounded
-//!   iterators) are pumped by a feeder thread into a bounded channel the
-//!   workers pull from, so a slow producer applies backpressure instead
-//!   of a lock convoy.
+//! - [`Engine::run`](crate::runner::Engine::run) sends an exact-size
+//!   input (argument lists, `--pipe` blocks) before the workers start,
+//!   so a `--halt` percentage sees the exact total. An unsized input
+//!   (`--follow` queues) is pumped one job per batch from the calling
+//!   thread into a bounded channel while the workers run.
+//! - The DAG layer sends each release ([`crate::dag`]).
+//! - The network agent sends each inbound `Shard` frame.
 //!
-//! Chunks are contiguous seq ranges, so with `-j 1` jobs still run in
-//! input order, and small inputs degrade to chunk size 1 — identical
-//! hand-out granularity to the old cursor.
+//! Batches keep their producer's order, so with `-j 1` jobs still run
+//! in input order, and small inputs degrade to batches of one.
 
-use crossbeam_channel::{Receiver, TryRecvError};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crossbeam_channel::{Receiver, Sender, TryRecvError};
 
 use crate::runner::JobInput;
 
-/// Upper bound on chunk length: large enough to amortize the cursor
-/// `fetch_add` to noise, small enough that a 100k-task run still spreads
+/// Upper bound on batch length: large enough to amortize the channel
+/// operation to noise, small enough that a 100k-task run still spreads
 /// across every slot.
 const MAX_CHUNK: usize = 128;
 
-/// Chunk length for `n` preloaded inputs across `jobs` slots: aim for
-/// ~8 chunks per slot so tail imbalance stays small, floor 1 so tiny
-/// inputs keep per-task hand-out, cap [`MAX_CHUNK`].
+/// Batch length for `n` inputs across `jobs` slots: aim for ~8 batches
+/// per slot so tail imbalance stays small, floor 1 so tiny inputs keep
+/// per-task hand-out, cap [`MAX_CHUNK`].
 pub fn chunk_size(n: usize, jobs: usize) -> usize {
     (n / (jobs.max(1) * 8)).clamp(1, MAX_CHUNK)
 }
 
-/// Pre-partitioned inputs claimed chunk-at-a-time via an atomic cursor.
-pub struct ChunkQueue {
-    chunks: Vec<Mutex<Vec<JobInput>>>,
-    cursor: AtomicUsize,
-}
-
-impl ChunkQueue {
-    /// Partition `inputs` into contiguous chunks sized for `jobs` slots.
-    pub fn new(inputs: Vec<JobInput>, jobs: usize) -> ChunkQueue {
-        let total = inputs.len();
-        Self::from_iter(inputs.into_iter(), total, jobs)
-    }
-
-    /// Partition straight off an iterator, skipping the intermediate
-    /// `Vec` a `collect()`-then-partition would shuffle through.
-    /// `total_hint` sizes the chunks (use the exact length when known).
-    pub fn from_iter<I>(mut it: I, total_hint: usize, jobs: usize) -> ChunkQueue
-    where
-        I: Iterator<Item = JobInput>,
-    {
-        let chunk = chunk_size(total_hint, jobs);
-        let mut chunks = Vec::with_capacity(total_hint / chunk + 1);
-        loop {
-            let mut c: Vec<JobInput> = Vec::with_capacity(chunk);
-            c.extend(it.by_ref().take(chunk));
-            if c.is_empty() {
-                break;
-            }
-            chunks.push(Mutex::new(c));
+/// Send `jobs` down `tx` in order, in [`chunk_size`] batches for
+/// `slots` slots, sized by the iterator's length (its lower size
+/// bound). What a closed channel would not take is dropped.
+pub fn send_chunks(
+    tx: &Sender<Vec<JobInput>>,
+    jobs: impl IntoIterator<Item = JobInput>,
+    slots: usize,
+) {
+    let mut jobs = jobs.into_iter();
+    let size = chunk_size(jobs.size_hint().0, slots);
+    loop {
+        let batch: Vec<JobInput> = jobs.by_ref().take(size).collect();
+        if batch.is_empty() || tx.send(batch).is_err() {
+            return;
         }
-        ChunkQueue {
-            chunks,
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claim the next unclaimed chunk. The `fetch_add` hands each index
-    /// out exactly once, so the per-chunk mutex is uncontended — it only
-    /// exists to move the `Vec` out safely.
-    fn take_chunk(&self) -> Option<Vec<JobInput>> {
-        loop {
-            let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let slot = self.chunks.get(idx)?;
-            let chunk = std::mem::take(&mut *slot.lock());
-            if !chunk.is_empty() {
-                return Some(chunk);
-            }
-        }
-    }
-
-    /// Total chunks (for tests and introspection).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-}
-
-/// Where workers pull jobs from.
-pub enum JobSource {
-    /// Finite input, partitioned up front.
-    Preloaded(ChunkQueue),
-    /// Unbounded input, fed through a bounded channel by a feeder thread.
-    Streaming(Receiver<JobInput>),
-    /// Unbounded input whose producer already batches: workers pull a
-    /// whole `Vec` per channel round-trip and then run it with no shared
-    /// state, the streaming analogue of [`ChunkQueue`] chunks. Built for
-    /// the network agent, where tasks arrive in multi-thousand-task
-    /// shard frames and per-item channel hops would dominate dispatch;
-    /// the DAG layer sends its releases here in [`chunk_size`] batches.
-    Batched(Receiver<Vec<JobInput>>),
-}
-
-impl JobSource {
-    /// Build the preloaded variant for a known input set.
-    pub fn preloaded(inputs: Vec<JobInput>, jobs: usize) -> JobSource {
-        JobSource::Preloaded(ChunkQueue::new(inputs, jobs))
-    }
-
-    /// Build the streaming variant over a channel receiver.
-    pub fn streaming(rx: Receiver<JobInput>) -> JobSource {
-        JobSource::Streaming(rx)
-    }
-
-    /// Build the batch-granular streaming variant.
-    pub fn batched(rx: Receiver<Vec<JobInput>>) -> JobSource {
-        JobSource::Batched(rx)
     }
 }
 
@@ -130,19 +58,20 @@ impl JobSource {
 pub enum Feed {
     /// A job is ready.
     Job(JobInput),
-    /// Nothing ready right now, but the source may still produce
-    /// (streaming source with a live feeder). The caller should finish
-    /// any deferrable work, then block in [`WorkerFeed::next`].
+    /// Nothing ready right now, but a producer still holds the channel
+    /// open. The caller should finish any deferrable work, then block in
+    /// [`WorkerFeed::next`].
     Pending,
-    /// The source is drained.
+    /// The channel is drained and closed.
     Done,
 }
 
-/// One worker's view of the source: a one-job continuation slot, a
-/// claimed local chunk, and the shared refill path, read in that order.
-/// `next()` is lock-free until the slot and the local chunk run dry.
+/// One worker's view of the input: a one-job continuation slot, the
+/// batch it is working through, and the shared channel, read in that
+/// order. `next()` touches no shared state until the slot and the batch
+/// run dry.
 pub struct WorkerFeed<'a> {
-    source: &'a JobSource,
+    input: &'a Receiver<Vec<JobInput>>,
     /// A job this worker released for itself (a DAG successor of the
     /// task it just finished), run before anything else it holds.
     next_up: Option<JobInput>,
@@ -150,89 +79,68 @@ pub struct WorkerFeed<'a> {
 }
 
 impl<'a> WorkerFeed<'a> {
-    pub fn new(source: &'a JobSource) -> WorkerFeed<'a> {
+    pub fn new(input: &'a Receiver<Vec<JobInput>>) -> WorkerFeed<'a> {
         WorkerFeed {
-            source,
+            input,
             next_up: None,
             local: Vec::new().into_iter(),
         }
     }
 
-    /// Make `job` this worker's next job, ahead of its chunk and the
-    /// shared source. The slot holds one job: a worker fills it at most
+    /// Make `job` this worker's next job, ahead of its batch and the
+    /// shared channel. The slot holds one job: a worker fills it at most
     /// once per job it runs.
     pub fn continue_with(&mut self, job: JobInput) {
         debug_assert!(self.next_up.is_none(), "continuation slot already full");
         self.next_up = Some(job);
     }
 
-    /// The continuation slot, else the local chunk.
+    /// The continuation slot, else the local batch.
     fn held(&mut self) -> Option<JobInput> {
         self.next_up.take().or_else(|| self.local.next())
     }
 
-    /// The next job, refilling from the shared source when the local
-    /// chunk is exhausted. `None` means the input is drained (or, for
-    /// streaming sources, the feeder hung up). Deliberately named like
-    /// `Iterator::next` — same contract — but kept inherent because the
-    /// blocking receive on streaming sources makes a `for` loop over a
-    /// worker feed a footgun.
+    /// Take `batch` as the local one and return its first job.
+    fn start(&mut self, batch: Vec<JobInput>) -> Option<JobInput> {
+        self.local = batch.into_iter();
+        self.local.next()
+    }
+
+    /// The next job, blocking on the channel when the local batch is
+    /// exhausted. `None` means every producer hung up and the channel
+    /// is drained. Deliberately named like `Iterator::next` — same
+    /// contract — but kept inherent because the blocking receive makes
+    /// a `for` loop over a worker feed a footgun.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<JobInput> {
         if let Some(job) = self.held() {
             return Some(job);
         }
-        match self.source {
-            JobSource::Preloaded(q) => {
-                self.local = q.take_chunk()?.into_iter();
-                self.local.next()
+        loop {
+            let batch = self.input.recv().ok()?;
+            if let Some(job) = self.start(batch) {
+                return Some(job);
             }
-            JobSource::Streaming(rx) => rx.recv().ok(),
-            JobSource::Batched(rx) => loop {
-                self.local = rx.recv().ok()?.into_iter();
-                if let Some(job) = self.local.next() {
-                    return Some(job);
-                }
-            },
         }
     }
 
-    /// Like [`WorkerFeed::next`] but never blocks: a streaming source
-    /// with nothing queued yet reports [`Feed::Pending`] instead,
-    /// letting the worker hand off buffered completions before it
-    /// parks on the channel.
+    /// Like [`WorkerFeed::next`] but never blocks: an open channel with
+    /// nothing queued reports [`Feed::Pending`] instead, letting the
+    /// worker hand off buffered completions before it parks.
     pub fn try_next(&mut self) -> Feed {
         if let Some(job) = self.held() {
             return Feed::Job(job);
         }
-        match self.source {
-            JobSource::Preloaded(q) => match q.take_chunk() {
-                Some(chunk) => {
-                    self.local = chunk.into_iter();
-                    match self.local.next() {
-                        Some(job) => Feed::Job(job),
-                        None => Feed::Done,
+        loop {
+            match self.input.try_recv() {
+                Ok(batch) => {
+                    if let Some(job) = self.start(batch) {
+                        return Feed::Job(job);
                     }
                 }
-                None => Feed::Done,
-            },
-            JobSource::Streaming(rx) => match rx.try_recv() {
-                Ok(job) => Feed::Job(job),
-                Err(TryRecvError::Empty) => Feed::Pending,
-                Err(TryRecvError::Disconnected) => Feed::Done,
-            },
-            JobSource::Batched(rx) => loop {
-                match rx.try_recv() {
-                    Ok(batch) => {
-                        self.local = batch.into_iter();
-                        if let Some(job) = self.local.next() {
-                            return Feed::Job(job);
-                        }
-                    }
-                    Err(TryRecvError::Empty) => return Feed::Pending,
-                    Err(TryRecvError::Disconnected) => return Feed::Done,
-                }
-            },
+                Err(TryRecvError::Empty) => return Feed::Pending,
+                Err(TryRecvError::Disconnected) => return Feed::Done,
+            }
         }
     }
 }
@@ -247,6 +155,14 @@ mod tests {
             .collect()
     }
 
+    /// An exact-size input as `Engine::run` sends it: every batch on
+    /// the channel and the sender gone before any worker reads.
+    fn sent(n: u64, jobs: usize) -> Receiver<Vec<JobInput>> {
+        let (tx, rx) = crossbeam_channel::unbounded();
+        send_chunks(&tx, inputs(n), jobs);
+        rx
+    }
+
     #[test]
     fn chunk_size_scales_with_input_and_caps() {
         assert_eq!(chunk_size(0, 4), 1);
@@ -257,11 +173,21 @@ mod tests {
     }
 
     #[test]
+    fn send_chunks_sends_chunk_size_batches_in_order() {
+        let rx = sent(1000, 4);
+        let batches: Vec<Vec<JobInput>> = rx.iter().collect();
+        let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [[31; 32].as_slice(), &[8]].concat());
+        let seqs: Vec<u64> = batches.iter().flatten().map(|j| j.seq).collect();
+        assert_eq!(seqs, (1..=1000).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn preloaded_hand_out_is_complete_and_disjoint() {
-        let source = JobSource::preloaded(inputs(1000), 4);
-        let mut feeds: Vec<WorkerFeed> = (0..4).map(|_| WorkerFeed::new(&source)).collect();
+        let rx = sent(1000, 4);
+        let mut feeds: Vec<WorkerFeed> = (0..4).map(|_| WorkerFeed::new(&rx)).collect();
         let mut seen = Vec::new();
-        // Round-robin across feeds to interleave chunk claims.
+        // Round-robin across feeds to interleave batch claims.
         loop {
             let mut any = false;
             for feed in &mut feeds {
@@ -280,8 +206,8 @@ mod tests {
 
     #[test]
     fn single_feed_preserves_input_order() {
-        let source = JobSource::preloaded(inputs(500), 1);
-        let mut feed = WorkerFeed::new(&source);
+        let rx = sent(500, 1);
+        let mut feed = WorkerFeed::new(&rx);
         let mut seqs = Vec::new();
         while let Some(job) = feed.next() {
             seqs.push(job.seq);
@@ -291,12 +217,12 @@ mod tests {
 
     #[test]
     fn concurrent_hand_out_never_duplicates() {
-        let source = std::sync::Arc::new(JobSource::preloaded(inputs(10_000), 8));
+        let rx = sent(10_000, 8);
         let mut handles = Vec::new();
         for _ in 0..8 {
-            let source = std::sync::Arc::clone(&source);
+            let rx = rx.clone();
             handles.push(std::thread::spawn(move || {
-                let mut feed = WorkerFeed::new(&source);
+                let mut feed = WorkerFeed::new(&rx);
                 let mut got = Vec::new();
                 while let Some(job) = feed.next() {
                     got.push(job.seq);
@@ -314,16 +240,17 @@ mod tests {
         assert_eq!(all.len(), 10_000, "no seq handed out twice");
     }
 
+    /// An unsized input as `Engine::run` pumps it: one job per batch
+    /// into a bounded channel while the worker reads.
     #[test]
     fn streaming_feed_pulls_from_channel() {
         let (tx, rx) = crossbeam_channel::bounded(4);
-        let source = JobSource::streaming(rx);
         let producer = std::thread::spawn(move || {
             for job in inputs(100) {
-                tx.send(job).unwrap();
+                tx.send(vec![job]).unwrap();
             }
         });
-        let mut feed = WorkerFeed::new(&source);
+        let mut feed = WorkerFeed::new(&rx);
         let mut got = Vec::new();
         while let Some(job) = feed.next() {
             got.push(job.seq);
@@ -335,14 +262,13 @@ mod tests {
     #[test]
     fn batched_feed_flattens_batches_in_order() {
         let (tx, rx) = crossbeam_channel::unbounded::<Vec<JobInput>>();
-        let source = JobSource::batched(rx);
         let producer = std::thread::spawn(move || {
             let all = inputs(100);
             for chunk in all.chunks(7) {
                 tx.send(chunk.to_vec()).unwrap();
             }
         });
-        let mut feed = WorkerFeed::new(&source);
+        let mut feed = WorkerFeed::new(&rx);
         let mut got = Vec::new();
         while let Some(job) = feed.next() {
             got.push(job.seq);
@@ -354,13 +280,12 @@ mod tests {
     #[test]
     fn batched_feed_skips_empty_batches() {
         let (tx, rx) = crossbeam_channel::unbounded::<Vec<JobInput>>();
-        let source = JobSource::batched(rx);
         tx.send(Vec::new()).unwrap();
         tx.send(inputs(3)).unwrap();
         tx.send(Vec::new()).unwrap();
         tx.send(inputs(2)).unwrap();
         drop(tx);
-        let mut feed = WorkerFeed::new(&source);
+        let mut feed = WorkerFeed::new(&rx);
         let mut got = Vec::new();
         while let Some(job) = feed.next() {
             got.push(job.seq);
@@ -371,8 +296,7 @@ mod tests {
     #[test]
     fn batched_try_next_reports_pending_then_done() {
         let (tx, rx) = crossbeam_channel::unbounded::<Vec<JobInput>>();
-        let source = JobSource::batched(rx);
-        let mut feed = WorkerFeed::new(&source);
+        let mut feed = WorkerFeed::new(&rx);
         assert!(matches!(feed.try_next(), Feed::Pending));
         tx.send(inputs(2)).unwrap();
         assert!(matches!(feed.try_next(), Feed::Job(j) if j.seq == 1));
@@ -389,10 +313,9 @@ mod tests {
     #[test]
     fn continuation_runs_before_the_chunk_and_the_channel() {
         let (tx, rx) = crossbeam_channel::unbounded::<Vec<JobInput>>();
-        let source = JobSource::batched(rx);
         tx.send(inputs(2)).unwrap();
         tx.send(inputs(1)).unwrap();
-        let mut feed = WorkerFeed::new(&source);
+        let mut feed = WorkerFeed::new(&rx);
         assert!(matches!(feed.try_next(), Feed::Job(j) if j.seq == 1));
         feed.continue_with(JobInput::new(9, Vec::new()));
         assert!(matches!(feed.try_next(), Feed::Job(j) if j.seq == 9));
@@ -407,7 +330,6 @@ mod tests {
     #[test]
     fn batched_concurrent_hand_out_never_duplicates() {
         let (tx, rx) = crossbeam_channel::unbounded::<Vec<JobInput>>();
-        let source = std::sync::Arc::new(JobSource::batched(rx));
         let producer = std::thread::spawn(move || {
             let all = inputs(10_000);
             for chunk in all.chunks(64) {
@@ -416,9 +338,9 @@ mod tests {
         });
         let mut handles = Vec::new();
         for _ in 0..8 {
-            let source = std::sync::Arc::clone(&source);
+            let rx = rx.clone();
             handles.push(std::thread::spawn(move || {
-                let mut feed = WorkerFeed::new(&source);
+                let mut feed = WorkerFeed::new(&rx);
                 let mut got = Vec::new();
                 while let Some(job) = feed.next() {
                     got.push(job.seq);

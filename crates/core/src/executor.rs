@@ -53,13 +53,6 @@ pub struct TaskOutput {
     pub stderr: String,
 }
 
-/// Message prefix marking an [`JobStatus::ExecError`] as a *transport*
-/// failure: the executor could not reach the host at all (dead socket,
-/// connection refused), as opposed to failing to run the command there.
-/// Multi-host routing quarantines a host on transport errors instead of
-/// retrying it forever.
-pub const TRANSPORT_ERROR_PREFIX: &str = "transport: ";
-
 impl TaskOutput {
     /// A status with no output.
     fn bare(status: JobStatus) -> TaskOutput {
@@ -91,21 +84,6 @@ impl TaskOutput {
             stdout: String::new(),
             stderr: err.into(),
         }
-    }
-
-    /// A transport failure: the host was unreachable, so nothing ran.
-    pub fn transport_error<S: std::fmt::Display>(msg: S) -> TaskOutput {
-        TaskOutput {
-            status: JobStatus::ExecError(format!("{TRANSPORT_ERROR_PREFIX}{msg}")),
-            stdout: String::new(),
-            stderr: String::new(),
-        }
-    }
-
-    /// Whether this output reports a transport failure (see
-    /// [`TRANSPORT_ERROR_PREFIX`]).
-    pub fn is_transport_error(&self) -> bool {
-        matches!(&self.status, JobStatus::ExecError(msg) if msg.starts_with(TRANSPORT_ERROR_PREFIX))
     }
 }
 
@@ -317,11 +295,6 @@ impl FnExecutor {
         })
     }
 }
-
-/// The in-process executor under its benchmark-facing name: the
-/// launch-rate gate and stress tests run "tasks" as no-op closures so
-/// they measure the engine's dispatch overhead, not fork/exec cost.
-pub type InProcessExecutor = FnExecutor;
 
 impl Executor for FnExecutor {
     fn execute(&self, cmd: &CommandLine, _ctx: &ExecContext) -> TaskOutput {

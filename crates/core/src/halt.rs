@@ -108,7 +108,7 @@ impl HaltPolicy {
 
     /// Evaluate after a job completion.
     ///
-    /// When `total` is known (preloaded inputs), percent conditions use
+    /// When `total` is known (exact-size inputs), percent conditions use
     /// it as the denominator and evaluate unconditionally — a 4-task
     /// run with `fail=50%` trips on its second failure. Note `total`
     /// counts every input job, including ones a `--resume` skip set

@@ -74,17 +74,16 @@ pub mod sshexec;
 pub mod stats;
 pub mod template;
 
-// Channel types appear in the public engine API
-// (`runner::Engine::run_batched` takes a `crossbeam_channel::Receiver`),
-// so downstream crates get the exact same version from here.
+// The engine's one input is a channel of job batches
+// (`runner::Engine::run_batched` takes a `crossbeam_channel::Receiver`,
+// and `dispatch::send_chunks` a `Sender`), so downstream crates get the
+// exact same version from here.
 pub use crossbeam_channel;
 
 /// The commonly-used surface of the crate.
 pub mod prelude {
     pub use crate::error::{Error, Result};
-    pub use crate::executor::{
-        Executor, FnExecutor, InProcessExecutor, ProcessExecutor, TaskOutput,
-    };
+    pub use crate::executor::{Executor, FnExecutor, ProcessExecutor, TaskOutput};
     pub use crate::halt::HaltPolicy;
     pub use crate::input::InputSource;
     pub use crate::job::{CommandLine, JobResult, JobStatus};

@@ -16,8 +16,8 @@ use crate::job::JobResult;
 use crate::joblog;
 use crate::options::{BatchMode, Options, ResumeMode};
 use crate::pipe::split_blocks;
-use crate::queue::FollowQueue;
-use crate::runner::{Engine, JobInput};
+use crate::queue::{FollowQueue, QueueStopper};
+use crate::runner::{Engine, JobInput, Release};
 use crate::template::Template;
 use htpar_telemetry::EventBus;
 
@@ -310,12 +310,14 @@ impl Parallel {
             args: Vec::new(),
             stdin: Some(block),
         });
-        engine.run(Box::new(jobs.collect::<Vec<_>>().into_iter()))
+        engine.run(Box::new(jobs))
     }
 
     /// Execute over a streaming queue: each queue item becomes one job
     /// argument, dispatched as it arrives (the `tail -f | parallel`
     /// pattern). Configured `args(...)` sources are ignored in this mode.
+    /// A `--halt` stops the queue, so the run ends even while its
+    /// producer is idle.
     pub fn run_stream(self, queue: FollowQueue) -> Result<RunReport> {
         if self.options.batch != BatchMode::Single {
             return Err(Error::Options(
@@ -323,10 +325,11 @@ impl Parallel {
             ));
         }
         let (engine, _) = self.prepare_engine_only()?;
+        let stopper = queue.stopper();
         let stream = queue
             .enumerate()
             .map(|(i, line)| JobInput::new(i as u64 + 1, vec![line]));
-        engine.run(Box::new(stream))
+        engine.run_input(Box::new(stream), Some(&stopper))
     }
 
     fn template(&self) -> Result<Template> {
@@ -430,6 +433,15 @@ impl Parallel {
             }
         };
         Ok((engine, iter))
+    }
+}
+
+/// A halted stream run stops its queue: the engine's pump then sees the
+/// end of the input instead of waiting for a producer that may never
+/// push again.
+impl Release for QueueStopper {
+    fn halt(&self) {
+        self.stop();
     }
 }
 
@@ -795,6 +807,36 @@ mod tests {
         let (_w, queue) = FollowQueue::channel();
         let err = Parallel::new("x {}").xargs().run_stream(queue).unwrap_err();
         assert!(matches!(err, Error::Options(_)));
+    }
+
+    /// A halt ends a stream run even while its queue is idle: the
+    /// producer pushes one item and then holds the queue open for 3 s.
+    /// A pump left waiting for the next item made the run last those
+    /// 3 s.
+    #[test]
+    fn halt_ends_a_stream_run_while_its_queue_is_idle() {
+        use crate::halt::{HaltDecision, HaltPolicy, HaltWhen};
+        let (writer, queue) = FollowQueue::channel();
+        writer.push("fails");
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_secs(3));
+            drop(writer);
+        });
+        let started = std::time::Instant::now();
+        let report = Parallel::new("x {}")
+            .jobs(2)
+            .halt(HaltPolicy::fail_count(1, HaltWhen::Now))
+            .executor(FnExecutor::new(|_| Ok(TaskOutput::failed(1, "bad"))))
+            .run_stream(queue)
+            .unwrap();
+        let took = started.elapsed();
+        producer.join().unwrap();
+        assert_eq!(report.halted, Some(HaltDecision::StopNow));
+        assert_eq!(report.failed, 1);
+        assert!(
+            took < Duration::from_millis(500),
+            "halted stream run took {took:?}"
+        );
     }
 
     #[test]

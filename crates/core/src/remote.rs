@@ -82,9 +82,6 @@ struct HostState {
     slots: usize,
     busy: usize,
     dispatched: u64,
-    /// Removed from placement after a transport error (the host is
-    /// unreachable; retrying it would stall the whole pool forever).
-    quarantined: bool,
 }
 
 /// Slot-aware host selection.
@@ -110,7 +107,6 @@ impl HostPool {
                         login,
                         busy: 0,
                         dispatched: 0,
-                        quarantined: false,
                     })
                     .collect(),
             ),
@@ -133,20 +129,13 @@ impl HostPool {
             .collect()
     }
 
-    /// Block until some live host has a free slot; take the least-loaded
-    /// one (by busy/slots ratio, lowest index on ties). `None` when every
-    /// host is quarantined — blocking then would wait forever, since no
-    /// release can ever free a slot on a live host.
-    fn acquire(&self) -> Option<usize> {
+    /// Block until some host has a free slot; take the least-loaded one
+    /// (by busy/slots ratio, lowest index on ties).
+    fn acquire(&self) -> usize {
         let mut state = self.state.lock();
         loop {
             let mut best: Option<(usize, f64)> = None;
-            let mut any_live = false;
             for (i, h) in state.iter().enumerate() {
-                if h.quarantined {
-                    continue;
-                }
-                any_live = true;
                 if h.busy < h.slots {
                     let load = h.busy as f64 / h.slots as f64;
                     if best.is_none_or(|(_, b)| load < b) {
@@ -157,10 +146,7 @@ impl HostPool {
             if let Some((i, _)) = best {
                 state[i].busy += 1;
                 state[i].dispatched += 1;
-                return Some(i);
-            }
-            if !any_live {
-                return None;
+                return i;
             }
             self.freed.wait(&mut state);
         }
@@ -171,26 +157,6 @@ impl HostPool {
         state[idx].busy = state[idx].busy.saturating_sub(1);
         drop(state);
         self.freed.notify_one();
-    }
-
-    /// Remove `idx` from placement (transport failure). Wakes *all*
-    /// waiters: each must re-scan, because the host they were queued
-    /// behind may be the one that just vanished.
-    pub fn quarantine(&self, idx: usize) {
-        let mut state = self.state.lock();
-        state[idx].quarantined = true;
-        drop(state);
-        self.freed.notify_all();
-    }
-
-    /// Hosts currently removed from placement (by login string).
-    pub fn quarantined(&self) -> Vec<String> {
-        self.state
-            .lock()
-            .iter()
-            .filter(|h| h.quarantined)
-            .map(|h| h.login.login_string())
-            .collect()
     }
 }
 
@@ -222,27 +188,16 @@ impl MultiHostExecutor {
 
 impl Executor for MultiHostExecutor {
     fn execute(&self, cmd: &CommandLine, ctx: &ExecContext) -> TaskOutput {
-        // A transport error quarantines the host and moves the job to
-        // another one; the job only fails when no live host remains.
-        loop {
-            let Some(idx) = self.pool.acquire() else {
-                return TaskOutput::transport_error("no live hosts remain in the pool");
-            };
-            let login = {
-                let state = self.pool.state.lock();
-                state[idx].login.login_string()
-            };
-            let mut cmd = cmd.clone();
-            cmd.env.push(("PARALLEL_SSHLOGIN".into(), login));
-            let out = self.executors[idx].execute(&cmd, ctx);
-            if out.is_transport_error() {
-                self.pool.quarantine(idx);
-                self.pool.release(idx);
-                continue;
-            }
-            self.pool.release(idx);
-            return out;
-        }
+        let idx = self.pool.acquire();
+        let login = {
+            let state = self.pool.state.lock();
+            state[idx].login.login_string()
+        };
+        let mut cmd = cmd.clone();
+        cmd.env.push(("PARALLEL_SSHLOGIN".into(), login));
+        let out = self.executors[idx].execute(&cmd, ctx);
+        self.pool.release(idx);
+        out
     }
 }
 
@@ -379,101 +334,6 @@ mod tests {
                 r.stdout
             );
         }
-    }
-
-    #[test]
-    fn transport_error_quarantines_host_and_jobs_migrate() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Host "flaky" fails with a transport error on every job; host
-        // "solid" runs everything. Without quarantine, flaky's share of
-        // jobs would return transport errors (the old retried-forever
-        // placement); with it, every job lands on solid.
-        let flaky_attempts = Arc::new(AtomicUsize::new(0));
-        let f2 = Arc::clone(&flaky_attempts);
-        let flaky: Arc<dyn Executor> = Arc::new(FnExecutor::new(move |_| {
-            f2.fetch_add(1, Ordering::SeqCst);
-            Ok(TaskOutput::transport_error("connection refused"))
-        }));
-        let multi = MultiHostExecutor::new(
-            vec![
-                (Sshlogin::parse("2/flaky").unwrap(), flaky),
-                (Sshlogin::parse("2/solid").unwrap(), host_exec("s")),
-            ],
-            1,
-        )
-        .unwrap();
-        let pool = Arc::clone(multi.pool());
-        let (p, results) = collecting(
-            Parallel::new("job {}")
-                .jobs(4)
-                .executor(multi)
-                .args((0..20).map(|i| i.to_string())),
-        );
-        let report = p.run().unwrap();
-        assert!(report.all_succeeded(), "all jobs migrated to solid");
-        assert_eq!(pool.quarantined(), vec!["flaky".to_string()]);
-        // Flaky saw at most a few probes before the first transport
-        // error removed it from placement, never one per job.
-        assert!(
-            flaky_attempts.load(Ordering::SeqCst) <= 4,
-            "flaky probed {} times",
-            flaky_attempts.load(Ordering::SeqCst)
-        );
-        assert_eq!(results.lock().len(), 20);
-        for r in results.lock().iter() {
-            assert_eq!(r.stdout, "s:solid");
-        }
-    }
-
-    #[test]
-    fn all_hosts_quarantined_fails_jobs_instead_of_hanging() {
-        let dead: Arc<dyn Executor> = Arc::new(FnExecutor::new(|_| {
-            Ok(TaskOutput::transport_error("connection refused"))
-        }));
-        let multi = MultiHostExecutor::new(
-            vec![
-                (Sshlogin::parse("1/a").unwrap(), Arc::clone(&dead)),
-                (Sshlogin::parse("1/b").unwrap(), dead),
-            ],
-            1,
-        )
-        .unwrap();
-        // -j4 over 2 one-slot hosts: some workers are parked in
-        // acquire() when the quarantines land; notify_all must wake
-        // them so they fail fast instead of waiting forever.
-        let (p, results) = collecting(
-            Parallel::new("job {}")
-                .jobs(4)
-                .executor(multi)
-                .args((0..8).map(|i| i.to_string())),
-        );
-        let report = p.run().unwrap();
-        assert_eq!(report.failed, 8);
-        for r in results.lock().iter() {
-            assert!(
-                matches!(&r.status, crate::job::JobStatus::ExecError(m)
-                    if m.starts_with(crate::executor::TRANSPORT_ERROR_PREFIX)),
-                "{:?}",
-                r.status
-            );
-        }
-    }
-
-    #[test]
-    fn non_transport_failures_do_not_quarantine() {
-        let failing: Arc<dyn Executor> =
-            Arc::new(FnExecutor::new(|_| Ok(TaskOutput::failed(7, "app error"))));
-        let multi =
-            MultiHostExecutor::new(vec![(Sshlogin::parse("2/h").unwrap(), failing)], 1).unwrap();
-        let pool = Arc::clone(multi.pool());
-        let report = Parallel::new("job {}")
-            .jobs(2)
-            .executor(multi)
-            .args((0..6).map(|i| i.to_string()))
-            .run()
-            .unwrap();
-        assert_eq!(report.failed, 6, "app failures surface as failures");
-        assert!(pool.quarantined().is_empty(), "host stays in placement");
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! the moment it frees up, so dispatch cost is O(1) per task. The hot
 //! path is kept lock-cheap end to end:
 //!
-//! - **Input side** ([`crate::dispatch`]): finite inputs are partitioned
-//!   into chunks claimed by a single atomic `fetch_add`; streaming inputs
-//!   flow through a bounded channel fed by a dedicated feeder thread.
+//! - **Input side** ([`crate::dispatch`]): every run reads one channel
+//!   of job batches. [`Engine::run`] sends an exact-size input in
+//!   [`crate::dispatch::chunk_size`] batches before the workers start,
+//!   and pumps an unsized one into a bounded channel from the calling
+//!   thread, so a run starts no thread besides its workers.
 //! - **Completion side**: the worker that finishes a job counts it,
 //!   runs a DAG's release hook ([`Engine::run_released`]) so a
 //!   successor starts without a thread hop, and writes its `--results`
@@ -37,7 +39,7 @@ use htpar_telemetry::{Event, EventBus, SinkSet};
 use parking_lot::Mutex;
 
 use crate::batch::{batch_argv, expand_context_replace, expand_xargs};
-use crate::dispatch::{Feed, JobSource, WorkerFeed};
+use crate::dispatch::{send_chunks, Feed, WorkerFeed};
 use crate::error::Result;
 use crate::executor::{ExecContext, Executor};
 use crate::gate::Gate;
@@ -111,18 +113,15 @@ const RUN: u8 = 0;
 const STOP_SOON: u8 = 1;
 const STOP_NOW: u8 = 2;
 
-/// How long the stream feeder waits on a full channel before re-checking
-/// the halt flag (so a halted run cannot strand it on backpressure).
-const FEEDER_POLL: Duration = Duration::from_millis(50);
+/// How long the pump waits on a full channel before re-checking the halt
+/// flag (so a halted run cannot strand it on backpressure).
+const PUMP_POLL: Duration = Duration::from_millis(50);
 
-/// Capacity of the per-item streaming feed channel. Sized to absorb a
-/// bursty producer without filling: a full channel degenerates into a
-/// per-task park/wake ping-pong between the feeder and the workers —
-/// each `recv` futex-wakes the parked feeder, which sends one item and
-/// parks again. With headroom above typical burst sizes the feeder
-/// parks only on *empty* input and whole bursts move through per wake.
-/// (Producers that already batch should use [`Engine::run_batched`],
-/// which skips this channel entirely.) Memory cost is bounded: a
+/// Capacity, in one-job batches, of the channel an unsized input is
+/// pumped into. Sized to absorb a bursty producer without filling: a
+/// full channel degenerates into a per-task park/wake ping-pong between
+/// the pump and the workers. With headroom above typical burst sizes
+/// the pump waits only on *empty* input. Memory cost is bounded: a
 /// `JobInput` is ~100 bytes plus its argument strings.
 const FEED_CAPACITY: usize = 4096;
 
@@ -139,17 +138,20 @@ pub(crate) const PROMPT_DELIVERY: Duration = Duration::from_micros(500);
 /// Callback invoked per finished job.
 pub type ResultCallback = Arc<dyn Fn(&JobResult) + Send + Sync>;
 
-/// Worker-side completion hook for [`Engine::run_released`]: the DAG
-/// layer's ready-set release, run by the worker that finished the task.
+/// Worker-side hook for [`Engine::run_released`]: the DAG layer's
+/// ready-set release, run by the worker that finished the task, and the
+/// end of a streamed input's producer.
 pub(crate) trait Release: Send + Sync {
     /// Account for `result` (every result a worker produces, dry-run
     /// included) and release whatever it unblocked. The returned job is
     /// the calling worker's own next one.
-    fn done(&self, result: &JobResult) -> Option<JobInput>;
+    fn done(&self, _result: &JobResult) -> Option<JobInput> {
+        None
+    }
     /// The calling worker found the input empty and is about to park.
-    fn park(&self);
-    /// A `--halt` policy stopped the run: release nothing more, so that
-    /// workers parked on the input see its end.
+    fn park(&self) {}
+    /// A `--halt` policy stopped the run: produce nothing more, so that
+    /// workers parked on the input, and the pump, see its end.
     fn halt(&self);
 }
 
@@ -209,14 +211,15 @@ struct Shared<'r> {
     options: Options,
     template: Template,
     executor: Arc<dyn Executor>,
-    source: JobSource,
+    /// The run's one input channel.
+    input: Receiver<Vec<JobInput>>,
     /// `None` when nothing consumes results mid-run.
     delivery: Option<Mutex<Delivery>>,
     release: Option<&'r dyn Release>,
     skip: HashSet<u64>,
     gate: Option<Arc<dyn Gate>>,
     tally: AtomicTally,
-    /// Exact job count for preloaded inputs (`None` while streaming);
+    /// Exact job count for exact-size inputs (`None` while streaming);
     /// lets `--halt` percent policies use the real denominator.
     total_jobs: Option<u64>,
     halt_state: AtomicU8,
@@ -309,28 +312,24 @@ pub struct Engine {
     pub bus: Option<Arc<EventBus>>,
 }
 
-/// How an [`Engine`] run is fed: a per-item iterator (finite or
-/// streaming) or a batch-granular channel from a producer that already
-/// groups its items.
-enum EngineInput {
-    Stream(JobStream),
-    Batches(Receiver<Vec<JobInput>>),
-}
-
 impl Engine {
     /// Run a finite or streaming sequence of job inputs to completion.
+    /// An exact-size input (argument lists, `--pipe` blocks) goes down
+    /// the engine's channel in [`crate::dispatch::chunk_size`] batches
+    /// before the workers start, so `--halt` percentages see the exact
+    /// total. An unsized one is pumped into a bounded channel one job per
+    /// batch, from the calling thread while the workers run.
     pub fn run(self, input: JobStream) -> Result<RunReport> {
-        self.run_with(EngineInput::Stream(input), None)
+        self.run_input(input, None)
     }
 
     /// Run a batch-granular streaming input to completion: the producer
     /// sends whole `Vec<JobInput>` batches and closes the channel to end
-    /// the stream. Workers pull batches straight off the channel — no
-    /// feeder thread, no per-item channel hops — so a producer that
-    /// already receives work in bulk (the network agent's shard frames)
-    /// pays dispatch overhead per batch, not per task.
+    /// the stream, so a producer that already receives work in bulk (the
+    /// network agent's shard frames) pays dispatch overhead per batch,
+    /// not per task.
     pub fn run_batched(self, input: Receiver<Vec<JobInput>>) -> Result<RunReport> {
-        self.run_with(EngineInput::Batches(input), None)
+        self.run_with(input, None, None, None)
     }
 
     /// [`Engine::run_batched`] with `release` called by each worker on
@@ -342,10 +341,39 @@ impl Engine {
         input: Receiver<Vec<JobInput>>,
         release: &dyn Release,
     ) -> Result<RunReport> {
-        self.run_with(EngineInput::Batches(input), Some(release))
+        self.run_with(input, None, None, Some(release))
     }
 
-    fn run_with(self, input: EngineInput, release: Option<&dyn Release>) -> Result<RunReport> {
+    /// [`Engine::run`] with an optional `release` hook, whose `halt`
+    /// lets a blocking input's producer stop.
+    pub(crate) fn run_input(
+        self,
+        input: JobStream,
+        release: Option<&dyn Release>,
+    ) -> Result<RunReport> {
+        match input.size_hint() {
+            (lo, Some(hi)) if lo == hi => {
+                let (tx, rx) = crossbeam_channel::unbounded();
+                send_chunks(&tx, input, self.options.jobs);
+                drop(tx);
+                self.run_with(rx, Some(lo as u64), None, release)
+            }
+            _ => {
+                let (tx, rx) = crossbeam_channel::bounded(FEED_CAPACITY);
+                self.run_with(rx, None, Some((tx, input)), release)
+            }
+        }
+    }
+
+    /// Run the workers over `input`. With a `pump`, the calling thread
+    /// feeds its stream into the channel while they run.
+    fn run_with(
+        self,
+        input: Receiver<Vec<JobInput>>,
+        total_jobs: Option<u64>,
+        pump: Option<(Sender<Vec<JobInput>>, JobStream)>,
+        release: Option<&dyn Release>,
+    ) -> Result<RunReport> {
         self.options.validate()?;
         let started = Instant::now();
         let jobs = self.options.jobs;
@@ -360,31 +388,11 @@ impl Engine {
             })
         });
 
-        // Exact-size inputs (argument lists, --pipe blocks) are
-        // partitioned up front for chunked hand-out; unsized iterators
-        // (follow queues, unbounded generators) stream through a bounded
-        // channel pumped by a feeder thread; batch channels go straight
-        // to the workers.
-        let (source, stream, total_jobs) = match input {
-            EngineInput::Stream(input) => {
-                let (lo, hi) = input.size_hint();
-                if hi == Some(lo) {
-                    let queue = crate::dispatch::ChunkQueue::from_iter(input, lo, jobs);
-                    (JobSource::Preloaded(queue), None, Some(lo as u64))
-                } else {
-                    let (feed_tx, feed_rx) =
-                        crossbeam_channel::bounded((2 * jobs).max(FEED_CAPACITY));
-                    (JobSource::streaming(feed_rx), Some((feed_tx, input)), None)
-                }
-            }
-            EngineInput::Batches(rx) => (JobSource::batched(rx), None, None),
-        };
-
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             options: self.options,
             template: self.template,
             executor: self.executor,
-            source,
+            input,
             delivery,
             release,
             skip: self.skip,
@@ -402,19 +410,18 @@ impl Engine {
             busy: AtomicUsize::new(0),
             run_sys: SystemTime::now(),
             run_inst: Instant::now(),
-        });
+        };
 
         let run = std::thread::scope(|scope| {
-            if let Some((feed_tx, input)) = stream {
-                let shared = Arc::clone(&shared);
-                scope.spawn(move || feed_stream(input, feed_tx, &shared));
-            }
             let workers: Vec<_> = (1..=jobs)
                 .map(|slot| {
-                    let shared = Arc::clone(&shared);
-                    scope.spawn(move || worker(slot, &shared))
+                    let shared = &shared;
+                    scope.spawn(move || worker(slot, shared))
                 })
                 .collect();
+            if let Some((tx, stream)) = pump {
+                pump_stream(stream, tx, &shared);
+            }
             workers
                 .into_iter()
                 .map(|handle| handle.join().expect("worker thread panicked"))
@@ -425,8 +432,6 @@ impl Engine {
         // the run's last reading the drained counter.
         shared.emit_occupancy(0);
 
-        let shared =
-            Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("all workers joined by scope"));
         if let Some(delivery) = shared.delivery {
             delivery.into_inner().finish()?;
         }
@@ -454,19 +459,20 @@ impl Engine {
     }
 }
 
-/// Pump a streaming input into the bounded feed channel, re-checking the
-/// halt flag whenever the channel stays full so a halted run never
-/// strands this thread on backpressure.
-fn feed_stream(input: JobStream, tx: Sender<JobInput>, shared: &Shared) {
+/// Pump an unsized input into the run's channel, one job per batch,
+/// until it ends or a halt stops the run; dropping `tx` then ends the
+/// workers' input. The pump re-checks the halt flag whenever the channel
+/// stays full, so a halted run never strands it on backpressure.
+fn pump_stream(input: JobStream, tx: Sender<Vec<JobInput>>, shared: &Shared) {
     for job in input {
-        let mut item = job;
+        let mut batch = vec![job];
         loop {
             if shared.halt_state.load(Ordering::SeqCst) != RUN {
                 return;
             }
-            match tx.send_timeout(item, FEEDER_POLL) {
+            match tx.send_timeout(batch, PUMP_POLL) {
                 Ok(()) => break,
-                Err(SendTimeoutError::Timeout(back)) => item = back,
+                Err(SendTimeoutError::Timeout(back)) => batch = back,
                 Err(SendTimeoutError::Disconnected(_)) => return,
             }
         }
@@ -481,7 +487,7 @@ fn worker(slot: usize, shared: &Shared) -> SlotTally {
     let slow_path = shared.gate.is_some() || shared.options.delay.is_some();
     let mut w = Worker {
         shared,
-        feed: WorkerFeed::new(&shared.source),
+        feed: WorkerFeed::new(&shared.input),
         tally: SlotTally::default(),
         batch: Vec::new(),
     };
@@ -489,9 +495,9 @@ fn worker(slot: usize, shared: &Shared) -> SlotTally {
         if shared.halt_state.load(Ordering::SeqCst) != RUN {
             break;
         }
-        // Non-blocking pull first: if the source has nothing ready yet
-        // (streaming feeder lagging), hand off buffered completions
-        // before parking on the channel.
+        // Non-blocking pull first: if the channel has nothing ready yet
+        // (a streaming producer lagging), hand off buffered completions
+        // before parking on it.
         let job = match w.feed.try_next() {
             Feed::Job(job) => job,
             Feed::Done => break,
@@ -1326,7 +1332,7 @@ mod tests {
             .any(|e| matches!(e, Event::Failed { seq: 1, exit: 3 })));
     }
 
-    /// `-k` with `--halt`: chunked hand-out can leave seqs unrun behind
+    /// `-k` with `--halt`: batched hand-out can leave seqs unrun behind
     /// the job that tripped the halt, so every later result waits in
     /// the reorder buffer for them. The end of the run hands those on
     /// in seq order.
@@ -1361,6 +1367,30 @@ mod tests {
         assert!(ran.len() > 1 && ran.len() < 64, "ran {ran:?}");
         assert_eq!(report.jobs_total, ran.len() as u64);
         assert_eq!(*seen.lock(), ran, "every job that ran, in seq order");
+    }
+
+    /// An unsized input is read by the thread that called `run`, while
+    /// the workers run: the engine starts no feeder thread for it.
+    #[test]
+    fn unsized_input_is_pumped_from_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let readers = Arc::new(Mutex::new(HashSet::new()));
+        let readers2 = Arc::clone(&readers);
+        let input = inputs(200).filter(|_| true).inspect(move |_| {
+            readers2.lock().insert(std::thread::current().id());
+        });
+        assert_eq!(input.size_hint(), (0, Some(200)), "not exact-size");
+        let report = engine(
+            Options {
+                jobs: 4,
+                ..Options::default()
+            },
+            FnExecutor::noop(),
+        )
+        .run(Box::new(input))
+        .unwrap();
+        assert_eq!(report.succeeded, 200);
+        assert_eq!(*readers.lock(), HashSet::from([caller]));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! An agent binds a listening socket, accepts exactly one driver
 //! connection, handshakes, and then runs the `htpar-core` [`Engine`]
-//! over a streaming job source fed by inbound `Shard` frames — so every
-//! dispatch-path optimization (batched hand-out, completions delivered
-//! by the worker that finished them) applies unchanged to network-fed
-//! work.
+//! over the engine's one input channel, which the I/O thread fills with
+//! each inbound `Shard` frame through `dispatch::send_chunks`, the batch
+//! rule every producer of engine input shares — so every dispatch-path
+//! optimization (batched hand-out, completions delivered by the worker
+//! that finished them) applies unchanged to network-fed work.
 //!
 //! The session's I/O runs on one reactor thread: the socket and a
 //! [`Waker`] self-pipe sit on the same epoll loop, heartbeats fire from
@@ -19,6 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, UNIX_EPOCH};
 
+use htpar_core::dispatch::send_chunks;
 use htpar_core::executor::{ExecContext, Executor, FnExecutor, ProcessExecutor, TaskOutput};
 use htpar_core::job::{CommandLine, JobResult};
 use htpar_core::options::Options;
@@ -210,18 +212,6 @@ const TOK_SOCK: usize = 0;
 const TOK_WAKER: usize = 1;
 const TOK_HEARTBEAT: usize = 2;
 
-/// Ceiling on io → engine task batches. Large enough to amortize the
-/// channel round-trip to noise, small enough that one worker never hoards
-/// a visible slice of a shard.
-const FEED_BATCH: usize = 64;
-
-/// Batch size for a `shard_len`-task shard across `jobs` slots: aim for
-/// a few batches per slot so the tail stays balanced, floor 1 so tiny
-/// shards keep per-task hand-out, cap [`FEED_BATCH`].
-fn feed_batch(shard_len: usize, jobs: u32) -> usize {
-    (shard_len / (jobs.max(1) as usize * 2)).clamp(1, FEED_BATCH)
-}
-
 /// One session: the engine runs on this thread; one I/O thread owns the
 /// socket, the waker, and the heartbeat timer.
 fn run_session(
@@ -259,11 +249,10 @@ fn run_session(
     // one pipe write, not thousands.
     let notified = Arc::new(AtomicBool::new(false));
 
-    // Tasks cross io → engine as whole batches (the engine's
-    // batch-granular source), so a multi-thousand-task shard costs a
-    // handful of channel round-trips instead of one per task. Batches
-    // are sized off the shard for load balance: big shards split into
-    // [`FEED_BATCH`]-task slices, small tails down to singletons.
+    // Tasks cross io → engine as whole batches, so a multi-thousand-task
+    // shard costs a handful of channel round-trips instead of one per
+    // task. Each shard is split by the engine's one batch rule
+    // (`dispatch::send_chunks`), so every slot gets a share of it.
     let (task_tx, task_rx) = crossbeam_channel::unbounded::<Vec<JobInput>>();
     let (result_tx, result_rx) = crossbeam_channel::unbounded::<TaskDoneRec>();
 
@@ -281,6 +270,7 @@ fn run_session(
         })
     };
     let engine = build_engine(jobs, payload, &command, on_result)?;
+    let slots = engine.options.jobs;
 
     // I/O thread: the reactor loop.
     let io = {
@@ -343,21 +333,10 @@ fn run_session(
                                         Ok(Some(Frame::Shard { tasks })) => {
                                             received += tasks.len() as u64;
                                             if let Some(tx) = &task_tx {
-                                                let chunk = feed_batch(tasks.len(), jobs);
-                                                let mut batch = Vec::with_capacity(chunk);
-                                                for t in tasks {
-                                                    batch.push(JobInput::new(t.seq, t.args));
-                                                    if batch.len() >= chunk {
-                                                        let full = std::mem::replace(
-                                                            &mut batch,
-                                                            Vec::with_capacity(chunk),
-                                                        );
-                                                        let _ = tx.send(full);
-                                                    }
-                                                }
-                                                if !batch.is_empty() {
-                                                    let _ = tx.send(batch);
-                                                }
+                                                let jobs = tasks
+                                                    .into_iter()
+                                                    .map(|t| JobInput::new(t.seq, t.args));
+                                                send_chunks(tx, jobs, slots);
                                             }
                                         }
                                         Ok(Some(Frame::Drain)) => {
@@ -483,8 +462,8 @@ fn run_session(
     };
 
     // The engine runs here, on the session's calling thread, pulling
-    // task batches straight off the reactor's channel (the engine's
-    // batch-granular streaming source) and pushing completions back.
+    // task batches straight off the reactor's channel and pushing
+    // completions back.
     // Work starts on the first Shard while later shards are still in
     // flight; dropping the sender ends the stream.
     let run = engine.run_batched(task_rx);

@@ -2,12 +2,15 @@
 //! joblog rows, and recovers from agent death.
 //!
 //! This is the paper's Listing 1 driver made live. Placement reuses
-//! `cluster::driver_shard` (the awk `NR % nnodes` split); recovery
-//! reuses the PR 3 logic against real processes: an agent whose
-//! heartbeat lease expires — or whose socket closes with work
-//! outstanding — is declared lost, its unfinished seqs are diffed
-//! against the aggregated joblog, and the remainder is re-sharded
-//! across survivors. Completion recording is exactly-once (a re-run
+//! `cluster::driver_shard` (the awk `NR % nnodes` split) over seqs, and
+//! each task's arguments go from the borrowed input table straight into
+//! its agent's `Shard` bytes. One owner per task (unplaced, on agent
+//! `i`, or recorded) is both the exactly-once guard and the reshard
+//! source. Recovery runs the simulated driver's rule (`cluster::faults`)
+//! against real processes: an agent whose heartbeat lease expires — or
+//! whose socket closes with work outstanding — is declared lost, and
+//! the seqs it still owns, which have no row in the aggregated joblog,
+//! are re-sharded across survivors. Completion recording is exactly-once (a re-run
 //! task that finishes twice is logged once); execution is
 //! at-least-once, the same contract as the simulated driver and GNU
 //! Parallel's `--resume`.
@@ -33,7 +36,7 @@ use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
 
 use crate::fleet::{self, AgentStat, Fleet, TOK_TICK};
-use crate::frame::{Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION};
+use crate::frame::{Frame, Payload, TaskDoneRec, PROTOCOL_VERSION};
 use crate::{NetCore, NetError, Result};
 
 /// Driver-side configuration.
@@ -156,47 +159,45 @@ pub fn verify_exactly_once(entries: &[LogEntry], total: u64) -> std::result::Res
     Ok(())
 }
 
+/// Who holds a task: the driver's one record per task, by seq − 1. It
+/// is both the exactly-once guard and the reshard source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owner {
+    /// On no agent: not yet released (DAG drives) or placed.
+    Unplaced,
+    /// Placed on this agent (its backlog included), not yet recorded.
+    Agent(u32),
+    /// Has a joblog row: resumed, completed, or skipped-dep-failed.
+    Recorded,
+}
+
 /// One drive: the agent fleet plus the driver's placement policy.
 struct Drive<'a> {
     config: &'a DriverConfig,
     inputs: &'a [Vec<String>],
     reactor: Reactor,
     fleet: Fleet,
-    /// Every seq ever placed on each agent (backlog included).
-    assigned: Vec<HashSet<u64>>,
-    /// Seqs with a joblog row: resumed, completed, or skipped-dep-failed.
-    recorded: HashSet<u64>,
+    owner: Vec<Owner>,
 }
 
 impl Drive<'_> {
-    /// The task for a 1-based seq, args from the input table.
-    fn task(&self, seq: u64) -> TaskSpec {
-        TaskSpec {
-            seq,
-            args: self
-                .inputs
-                .get((seq - 1) as usize)
-                .cloned()
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Shard `tasks` across the alive agents with the NR-modulo split
-    /// and pump them onto the wire. A survivor dying mid-placement
-    /// escalates to [`Drive::handle_loss`], which re-shards its whole
-    /// unfinished assignment.
-    fn place(&mut self, tasks: Vec<TaskSpec>) -> Result<()> {
-        if tasks.is_empty() {
+    /// Shard `seqs` across the alive agents with the NR-modulo split and
+    /// pump them onto the wire, writing each task's arguments from the
+    /// input table straight into the agent's `Shard` bytes. A survivor
+    /// dying mid-placement escalates to [`Drive::handle_loss`], which
+    /// re-shards its whole unrecorded assignment.
+    fn place(&mut self, seqs: &[u64]) -> Result<()> {
+        if seqs.is_empty() {
             return Ok(());
         }
         let survivors = self.fleet.survivors();
         if survivors.is_empty() {
             return Err(NetError::AllAgentsLost {
-                remaining: tasks.len() as u64,
+                remaining: seqs.len() as u64,
             });
         }
-        let shards = driver_shard(&tasks, survivors.len() as u32);
-        for (shard, &target) in shards.into_iter().zip(&survivors) {
+        let shards = driver_shard(seqs, survivors.len() as u32);
+        for (shard, &target) in shards.iter().zip(&survivors) {
             if shard.is_empty() {
                 continue;
             }
@@ -210,8 +211,11 @@ impl Drive<'_> {
                 agent: target as u32,
                 tasks: shard.len() as u64,
             });
-            self.assigned[target].extend(shard.iter().map(|t| t.seq));
-            self.fleet.enqueue(target, &shard);
+            for &seq in shard {
+                let i = (seq - 1) as usize;
+                self.owner[i] = Owner::Agent(target as u32);
+                self.fleet.enqueue(target, seq, &self.inputs[i]);
+            }
             if !self.fleet.pump(&self.reactor, target) {
                 self.handle_loss(target)?;
             }
@@ -226,20 +230,31 @@ impl Drive<'_> {
         if !self.fleet.lose(&self.reactor, idx) {
             return Ok(());
         }
-        // Diff the lost shard against the aggregated joblog: only seqs
-        // with no recorded completion anywhere need to run again.
-        let mut lost: Vec<u64> = self.assigned[idx]
-            .iter()
-            .filter(|seq| !self.recorded.contains(seq))
-            .copied()
+        // Everything the agent still holds has no recorded completion
+        // anywhere, so all of it runs again.
+        let lost: Vec<u64> = (1..=self.owner.len() as u64)
+            .filter(|&seq| self.owner[(seq - 1) as usize] == Owner::Agent(idx as u32))
             .collect();
-        lost.sort_unstable();
         self.config.emit(Event::AgentLost {
             agent: idx as u32,
             outstanding: lost.len() as u64,
         });
-        let tasks = lost.into_iter().map(|seq| self.task(seq)).collect();
-        self.place(tasks)
+        self.place(&lost)
+    }
+
+    /// Record `seq`; `false` when it already has a row (a re-sharded task
+    /// that finished twice) or is not one of this drive's tasks.
+    fn record(&mut self, seq: u64) -> bool {
+        let owner = seq
+            .checked_sub(1)
+            .and_then(|i| self.owner.get_mut(i as usize));
+        match owner {
+            Some(owner) if *owner != Owner::Recorded => {
+                *owner = Owner::Recorded;
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -271,21 +286,23 @@ pub fn run_driver(
         (true, false) => ResumeMode::Resume,
         (true, true) => ResumeMode::ResumeFailed,
     };
-    let recorded = match &config.joblog {
+    let resumed = match &config.joblog {
         Some(path) => joblog::resume_set(path, mode)?,
         None => HashSet::new(),
     };
-    let skipped = recorded.len() as u64;
-    let pending: Vec<TaskSpec> = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, args)| TaskSpec {
-            seq: i as u64 + 1,
-            args: args.clone(),
+    let owner: Vec<Owner> = (1..=total)
+        .map(|seq| {
+            if resumed.contains(&seq) {
+                Owner::Recorded
+            } else {
+                Owner::Unplaced
+            }
         })
-        .filter(|t| !recorded.contains(&t.seq))
         .collect();
-    let goal = pending.len() as u64;
+    // Rows of seqs past this input list (a longer earlier run) are not
+    // this drive's tasks and count nowhere.
+    let skipped = owner.iter().filter(|&&o| o == Owner::Recorded).count() as u64;
+    let goal = total - skipped;
 
     // DAG drives: a ready set withholds every task with an unfinished
     // dependency; completions release work incrementally, so shards on
@@ -296,17 +313,13 @@ pub fn run_driver(
             inputs.len(),
             "deps table must cover every input"
         );
-        ReadySet::from_deps(deps, &recorded)
+        ReadySet::from_deps(deps, &resumed)
     });
-    let pending: Vec<TaskSpec> = match ready_set.as_mut() {
-        Some(rs) => {
-            let ready_now: HashSet<u64> = rs.take_ready().into_iter().collect();
-            pending
-                .into_iter()
-                .filter(|t| ready_now.contains(&t.seq))
-                .collect()
-        }
-        None => pending,
+    let pending: Vec<u64> = match ready_set.as_mut() {
+        Some(rs) => rs.take_ready(),
+        None => (1..=total)
+            .filter(|&seq| owner[(seq - 1) as usize] == Owner::Unplaced)
+            .collect(),
     };
 
     let mut log = match &config.joblog {
@@ -335,12 +348,11 @@ pub fn run_driver(
     let mut drive = Drive {
         config,
         inputs,
-        assigned: vec![HashSet::new(); fleet.len()],
         reactor,
         fleet,
-        recorded,
+        owner,
     };
-    drive.place(pending)?;
+    drive.place(&pending)?;
 
     // -- Dispatch loop: one poll loop over every socket plus the lease
     // tick, all from the same reactor.
@@ -349,7 +361,7 @@ pub fn run_driver(
     let mut skipped_dep = 0u64;
     // Tasks unblocked by completions in the current poll batch, awaiting
     // placement on alive agents.
-    let mut release: Vec<TaskSpec> = Vec::new();
+    let mut release: Vec<u64> = Vec::new();
     let mut done: Vec<TaskDoneRec> = Vec::new();
     let tick = fleet::tick_interval(config.heartbeat_ms);
     let mut tick_key = drive.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
@@ -386,7 +398,7 @@ pub fn run_driver(
                 .fleet
                 .io(&drive.reactor, idx, readable, writable, &mut done);
             for rec in done.drain(..) {
-                if !drive.recorded.insert(rec.seq) {
+                if !drive.record(rec.seq) {
                     // A re-sharded task finished on two agents;
                     // record-once keeps the joblog exact.
                     duplicates += 1;
@@ -407,13 +419,13 @@ pub fn run_driver(
                     // row, so the joblog always lists a task's
                     // dependencies before the task itself.
                     for &seq in &comp.newly_skipped {
-                        drive.recorded.insert(seq);
+                        drive.record(seq);
                         skipped_dep += 1;
                         if let Some(log) = &mut log {
                             log.record_entry(&htpar_core::dag::skip_entry(seq, &render(seq)))?;
                         }
                     }
-                    release.extend(comp.newly_ready.into_iter().map(|seq| drive.task(seq)));
+                    release.extend(comp.newly_ready);
                 }
             }
             if down {
@@ -423,7 +435,8 @@ pub fn run_driver(
         // Place tasks unblocked in this batch. Only alive agents receive
         // them, so a re-shard after agent death still never ships an
         // unready task.
-        drive.place(std::mem::take(&mut release))?;
+        drive.place(&release)?;
+        release.clear();
         // One joblog flush per poll batch (not per row): complete lines
         // on disk keep `--resume` exact after a driver kill, while the
         // batch granularity keeps fsync traffic off the per-task path.

@@ -25,9 +25,7 @@ use htpar_telemetry::{Event, EventBus};
 
 use crate::agent::read_next;
 use crate::conn::Conn;
-use crate::frame::{
-    Decoder, Frame, ShardBytes, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK,
-};
+use crate::frame::{Decoder, Frame, ShardBytes, TaskDoneRec, PROTOCOL_VERSION, SHARD_CHUNK};
 use crate::lease::LeaseTracker;
 use crate::nbio::{Fill, Flush, FrameConn};
 use crate::{NetError, Result};
@@ -289,12 +287,10 @@ impl Fleet {
         self.agents[idx].done += 1;
     }
 
-    /// Park tasks in the agent's backlog; [`Fleet::pump`] moves them to
+    /// Park a task in the agent's backlog; [`Fleet::pump`] moves it to
     /// the socket as the write queue allows.
-    pub(crate) fn enqueue(&mut self, idx: usize, tasks: &[TaskSpec]) {
-        for task in tasks {
-            self.open_shard(idx).push(task.seq, &task.args);
-        }
+    pub(crate) fn enqueue(&mut self, idx: usize, seq: u64, args: &[String]) {
+        self.open_shard(idx).push(seq, args);
     }
 
     /// Park one task whose single argument `arg` writes straight into
@@ -531,6 +527,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::TaskSpec;
     use std::io::Read;
     use std::os::unix::net::UnixStream;
 
@@ -599,7 +596,9 @@ mod tests {
         for cap in [1, WRITE_QUEUE_CAP] {
             let (mut fleet, reactor, mut peer) = one_agent(cap);
             let (driver, pilot) = tasks.split_at(3_000);
-            fleet.enqueue(0, driver);
+            for task in driver {
+                fleet.enqueue(0, task.seq, &task.args);
+            }
             for task in pilot {
                 fleet.enqueue_with(0, task.seq, |out| {
                     out.extend_from_slice(task.args[0].as_bytes())

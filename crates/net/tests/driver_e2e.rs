@@ -474,6 +474,43 @@ fn resume_skips_already_recorded_seqs() {
     handle.join().expect("agent thread").expect("agent drained");
 }
 
+/// A resumed drive counts as skipped only its own seqs with a row: a
+/// joblog from a longer earlier run once made `0/3 task(s)` report 5
+/// skipped, and `htpar drive --resume` exit 1 with every task logged.
+#[test]
+fn resume_skips_only_this_drives_seqs() {
+    let log_path = temp_joblog("resume-short");
+    let _ = std::fs::remove_file(&log_path);
+    {
+        let mut log = JobLogWriter::open(&log_path).expect("open joblog");
+        for seq in 1..=5 {
+            log.record_entry(&LogEntry {
+                seq,
+                host: "earlier-run".to_string(),
+                start: 1.0,
+                runtime: 0.5,
+                send: 0,
+                receive: 0,
+                exitval: 0,
+                signal: 0,
+                command: format!("task {seq}"),
+            })
+            .expect("record");
+        }
+        log.flush().expect("flush");
+    }
+    let spec = sock_spec("resume-short");
+    let handle = spawn_agent(&spec, "a0");
+    let mut config = DriverConfig::new(vec![spec], "task {}");
+    config.payload = Payload::Noop;
+    config.joblog = Some(log_path.clone());
+    config.resume = true;
+    let outcome = run_driver(&config, &inputs(3), None).expect("resume drive");
+    assert_eq!((outcome.completed, outcome.skipped), (0, 3));
+    handle.join().expect("agent thread").expect("agent drained");
+    let _ = std::fs::remove_file(&log_path);
+}
+
 #[test]
 fn version_mismatch_is_refused_with_agent_exit() {
     // A newer driver, and an older one that may still send the retired
@@ -502,4 +539,43 @@ fn version_mismatch_is_refused_with_agent_exit() {
         }
         assert!(handle.join().expect("agent thread").is_err());
     }
+}
+
+/// An agent splits each shard over its slots: one `-j 4` agent takes a
+/// single shard of 64 tasks of 20 ms, and the joblog's start and
+/// runtime columns must show four tasks running at once and the whole
+/// shard done in under half the 1.28 s that one slot would take.
+#[test]
+fn one_shard_spreads_over_every_agent_slot() {
+    let spec = sock_spec("spread");
+    let handle = spawn_agent(&spec, "a0");
+    let log_path = temp_joblog("spread");
+    let _ = std::fs::remove_file(&log_path);
+    let mut config = DriverConfig::new(vec![spec], "task {}");
+    config.payload = Payload::SleepUs(20_000);
+    config.jobs_per_agent = 4;
+    config.joblog = Some(log_path.clone());
+    let outcome = run_driver(&config, &inputs(64), None).expect("drive succeeds");
+    assert_eq!(outcome.completed, 64);
+    handle.join().expect("agent thread").expect("agent drains");
+
+    let entries = joblog::read_log(&log_path).expect("readable joblog");
+    verify_exactly_once(&entries, 64).expect("one row per seq");
+    // Sweep the runs' starts and ends, ends first on a tie: the most
+    // tasks running at one instant.
+    let mut edges: Vec<(f64, i32)> = entries
+        .iter()
+        .flat_map(|e| [(e.start, 1), (e.start + e.runtime, -1)])
+        .collect();
+    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut running = 0;
+    let mut overlap = 0;
+    for (_, step) in &edges {
+        running += step;
+        overlap = overlap.max(running);
+    }
+    assert!(overlap >= 4, "at most {overlap} tasks ran at once");
+    let span = edges.last().unwrap().0 - edges[0].0;
+    assert!(span < 0.64, "the shard took {span:.3} s");
+    let _ = std::fs::remove_file(&log_path);
 }
