@@ -1,20 +1,26 @@
-//! Command-line parsing for `htpar`.
+//! Command-line reading for `htpar` and its subcommands.
 //!
-//! Grammar (a faithful subset of `parallel`'s):
+//! Every command reads its words through one [`Args`] reader: its flags
+//! first, then, for `htpar`, `drive` and `submit`, the classic tail (a
+//! faithful subset of `parallel`'s grammar):
 //!
 //! ```text
-//! htpar [OPTIONS] COMMAND... [::: ARGS... [:::+ ARGS...]]...
+//! COMMAND... [::: ARGS... | :::+ ARGS...]...
 //! ```
 //!
-//! Options come first; the first token that is not a recognized option
-//! starts the command template; `:::` / `:::+` introduce input sources.
-//! With no `:::` sources and no `-a` files, arguments are read from
-//! stdin, one per line (pipe them in like `find ... | htpar ...`).
+//! The first word that is not one of the command's flags starts the
+//! command template; each `:::` / `:::+` starts an input source. With no
+//! `:::` sources and no `-a` files, arguments are read from stdin, one per
+//! line (pipe them in like `find ... | htpar ...`). [`read_inputs`] expands
+//! the sources, or those stdin lines, for all three commands.
 
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::time::Duration;
 
 use htpar_core::halt::{HaltPolicy, HaltWhen};
+use htpar_core::input::{InputSet, InputSource};
 use htpar_core::options::{BatchMode, Options, ResumeMode};
 
 /// One input source given on the command line.
@@ -66,8 +72,7 @@ pub struct CliSpec {
     /// `--fault-seed N`: seed for `--fault-rate` injection (default 0,
     /// so campaigns are reproducible).
     pub fault_seed: u64,
-    /// `--help` / `--version` short-circuits.
-    pub help: bool,
+    /// `--version` short-circuits.
     pub version: bool,
 }
 
@@ -90,7 +95,6 @@ impl Default for CliSpec {
             progress: false,
             fault_rate: None,
             fault_seed: 0,
-            help: false,
             version: false,
         }
     }
@@ -136,7 +140,201 @@ usage: htpar [OPTIONS] COMMAND... [::: ARGS...]...
 subcommands (see `htpar SUBCOMMAND --help`):
   htpar agent --listen ADDR          run a node agent serving one driver
   htpar drive --agents SPECS CMD...  shard work across live agents
-  htpar drive --local-cluster N ...  same, over N local agent processes";
+  htpar drive --local-cluster N ...  same, over N local agent processes
+  htpar dag FILE                     run a dependency graph in-process
+  htpar serve --local-cluster N ...  run a pilot that takes many sessions
+  htpar submit --connect ADDR CMD... run a session on a pilot";
+
+/// Why a command line did not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// `--help`: print the usage and exit 0.
+    Help,
+    /// A usage mistake: print it with the usage and exit 255.
+    Usage(String),
+}
+
+impl From<String> for ArgError {
+    fn from(msg: String) -> ArgError {
+        ArgError::Usage(msg)
+    }
+}
+
+impl From<&str> for ArgError {
+    fn from(msg: &str) -> ArgError {
+        ArgError::Usage(msg.to_string())
+    }
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::Help => f.write_str("help requested"),
+            ArgError::Usage(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl ArgError {
+    /// Report this error of the command `cmd` next to its `usage`, and
+    /// return the exit status.
+    pub fn exit(self, cmd: &str, usage: &str) -> i32 {
+        match self {
+            ArgError::Help => {
+                println!("{usage}");
+                0
+            }
+            ArgError::Usage(msg) => {
+                eprintln!("{cmd}: {msg}\n{usage}");
+                255
+            }
+        }
+    }
+}
+
+/// One command's words, read front to back: flags, then the tail.
+pub struct Args<'a> {
+    words: &'a [String],
+    /// The next word to read.
+    at: usize,
+    /// The `N` of an attached `-jN`: the value of the `-j` just read.
+    attached: Option<&'a str>,
+    /// Whether `-h` asks for help, as it does for every subcommand.
+    short_help: bool,
+}
+
+impl<'a> Args<'a> {
+    /// A subcommand's words: `--help` and `-h` ask for its usage.
+    pub fn new(words: &'a [String]) -> Args<'a> {
+        Args {
+            words,
+            at: 0,
+            attached: None,
+            short_help: true,
+        }
+    }
+
+    /// `htpar`'s own words: only `--help` asks for the usage.
+    pub fn classic(words: &'a [String]) -> Args<'a> {
+        Args {
+            short_help: false,
+            ..Args::new(words)
+        }
+    }
+
+    /// The next word, read as a flag; `None` once the words run out. An
+    /// attached `-jN` (GNU's `-j128`) reads as `-j` with the value `N`.
+    pub fn flag(&mut self) -> Result<Option<&'a str>, ArgError> {
+        let Some(word) = self.words.get(self.at) else {
+            return Ok(None);
+        };
+        self.at += 1;
+        if word == "--help" || (self.short_help && word == "-h") {
+            return Err(ArgError::Help);
+        }
+        self.attached = word
+            .strip_prefix("-j")
+            .filter(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+        Ok(Some(if self.attached.is_some() { "-j" } else { word }))
+    }
+
+    /// The value of `flag`, the flag just read.
+    pub fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        if let Some(value) = self.attached.take() {
+            return Ok(value);
+        }
+        let value = self
+            .words
+            .get(self.at)
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        self.at += 1;
+        Ok(value)
+    }
+
+    /// The value of `flag`, parsed.
+    pub fn parse<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let value = self.value(flag)?;
+        value
+            .parse()
+            .map_err(|_| format!("bad {flag} value {value:?}"))
+    }
+
+    /// The error for the word just read, which is none of this
+    /// command's flags.
+    pub fn unknown(&self) -> ArgError {
+        ArgError::Usage(format!("unknown option {}", self.words[self.at - 1]))
+    }
+
+    /// The classic tail, from the word just read to the end. Returns the
+    /// command words joined by single spaces and appends one source per
+    /// `:::` or `:::+` to `sources`. An unknown `--flag` where the
+    /// command would start is a typo, not a command word: taking it
+    /// would silently swallow every flag after it into the template.
+    pub fn tail(&mut self, sources: &mut Vec<SourceSpec>) -> Result<String, ArgError> {
+        let rest = &self.words[self.at - 1..];
+        if rest[0].starts_with("--") {
+            return Err(self.unknown());
+        }
+        self.at = self.words.len();
+        let split = rest
+            .iter()
+            .position(|w| w == ":::" || w == ":::+")
+            .unwrap_or(rest.len());
+        for word in &rest[split..] {
+            match word.as_str() {
+                ":::" => sources.push(SourceSpec::Values(Vec::new())),
+                ":::+" => sources.push(SourceSpec::LinkedValues(Vec::new())),
+                _ => {
+                    if let Some(SourceSpec::Values(v) | SourceSpec::LinkedValues(v)) =
+                        sources.last_mut()
+                    {
+                        v.push(word.clone());
+                    }
+                }
+            }
+        }
+        Ok(rest[..split].join(" "))
+    }
+}
+
+/// Expand `sources` into the input set they name: `:::` values, `:::+`
+/// values linked to the source before them, and `-a` files. With no
+/// source at all, the lines of `stdin` are the one source. File and
+/// stdin lines split into `{1} {2} ...` columns on `colsep` when given.
+pub fn read_inputs(
+    sources: &[SourceSpec],
+    colsep: Option<&str>,
+    stdin: impl BufRead,
+) -> htpar_core::Result<InputSet> {
+    let mut set = InputSet::new();
+    if sources.is_empty() {
+        push_lines(&mut set, stdin, colsep)?;
+    }
+    for source in sources {
+        match source {
+            SourceSpec::Values(values) => set.push(InputSource::product(values.clone()))?,
+            SourceSpec::LinkedValues(values) => set.push(InputSource::linked(values.clone()))?,
+            SourceSpec::File(path) => {
+                push_lines(&mut set, BufReader::new(File::open(path)?), colsep)?
+            }
+        }
+    }
+    Ok(set)
+}
+
+/// Push the lines of `reader` onto `set`: one source, or one per column.
+fn push_lines(
+    set: &mut InputSet,
+    reader: impl BufRead,
+    colsep: Option<&str>,
+) -> htpar_core::Result<()> {
+    match colsep {
+        Some(sep) => InputSource::columns_from_lines(reader, sep)?
+            .into_iter()
+            .try_for_each(|source| set.push(source)),
+        None => set.push(InputSource::from_lines(reader)?),
+    }
+}
 
 /// Parse a duration: `10` (seconds), `500ms`, `30s`, `5m`, `2h`.
 pub fn parse_duration(s: &str) -> Result<Duration, String> {
@@ -222,229 +420,78 @@ pub fn parse_halt(s: &str) -> Result<HaltPolicy, String> {
 }
 
 /// Parse the full argument vector (everything after the program name).
-pub fn parse_args(argv: &[String]) -> Result<CliSpec, String> {
+pub fn parse_args(argv: &[String]) -> Result<CliSpec, ArgError> {
     let mut spec = CliSpec::default();
-    let mut it = argv.iter().peekable();
-
-    // Phase 1: options.
-    let next_value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                      flag: &str|
-     -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-
-    while let Some(&token) = it.peek() {
-        let t = token.as_str();
-        match t {
-            "--help" => {
-                spec.help = true;
-                return Ok(spec);
-            }
+    let mut args = Args::classic(argv);
+    while let Some(flag) = args.flag()? {
+        let options = &mut spec.options;
+        match flag {
             "--version" => {
                 spec.version = true;
                 return Ok(spec);
             }
-            "-j" | "--jobs" => {
-                it.next();
-                let v = next_value(&mut it, t)?;
-                spec.options.jobs = v.parse().map_err(|_| format!("bad job count {v:?}"))?;
-            }
-            "-k" | "--keep-order" => {
-                it.next();
-                spec.options.keep_order = true;
-            }
-            "--tag" => {
-                it.next();
-                spec.options.tag = true;
-            }
-            "--dry-run" => {
-                it.next();
-                spec.options.dry_run = true;
-            }
-            "--retries" => {
-                it.next();
-                let v = next_value(&mut it, t)?;
-                spec.options.retries = v.parse().map_err(|_| format!("bad retries {v:?}"))?;
-            }
-            "--retry-delay" => {
-                it.next();
-                spec.options.retry_delay = Some(parse_duration(&next_value(&mut it, t)?)?);
-            }
+            "-j" | "--jobs" => options.jobs = args.parse(flag)?,
+            "-k" | "--keep-order" => options.keep_order = true,
+            "--tag" => options.tag = true,
+            "--dry-run" => options.dry_run = true,
+            "--retries" => options.retries = args.parse(flag)?,
+            "--retry-delay" => options.retry_delay = Some(parse_duration(args.value(flag)?)?),
             "--memfree" => {
-                it.next();
-                let v = next_value(&mut it, t)?;
-                spec.memfree_bytes =
-                    Some(parse_block_size(&v).map_err(|e| format!("bad --memfree: {e}"))? as u64);
+                let size = parse_block_size(args.value(flag)?);
+                spec.memfree_bytes = Some(size.map_err(|e| format!("bad --memfree: {e}"))? as u64);
             }
-            "--timeout" => {
-                it.next();
-                spec.options.timeout = Some(parse_duration(&next_value(&mut it, t)?)?);
-            }
-            "--delay" => {
-                it.next();
-                spec.options.delay = Some(parse_duration(&next_value(&mut it, t)?)?);
-            }
-            "--halt" => {
-                it.next();
-                spec.options.halt = parse_halt(&next_value(&mut it, t)?)?;
-            }
-            "--joblog" => {
-                it.next();
-                spec.options.joblog = Some(PathBuf::from(next_value(&mut it, t)?));
-            }
-            "--resume" => {
-                it.next();
-                spec.options.resume = ResumeMode::Resume;
-            }
-            "--resume-failed" => {
-                it.next();
-                spec.options.resume = ResumeMode::ResumeFailed;
-            }
-            "--results" => {
-                it.next();
-                spec.options.results_dir = Some(PathBuf::from(next_value(&mut it, t)?));
-            }
-            "-a" | "--arg-file" => {
-                it.next();
-                spec.sources
-                    .push(SourceSpec::File(PathBuf::from(next_value(&mut it, t)?)));
-            }
-            "--colsep" => {
-                it.next();
-                spec.colsep = Some(next_value(&mut it, t)?);
-            }
-            "--shuf" => {
-                it.next();
-                spec.shuffle = Some(0xD1CE);
-            }
-            "-X" => {
-                it.next();
-                spec.options.batch = BatchMode::ContextReplace;
-            }
-            "-m" => {
-                it.next();
-                spec.options.batch = BatchMode::Xargs;
-            }
-            "-n" | "--max-args" => {
-                it.next();
-                let v = next_value(&mut it, t)?;
-                spec.options.max_args = Some(v.parse().map_err(|_| format!("bad max-args {v:?}"))?);
-            }
-            "-s" | "--max-chars" => {
-                it.next();
-                let v = next_value(&mut it, t)?;
-                spec.options.max_chars = v.parse().map_err(|_| format!("bad max-chars {v:?}"))?;
-            }
-            "-I" => {
-                it.next();
-                spec.replacement = Some(next_value(&mut it, t)?);
-            }
-            "--pipe" => {
-                it.next();
-                spec.pipe = true;
-            }
-            "--block" => {
-                it.next();
-                spec.block_size = parse_block_size(&next_value(&mut it, t)?)?;
-            }
-            "--no-shell" => {
-                it.next();
-                spec.options.shell = false;
-            }
-            "--progress" => {
-                it.next();
-                spec.progress = true;
-            }
-            "--line-buffer" => {
-                it.next();
-                spec.line_buffer = true;
-            }
+            "--timeout" => options.timeout = Some(parse_duration(args.value(flag)?)?),
+            "--delay" => options.delay = Some(parse_duration(args.value(flag)?)?),
+            "--halt" => options.halt = parse_halt(args.value(flag)?)?,
+            "--joblog" => options.joblog = Some(args.value(flag)?.into()),
+            "--resume" => options.resume = ResumeMode::Resume,
+            "--resume-failed" => options.resume = ResumeMode::ResumeFailed,
+            "--results" => options.results_dir = Some(args.value(flag)?.into()),
+            "-a" | "--arg-file" => spec
+                .sources
+                .push(SourceSpec::File(args.value(flag)?.into())),
+            "--colsep" => spec.colsep = Some(args.value(flag)?.into()),
+            "--shuf" => spec.shuffle = Some(0xD1CE),
+            "-X" => options.batch = BatchMode::ContextReplace,
+            "-m" => options.batch = BatchMode::Xargs,
+            "-n" | "--max-args" => options.max_args = Some(args.parse(flag)?),
+            "-s" | "--max-chars" => options.max_chars = args.parse(flag)?,
+            "-I" => spec.replacement = Some(args.value(flag)?.into()),
+            "--pipe" => spec.pipe = true,
+            "--block" => spec.block_size = parse_block_size(args.value(flag)?)?,
+            "--no-shell" => options.shell = false,
+            "--progress" => spec.progress = true,
+            "--line-buffer" => spec.line_buffer = true,
             "--tagstring" => {
-                it.next();
-                spec.tagstring = Some(next_value(&mut it, t)?);
-                spec.options.tag = true;
+                spec.tagstring = Some(args.value(flag)?.into());
+                options.tag = true;
             }
             "-S" | "--sshlogin" => {
-                it.next();
-                let v = next_value(&mut it, t)?;
-                spec.sshlogins
-                    .extend(v.split(',').map(|s| s.trim().to_string()));
+                let hosts = args.value(flag)?.split(',');
+                spec.sshlogins.extend(hosts.map(|s| s.trim().to_string()));
             }
-            "--ssh-cmd" => {
-                it.next();
-                spec.ssh_cmd = next_value(&mut it, t)?;
-            }
+            "--ssh-cmd" => spec.ssh_cmd = args.value(flag)?.into(),
             "--fault-rate" => {
-                it.next();
-                let v = next_value(&mut it, t)?;
-                let rate: f64 = v.parse().map_err(|_| format!("bad fault rate {v:?}"))?;
+                let rate: f64 = args.parse(flag)?;
                 if !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("fault rate must be in [0, 1], got {v}"));
+                    return Err(format!("fault rate must be in [0, 1], got {rate}").into());
                 }
                 spec.fault_rate = Some(rate);
             }
-            "--fault-seed" => {
-                it.next();
-                let v = next_value(&mut it, t)?;
-                spec.fault_seed = v.parse().map_err(|_| format!("bad fault seed {v:?}"))?;
+            "--fault-seed" => spec.fault_seed = args.parse(flag)?,
+            _ if flag.starts_with("--shuf=") => {
+                let seed = flag["--shuf=".len()..].parse();
+                spec.shuffle = Some(seed.map_err(|_| format!("bad shuf seed in {flag:?}"))?);
             }
-            _ if t.starts_with("--shuf=") => {
-                let seed = t["--shuf=".len()..]
-                    .parse()
-                    .map_err(|_| format!("bad shuf seed in {t:?}"))?;
-                spec.shuffle = Some(seed);
-                it.next();
+            _ => {
+                spec.command = args.tail(&mut spec.sources)?;
+                break;
             }
-            _ if t.starts_with("-j")
-                && t.len() > 2
-                && t[2..].chars().all(|c| c.is_ascii_digit()) =>
-            {
-                // GNU allows -j128 glued form.
-                spec.options.jobs = t[2..].parse().map_err(|_| format!("bad jobs {t:?}"))?;
-                it.next();
-            }
-            _ if t.starts_with("--") => return Err(format!("unknown option {t:?}\n{USAGE}")),
-            _ => break, // command starts
         }
     }
-
-    // Phase 2: command words until ::: / :::+ / end.
-    let mut command_words = Vec::new();
-    for token in it.by_ref() {
-        if token == ":::" || token == ":::+" {
-            // Re-handle this token in phase 3 by pushing a marker source.
-            spec.sources.push(if token == ":::" {
-                SourceSpec::Values(Vec::new())
-            } else {
-                SourceSpec::LinkedValues(Vec::new())
-            });
-            break;
-        }
-        command_words.push(token.clone());
-    }
-    spec.command = command_words.join(" ");
     if spec.command.is_empty() {
-        return Err(format!("no command given\n{USAGE}"));
+        return Err("no command given".into());
     }
-
-    // Phase 3: source values.
-    for token in it {
-        if token == ":::" {
-            spec.sources.push(SourceSpec::Values(Vec::new()));
-        } else if token == ":::+" {
-            spec.sources.push(SourceSpec::LinkedValues(Vec::new()));
-        } else {
-            match spec.sources.last_mut() {
-                Some(SourceSpec::Values(v)) | Some(SourceSpec::LinkedValues(v)) => {
-                    v.push(token.clone())
-                }
-                _ => return Err(format!("argument {token:?} outside any ::: source")),
-            }
-        }
-    }
-
     Ok(spec)
 }
 
@@ -452,7 +499,7 @@ pub fn parse_args(argv: &[String]) -> Result<CliSpec, String> {
 mod tests {
     use super::*;
 
-    fn parse(tokens: &[&str]) -> Result<CliSpec, String> {
+    fn parse(tokens: &[&str]) -> Result<CliSpec, ArgError> {
         let v: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
         parse_args(&v)
     }
@@ -608,7 +655,7 @@ mod tests {
 
     #[test]
     fn unknown_long_flag_errors() {
-        let err = parse(&["--frobnicate", "cmd"]).unwrap_err();
+        let err = parse(&["--frobnicate", "cmd"]).unwrap_err().to_string();
         assert!(err.contains("unknown option"));
     }
 
@@ -620,7 +667,7 @@ mod tests {
 
     #[test]
     fn help_and_version_short_circuit() {
-        assert!(parse(&["--help"]).unwrap().help);
+        assert_eq!(parse(&["--help"]).unwrap_err(), ArgError::Help);
         assert!(parse(&["--version"]).unwrap().version);
     }
 

@@ -7,14 +7,13 @@ use std::sync::Arc;
 
 use htpar_core::chaos::ChaosExecutor;
 use htpar_core::executor::StreamKind;
-use htpar_core::input::InputSource;
 use htpar_core::output::tag_lines;
 use htpar_core::prelude::*;
 use htpar_core::progress::Progress;
 use htpar_core::template::{ExpandContext, Template};
-use htpar_telemetry::EventBus;
+use htpar_telemetry::{EventBus, JsonlWriter};
 
-use crate::args::{CliSpec, SourceSpec};
+use crate::args::{read_inputs, CliSpec};
 
 /// GNU Parallel's exit-code convention: 0 when everything succeeded,
 /// 1–100 = number of failed jobs, 101 when more than 100 failed.
@@ -150,45 +149,8 @@ where
     if spec.pipe {
         return builder.run_pipe(stdin, spec.block_size);
     }
-
-    if spec.sources.is_empty() {
-        // Arguments come from stdin.
-        match &spec.colsep {
-            Some(sep) => {
-                for source in InputSource::columns_from_lines(stdin, sep)? {
-                    builder = push(builder, source);
-                }
-            }
-            None => {
-                builder = builder.input_lines(stdin);
-            }
-        }
-        return builder.run();
-    }
-
-    for source in &spec.sources {
-        match source {
-            SourceSpec::Values(values) => {
-                builder = builder.args(values.clone());
-            }
-            SourceSpec::LinkedValues(values) => {
-                builder = builder.args_linked(values.clone());
-            }
-            SourceSpec::File(path) => {
-                let file = std::fs::File::open(path)?;
-                let reader = std::io::BufReader::new(file);
-                match &spec.colsep {
-                    Some(sep) => {
-                        for source in InputSource::columns_from_lines(reader, sep)? {
-                            builder = push(builder, source);
-                        }
-                    }
-                    None => builder = builder.input_lines(reader),
-                }
-            }
-        }
-    }
-    builder.run()
+    let inputs = read_inputs(&spec.sources, spec.colsep.as_deref(), stdin)?;
+    builder.inputs(inputs).run()
 }
 
 /// Run on `exec`, behind a seeded chaos layer when `--fault-rate` asks.
@@ -204,11 +166,22 @@ fn with_chaos<E: Executor + 'static>(
     }
 }
 
-fn push(builder: Parallel, source: InputSource) -> Parallel {
-    use htpar_core::input::LinkMode;
-    match source.mode {
-        LinkMode::Product => builder.args(source.values),
-        LinkMode::Linked => builder.args_linked(source.values),
+/// `HTPAR_TELEMETRY_JSONL=PATH` attaches a bus + [`JsonlWriter`] so any
+/// run, classic or subcommand, leaves a machine-readable event trajectory
+/// (same schema as `fig3_launch_rate --jsonl`; see DESIGN.md §10). Unset,
+/// the engine runs unobserved and the emit path costs nothing.
+pub fn telemetry_from_env() -> Option<Arc<EventBus>> {
+    let path = std::env::var("HTPAR_TELEMETRY_JSONL").ok()?;
+    match JsonlWriter::create(std::path::Path::new(&path)) {
+        Ok(writer) => {
+            let bus = EventBus::shared();
+            bus.attach(writer);
+            Some(bus)
+        }
+        Err(e) => {
+            eprintln!("htpar: cannot open telemetry file {path}: {e}");
+            None
+        }
     }
 }
 

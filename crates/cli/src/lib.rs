@@ -10,9 +10,11 @@
 //!       ::: 1 2 3 4 5 6 7 8 9 10 11 12 ::: 0 1 2
 //! ```
 //!
-//! [`args`] parses the command line into a [`args::CliSpec`]; [`exec`]
-//! maps the spec onto [`htpar_core::Parallel`], streams output, and
-//! computes the GNU-compatible exit code.
+//! [`args`] holds the one argument reader every command line goes
+//! through, the classic `:::` tail and its input expansion, and parses
+//! `htpar`'s own line into a [`args::CliSpec`]; [`exec`] maps the spec
+//! onto [`htpar_core::Parallel`], streams output, and computes the
+//! GNU-compatible exit code; [`netcmd`] holds the subcommands.
 
 pub mod args;
 pub mod exec;

@@ -3,27 +3,7 @@
 use std::io::Write;
 
 use htpar_cli::args::{parse_args, USAGE};
-use htpar_cli::exec::{execute_observed, exit_code};
-use htpar_telemetry::{EventBus, JsonlWriter};
-
-/// `HTPAR_TELEMETRY_JSONL=PATH` attaches a bus + [`JsonlWriter`] so any
-/// CLI run leaves a machine-readable event trajectory (same schema as
-/// `fig3_launch_rate --jsonl`; see DESIGN.md §10). Unset, the engine
-/// runs unobserved and the emit path costs nothing.
-fn telemetry_from_env() -> Option<std::sync::Arc<EventBus>> {
-    let path = std::env::var("HTPAR_TELEMETRY_JSONL").ok()?;
-    match JsonlWriter::create(std::path::Path::new(&path)) {
-        Ok(writer) => {
-            let bus = EventBus::shared();
-            bus.attach(writer);
-            Some(bus)
-        }
-        Err(e) => {
-            eprintln!("htpar: cannot open telemetry file {path}: {e}");
-            None
-        }
-    }
-}
+use htpar_cli::exec::{execute_observed, exit_code, telemetry_from_env};
 
 fn main() {
     // Agent-mode re-exec hook: `--local-cluster` children become node
@@ -36,15 +16,8 @@ fn main() {
     }
     let spec = match parse_args(&argv) {
         Ok(spec) => spec,
-        Err(msg) => {
-            eprintln!("htpar: {msg}");
-            std::process::exit(255);
-        }
+        Err(e) => std::process::exit(e.exit("htpar", USAGE)),
     };
-    if spec.help {
-        println!("{USAGE}");
-        return;
-    }
     if spec.version {
         println!("htpar {}", env!("CARGO_PKG_VERSION"));
         return;

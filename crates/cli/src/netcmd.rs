@@ -1,22 +1,26 @@
-//! The `htpar agent` and `htpar drive` subcommands — the CLI face of
-//! the network subsystem (`htpar-net`, DESIGN.md §12).
+//! The `htpar` subcommands: `agent`, `drive`, `dag`, `serve` and
+//! `submit`, the CLI face of the network subsystem (`htpar-net`,
+//! DESIGN.md §12–13) and of in-process DAG runs. Each reads its words
+//! through the one [`Args`] reader that `htpar` itself uses.
 //!
 //! ```text
 //! # one agent per node, then drive from the head node:
 //! htpar agent --listen 0.0.0.0:4511
 //! seq 100000 | htpar drive --agents n1:4511,n2:4511 -j 16 --joblog run.log 'task {}'
 //!
-//! # or a self-contained mini-cluster of local subprocesses:
-//! seq 10000 | htpar drive --local-cluster 4 --joblog run.log 'task {}'
+//! # or a self-contained mini-cluster of local subprocesses, here the
+//! # paper's 12 x 3 Darshan product (36 tasks):
+//! htpar drive --local-cluster 4 --joblog run.log \
+//!     'python3 ./darshan_arch.py {1} {2}' ::: {1..12} ::: {0..2}
 //! ```
 //!
-//! `drive` accepts the same `COMMAND ::: ARGS` tail as the classic CLI
-//! (stdin lines when no `:::` source is given), records an aggregated
-//! joblog with the agent name in the `Host` column, and honors
-//! `--resume` against it. `--chaos-kill-agent IDX@DONE` SIGKILLs one
-//! `--local-cluster` agent once the global completion count reaches
-//! `DONE` — the fault-injection knob the e2e recovery tests are built
-//! on.
+//! `drive` and `submit` take the same `COMMAND ::: A... :::+ B...` tail
+//! as `htpar`, expanded by the same [`read_inputs`] (stdin lines when no
+//! `:::` source is given). `drive` records an aggregated joblog with the
+//! agent name in the `Host` column, and honors `--resume` against it.
+//! `--chaos-kill-agent IDX@DONE` SIGKILLs one `--local-cluster` agent
+//! once the global completion count reaches `DONE` — the
+//! fault-injection knob the e2e recovery tests are built on.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -32,7 +36,9 @@ use htpar_net::fleet::AgentStat;
 use htpar_net::frame::Payload;
 use htpar_net::local::LocalCluster;
 use htpar_net::serve::{PilotServer, ServeConfig, ServeOutcome, SERVE_ANNOUNCE_PREFIX};
-use htpar_telemetry::{EventBus, JsonlWriter};
+
+use crate::args::{read_inputs, ArgError, Args, SourceSpec};
+use crate::exec::telemetry_from_env;
 
 pub const AGENT_USAGE: &str = "\
 usage: htpar agent --listen ADDR [--name NAME] [--quiet]
@@ -42,7 +48,7 @@ usage: htpar agent --listen ADDR [--name NAME] [--quiet]
 
 pub const DRIVE_USAGE: &str = "\
 usage: htpar drive (--agents SPEC[,SPEC...] | --local-cluster N) [OPTIONS] \
-COMMAND... [::: ARGS...]
+COMMAND... [::: ARGS...]...
   --agents SPECS         comma-separated agent addresses to dial
   --local-cluster N      spawn N agent subprocesses on this machine
   -j, --jobs-per-agent N job slots per agent (default: 2)
@@ -120,7 +126,7 @@ usage: htpar serve (--agents SPEC[,SPEC...] | --local-cluster N) [OPTIONS]
 One-shot runs are unchanged: `htpar drive` still owns its own fleet.";
 
 pub const SUBMIT_USAGE: &str = "\
-usage: htpar submit --connect ADDR [OPTIONS] COMMAND... [::: ARGS...]
+usage: htpar submit --connect ADDR [OPTIONS] COMMAND... [::: ARGS...]...
   --connect ADDR     pilot address (HOST:PORT or unix:/path)
   --tenant NAME      tenant to submit under (default: default)
   --weight N         fair-share weight (default: 1)
@@ -148,58 +154,36 @@ the work. --reattach applies the same rule, but a task that finished
 while detached keeps its exit code only when the pilot runs with
 --joblog-dir; otherwise it counts as exit 0.";
 
-/// Dispatch a net subcommand. `None` means `argv` is a classic
+/// A subcommand: its name, its usage, and how it parses and runs.
+type Subcommand = (
+    &'static str,
+    &'static str,
+    fn(&[String]) -> Result<i32, ArgError>,
+);
+
+/// Every subcommand `htpar` routes.
+pub const SUBCOMMANDS: [Subcommand; 5] = [
+    ("agent", AGENT_USAGE, |argv| {
+        Ok(run_agent(parse_agent(argv)?))
+    }),
+    ("drive", DRIVE_USAGE, |argv| {
+        Ok(run_drive(parse_drive(argv)?))
+    }),
+    ("dag", DAG_USAGE, |argv| Ok(run_dag(parse_dag(argv)?))),
+    ("serve", SERVE_USAGE, |argv| {
+        Ok(run_serve(parse_serve(argv)?))
+    }),
+    ("submit", SUBMIT_USAGE, |argv| {
+        Ok(run_submit(parse_submit(argv)?))
+    }),
+];
+
+/// Dispatch a subcommand. `None` means `argv` is a classic
 /// `parallel`-style invocation and the caller should fall through.
 pub fn dispatch(argv: &[String]) -> Option<i32> {
-    match argv.first().map(String::as_str) {
-        Some("agent") => Some(run_agent(&argv[1..])),
-        Some("drive") => Some(run_drive(&argv[1..])),
-        Some("dag") => Some(run_dag(&argv[1..])),
-        Some("serve") => Some(run_serve(&argv[1..])),
-        Some("submit") => Some(run_submit(&argv[1..])),
-        _ => None,
-    }
-}
-
-/// `HTPAR_TELEMETRY_JSONL=PATH` attaches a JSONL sink, same contract as
-/// the classic CLI path: agent lifecycle, shard, and frame-byte events
-/// land in the file.
-fn bus_from_env() -> Option<Arc<EventBus>> {
-    let path = std::env::var("HTPAR_TELEMETRY_JSONL").ok()?;
-    match JsonlWriter::create(std::path::Path::new(&path)) {
-        Ok(writer) => {
-            let bus = EventBus::shared();
-            bus.attach(writer);
-            Some(bus)
-        }
-        Err(e) => {
-            eprintln!("htpar: cannot open telemetry file {path}: {e}");
-            None
-        }
-    }
-}
-
-/// The `COMMAND... [::: ARGS...]` tail both `drive` and `submit`
-/// accept, split starting at `argv[i]`: everything up to `:::` joins
-/// into the command template, everything after it is the argument list
-/// (`None` = read stdin lines). One helper so the two grammars cannot
-/// drift.
-fn parse_command_tail(argv: &[String], i: usize) -> (String, Option<Vec<String>>) {
-    let mut j = i;
-    let mut words = Vec::new();
-    while j < argv.len() && argv[j] != ":::" {
-        words.push(argv[j].clone());
-        j += 1;
-    }
-    let values = (j < argv.len()).then(|| argv[j + 1..].to_vec());
-    (words.join(" "), values)
-}
-
-/// The value word after the flag at `argv[i]`.
-fn flag_value(argv: &[String], i: usize, flag: &str) -> Result<String, String> {
-    argv.get(i + 1)
-        .cloned()
-        .ok_or_else(|| format!("{flag} needs a value"))
+    let (word, rest) = argv.split_first()?;
+    let (name, usage, run) = SUBCOMMANDS.iter().find(|(name, ..)| name == word)?;
+    Some(run(rest).unwrap_or_else(|e| e.exit(&format!("htpar {name}"), usage)))
 }
 
 /// Read and build a `--dag` file. `make` carries the `--make` render
@@ -216,46 +200,26 @@ fn load_dag(path: &std::path::Path, make: Option<&str>) -> Result<Dag, String> {
 
 // ---------------------------------------------------------------- agent
 
-fn run_agent(argv: &[String]) -> i32 {
-    let mut listen: Option<String> = None;
-    let mut name: Option<String> = None;
-    let mut announce = true;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--listen" => match argv.get(i + 1) {
-                Some(v) => {
-                    listen = Some(v.clone());
-                    i += 2;
-                }
-                None => return usage_error("agent: --listen needs an address", AGENT_USAGE),
-            },
-            "--name" => match argv.get(i + 1) {
-                Some(v) => {
-                    name = Some(v.clone());
-                    i += 2;
-                }
-                None => return usage_error("agent: --name needs a value", AGENT_USAGE),
-            },
-            "--quiet" => {
-                announce = false;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                println!("{AGENT_USAGE}");
-                return 0;
-            }
-            other => return usage_error(&format!("agent: unknown option {other}"), AGENT_USAGE),
+/// Parse `htpar agent` arguments (everything after the subcommand).
+pub fn parse_agent(argv: &[String]) -> Result<AgentConfig, ArgError> {
+    let mut config = AgentConfig::new("");
+    config.announce = true;
+    let mut args = Args::new(argv);
+    while let Some(flag) = args.flag()? {
+        match flag {
+            "--listen" => config.listen = args.value(flag)?.into(),
+            "--name" => config.name = args.value(flag)?.into(),
+            "--quiet" => config.announce = false,
+            _ => return Err(args.unknown()),
         }
     }
-    let Some(listen) = listen else {
-        return usage_error("agent: --listen is required", AGENT_USAGE);
-    };
-    let mut config = AgentConfig::new(listen);
-    if let Some(name) = name {
-        config.name = name;
+    if config.listen.is_empty() {
+        return Err("--listen is required".into());
     }
-    config.announce = announce;
+    Ok(config)
+}
+
+fn run_agent(config: AgentConfig) -> i32 {
     match agent::serve(&config) {
         Ok(report) => {
             eprintln!(
@@ -300,53 +264,21 @@ impl Default for FleetArgs {
 }
 
 impl FleetArgs {
-    /// Parse the fleet flag at `argv[i]`, if it is one. Returns how many
-    /// words it took; 0 means `argv[i]` is not a fleet flag.
-    fn parse_flag(&mut self, argv: &[String], i: usize) -> Result<usize, String> {
-        match argv[i].as_str() {
+    /// Read `flag` if it is a fleet flag; `false` when it is not one.
+    fn read(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
             "--agents" => {
-                self.agents = flag_value(argv, i, "--agents")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
+                let specs = args.value(flag)?.split(',').filter(|s| !s.is_empty());
+                self.agents = specs.map(str::to_string).collect();
             }
-            "--local-cluster" => {
-                self.local_cluster = flag_value(argv, i, "--local-cluster")?
-                    .parse()
-                    .map_err(|_| "--local-cluster needs a count".to_string())?;
-            }
-            "-j" | "--jobs-per-agent" => {
-                self.jobs_per_agent = flag_value(argv, i, "-j")?
-                    .parse()
-                    .map_err(|_| "-j needs a number".to_string())?;
-            }
-            "--heartbeat-ms" => {
-                self.heartbeat_ms = flag_value(argv, i, "--heartbeat-ms")?
-                    .parse()
-                    .map_err(|_| "--heartbeat-ms needs milliseconds".to_string())?;
-            }
-            "--lease-ms" => {
-                self.lease_window_ms = flag_value(argv, i, "--lease-ms")?
-                    .parse()
-                    .map_err(|_| "--lease-ms needs milliseconds".to_string())?;
-            }
-            "--chaos-kill-agent" => {
-                self.chaos_kill = Some(parse_chaos(&flag_value(argv, i, "--chaos-kill-agent")?)?);
-            }
-            other => {
-                // `-j16` attached form, matching the main CLI grammar.
-                return match other.strip_prefix("-j") {
-                    Some(n) if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) => {
-                        self.jobs_per_agent =
-                            n.parse().map_err(|_| "-j needs a number".to_string())?;
-                        Ok(1)
-                    }
-                    _ => Ok(0),
-                };
-            }
+            "--local-cluster" => self.local_cluster = args.parse(flag)?,
+            "-j" | "--jobs-per-agent" => self.jobs_per_agent = args.parse(flag)?,
+            "--heartbeat-ms" => self.heartbeat_ms = args.parse(flag)?,
+            "--lease-ms" => self.lease_window_ms = args.parse(flag)?,
+            "--chaos-kill-agent" => self.chaos_kill = Some(parse_chaos(args.value(flag)?)?),
+            _ => return Ok(false),
         }
-        Ok(2)
+        Ok(true)
     }
 
     /// Cross-flag checks, once every flag is parsed.
@@ -449,9 +381,8 @@ pub struct DriveSpec {
     /// rendered through the command template.
     pub make: bool,
     pub command: String,
-    /// `::: ARGS` values; `None` means read stdin lines.
-    pub values: Option<Vec<String>>,
-    pub help: bool,
+    /// The `:::` / `:::+` sources; none means read stdin lines.
+    pub sources: Vec<SourceSpec>,
 }
 
 impl Default for DriveSpec {
@@ -464,83 +395,51 @@ impl Default for DriveSpec {
             dag: None,
             make: false,
             command: String::new(),
-            values: None,
-            help: false,
+            sources: Vec::new(),
         }
     }
 }
 
 /// Parse `htpar drive` arguments (everything after the subcommand).
-pub fn parse_drive(argv: &[String]) -> Result<DriveSpec, String> {
+pub fn parse_drive(argv: &[String]) -> Result<DriveSpec, ArgError> {
     let mut spec = DriveSpec::default();
-    let mut i = 0;
-    while i < argv.len() {
-        let taken = spec.fleet.parse_flag(argv, i)?;
-        if taken > 0 {
-            i += taken;
-            continue;
-        }
-        match argv[i].as_str() {
-            "--joblog" => {
-                spec.joblog = Some(PathBuf::from(flag_value(argv, i, "--joblog")?));
-                i += 2;
-            }
-            "--resume" => {
-                spec.resume = true;
-                i += 1;
-            }
-            "--payload" => {
-                spec.payload = parse_payload(&flag_value(argv, i, "--payload")?)?;
-                i += 2;
-            }
-            "--dag" => {
-                spec.dag = Some(PathBuf::from(flag_value(argv, i, "--dag")?));
-                i += 2;
-            }
-            "--make" => {
-                spec.make = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                spec.help = true;
-                return Ok(spec);
-            }
-            other => {
-                // An unrecognized `--flag` before the command is a typo,
-                // not a command word — absorbing it would silently eat
-                // everything after it (e.g. `--joblog`) into the template.
-                if other.starts_with("--") {
-                    return Err(format!("unknown option {other}"));
-                }
+    let mut args = Args::new(argv);
+    while let Some(flag) = args.flag()? {
+        match flag {
+            "--joblog" => spec.joblog = Some(args.value(flag)?.into()),
+            "--resume" => spec.resume = true,
+            "--payload" => spec.payload = parse_payload(args.value(flag)?)?,
+            "--dag" => spec.dag = Some(args.value(flag)?.into()),
+            "--make" => spec.make = true,
+            _ if spec.fleet.read(flag, &mut args)? => {}
+            _ => {
+                spec.command = args.tail(&mut spec.sources)?;
                 break;
             }
         }
     }
-    // Everything from here is the command template, then `::: ARGS`.
-    let (command, values) = parse_command_tail(argv, i);
-    spec.command = command;
-    spec.values = values;
-    if spec.make && spec.dag.is_none() {
-        return Err("--make requires --dag FILE".to_string());
-    }
-    if spec.dag.is_some() {
-        if spec.values.is_some() {
-            return Err("--dag and ::: are mutually exclusive".to_string());
-        }
-        if spec.make && spec.command.is_empty() {
-            return Err("--dag --make needs a command template ({} = target)".to_string());
-        }
-        if !spec.make && !spec.command.is_empty() {
-            return Err(
-                "--dag FILE supplies the commands; drop the command words (or add --make)"
-                    .to_string(),
-            );
-        }
-    } else if spec.command.is_empty() {
-        return Err("a command template is required".to_string());
+    check_dag(spec.dag.is_some(), spec.make, &spec.command, &spec.sources)?;
+    if spec.dag.is_none() && spec.command.is_empty() {
+        return Err("a command template is required".into());
     }
     spec.fleet.validate()?;
     Ok(spec)
+}
+
+/// The `--dag` rules `drive` and `submit` share: `--make` needs `--dag`,
+/// and a `--dag` file supplies the commands (with `--make`, through the
+/// command template) and takes no `:::` source.
+fn check_dag(dag: bool, make: bool, command: &str, sources: &[SourceSpec]) -> Result<(), String> {
+    let msg = match (dag, make) {
+        (false, true) => "--make requires --dag FILE",
+        (true, _) if !sources.is_empty() => "--dag and ::: are mutually exclusive",
+        (true, true) if command.is_empty() => "--dag --make needs a command template ({} = target)",
+        (true, false) if !command.is_empty() => {
+            "--dag FILE supplies the commands; drop the command words (or add --make)"
+        }
+        _ => return Ok(()),
+    };
+    Err(msg.to_string())
 }
 
 /// `shell`, `noop`, or `sleep:MICROS`.
@@ -574,45 +473,29 @@ fn parse_chaos(s: &str) -> Result<(usize, u64), String> {
     Ok((idx, done))
 }
 
-fn run_drive(argv: &[String]) -> i32 {
-    let spec = match parse_drive(argv) {
-        Ok(spec) => spec,
-        Err(msg) => return usage_error(&format!("drive: {msg}"), DRIVE_USAGE),
-    };
-    if spec.help {
-        println!("{DRIVE_USAGE}");
-        return 0;
-    }
+fn run_drive(spec: DriveSpec) -> i32 {
     // `--dag FILE`: the graph supplies the commands; the driver runs
     // the per-node command lines through a bare `{}` template and
     // withholds each task until its dependencies succeed.
     let dag = match &spec.dag {
-        Some(path) => {
-            let make = spec.make.then_some(spec.command.as_str());
-            match load_dag(path, make) {
-                Ok(dag) => Some(dag),
-                Err(msg) => {
-                    eprintln!("htpar drive: {msg}");
-                    return 1;
-                }
+        Some(path) => match load_dag(path, spec.make.then_some(spec.command.as_str())) {
+            Ok(dag) => Some(dag),
+            Err(msg) => {
+                eprintln!("htpar drive: {msg}");
+                return 1;
             }
-        }
+        },
         None => None,
     };
-    let inputs: Vec<Vec<String>> = match (&dag, &spec.values) {
-        (Some(dag), _) => dag.inputs(),
-        (None, Some(values)) => values.iter().map(|v| vec![v.clone()]).collect(),
-        (None, None) => {
-            use std::io::BufRead;
-            let stdin = std::io::stdin();
-            match stdin.lock().lines().collect::<std::io::Result<Vec<_>>>() {
-                Ok(lines) => lines.into_iter().map(|l| vec![l]).collect(),
-                Err(e) => {
-                    eprintln!("htpar drive: reading stdin: {e}");
-                    return 1;
-                }
+    let inputs = match &dag {
+        Some(dag) => dag.inputs(),
+        None => match read_inputs(&spec.sources, None, std::io::stdin().lock()) {
+            Ok(set) => set.into_rows(),
+            Err(e) => {
+                eprintln!("htpar drive: {e}");
+                return 1;
             }
-        }
+        },
     };
     if inputs.is_empty() {
         if spec.dag.is_some() {
@@ -637,7 +520,7 @@ fn run_drive(argv: &[String]) -> i32 {
         config.lease_window_ms = spec.fleet.lease_window_ms;
         config.joblog = spec.joblog.clone();
         config.resume = spec.resume;
-        config.bus = bus_from_env();
+        config.bus = telemetry_from_env();
         match run_driver(&config, &inputs, chaos) {
             Ok(outcome) => {
                 print_summary(&outcome);
@@ -688,7 +571,6 @@ pub struct DagCmdSpec {
     pub make: Option<String>,
     pub shell: bool,
     pub dry_run: bool,
-    pub help: bool,
 }
 
 impl Default for DagCmdSpec {
@@ -701,86 +583,39 @@ impl Default for DagCmdSpec {
             make: None,
             shell: true,
             dry_run: false,
-            help: false,
         }
     }
 }
 
 /// Parse `htpar dag` arguments (everything after the subcommand).
-pub fn parse_dag(argv: &[String]) -> Result<DagCmdSpec, String> {
+pub fn parse_dag(argv: &[String]) -> Result<DagCmdSpec, ArgError> {
     let mut spec = DagCmdSpec::default();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "-j" | "--jobs" => {
-                spec.jobs = Some(
-                    flag_value(argv, i, "-j")?
-                        .parse()
-                        .map_err(|_| "-j needs a number".to_string())?,
-                );
-                i += 2;
+    let mut args = Args::new(argv);
+    while let Some(flag) = args.flag()? {
+        match flag {
+            "-j" | "--jobs" => spec.jobs = Some(args.parse(flag)?),
+            "--joblog" => spec.joblog = Some(args.value(flag)?.into()),
+            "--resume" => spec.resume = true,
+            "--make" => spec.make = Some(args.value(flag)?.into()),
+            "--no-shell" => spec.shell = false,
+            "--dry-run" => spec.dry_run = true,
+            _ if flag.starts_with('-') && flag.len() > 1 => return Err(args.unknown()),
+            _ if spec.file.is_some() => {
+                return Err(format!("unexpected extra argument {flag:?}").into())
             }
-            "--joblog" => {
-                spec.joblog = Some(PathBuf::from(flag_value(argv, i, "--joblog")?));
-                i += 2;
-            }
-            "--resume" => {
-                spec.resume = true;
-                i += 1;
-            }
-            "--make" => {
-                spec.make = Some(flag_value(argv, i, "--make")?);
-                i += 2;
-            }
-            "--no-shell" => {
-                spec.shell = false;
-                i += 1;
-            }
-            "--dry-run" => {
-                spec.dry_run = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                spec.help = true;
-                return Ok(spec);
-            }
-            other => {
-                if let Some(n) = other.strip_prefix("-j") {
-                    if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) {
-                        spec.jobs = Some(n.parse().map_err(|_| "-j needs a number".to_string())?);
-                        i += 1;
-                        continue;
-                    }
-                }
-                if other.starts_with('-') && other.len() > 1 {
-                    return Err(format!("unknown option {other}"));
-                }
-                if spec.file.is_some() {
-                    return Err(format!("unexpected extra argument {other:?}"));
-                }
-                spec.file = Some(PathBuf::from(other));
-                i += 1;
-            }
+            _ => spec.file = Some(flag.into()),
         }
     }
     if spec.file.is_none() {
-        return Err("a DAG file is required".to_string());
+        return Err("a DAG file is required".into());
     }
     if spec.resume && spec.joblog.is_none() {
-        return Err("--resume requires --joblog".to_string());
+        return Err("--resume requires --joblog".into());
     }
     Ok(spec)
 }
 
-fn run_dag(argv: &[String]) -> i32 {
-    let spec = match parse_dag(argv) {
-        Ok(spec) => spec,
-        Err(msg) => return usage_error(&format!("dag: {msg}"), DAG_USAGE),
-    };
-    if spec.help {
-        println!("{DAG_USAGE}");
-        return 0;
-    }
+fn run_dag(spec: DagCmdSpec) -> i32 {
     let file = spec.file.as_ref().expect("validated by parse_dag");
     let dag = match load_dag(file, spec.make.as_deref()) {
         Ok(dag) => dag,
@@ -815,7 +650,7 @@ fn run_dag(argv: &[String]) -> i32 {
     let runner = DagRunner {
         options,
         executor,
-        bus: bus_from_env(),
+        bus: telemetry_from_env(),
     };
     let started = std::time::Instant::now();
     match runner.run(&dag) {
@@ -890,7 +725,6 @@ pub struct ServeSpec {
     pub journal_compact_every: u64,
     pub max_sessions: Option<u64>,
     pub announce: bool,
-    pub help: bool,
 }
 
 impl Default for ServeSpec {
@@ -906,91 +740,39 @@ impl Default for ServeSpec {
             journal_compact_every: 64,
             max_sessions: None,
             announce: true,
-            help: false,
         }
     }
 }
 
 /// Parse `htpar serve` arguments (everything after the subcommand).
-pub fn parse_serve(argv: &[String]) -> Result<ServeSpec, String> {
+pub fn parse_serve(argv: &[String]) -> Result<ServeSpec, ArgError> {
     let mut spec = ServeSpec::default();
-    let mut i = 0;
-    while i < argv.len() {
-        let taken = spec.fleet.parse_flag(argv, i)?;
-        if taken > 0 {
-            i += taken;
-            continue;
-        }
-        match argv[i].as_str() {
-            "--listen" => {
-                spec.listen = flag_value(argv, i, "--listen")?;
-                i += 2;
-            }
+    let mut args = Args::new(argv);
+    while let Some(flag) = args.flag()? {
+        match flag {
+            "--listen" => spec.listen = args.value(flag)?.into(),
             "--scheduler" => {
-                let v = flag_value(argv, i, "--scheduler")?;
-                spec.policy = SchedPolicy::parse(&v).ok_or_else(|| {
+                let v = args.value(flag)?;
+                spec.policy = SchedPolicy::parse(v).ok_or_else(|| {
                     format!("unknown scheduler {v:?} (want fifo, fair, or priority)")
                 })?;
-                i += 2;
             }
-            "--max-queue" => {
-                spec.max_queue = flag_value(argv, i, "--max-queue")?
-                    .parse()
-                    .map_err(|_| "--max-queue needs a count".to_string())?;
-                i += 2;
-            }
-            "--joblog-dir" => {
-                spec.joblog_dir = Some(PathBuf::from(flag_value(argv, i, "--joblog-dir")?));
-                i += 2;
-            }
-            "--state-dir" => {
-                spec.state_dir = Some(PathBuf::from(flag_value(argv, i, "--state-dir")?));
-                i += 2;
-            }
-            "--detach-ttl" => {
-                spec.detach_ttl = flag_value(argv, i, "--detach-ttl")?
-                    .parse()
-                    .map_err(|_| "--detach-ttl needs seconds".to_string())?;
-                i += 2;
-            }
-            "--journal-compact" => {
-                spec.journal_compact_every = flag_value(argv, i, "--journal-compact")?
-                    .parse()
-                    .map_err(|_| "--journal-compact needs a count".to_string())?;
-                i += 2;
-            }
-            "--max-sessions" => {
-                spec.max_sessions = Some(
-                    flag_value(argv, i, "--max-sessions")?
-                        .parse()
-                        .map_err(|_| "--max-sessions needs a count".to_string())?,
-                );
-                i += 2;
-            }
-            "--quiet" => {
-                spec.announce = false;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                spec.help = true;
-                return Ok(spec);
-            }
-            other => return Err(format!("unknown option {other}")),
+            "--max-queue" => spec.max_queue = args.parse(flag)?,
+            "--joblog-dir" => spec.joblog_dir = Some(args.value(flag)?.into()),
+            "--state-dir" => spec.state_dir = Some(args.value(flag)?.into()),
+            "--detach-ttl" => spec.detach_ttl = args.parse(flag)?,
+            "--journal-compact" => spec.journal_compact_every = args.parse(flag)?,
+            "--max-sessions" => spec.max_sessions = Some(args.parse(flag)?),
+            "--quiet" => spec.announce = false,
+            _ if spec.fleet.read(flag, &mut args)? => {}
+            _ => return Err(args.unknown()),
         }
     }
     spec.fleet.validate()?;
     Ok(spec)
 }
 
-fn run_serve(argv: &[String]) -> i32 {
-    let spec = match parse_serve(argv) {
-        Ok(spec) => spec,
-        Err(msg) => return usage_error(&format!("serve: {msg}"), SERVE_USAGE),
-    };
-    if spec.help {
-        println!("{SERVE_USAGE}");
-        return 0;
-    }
+fn run_serve(spec: ServeSpec) -> i32 {
     spec.fleet.run("serve", |agents, chaos| {
         let mut config = ServeConfig::new(agents, spec.listen.clone());
         config.jobs_per_agent = spec.fleet.jobs_per_agent;
@@ -1007,7 +789,7 @@ fn run_serve(argv: &[String]) -> i32 {
         config.max_sessions = spec.max_sessions;
         config.heartbeat_ms = spec.fleet.heartbeat_ms;
         config.lease_window_ms = spec.fleet.lease_window_ms;
-        config.bus = bus_from_env();
+        config.bus = telemetry_from_env();
 
         let server = match PilotServer::bind(config) {
             Ok(server) => server,
@@ -1081,8 +863,8 @@ pub struct SubmitSpec {
     /// rendered through the command template.
     pub make: bool,
     pub command: String,
-    pub values: Option<Vec<String>>,
-    pub help: bool,
+    /// The `:::` / `:::+` sources; none means read stdin lines.
+    pub sources: Vec<SourceSpec>,
 }
 
 impl Default for SubmitSpec {
@@ -1100,129 +882,55 @@ impl Default for SubmitSpec {
             dag: None,
             make: false,
             command: String::new(),
-            values: None,
-            help: false,
+            sources: Vec::new(),
         }
     }
 }
 
 /// Parse `htpar submit` arguments (everything after the subcommand).
-pub fn parse_submit(argv: &[String]) -> Result<SubmitSpec, String> {
+pub fn parse_submit(argv: &[String]) -> Result<SubmitSpec, ArgError> {
     let mut spec = SubmitSpec::default();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--connect" => {
-                spec.connect = flag_value(argv, i, "--connect")?;
-                i += 2;
-            }
-            "--tenant" => {
-                spec.tenant = flag_value(argv, i, "--tenant")?;
-                i += 2;
-            }
-            "--weight" => {
-                spec.weight = flag_value(argv, i, "--weight")?
-                    .parse()
-                    .map_err(|_| "--weight needs a number".to_string())?;
-                i += 2;
-            }
-            "--priority" => {
-                spec.priority = flag_value(argv, i, "--priority")?
-                    .parse()
-                    .map_err(|_| "--priority needs a number".to_string())?;
-                i += 2;
-            }
-            "--payload" => {
-                spec.payload = parse_payload(&flag_value(argv, i, "--payload")?)?;
-                i += 2;
-            }
-            "--batch" => {
-                spec.batch = flag_value(argv, i, "--batch")?
-                    .parse()
-                    .map_err(|_| "--batch needs a count".to_string())?;
-                i += 2;
-            }
-            "--retry-max" => {
-                spec.retry_max = flag_value(argv, i, "--retry-max")?
-                    .parse()
-                    .map_err(|_| "--retry-max needs a count".to_string())?;
-                i += 2;
-            }
-            "--detach" => {
-                spec.detach = Some(
-                    flag_value(argv, i, "--detach")?
-                        .parse()
-                        .map_err(|_| "--detach needs a numeric key".to_string())?,
-                );
-                i += 2;
-            }
-            "--reattach" => {
-                spec.reattach = Some(
-                    flag_value(argv, i, "--reattach")?
-                        .parse()
-                        .map_err(|_| "--reattach needs a numeric key".to_string())?,
-                );
-                i += 2;
-            }
-            "--dag" => {
-                spec.dag = Some(PathBuf::from(flag_value(argv, i, "--dag")?));
-                i += 2;
-            }
-            "--make" => {
-                spec.make = true;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                spec.help = true;
-                return Ok(spec);
-            }
-            other => {
-                if other.starts_with("--") {
-                    return Err(format!("unknown option {other}"));
-                }
+    let mut args = Args::new(argv);
+    while let Some(flag) = args.flag()? {
+        match flag {
+            "--connect" => spec.connect = args.value(flag)?.into(),
+            "--tenant" => spec.tenant = args.value(flag)?.into(),
+            "--weight" => spec.weight = args.parse(flag)?,
+            "--priority" => spec.priority = args.parse(flag)?,
+            "--payload" => spec.payload = parse_payload(args.value(flag)?)?,
+            "--batch" => spec.batch = args.parse(flag)?,
+            "--retry-max" => spec.retry_max = args.parse(flag)?,
+            "--detach" => spec.detach = Some(args.parse(flag)?),
+            "--reattach" => spec.reattach = Some(args.parse(flag)?),
+            "--dag" => spec.dag = Some(args.value(flag)?.into()),
+            "--make" => spec.make = true,
+            _ => {
+                spec.command = args.tail(&mut spec.sources)?;
                 break;
             }
         }
     }
-    let (command, values) = parse_command_tail(argv, i);
-    spec.command = command;
-    spec.values = values;
     if spec.detach.is_some() && spec.reattach.is_some() {
-        return Err("--detach and --reattach are mutually exclusive".to_string());
+        return Err("--detach and --reattach are mutually exclusive".into());
     }
-    if spec.make && spec.dag.is_none() {
-        return Err("--make requires --dag FILE".to_string());
+    if spec.dag.is_some() && (spec.detach.is_some() || spec.reattach.is_some()) {
+        // The client *is* the scheduler for a DAG session; there is
+        // nothing to hand to the pilot while detached.
+        return Err("--dag needs a live session; it cannot --detach or --reattach".into());
     }
-    if spec.dag.is_some() {
-        if spec.detach.is_some() || spec.reattach.is_some() {
-            // The client *is* the scheduler for a DAG session; there is
-            // nothing to hand to the pilot while detached.
-            return Err("--dag needs a live session; it cannot --detach or --reattach".to_string());
+    check_dag(spec.dag.is_some(), spec.make, &spec.command, &spec.sources)?;
+    if spec.reattach.is_some() {
+        if !spec.command.is_empty() || !spec.sources.is_empty() {
+            return Err("--reattach collects results; it takes no command or args".into());
         }
-        if spec.values.is_some() {
-            return Err("--dag and ::: are mutually exclusive".to_string());
-        }
-        if spec.make && spec.command.is_empty() {
-            return Err("--dag --make needs a command template ({} = target)".to_string());
-        }
-        if !spec.make && !spec.command.is_empty() {
-            return Err(
-                "--dag FILE supplies the commands; drop the command words (or add --make)"
-                    .to_string(),
-            );
-        }
-    } else if spec.reattach.is_some() {
-        if !spec.command.is_empty() || spec.values.is_some() {
-            return Err("--reattach collects results; it takes no command or args".to_string());
-        }
-    } else if spec.command.is_empty() {
-        return Err("a command template is required".to_string());
+    } else if spec.dag.is_none() && spec.command.is_empty() {
+        return Err("a command template is required".into());
     }
     if spec.connect.is_empty() {
-        return Err("--connect is required".to_string());
+        return Err("--connect is required".into());
     }
     if spec.batch == 0 {
-        return Err("--batch must be at least 1".to_string());
+        return Err("--batch must be at least 1".into());
     }
     Ok(spec)
 }
@@ -1268,15 +976,18 @@ fn submit_with_backoff(
     }
 }
 
-fn run_submit(argv: &[String]) -> i32 {
-    let spec = match parse_submit(argv) {
-        Ok(spec) => spec,
-        Err(msg) => return usage_error(&format!("submit: {msg}"), SUBMIT_USAGE),
-    };
-    if spec.help {
-        println!("{SUBMIT_USAGE}");
-        return 0;
-    }
+/// Open a session on the pilot for `spec`, rendering `command`.
+fn connect(spec: &SubmitSpec, command: &str) -> Option<SessionClient> {
+    let mut config = SessionConfig::new(spec.connect.clone(), spec.tenant.clone());
+    config.weight = spec.weight;
+    config.priority = spec.priority;
+    config.payload = spec.payload;
+    config.command = command.to_string();
+    let client = SessionClient::connect(config);
+    client.map_err(|e| eprintln!("htpar submit: {e}")).ok()
+}
+
+fn run_submit(spec: SubmitSpec) -> i32 {
     if let Some(key) = spec.reattach {
         return run_reattach(&spec, key);
     }
@@ -1291,36 +1002,19 @@ fn run_submit(argv: &[String]) -> i32 {
         };
         return run_submit_dag(&spec, &dag);
     }
-    let inputs: Vec<Vec<String>> = match &spec.values {
-        Some(values) => values.iter().map(|v| vec![v.clone()]).collect(),
-        None => {
-            use std::io::BufRead;
-            let stdin = std::io::stdin();
-            match stdin.lock().lines().collect::<std::io::Result<Vec<_>>>() {
-                Ok(lines) => lines.into_iter().map(|l| vec![l]).collect(),
-                Err(e) => {
-                    eprintln!("htpar submit: reading stdin: {e}");
-                    return 1;
-                }
-            }
+    let inputs = match read_inputs(&spec.sources, None, std::io::stdin().lock()) {
+        Ok(set) => set.into_rows(),
+        Err(e) => {
+            eprintln!("htpar submit: {e}");
+            return 1;
         }
     };
     if inputs.is_empty() {
         eprintln!("htpar submit: no input arguments");
         return 1;
     }
-
-    let mut config = SessionConfig::new(spec.connect.clone(), spec.tenant.clone());
-    config.weight = spec.weight;
-    config.priority = spec.priority;
-    config.payload = spec.payload;
-    config.command = spec.command.clone();
-    let mut client = match SessionClient::connect(config) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("htpar submit: {e}");
-            return 1;
-        }
+    let Some(mut client) = connect(&spec, &spec.command) else {
+        return 1;
     };
     let started = std::time::Instant::now();
     for batch in inputs.chunks(spec.batch) {
@@ -1371,17 +1065,8 @@ fn run_submit(argv: &[String]) -> i32 {
 /// are assigned in submission order, so `node_for[s - 1]` maps a
 /// session seq back to the DAG node it carried.
 fn run_submit_dag(spec: &SubmitSpec, dag: &Dag) -> i32 {
-    let mut config = SessionConfig::new(spec.connect.clone(), spec.tenant.clone());
-    config.weight = spec.weight;
-    config.priority = spec.priority;
-    config.payload = spec.payload;
-    config.command = "{}".to_string();
-    let mut client = match SessionClient::connect(config) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("htpar submit: {e}");
-            return 1;
-        }
+    let Some(mut client) = connect(spec, "{}") else {
+        return 1;
     };
     let started = std::time::Instant::now();
     let mut ready = ReadySet::new(dag);
@@ -1495,12 +1180,6 @@ fn run_reattach(spec: &SubmitSpec, key: u64) -> i32 {
     }
 }
 
-fn usage_error(msg: &str, usage: &str) -> i32 {
-    eprintln!("htpar: {msg}");
-    eprintln!("{usage}");
-    255
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1524,8 +1203,12 @@ mod tests {
         assert_eq!(spec.fleet.chaos_kill, Some((2, 500)));
         assert_eq!(spec.command, "task {}");
         assert_eq!(
-            spec.values,
-            Some(vec!["a".to_string(), "b".to_string(), "c".to_string()])
+            spec.sources,
+            vec![SourceSpec::Values(vec![
+                "a".to_string(),
+                "b".to_string(),
+                "c".to_string()
+            ])]
         );
     }
 
@@ -1535,7 +1218,9 @@ mod tests {
         assert_eq!(spec.fleet.jobs_per_agent, 16);
         assert_eq!(spec.joblog, Some(PathBuf::from("run.log")));
         assert_eq!(spec.command, "task {}");
-        let err = parse_drive(&argv("--local-cluster 2 --jobslog run.log task {}")).unwrap_err();
+        let err = parse_drive(&argv("--local-cluster 2 --jobslog run.log task {}"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown option --jobslog"), "{err}");
     }
 
@@ -1543,7 +1228,7 @@ mod tests {
     fn drive_agents_list_splits_on_commas() {
         let spec = parse_drive(&argv("--agents n1:4511,n2:4511 task {}")).unwrap();
         assert_eq!(spec.fleet.agents, vec!["n1:4511", "n2:4511"]);
-        assert_eq!(spec.values, None, "stdin is the input source");
+        assert_eq!(spec.sources, vec![], "stdin is the input source");
     }
 
     #[test]
@@ -1612,9 +1297,13 @@ mod tests {
         );
         assert!(parse_serve(&argv("--agents a --chaos-kill-agent 0@5")).is_err());
         assert!(parse_serve(&argv("--local-cluster 2 --chaos-kill-agent 2@5")).is_err());
-        let err = parse_serve(&argv("--local-cluster 2 --scheduler lifo")).unwrap_err();
+        let err = parse_serve(&argv("--local-cluster 2 --scheduler lifo"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown scheduler"), "{err}");
-        let err = parse_serve(&argv("--local-cluster 2 extra")).unwrap_err();
+        let err = parse_serve(&argv("--local-cluster 2 extra"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown option"), "{err}");
     }
 
@@ -1632,21 +1321,26 @@ mod tests {
         assert_eq!(spec.payload, Payload::SleepUs(100));
         assert_eq!(spec.batch, 50);
         assert_eq!(spec.command, "task {}");
-        assert_eq!(spec.values, Some(vec!["a".to_string(), "b".to_string()]));
+        assert_eq!(
+            spec.sources,
+            vec![SourceSpec::Values(vec!["a".to_string(), "b".to_string()])]
+        );
     }
 
     #[test]
     fn submit_requires_connect_and_command() {
         let spec = parse_submit(&argv("--connect unix:/tmp/p.sock task {}")).unwrap();
         assert_eq!(spec.tenant, "default");
-        assert_eq!(spec.values, None, "stdin is the input source");
+        assert_eq!(spec.sources, vec![], "stdin is the input source");
         assert!(parse_submit(&argv("task {}")).is_err(), "connect required");
         assert!(
             parse_submit(&argv("--connect a:1")).is_err(),
             "command required"
         );
         assert!(parse_submit(&argv("--connect a:1 --batch 0 task {}")).is_err());
-        let err = parse_submit(&argv("--connect a:1 --wieght 2 task {}")).unwrap_err();
+        let err = parse_submit(&argv("--connect a:1 --wieght 2 task {}"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown option --wieght"), "{err}");
     }
 
@@ -1661,9 +1355,13 @@ mod tests {
         assert!(spec.command.is_empty(), "reattach takes no command");
         let spec = parse_submit(&argv("--connect a:1 task {}")).unwrap();
         assert_eq!(spec.retry_max, 10, "default backpressure retry cap");
-        let err = parse_submit(&argv("--connect a:1 --detach 1 --reattach 2 task {}")).unwrap_err();
+        let err = parse_submit(&argv("--connect a:1 --detach 1 --reattach 2 task {}"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("mutually exclusive"), "{err}");
-        let err = parse_submit(&argv("--connect a:1 --reattach 2 task {}")).unwrap_err();
+        let err = parse_submit(&argv("--connect a:1 --reattach 2 task {}"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("no command"), "{err}");
         assert!(parse_submit(&argv("--connect a:1 --detach soon task {}")).is_err());
         assert!(parse_submit(&argv("--connect a:1 --retry-max many task {}")).is_err());
@@ -1691,10 +1389,12 @@ mod tests {
             let err = parse_drive(&argv(&format!(
                 "--local-cluster 2 --net-core {core} task {{}}"
             )))
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
             assert!(err.contains("unknown option --net-core"), "{err}");
-            let err =
-                parse_serve(&argv(&format!("--local-cluster 2 --net-core {core}"))).unwrap_err();
+            let err = parse_serve(&argv(&format!("--local-cluster 2 --net-core {core}")))
+                .unwrap_err()
+                .to_string();
             assert!(err.contains("unknown option --net-core"), "{err}");
         }
     }
@@ -1710,20 +1410,26 @@ mod tests {
 
     #[test]
     fn command_tail_is_shared_between_drive_and_submit() {
-        // The same tail must parse identically through both grammars.
-        for tail in ["task {} ::: a b c", "task {}", "wc -l {} ::: x"] {
+        // The same tail must parse identically through all three grammars.
+        for tail in [
+            "task {} ::: a b c",
+            "task {}",
+            "wc -l {} ::: x",
+            "run {1} {2} ::: a b :::+ 1 2 ::: x",
+        ] {
             let d = parse_drive(&argv(&format!("--local-cluster 1 {tail}"))).unwrap();
             let s = parse_submit(&argv(&format!("--connect a:1 {tail}"))).unwrap();
+            let c = crate::args::parse_args(&argv(tail)).unwrap();
             assert_eq!(d.command, s.command, "{tail}");
-            assert_eq!(d.values, s.values, "{tail}");
+            assert_eq!(d.sources, s.sources, "{tail}");
+            assert_eq!((&d.command, &d.sources), (&c.command, &c.sources), "{tail}");
         }
         // `:::` with no values is an empty (not absent) source.
-        let (cmd, values) = parse_command_tail(&argv("task {} :::"), 0);
-        assert_eq!(cmd, "task {}");
-        assert_eq!(values, Some(vec![]));
-        let (cmd, values) = parse_command_tail(&argv(""), 0);
-        assert!(cmd.is_empty());
-        assert_eq!(values, None);
+        let d = parse_drive(&argv("--local-cluster 1 task {} :::")).unwrap();
+        assert_eq!(d.command, "task {}");
+        assert_eq!(d.sources, vec![SourceSpec::Values(vec![])]);
+        let d = parse_drive(&argv("--local-cluster 1 task {}")).unwrap();
+        assert!(d.sources.is_empty());
     }
 
     #[test]
@@ -1735,13 +1441,21 @@ mod tests {
         let spec = parse_drive(&argv("--local-cluster 2 --dag deps.mk --make render {}")).unwrap();
         assert!(spec.make);
         assert_eq!(spec.command, "render {}");
-        let err = parse_drive(&argv("--local-cluster 2 --dag g.dag task {}")).unwrap_err();
+        let err = parse_drive(&argv("--local-cluster 2 --dag g.dag task {}"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("supplies the commands"), "{err}");
-        let err = parse_drive(&argv("--local-cluster 2 --dag g.dag ::: a b")).unwrap_err();
+        let err = parse_drive(&argv("--local-cluster 2 --dag g.dag ::: a b"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("mutually exclusive"), "{err}");
-        let err = parse_drive(&argv("--local-cluster 2 --dag deps.mk --make")).unwrap_err();
+        let err = parse_drive(&argv("--local-cluster 2 --dag deps.mk --make"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("command template"), "{err}");
-        let err = parse_drive(&argv("--local-cluster 2 --make task {}")).unwrap_err();
+        let err = parse_drive(&argv("--local-cluster 2 --make task {}"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("requires --dag"), "{err}");
     }
 
@@ -1753,13 +1467,21 @@ mod tests {
         let spec = parse_submit(&argv("--connect a:1 --dag deps.mk --make render {}")).unwrap();
         assert!(spec.make);
         assert_eq!(spec.command, "render {}");
-        let err = parse_submit(&argv("--connect a:1 --dag g.dag task {}")).unwrap_err();
+        let err = parse_submit(&argv("--connect a:1 --dag g.dag task {}"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("supplies the commands"), "{err}");
-        let err = parse_submit(&argv("--connect a:1 --dag g.dag --detach 7")).unwrap_err();
+        let err = parse_submit(&argv("--connect a:1 --dag g.dag --detach 7"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("live session"), "{err}");
-        let err = parse_submit(&argv("--connect a:1 --dag g.dag --reattach 7")).unwrap_err();
+        let err = parse_submit(&argv("--connect a:1 --dag g.dag --reattach 7"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("live session"), "{err}");
-        let err = parse_submit(&argv("--connect a:1 --make task {}")).unwrap_err();
+        let err = parse_submit(&argv("--connect a:1 --make task {}"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("requires --dag"), "{err}");
     }
 
@@ -1783,7 +1505,9 @@ mod tests {
             parse_dag(&argv("a.dag --resume")).is_err(),
             "resume needs a joblog"
         );
-        let err = parse_dag(&argv("a.dag --jobslog x")).unwrap_err();
+        let err = parse_dag(&argv("a.dag --jobslog x"))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown option"), "{err}");
     }
 
@@ -1791,5 +1515,187 @@ mod tests {
     fn dispatch_ignores_classic_invocations() {
         assert_eq!(dispatch(&argv("-j8 echo {} ::: 1 2")), None);
         assert_eq!(dispatch(&[]), None);
+    }
+
+    #[test]
+    fn usage_names_every_subcommand() {
+        for (name, ..) in SUBCOMMANDS {
+            let line = format!("\n  htpar {name} ");
+            assert!(
+                crate::args::USAGE.contains(&line),
+                "htpar --help omits {name}"
+            );
+        }
+    }
+
+    /// The flags a usage text lists: the leading `-x` / `--xyz` words of
+    /// each indented line.
+    fn listed_flags(usage: &str) -> Vec<&str> {
+        let lines = usage.lines().filter(|line| line.starts_with(' '));
+        let words =
+            lines.flat_map(|line| line.split_whitespace().take_while(|w| w.starts_with('-')));
+        words
+            .map(|w| w.trim_end_matches(',').split('[').next().unwrap())
+            .collect()
+    }
+
+    /// Every case parses, and every flag `usage` lists is in some case.
+    fn parses_every_listed_flag(
+        usage: &str,
+        parse: impl Fn(&[String]) -> Result<(), ArgError>,
+        cases: &[&str],
+    ) {
+        for case in cases {
+            let parsed = parse(&argv(case));
+            assert!(
+                matches!(parsed, Ok(()) | Err(ArgError::Help)),
+                "{case}: {parsed:?}"
+            );
+        }
+        for flag in listed_flags(usage) {
+            let covered = cases
+                .iter()
+                .any(|c| c.split_whitespace().any(|w| w == flag));
+            assert!(covered, "{flag} is listed but no case parses it");
+        }
+    }
+
+    #[test]
+    fn every_flag_each_usage_lists_parses() {
+        use crate::args::{parse_args, USAGE};
+        parses_every_listed_flag(
+            USAGE,
+            |a| parse_args(a).map(drop),
+            &[
+                "-j 4 c {}",
+                "--jobs 4 c",
+                "-j4 c",
+                "-k c",
+                "--keep-order c",
+                "--tag c",
+                "--dry-run c",
+                "--retries 2 c",
+                "--retry-delay 1s c",
+                "--memfree 1G c",
+                "--timeout 30s c",
+                "--delay 10ms c",
+                "--halt now,fail=1 c",
+                "--joblog f c",
+                "--resume c",
+                "--resume-failed c",
+                "--results d c",
+                "-a f c",
+                "--arg-file f c",
+                "--colsep , c",
+                "--shuf c",
+                "--shuf=7 c",
+                "-X c",
+                "-m c",
+                "-n 2 c",
+                "--max-args 2 c",
+                "-s 99 c",
+                "--max-chars 99 c",
+                "-I X c",
+                "--pipe c",
+                "--block 1M c",
+                "--no-shell c",
+                "-S 1/h c",
+                "--sshlogin 1/h c",
+                "--ssh-cmd ssh c",
+                "--tagstring {} c",
+                "--line-buffer c",
+                "--progress c",
+                "--fault-rate 0.5 c",
+                "--fault-seed 3 c",
+                "--help",
+                "--version",
+            ],
+        );
+        parses_every_listed_flag(
+            AGENT_USAGE,
+            |a| parse_agent(a).map(drop),
+            &["--listen 127.0.0.1:0 --name n --quiet", "--help", "-h"],
+        );
+        parses_every_listed_flag(
+            DRIVE_USAGE,
+            |a| parse_drive(a).map(drop),
+            &[
+                "--agents a:1,b:2 c",
+                "--local-cluster 2 -j 4 c",
+                "--local-cluster 2 -j4 c",
+                "--local-cluster 2 --jobs-per-agent 4 c",
+                "--local-cluster 2 --joblog f c",
+                "--local-cluster 2 --resume c",
+                "--local-cluster 2 --heartbeat-ms 9 c",
+                "--local-cluster 2 --lease-ms 99 c",
+                "--local-cluster 2 --payload noop c",
+                "--local-cluster 2 --chaos-kill-agent 1@5 c",
+                "--local-cluster 2 --dag g",
+                "--local-cluster 2 --dag g --make c {}",
+                "--help",
+                "-h",
+            ],
+        );
+        parses_every_listed_flag(
+            DAG_USAGE,
+            |a| parse_dag(a).map(drop),
+            &[
+                "g -j 4",
+                "g -j4",
+                "g --jobs 4",
+                "g --joblog f --resume",
+                "g --make c_{}",
+                "g --no-shell",
+                "g --dry-run",
+                "--help",
+                "-h",
+            ],
+        );
+        parses_every_listed_flag(
+            SERVE_USAGE,
+            |a| parse_serve(a).map(drop),
+            &[
+                "--agents a:1 --listen unix:/s",
+                "--local-cluster 2 -j 4",
+                "--local-cluster 2 -j4",
+                "--local-cluster 2 --jobs-per-agent 4",
+                "--local-cluster 2 --scheduler fifo",
+                "--local-cluster 2 --max-queue 9",
+                "--local-cluster 2 --joblog-dir d",
+                "--local-cluster 2 --state-dir d",
+                "--local-cluster 2 --detach-ttl 0",
+                "--local-cluster 2 --journal-compact 8",
+                "--local-cluster 2 --max-sessions 1",
+                "--local-cluster 2 --heartbeat-ms 9",
+                "--local-cluster 2 --lease-ms 99",
+                "--local-cluster 2 --chaos-kill-agent 1@5",
+                "--local-cluster 2 --quiet",
+                "--help",
+                "-h",
+            ],
+        );
+        parses_every_listed_flag(
+            SUBMIT_USAGE,
+            |a| parse_submit(a).map(drop),
+            &[
+                "--connect a:1 --tenant t --weight 2 --priority 1 c",
+                "--connect a:1 --payload sleep:9 --batch 9 --retry-max 3 c",
+                "--connect a:1 --detach 7 c",
+                "--connect a:1 --reattach 7",
+                "--connect a:1 --dag g",
+                "--connect a:1 --dag g --make c {}",
+                "--help",
+                "-h",
+            ],
+        );
+    }
+
+    /// `-h` asks a subcommand for its usage; to `htpar` itself it is a
+    /// command word.
+    #[test]
+    fn short_help_is_a_subcommand_flag() {
+        assert_eq!(parse_serve(&argv("-h")), Err(ArgError::Help));
+        let spec = crate::args::parse_args(&argv("-h x")).unwrap();
+        assert_eq!(spec.command, "-h x");
     }
 }

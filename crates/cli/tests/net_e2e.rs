@@ -4,7 +4,8 @@
 //! for the network subsystem: completion must be exactly-once in the
 //! aggregated joblog even when an agent is killed mid-run, and
 //! `--resume` after the *driver* is killed must run exactly the
-//! unlogged seqs.
+//! unlogged seqs. `drive` must also expand its `:::` sources into the
+//! commands `htpar --dry-run` prints for the same line.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -74,6 +75,54 @@ fn summary(stderr: &str) -> (u64, u64, u64) {
         }
     }
     panic!("no drive summary in stderr:\n{stderr}");
+}
+
+/// The commands `htpar --dry-run -k` prints for `line`, in input order.
+fn dry_run(line: &[String]) -> Vec<String> {
+    let out = htpar()
+        .args(["--dry-run", "-k"])
+        .args(line)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run htpar --dry-run");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 commands");
+    stdout.lines().map(str::to_string).collect()
+}
+
+/// The joblog's Command column in seq order.
+fn logged_commands(log: &Path) -> Vec<String> {
+    let mut entries = joblog::read_log(log).expect("readable joblog");
+    entries.sort_by_key(|e| e.seq);
+    entries.into_iter().map(|e| e.command).collect()
+}
+
+fn words(line: &[&str]) -> Vec<String> {
+    line.iter().map(|w| w.to_string()).collect()
+}
+
+/// `drive` reads the classic tail: the paper's §IV-B Darshan line,
+/// `::: {1..12} ::: {0..2}`, is the 36 commands `htpar --dry-run`
+/// prints, and `:::+` links its values to the source before it.
+#[test]
+fn drive_expands_sources_like_htpar() {
+    let mut darshan = words(&["python3 ./darshan_arch.py {1} {2}", ":::"]);
+    darshan.extend((1..=12).map(|month| month.to_string()));
+    darshan.extend(words(&[":::", "0", "1", "2"]));
+    let linked = words(&["echo {1} {2}", ":::", "a", "b", ":::+", "1", "2"]);
+    for (tag, line, tasks) in [("darshan", darshan, 36), ("linked", linked, 2)] {
+        let log = temp_path(&format!("tail-{tag}.joblog"));
+        let _ = std::fs::remove_file(&log);
+        let mut args = vec!["--local-cluster", "2", "--payload", "noop", "--joblog"];
+        args.push(log.to_str().unwrap());
+        args.extend(line.iter().map(String::as_str));
+        let (stderr, code) = drive(&args, "");
+        assert_eq!(code, 0, "drive failed:\n{stderr}");
+        let expected = dry_run(&line);
+        assert_eq!(expected.len(), tasks, "{expected:?}");
+        assert_eq!(logged_commands(&log), expected, "{tag}");
+        let _ = std::fs::remove_file(&log);
+    }
 }
 
 fn assert_exactly_once(log: &Path, total: u64) {

@@ -7,7 +7,8 @@
 //! joblogs), the dead session's work must be released rather than leak
 //! slots (final occupancy telemetry reads zero busy), and the pilot
 //! must exit cleanly. The other tests hold a long-lived agent's memory
-//! flat across sessions and check `htpar submit`'s exit status.
+//! flat across sessions, check `htpar submit`'s exit status, and check
+//! that `submit` expands its `:::` sources as `htpar` does.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -341,5 +342,72 @@ fn submit_exit_status_reports_failed_tasks() {
         0
     );
     assert_eq!(run(&["--tenant", "t", "--reattach", "7"]), 1);
+    let _ = std::fs::remove_dir_all(&joblog_dir);
+}
+
+/// The commands `htpar --dry-run -k` prints for `line`, in input order.
+fn dry_run(line: &[String]) -> Vec<String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_htpar"))
+        .args(["--dry-run", "-k"])
+        .args(line)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run htpar --dry-run");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 commands");
+    stdout.lines().map(str::to_string).collect()
+}
+
+fn words(line: &[&str]) -> Vec<String> {
+    line.iter().map(|w| w.to_string()).collect()
+}
+
+/// `submit` reads the classic tail: the paper's §IV-B Darshan line,
+/// `::: {1..12} ::: {0..2}`, is the 36 commands `htpar --dry-run`
+/// prints, and `:::+` links its values to the source before it.
+#[test]
+fn submit_expands_sources_like_htpar() {
+    let joblog_dir = temp_path("tail-logs");
+    let _ = std::fs::remove_dir_all(&joblog_dir);
+    let dir = joblog_dir.to_str().expect("utf-8 temp path");
+    let (mut serve, spec) = spawn_announced(
+        &[
+            "serve",
+            "--local-cluster",
+            "1",
+            "-j",
+            "2",
+            "--max-sessions",
+            "2",
+            "--joblog-dir",
+            dir,
+        ],
+        SERVE_ANNOUNCE_PREFIX,
+    );
+    let mut darshan = words(&["python3 ./darshan_arch.py {1} {2}", ":::"]);
+    darshan.extend((1..=12).map(|month| month.to_string()));
+    darshan.extend(words(&[":::", "0", "1", "2"]));
+    let linked = words(&["echo {1} {2}", ":::", "a", "b", ":::+", "1", "2"]);
+    let cases = [("darshan", darshan, 36), ("linked", linked, 2)];
+    for (tenant, line, _) in &cases {
+        let mut args = vec!["--connect", &spec, "--tenant", tenant, "--payload", "noop"];
+        args.extend(line.iter().map(String::as_str));
+        assert_eq!(submit(&args), 0, "{tenant}");
+    }
+    // Both sessions are closed, so the pilot flushes its joblogs and exits.
+    let deadline = Instant::now() + STEP_DEADLINE;
+    while serve.0.try_wait().expect("try_wait").is_none() {
+        assert!(Instant::now() < deadline, "serve did not exit");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for (tenant, line, tasks) in &cases {
+        let mut entries =
+            joblog::read_log(joblog_dir.join(format!("{tenant}.joblog"))).expect("tenant joblog");
+        entries.sort_by_key(|e| e.seq);
+        let logged: Vec<String> = entries.into_iter().map(|e| e.command).collect();
+        let expected = dry_run(line);
+        assert_eq!(expected.len(), *tasks, "{expected:?}");
+        assert_eq!(logged, expected, "{tenant}");
+    }
     let _ = std::fs::remove_dir_all(&joblog_dir);
 }

@@ -172,6 +172,18 @@ impl InputSet {
         self.len() == 0
     }
 
+    /// The argument tuples of [`InputSet::iter`], moving the values of a
+    /// lone source into their rows instead of copying them.
+    pub fn into_rows(mut self) -> Vec<Vec<String>> {
+        match self.groups.as_mut_slice() {
+            [group] if group.columns.len() == 1 => {
+                let values = group.columns.pop().unwrap_or_default();
+                values.into_iter().map(|value| vec![value]).collect()
+            }
+            _ => self.iter().collect(),
+        }
+    }
+
     /// Iterate over argument tuples in GNU order: the *last* source varies
     /// fastest (`::: a b ::: 1 2` gives `a 1`, `a 2`, `b 1`, `b 2`).
     pub fn iter(&self) -> ProductIter<'_> {
@@ -322,6 +334,26 @@ mod tests {
                 vec!["b", "y", "2"],
             ]
         );
+    }
+
+    #[test]
+    fn into_rows_matches_iter() {
+        let sets = [
+            vec![InputSource::product(["a", "b", "c"])],
+            vec![
+                InputSource::product(["a", "b"]),
+                InputSource::linked(["x", "y"]),
+            ],
+            vec![
+                InputSource::product(["a", "b"]),
+                InputSource::product(["1", "2"]),
+            ],
+            vec![],
+        ];
+        for sources in sets {
+            let s = set(sources);
+            assert_eq!(s.clone().into_rows(), rows(&s));
+        }
     }
 
     #[test]

@@ -264,6 +264,12 @@ impl Parallel {
         self
     }
 
+    /// Replace every input source with `set`.
+    pub fn inputs(mut self, set: InputSet) -> Self {
+        self.inputs = set;
+        self
+    }
+
     fn push_source(&mut self, source: InputSource) {
         if let Err(e) = self.inputs.push(source) {
             self.input_err = Some(e);

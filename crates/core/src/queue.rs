@@ -7,52 +7,108 @@
 //! mechanism as a type: a blocking line stream fed either by an in-process
 //! producer handle or by following a growing file on disk.
 
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use htpar_telemetry::{Event, EventBus};
 
+/// What a queue's producers, its consumer and its stoppers share: the
+/// items under one lock, and one condvar that wakes the consumer on a
+/// push, a stop, or the last writer's drop.
+#[derive(Default)]
+struct Shared {
+    state: Mutex<State>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct State {
+    items: VecDeque<String>,
+    /// Live [`QueueWriter`]s; the stream ends once none is left.
+    writers: usize,
+    /// [`FollowQueue::stop`] was called: the stream ends once the items
+    /// already queued are taken.
+    stopped: bool,
+    /// The consumer is gone: pushes fail.
+    closed: bool,
+}
+
+impl Shared {
+    /// Every update leaves the state whole (one push, pop, count or
+    /// flag), so a lock poisoned by a panicking holder is taken as is.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.wake.notify_all();
+    }
+}
+
 /// Producer side of an in-process queue.
-#[derive(Clone)]
 pub struct QueueWriter {
-    tx: Sender<String>,
+    shared: Arc<Shared>,
 }
 
 impl QueueWriter {
+    fn new(shared: &Arc<Shared>) -> QueueWriter {
+        shared.lock().writers += 1;
+        QueueWriter {
+            shared: Arc::clone(shared),
+        }
+    }
+
     /// Append one work item. Returns `false` if the consumer is gone.
     pub fn push<S: Into<String>>(&self, item: S) -> bool {
-        self.tx.send(item.into()).is_ok()
+        let mut state = self.shared.lock();
+        if state.closed {
+            return false;
+        }
+        state.items.push_back(item.into());
+        drop(state);
+        self.shared.wake.notify_one();
+        true
+    }
+}
+
+impl Clone for QueueWriter {
+    fn clone(&self) -> QueueWriter {
+        QueueWriter::new(&self.shared)
+    }
+}
+
+impl Drop for QueueWriter {
+    fn drop(&mut self) {
+        let mut state = self.shared.lock();
+        state.writers -= 1;
+        if state.writers == 0 {
+            drop(state);
+            self.shared.wake.notify_all();
+        }
     }
 }
 
 /// A blocking stream of input lines that may still be growing.
 ///
 /// Iteration yields items as they arrive and ends when the producer closes
-/// (all [`QueueWriter`] clones dropped, or [`FollowQueue::stop`] called on
-/// a file follower).
+/// (all [`QueueWriter`] clones dropped) or on [`FollowQueue::stop`], once
+/// the items already queued are taken. A consumer blocked on an empty
+/// queue sleeps until one of those happens.
 pub struct FollowQueue {
-    rx: Receiver<String>,
-    stop: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     bus: Option<Arc<EventBus>>,
 }
 
 impl FollowQueue {
     /// An in-process queue. Drop (all clones of) the writer to close it.
     pub fn channel() -> (QueueWriter, FollowQueue) {
-        let (tx, rx) = unbounded();
-        (
-            QueueWriter { tx },
-            FollowQueue {
-                rx,
-                stop: Arc::new(AtomicBool::new(false)),
-                bus: None,
-            },
-        )
+        let shared = Arc::new(Shared::default());
+        (QueueWriter::new(&shared), FollowQueue { shared, bus: None })
     }
 
     /// Follow a file like `tail -n+0 -f`: existing lines are delivered
@@ -62,15 +118,10 @@ impl FollowQueue {
     /// arrives.
     pub fn tail_file<P: Into<PathBuf>>(path: P, poll: Duration) -> FollowQueue {
         let path = path.into();
-        let (tx, rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        std::thread::spawn(move || follow_loop(path, poll, tx, stop2));
-        FollowQueue {
-            rx,
-            stop,
-            bus: None,
-        }
+        let shared = Arc::new(Shared::default());
+        let writer = QueueWriter::new(&shared);
+        std::thread::spawn(move || follow_loop(path, poll, writer));
+        FollowQueue { shared, bus: None }
     }
 
     /// Attach a telemetry bus: each dequeue emits a
@@ -81,54 +132,61 @@ impl FollowQueue {
         self
     }
 
-    fn emit_depth(&self) {
+    /// Take the front item, reporting the backlog it leaves.
+    fn take(&self, state: &mut State) -> Option<String> {
+        let item = state.items.pop_front()?;
         if let Some(bus) = &self.bus {
             bus.emit(Event::QueueDepth {
-                depth: self.rx.len(),
+                depth: state.items.len(),
             });
         }
+        Some(item)
     }
 
-    /// Ask a file follower to finish after its next poll. In-process
-    /// queues close by dropping their writers instead, but `stop` works
-    /// there too (takes effect once the channel drains).
+    /// End the stream once the items already queued are taken. A file
+    /// follower stops polling after its next poll; an in-process queue
+    /// usually closes by dropping its writers instead.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.shared.stop();
     }
 
     /// A handle that can stop this queue from another thread.
     pub fn stopper(&self) -> QueueStopper {
         QueueStopper {
-            stop: Arc::clone(&self.stop),
+            shared: Arc::clone(&self.shared),
         }
     }
 
     /// Non-blocking poll for the next item.
     pub fn try_next(&self) -> Option<String> {
-        let item = self.rx.try_recv().ok();
-        if item.is_some() {
-            self.emit_depth();
-        }
-        item
+        self.take(&mut self.shared.lock())
     }
 
-    /// Blocking next with stop-awareness.
+    /// Blocking next: sleeps until an item arrives, the last writer is
+    /// dropped, or the queue is stopped.
     pub fn next_item(&self) -> Option<String> {
+        let mut state = self.shared.lock();
         loop {
-            match self.rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(item) => {
-                    self.emit_depth();
-                    return Some(item);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.stop.load(Ordering::Relaxed) {
-                        // Drain anything that raced in.
-                        return self.try_next();
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return None,
+            if let Some(item) = self.take(&mut state) {
+                return Some(item);
             }
+            if state.writers == 0 || state.stopped {
+                return None;
+            }
+            state = self
+                .shared
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+impl Drop for FollowQueue {
+    fn drop(&mut self) {
+        let mut state = self.shared.lock();
+        state.closed = true;
+        state.items.clear();
     }
 }
 
@@ -142,17 +200,17 @@ impl Iterator for FollowQueue {
 /// Stop handle for a [`FollowQueue`].
 #[derive(Clone)]
 pub struct QueueStopper {
-    stop: Arc<AtomicBool>,
+    shared: Arc<Shared>,
 }
 
 impl QueueStopper {
     /// Signal the queue to finish.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.shared.stop();
     }
 }
 
-fn follow_loop(path: PathBuf, poll: Duration, tx: Sender<String>, stop: Arc<AtomicBool>) {
+fn follow_loop(path: PathBuf, poll: Duration, writer: QueueWriter) {
     let mut offset: u64 = 0;
     let mut partial = String::new();
     loop {
@@ -168,7 +226,7 @@ fn follow_loop(path: PathBuf, poll: Duration, tx: Sender<String>, stop: Arc<Atom
                             offset += n as u64;
                             if chunk.ends_with('\n') {
                                 partial.push_str(chunk.trim_end_matches('\n'));
-                                if tx.send(std::mem::take(&mut partial)).is_err() {
+                                if !writer.push(std::mem::take(&mut partial)) {
                                     return; // consumer gone
                                 }
                             } else {
@@ -181,9 +239,11 @@ fn follow_loop(path: PathBuf, poll: Duration, tx: Sender<String>, stop: Arc<Atom
                 }
             }
         }
-        if stop.load(Ordering::Relaxed) {
+        let state = writer.shared.lock();
+        if state.stopped || state.closed {
             return;
         }
+        drop(state);
         std::thread::sleep(poll);
     }
 }
@@ -192,6 +252,7 @@ fn follow_loop(path: PathBuf, poll: Duration, tx: Sender<String>, stop: Arc<Atom
 mod tests {
     use super::*;
     use std::io::Write;
+    use std::time::Instant;
 
     #[test]
     fn channel_queue_delivers_in_order_and_closes() {
@@ -227,8 +288,51 @@ mod tests {
         let (w, q) = FollowQueue::channel();
         assert_eq!(q.try_next(), None);
         w.push("x");
-        // Crossbeam unbounded send is immediately visible.
+        // A push is visible as soon as it returns.
         assert_eq!(q.try_next(), Some("x".to_string()));
+    }
+
+    #[test]
+    fn stop_delivers_queued_items_then_ends() {
+        let (w, q) = FollowQueue::channel();
+        w.push("a");
+        w.push("b");
+        q.stopper().stop();
+        let items: Vec<String> = q.collect();
+        assert_eq!(items, vec!["a", "b"], "the writer is still live");
+    }
+
+    /// A consumer blocked on an empty queue returns as soon as the queue
+    /// is stopped (its writer still live) or its last writer drops, not
+    /// on a poll tick.
+    #[test]
+    fn a_blocked_next_item_wakes_at_once() {
+        let wake_latency = |stop: bool| {
+            let (writer, q) = FollowQueue::channel();
+            let stopper = q.stopper();
+            let consumer = std::thread::spawn(move || (q.next_item(), Instant::now()));
+            std::thread::sleep(Duration::from_millis(2));
+            let ended = Instant::now();
+            let live_writer = if stop {
+                stopper.stop();
+                Some(writer)
+            } else {
+                drop(writer);
+                None
+            };
+            let (item, returned) = consumer.join().unwrap();
+            assert_eq!(item, None);
+            drop(live_writer);
+            returned.saturating_duration_since(ended)
+        };
+        for stop in [true, false] {
+            let mut waits: Vec<Duration> = (0..50).map(|_| wake_latency(stop)).collect();
+            waits.sort();
+            assert!(
+                waits[25] < Duration::from_millis(2),
+                "stop {stop}: {waits:?}"
+            );
+        }
     }
 
     #[test]
