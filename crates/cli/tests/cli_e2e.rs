@@ -220,11 +220,35 @@ fn joblog_file_matches_golden_structure() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A process of group `pgid` that has not exited, found in `/proc`. A
+/// zombie has exited: only its entry waits for a parent to reap it.
+fn live_in_group(pgid: i32) -> Option<u32> {
+    std::fs::read_dir("/proc")
+        .ok()?
+        .flatten()
+        .find_map(|entry| {
+            let pid: u32 = entry.file_name().to_str()?.parse().ok()?;
+            let stat = std::fs::read_to_string(entry.path().join("stat")).ok()?;
+            // The fields after the parenthesised command: state, ppid, pgrp.
+            let mut fields = stat.rsplit_once(')')?.1.split_whitespace();
+            let state = fields.next()?;
+            let pgrp: i32 = fields.nth(1)?.parse().ok()?;
+            (pgrp == pgid && !matches!(state, "Z" | "X")).then_some(pid)
+        })
+}
+
 /// Kill a run mid-flight after the first job is logged, then `--resume`:
-/// only the job missing from the joblog may execute.
+/// only the job missing from the joblog may execute. The kill takes the
+/// whole process group, so the hanging job dies with `htpar` instead of
+/// outliving the test.
 #[test]
 fn kill_and_resume_runs_only_unlogged_jobs() {
+    use std::os::unix::process::CommandExt;
     use std::time::{Duration, Instant};
+
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
 
     let dir = std::env::temp_dir().join(format!("htpar-kill-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -244,6 +268,7 @@ fn kill_and_resume_runs_only_unlogged_jobs() {
             "0",
             "600",
         ])
+        .process_group(0)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -260,8 +285,19 @@ fn kill_and_resume_runs_only_unlogged_jobs() {
         assert!(Instant::now() < deadline, "seq 1 was never logged");
         std::thread::sleep(Duration::from_millis(25));
     }
-    child.kill().unwrap();
+    // `htpar` leads its own group; a negative pid names the group.
+    let group = child.id() as i32;
+    // SAFETY: `kill` takes no pointers and only sends a signal.
+    assert_eq!(unsafe { kill(-group, 9) }, 0, "SIGKILL the process group");
     child.wait().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while let Some(pid) = live_in_group(group) {
+        assert!(
+            Instant::now() < deadline,
+            "process {pid} of the killed group is still running"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
 
     let (out, _, code) = run_with_stdin(
         &[

@@ -1,16 +1,20 @@
 //! Multi-tenant grant schedulers for the pilot service.
 //!
 //! The pilot (`htpar serve`, DESIGN.md §13) multiplexes many tenants
-//! onto one shared agent slot pool. This module decides *whose* queued
-//! tasks get the next free capacity; the pilot owns the task queues
-//! themselves and asks the scheduler only for `(tenant, count)` grants,
-//! so the policies stay pure bookkeeping over queue depths — no I/O, no
-//! clocks — and the property suite (`tests/scheduler_props.rs`) can
-//! drive them through millions of grants in isolation.
+//! onto one shared agent slot pool. Its per-tenant task queues are the
+//! only record of queued work, and a scheduler is a policy over them:
+//! it hears when a tenant's queue goes from empty to non-empty
+//! ([`Scheduler::backlogged`]) and, asked for a grant, reads the queues
+//! of the tenants it holds as backlogged through a [`Queues`] view and
+//! answers `(tenant, count)`: take that many tasks from the head of that
+//! tenant's queue. A tenant that sits idle costs a grant nothing. The
+//! policies do no I/O and read no clocks, so the property suite
+//! (`tests/scheduler_props.rs`) can drive them over a model of the
+//! pilot's queues through millions of grants.
 //!
 //! Three policies ship:
-//! - [`Fifo`] — one global arrival order across tenants; grants replay
-//!   it exactly (run-length segments, not per-task bookkeeping).
+//! - [`Fifo`] — one global arrival order across tenants, read from the
+//!   arrival stamps of the queued tasks.
 //! - [`FairShare`] — weighted deficit round robin: each visit credits a
 //!   tenant `weight × quantum` and serves up to its accumulated
 //!   deficit, so long-run grant shares converge to the weight vector
@@ -19,7 +23,7 @@
 //!   grant always goes to a backlogged tenant of the highest backlogged
 //!   priority.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Dense tenant index assigned by the caller (the pilot maps tenant
 /// names to indices in first-seen order).
@@ -32,34 +36,31 @@ pub struct Grant {
     pub n: u64,
 }
 
-/// A grant scheduler over per-tenant queue *depths*. The caller keeps
-/// the actual task queues; `enqueue`/`remove`/`grant` mirror its
-/// pushes, purges, and dispatches.
+/// The caller's per-tenant queues, as a grant reads them.
+pub trait Queues {
+    /// Tasks queued for `tenant`.
+    fn depth(&self, tenant: TenantId) -> u64;
+
+    /// Arrival stamp of `tenant`'s queued task `i`, counting from the
+    /// head. Stamps are unique, rise from head to tail, and order
+    /// arrivals across tenants.
+    fn stamp(&self, tenant: TenantId, i: u64) -> u64;
+}
+
+/// A grant policy over the caller's per-tenant queues.
 pub trait Scheduler: Send {
     /// Register a tenant or update its weight/priority. Must be called
-    /// before the tenant's first `enqueue`.
+    /// before the tenant's first [`Scheduler::backlogged`].
     fn set_tenant(&mut self, tenant: TenantId, weight: u32, priority: u32);
 
-    /// `n` units arrived at the tail of the tenant's queue.
-    fn enqueue(&mut self, tenant: TenantId, n: u64);
+    /// The tenant's queue went from empty to non-empty.
+    fn backlogged(&mut self, tenant: TenantId);
 
-    /// `n` granted units came back (agent loss re-queue). They rejoin
-    /// at the head where ordering matters (FIFO).
-    fn requeue(&mut self, tenant: TenantId, n: u64);
-
-    /// Remove up to `n` queued units of the tenant (client disconnect
-    /// purge), oldest first. Returns how many were removed.
-    fn remove(&mut self, tenant: TenantId, n: u64) -> u64;
-
-    /// Grant up to `budget` units to one tenant, or `None` when nothing
-    /// is queued (or the budget is zero).
-    fn grant(&mut self, budget: u64) -> Option<Grant>;
-
-    /// Queued units for one tenant.
-    fn queued(&self, tenant: TenantId) -> u64;
-
-    /// Queued units across all tenants.
-    fn total_queued(&self) -> u64;
+    /// Grant up to `budget` tasks from the head of one backlogged
+    /// tenant's queue, or `None` when every queue is empty (or the
+    /// budget is zero). The caller takes exactly `n` tasks off that
+    /// queue before the next grant.
+    fn grant(&mut self, queues: &dyn Queues, budget: u64) -> Option<Grant>;
 }
 
 /// Policy selector, as used by `htpar serve --scheduler`.
@@ -101,97 +102,49 @@ impl SchedPolicy {
 
 // ------------------------------------------------------------------ FIFO
 
-/// Global arrival order, run-length encoded: `(tenant, count)` segments
-/// merge when the same tenant submits back to back, so a million-task
-/// submit costs one segment.
+/// Global arrival order: a grant serves the tenant holding the oldest
+/// queued task, as many of its tasks as are older than every other
+/// tenant's head, so grants replay the arrival order exactly.
 #[derive(Default)]
 pub struct Fifo {
-    segments: VecDeque<(TenantId, u64)>,
-    counts: Vec<u64>,
-    total: u64,
+    backlogged: BTreeSet<TenantId>,
 }
 
 impl Fifo {
     pub fn new() -> Fifo {
         Fifo::default()
     }
-
-    fn count_mut(&mut self, tenant: TenantId) -> &mut u64 {
-        if self.counts.len() <= tenant {
-            self.counts.resize(tenant + 1, 0);
-        }
-        &mut self.counts[tenant]
-    }
 }
 
 impl Scheduler for Fifo {
-    fn set_tenant(&mut self, tenant: TenantId, _weight: u32, _priority: u32) {
-        self.count_mut(tenant);
+    fn set_tenant(&mut self, _tenant: TenantId, _weight: u32, _priority: u32) {}
+
+    fn backlogged(&mut self, tenant: TenantId) {
+        self.backlogged.insert(tenant);
     }
 
-    fn enqueue(&mut self, tenant: TenantId, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.count_mut(tenant) += n;
-        self.total += n;
-        match self.segments.back_mut() {
-            Some((t, c)) if *t == tenant => *c += n,
-            _ => self.segments.push_back((tenant, n)),
-        }
-    }
-
-    fn requeue(&mut self, tenant: TenantId, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.count_mut(tenant) += n;
-        self.total += n;
-        match self.segments.front_mut() {
-            Some((t, c)) if *t == tenant => *c += n,
-            _ => self.segments.push_front((tenant, n)),
-        }
-    }
-
-    fn remove(&mut self, tenant: TenantId, n: u64) -> u64 {
-        let mut left = n;
-        self.segments.retain_mut(|(t, c)| {
-            if left == 0 || *t != tenant {
-                return true;
-            }
-            let take = (*c).min(left);
-            *c -= take;
-            left -= take;
-            *c > 0
-        });
-        let removed = n - left;
-        *self.count_mut(tenant) -= removed;
-        self.total -= removed;
-        removed
-    }
-
-    fn grant(&mut self, budget: u64) -> Option<Grant> {
+    fn grant(&mut self, queues: &dyn Queues, budget: u64) -> Option<Grant> {
         if budget == 0 {
             return None;
         }
-        let (tenant, count) = self.segments.front_mut()?;
-        let tenant = *tenant;
-        let n = (*count).min(budget);
-        *count -= n;
-        if *count == 0 {
-            self.segments.pop_front();
+        // Tenants a purge emptied since they joined.
+        self.backlogged.retain(|&t| queues.depth(t) > 0);
+        let heads = self.backlogged.iter().map(|&t| (queues.stamp(t, 0), t));
+        let (_, tenant) = heads.clone().min()?;
+        let next = heads
+            .filter(|&(_, t)| t != tenant)
+            .map(|(stamp, _)| stamp)
+            .min()
+            .unwrap_or(u64::MAX);
+        let depth = queues.depth(tenant);
+        let most = depth.min(budget);
+        let n = (1..most)
+            .find(|&i| queues.stamp(tenant, i) > next)
+            .unwrap_or(most);
+        if n == depth {
+            self.backlogged.remove(&tenant);
         }
-        self.counts[tenant] -= n;
-        self.total -= n;
         Some(Grant { tenant, n })
-    }
-
-    fn queued(&self, tenant: TenantId) -> u64 {
-        self.counts.get(tenant).copied().unwrap_or(0)
-    }
-
-    fn total_queued(&self) -> u64 {
-        self.total
     }
 }
 
@@ -203,16 +156,15 @@ impl Scheduler for Fifo {
 /// serves at least one unit, no backlogged tenant waits more than one
 /// full rotation; because credit is proportional to weight, long-run
 /// shares converge to the weight vector.
+#[derive(Default)]
 pub struct FairShare {
     tenants: Vec<FairTenant>,
     ring: VecDeque<TenantId>,
-    total: u64,
 }
 
 #[derive(Clone, Default)]
 struct FairTenant {
     weight: u32,
-    queued: u64,
     deficit: u64,
     in_ring: bool,
 }
@@ -224,74 +176,35 @@ const FAIR_QUANTUM: u64 = 1;
 
 impl FairShare {
     pub fn new() -> FairShare {
-        FairShare {
-            tenants: Vec::new(),
-            ring: VecDeque::new(),
-            total: 0,
-        }
-    }
-
-    fn tenant_mut(&mut self, tenant: TenantId) -> &mut FairTenant {
-        if self.tenants.len() <= tenant {
-            self.tenants.resize(tenant + 1, FairTenant::default());
-        }
-        &mut self.tenants[tenant]
-    }
-
-    fn activate(&mut self, tenant: TenantId) {
-        let t = self.tenant_mut(tenant);
-        if t.queued > 0 && !t.in_ring {
-            t.in_ring = true;
-            self.ring.push_back(tenant);
-        }
-    }
-}
-
-impl Default for FairShare {
-    fn default() -> Self {
-        FairShare::new()
+        FairShare::default()
     }
 }
 
 impl Scheduler for FairShare {
     fn set_tenant(&mut self, tenant: TenantId, weight: u32, _priority: u32) {
-        self.tenant_mut(tenant).weight = weight.max(1);
-    }
-
-    fn enqueue(&mut self, tenant: TenantId, n: u64) {
-        if n == 0 {
-            return;
+        if self.tenants.len() <= tenant {
+            self.tenants.resize(tenant + 1, FairTenant::default());
         }
-        self.tenant_mut(tenant).queued += n;
-        self.total += n;
-        self.activate(tenant);
+        self.tenants[tenant].weight = weight.max(1);
     }
 
-    fn requeue(&mut self, tenant: TenantId, n: u64) {
-        self.enqueue(tenant, n);
-    }
-
-    fn remove(&mut self, tenant: TenantId, n: u64) -> u64 {
-        let t = self.tenant_mut(tenant);
-        let removed = t.queued.min(n);
-        t.queued -= removed;
-        if t.queued == 0 {
-            t.deficit = 0;
+    fn backlogged(&mut self, tenant: TenantId) {
+        let t = &mut self.tenants[tenant];
+        if !t.in_ring {
+            t.in_ring = true;
+            self.ring.push_back(tenant);
         }
-        self.total -= removed;
-        // A now-empty tenant stays in the ring until its next visit
-        // pops it (lazy removal keeps `remove` O(1)).
-        removed
     }
 
-    fn grant(&mut self, budget: u64) -> Option<Grant> {
-        if budget == 0 || self.total == 0 {
+    fn grant(&mut self, queues: &dyn Queues, budget: u64) -> Option<Grant> {
+        if budget == 0 {
             return None;
         }
         while let Some(tenant) = self.ring.pop_front() {
+            let depth = queues.depth(tenant);
             let t = &mut self.tenants[tenant];
-            if t.queued == 0 {
-                // Emptied by a grant or a purge since it joined.
+            if depth == 0 {
+                // Emptied by a purge since it joined.
                 t.in_ring = false;
                 t.deficit = 0;
                 continue;
@@ -300,14 +213,12 @@ impl Scheduler for FairShare {
             let n = if self.ring.is_empty() {
                 // No competitors: deficit pacing only fragments grants,
                 // so serve the whole budget.
-                t.queued.min(budget)
+                depth.min(budget)
             } else {
-                t.deficit.min(t.queued).min(budget)
+                t.deficit.min(depth).min(budget)
             };
             t.deficit = t.deficit.saturating_sub(n);
-            t.queued -= n;
-            self.total -= n;
-            if t.queued > 0 {
+            if n < depth {
                 self.ring.push_back(tenant);
             } else {
                 t.in_ring = false;
@@ -317,14 +228,6 @@ impl Scheduler for FairShare {
         }
         None
     }
-
-    fn queued(&self, tenant: TenantId) -> u64 {
-        self.tenants.get(tenant).map_or(0, |t| t.queued)
-    }
-
-    fn total_queued(&self) -> u64 {
-        self.total
-    }
 }
 
 // ------------------------------------------------------ Strict priority
@@ -332,133 +235,75 @@ impl Scheduler for FairShare {
 /// Strict priority with round robin inside a level: a grant always goes
 /// to a backlogged tenant of the numerically highest backlogged
 /// priority; ties rotate so same-priority peers share.
+#[derive(Default)]
 pub struct Priority {
     tenants: Vec<PrioTenant>,
-    /// Ring of backlogged tenants per priority level.
+    /// Ring of backlogged tenants per priority level; none is empty.
     levels: BTreeMap<u32, VecDeque<TenantId>>,
-    total: u64,
 }
 
 #[derive(Clone, Default)]
 struct PrioTenant {
     priority: u32,
-    queued: u64,
     in_ring: bool,
 }
 
 impl Priority {
     pub fn new() -> Priority {
-        Priority {
-            tenants: Vec::new(),
-            levels: BTreeMap::new(),
-            total: 0,
-        }
-    }
-
-    fn tenant_mut(&mut self, tenant: TenantId) -> &mut PrioTenant {
-        if self.tenants.len() <= tenant {
-            self.tenants.resize(tenant + 1, PrioTenant::default());
-        }
-        &mut self.tenants[tenant]
-    }
-
-    fn activate(&mut self, tenant: TenantId) {
-        let t = self.tenant_mut(tenant);
-        if t.queued > 0 && !t.in_ring {
-            t.in_ring = true;
-            let prio = t.priority;
-            self.levels.entry(prio).or_default().push_back(tenant);
-        }
-    }
-}
-
-impl Default for Priority {
-    fn default() -> Self {
-        Priority::new()
+        Priority::default()
     }
 }
 
 impl Scheduler for Priority {
     fn set_tenant(&mut self, tenant: TenantId, _weight: u32, priority: u32) {
-        let t = self.tenant_mut(tenant);
-        if t.in_ring && t.priority != priority {
-            // Move between level rings on a priority change.
-            let old = t.priority;
-            t.in_ring = false;
-            if let Some(ring) = self.levels.get_mut(&old) {
-                ring.retain(|&id| id != tenant);
-                if ring.is_empty() {
-                    self.levels.remove(&old);
-                }
+        if self.tenants.len() <= tenant {
+            self.tenants.resize(tenant + 1, PrioTenant::default());
+        }
+        let t = &mut self.tenants[tenant];
+        let old = std::mem::replace(&mut t.priority, priority);
+        if t.in_ring && old != priority {
+            // Move to the new level's ring.
+            let ring = self.levels.get_mut(&old).expect("a ringed tenant's level");
+            ring.retain(|&id| id != tenant);
+            if ring.is_empty() {
+                self.levels.remove(&old);
             }
+            self.levels.entry(priority).or_default().push_back(tenant);
         }
-        self.tenant_mut(tenant).priority = priority;
-        self.activate(tenant);
     }
 
-    fn enqueue(&mut self, tenant: TenantId, n: u64) {
-        if n == 0 {
-            return;
+    fn backlogged(&mut self, tenant: TenantId) {
+        let t = &mut self.tenants[tenant];
+        if !t.in_ring {
+            t.in_ring = true;
+            self.levels.entry(t.priority).or_default().push_back(tenant);
         }
-        self.tenant_mut(tenant).queued += n;
-        self.total += n;
-        self.activate(tenant);
     }
 
-    fn requeue(&mut self, tenant: TenantId, n: u64) {
-        self.enqueue(tenant, n);
-    }
-
-    fn remove(&mut self, tenant: TenantId, n: u64) -> u64 {
-        let t = self.tenant_mut(tenant);
-        let removed = t.queued.min(n);
-        t.queued -= removed;
-        self.total -= removed;
-        removed
-    }
-
-    fn grant(&mut self, budget: u64) -> Option<Grant> {
-        if budget == 0 || self.total == 0 {
+    fn grant(&mut self, queues: &dyn Queues, budget: u64) -> Option<Grant> {
+        if budget == 0 {
             return None;
         }
-        // Highest backlogged level wins; empty rings (stale lazy
-        // entries) are swept as they surface.
-        while let Some((&prio, _)) = self.levels.iter().next_back() {
-            let ring = self.levels.get_mut(&prio).expect("level exists");
-            let Some(tenant) = ring.pop_front() else {
-                self.levels.remove(&prio);
-                continue;
-            };
-            let t = &mut self.tenants[tenant];
-            if t.queued == 0 || t.priority != prio {
-                t.in_ring = t.priority != prio && t.in_ring;
-                if ring.is_empty() {
-                    self.levels.remove(&prio);
-                }
-                continue;
-            }
-            let n = t.queued.min(budget);
-            t.queued -= n;
-            self.total -= n;
-            if t.queued > 0 {
+        // Highest backlogged level wins; tenants a purge emptied leave
+        // their ring as they surface.
+        while let Some(mut level) = self.levels.last_entry() {
+            let ring = level.get_mut();
+            let tenant = ring.pop_front().expect("rings are never empty");
+            let depth = queues.depth(tenant);
+            let n = depth.min(budget);
+            if n < depth {
                 ring.push_back(tenant);
             } else {
-                t.in_ring = false;
+                self.tenants[tenant].in_ring = false;
                 if ring.is_empty() {
-                    self.levels.remove(&prio);
+                    level.remove();
                 }
             }
-            return Some(Grant { tenant, n });
+            if n > 0 {
+                return Some(Grant { tenant, n });
+            }
         }
         None
-    }
-
-    fn queued(&self, tenant: TenantId) -> u64 {
-        self.tenants.get(tenant).map_or(0, |t| t.queued)
-    }
-
-    fn total_queued(&self) -> u64 {
-        self.total
     }
 }
 
@@ -466,12 +311,65 @@ impl Scheduler for Priority {
 mod tests {
     use super::*;
 
-    fn drain(s: &mut dyn Scheduler, budget: u64) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        while let Some(g) = s.grant(budget) {
-            grants.push(g);
+    /// The pilot's queues: each tenant's queued arrival stamps, oldest
+    /// first. Admissions count up from `next`; requeues count down from
+    /// `head`, below every admission.
+    struct Model {
+        queues: Vec<VecDeque<u64>>,
+        next: u64,
+        head: u64,
+    }
+
+    impl Queues for Model {
+        fn depth(&self, tenant: TenantId) -> u64 {
+            self.queues[tenant].len() as u64
         }
-        grants
+
+        fn stamp(&self, tenant: TenantId, i: u64) -> u64 {
+            self.queues[tenant][i as usize]
+        }
+    }
+
+    impl Model {
+        fn new(s: &mut dyn Scheduler, weights_prios: &[(u32, u32)]) -> Model {
+            for (t, &(weight, priority)) in weights_prios.iter().enumerate() {
+                s.set_tenant(t, weight, priority);
+            }
+            Model {
+                queues: vec![VecDeque::new(); weights_prios.len()],
+                next: 1 << 32,
+                head: 1 << 32,
+            }
+        }
+
+        fn push(&mut self, s: &mut dyn Scheduler, tenant: TenantId, n: u64) {
+            if self.queues[tenant].is_empty() {
+                s.backlogged(tenant);
+            }
+            self.queues[tenant].extend(self.next..self.next + n);
+            self.next += n;
+        }
+
+        fn push_front(&mut self, s: &mut dyn Scheduler, tenant: TenantId, n: u64) {
+            for _ in 0..n {
+                if self.queues[tenant].is_empty() {
+                    s.backlogged(tenant);
+                }
+                self.head -= 1;
+                self.queues[tenant].push_front(self.head);
+            }
+        }
+
+        /// Ask for a grant and take its tasks.
+        fn grant(&mut self, s: &mut dyn Scheduler, budget: u64) -> Option<Grant> {
+            let g = s.grant(self, budget)?;
+            self.queues[g.tenant].drain(..g.n as usize);
+            Some(g)
+        }
+
+        fn drain(&mut self, s: &mut dyn Scheduler, budget: u64) -> Vec<Grant> {
+            std::iter::from_fn(|| self.grant(s, budget)).collect()
+        }
     }
 
     #[test]
@@ -484,66 +382,58 @@ mod tests {
 
     #[test]
     fn fifo_replays_arrival_order() {
-        let mut s = Fifo::new();
-        for t in 0..3 {
-            s.set_tenant(t, 1, 0);
-        }
-        s.enqueue(0, 5);
-        s.enqueue(1, 3);
-        s.enqueue(0, 2); // new segment: tenant 1 arrived in between
-        let grants = drain(&mut s, 100);
+        let s = &mut Fifo::new();
+        let mut q = Model::new(s, &[(1, 0); 3]);
+        q.push(s, 0, 5);
+        q.push(s, 1, 3);
+        q.push(s, 0, 2); // tenant 1 arrived in between
         assert_eq!(
-            grants,
+            q.drain(s, 100),
             vec![
                 Grant { tenant: 0, n: 5 },
                 Grant { tenant: 1, n: 3 },
                 Grant { tenant: 0, n: 2 },
             ]
         );
-        assert_eq!(s.total_queued(), 0);
     }
 
     #[test]
     fn fifo_budget_splits_segments() {
-        let mut s = Fifo::new();
-        s.set_tenant(0, 1, 0);
-        s.enqueue(0, 10);
-        assert_eq!(s.grant(4), Some(Grant { tenant: 0, n: 4 }));
-        assert_eq!(s.grant(4), Some(Grant { tenant: 0, n: 4 }));
-        assert_eq!(s.grant(4), Some(Grant { tenant: 0, n: 2 }));
-        assert_eq!(s.grant(4), None);
+        let s = &mut Fifo::new();
+        let mut q = Model::new(s, &[(1, 0)]);
+        q.push(s, 0, 10);
+        assert_eq!(q.grant(s, 4), Some(Grant { tenant: 0, n: 4 }));
+        assert_eq!(q.grant(s, 4), Some(Grant { tenant: 0, n: 4 }));
+        assert_eq!(q.grant(s, 4), Some(Grant { tenant: 0, n: 2 }));
+        assert_eq!(q.grant(s, 4), None);
     }
 
     #[test]
     fn fifo_requeue_goes_to_the_head_and_remove_purges() {
-        let mut s = Fifo::new();
-        s.set_tenant(0, 1, 0);
-        s.set_tenant(1, 1, 0);
-        s.enqueue(0, 4);
-        s.enqueue(1, 4);
-        assert_eq!(s.grant(4), Some(Grant { tenant: 0, n: 4 }));
-        // Tenant 0's work comes back (agent died): it must run before
-        // tenant 1's older backlog is *not* required — FIFO puts the
-        // recovered work at the head so the global order stays stable.
-        s.requeue(0, 4);
-        assert_eq!(s.queued(0), 4);
-        assert_eq!(s.remove(1, 10), 4, "purge removes only what is queued");
-        assert_eq!(s.total_queued(), 4);
-        assert_eq!(s.grant(10), Some(Grant { tenant: 0, n: 4 }));
+        let s = &mut Fifo::new();
+        let mut q = Model::new(s, &[(1, 0); 2]);
+        q.push(s, 0, 4);
+        q.push(s, 1, 4);
+        assert_eq!(q.grant(s, 4), Some(Grant { tenant: 0, n: 4 }));
+        // Tenant 0's work comes back (agent died): it runs ahead of
+        // tenant 1's older backlog.
+        q.push_front(s, 0, 4);
+        assert_eq!(q.grant(s, 10), Some(Grant { tenant: 0, n: 4 }));
+        q.push_front(s, 0, 2);
+        q.queues[1].clear(); // tenant 1's session closed
+        assert_eq!(q.drain(s, 10), vec![Grant { tenant: 0, n: 2 }]);
     }
 
     #[test]
     fn fair_share_serves_in_weight_proportion() {
-        let mut s = FairShare::new();
-        s.set_tenant(0, 1, 0);
-        s.set_tenant(1, 2, 0);
-        s.set_tenant(2, 4, 0);
+        let s = &mut FairShare::new();
+        let mut q = Model::new(s, &[(1, 0), (2, 0), (4, 0)]);
         for t in 0..3 {
-            s.enqueue(t, 100_000);
+            q.push(s, t, 100_000);
         }
         let mut served = [0u64; 3];
         for _ in 0..7_000 {
-            let g = s.grant(64).expect("backlogged");
+            let g = q.grant(s, 64).expect("backlogged");
             served[g.tenant] += g.n;
         }
         let total: u64 = served.iter().sum();
@@ -559,15 +449,15 @@ mod tests {
 
     #[test]
     fn fair_share_visits_every_backlogged_tenant_each_rotation() {
-        let mut s = FairShare::new();
+        let s = &mut FairShare::new();
+        let mut q = Model::new(s, &[(1, 0), (2, 0), (3, 0), (1, 0)]);
         for t in 0..4 {
-            s.set_tenant(t, (t as u32 % 3) + 1, 0);
-            s.enqueue(t, 1_000);
+            q.push(s, t, 1_000);
         }
         // Any window of 4 grants must touch all 4 tenants.
         let mut grants = Vec::new();
         for _ in 0..40 {
-            grants.push(s.grant(1_000).unwrap().tenant);
+            grants.push(q.grant(s, 1_000).unwrap().tenant);
         }
         for window in grants.chunks(4) {
             let mut seen: Vec<_> = window.to_vec();
@@ -579,34 +469,31 @@ mod tests {
 
     #[test]
     fn fair_share_empty_tenant_rejoins_cleanly() {
-        let mut s = FairShare::new();
-        s.set_tenant(0, 1, 0);
-        s.set_tenant(1, 1, 0);
-        s.enqueue(0, 2);
-        assert_eq!(s.grant(10).unwrap().tenant, 0);
-        assert_eq!(s.grant(10), None, "drained");
-        s.enqueue(1, 1);
-        s.enqueue(0, 1);
-        let mut tenants: Vec<_> = drain(&mut s, 10).iter().map(|g| g.tenant).collect();
+        let s = &mut FairShare::new();
+        let mut q = Model::new(s, &[(1, 0); 2]);
+        q.push(s, 0, 2);
+        assert_eq!(q.grant(s, 10).unwrap().tenant, 0);
+        assert_eq!(q.grant(s, 10), None, "drained");
+        q.push(s, 1, 1);
+        q.push(s, 0, 1);
+        let mut tenants: Vec<_> = q.drain(s, 10).iter().map(|g| g.tenant).collect();
         tenants.sort_unstable();
         assert_eq!(tenants, vec![0, 1]);
     }
 
     #[test]
     fn priority_always_serves_the_highest_backlogged_level() {
-        let mut s = Priority::new();
-        s.set_tenant(0, 1, 0);
-        s.set_tenant(1, 1, 5);
-        s.set_tenant(2, 1, 5);
-        s.enqueue(0, 10);
-        s.enqueue(1, 4);
-        s.enqueue(2, 4);
+        let s = &mut Priority::new();
+        let mut q = Model::new(s, &[(1, 0), (1, 5), (1, 5)]);
+        q.push(s, 0, 10);
+        q.push(s, 1, 4);
+        q.push(s, 2, 4);
         let mut high = Vec::new();
         loop {
-            let g = s.grant(2).unwrap();
+            let g = q.grant(s, 2).unwrap();
             if g.tenant == 0 {
                 // Low priority only runs once both high tenants drain.
-                assert_eq!(s.queued(1) + s.queued(2), 0);
+                assert_eq!(q.depth(1) + q.depth(2), 0);
                 break;
             }
             high.push(g.tenant);
@@ -617,42 +504,43 @@ mod tests {
 
     #[test]
     fn priority_preempts_at_grant_granularity() {
-        let mut s = Priority::new();
-        s.set_tenant(0, 1, 0);
-        s.set_tenant(1, 1, 9);
-        s.enqueue(0, 100);
-        assert_eq!(s.grant(10).unwrap().tenant, 0);
+        let s = &mut Priority::new();
+        let mut q = Model::new(s, &[(1, 0), (1, 9)]);
+        q.push(s, 0, 100);
+        assert_eq!(q.grant(s, 10).unwrap().tenant, 0);
         // High-priority arrival preempts the next grant immediately.
-        s.enqueue(1, 3);
-        assert_eq!(s.grant(10).unwrap(), Grant { tenant: 1, n: 3 });
-        assert_eq!(s.grant(10).unwrap().tenant, 0);
+        q.push(s, 1, 3);
+        assert_eq!(q.grant(s, 10).unwrap(), Grant { tenant: 1, n: 3 });
+        assert_eq!(q.grant(s, 10).unwrap().tenant, 0);
     }
 
     #[test]
     fn priority_change_moves_between_levels() {
-        let mut s = Priority::new();
-        s.set_tenant(0, 1, 0);
-        s.set_tenant(1, 1, 1);
-        s.enqueue(0, 5);
-        s.enqueue(1, 5);
-        assert_eq!(s.grant(1).unwrap().tenant, 1);
+        let s = &mut Priority::new();
+        let mut q = Model::new(s, &[(1, 0), (1, 1)]);
+        q.push(s, 0, 5);
+        q.push(s, 1, 5);
+        assert_eq!(q.grant(s, 1).unwrap().tenant, 1);
         s.set_tenant(0, 1, 7);
-        assert_eq!(s.grant(1).unwrap().tenant, 0);
-        assert_eq!(s.queued(0), 4);
+        assert_eq!(q.grant(s, 1).unwrap().tenant, 0);
+        assert_eq!(q.depth(0), 4);
     }
 
     #[test]
     fn remove_then_grant_never_underflows() {
         for policy in [SchedPolicy::Fifo, SchedPolicy::Fair, SchedPolicy::Priority] {
-            let mut s = policy.build();
-            s.set_tenant(0, 2, 1);
-            s.enqueue(0, 8);
-            assert_eq!(s.remove(0, 8), 8);
-            assert_eq!(s.grant(16), None, "{policy:?}");
-            s.enqueue(0, 3);
-            let g = s.grant(16).unwrap();
-            assert_eq!((g.tenant, g.n), (0, 3), "{policy:?}");
-            assert_eq!(s.total_queued(), 0);
+            let s = &mut *policy.build();
+            let mut q = Model::new(s, &[(2, 1)]);
+            q.push(s, 0, 8);
+            q.queues[0].clear();
+            assert_eq!(q.grant(s, 16), None, "{policy:?}");
+            q.push(s, 0, 3);
+            assert_eq!(
+                q.grant(s, 16),
+                Some(Grant { tenant: 0, n: 3 }),
+                "{policy:?}"
+            );
+            assert_eq!(q.grant(s, 16), None, "{policy:?}");
         }
     }
 }

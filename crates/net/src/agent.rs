@@ -290,7 +290,6 @@ fn run_session(
             // Once the socket dies, frames are dropped instead of
             // queued; the loop stays up to drain the result channel.
             let mut sock_dead = false;
-            let mut want_write = false;
             let mut exit_queued = false;
             let mut io_error: Option<NetError> = None;
             let mut events: Vec<PollEvent> = Vec::with_capacity(64);
@@ -381,8 +380,7 @@ fn run_session(
                             if writable && !sock_dead {
                                 match fc.flush() {
                                     Ok(Flush::Drained) => {
-                                        want_write =
-                                            set_sock_interest(&reactor, &fc, want_write, false);
+                                        let _ = fc.set_write_interest(&reactor, TOK_SOCK, false);
                                     }
                                     Ok(Flush::Blocked) => {}
                                     Err(e) => {
@@ -436,10 +434,10 @@ fn run_session(
                 if !sock_dead && fc.queued_bytes() > 0 {
                     match fc.flush() {
                         Ok(Flush::Drained) => {
-                            want_write = set_sock_interest(&reactor, &fc, want_write, false);
+                            let _ = fc.set_write_interest(&reactor, TOK_SOCK, false);
                         }
                         Ok(Flush::Blocked) => {
-                            want_write = set_sock_interest(&reactor, &fc, want_write, true);
+                            let _ = fc.set_write_interest(&reactor, TOK_SOCK, true);
                         }
                         Err(e) => {
                             io_error.get_or_insert(NetError::Io(e));
@@ -483,26 +481,6 @@ fn run_session(
         done: total_done,
         reason,
     })
-}
-
-/// Toggle write interest on the session socket; returns the new state.
-fn set_sock_interest(reactor: &Reactor, fc: &FrameConn<Conn>, current: bool, want: bool) -> bool {
-    if current == want {
-        return current;
-    }
-    let interest = if want {
-        Interest::READ_WRITE
-    } else {
-        Interest::READ
-    };
-    if reactor
-        .reregister(fc.stream().as_raw_fd(), TOK_SOCK, interest)
-        .is_ok()
-    {
-        want
-    } else {
-        current
-    }
 }
 
 /// One finished job as a wire completion record.

@@ -125,8 +125,6 @@ struct Agent {
     /// `AgentExit` received (or the socket closed during the drain).
     exited: bool,
     error: Option<String>,
-    /// Whether the fd is currently registered for write interest.
-    want_write: bool,
     /// Handshake bytes written before the `FrameConn` took over.
     pre_sent: u64,
     /// Counter snapshots taken when the connection is dropped.
@@ -136,30 +134,6 @@ struct Agent {
 }
 
 impl Agent {
-    /// Toggle EPOLLOUT, tracking the current state so unchanged
-    /// interest costs no syscall.
-    fn set_write_interest(&mut self, reactor: &Reactor, idx: usize, want: bool) -> bool {
-        if self.want_write == want {
-            return true;
-        }
-        let Some(fc) = self.fc.as_ref() else {
-            return false;
-        };
-        let interest = if want {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
-        };
-        if reactor
-            .reregister(fc.stream().as_raw_fd(), idx, interest)
-            .is_err()
-        {
-            return false;
-        }
-        self.want_write = want;
-        true
-    }
-
     /// Deregister and shut down the connection, snapshotting its byte
     /// counters for the final telemetry.
     fn drop_conn(&mut self, reactor: &Reactor) {
@@ -228,7 +202,6 @@ impl Fleet {
                 alive: true,
                 exited: false,
                 error: None,
-                want_write: false,
                 pre_sent: hello_bytes.len() as u64,
                 final_sent: 0,
                 final_received: 0,
@@ -332,13 +305,13 @@ impl Fleet {
                 fc.queue_bytes(shard.finish());
             }
             if fc.queued_bytes() == 0 {
-                return agent.set_write_interest(reactor, idx, false);
+                return fc.set_write_interest(reactor, idx, false).is_ok();
             }
             match fc.flush() {
                 // More backlog fits now that the queue drained.
                 Ok(Flush::Drained) if !agent.backlog.is_empty() => {}
-                Ok(Flush::Drained) => return agent.set_write_interest(reactor, idx, false),
-                Ok(Flush::Blocked) => return agent.set_write_interest(reactor, idx, true),
+                Ok(Flush::Drained) => return fc.set_write_interest(reactor, idx, false).is_ok(),
+                Ok(Flush::Blocked) => return fc.set_write_interest(reactor, idx, true).is_ok(),
                 Err(e) => {
                     agent.error.get_or_insert_with(|| e.to_string());
                     return false;
@@ -550,7 +523,6 @@ mod tests {
             alive: true,
             exited: false,
             error: None,
-            want_write: false,
             pre_sent: 0,
             final_sent: 0,
             final_received: 0,

@@ -7,7 +7,8 @@
 //! The reactor loop calls [`FrameConn::fill`] on read-readiness and
 //! [`FrameConn::flush`] on write-readiness; both do as much work as the
 //! socket allows and report precisely how they stopped (drained,
-//! would-block, EOF), so the caller's only job is interest management.
+//! would-block, EOF), so the caller's only job is interest management,
+//! which [`FrameConn::set_write_interest`] does for a real socket.
 //!
 //! Writes are *vectored*: the queue keeps each encoded frame as its own
 //! buffer and hands a window of them to one `writev`, so batching many
@@ -29,6 +30,9 @@
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
+use std::os::fd::AsRawFd;
+
+use htpar_core::reactor::{Interest, Reactor};
 
 use crate::conn::Conn;
 use crate::frame::{Decoder, Frame, FrameError};
@@ -94,6 +98,8 @@ pub struct FrameConn<S> {
     /// Bytes actually read from the stream.
     received: u64,
     read_buf: Box<[u8]>,
+    /// Whether the stream is registered for write readiness.
+    want_write: bool,
 }
 
 impl<S: NbStream> FrameConn<S> {
@@ -115,6 +121,7 @@ impl<S: NbStream> FrameConn<S> {
             sent: 0,
             received: 0,
             read_buf: vec![0u8; 64 * 1024].into_boxed_slice(),
+            want_write: false,
         }
     }
 
@@ -234,6 +241,41 @@ impl<S: NbStream> FrameConn<S> {
     /// mid-frame).
     pub fn pending_read_bytes(&self) -> usize {
         self.dec.pending_bytes()
+    }
+}
+
+impl FrameConn<Conn> {
+    /// Register for write readiness (EPOLLOUT) or drop it, with read
+    /// interest kept, under `token` on `reactor`, where the socket is
+    /// registered for reads. An unchanged interest costs no syscall.
+    pub fn set_write_interest(
+        &mut self,
+        reactor: &Reactor,
+        token: usize,
+        want: bool,
+    ) -> io::Result<()> {
+        if self.want_write == want {
+            return Ok(());
+        }
+        self.reregister(reactor, token, want)
+    }
+
+    /// Set the socket's interest under `token`, a token it may not have
+    /// had before: reads, and writes when `want_write`.
+    pub fn reregister(
+        &mut self,
+        reactor: &Reactor,
+        token: usize,
+        want_write: bool,
+    ) -> io::Result<()> {
+        let interest = if want_write {
+            Interest::READ_WRITE
+        } else {
+            Interest::READ
+        };
+        reactor.reregister(self.stream.as_raw_fd(), token, interest)?;
+        self.want_write = want_write;
+        Ok(())
     }
 }
 

@@ -7,9 +7,11 @@
 //! session-local tasks in, `SessionAck` admission verdicts and
 //! `DoneBatch` completions back out, `SessionDone` in both directions
 //! to finish. Tenants (named by the client's `Submit`) get their own
-//! admitted-task queues; a pluggable [`Scheduler`] — FIFO, weighted
-//! fair share, or strict priority — multiplexes those queues onto the
-//! shared slot pool.
+//! admitted-task queues, the only record of queued work; a pluggable
+//! [`Scheduler`] — FIFO, weighted fair share, or strict priority — reads
+//! them to multiplex the tenants onto the shared slot pool. It hears
+//! when a queue stops being empty, and each grant names a tenant and a
+//! count that dispatch takes off the head of that tenant's queue.
 //!
 //! Everything runs on one epoll [`Reactor`]: the listening socket,
 //! every client session, the agent [`crate::fleet`] the one-shot driver
@@ -73,7 +75,7 @@ use std::time::{Duration, Instant};
 use htpar_core::joblog::{self, JobLogWriter};
 use htpar_core::options::ResumeMode;
 use htpar_core::reactor::{Interest, PollEvent, Reactor};
-use htpar_core::sched::{SchedPolicy, Scheduler};
+use htpar_core::sched::{Queues, SchedPolicy, Scheduler};
 use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
 
@@ -280,13 +282,11 @@ struct Session {
     client_done: bool,
     /// Final frame queued; close once the socket drains.
     closing: bool,
-    want_write: bool,
-    /// The session survives its socket: the client detached (or the
-    /// session was recovered from the journal) and may reattach.
-    detached: bool,
     /// Key the client reattaches by.
     detach_key: u64,
-    /// When the session detached; drives the `detach_ttl` sweep.
+    /// When the session detached; drives the `detach_ttl` sweep. A
+    /// detached session survives its socket: the client detached (or
+    /// the session was recovered from the journal) and may reattach.
     detached_at: Option<Instant>,
     /// A `SessionOpen` record for this session is in the journal.
     journaled: bool,
@@ -305,8 +305,6 @@ impl Session {
             awaiting_sync: false,
             client_done: false,
             closing: false,
-            want_write: false,
-            detached: false,
             detach_key: 0,
             detached_at: None,
             journaled: false,
@@ -353,7 +351,14 @@ impl Session {
 struct QTask {
     session: u64,
     local_seq: u64,
+    /// Arrival order across tenants (see [`FIRST_STAMP`]).
+    stamp: u64,
 }
+
+/// Admitted tasks are stamped upwards from here, and tasks requeued
+/// from a lost agent downwards from just below, so requeued work is
+/// older than all admitted work.
+const FIRST_STAMP: u64 = 1 << 63;
 
 /// One dispatched, not-yet-completed task.
 struct InflightTask {
@@ -504,6 +509,7 @@ impl Window {
 
 struct Tenant {
     name: String,
+    /// Admitted tasks not yet dispatched, stamps rising from the head.
     queue: VecDeque<QTask>,
     log: Option<JobLogWriter>,
     /// Retained stdout/stderr sidecar (`<tenant>.outlog`), opened with
@@ -524,6 +530,19 @@ pub struct PilotServer {
     /// The journal a previous pilot left in `state_dir`, replayed by
     /// [`PilotServer::run`].
     journal: Vec<JRecord>,
+}
+
+/// The tenants' queues as the scheduler reads them.
+struct TenantQueues<'a>(&'a [Tenant]);
+
+impl Queues for TenantQueues<'_> {
+    fn depth(&self, tenant: usize) -> u64 {
+        self.0[tenant].queue.len() as u64
+    }
+
+    fn stamp(&self, tenant: usize, i: u64) -> u64 {
+        self.0[tenant].queue[i as usize].stamp
+    }
 }
 
 impl PilotServer {
@@ -593,6 +612,10 @@ struct Pilot {
     tenants: Vec<Tenant>,
     tenant_ids: HashMap<String, usize>,
     scheduler: Box<dyn Scheduler>,
+    /// Stamp of the next admitted task, and of the last task requeued
+    /// from a lost agent (see [`FIRST_STAMP`]).
+    next_stamp: u64,
+    head_stamp: u64,
     /// Dispatched tasks by wire seq.
     inflight: IdMap<InflightTask>,
     /// Completions of the current read batch by session, kept between
@@ -640,6 +663,8 @@ impl Pilot {
             tenants: Vec::new(),
             tenant_ids: HashMap::new(),
             scheduler,
+            next_stamp: FIRST_STAMP,
+            head_stamp: FIRST_STAMP,
             inflight: IdMap::default(),
             delivery: IdMap::default(),
             touched: Vec::new(),
@@ -787,17 +812,19 @@ impl Pilot {
                     session.args[(seq - 1) as usize] = None;
                     continue;
                 }
-                self.tenants[tidx].queue.push_back(QTask {
+                let queue = &mut self.tenants[tidx].queue;
+                if queue.is_empty() {
+                    self.scheduler.backlogged(tidx);
+                }
+                queue.push_back(QTask {
                     session: id,
                     local_seq: seq,
+                    stamp: self.next_stamp,
                 });
+                self.next_stamp += 1;
                 unfinished += 1;
             }
-            if unfinished > 0 {
-                self.scheduler.enqueue(tidx, unfinished);
-            }
             session.completed = done.len() as u64;
-            session.detached = true;
             session.detach_key = r.detach_key;
             session.detached_at = Some(Instant::now());
             session.journaled = true;
@@ -873,8 +900,9 @@ impl Pilot {
                 }
             }
             if !self.fleet.any_alive() {
+                let queued: usize = self.tenants.iter().map(|t| t.queue.len()).sum();
                 return Err(NetError::AllAgentsLost {
-                    remaining: self.scheduler.total_queued() + self.inflight.len() as u64,
+                    remaining: (queued + self.inflight.len()) as u64,
                 });
             }
             events.clear();
@@ -1066,7 +1094,11 @@ impl Pilot {
                 }
             }
             if conn_down {
-                if self.sessions.get(&id).is_some_and(|s| s.detached) {
+                if self
+                    .sessions
+                    .get(&id)
+                    .is_some_and(|s| s.detached_at.is_some())
+                {
                     // A detached client dropping its socket is the
                     // expected lifecycle, not an abort: release the
                     // socket, keep the session for reattach.
@@ -1182,7 +1214,6 @@ impl Pilot {
             self.pump_session(id);
             return Ok(self.sessions.contains_key(&id));
         };
-        session.detached = true;
         session.detach_key = detach_key;
         session.detached_at = Some(Instant::now());
         let queued = session.submitted() - session.completed;
@@ -1224,7 +1255,7 @@ impl Pilot {
         }
         let target = self.sessions.iter().find_map(|(&sid, s)| {
             let matches = sid != id
-                && s.detached
+                && s.detached_at.is_some()
                 && s.detach_key == detach_key
                 && s.tenant.is_some_and(|t| self.tenants[t].name == tenant);
             matches.then_some(sid)
@@ -1255,23 +1286,14 @@ impl Pilot {
         self.release_detached_socket(tid);
         let session = self.sessions.get_mut(&tid).expect("target alive");
         session.fc = fc;
-        session.detached = false;
         session.detached_at = None;
         // Reattached clients are collect-only: treat the client's
         // SessionDone as already sent so the session finishes when the
         // last accepted task completes.
         session.client_done = true;
-        session.want_write = false;
         let (submitted, completed) = (session.submitted(), session.completed);
-        if let Some(fc) = session.fc.as_ref() {
-            let _ = self.reactor.reregister(
-                fc.stream().as_raw_fd(),
-                CLIENT_BASE + tid as usize,
-                Interest::READ,
-            );
-        }
-        let session = self.sessions.get_mut(&tid).expect("target alive");
         if let Some(fc) = session.fc.as_mut() {
+            let _ = fc.reregister(&self.reactor, CLIENT_BASE + tid as usize, false);
             fc.queue_frame(&Frame::ReattachAck {
                 found: true,
                 submitted,
@@ -1366,7 +1388,6 @@ impl Pilot {
             let _ = self.reactor.deregister(fc.stream().as_raw_fd());
             fc.stream().shutdown();
         }
-        session.want_write = false;
     }
 
     /// Close detached sessions whose reattach window ran out. Runs on
@@ -1379,9 +1400,7 @@ impl Pilot {
         let expired: Vec<u64> = self
             .sessions
             .iter()
-            .filter(|(_, s)| {
-                s.detached && s.fc.is_none() && s.detached_at.is_some_and(|at| at.elapsed() >= ttl)
-            })
+            .filter(|(_, s)| s.fc.is_none() && s.detached_at.is_some_and(|at| at.elapsed() >= ttl))
             .map(|(&id, _)| id)
             .collect();
         for id in expired {
@@ -1502,11 +1521,20 @@ impl Pilot {
             }
         } else {
             let queue = &mut self.tenants[tidx].queue;
-            queue.extend((first..first + n).map(|local_seq| QTask {
-                session: id,
-                local_seq,
-            }));
-            self.scheduler.enqueue(tidx, n);
+            if queue.is_empty() && n > 0 {
+                self.scheduler.backlogged(tidx);
+            }
+            let stamps = self.next_stamp..;
+            queue.extend(
+                (first..first + n)
+                    .zip(stamps)
+                    .map(|(local_seq, stamp)| QTask {
+                        session: id,
+                        local_seq,
+                        stamp,
+                    }),
+            );
+            self.next_stamp += n;
             let session = self.sessions.get_mut(&id).expect("session alive");
             let needs_open = !session.journaled;
             session.journaled = true;
@@ -1623,20 +1651,17 @@ impl Pilot {
         let Some(fc) = session.fc.as_mut() else {
             return;
         };
-        let closing = session.closing;
+        let token = CLIENT_BASE + id as usize;
         match fc.flush() {
+            Ok(Flush::Drained) if session.closing => self.finalize_session(id),
             Ok(Flush::Drained) => {
-                if closing {
-                    self.finalize_session(id);
-                    return;
-                }
-                self.set_session_write_interest(id, false);
+                let _ = fc.set_write_interest(&self.reactor, token, false);
             }
             Ok(Flush::Blocked) => {
-                self.set_session_write_interest(id, true);
+                let _ = fc.set_write_interest(&self.reactor, token, true);
             }
             Err(_) => {
-                if self.sessions.get(&id).is_some_and(|s| s.detached) {
+                if session.detached_at.is_some() {
                     // A detached client may already be gone when the
                     // ack flushes; the session outlives its socket.
                     self.release_detached_socket(id);
@@ -1644,30 +1669,6 @@ impl Pilot {
                     self.close_session(id, "disconnect");
                 }
             }
-        }
-    }
-
-    fn set_session_write_interest(&mut self, id: u64, want: bool) {
-        let Some(session) = self.sessions.get_mut(&id) else {
-            return;
-        };
-        if session.want_write == want {
-            return;
-        }
-        let Some(fc) = session.fc.as_ref() else {
-            return;
-        };
-        let interest = if want {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
-        };
-        if self
-            .reactor
-            .reregister(fc.stream().as_raw_fd(), CLIENT_BASE + id as usize, interest)
-            .is_ok()
-        {
-            session.want_write = want;
         }
     }
 
@@ -1687,14 +1688,8 @@ impl Pilot {
             });
         }
         if let Some(tidx) = session.tenant {
-            // Purge the dead session's queued (not yet dispatched) work
-            // and mirror the removal into the scheduler's counts.
-            let before = self.tenants[tidx].queue.len();
+            // Purge the dead session's queued (not yet dispatched) work.
             self.tenants[tidx].queue.retain(|t| t.session != id);
-            let purged = (before - self.tenants[tidx].queue.len()) as u64;
-            if purged > 0 {
-                self.scheduler.remove(tidx, purged);
-            }
         }
         self.finalize_session(id);
     }
@@ -1888,7 +1883,6 @@ impl Pilot {
             .collect();
         debug_assert_eq!(wire_seqs.len() as u64, self.windows[idx].held);
         self.windows[idx].held = 0;
-        let mut requeued_per_tenant: HashMap<usize, u64> = HashMap::new();
         let outstanding = wire_seqs.len() as u64;
         for wire in wire_seqs {
             let inf = self.inflight.remove(&wire).expect("collected above");
@@ -1897,14 +1891,16 @@ impl Pilot {
                 self.released += 1;
                 continue;
             }
-            self.tenants[inf.tenant].queue.push_front(QTask {
+            let queue = &mut self.tenants[inf.tenant].queue;
+            if queue.is_empty() {
+                self.scheduler.backlogged(inf.tenant);
+            }
+            self.head_stamp -= 1;
+            queue.push_front(QTask {
                 session: inf.session,
                 local_seq: inf.local_seq,
+                stamp: self.head_stamp,
             });
-            *requeued_per_tenant.entry(inf.tenant).or_default() += 1;
-        }
-        for (tenant, n) in requeued_per_tenant {
-            self.scheduler.requeue(tenant, n);
         }
         self.emit(|| Event::AgentLost {
             agent: idx as u32,
@@ -1924,45 +1920,31 @@ impl Pilot {
     }
 
     /// Ask the scheduler for grants while the fleet has free capacity,
-    /// placing granted tasks round-robin across agents with room.
+    /// placing granted tasks round-robin across agents with room. A
+    /// grant fits the free capacity, and nothing frees or takes any
+    /// until the round ends, so every granted task is placed.
     fn dispatch(&mut self) {
         let mut touched = std::mem::take(&mut self.touched);
         // One timestamp for everything this round places.
         let mut stamp = None;
         loop {
             let free_total: u64 = (0..self.fleet.len()).map(|idx| self.free(idx)).sum();
-            if free_total == 0 {
-                break;
-            }
-            let Some(grant) = self.scheduler.grant(free_total.min(SHARD_CHUNK as u64)) else {
+            let budget = free_total.min(SHARD_CHUNK as u64);
+            let Some(grant) = self.scheduler.grant(&TenantQueues(&self.tenants), budget) else {
                 break;
             };
             let now = *stamp.get_or_insert_with(Instant::now);
             let mut remaining = grant.n;
             while remaining > 0 {
                 // Next agent with room, round-robin for spread.
-                let mut target = None;
-                for step in 0..self.fleet.len() {
-                    let idx = (self.rr + step) % self.fleet.len();
-                    if self.free(idx) > 0 {
-                        target = Some(idx);
-                        break;
-                    }
-                }
-                let Some(idx) = target else {
-                    // Capacity vanished mid-grant (agent lost between
-                    // iterations). The remainder tasks are still in the
-                    // tenant queue; give the scheduler its count back.
-                    self.scheduler.requeue(grant.tenant, remaining);
-                    break;
-                };
+                let idx = (0..self.fleet.len())
+                    .map(|step| (self.rr + step) % self.fleet.len())
+                    .find(|&idx| self.free(idx) > 0)
+                    .expect("a grant fits the free capacity");
                 self.rr = (idx + 1) % self.fleet.len();
                 let take = remaining.min(self.free(idx));
-                let mut placed = 0u64;
-                for _ in 0..take {
-                    let Some(task) = self.tenants[grant.tenant].queue.pop_front() else {
-                        break;
-                    };
+                let queue = &mut self.tenants[grant.tenant].queue;
+                for task in queue.drain(..take as usize) {
                     let wire = wire_seq(task.session, task.local_seq);
                     // Queued work of a closed session is purged at close.
                     let session = &self.sessions[&task.session];
@@ -1980,24 +1962,16 @@ impl Pilot {
                             sent: probe.then_some(now),
                         },
                     );
-                    placed += 1;
                 }
-                if placed > 0 {
-                    self.emit(|| Event::TenantShardSent {
-                        tenant: self.tenants[grant.tenant].name.clone(),
-                        agent: idx as u32,
-                        tasks: placed,
-                    });
-                    if !touched.contains(&idx) {
-                        touched.push(idx);
-                    }
+                self.emit(|| Event::TenantShardSent {
+                    tenant: self.tenants[grant.tenant].name.clone(),
+                    agent: idx as u32,
+                    tasks: take,
+                });
+                if !touched.contains(&idx) {
+                    touched.push(idx);
                 }
-                if placed < take {
-                    // The tenant queue ran dry ahead of the scheduler's
-                    // count (should not happen; counts are mirrored).
-                    break;
-                }
-                remaining -= placed;
+                remaining -= take;
             }
         }
         for window in &mut self.windows {

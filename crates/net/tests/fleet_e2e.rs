@@ -3,8 +3,10 @@
 //! grants at `-j 0`, the lease sweep reclaiming the work of an agent
 //! that handshakes and then goes silent, and the pilot's in-flight
 //! windows over short tasks, long tasks, a drain between them and a
-//! slow link. Each failure mode hangs rather than fails, so every
-//! scenario runs under a deadline.
+//! slow link, and the order in which `--scheduler fifo` and
+//! `--scheduler priority` start the tasks of several tenants. Each
+//! failure mode hangs rather than fails, so every scenario runs under a
+//! deadline.
 
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -16,6 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use htpar_core::joblog;
+use htpar_core::sched::SchedPolicy;
 use htpar_net::agent::{self, AgentConfig};
 use htpar_net::client::{SessionClient, SessionConfig};
 use htpar_net::conn::{Conn, Listener};
@@ -479,4 +482,117 @@ fn pilot_window_covers_a_long_round_trip() {
         peak > 32,
         "window stalled under a 4 ms round trip: peak {peak}"
     );
+}
+
+/// Run `submits` (tenant, priority, tasks) in turn through a pilot
+/// under `policy` over one in-process `-j 1` agent, each tenant on its
+/// own session and every task a 50 ms sleep, and return the tasks as
+/// (tenant, seq) in the order the agent started them. The first submit
+/// fills the agent's in-flight window of `slots + 1` tasks; the rest are
+/// admitted within a few milliseconds, so they queue behind it.
+fn start_order(tag: &str, policy: SchedPolicy, submits: &[(&str, u32, u64)]) -> Vec<(String, u64)> {
+    let agent_spec = sock_spec(&format!("{tag}-agent"));
+    let agent = spawn_agent(&agent_spec, "a0");
+    let log_dir = std::env::temp_dir().join(format!("htpar-fleet-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&log_dir);
+    let mut tenants: Vec<&str> = submits.iter().map(|&(tenant, ..)| tenant).collect();
+    tenants.sort_unstable();
+    tenants.dedup();
+    let mut config = ServeConfig::new(vec![agent_spec], sock_spec(tag));
+    config.jobs_per_agent = 1;
+    config.policy = policy;
+    config.max_sessions = Some(tenants.len() as u64);
+    config.joblog_dir = Some(log_dir.clone());
+    let server = PilotServer::bind(config).expect("pilot binds");
+    let spec = server.local_spec().expect("pilot spec");
+    let serve = std::thread::spawn(move || server.run(None));
+
+    let mut clients: Vec<(&str, SessionClient)> = Vec::new();
+    for &(tenant, priority, tasks) in submits {
+        let k = match clients.iter().position(|(t, _)| *t == tenant) {
+            Some(k) => k,
+            None => {
+                let mut session = SessionConfig::new(spec.clone(), tenant);
+                session.payload = Payload::SleepUs(50_000);
+                session.priority = priority;
+                let client = SessionClient::connect(session).expect("session connects");
+                clients.push((tenant, client));
+                clients.len() - 1
+            }
+        };
+        let verdict = clients[k].1.submit(&inputs(tasks)).expect("submit");
+        assert!(verdict.accepted, "{tenant}: {}", verdict.reason);
+    }
+    for (_, client) in clients {
+        let submitted = client.submitted();
+        assert_eq!(client.finish().expect("session finishes"), submitted);
+    }
+    serve
+        .join()
+        .expect("serve thread")
+        .expect("clean serve exit");
+    agent
+        .join()
+        .expect("agent thread")
+        .expect("agent drained cleanly");
+
+    let mut started = Vec::new();
+    for tenant in tenants {
+        let entries = joblog::read_log(log_dir.join(format!("{tenant}.joblog"))).expect("joblog");
+        started.extend(
+            entries
+                .into_iter()
+                .map(|e| (e.start, tenant.to_string(), e.seq)),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&log_dir);
+    started.sort_by(|a, b| a.0.total_cmp(&b.0));
+    started.into_iter().map(|(_, t, seq)| (t, seq)).collect()
+}
+
+/// `--scheduler fifo` starts tasks in admission order across tenants:
+/// tenant A's first batch, all of B's, then A's second batch, although
+/// A's two batches share one queue.
+#[test]
+fn pilot_fifo_starts_tasks_in_admission_order() {
+    let order = within(Duration::from_secs(60), || {
+        start_order(
+            "fifo",
+            SchedPolicy::Fifo,
+            &[("A", 0, 5), ("B", 0, 5), ("A", 0, 5)],
+        )
+    });
+    let want: Vec<(String, u64)> = (1..=5)
+        .map(|seq| ("A".to_string(), seq))
+        .chain((1..=5).map(|seq| ("B".to_string(), seq)))
+        .chain((6..=10).map(|seq| ("A".to_string(), seq)))
+        .collect();
+    assert_eq!(order, want);
+}
+
+/// `--scheduler priority` runs a high-priority tenant admitted behind a
+/// queued low-priority one ahead of the rest of the low tenant's queue:
+/// only the low tasks already in the agent's window of `slots + 1`
+/// start first.
+#[test]
+fn pilot_priority_runs_a_later_high_tenant_first() {
+    let order = within(Duration::from_secs(60), || {
+        start_order(
+            "priority",
+            SchedPolicy::Priority,
+            &[("low", 0, 8), ("high", 9, 4)],
+        )
+    });
+    let tenants: Vec<&str> = order.iter().map(|(t, _)| t.as_str()).collect();
+    let first_high = tenants.iter().position(|&t| t == "high").expect("high ran");
+    assert!(
+        first_high <= 2,
+        "{first_high} low tasks started first: {tenants:?}"
+    );
+    assert_eq!(
+        tenants[first_high..first_high + 4],
+        ["high"; 4],
+        "low tasks ran between high ones: {tenants:?}"
+    );
+    assert!(tenants[first_high + 4..].iter().all(|&t| t == "low"));
 }
