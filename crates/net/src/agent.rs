@@ -14,7 +14,7 @@
 //! worker threads are coalesced into `DoneBatch` frames, many acks per
 //! syscall. The engine itself runs on the calling thread.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,6 +98,50 @@ pub(crate) fn read_next(conn: &mut Conn, dec: &mut Decoder) -> Result<Option<Fra
     }
 }
 
+/// How long a dialer waits for its peer's `HelloAck`.
+pub(crate) const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Dial `spec`, send the encoded `Hello` and read the `HelloAck`: the
+/// blocking handshake of the fleet's agents and of a session's pilot.
+/// A peer that sends nothing for `deadline`, refuses (`AgentExit`) or
+/// speaks another version is a typed protocol error. Returns the
+/// connection (still blocking, with no read deadline), the decoder
+/// (which may hold over-read bytes), and the peer's name and slots.
+pub(crate) fn handshake(
+    spec: &str,
+    hello: &[u8],
+    deadline: Duration,
+) -> Result<(Conn, Decoder, String, u32)> {
+    let mut conn = Conn::connect(spec)?;
+    conn.set_nodelay()?;
+    conn.write_all(hello)?;
+    conn.flush()?;
+    conn.set_read_timeout(Some(deadline))?;
+    let mut dec = Decoder::new();
+    let fail = |why: String| Err(NetError::Protocol(format!("{spec} {why}")));
+    let (name, slots) = match read_next(&mut conn, &mut dec) {
+        Ok(Some(Frame::HelloAck {
+            version,
+            slots,
+            agent,
+        })) if version == PROTOCOL_VERSION => (agent, slots),
+        Ok(Some(Frame::HelloAck { version, .. })) => {
+            return fail(format!(
+                "speaks protocol {version}, this side speaks {PROTOCOL_VERSION}"
+            ))
+        }
+        Ok(Some(Frame::AgentExit { reason, .. })) => return fail(format!("refused: {reason}")),
+        Ok(Some(other)) => return fail(format!("sent {other:?}, not HelloAck")),
+        Ok(None) => return fail("closed during handshake".into()),
+        Err(NetError::Io(e)) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            return fail(format!("sent no HelloAck within {deadline:?}"))
+        }
+        Err(e) => return Err(e),
+    };
+    conn.set_read_timeout(None)?;
+    Ok((conn, dec, name, slots))
+}
+
 /// Bind, announce, accept one driver, run the session to completion.
 pub fn serve(config: &AgentConfig) -> Result<AgentReport> {
     let listener = Listener::bind(&config.listen)?;
@@ -113,7 +157,7 @@ pub fn serve(config: &AgentConfig) -> Result<AgentReport> {
 /// Run one driver session over an established connection.
 pub fn run_on_conn(mut conn: Conn, name: &str) -> Result<AgentReport> {
     // The driver must speak first, promptly.
-    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
+    conn.set_read_timeout(Some(HANDSHAKE_DEADLINE))?;
     let mut dec = Decoder::new();
     let (jobs, heartbeat_ms, payload, command) = match read_next(&mut conn, &mut dec)? {
         Some(Frame::Hello {
@@ -498,5 +542,38 @@ fn task_done_rec(result: &JobResult) -> TaskDoneRec {
         runtime_us: result.runtime.as_micros() as u64,
         stdout: result.stdout.clone(),
         stderr: result.stderr.clone(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that accepts the connection and never answers (a wedged
+    /// pilot or agent) must not hold the dialer past its deadline.
+    #[test]
+    fn handshake_gives_up_on_a_silent_peer_at_its_deadline() {
+        let path = std::env::temp_dir().join(format!("htpar-silent-{}.sock", std::process::id()));
+        let spec = format!("unix:{}", path.display());
+        // Bound and listening, so the dial succeeds; nothing accepts.
+        let _listener = Listener::bind(&spec).unwrap();
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+            jobs: 0,
+            heartbeat_ms: 0,
+            payload: Payload::Noop,
+            command: "{}".to_string(),
+        };
+        let deadline = Duration::from_millis(300);
+        let start = Instant::now();
+        let err = handshake(&spec, &hello.encode(), deadline)
+            .err()
+            .expect("a silent peer fails the handshake");
+        let took = start.elapsed();
+        assert!(
+            matches!(&err, NetError::Protocol(why) if why.contains("no HelloAck")),
+            "{err}"
+        );
+        assert!(took >= deadline && took < deadline * 10, "took {took:?}");
     }
 }

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 
-use crate::agent::read_next;
+use crate::agent::{handshake, read_next, HANDSHAKE_DEADLINE};
 use crate::conn::Conn;
 use crate::frame::{encode_submit, Decoder, Frame, Payload, TaskDoneRec, PROTOCOL_VERSION};
 use crate::{NetError, Result};
@@ -81,11 +81,9 @@ pub struct SessionClient {
 
 impl SessionClient {
     /// Dial the pilot and run the `Hello`/`HelloAck` handshake. A
-    /// version-refusal (`AgentExit`) surfaces as a typed protocol
-    /// error carrying the pilot's reason.
+    /// version-refusal (`AgentExit`), or a pilot that does not answer
+    /// within 30 s, surfaces as a typed protocol error.
     pub fn connect(config: SessionConfig) -> Result<SessionClient> {
-        let mut conn = Conn::connect(&config.connect)?;
-        conn.set_nodelay()?;
         let hello = Frame::Hello {
             version: PROTOCOL_VERSION,
             jobs: 0,
@@ -93,28 +91,8 @@ impl SessionClient {
             payload: config.payload,
             command: config.command.clone(),
         };
-        conn.write_all(&hello.encode())?;
-        conn.flush()?;
-        let mut dec = Decoder::new();
-        let fleet_slots = match read_next(&mut conn, &mut dec)? {
-            Some(Frame::HelloAck { version, slots, .. }) => {
-                if version != PROTOCOL_VERSION {
-                    return Err(NetError::Protocol(format!(
-                        "pilot speaks protocol {version}, client speaks {PROTOCOL_VERSION}"
-                    )));
-                }
-                slots
-            }
-            Some(Frame::AgentExit { reason, .. }) => {
-                return Err(NetError::Protocol(format!("pilot refused: {reason}")))
-            }
-            Some(other) => {
-                return Err(NetError::Protocol(format!(
-                    "expected HelloAck, got {other:?}"
-                )))
-            }
-            None => return Err(NetError::Protocol("pilot closed during handshake".into())),
-        };
+        let (conn, dec, _, fleet_slots) =
+            handshake(&config.connect, &hello.encode(), HANDSHAKE_DEADLINE)?;
         Ok(SessionClient {
             conn,
             dec,

@@ -15,7 +15,6 @@
 //! sockets (the pilot's listener and sessions) on other tokens.
 
 use std::collections::VecDeque;
-use std::io::Write;
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,9 +22,9 @@ use std::time::{Duration, Instant};
 use htpar_core::reactor::{Interest, PollEvent, Reactor};
 use htpar_telemetry::{Event, EventBus};
 
-use crate::agent::read_next;
+use crate::agent::{handshake, HANDSHAKE_DEADLINE};
 use crate::conn::Conn;
-use crate::frame::{Decoder, Frame, ShardBytes, TaskDoneRec, PROTOCOL_VERSION, SHARD_CHUNK};
+use crate::frame::{Frame, ShardBytes, TaskDoneRec, SHARD_CHUNK};
 use crate::lease::LeaseTracker;
 use crate::nbio::{Fill, Flush, FrameConn};
 use crate::{NetError, Result};
@@ -59,49 +58,6 @@ pub struct AgentStat {
     /// backpressure tests hold this to the write-queue cap plus at most
     /// one frame.
     pub peak_queue_bytes: u64,
-}
-
-/// Dial one agent and run the blocking `Hello`/`HelloAck` handshake.
-/// Returns the connection (still blocking), the decoder (which may
-/// hold over-read bytes), and the agent's name and granted slots.
-fn handshake(spec: &str, hello_bytes: &[u8]) -> Result<(Conn, Decoder, String, u32)> {
-    let mut conn = Conn::connect(spec)?;
-    conn.set_nodelay()?;
-    conn.write_all(hello_bytes)?;
-    conn.flush()?;
-    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut dec = Decoder::new();
-    let (name, slots) = match read_next(&mut conn, &mut dec)? {
-        Some(Frame::HelloAck {
-            version,
-            slots,
-            agent,
-        }) => {
-            if version != PROTOCOL_VERSION {
-                return Err(NetError::Protocol(format!(
-                    "agent {spec} speaks protocol {version}, driver speaks {PROTOCOL_VERSION}"
-                )));
-            }
-            (agent, slots)
-        }
-        Some(Frame::AgentExit { reason, .. }) => {
-            return Err(NetError::Protocol(format!(
-                "agent {spec} refused: {reason}"
-            )))
-        }
-        Some(other) => {
-            return Err(NetError::Protocol(format!(
-                "agent {spec}: expected HelloAck, got {other:?}"
-            )))
-        }
-        None => {
-            return Err(NetError::Protocol(format!(
-                "agent {spec} closed during handshake"
-            )))
-        }
-    };
-    conn.set_read_timeout(None)?;
-    Ok((conn, dec, name, slots))
 }
 
 /// Lease-sweep period for a heartbeat interval: half a heartbeat,
@@ -184,7 +140,7 @@ impl Fleet {
         let hello_bytes = hello.encode();
         let mut agents = Vec::with_capacity(specs.len());
         for (idx, spec) in specs.iter().enumerate() {
-            let (conn, dec, name, slots) = handshake(spec, &hello_bytes)?;
+            let (conn, dec, name, slots) = handshake(spec, &hello_bytes, HANDSHAKE_DEADLINE)?;
             conn.set_nonblocking(true)?;
             reactor.register(conn.as_raw_fd(), idx, Interest::READ)?;
             if let Some(bus) = &bus {

@@ -6,6 +6,7 @@
 //!   journal holds its `Accepted` record with every seq and argument;
 //! - recovery renders each command again from the journaled template
 //!   and arguments;
+//! - a session's rows are on disk before the pilot reports it finished;
 //! - a journal in the older layout is refused at bind, by name.
 //!
 //! Every blocking wait has a deadline.
@@ -14,7 +15,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -27,7 +28,7 @@ use htpar_net::frame::{Decoder, Frame, Payload, TaskSpec, PROTOCOL_VERSION};
 use htpar_net::journal::{read_journal, JRecord, JournalWriter, JOURNAL_FILE};
 use htpar_net::serve::{PilotServer, ServeConfig, ServeOutcome};
 use htpar_net::NetError;
-use htpar_telemetry::{Event, EventBus, Recorder};
+use htpar_telemetry::{Event, EventBus, Recorder, Sink};
 
 /// A fresh scratch directory path for `tag`.
 fn temp(tag: &str) -> PathBuf {
@@ -301,6 +302,81 @@ fn an_accepted_submit_is_in_the_journal_when_it_returns() {
         assert_eq!(client.finish().expect("session finishes"), 240);
     });
     assert_eq!(pilot.finish().completed, 240);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Counts a tenant joblog's rows whenever a session closes complete.
+struct RowsAtFinish {
+    joblog: PathBuf,
+    counts: Mutex<Vec<usize>>,
+}
+
+impl Sink for RowsAtFinish {
+    fn record(&self, _at: Duration, event: &Event) {
+        if matches!(event, Event::SessionClosed { reason, .. } if reason == "complete") {
+            let rows = joblog::read_log(&self.joblog).map_or(0, |rows| rows.len());
+            self.counts.lock().unwrap().push(rows);
+        }
+    }
+}
+
+/// A pilot reports a session finished (`session_closed`, then
+/// `SessionDone` and the journal's `Closed`) only once the session's
+/// rows are on disk: a pilot killed in between would skip the closed
+/// session on restart and lose the rows for good, and a client reading
+/// its joblog after `SessionDone` would miss them. Four tasks of 200 ms
+/// on one `-j 4` agent finish together, so their last rows are recorded
+/// in the turn that finishes the session.
+#[test]
+fn a_finished_session_has_its_rows_on_disk() {
+    let dir = temp("finish");
+    let sink = Arc::new(RowsAtFinish {
+        joblog: dir.join("finish.joblog"),
+        counts: Mutex::new(Vec::new()),
+    });
+    let bus = Arc::new(EventBus::new());
+    bus.attach(sink.clone());
+    let agent_spec = sock_spec("finish-agent");
+    let config = AgentConfig {
+        listen: agent_spec.clone(),
+        name: "a0".into(),
+        announce: false,
+    };
+    let agent = std::thread::spawn(move || agent::serve(&config));
+    let path = PathBuf::from(agent_spec.strip_prefix("unix:").expect("unix spec"));
+    for _ in 0..400 {
+        if path.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut config = ServeConfig::new(vec![agent_spec], sock_spec("finish"));
+    config.jobs_per_agent = 4;
+    config.joblog_dir = Some(dir.clone());
+    config.bus = Some(bus);
+    config.max_sessions = Some(1);
+    let server = PilotServer::bind(config).expect("pilot binds");
+    let spec = server.local_spec().expect("pilot spec");
+    let serve = std::thread::spawn(move || server.run(None));
+    within(Duration::from_secs(30), move || {
+        let mut session = SessionConfig::new(spec, "finish");
+        session.payload = Payload::SleepUs(200_000);
+        let mut client = SessionClient::connect(session).expect("session connects");
+        let tasks: Vec<Vec<String>> = (1..=4).map(|i| vec![i.to_string()]).collect();
+        assert!(client.submit(&tasks).expect("submit").accepted);
+        assert_eq!(client.finish().expect("session finishes"), 4);
+    });
+    let outcome = serve
+        .join()
+        .expect("serve thread")
+        .expect("clean serve exit");
+    assert_eq!(outcome.completed, 4);
+    agent.join().expect("agent thread").expect("agent drains");
+    assert_eq!(
+        *sink.counts.lock().unwrap(),
+        [4],
+        "rows on disk at session_closed"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
