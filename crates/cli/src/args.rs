@@ -12,13 +12,16 @@
 //! command template; each `:::` / `:::+` starts an input source. With no
 //! `:::` sources and no `-a` files, arguments are read from stdin, one per
 //! line (pipe them in like `find ... | htpar ...`). [`read_inputs`] expands
-//! the sources, or those stdin lines, for all three commands.
+//! the sources, or those stdin lines, for all three commands. Each of them
+//! instead takes a dependency graph as `--dag FILE [--make]`, under one
+//! rule ([`check_dag`]).
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use htpar_core::dag::{Dag, DagSpec};
 use htpar_core::halt::{HaltPolicy, HaltWhen};
 use htpar_core::input::{InputSet, InputSource};
 use htpar_core::options::{BatchMode, Options, ResumeMode};
@@ -72,6 +75,12 @@ pub struct CliSpec {
     /// `--fault-seed N`: seed for `--fault-rate` injection (default 0,
     /// so campaigns are reproducible).
     pub fault_seed: u64,
+    /// `--dag FILE`: run the dependency graph in FILE; its lines are the
+    /// jobs, so there is no input list.
+    pub dag: Option<PathBuf>,
+    /// `--make`: the `--dag` file is make-style `target: deps` lines,
+    /// rendered through the command template.
+    pub make: bool,
     /// `--version` short-circuits.
     pub version: bool,
 }
@@ -95,6 +104,8 @@ impl Default for CliSpec {
             progress: false,
             fault_rate: None,
             fault_seed: 0,
+            dag: None,
+            make: false,
             version: false,
         }
     }
@@ -103,6 +114,7 @@ impl Default for CliSpec {
 /// Usage text for `--help`.
 pub const USAGE: &str = "\
 usage: htpar [OPTIONS] COMMAND... [::: ARGS...]...
+       htpar [OPTIONS] --dag FILE [--make COMMAND...]
   -j, --jobs N          job slots (default: CPU count)
   -k, --keep-order      emit output in input order
       --tag             prefix output lines with the argument(s)
@@ -135,13 +147,16 @@ usage: htpar [OPTIONS] COMMAND... [::: ARGS...]...
       --progress        print live progress to stderr
       --fault-rate P    inject seeded task failures with probability P (testing)
       --fault-seed N    seed for --fault-rate injection (default 0)
+      --dag FILE        run the graph in FILE: `ID: COMMAND [# after: ID,...]`
+                        lines; a task runs once its dependencies succeed
+      --make            with --dag: FILE is make-style `target: deps` lines
+                        and COMMAND renders each task ({} = target)
       --help, --version
 
 subcommands (see `htpar SUBCOMMAND --help`):
   htpar agent --listen ADDR          run a node agent serving one driver
   htpar drive --agents SPECS CMD...  shard work across live agents
   htpar drive --local-cluster N ...  same, over N local agent processes
-  htpar dag FILE                     run a dependency graph in-process
   htpar serve --local-cluster N ...  run a pilot that takes many sessions
   htpar submit --connect ADDR CMD... run a session on a pilot";
 
@@ -336,6 +351,39 @@ fn push_lines(
     }
 }
 
+/// The `--dag` rules every front door shares: `--make` needs `--dag`,
+/// and a `--dag` file supplies the commands (with `--make`, through the
+/// command template) and takes no `:::` source.
+pub fn check_dag(
+    dag: bool,
+    make: bool,
+    command: &str,
+    sources: &[SourceSpec],
+) -> Result<(), String> {
+    let msg = match (dag, make) {
+        (false, true) => "--make requires --dag FILE",
+        (true, _) if !sources.is_empty() => "--dag and ::: are mutually exclusive",
+        (true, true) if command.is_empty() => "--dag --make needs a command template ({} = target)",
+        (true, false) if !command.is_empty() => {
+            "--dag FILE supplies the commands; drop the command words (or add --make)"
+        }
+        _ => return Ok(()),
+    };
+    Err(msg.to_string())
+}
+
+/// Read and build a `--dag` file. `make` carries the `--make` render
+/// template (`{}` = target); `None` selects the `id: cmd` grammar.
+pub fn load_dag(path: &std::path::Path, make: Option<&str>) -> Result<Dag, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let spec = match make {
+        Some(template) => DagSpec::parse_make(&text, template),
+        None => DagSpec::parse(&text),
+    };
+    spec.and_then(DagSpec::build).map_err(|e| e.to_string())
+}
+
 /// Parse a duration: `10` (seconds), `500ms`, `30s`, `5m`, `2h`.
 pub fn parse_duration(s: &str) -> Result<Duration, String> {
     let (num, unit) = match s.find(|c: char| c.is_ascii_alphabetic()) {
@@ -421,6 +469,11 @@ pub fn parse_halt(s: &str) -> Result<HaltPolicy, String> {
 
 /// Parse the full argument vector (everything after the program name).
 pub fn parse_args(argv: &[String]) -> Result<CliSpec, ArgError> {
+    // Read as the classic grammar, `htpar dag g.dag` would run `dag g.dag`
+    // once per stdin line.
+    if argv.first().is_some_and(|word| word == "dag") {
+        return Err("there is no dag subcommand: run a graph with `htpar --dag FILE`".into());
+    }
     let mut spec = CliSpec::default();
     let mut args = Args::classic(argv);
     while let Some(flag) = args.flag()? {
@@ -479,6 +532,8 @@ pub fn parse_args(argv: &[String]) -> Result<CliSpec, ArgError> {
                 spec.fault_rate = Some(rate);
             }
             "--fault-seed" => spec.fault_seed = args.parse(flag)?,
+            "--dag" => spec.dag = Some(args.value(flag)?.into()),
+            "--make" => spec.make = true,
             _ if flag.starts_with("--shuf=") => {
                 let seed = flag["--shuf=".len()..].parse();
                 spec.shuffle = Some(seed.map_err(|_| format!("bad shuf seed in {flag:?}"))?);
@@ -489,7 +544,27 @@ pub fn parse_args(argv: &[String]) -> Result<CliSpec, ArgError> {
             }
         }
     }
-    if spec.command.is_empty() {
+    // A graph is its own input list, and each node one shell command line
+    // whose `:::` values were quoted when the file was read; a `--make`
+    // template is read with `{}`.
+    let arg_file = spec
+        .sources
+        .iter()
+        .any(|s| matches!(s, SourceSpec::File(_)));
+    let refused = [
+        ("-a", arg_file),
+        ("--pipe", spec.pipe),
+        ("-X", spec.options.batch == BatchMode::ContextReplace),
+        ("-m", spec.options.batch == BatchMode::Xargs),
+        ("--shuf", spec.shuffle.is_some()),
+        ("--no-shell", !spec.options.shell),
+        ("-I", spec.replacement.is_some()),
+    ];
+    if let Some((flag, _)) = refused.iter().find(|(_, on)| *on && spec.dag.is_some()) {
+        return Err(format!("--dag FILE cannot take {flag}").into());
+    }
+    check_dag(spec.dag.is_some(), spec.make, &spec.command, &spec.sources)?;
+    if spec.dag.is_none() && spec.command.is_empty() {
         return Err("no command given".into());
     }
     Ok(spec)
@@ -719,6 +794,38 @@ mod tests {
         assert!(parse(&["--fault-rate", "-0.1", "cmd"]).is_err());
         assert!(parse(&["--fault-rate", "x", "cmd"]).is_err());
         assert!(parse(&["--fault-seed", "x", "cmd"]).is_err());
+    }
+
+    #[test]
+    fn dag_and_make_flags() {
+        let spec = parse(&["-j", "4", "--dag", "g.dag", "--joblog", "l", "--resume"]).unwrap();
+        assert_eq!(spec.dag, Some(PathBuf::from("g.dag")));
+        assert!(!spec.make);
+        assert!(spec.command.is_empty() && spec.sources.is_empty());
+        assert_eq!(spec.options.jobs, 4);
+        assert_eq!(spec.options.resume, ResumeMode::Resume);
+        let spec = parse(&["--dag", "deps.mk", "--make", "-k", "render", "{}"]).unwrap();
+        assert!(spec.make && spec.options.keep_order);
+        assert_eq!(spec.command, "render {}");
+        for (line, why) in [
+            ("--dag g task {}", "supplies the commands"),
+            ("--dag g ::: a b", "mutually exclusive"),
+            ("--dag g --make", "needs a command template"),
+            ("--make task {}", "requires --dag"),
+            ("-a f --dag g", "cannot take -a"),
+            ("--pipe --dag g", "cannot take --pipe"),
+            ("-X --dag g", "cannot take -X"),
+            ("--dag g -m", "cannot take -m"),
+            ("--dag g --shuf", "cannot take --shuf"),
+            ("--shuf=3 --dag g", "cannot take --shuf"),
+            ("--dag g --no-shell", "cannot take --no-shell"),
+            ("-I X --dag g --make c X", "cannot take -I"),
+            ("dag g", "htpar --dag FILE"),
+        ] {
+            let words: Vec<&str> = line.split(' ').collect();
+            let err = parse(&words).unwrap_err().to_string();
+            assert!(err.contains(why), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Mapping a parsed [`CliSpec`] onto the engine and GNU-compatible exit
-//! codes.
+//! codes. One setup of executor, gate, result callback and telemetry
+//! serves an input list, `--pipe` blocks and a `--dag` graph alike.
 
 use std::io::BufRead;
 
 use std::sync::Arc;
 
 use htpar_core::chaos::ChaosExecutor;
+use htpar_core::dag::{Dag, ReadySet};
 use htpar_core::executor::StreamKind;
 use htpar_core::output::tag_lines;
 use htpar_core::prelude::*;
@@ -13,22 +15,21 @@ use htpar_core::progress::Progress;
 use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{EventBus, JsonlWriter};
 
-use crate::args::{read_inputs, CliSpec};
+use crate::args::{load_dag, read_inputs, CliSpec};
 
-/// GNU Parallel's exit-code convention: 0 when everything succeeded,
-/// 1–100 = number of failed jobs, 101 when more than 100 failed.
-pub fn exit_code(report: &RunReport) -> i32 {
-    match report.failed {
-        0 => 0,
-        n if n <= 100 => n as i32,
-        _ => 101,
-    }
+/// GNU Parallel's exit-code convention over the number of failed tasks:
+/// 0 when none failed, 1–100 = that number, 101 when more than 100 did.
+/// `htpar`, `htpar --dag` and `htpar drive` all exit by it.
+pub fn exit_code(failed: u64) -> i32 {
+    failed.min(101) as i32
 }
 
 /// Execute a spec. `stdin` supplies input lines (or `--pipe` bytes) when
-/// no `:::`/`-a` sources were given; `emit` receives each finished job's
-/// (stdout, stderr) pair, already tagged if `--tag` is on, in the right
-/// order.
+/// no `:::`/`-a` sources or `--dag` graph were given; `emit` receives each
+/// finished job's (stdout, stderr) pair, already tagged if `--tag` is on,
+/// in the right order. A `--dag` run then reports its failed task ids and
+/// its count of tasks skipped after a failed dependency on `emit`'s
+/// stderr side, and its report counts the tasks that ran.
 pub fn execute<R, F>(spec: CliSpec, stdin: R, emit: F) -> Result<RunReport>
 where
     R: BufRead + Send + 'static,
@@ -51,6 +52,13 @@ where
     R: BufRead + Send + 'static,
     F: Fn(&str, &str) + Send + Sync + Clone + 'static,
 {
+    let make = spec.make.then_some(spec.command.as_str());
+    let dag = spec.dag.as_deref().map(|path| load_dag(path, make));
+    let dag = dag.transpose().map_err(Error::Input)?;
+    if let (Some(dag), true) = (&dag, spec.options.dry_run) {
+        print_dag_plan(dag, &emit);
+        return Ok(RunReport::default());
+    }
     let tag = spec.options.tag;
     let use_shell = spec.options.shell;
     let tag_template = match &spec.tagstring {
@@ -117,6 +125,7 @@ where
     }
     let progress2 = progress.clone();
     let line_buffer_for_results = line_buffer;
+    let report_to = emit.clone();
     builder = builder.on_result(move |result| {
         let line_buffer = line_buffer_for_results;
         if let Some(p) = &progress2 {
@@ -146,11 +155,48 @@ where
         emit(&apply(&result.stdout), &apply(&result.stderr));
     });
 
+    if let Some(dag) = dag {
+        let report = builder.run_dag(&dag)?;
+        for id in &report.failed_ids {
+            report_to("", &format!("htpar: failed: {id}\n"));
+        }
+        if report.skipped_dep_failed > 0 {
+            let n = report.skipped_dep_failed;
+            report_to("", &format!("htpar: {n} task(s) skipped-dep-failed\n"));
+        }
+        return Ok(report.engine);
+    }
     if spec.pipe {
         return builder.run_pipe(stdin, spec.block_size);
     }
     let inputs = read_inputs(&spec.sources, spec.colsep.as_deref(), stdin)?;
     builder.inputs(inputs).run()
+}
+
+/// `--dag --dry-run`: one line per task in a valid topological order, in
+/// the grammar `DagSpec::parse` reads back.
+fn print_dag_plan(dag: &Dag, emit: impl Fn(&str, &str)) {
+    let mut rs = ReadySet::new(dag);
+    let mut order = rs.take_ready();
+    let mut at = 0;
+    while at < order.len() {
+        let seq = order[at];
+        at += 1;
+        order.extend(rs.complete(seq, true).newly_ready);
+    }
+    for seq in order {
+        let node = dag.node((seq - 1) as usize);
+        let after: Vec<&str> = node
+            .deps
+            .iter()
+            .map(|&d| dag.node(d as usize).id.as_str())
+            .collect();
+        let mut line = format!("{}: {}", node.id, node.command);
+        if !after.is_empty() {
+            line = format!("{line} # after: {}", after.join(","));
+        }
+        emit(&format!("{line}\n"), "");
+    }
 }
 
 /// Run on `exec`, behind a seeded chaos layer when `--fault-rate` asks.
@@ -368,25 +414,16 @@ mod tests {
     #[test]
     fn exit_codes_follow_gnu_convention() {
         let (report, _) = run(&["-k", "true", "{}", ":::", "1", "2"], "");
-        assert_eq!(exit_code(&report), 0);
+        assert_eq!(exit_code(report.failed), 0);
         let (report, _) = run(&["-k", "false", "#", "{}", ":::", "1", "2", "3"], "");
-        assert_eq!(exit_code(&report), 3);
+        assert_eq!(exit_code(report.failed), 3);
     }
 
     #[test]
     fn exit_code_caps_at_101() {
-        use htpar_core::runner::RunReport;
-        let report = RunReport {
-            jobs_total: 500,
-            succeeded: 0,
-            failed: 500,
-            skipped: 0,
-            busy: std::time::Duration::ZERO,
-            wall: std::time::Duration::ZERO,
-            launch_rate: 0.0,
-            halted: None,
-        };
-        assert_eq!(exit_code(&report), 101);
+        assert_eq!(exit_code(100), 100);
+        assert_eq!(exit_code(101), 101);
+        assert_eq!(exit_code(500), 101);
     }
 
     #[test]
@@ -535,7 +572,7 @@ mod tests {
         drop(f);
 
         let report = run_argv(&["--resume"], &["1", "2", "3", "4", "5"]).expect("resume runs");
-        assert_eq!(exit_code(&report), 0);
+        assert_eq!(exit_code(report.failed), 0);
         assert_eq!(report.skipped, 3);
         assert_eq!(*printed.lock().unwrap(), vec!["4\n", "5\n"]);
         let mut seqs: Vec<u64> = joblog::read_log(&log)

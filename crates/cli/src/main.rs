@@ -45,7 +45,7 @@ fn main() {
     );
 
     match result {
-        Ok(report) => std::process::exit(exit_code(&report)),
+        Ok(report) => std::process::exit(exit_code(report.failed)),
         Err(e) => {
             eprintln!("htpar: {e}");
             std::process::exit(255);

@@ -1,7 +1,7 @@
-//! The `htpar` subcommands: `agent`, `drive`, `dag`, `serve` and
-//! `submit`, the CLI face of the network subsystem (`htpar-net`,
-//! DESIGN.md §12–13) and of in-process DAG runs. Each reads its words
-//! through the one [`Args`] reader that `htpar` itself uses.
+//! The `htpar` subcommands: `agent`, `drive`, `serve` and `submit`, the
+//! CLI face of the network subsystem (`htpar-net`, DESIGN.md §12–13).
+//! Each reads its words through the one [`Args`] reader that `htpar`
+//! itself uses.
 //!
 //! ```text
 //! # one agent per node, then drive from the head node:
@@ -24,10 +24,9 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
-use htpar_core::dag::{Dag, DagRunner, DagSpec, ReadySet};
+use htpar_core::dag::{Dag, ReadySet};
 use htpar_core::sched::SchedPolicy;
 use htpar_net::agent::{self, AgentConfig};
 use htpar_net::client::{ClientEvent, SessionClient, SessionConfig};
@@ -37,8 +36,8 @@ use htpar_net::frame::Payload;
 use htpar_net::local::LocalCluster;
 use htpar_net::serve::{PilotServer, ServeConfig, ServeOutcome, SERVE_ANNOUNCE_PREFIX};
 
-use crate::args::{read_inputs, ArgError, Args, SourceSpec};
-use crate::exec::telemetry_from_env;
+use crate::args::{check_dag, load_dag, read_inputs, ArgError, Args, SourceSpec};
+use crate::exec::{exit_code, telemetry_from_env};
 
 pub const AGENT_USAGE: &str = "\
 usage: htpar agent --listen ADDR [--name NAME] [--quiet]
@@ -63,35 +62,15 @@ COMMAND... [::: ARGS...]...
                          SIGKILL local agent IDX once DONE tasks have
                          completed (requires --local-cluster)
       --dag FILE         drive a dependency graph: FILE supplies the
-                         commands (htpar dag grammar) and the driver
+                         commands (htpar --dag grammar) and the driver
                          releases a task to the fleet only after its
                          dependencies succeed; no COMMAND/::: tail
       --make             with --dag: FILE is make-style `target: deps`
                          lines and the COMMAND tail renders each task
                          ({} = target)
-With no ::: source, arguments are read from stdin, one per line.";
-
-pub const DAG_USAGE: &str = "\
-usage: htpar dag FILE [OPTIONS]
-Run a dependency graph in-process: ready tasks release into the slot
-engine as their dependencies complete; a failure marks every descendant
-skipped-dep-failed with its own joblog row.
-FILE grammar (one task per line; blank lines and # comments ignored):
-  ID: COMMAND                     one task
-  ID: COMMAND {} ::: A B C        expands to ID.1..ID.N, one arg each;
-                                  ID then names the whole group
-  ...anything... # after: ID,ID   run only after the named tasks
-  -j, --jobs N      parallel job slots
-      --joblog FILE one row per task; skipped tasks get
-                    Host=skipped-dep-failed, Exitval=-2
-      --resume      with --joblog: keep tasks that already have a
-                    successful row and replay exactly the unfinished
-                    subgraph (failed tasks, their descendants, and
-                    anything unrecorded)
-      --make CMD    FILE is make-style `target: deps` lines; CMD
-                    renders each task's command ({} = target)
-      --no-shell    exec argv directly instead of via sh -c
-      --dry-run     validate and print a topological plan, then exit";
+With no ::: source, arguments are read from stdin, one per line.
+Exit status: as htpar's, the number of failed tasks (0 when none, 101
+above 100); 1 when the drive itself fails.";
 
 pub const SERVE_USAGE: &str = "\
 usage: htpar serve (--agents SPEC[,SPEC...] | --local-cluster N) [OPTIONS]
@@ -111,10 +90,6 @@ usage: htpar serve (--agents SPEC[,SPEC...] | --local-cluster N) [OPTIONS]
       --detach-ttl SECS  hold a detached session for SECS after its
                          socket drops before purging its work
                          (default: 3600; 0 holds forever)
-      --journal-compact N
-                         rewrite the session journal after N journaled
-                         sessions close, dropping closed-session
-                         records (default: 64; 0 never compacts)
       --max-sessions N   exit after N sessions close (default: forever)
       --heartbeat-ms MS  agent heartbeat interval (default: 200)
       --lease-ms MS      declare an agent lost after MS of silence
@@ -162,14 +137,13 @@ type Subcommand = (
 );
 
 /// Every subcommand `htpar` routes.
-pub const SUBCOMMANDS: [Subcommand; 5] = [
+pub const SUBCOMMANDS: [Subcommand; 4] = [
     ("agent", AGENT_USAGE, |argv| {
         Ok(run_agent(parse_agent(argv)?))
     }),
     ("drive", DRIVE_USAGE, |argv| {
         Ok(run_drive(parse_drive(argv)?))
     }),
-    ("dag", DAG_USAGE, |argv| Ok(run_dag(parse_dag(argv)?))),
     ("serve", SERVE_USAGE, |argv| {
         Ok(run_serve(parse_serve(argv)?))
     }),
@@ -184,18 +158,6 @@ pub fn dispatch(argv: &[String]) -> Option<i32> {
     let (word, rest) = argv.split_first()?;
     let (name, usage, run) = SUBCOMMANDS.iter().find(|(name, ..)| name == word)?;
     Some(run(rest).unwrap_or_else(|e| e.exit(&format!("htpar {name}"), usage)))
-}
-
-/// Read and build a `--dag` file. `make` carries the `--make` render
-/// template (`{}` = target); `None` selects the `id: cmd` grammar.
-fn load_dag(path: &std::path::Path, make: Option<&str>) -> Result<Dag, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let spec = match make {
-        Some(template) => DagSpec::parse_make(&text, template),
-        None => DagSpec::parse(&text),
-    };
-    spec.and_then(DagSpec::build).map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------- agent
@@ -426,22 +388,6 @@ pub fn parse_drive(argv: &[String]) -> Result<DriveSpec, ArgError> {
     Ok(spec)
 }
 
-/// The `--dag` rules `drive` and `submit` share: `--make` needs `--dag`,
-/// and a `--dag` file supplies the commands (with `--make`, through the
-/// command template) and takes no `:::` source.
-fn check_dag(dag: bool, make: bool, command: &str, sources: &[SourceSpec]) -> Result<(), String> {
-    let msg = match (dag, make) {
-        (false, true) => "--make requires --dag FILE",
-        (true, _) if !sources.is_empty() => "--dag and ::: are mutually exclusive",
-        (true, true) if command.is_empty() => "--dag --make needs a command template ({} = target)",
-        (true, false) if !command.is_empty() => {
-            "--dag FILE supplies the commands; drop the command words (or add --make)"
-        }
-        _ => return Ok(()),
-    };
-    Err(msg.to_string())
-}
-
 /// `shell`, `noop`, or `sleep:MICROS`.
 fn parse_payload(s: &str) -> Result<Payload, String> {
     match s {
@@ -524,13 +470,7 @@ fn run_drive(spec: DriveSpec) -> i32 {
         match run_driver(&config, &inputs, chaos) {
             Ok(outcome) => {
                 print_summary(&outcome);
-                // A dep-failed skip is a terminal outcome, not missing work.
-                if outcome.completed + outcome.skipped + outcome.skipped_dep_failed == outcome.total
-                {
-                    0
-                } else {
-                    1
-                }
+                exit_code(outcome.failed)
             }
             Err(e) => {
                 eprintln!("htpar drive: {e}");
@@ -547,165 +487,16 @@ fn print_summary(outcome: &DriveOutcome) {
         String::new()
     };
     eprintln!(
-        "htpar drive: {}/{} task(s) in {:.2}s ({:.0} tasks/s), {} skipped{dep_failed}, {} duplicate completion(s) suppressed",
+        "htpar drive: {}/{} task(s) in {:.2}s ({:.0} tasks/s), {} failed, {} skipped{dep_failed}, {} duplicate completion(s) suppressed",
         outcome.completed,
         outcome.total,
         outcome.wall.as_secs_f64(),
         outcome.tasks_per_sec(),
+        outcome.failed,
         outcome.skipped,
         outcome.duplicates,
     );
     print_agents(&outcome.agents);
-}
-
-// ------------------------------------------------------------------ dag
-
-/// Parsed `htpar dag` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagCmdSpec {
-    pub file: Option<PathBuf>,
-    pub jobs: Option<usize>,
-    pub joblog: Option<PathBuf>,
-    pub resume: bool,
-    /// `--make CMD`: make-style input rendered through CMD.
-    pub make: Option<String>,
-    pub shell: bool,
-    pub dry_run: bool,
-}
-
-impl Default for DagCmdSpec {
-    fn default() -> Self {
-        DagCmdSpec {
-            file: None,
-            jobs: None,
-            joblog: None,
-            resume: false,
-            make: None,
-            shell: true,
-            dry_run: false,
-        }
-    }
-}
-
-/// Parse `htpar dag` arguments (everything after the subcommand).
-pub fn parse_dag(argv: &[String]) -> Result<DagCmdSpec, ArgError> {
-    let mut spec = DagCmdSpec::default();
-    let mut args = Args::new(argv);
-    while let Some(flag) = args.flag()? {
-        match flag {
-            "-j" | "--jobs" => spec.jobs = Some(args.parse(flag)?),
-            "--joblog" => spec.joblog = Some(args.value(flag)?.into()),
-            "--resume" => spec.resume = true,
-            "--make" => spec.make = Some(args.value(flag)?.into()),
-            "--no-shell" => spec.shell = false,
-            "--dry-run" => spec.dry_run = true,
-            _ if flag.starts_with('-') && flag.len() > 1 => return Err(args.unknown()),
-            _ if spec.file.is_some() => {
-                return Err(format!("unexpected extra argument {flag:?}").into())
-            }
-            _ => spec.file = Some(flag.into()),
-        }
-    }
-    if spec.file.is_none() {
-        return Err("a DAG file is required".into());
-    }
-    if spec.resume && spec.joblog.is_none() {
-        return Err("--resume requires --joblog".into());
-    }
-    Ok(spec)
-}
-
-fn run_dag(spec: DagCmdSpec) -> i32 {
-    let file = spec.file.as_ref().expect("validated by parse_dag");
-    let dag = match load_dag(file, spec.make.as_deref()) {
-        Ok(dag) => dag,
-        Err(msg) => {
-            eprintln!("htpar dag: {msg}");
-            return 1;
-        }
-    };
-    if spec.dry_run {
-        print_dag_plan(&dag);
-        return 0;
-    }
-
-    use htpar_core::executor::ProcessExecutor;
-    use htpar_core::options::{Options, ResumeMode};
-    let mut options = Options::default();
-    if let Some(jobs) = spec.jobs {
-        options.jobs = jobs;
-    }
-    options.joblog = spec.joblog.clone();
-    options.resume = if spec.resume {
-        ResumeMode::Resume
-    } else {
-        ResumeMode::Off
-    };
-    options.shell = spec.shell;
-    let executor: Arc<dyn htpar_core::executor::Executor> = if spec.shell {
-        Arc::new(ProcessExecutor::shell())
-    } else {
-        Arc::new(ProcessExecutor::no_shell())
-    };
-    let runner = DagRunner {
-        options,
-        executor,
-        bus: telemetry_from_env(),
-    };
-    let started = std::time::Instant::now();
-    match runner.run(&dag) {
-        Ok(report) => {
-            let ok = report.total - report.failed - report.skipped_dep_failed - report.resumed;
-            eprintln!(
-                "htpar dag: {}/{} task(s) ok in {:.2}s ({} failed, {} skipped-dep-failed, \
-                 {} kept from a previous run)",
-                ok,
-                report.total,
-                started.elapsed().as_secs_f64(),
-                report.failed,
-                report.skipped_dep_failed,
-                report.resumed,
-            );
-            for id in &report.failed_ids {
-                eprintln!("  failed: {id}");
-            }
-            if report.all_succeeded() {
-                0
-            } else {
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("htpar dag: {e}");
-            1
-        }
-    }
-}
-
-/// `--dry-run`: one line per task in a valid topological order, in the
-/// same grammar the parser accepts (round-trippable).
-fn print_dag_plan(dag: &Dag) {
-    let mut rs = ReadySet::new(dag);
-    let mut order = rs.take_ready();
-    let mut at = 0;
-    while at < order.len() {
-        let seq = order[at];
-        at += 1;
-        order.extend(rs.complete(seq, true).newly_ready);
-    }
-    for seq in order {
-        let node = dag.node((seq - 1) as usize);
-        let after: Vec<&str> = node
-            .deps
-            .iter()
-            .map(|&d| dag.node(d as usize).id.as_str())
-            .collect();
-        if after.is_empty() {
-            println!("{}: {}", node.id, node.command);
-        } else {
-            println!("{}: {} # after: {}", node.id, node.command, after.join(","));
-        }
-    }
 }
 
 // ---------------------------------------------------------------- serve
@@ -721,8 +512,6 @@ pub struct ServeSpec {
     pub state_dir: Option<PathBuf>,
     /// Detach TTL in seconds; 0 holds detached sessions forever.
     pub detach_ttl: u64,
-    /// Compact the journal after this many closed sessions; 0 never.
-    pub journal_compact_every: u64,
     pub max_sessions: Option<u64>,
     pub announce: bool,
 }
@@ -737,7 +526,6 @@ impl Default for ServeSpec {
             joblog_dir: None,
             state_dir: None,
             detach_ttl: 3_600,
-            journal_compact_every: 64,
             max_sessions: None,
             announce: true,
         }
@@ -761,7 +549,6 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeSpec, ArgError> {
             "--joblog-dir" => spec.joblog_dir = Some(args.value(flag)?.into()),
             "--state-dir" => spec.state_dir = Some(args.value(flag)?.into()),
             "--detach-ttl" => spec.detach_ttl = args.parse(flag)?,
-            "--journal-compact" => spec.journal_compact_every = args.parse(flag)?,
             "--max-sessions" => spec.max_sessions = Some(args.parse(flag)?),
             "--quiet" => spec.announce = false,
             _ if spec.fleet.read(flag, &mut args)? => {}
@@ -785,7 +572,6 @@ fn run_serve(spec: ServeSpec) -> i32 {
         } else {
             Some(Duration::from_secs(spec.detach_ttl))
         };
-        config.journal_compact_every = spec.journal_compact_every;
         config.max_sessions = spec.max_sessions;
         config.heartbeat_ms = spec.fleet.heartbeat_ms;
         config.lease_window_ms = spec.fleet.lease_window_ms;
@@ -1275,10 +1061,6 @@ mod tests {
         assert_eq!(spec.detach_ttl, 3_600, "default TTL is one hour");
         let spec = parse_serve(&argv("--local-cluster 2 --detach-ttl 0")).unwrap();
         assert_eq!(spec.detach_ttl, 0, "0 holds detached sessions forever");
-        let spec = parse_serve(&argv("--local-cluster 2 --journal-compact 8")).unwrap();
-        assert_eq!(spec.journal_compact_every, 8);
-        let spec = parse_serve(&argv("--local-cluster 2")).unwrap();
-        assert_eq!(spec.journal_compact_every, 64, "compaction defaults on");
         assert!(parse_serve(&argv("--local-cluster 2 --detach-ttl soon")).is_err());
         assert!(parse_serve(&argv("--local-cluster 2 --state-dir")).is_err());
     }
@@ -1486,32 +1268,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_cmd_grammar() {
-        let spec = parse_dag(&argv("graph.dag -j 8 --joblog run.log --resume")).unwrap();
-        assert_eq!(spec.file, Some(PathBuf::from("graph.dag")));
-        assert_eq!(spec.jobs, Some(8));
-        assert_eq!(spec.joblog, Some(PathBuf::from("run.log")));
-        assert!(spec.resume);
-        assert!(spec.shell);
-        let spec = parse_dag(&argv("-j4 --no-shell --dry-run graph.dag")).unwrap();
-        assert_eq!(spec.jobs, Some(4));
-        assert!(!spec.shell);
-        assert!(spec.dry_run);
-        let spec = parse_dag(&argv("deps.mk --make render_{}")).unwrap();
-        assert_eq!(spec.make, Some("render_{}".to_string()));
-        assert!(parse_dag(&argv("")).is_err(), "file required");
-        assert!(parse_dag(&argv("a.dag b.dag")).is_err(), "one file only");
-        assert!(
-            parse_dag(&argv("a.dag --resume")).is_err(),
-            "resume needs a joblog"
-        );
-        let err = parse_dag(&argv("a.dag --jobslog x"))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown option"), "{err}");
-    }
-
-    #[test]
     fn dispatch_ignores_classic_invocations() {
         assert_eq!(dispatch(&argv("-j8 echo {} ::: 1 2")), None);
         assert_eq!(dispatch(&[]), None);
@@ -1607,6 +1363,8 @@ mod tests {
                 "--progress c",
                 "--fault-rate 0.5 c",
                 "--fault-seed 3 c",
+                "--dag g",
+                "--dag g --make c {}",
                 "--help",
                 "--version",
             ],
@@ -1637,21 +1395,6 @@ mod tests {
             ],
         );
         parses_every_listed_flag(
-            DAG_USAGE,
-            |a| parse_dag(a).map(drop),
-            &[
-                "g -j 4",
-                "g -j4",
-                "g --jobs 4",
-                "g --joblog f --resume",
-                "g --make c_{}",
-                "g --no-shell",
-                "g --dry-run",
-                "--help",
-                "-h",
-            ],
-        );
-        parses_every_listed_flag(
             SERVE_USAGE,
             |a| parse_serve(a).map(drop),
             &[
@@ -1664,7 +1407,6 @@ mod tests {
                 "--local-cluster 2 --joblog-dir d",
                 "--local-cluster 2 --state-dir d",
                 "--local-cluster 2 --detach-ttl 0",
-                "--local-cluster 2 --journal-compact 8",
                 "--local-cluster 2 --max-sessions 1",
                 "--local-cluster 2 --heartbeat-ms 9",
                 "--local-cluster 2 --lease-ms 99",

@@ -3,11 +3,18 @@
 //! agent, and driver-SIGKILL + `--resume` replaying exactly the
 //! unfinished subgraph. Both runs must leave an exactly-once joblog in
 //! which every task's dependencies are logged before it.
+//!
+//! Then `htpar --dag`, on real processes: a graph run prints its
+//! tasks' output, takes `-k`, `--tag`, `--retries`, `--timeout` and
+//! `--dry-run` like any `htpar` run, and exits by `htpar`'s rule.
 
+use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use htpar_core::dag::{Dag, DagSpec, SKIPPED_DEP_FAILED};
 use htpar_core::joblog;
 use htpar_net::driver::verify_exactly_once;
 
@@ -235,4 +242,150 @@ fn driver_sigkill_then_dag_resume_replays_exactly_the_unfinished_subgraph() {
     assert_deps_logged_first(&log, &deps);
     let _ = std::fs::remove_file(&dag_file);
     let _ = std::fs::remove_file(&log);
+}
+
+/// A fresh working directory holding `g.dag` with `graph`.
+fn graph_dir(tag: &str, graph: &str) -> PathBuf {
+    let dir = temp_path(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("g.dag"), graph).unwrap();
+    dir
+}
+
+/// Run `htpar ARGS` in `dir` with `stdin`: (stdout, stderr, exit status).
+fn run_in(dir: &Path, args: &[&str], stdin: &str) -> (String, String, i32) {
+    let mut child = htpar()
+        .args(args)
+        .current_dir(dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn htpar");
+    // A run that refuses its command line may exit before reading.
+    let _ = child.stdin.take().unwrap().write_all(stdin.as_bytes());
+    let out = child.wait_with_output().unwrap();
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    let code = out.status.code().unwrap_or(-1);
+    (text(&out.stdout), text(&out.stderr), code)
+}
+
+/// A two-link chain prints both tasks' output in dependency order, even
+/// when the first link is the slower one; `-k --tag` prefixes each line
+/// with its task's command.
+#[test]
+fn dag_chain_prints_its_output_in_dependency_order() {
+    let dir = graph_dir(
+        "chain",
+        "a: sleep 0.2; echo first\nb: echo second # after: a\n",
+    );
+    let (out, err, code) = run_in(&dir, &["-j", "2", "--dag", "g.dag"], "");
+    assert_eq!((out.as_str(), code), ("first\nsecond\n", 0), "{err}");
+    let (out, err, code) = run_in(&dir, &["-k", "--tag", "--dag", "g.dag"], "");
+    let tagged = "sleep 0.2; echo first\tfirst\necho second\tsecond\n";
+    assert_eq!((out.as_str(), code), (tagged, 0), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--retries 1` re-runs a node that fails once, and its dependent then
+/// runs.
+#[test]
+fn dag_retries_rescue_a_node_that_fails_once() {
+    let graph = "m: test -e m || { touch m; exit 3; }\nn: echo after-m # after: m\n";
+    let dir = graph_dir("retries", graph);
+    let (out, err, code) = run_in(
+        &dir,
+        &["--retries", "1", "--joblog", "J", "--dag", "g.dag"],
+        "",
+    );
+    assert_eq!((out.as_str(), code), ("after-m\n", 0), "{err}");
+    let entries = joblog::read_log(dir.join("J")).unwrap();
+    assert_eq!(entries.len(), 2);
+    assert!(entries.iter().all(|e| e.exitval == 0), "{entries:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--timeout` kills a node, whose dependent gets a `skipped-dep-failed`
+/// row instead of running; with one more failed node, the run exits 2
+/// (skipped tasks do not count) and names both failures on stderr.
+#[test]
+fn dag_timeout_fails_a_node_and_skips_its_dependent() {
+    let dir = graph_dir(
+        "timeout",
+        "s: sleep 5\nd: echo never # after: s\nf: exit 7\n",
+    );
+    let started = Instant::now();
+    let args = ["--timeout", "200ms", "--joblog", "J", "--dag", "g.dag"];
+    let (out, err, code) = run_in(&dir, &args, "");
+    assert!(
+        started.elapsed() < Duration::from_secs(4),
+        "the timeout killed sleep 5"
+    );
+    assert_eq!((out.as_str(), code), ("", 2), "{err}");
+    for line in [
+        "htpar: failed: s",
+        "htpar: failed: f",
+        "1 task(s) skipped-dep-failed",
+    ] {
+        assert!(err.contains(line), "{line:?} missing from stderr:\n{err}");
+    }
+    let entries = joblog::read_log(dir.join("J")).unwrap();
+    let skipped: Vec<_> = entries
+        .iter()
+        .filter(|e| e.host == SKIPPED_DEP_FAILED)
+        .collect();
+    assert_eq!(skipped.len(), 1, "{entries:?}");
+    assert_eq!((skipped[0].seq, skipped[0].exitval), (2, -2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each task of `dag` by id: its command and its dependencies' ids.
+fn shape(dag: &Dag) -> HashMap<String, (String, Vec<String>)> {
+    let ids = |deps: &[u32]| {
+        deps.iter()
+            .map(|&d| dag.node(d as usize).id.clone())
+            .collect()
+    };
+    let nodes = dag.nodes().iter();
+    nodes
+        .map(|n| (n.id.clone(), (n.command.clone(), ids(&n.deps))))
+        .collect()
+}
+
+/// `--dag --dry-run` on the shipped §IV-B prefetch pipeline prints a
+/// topological plan that the DAG grammar reads back to the same tasks,
+/// commands and dependencies, and runs none of them.
+#[test]
+fn dag_dry_run_plan_reads_back_as_the_same_graph() {
+    let example = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/prefetch_pipeline.dag"
+    );
+    let dir = graph_dir("plan", "");
+    let (plan, err, code) = run_in(&dir, &["--dry-run", "--joblog", "J", "--dag", example], "");
+    assert_eq!(code, 0, "{err}");
+    assert!(!dir.join("J").exists(), "a dry run logs nothing");
+    let read = |text: &str| DagSpec::parse(text).and_then(DagSpec::build).unwrap();
+    let shipped = read(&std::fs::read_to_string(example).unwrap());
+    let planned = read(&plan);
+    assert_eq!(planned.len(), 13);
+    assert_eq!(shape(&planned), shape(&shipped));
+    // Topological: every task's dependencies come before it.
+    for (at, node) in planned.nodes().iter().enumerate() {
+        assert!(node.deps.iter().all(|&d| (d as usize) < at), "{plan}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The retired `htpar dag FILE` is a usage error naming `--dag`: read as
+/// the classic grammar it would launch `dag FILE` once per stdin line.
+#[test]
+fn retired_dag_subcommand_names_the_flag_and_runs_nothing() {
+    let dir = graph_dir("retired", "a: touch ran\n");
+    let (out, err, code) = run_in(&dir, &["dag", "g.dag"], "x\n");
+    assert_eq!((out.as_str(), code), ("", 255), "{err}");
+    assert!(err.contains("htpar --dag FILE"), "{err}");
+    assert!(!dir.join("ran").exists(), "the graph ran");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -289,3 +289,32 @@ fn shell_payload_runs_real_commands_on_agents() {
     }
     let _ = std::fs::remove_file(&log);
 }
+
+/// `drive` exits by `htpar`'s rule: 0 when every task succeeded, else
+/// the number of tasks that failed. The summary line counts them.
+#[test]
+fn flat_drive_exits_with_its_failed_task_count() {
+    let (stderr, code) = drive(&["--local-cluster", "1", "false", ":::", "1", "2"], "");
+    assert_eq!(code, 2, "two failed tasks:\n{stderr}");
+    assert!(stderr.contains("2 failed,"), "{stderr}");
+    let (stderr, code) = drive(&["--local-cluster", "1", "true", ":::", "1", "2"], "");
+    assert_eq!(code, 0, "no failed task:\n{stderr}");
+    assert!(stderr.contains("0 failed,"), "{stderr}");
+}
+
+/// The same rule for a graph: a task that fails counts, one skipped
+/// after its failed dependency does not, and one that succeeds is 0.
+#[test]
+fn dag_drive_exits_with_its_failed_task_count() {
+    let graph = temp_path("fail.dag");
+    std::fs::write(&graph, "a: false\nb: true # after: a\nc: false\nd: true\n").unwrap();
+    let dag = graph.to_str().unwrap();
+    let (stderr, code) = drive(&["--local-cluster", "1", "--dag", dag], "");
+    assert_eq!(code, 2, "a and c failed, b skipped:\n{stderr}");
+    assert!(stderr.contains("2 failed,"), "{stderr}");
+    assert!(stderr.contains("1 skipped-dep-failed"), "{stderr}");
+    std::fs::write(&graph, "a: true\nb: true # after: a\n").unwrap();
+    let (stderr, code) = drive(&["--local-cluster", "1", "--dag", dag], "");
+    assert_eq!(code, 0, "every task succeeded:\n{stderr}");
+    let _ = std::fs::remove_file(&graph);
+}

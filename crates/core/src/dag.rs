@@ -783,44 +783,8 @@ pub struct DagRunner {
 
 impl DagRunner {
     pub fn run(self, dag: &Dag) -> Result<DagReport> {
-        let total = dag.len() as u64;
-        let joblog = self.options.joblog.clone();
-        let mode = match self.options.resume {
-            ResumeMode::Off => ResumeMode::Off,
-            _ => ResumeMode::ResumeFailed,
-        };
-        let done = match &joblog {
-            Some(path) => joblog::resume_set(path, mode)?,
-            None => HashSet::new(),
-        };
-        let log = LogSink::open(joblog.as_deref())?;
-
-        let mut ready = ReadySet::resumed(dag, &done);
-        let initial = ready.take_ready();
-        let finished = ready.is_finished();
-        let jobs = self.options.jobs;
-        let release = DagRelease {
-            dag,
-            jobs,
-            state: Mutex::new(DagState {
-                ready,
-                tx: None,
-                log,
-                failed_ids: Vec::new(),
-            }),
-        };
-        let (tx, rx) = crate::crossbeam_channel::unbounded::<Vec<JobInput>>();
-        send_chunks(&tx, initial.into_iter().map(|seq| release.job(seq)), jobs);
-        // Nothing will ever complete on an already-finished graph (empty
-        // or fully resumed), so no hook can close the channel: drop the
-        // sender here or the engine waits on it forever.
-        release.state.lock().tx = (!finished).then_some(tx);
-
-        let mut engine_options = self.options;
-        engine_options.joblog = None;
-        engine_options.resume = ResumeMode::Off;
         let engine = Engine {
-            options: engine_options,
+            options: self.options,
             template: Template::parse("{}")?,
             executor: self.executor,
             on_result: None,
@@ -828,20 +792,60 @@ impl DagRunner {
             gate: None,
             bus: self.bus,
         };
-        let engine_report = engine.run_released(rx, &release)?;
-
-        let st = release.state.into_inner();
-        st.log.finish()?;
-        let (_done, failed, skipped, pre_done) = st.ready.counts();
-        Ok(DagReport {
-            engine: engine_report,
-            total,
-            failed,
-            skipped_dep_failed: skipped,
-            resumed: pre_done,
-            failed_ids: st.failed_ids,
-        })
+        run_dag(dag, engine)
     }
+}
+
+/// Run `dag` over `engine`, whose template is `{}` and skip set empty,
+/// each job's one argument a node's command line. The engine's `joblog`
+/// and `resume` options move to this layer, as [`DagRunner`] describes.
+pub(crate) fn run_dag(dag: &Dag, mut engine: Engine) -> Result<DagReport> {
+    let total = dag.len() as u64;
+    let joblog = engine.options.joblog.take();
+    let mode = match std::mem::take(&mut engine.options.resume) {
+        ResumeMode::Off => ResumeMode::Off,
+        _ => ResumeMode::ResumeFailed,
+    };
+    let done = match &joblog {
+        Some(path) => joblog::resume_set(path, mode)?,
+        None => HashSet::new(),
+    };
+    let log = LogSink::open(joblog.as_deref())?;
+
+    let mut ready = ReadySet::resumed(dag, &done);
+    let initial = ready.take_ready();
+    let finished = ready.is_finished();
+    let jobs = engine.options.jobs;
+    let release = DagRelease {
+        dag,
+        jobs,
+        state: Mutex::new(DagState {
+            ready,
+            tx: None,
+            log,
+            failed_ids: Vec::new(),
+        }),
+    };
+    let (tx, rx) = crate::crossbeam_channel::unbounded::<Vec<JobInput>>();
+    send_chunks(&tx, initial.into_iter().map(|seq| release.job(seq)), jobs);
+    // Nothing will ever complete on an already-finished graph (empty
+    // or fully resumed), so no hook can close the channel: drop the
+    // sender here or the engine waits on it forever.
+    release.state.lock().tx = (!finished).then_some(tx);
+
+    let engine_report = engine.run_released(rx, &release)?;
+
+    let st = release.state.into_inner();
+    st.log.finish()?;
+    let (_done, failed, skipped, pre_done) = st.ready.counts();
+    Ok(DagReport {
+        engine: engine_report,
+        total,
+        failed,
+        skipped_dep_failed: skipped,
+        resumed: pre_done,
+        failed_ids: st.failed_ids,
+    })
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::batch::plan_batches;
+use crate::dag::{Dag, DagReport};
 use crate::error::{Error, Result};
 use crate::executor::{Executor, ProcessExecutor};
 use crate::gate::Gate;
@@ -336,6 +337,20 @@ impl Parallel {
             .enumerate()
             .map(|(i, line)| JobInput::new(i as u64 + 1, vec![line]));
         engine.run_input(Box::new(stream), Some(&stopper))
+    }
+
+    /// Execute `dag` ([`crate::dag`]), its nodes' command lines as jobs;
+    /// the command, sources and order are unused. The DAG layer owns the
+    /// joblog, and either resume mode re-runs the failed tasks.
+    pub fn run_dag(mut self, dag: &Dag) -> Result<DagReport> {
+        // Resume moves to the DAG layer below, once checked to have a joblog.
+        self.options.validate()?;
+        self.command = "{}".into();
+        self.replacement = None;
+        let resume = std::mem::take(&mut self.options.resume);
+        let (mut engine, _) = self.prepare_engine_only()?;
+        engine.options.resume = resume;
+        crate::dag::run_dag(dag, engine)
     }
 
     fn template(&self) -> Result<Template> {

@@ -74,7 +74,7 @@ impl JobInput {
 
 /// Outcome of a full run: counts only. Each [`JobResult`] went to the
 /// run's consumers as it finished and was then dropped.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     pub jobs_total: u64,
     pub succeeded: u64,

@@ -63,10 +63,6 @@ pub struct DriverConfig {
     /// Nothing reads this field: the reactor is the only core. It stays
     /// until the benchmark stops setting it.
     pub core: NetCore,
-    /// Per-agent cap on bytes queued to a socket ([`fleet::WRITE_QUEUE_CAP`]
-    /// by default). A slow-reading agent stalls at this bound while its
-    /// tasks wait in the fleet's backlog.
-    pub write_queue_cap: usize,
     /// DAG drives: `deps[seq - 1]` lists the 1-based seqs that task
     /// depends on ([`htpar_core::dag::Dag::dep_seqs`]). When set, the
     /// driver releases tasks through a ready set — shards sent to
@@ -90,7 +86,6 @@ impl DriverConfig {
             resume: false,
             bus: None,
             core: NetCore::Reactor,
-            write_queue_cap: fleet::WRITE_QUEUE_CAP,
             deps: None,
         }
     }
@@ -109,6 +104,8 @@ pub struct DriveOutcome {
     pub total: u64,
     /// Tasks completed (and logged) during this run.
     pub completed: u64,
+    /// Of those, tasks that exited nonzero or were killed by a signal.
+    pub failed: u64,
     /// Tasks skipped via `--resume` (already in the joblog).
     pub skipped: u64,
     /// DAG drives: tasks never dispatched because a dependency failed
@@ -342,7 +339,6 @@ pub fn run_driver(
         &config.agents,
         &hello,
         config.lease_window_ms,
-        config.write_queue_cap,
         config.bus.clone(),
     )?;
     let mut drive = Drive {
@@ -357,6 +353,7 @@ pub fn run_driver(
     // -- Dispatch loop: one poll loop over every socket plus the lease
     // tick, all from the same reactor.
     let mut completed = 0u64;
+    let mut failed = 0u64;
     let mut duplicates = 0u64;
     let mut skipped_dep = 0u64;
     // Tasks unblocked by completions in the current poll batch, awaiting
@@ -406,6 +403,8 @@ pub fn run_driver(
                 }
                 drive.fleet.credit(idx);
                 completed += 1;
+                let ok = rec.exitval == 0 && rec.signal == 0;
+                failed += u64::from(!ok);
                 if let Some(log) = &mut log {
                     log.record_row(&rec.row(drive.fleet.name(idx), &render(rec.seq)))?;
                 }
@@ -413,7 +412,7 @@ pub fn run_driver(
                     cb(completed);
                 }
                 if let Some(rs) = ready_set.as_mut() {
-                    let comp = rs.complete(rec.seq, rec.exitval == 0 && rec.signal == 0);
+                    let comp = rs.complete(rec.seq, ok);
                     // Condemned descendants are terminal now: their skip
                     // rows land right after the failing dependency's
                     // row, so the joblog always lists a task's
@@ -457,6 +456,7 @@ pub fn run_driver(
     Ok(DriveOutcome {
         total,
         completed,
+        failed,
         skipped,
         skipped_dep_failed: skipped_dep,
         duplicates,

@@ -32,9 +32,9 @@ use crate::{NetError, Result};
 /// How long a drain waits for `AgentExit` after sending `Drain`.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default per-agent cap on bytes queued to a socket. A slow-reading
-/// agent stalls at this bound while its tasks wait in the fleet's
-/// backlog: backpressure instead of unbounded memory.
+/// Per-agent cap on bytes queued to a socket. A slow-reading agent
+/// stalls at this bound while its tasks wait in the fleet's backlog:
+/// backpressure instead of unbounded memory.
 pub const WRITE_QUEUE_CAP: usize = 1 << 20;
 
 /// Timer token for the caller's periodic lease-sweep tick.
@@ -131,7 +131,6 @@ impl Fleet {
         specs: &[String],
         hello: &Frame,
         lease_window_ms: u64,
-        write_queue_cap: usize,
         bus: Option<Arc<EventBus>>,
     ) -> Result<Fleet> {
         if specs.is_empty() {
@@ -168,7 +167,7 @@ impl Fleet {
             lease: LeaseTracker::new(agents.len()),
             agents,
             lease_window_ms,
-            write_queue_cap,
+            write_queue_cap: WRITE_QUEUE_CAP,
             bus,
         })
     }

@@ -82,7 +82,7 @@ use htpar_core::template::{ExpandContext, Template};
 use htpar_telemetry::{Event, EventBus};
 
 use crate::conn::{Conn, Listener};
-use crate::fleet::{self, AgentStat, Fleet, TOK_TICK, WRITE_QUEUE_CAP};
+use crate::fleet::{self, AgentStat, Fleet, TOK_TICK};
 use crate::frame::{Frame, Payload, TaskDoneRec, TaskSpec, PROTOCOL_VERSION, SHARD_CHUNK};
 use crate::journal::{read_journal, JRecord, JournalWriter, JOURNAL_FILE};
 use crate::nbio::{Fill, Flush, FrameConn};
@@ -127,11 +127,6 @@ pub struct ServeConfig {
     /// How long a detached session (socket gone) is held for reattach
     /// before its remaining work is purged; `None` holds forever.
     pub detach_ttl: Option<Duration>,
-    /// Compact the session journal after this many journaled sessions
-    /// close (rewrite dropping closed-session records so the WAL stays
-    /// proportional to *live* work, not lifetime throughput). `0`
-    /// disables compaction.
-    pub journal_compact_every: u64,
 }
 
 impl ServeConfig {
@@ -149,7 +144,6 @@ impl ServeConfig {
             max_sessions: None,
             state_dir: None,
             detach_ttl: None,
-            journal_compact_every: 64,
         }
     }
 
@@ -198,6 +192,11 @@ pub struct ServeOutcome {
 const TOK_LISTENER: usize = usize::MAX - 2;
 /// Session tokens start here; everything below is an agent index.
 const CLIENT_BASE: usize = 1 << 32;
+
+/// The session journal is rewritten without closed sessions' records
+/// after this many journaled sessions close, so it stays proportional to
+/// live work rather than to lifetime throughput.
+const JOURNAL_COMPACT_EVERY: u64 = 64;
 
 // -- Internal state ----------------------------------------------------
 
@@ -555,7 +554,6 @@ impl PilotServer {
             &config.agents,
             &hello,
             config.lease_window_ms,
-            WRITE_QUEUE_CAP,
             config.bus.clone(),
         )?;
         let listener = Listener::bind(&config.listen)?;
@@ -624,8 +622,8 @@ struct Pilot {
     /// Completions recorded since the last journal flush, appended as
     /// `Done` records *after* the tenant joblogs flush each loop.
     pending_done: Vec<(u64, u64)>,
-    /// Journaled sessions closed since the last compaction; drives
-    /// `journal_compact_every`.
+    /// Journaled sessions closed since the last compaction, up to
+    /// [`JOURNAL_COMPACT_EVERY`].
     closed_since_compaction: u64,
 }
 
@@ -1680,8 +1678,7 @@ impl Pilot {
                 let _ = j.flush();
             }
             self.closed_since_compaction += 1;
-            let every = self.config.journal_compact_every;
-            if every > 0 && self.closed_since_compaction >= every {
+            if self.closed_since_compaction >= JOURNAL_COMPACT_EVERY {
                 self.closed_since_compaction = 0;
                 // Best-effort: a failed compaction leaves the old
                 // journal intact and appendable, so just keep going.

@@ -13,6 +13,7 @@ use htpar_core::joblog::{self, JobLogWriter, LogEntry};
 use htpar_net::agent::{self, AgentConfig};
 use htpar_net::conn::{Conn, Listener};
 use htpar_net::driver::{run_driver, verify_exactly_once, DriverConfig};
+use htpar_net::fleet::WRITE_QUEUE_CAP;
 use htpar_net::frame::{Decoder, Frame, Payload, TaskDoneRec, PROTOCOL_VERSION};
 use htpar_telemetry::{Event, EventBus, Recorder};
 
@@ -338,7 +339,7 @@ fn lease_expiry_and_socket_loss_race_resolves_to_one_reshard() {
 fn never_reading_agent_stalls_bounded_write_queue() {
     // Backpressure: a peer that handshakes and then never reads again
     // must not make the driver buffer its whole shard in userspace. The
-    // write queue stays under `write_queue_cap` plus one frame; the
+    // write queue stays under `WRITE_QUEUE_CAP` plus one frame; the
     // overflow lives in the backlog until the lease reclaims the tasks.
     let steady_spec = sock_spec("bp-steady");
     let stalled_spec = sock_spec("bp-stalled");
@@ -375,13 +376,13 @@ fn never_reading_agent_stalls_bounded_write_queue() {
     config.jobs_per_agent = 4;
     config.heartbeat_ms = 50;
     config.lease_window_ms = 400;
-    config.write_queue_cap = 32 * 1024;
     config.joblog = Some(log_path.clone());
     config.bus = Some(bus);
 
-    // Half of these land on the stalled agent: far more frame bytes
-    // than its kernel socket buffer plus the cap can hold.
-    let total = 40_000u64;
+    // Half of these land on the stalled agent: about 1.7 MB of frames,
+    // more than the cap plus its kernel socket buffer (208 KiB by
+    // default) can hold.
+    let total = 160_000u64;
     let outcome = run_driver(&config, &inputs(total), None).expect("drive survives the stall");
     assert_eq!(outcome.completed, total);
     assert_eq!(outcome.duplicates, 0);
@@ -392,11 +393,13 @@ fn never_reading_agent_stalls_bounded_write_queue() {
     // whole even when the cap is already reached, to guarantee
     // progress). 2048 tiny tasks encode well under 100 KiB.
     let peak = outcome.agents[1].peak_queue_bytes;
-    assert!(peak > 0, "backpressure path actually queued frames");
     assert!(
-        peak <= (config.write_queue_cap + 100 * 1024) as u64,
-        "peak write queue {peak} exceeds cap {} + one frame",
-        config.write_queue_cap
+        peak >= WRITE_QUEUE_CAP as u64,
+        "the stalled share fills the queue to its cap: peak {peak}"
+    );
+    assert!(
+        peak <= (WRITE_QUEUE_CAP + 100 * 1024) as u64,
+        "peak write queue {peak} exceeds cap {WRITE_QUEUE_CAP} + one frame"
     );
 
     let entries = joblog::read_log(&log_path).expect("readable joblog");

@@ -139,7 +139,7 @@ impl PrefetchPipeline {
         }
     }
 
-    /// Render the pipeline as an `htpar dag` command-mode spec — the
+    /// Render the pipeline as an `htpar --dag` command-mode spec — the
     /// dependency-graph form of Fig. 7, shipped as a runnable example.
     ///
     /// Instead of the stage barriers of [`PrefetchPipeline::plan`]
@@ -165,7 +165,7 @@ impl PrefetchPipeline {
         let sleep = |secs: f64| format!("sleep {:.3}", secs * secs_scale);
         let mut out = String::new();
         out.push_str("# Staged NVMe-prefetch pipeline (paper SIV-B, Fig. 7) as a DAG.\n");
-        out.push_str("# Generated by PrefetchPipeline::dag_spec; run with `htpar dag`.\n");
+        out.push_str("# Generated by PrefetchPipeline::dag_spec; run with `htpar --dag FILE`.\n");
         out.push_str(&format!("proc1: {}\n", sleep(self.lustre_process_secs)));
         for i in 2..=n {
             let after = if i == 2 {

@@ -139,7 +139,7 @@ pub fn wms_restart_overhead_secs(tasks_lost: u64, tasks_total: u64, cfg: &WmsCon
 /// `--joblog` numbers (a few µs per row, dominated by parse, not I/O).
 pub const JOBLOG_SCAN_SECS_PER_ROW: f64 = 2e-6;
 
-/// One row of the DAG-restart comparison: `htpar dag --resume` after a
+/// One row of the DAG-restart comparison: `htpar --resume --dag` after a
 /// driver crash (scan the joblog, re-dispatch only the unfinished
 /// subgraph through the parallel engine) versus a conventional WMS
 /// restarting the same workflow (re-evaluate the full dataflow, then one
@@ -170,7 +170,7 @@ impl DagRestartRow {
     }
 }
 
-/// Overhead of `htpar dag --resume` replaying a crashed run: scan the
+/// Overhead of `htpar --resume --dag` replaying a crashed run: scan the
 /// joblog rows that already completed (to rebuild the done-set), then
 /// shard the affected subgraph over the machine and pay the parallel
 /// dispatch path for just those tasks.

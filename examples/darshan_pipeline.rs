@@ -9,10 +9,10 @@
 //! 2. The **staged NVMe prefetch pipeline** (Fig. 7): process dataset
 //!    *i* while copying *i+1* and deleting *i−1*; 358 min vs 430 min.
 //!    Shown twice: as the stage-barrier plan, and as a dependency DAG
-//!    executed through `htpar_core::dag` (the `htpar dag` grammar).
+//!    executed through `htpar_core::dag` (the `htpar --dag` grammar).
 //!
 //! `--emit-dag PATH` regenerates `examples/prefetch_pipeline.dag`, the
-//! shipped copy of the DAG form (run it with `htpar dag PATH`).
+//! shipped copy of the DAG form (run it with `htpar --dag PATH`).
 
 use std::sync::Arc;
 
@@ -35,7 +35,7 @@ fn main() -> Result<()> {
         let spec = PrefetchPipeline::darshan_paper().dag_spec(5, DAG_SECS_SCALE);
         std::fs::write(path, &spec).map_err(Error::from)?;
         println!(
-            "wrote {path} ({} lines); run it with: htpar dag {path}",
+            "wrote {path} ({} lines); run it with: htpar --dag {path}",
             spec.lines().count()
         );
         return Ok(());
@@ -100,7 +100,7 @@ fn main() -> Result<()> {
     let spec_text = pipeline.dag_spec(5, DAG_SECS_SCALE);
     let dag = DagSpec::parse(&spec_text)?.build()?;
     println!(
-        "\nsame pipeline as a DAG ({} ops; grammar: `htpar dag`):",
+        "\nsame pipeline as a DAG ({} ops; grammar: `htpar --dag`):",
         dag.len()
     );
     for line in spec_text.lines().filter(|l| !l.starts_with('#')).take(4) {
