@@ -19,7 +19,14 @@
 //! - **diamond**: chained fan-out/fan-in blocks (a → b,c → d) — the
 //!   mixed case: the finishing worker keeps one arm and sends the other
 //!   to an idle slot through the channel, and each join waits on both.
+//!
+//! A fourth gate, `dag_chains`, runs the shape of perfbench's
+//! `dag_chain` at `-j 2` with a joblog, the one DAG gate that writes
+//! rows: one seeded chain of fan-out/fan-in blocks of width 1–4 per
+//! slot, so every completion goes through the joblog's row path while
+//! the other slot releases its own chain.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use htpar_core::dag::{Dag, DagRunner, DagSpec};
@@ -33,6 +40,8 @@ pub const GATE_JOBS: usize = 64;
 /// Task count of the canonical gate workload (the paper-scale DAG
 /// acceptance run).
 pub const GATE_TASKS: u64 = 100_000;
+/// Slot count of the chains gate, and its number of chains.
+pub const CHAINS_JOBS: usize = 2;
 
 /// Canonical gate topologies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,14 +49,56 @@ pub enum Topology {
     Wide,
     Deep,
     Diamond,
+    /// [`CHAINS_JOBS`] chains of blocks: a head, 1–4 arms that depend
+    /// on it (widths drawn from a fixed seed), and a join of the arms
+    /// that the next head depends on.
+    Chains,
+}
+
+/// The dependencies of each of `tasks` nodes in [`Topology::Chains`],
+/// by index.
+fn chains(tasks: u64) -> Vec<Vec<u64>> {
+    let mut state = 0x5EED_u64;
+    let mut width = || {
+        // SplitMix64.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        1 + (z ^ (z >> 31)) % 4
+    };
+    let mut deps: Vec<Vec<u64>> = Vec::with_capacity(tasks as usize);
+    for c in 0..CHAINS_JOBS as u64 {
+        let end = tasks * (c + 1) / CHAINS_JOBS as u64;
+        let mut tail = None;
+        while (deps.len() as u64) < end {
+            let head = deps.len() as u64;
+            let w = width();
+            deps.push(tail.into_iter().collect());
+            if w > 1 && end - head >= w + 2 {
+                deps.extend((0..w).map(|_| vec![head]));
+                deps.push((head + 1..=head + w).collect());
+            }
+            tail = Some(deps.len() as u64 - 1);
+        }
+    }
+    deps
 }
 
 /// Build the canonical `tasks`-node graph for a topology. Node
 /// commands are inert markers; the gate runs them in-process.
 pub fn build(topology: Topology, tasks: u64) -> Dag {
+    let chained = match topology {
+        Topology::Chains => chains(tasks),
+        _ => Vec::new(),
+    };
     let mut spec = DagSpec::new();
     for i in 0..tasks {
         let deps: Vec<String> = match topology {
+            Topology::Chains => chained[i as usize]
+                .iter()
+                .map(|d| format!("t{d}"))
+                .collect(),
             Topology::Wide => Vec::new(),
             Topology::Deep => {
                 if i == 0 {
@@ -76,15 +127,17 @@ pub fn build(topology: Topology, tasks: u64) -> Dag {
 }
 
 /// Run `tasks` jobs through the DAG layer at `-j jobs` on `topology`,
-/// each a no-op or a sleep of `handicap`, and the flat-list engine
-/// over the same task count as a clean baseline. Graph build is
-/// excluded: the gate prices scheduling, not parsing. `overhead` is how
-/// many times slower the DAG path ran than the flat path.
+/// each a no-op or a sleep of `handicap`, with `joblog` if given, and
+/// the flat-list engine over the same task count as a clean baseline.
+/// Graph build is excluded: the gate prices scheduling, not parsing.
+/// `overhead` is how many times slower the DAG path ran than the flat
+/// path.
 pub(crate) fn measure(
     topology: Topology,
     jobs: usize,
     tasks: u64,
     handicap: Option<Duration>,
+    joblog: Option<&Path>,
 ) -> Metrics {
     let flat_wall = run_flat("noop {}", false, jobs, tasks, in_process(None), None);
     let dag = build(topology, tasks);
@@ -92,6 +145,7 @@ pub(crate) fn measure(
         options: Options {
             jobs,
             shell: false,
+            joblog: joblog.map(Path::to_path_buf),
             ..Options::default()
         },
         executor: in_process(handicap),
@@ -110,9 +164,20 @@ pub(crate) fn measure(
     ]
 }
 
-/// One gate trial: the canonical workload on `topology`.
+/// One gate trial: the canonical workload on `topology`; the chains
+/// run at `-j` [`CHAINS_JOBS`] with a joblog in a directory of their
+/// own.
 pub(crate) fn trial(topology: Topology, ctx: &Ctx) -> Result<Metrics, String> {
-    Ok(measure(topology, GATE_JOBS, GATE_TASKS, ctx.handicap))
+    if topology != Topology::Chains {
+        return Ok(measure(topology, GATE_JOBS, GATE_TASKS, ctx.handicap, None));
+    }
+    let dir = std::env::temp_dir().join(format!("htpar-dag-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("joblog dir: {e}"))?;
+    let log = dir.join("chains.joblog");
+    let _ = std::fs::remove_file(&log);
+    let metrics = measure(topology, CHAINS_JOBS, GATE_TASKS, ctx.handicap, Some(&log));
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -121,7 +186,13 @@ mod tests {
 
     #[test]
     fn topologies_build_the_requested_size() {
-        for topo in [Topology::Wide, Topology::Deep, Topology::Diamond] {
+        let all = [
+            Topology::Wide,
+            Topology::Deep,
+            Topology::Diamond,
+            Topology::Chains,
+        ];
+        for topo in all {
             for n in [1u64, 2, 3, 5, 8, 40] {
                 let dag = build(topo, n);
                 assert_eq!(dag.len() as u64, n, "{topo:?}/{n}");
@@ -134,11 +205,19 @@ mod tests {
         let dia = build(Topology::Diamond, 8);
         assert_eq!(dia.nodes()[3].deps.len(), 2);
         assert_eq!(dia.nodes()[7].deps.len(), 2);
+        // Chains: one root per chain, blocks of width 1–4.
+        let chains = build(Topology::Chains, 1000);
+        let roots: Vec<usize> = (0..1000)
+            .filter(|&i| chains.node(i).deps.is_empty())
+            .collect();
+        assert_eq!(roots, vec![0, 500]);
+        let widest = chains.nodes().iter().map(|n| n.deps.len()).max();
+        assert_eq!(widest, Some(4));
     }
 
     #[test]
     fn measure_reports_consistent_numbers() {
-        let m = measure(Topology::Diamond, 4, 64, None);
+        let m = measure(Topology::Diamond, 4, 64, None, None);
         assert!(m.iter().all(|&(_, v)| v > 0.0), "{m:?}");
     }
 }

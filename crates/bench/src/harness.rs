@@ -226,6 +226,17 @@ pub const GATES: &[Gate] = &[
         floors: &[at_least("tasks_per_s", 200_000.0, 90_000.0)],
         drill_us: None,
     },
+    Gate {
+        name: "dag_chains",
+        trial: |ctx| daggate::trial(Topology::Chains, ctx),
+        // The one DAG gate that writes a joblog: two chains of blocks
+        // of width 1-4 at -j 2. Release measured 1.00-1.33M tasks/s,
+        // debug 271-434k. The parent, which wrote rows and called
+        // write(2) under the release lock, ran 711-920k at -j 2 against
+        // 945k-1.30M at -j 1.
+        floors: &[at_least("tasks_per_s", 500_000.0, 135_000.0)],
+        drill_us: None,
+    },
 ];
 
 /// The gate called `name`.
@@ -422,12 +433,13 @@ mod tests {
     fn every_gate_has_rows_and_a_unique_name() {
         assert!(check("no_such_gate", &[]).is_err());
         assert!(GATES.iter().all(|g| !g.floors.is_empty()));
-        assert_eq!(GATES.iter().map(|g| g.floors.len()).sum::<usize>(), 11);
+        assert_eq!(GATES.iter().map(|g| g.floors.len()).sum::<usize>(), 12);
         // Each gate has its floor test and, where drilled, its drill in a
         // `*_rate_gate.rs` test file; a new gate needs both.
         let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
         let drilled = ["launch", "spawn", "sim", "net", "pilot", "dag_wide"];
-        assert_eq!(names, [&drilled[..], &["dag_deep", "dag_diamond"]].concat());
+        let undrilled = ["dag_deep", "dag_diamond", "dag_chains"];
+        assert_eq!(names, [&drilled[..], &undrilled[..]].concat());
         assert!(GATES
             .iter()
             .all(|g| g.drill_us.is_some() == drilled.contains(&g.name)));

@@ -27,6 +27,7 @@
 //! | `net` | [`netgate`] | 100k tasks over 8 local agents vs in-process |
 //! | `pilot` | [`pilotgate`] | 24 pilot sessions, then 1:2:4 fair share |
 //! | `dag_wide`, `dag_deep`, `dag_diamond` | [`daggate`] | 100k-task DAGs at `-j 64` |
+//! | `dag_chains` | [`daggate`] | two 50k-task chains at `-j 2`, joblog on |
 //!
 //! Under `cargo test`, each gate's `*_rate_gate.rs` test file checks its
 //! rows at the debug floors through [`harness::run`] and runs its

@@ -1,7 +1,7 @@
 //! The DAG gates under `cargo test` (debug floors): the `dag_wide`,
-//! `dag_deep` and `dag_diamond` rows of `htpar_bench::harness::GATES`,
-//! checked through the same harness as the `gate` binary, plus the drill
-//! proving the wide gate can trip.
+//! `dag_deep`, `dag_diamond` and `dag_chains` rows of
+//! `htpar_bench::harness::GATES`, checked through the same harness as
+//! the `gate` binary, plus the drill proving the wide gate can trip.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -39,6 +39,13 @@ fn deep_dag_rate_stays_above_floor() {
 #[test]
 fn diamond_dag_rate_stays_above_floor() {
     run_alone("dag_diamond");
+}
+
+/// Two chains at `-j 2` with a joblog: every completion's row goes
+/// through the joblog while the other slot releases its own chain.
+#[test]
+fn chains_dag_rate_stays_above_floor() {
+    run_alone("dag_chains");
 }
 
 /// The drill: a per-task handicap must land the wide DAG below its

@@ -7,7 +7,7 @@ use std::io::BufRead;
 use std::sync::Arc;
 
 use htpar_core::chaos::ChaosExecutor;
-use htpar_core::dag::{Dag, ReadySet};
+use htpar_core::dag::{Completion, Dag, ReadySet};
 use htpar_core::executor::StreamKind;
 use htpar_core::output::tag_lines;
 use htpar_core::prelude::*;
@@ -178,11 +178,13 @@ where
 fn print_dag_plan(dag: &Dag, emit: impl Fn(&str, &str)) {
     let mut rs = ReadySet::new(dag);
     let mut order = rs.take_ready();
+    let mut comp = Completion::default();
     let mut at = 0;
     while at < order.len() {
         let seq = order[at];
         at += 1;
-        order.extend(rs.complete(seq, true).newly_ready);
+        rs.complete(seq, true, &mut comp);
+        order.extend_from_slice(&comp.newly_ready);
     }
     for seq in order {
         let node = dag.node((seq - 1) as usize);

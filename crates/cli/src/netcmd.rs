@@ -26,7 +26,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use htpar_core::dag::{Dag, ReadySet};
+use htpar_core::dag::{Completion, Dag, ReadySet};
 use htpar_core::sched::SchedPolicy;
 use htpar_net::agent::{self, AgentConfig};
 use htpar_net::client::{ClientEvent, SessionClient, SessionConfig};
@@ -70,7 +70,7 @@ COMMAND... [::: ARGS...]...
                          ({} = target)
 With no ::: source, arguments are read from stdin, one per line.
 Exit status: as htpar's, the number of failed tasks (0 when none, 101
-above 100); 1 when the drive itself fails.";
+above 100); 255 when the drive itself fails.";
 
 pub const SERVE_USAGE: &str = "\
 usage: htpar serve (--agents SPEC[,SPEC...] | --local-cluster N) [OPTIONS]
@@ -263,12 +263,14 @@ impl FleetArgs {
     /// Bring the fleet up for `htpar CMD` and run `body` on it: spawn the
     /// `--local-cluster`, and hand `body` the agent specs plus the
     /// `--chaos-kill-agent` hook.
-    /// `body` returns the exit code. After a clean run the drained local
-    /// agents are reaped; after a failed one they are killed, since some
-    /// may still wait for a driver that never dialed them.
+    /// `body` returns the exit code; a cluster that cannot be spawned
+    /// exits `failed`. After a clean run the drained local agents are
+    /// reaped; after a failed one they are killed, since some may still
+    /// wait for a driver that never dialed them.
     fn run(
         &self,
         cmd: &str,
+        failed: i32,
         body: impl FnOnce(Vec<String>, Option<&mut dyn FnMut(u64)>) -> i32,
     ) -> i32 {
         let mut cluster = if self.local_cluster > 0 {
@@ -276,7 +278,7 @@ impl FleetArgs {
                 Ok(cluster) => Some(cluster),
                 Err(e) => {
                     eprintln!("htpar {cmd}: spawning local cluster: {e}");
-                    return 1;
+                    return failed;
                 }
             }
         } else {
@@ -419,6 +421,10 @@ fn parse_chaos(s: &str) -> Result<(usize, u64), String> {
     Ok((idx, done))
 }
 
+/// The exit status of a drive that fails as a whole (a bad `--dag`
+/// file, no inputs, a fleet that cannot start or is lost), as `htpar`'s.
+const DRIVE_FAILED: i32 = 255;
+
 fn run_drive(spec: DriveSpec) -> i32 {
     // `--dag FILE`: the graph supplies the commands; the driver runs
     // the per-node command lines through a bare `{}` template and
@@ -428,7 +434,7 @@ fn run_drive(spec: DriveSpec) -> i32 {
             Ok(dag) => Some(dag),
             Err(msg) => {
                 eprintln!("htpar drive: {msg}");
-                return 1;
+                return DRIVE_FAILED;
             }
         },
         None => None,
@@ -439,7 +445,7 @@ fn run_drive(spec: DriveSpec) -> i32 {
             Ok(set) => set.into_rows(),
             Err(e) => {
                 eprintln!("htpar drive: {e}");
-                return 1;
+                return DRIVE_FAILED;
             }
         },
     };
@@ -449,7 +455,7 @@ fn run_drive(spec: DriveSpec) -> i32 {
         } else {
             eprintln!("htpar drive: no input arguments");
         }
-        return 1;
+        return DRIVE_FAILED;
     }
 
     let command = if dag.is_some() {
@@ -457,7 +463,7 @@ fn run_drive(spec: DriveSpec) -> i32 {
     } else {
         spec.command.clone()
     };
-    spec.fleet.run("drive", |agents, chaos| {
+    spec.fleet.run("drive", DRIVE_FAILED, |agents, chaos| {
         let mut config = DriverConfig::new(agents, command);
         config.deps = dag.as_ref().map(Dag::dep_seqs);
         config.jobs_per_agent = spec.fleet.jobs_per_agent;
@@ -474,7 +480,7 @@ fn run_drive(spec: DriveSpec) -> i32 {
             }
             Err(e) => {
                 eprintln!("htpar drive: {e}");
-                1
+                DRIVE_FAILED
             }
         }
     })
@@ -560,7 +566,7 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeSpec, ArgError> {
 }
 
 fn run_serve(spec: ServeSpec) -> i32 {
-    spec.fleet.run("serve", |agents, chaos| {
+    spec.fleet.run("serve", 1, |agents, chaos| {
         let mut config = ServeConfig::new(agents, spec.listen.clone());
         config.jobs_per_agent = spec.fleet.jobs_per_agent;
         config.policy = spec.policy;
@@ -856,6 +862,7 @@ fn run_submit_dag(spec: &SubmitSpec, dag: &Dag) -> i32 {
     };
     let started = std::time::Instant::now();
     let mut ready = ReadySet::new(dag);
+    let mut comp = Completion::default();
     let mut node_for: Vec<u64> = Vec::new();
     let mut to_submit: Vec<u64> = ready.take_ready();
     loop {
@@ -891,7 +898,8 @@ fn run_submit_dag(spec: &SubmitSpec, dag: &Dag) -> i32 {
                 continue;
             };
             let ok = rec.exitval == 0 && rec.signal == 0;
-            to_submit.extend(ready.complete(node_seq, ok).newly_ready);
+            ready.complete(node_seq, ok, &mut comp);
+            to_submit.extend_from_slice(&comp.newly_ready);
         }
     }
     let submitted = client.submitted();

@@ -9,7 +9,7 @@
 //! `--dry-run` like any `htpar` run, and exits by `htpar`'s rule.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -337,6 +337,67 @@ fn dag_timeout_fails_a_node_and_skips_its_dependent() {
         .collect();
     assert_eq!(skipped.len(), 1, "{entries:?}");
     assert_eq!((skipped[0].seq, skipped[0].exitval), (2, -2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `htpar ARGS` in `dir`: each line of its stdout with the time it
+/// arrived since the start, and its exit status.
+fn timed_lines(dir: &Path, args: &[&str]) -> (Vec<(String, Duration)>, i32) {
+    let started = Instant::now();
+    let mut child = htpar()
+        .args(args)
+        .current_dir(dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn htpar");
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let lines = stdout
+        .lines()
+        .map(|line| (line.unwrap(), started.elapsed()))
+        .collect();
+    let code = child.wait().unwrap().code().unwrap_or(-1);
+    (lines, code)
+}
+
+/// The text of `lines`, and when `line` arrived.
+fn arrival(lines: &[(String, Duration)], line: &str) -> (Vec<String>, Duration) {
+    let text = lines.iter().map(|(l, _)| l.clone()).collect();
+    let at = lines.iter().find(|(l, _)| l == line).map(|&(_, at)| at);
+    (text, at.unwrap_or_else(|| panic!("{line:?} never printed")))
+}
+
+/// Under `-k`, a task skipped after its dependency failed produces no
+/// output and holds none back: `c-early` prints as soon as it ran, not
+/// with the 2 s task after it, and the output stays in seq order.
+#[test]
+fn keep_order_dag_passes_over_a_skipped_task() {
+    let graph = "a: false\nb: echo b # after: a\nc: echo c-early\nd: sleep 2; echo d\n";
+    let dir = graph_dir("keep-skip", graph);
+    let (lines, code) = timed_lines(&dir, &["-k", "-j", "4", "--dag", "g.dag"]);
+    let (text, at) = arrival(&lines, "c-early");
+    assert_eq!((text, code), (vec!["c-early".to_string(), "d".into()], 1));
+    assert!(at < Duration::from_secs(1), "c-early printed at {at:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under `-k`, a task a resumed run finds logged holds no output back:
+/// `b-early` prints as soon as it ran, not with the 2 s task after it.
+#[test]
+fn keep_order_dag_passes_over_a_resumed_task() {
+    let dir = graph_dir("keep-resume", "a: echo a\n");
+    let (out, err, code) = run_in(&dir, &["--joblog", "J", "--dag", "g.dag"], "");
+    assert_eq!((out.as_str(), code), ("a\n", 0), "{err}");
+    let graph = "a: echo a\nb: echo b-early\nc: sleep 2; echo c\n";
+    std::fs::write(dir.join("g.dag"), graph).unwrap();
+    let args = [
+        "-k", "-j", "4", "--joblog", "J", "--resume", "--dag", "g.dag",
+    ];
+    let (lines, code) = timed_lines(&dir, &args);
+    let (text, at) = arrival(&lines, "b-early");
+    assert_eq!((text, code), (vec!["b-early".to_string(), "c".into()], 0));
+    assert!(at < Duration::from_secs(1), "b-early printed at {at:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

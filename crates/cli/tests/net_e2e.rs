@@ -302,6 +302,22 @@ fn flat_drive_exits_with_its_failed_task_count() {
     assert!(stderr.contains("0 failed,"), "{stderr}");
 }
 
+/// A drive that fails as a whole exits 255, as `htpar` does, so a
+/// script can tell it from a run with one failed task (exit 1).
+#[test]
+fn failed_drive_exits_with_255() {
+    // Port 1 on loopback: nothing listens, so the connection is refused.
+    let (stderr, code) = drive(&["--agents", "127.0.0.1:1", "true", ":::", "1"], "");
+    assert_eq!(code, 255, "refused connection:\n{stderr}");
+    assert!(stderr.contains("htpar drive:"), "{stderr}");
+    let (stderr, code) = drive(&["--local-cluster", "1", "false", ":::", "1"], "");
+    assert_eq!(code, 1, "one failed task:\n{stderr}");
+    let missing = temp_path("missing.dag");
+    let dag = missing.to_str().unwrap();
+    let (stderr, code) = drive(&["--local-cluster", "1", "--dag", dag], "");
+    assert_eq!(code, 255, "unreadable graph:\n{stderr}");
+}
+
 /// The same rule for a graph: a task that fails counts, one skipped
 /// after its failed dependency does not, and one that succeeds is 0.
 #[test]

@@ -8,14 +8,17 @@
 //! [`ReadySet`] tracks in-degrees and releases tasks the moment their
 //! last dependency completes. Release runs on the worker that finished
 //! the dependency ([`Engine::run_released`]), with no central scheduler
-//! thread: under one lock it writes the task's joblog row, completes
-//! the ready set and keeps the first newly-ready task as its own next
-//! job, so a chain stays on one slot; the rest go out through
-//! [`send_chunks`], the batch rule every producer of engine input
-//! shares, for idle slots to claim. Released tasks run
-//! through the same engine, the same sharded dispatch, and the same
-//! joblog as a flat list. Ready-set overhead is O(1) per edge: one
-//! in-degree decrement when a dependency completes.
+//! thread. That worker encodes the task's joblog row before it takes
+//! any lock; under the one release lock it appends the row, completes
+//! the ready set into a reused [`Completion`] and keeps the first
+//! newly-ready task as its own next job, so a chain stays on one slot.
+//! After the lock it writes any rows due at the file and sends the rest
+//! of the release through [`send_chunks`], the batch rule every
+//! producer of engine input shares, for idle slots to claim. Released
+//! tasks run through the same engine, the same sharded dispatch, and
+//! the same joblog as a flat list. Ready-set overhead is O(1) per edge:
+//! one in-degree decrement when a dependency completes, over flat
+//! offset-and-index arrays of each node's dependents.
 //!
 //! ## Spec grammar (command mode)
 //!
@@ -56,12 +59,18 @@
 //! descendants, and anything unrecorded (including in-flight tasks lost
 //! to a crash) replay. That is exactly the affected subgraph.
 //!
-//! Joblog rows go through the flat engine's sink and are flushed by its
-//! rule: after a task that ran at least 500 µs (before its successors
-//! are released), every 64 rows, before a worker parks on an empty
-//! channel, and once at the end of the run, which then fails with the
-//! first write error if there was one. A crash loses at most the
+//! Joblog rows go through the flat engine's sink (`joblog::LogSink`) and
+//! are flushed by its rule: after a task that ran at least 500 µs (the
+//! write finishes before its successors are released), every 64 rows,
+//! before a worker parks on an empty channel, and once at the end of
+//! the run, which then fails with the first write error if there was
+//! one. Rows reach the file in the order they were appended under the
+//! release lock, and no write runs under it. A crash loses at most the
 //! unflushed rows, and `--resume` re-runs those tasks.
+//!
+//! Under `--keep-order`, the hook tells the engine which seqs will never
+//! produce a result (resumed tasks at the start, condemned tasks as they
+//! are condemned), so the output after them is not held back.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -75,7 +84,7 @@ use crate::dispatch::send_chunks;
 use crate::error::{Error, Result};
 use crate::executor::Executor;
 use crate::job::JobResult;
-use crate::joblog::{self, LogEntry, LogSink};
+use crate::joblog::{self, LogEntry, LogSink, Rows};
 use crate::options::{Options, ResumeMode};
 use crate::runner::{Engine, JobInput, Release, RunReport, DELIVER_BATCH, PROMPT_DELIVERY};
 use crate::template::{ExpandContext, Template};
@@ -460,7 +469,8 @@ enum NodeState {
     PreDone,
 }
 
-/// What one completion unlocked.
+/// What one completion unlocked. [`ReadySet::complete`] overwrites it,
+/// so one value serves every completion of a run without allocating.
 #[derive(Debug, Default, Clone)]
 pub struct Completion {
     /// Seqs whose last dependency just succeeded — release these now.
@@ -470,6 +480,8 @@ pub struct Completion {
     /// entry's dependencies precede it — log these as
     /// `skipped-dep-failed` in this order.
     pub newly_skipped: Vec<u64>,
+    /// Condemned nodes whose dependents are still to be resolved.
+    condemned: Vec<usize>,
 }
 
 /// In-degree tracker with O(1) decrement per edge on completion.
@@ -482,7 +494,10 @@ pub struct Completion {
 #[derive(Debug)]
 pub struct ReadySet {
     indeg: Vec<u32>,
-    dependents: Vec<Vec<u32>>,
+    /// Node `i`'s dependents are `dependents[first[i]..first[i + 1]]`,
+    /// in node order.
+    first: Vec<u32>,
+    dependents: Vec<u32>,
     state: Vec<NodeState>,
     /// True once any dependency (transitively) failed; the node is
     /// condemned when its in-degree reaches zero.
@@ -505,7 +520,8 @@ impl ReadySet {
     /// *successful* rows) count as already satisfied and are never
     /// released. Everything else — failed, skipped, unrecorded — runs.
     pub fn resumed(dag: &Dag, done: &HashSet<u64>) -> ReadySet {
-        ReadySet::from_deps(&dag.dep_seqs(), done)
+        let deps = |i: usize| dag.nodes[i].deps.iter().copied();
+        ReadySet::build(dag.len(), deps, done)
     }
 
     /// Build from bare dependency edges: `deps[i]` lists the 1-based
@@ -513,27 +529,57 @@ impl ReadySet {
     /// driver carries ([`Dag::dep_seqs`]). Out-of-range dep seqs are a
     /// caller bug and panic.
     pub fn from_deps(deps: &[Vec<u64>], done: &HashSet<u64>) -> ReadySet {
-        let n = deps.len();
+        let node_deps = |i: usize| deps[i].iter().map(|&d| (d - 1) as u32);
+        ReadySet::build(deps.len(), node_deps, done)
+    }
+
+    /// Build over `n` nodes, node `i` depending on the 0-based nodes
+    /// `deps(i)` yields.
+    fn build<D: Iterator<Item = u32>>(
+        n: usize,
+        deps: impl Fn(usize) -> D,
+        done: &HashSet<u64>,
+    ) -> ReadySet {
+        // Lay the edges out by dependency: count each node's dependents
+        // into `first[d + 1]`, sum the counts into start offsets, then
+        // place each edge at its dependency's next free offset. Placing
+        // moves `first[d]` up to `d`'s end, so shifting `first` up by
+        // one entry restores the start offsets.
         let mut indeg = vec![0u32; n];
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut state = vec![NodeState::Waiting; n];
-        for (i, node_deps) in deps.iter().enumerate() {
-            indeg[i] = node_deps.len() as u32;
-            for &d in node_deps {
-                dependents[(d - 1) as usize].push(i as u32);
+        let mut first = vec![0u32; n + 1];
+        for (i, count) in indeg.iter_mut().enumerate() {
+            for d in deps(i) {
+                *count += 1;
+                first[d as usize + 1] += 1;
             }
         }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut dependents = vec![0u32; first[n] as usize];
+        for i in 0..n {
+            for d in deps(i) {
+                let at = &mut first[d as usize];
+                dependents[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        first.copy_within(0..n, 1);
+        first[0] = 0;
+
+        let mut state = vec![NodeState::Waiting; n];
         let mut pre_done = 0u64;
-        for (i, s) in state.iter_mut().enumerate() {
-            if done.contains(&(i as u64 + 1)) {
-                *s = NodeState::PreDone;
+        for &seq in done {
+            if (1..=n as u64).contains(&seq) {
+                state[seq as usize - 1] = NodeState::PreDone;
                 pre_done += 1;
             }
         }
         // Pre-done nodes satisfy their dependents up front.
         for i in 0..n {
             if state[i] == NodeState::PreDone {
-                for &d in &dependents[i] {
+                let (from, to) = (first[i] as usize, first[i + 1] as usize);
+                for &d in &dependents[from..to] {
                     indeg[d as usize] -= 1;
                 }
             }
@@ -544,6 +590,7 @@ impl ReadySet {
             .collect();
         ReadySet {
             indeg,
+            first,
             dependents,
             state,
             poisoned: vec![false; n],
@@ -566,15 +613,17 @@ impl ReadySet {
         std::mem::take(&mut self.ready)
     }
 
-    /// Record one finished task. Newly-unblocked tasks come back already
-    /// marked released (the caller is dispatching them); condemned
-    /// descendants come back already terminal.
-    pub fn complete(&mut self, seq: u64, ok: bool) -> Completion {
+    /// Record one finished task into `out`, replacing what it held.
+    /// Newly-unblocked tasks come back already marked released (the
+    /// caller is dispatching them); condemned descendants come back
+    /// already terminal.
+    pub fn complete(&mut self, seq: u64, ok: bool, out: &mut Completion) {
         let idx = (seq - 1) as usize;
-        let mut out = Completion::default();
+        out.newly_ready.clear();
+        out.newly_skipped.clear();
         if self.state[idx] != NodeState::Dispatched {
             debug_assert!(false, "complete({seq}) in state {:?}", self.state[idx]);
-            return out;
+            return;
         }
         self.unfinished -= 1;
         if ok {
@@ -590,21 +639,19 @@ impl ReadySet {
         // the joblog) always lists a node after every one of its
         // dependencies, and a node with an in-flight dependency is not
         // logged before that dependency's own row.
-        let mut condemned = Vec::new();
-        self.resolve(idx, !ok, &mut out, &mut condemned);
-        while let Some(at) = condemned.pop() {
-            self.resolve(at, true, &mut out, &mut condemned);
+        self.resolve(idx, !ok, out);
+        while let Some(at) = out.condemned.pop() {
+            self.resolve(at, true, out);
         }
-        out
     }
 
     /// Count terminal node `at` against each waiting dependent, which
     /// it poisons if `bad`. A dependent whose count reaches zero is
-    /// released, or condemned and pushed onto `condemned` to pass the
-    /// failure on.
-    fn resolve(&mut self, at: usize, bad: bool, out: &mut Completion, condemned: &mut Vec<usize>) {
-        for d in 0..self.dependents[at].len() {
-            let dep = self.dependents[at][d] as usize;
+    /// released, or condemned and pushed onto `out.condemned` to pass
+    /// the failure on.
+    fn resolve(&mut self, at: usize, bad: bool, out: &mut Completion) {
+        for d in self.first[at]..self.first[at + 1] {
+            let dep = self.dependents[d as usize] as usize;
             if self.state[dep] != NodeState::Waiting {
                 continue;
             }
@@ -618,7 +665,7 @@ impl ReadySet {
                     self.skipped += 1;
                     self.unfinished -= 1;
                     out.newly_skipped.push(dep as u64 + 1);
-                    condemned.push(dep);
+                    out.condemned.push(dep);
                 } else {
                     self.state[dep] = NodeState::Dispatched;
                     out.newly_ready.push(dep as u64 + 1);
@@ -664,23 +711,29 @@ impl DagReport {
 }
 
 /// The DAG layer's release hook ([`Engine::run_released`]): the worker
-/// that finished a task writes its joblog row, completes the ready set
+/// that finished a task appends its joblog row, completes the ready set
 /// and keeps the first newly-ready task as its own next job.
 struct DagRelease<'d> {
     dag: &'d Dag,
     /// Slot count, which sizes released batches.
     jobs: usize,
+    log: LogSink,
+    /// Seqs a previous run logged as done, in seq order.
+    resumed: Vec<u64>,
     state: Mutex<DagState>,
 }
 
 /// What finishing workers share, under one lock.
 struct DagState {
     ready: ReadySet,
+    /// Reused by every completion.
+    completion: Completion,
     /// Release channel into the engine; dropped when the graph is
     /// finished (or a `--halt` policy stops the run) so the engine sees
     /// end-of-input.
     tx: Option<Sender<Vec<JobInput>>>,
-    log: LogSink,
+    /// Rows appended since the last hand-over to the file.
+    rows: Rows,
     failed_ids: Vec<String>,
 }
 
@@ -692,54 +745,78 @@ impl DagRelease<'_> {
     fn job(&self, seq: u64) -> JobInput {
         JobInput::new(seq, vec![self.command(seq).to_string()])
     }
+
+    /// The failure path, under the lock: append a row for each task the
+    /// last completion condemned (a success condemns the tasks that
+    /// waited on it and on a failed task), and report them.
+    fn skip(&self, st: &mut DagState, condemned: &mut Vec<u64>) {
+        for &seq in &st.completion.newly_skipped {
+            self.log
+                .encode_entry(&skip_entry(seq, self.command(seq)), &mut st.rows);
+        }
+        condemned.extend_from_slice(&st.completion.newly_skipped);
+    }
 }
 
 impl Release for DagRelease<'_> {
-    fn done(&self, result: &JobResult) -> Option<JobInput> {
-        let (ready, tx) = {
-            let mut st = self.state.lock();
-            st.log.record(result);
-            let ok = result.status.is_success();
-            if !ok {
-                let id = self.dag.nodes[(result.seq - 1) as usize].id.clone();
-                st.failed_ids.push(id);
-            }
-            let comp = st.ready.complete(result.seq, ok);
-            // Skip rows land after the finishing task's row, and
-            // `newly_skipped` is ordered dependencies-first, so the
-            // joblog lists every task's dependencies before the task
-            // itself. Each row is written before any dependent is
-            // released, so released work can never log ahead of it.
-            for &seq in &comp.newly_skipped {
-                st.log.record_entry(&skip_entry(seq, self.command(seq)));
-            }
-            // The flat engine's flush rule: a slow task's row reaches the
-            // file before its successors start; fast rows go in batches.
-            if result.runtime >= PROMPT_DELIVERY || st.log.unflushed() >= DELIVER_BATCH {
-                st.log.flush();
-            }
-            if st.ready.is_finished() {
-                // Closing the channel is what ends the engine run.
-                st.tx = None;
-            }
-            let tx = match comp.newly_ready.len() {
-                0 | 1 => None,
-                _ => st.tx.clone(),
-            };
-            (comp.newly_ready, tx)
+    fn log(&self) -> Option<&LogSink> {
+        Some(&self.log)
+    }
+
+    fn resumed(&self) -> &[u64] {
+        &self.resumed
+    }
+
+    fn done(&self, result: &JobResult, row: &Rows, condemned: &mut Vec<u64>) -> Option<JobInput> {
+        let ok = result.status.is_success();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        // The row lands before any dependent is released, and skip rows
+        // after it, ordered dependencies-first, so the joblog lists
+        // every task's dependencies before the task itself.
+        st.rows.extend(row);
+        st.ready.complete(result.seq, ok, &mut st.completion);
+        if !ok {
+            let id = &self.dag.nodes[(result.seq - 1) as usize].id;
+            st.failed_ids.push(id.clone());
+        }
+        if !st.completion.newly_skipped.is_empty() {
+            self.skip(st, condemned);
+        }
+        // The flat engine's flush rule: a slow task's row reaches the
+        // file before its successors start; fast rows go in batches.
+        let flush = (result.runtime >= PROMPT_DELIVERY || st.rows.len() >= DELIVER_BATCH)
+            .then(|| self.log.take(&mut st.rows));
+        if st.ready.is_finished() {
+            // Closing the channel is what ends the engine run.
+            st.tx = None;
+        }
+        let ready = &mut st.completion.newly_ready;
+        let next = ready.first().copied();
+        let rest = match ready.len() {
+            0 | 1 => None,
+            _ => Some((std::mem::take(ready), st.tx.clone())),
         };
-        let mut ready = ready.into_iter().map(|seq| self.job(seq));
-        let next = ready.next();
-        if let Some(tx) = tx {
+        drop(guard);
+        if let Some(flush) = flush {
+            flush.write();
+        }
+        if let Some((ready, Some(tx))) = rest {
             // The rest go out in chunk-sized batches, so idle slots
             // claim them instead of one slot taking the whole release.
-            send_chunks(&tx, ready, self.jobs);
+            let jobs = ready[1..].iter().map(|&seq| self.job(seq));
+            send_chunks(&tx, jobs, self.jobs);
         }
-        next
+        next.map(|seq| self.job(seq))
     }
 
     fn park(&self) {
-        self.state.lock().log.flush();
+        if self.log.is_open() {
+            let mut st = self.state.lock();
+            let flush = self.log.take(&mut st.rows);
+            drop(st);
+            flush.write();
+        }
     }
 
     fn halt(&self) {
@@ -816,13 +893,18 @@ pub(crate) fn run_dag(dag: &Dag, mut engine: Engine) -> Result<DagReport> {
     let initial = ready.take_ready();
     let finished = ready.is_finished();
     let jobs = engine.options.jobs;
+    let mut resumed: Vec<u64> = done.into_iter().filter(|&seq| seq <= total).collect();
+    resumed.sort_unstable();
     let release = DagRelease {
         dag,
         jobs,
+        log,
+        resumed,
         state: Mutex::new(DagState {
             ready,
+            completion: Completion::default(),
             tx: None,
-            log,
+            rows: Rows::default(),
             failed_ids: Vec::new(),
         }),
     };
@@ -835,8 +917,9 @@ pub(crate) fn run_dag(dag: &Dag, mut engine: Engine) -> Result<DagReport> {
 
     let engine_report = engine.run_released(rx, &release)?;
 
-    let st = release.state.into_inner();
-    st.log.finish()?;
+    let mut st = release.state.into_inner();
+    release.log.take(&mut st.rows).write();
+    release.log.finish()?;
     let (_done, failed, skipped, pre_done) = st.ready.counts();
     Ok(DagReport {
         engine: engine_report,
@@ -876,12 +959,16 @@ mod tests {
         assert_eq!(dag.len(), 4);
         let mut rs = ReadySet::new(&dag);
         assert_eq!(rs.take_ready(), vec![1]);
-        let c = rs.complete(1, true);
+        // One `Completion` serves every call; each overwrites it.
+        let mut c = Completion::default();
+        rs.complete(1, true, &mut c);
         assert_eq!(c.newly_ready, vec![2, 3]);
-        assert!(rs.complete(2, true).newly_ready.is_empty());
-        assert_eq!(rs.complete(3, true).newly_ready, vec![4]);
+        rs.complete(2, true, &mut c);
+        assert!(c.newly_ready.is_empty());
+        rs.complete(3, true, &mut c);
+        assert_eq!(c.newly_ready, vec![4]);
         assert!(!rs.is_finished());
-        rs.complete(4, true);
+        rs.complete(4, true, &mut c);
         assert!(rs.is_finished());
         assert_eq!(rs.counts(), (4, 0, 0, 0));
     }
@@ -952,12 +1039,14 @@ mod tests {
         .unwrap();
         let mut rs = ReadySet::new(&dag);
         assert_eq!(rs.take_ready(), vec![1]);
-        let c = rs.complete(1, true);
+        let mut c = Completion::default();
+        rs.complete(1, true, &mut c);
         assert_eq!(c.newly_ready, vec![2, 5]);
-        let c = rs.complete(2, false);
+        rs.complete(2, false, &mut c);
         assert!(c.newly_ready.is_empty());
         assert_eq!(c.newly_skipped, vec![3, 4]);
-        rs.complete(5, true);
+        rs.complete(5, true, &mut c);
+        assert!(c.newly_skipped.is_empty());
         assert!(rs.is_finished());
         assert_eq!(rs.counts(), (2, 1, 2, 0));
     }
@@ -1033,8 +1122,10 @@ mid2: raw
         let done: HashSet<u64> = [1, 4].into_iter().collect();
         let mut rs = ReadySet::resumed(&dag, &done);
         assert_eq!(rs.take_ready(), vec![2]);
-        assert_eq!(rs.complete(2, true).newly_ready, vec![3]);
-        rs.complete(3, true);
+        let mut c = Completion::default();
+        rs.complete(2, true, &mut c);
+        assert_eq!(c.newly_ready, vec![3]);
+        rs.complete(3, true, &mut c);
         assert!(rs.is_finished());
         assert_eq!(rs.counts(), (2, 0, 0, 2));
     }

@@ -23,6 +23,8 @@ use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::{Duration, UNIX_EPOCH};
 
+use parking_lot::{Mutex, MutexGuard};
+
 use crate::error::{Error, Result};
 use crate::job::JobResult;
 use crate::options::ResumeMode;
@@ -116,8 +118,7 @@ impl LogEntry {
 }
 
 /// One joblog row by reference: the one encoder behind
-/// [`JobLogWriter::record`], [`JobLogWriter::record_row`],
-/// [`JobLogWriter::record_entry`] and [`LogEntry::to_line`], writing
+/// [`JobLogWriter`], [`LogSink`] and [`LogEntry::to_line`], writing
 /// straight into its output with no intermediate strings. Callers that
 /// hold a completion's fields build one in place instead of a
 /// [`LogEntry`].
@@ -280,57 +281,51 @@ pub fn unescape(s: &str) -> String {
     out
 }
 
-/// An append-mode joblog writer.
+/// Open the joblog at `path` for appending, creating it. A header is
+/// written only when the file is empty so that resumed runs keep a
+/// single header. A torn final line (writer SIGKILLed mid-append) is
+/// truncated away first — otherwise the next row would be appended onto
+/// the partial line and both records would be lost to parsers.
+fn open_for_append(path: &Path) -> Result<File> {
+    repair_torn_tail(path).map_err(Error::JobLog)?;
+    let mut file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(Error::JobLog)?;
+    if file.metadata().map_err(Error::JobLog)?.len() == 0 {
+        file.write_all(format!("{HEADER}\n").as_bytes())
+            .map_err(Error::JobLog)?;
+    }
+    Ok(file)
+}
+
+/// An append-mode joblog writer, for logs of jobs run elsewhere (the
+/// network driver and the pilot).
 ///
 /// Rows are encoded straight into a write buffer and reach the file on
 /// [`JobLogWriter::flush`], so a caller that flushes per batch pays one
-/// write syscall per batch, not per row. In-process runs write through
-/// one [`LogSink`]: the engine flushes once per batch a worker hands
-/// over, and the DAG layer after a task that ran at least 500 µs, every
-/// 64 rows and before a worker parks; both flush at the end of the run.
-/// Flush to make rows visible to concurrent `--resume` readers. Dropping
-/// the writer also flushes.
+/// write syscall per batch, not per row. Flush to make rows visible to
+/// concurrent `--resume` readers. Dropping the writer also flushes.
+/// In-process runs write through a [`LogSink`] instead.
 pub struct JobLogWriter {
     file: std::io::BufWriter<File>,
-    host: String,
 }
 
 impl JobLogWriter {
-    /// Open (creating or appending). A header is written only when the
-    /// file is empty so that resumed runs keep a single header. A torn
-    /// final line (writer SIGKILLed mid-append) is truncated away
-    /// first — otherwise the next row would be appended onto the
-    /// partial line and both records would be lost to parsers.
+    /// Open (creating or appending), as [`open_for_append`] describes.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<JobLogWriter> {
-        repair_torn_tail(path.as_ref()).map_err(Error::JobLog)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(Error::JobLog)?;
-        let empty = file.metadata().map_err(Error::JobLog)?.len() == 0;
-        let mut writer = JobLogWriter {
-            file: std::io::BufWriter::new(file),
-            host: hostname(),
-        };
-        if empty {
-            writeln!(writer.file, "{HEADER}").map_err(Error::JobLog)?;
-            writer.flush()?;
-        }
-        Ok(writer)
+        Ok(JobLogWriter {
+            file: std::io::BufWriter::new(open_for_append(path.as_ref())?),
+        })
     }
 
-    /// Append one finished job (buffered until the next [`flush`]).
+    /// Append a pre-built entry (buffered until the next [`flush`]),
+    /// keeping its own `host` column — the aggregation path for drivers
+    /// that log completions reported by remote agents rather than jobs
+    /// run in this process.
     ///
     /// [`flush`]: JobLogWriter::flush
-    pub fn record(&mut self, result: &JobResult) -> Result<()> {
-        let row = Row::of_result(result, &self.host);
-        write_row(&mut self.file, &row)
-    }
-
-    /// Append a pre-built entry, keeping its own `host` column — the
-    /// aggregation path for drivers that log completions reported by
-    /// remote agents rather than jobs run in this process.
     pub fn record_entry(&mut self, entry: &LogEntry) -> Result<()> {
         write_row(&mut self.file, &entry.row())
     }
@@ -348,74 +343,159 @@ impl JobLogWriter {
     }
 }
 
-/// The joblog of one in-process run, written by the engine's workers
-/// and by the DAG layer's release hook, each under its run-wide lock.
+/// The joblog of one in-process run: the one row path of the engine's
+/// workers and of the DAG layer's release hook.
 ///
-/// A failed write or flush does not stop the run: the sink keeps the
-/// first error and [`LogSink::finish`] returns it once the run is over.
-/// Without `--joblog` every call does nothing.
+/// A row takes three steps, so that no run-wide lock is held for its
+/// encoding or for a `write(2)`:
+///
+/// 1. The worker that finished the job encodes the row
+///    ([`LogSink::encode`]) into [`Rows`] of its own, before it takes
+///    any shared lock.
+/// 2. Rows that must keep an order between workers (the DAG's: a task's
+///    dependencies are logged before it) are appended to shared [`Rows`]
+///    under the caller's run-wide lock, which covers only that copy.
+/// 3. At a flush point the caller hands its rows over
+///    ([`LogSink::take`]) and gets a [`Flush`]. The hand-over takes the
+///    file side's lock and swaps the rows with its empty spare buffer;
+///    a caller holding a run-wide lock takes it before dropping that
+///    lock. Writing the [`Flush`] after the run-wide lock is dropped
+///    releases the file side. The next hand-over waits for that lock,
+///    so rows reach the file in the order they were handed over.
+///
+/// A failed write does not stop the run: the sink keeps the first error
+/// and [`LogSink::finish`] returns it once the run is over. Without
+/// `--joblog` nothing is encoded and every call does nothing.
 pub(crate) struct LogSink {
-    writer: Option<JobLogWriter>,
-    /// Rows written since the last flush.
-    unflushed: usize,
-    /// First write or flush error.
+    host: String,
+    file: Option<Mutex<LogFile>>,
+}
+
+/// The file side of a [`LogSink`].
+struct LogFile {
+    file: File,
+    /// The rows of the latest hand-over until they are written; empty
+    /// otherwise, and swapped for the next hand-over's rows.
+    spare: Vec<u8>,
+    /// First write error.
     error: Option<Error>,
 }
 
+/// Encoded joblog rows, each with its newline, not yet handed to the
+/// file.
+#[derive(Default)]
+pub(crate) struct Rows {
+    bytes: Vec<u8>,
+    count: usize,
+}
+
+impl Rows {
+    /// How many rows are held.
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.count = 0;
+    }
+
+    /// Append `other`'s rows after these.
+    pub(crate) fn extend(&mut self, other: &Rows) {
+        self.bytes.extend_from_slice(&other.bytes);
+        self.count += other.count;
+    }
+
+    fn push(&mut self, row: &Row) {
+        write_row(&mut self.bytes, row).expect("writing to a Vec cannot fail");
+        self.count += 1;
+    }
+}
+
 impl LogSink {
-    /// A sink over the joblog at `path` (see [`JobLogWriter::open`]), or
+    /// A sink over the joblog at `path` (see [`open_for_append`]), or
     /// one that logs nothing.
     pub(crate) fn open(path: Option<&Path>) -> Result<LogSink> {
+        let file = path.map(open_for_append).transpose()?;
         Ok(LogSink {
-            writer: path.map(JobLogWriter::open).transpose()?,
-            unflushed: 0,
-            error: None,
+            host: hostname(),
+            file: file.map(|file| {
+                Mutex::new(LogFile {
+                    file,
+                    spare: Vec::new(),
+                    error: None,
+                })
+            }),
         })
     }
 
     pub(crate) fn is_open(&self) -> bool {
-        self.writer.is_some()
+        self.file.is_some()
     }
 
-    /// Rows written since the last flush.
-    pub(crate) fn unflushed(&self) -> usize {
-        self.unflushed
+    /// Append the row of a job this process ran to `rows`.
+    pub(crate) fn encode(&self, result: &JobResult, rows: &mut Rows) {
+        if self.is_open() {
+            rows.push(&Row::of_result(result, &self.host));
+        }
     }
 
-    /// Append the row of a job this process ran.
-    pub(crate) fn record(&mut self, result: &JobResult) {
-        self.write(|w| w.record(result));
+    /// Append a pre-built row, keeping its own `host` column, to `rows`.
+    pub(crate) fn encode_entry(&self, entry: &LogEntry, rows: &mut Rows) {
+        if self.is_open() {
+            rows.push(&entry.row());
+        }
     }
 
-    /// Append a pre-built row.
-    pub(crate) fn record_entry(&mut self, entry: &LogEntry) {
-        self.write(|w| w.record_entry(entry));
+    /// Hand `rows` over to the file, leaving them empty. The returned
+    /// [`Flush`] holds the file side until it is written, so a caller
+    /// that guards `rows` with a lock drops that lock first, then writes.
+    pub(crate) fn take(&self, rows: &mut Rows) -> Flush<'_> {
+        let file = match &self.file {
+            Some(file) if rows.count > 0 => file,
+            _ => return Flush(None),
+        };
+        let mut file = file.lock();
+        debug_assert!(file.spare.is_empty(), "the last hand-over was written");
+        std::mem::swap(&mut file.spare, &mut rows.bytes);
+        rows.count = 0;
+        Flush(Some(file))
     }
 
-    fn write(&mut self, write: impl FnOnce(&mut JobLogWriter) -> Result<()>) {
-        if let Some(writer) = &mut self.writer {
-            if let Err(e) = write(writer) {
-                self.error.get_or_insert(e);
+    /// The first write error of the run, if any. Every row must have
+    /// been handed over and written.
+    pub(crate) fn finish(self) -> Result<()> {
+        match self.file.and_then(|file| file.into_inner().error) {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Rows handed over by [`LogSink::take`], written when this is
+/// [written](Flush::write) or dropped.
+pub(crate) struct Flush<'a>(Option<MutexGuard<'a, LogFile>>);
+
+impl Flush<'_> {
+    /// Write the rows and let the next hand-over in.
+    pub(crate) fn write(mut self) {
+        self.write_now();
+    }
+
+    fn write_now(&mut self) {
+        if let Some(mut guard) = self.0.take() {
+            let LogFile { file, spare, error } = &mut *guard;
+            if let Err(e) = file.write_all(spare) {
+                error.get_or_insert(Error::JobLog(e));
             }
-            self.unflushed += 1;
+            spare.clear();
         }
     }
+}
 
-    /// Push the rows written since the last flush to the file.
-    pub(crate) fn flush(&mut self) {
-        if self.unflushed == 0 {
-            return;
-        }
-        self.unflushed = 0;
-        if let Some(Err(e)) = self.writer.as_mut().map(JobLogWriter::flush) {
-            self.error.get_or_insert(e);
-        }
-    }
-
-    /// Flush the last rows; the first error of the run, if any.
-    pub(crate) fn finish(mut self) -> Result<()> {
-        self.flush();
-        self.error.map_or(Ok(()), Err)
+impl Drop for Flush<'_> {
+    fn drop(&mut self) {
+        self.write_now();
     }
 }
 
@@ -582,12 +662,13 @@ mod tests {
             signal: 0,
             command: "x\\y\tz".into(),
         };
-        {
-            let mut w = JobLogWriter::open(&path).unwrap();
-            w.record(&killed).unwrap();
-            w.record_entry(&skipped).unwrap();
-            w.record(&result(9, JobStatus::Failed(2))).unwrap();
-        }
+        let sink = LogSink::open(Some(&path)).unwrap();
+        let mut rows = Rows::default();
+        sink.encode(&killed, &mut rows);
+        sink.encode_entry(&skipped, &mut rows);
+        sink.encode(&result(9, JobStatus::Failed(2)), &mut rows);
+        sink.take(&mut rows).write();
+        sink.finish().unwrap();
         let host = std::env::var("HOSTNAME").unwrap_or_else(|_| "localhost".to_string());
         let skip_row = "8\tskipped-dep-failed\t12.500\t0.000\t0\t0\t-2\t0\tx\\\\y\\tz";
         let want = format!(
@@ -627,13 +708,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = JobLogWriter::open(&path).unwrap();
-            w.record(&result(1, JobStatus::Success)).unwrap();
-            w.record(&result(2, JobStatus::Failed(1))).unwrap();
+            w.record_entry(&logged(&result(1, JobStatus::Success), "h"))
+                .unwrap();
+            w.record_entry(&logged(&result(2, JobStatus::Failed(1)), "h"))
+                .unwrap();
         }
         // Re-open appends without duplicating the header.
         {
             let mut w = JobLogWriter::open(&path).unwrap();
-            w.record(&result(3, JobStatus::Success)).unwrap();
+            w.record_entry(&logged(&result(3, JobStatus::Success), "h"))
+                .unwrap();
         }
         let entries = read_log(&path).unwrap();
         assert_eq!(entries.len(), 3);
@@ -676,8 +760,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = JobLogWriter::open(&path).unwrap();
-            w.record(&result(1, JobStatus::Success)).unwrap();
-            w.record(&result(2, JobStatus::Success)).unwrap();
+            w.record_entry(&logged(&result(1, JobStatus::Success), "h"))
+                .unwrap();
+            w.record_entry(&logged(&result(2, JobStatus::Success), "h"))
+                .unwrap();
         }
         // Simulate a SIGKILL mid-append: a partial record with no
         // terminating structure.
@@ -738,8 +824,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = JobLogWriter::open(&path).unwrap();
-            w.record(&result(1, JobStatus::Success)).unwrap();
-            w.record(&result(2, JobStatus::Success)).unwrap();
+            w.record_entry(&logged(&result(1, JobStatus::Success), "h"))
+                .unwrap();
+            w.record_entry(&logged(&result(2, JobStatus::Success), "h"))
+                .unwrap();
         }
         {
             let mut f = std::fs::OpenOptions::new()
@@ -750,7 +838,8 @@ mod tests {
         }
         {
             let mut w = JobLogWriter::open(&path).unwrap();
-            w.record(&result(4, JobStatus::Success)).unwrap();
+            w.record_entry(&logged(&result(4, JobStatus::Success), "h"))
+                .unwrap();
         }
         // The torn seq-3 bytes are gone, the appended row is intact,
         // and the strict reader accepts the whole file again.
@@ -760,41 +849,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// On a full disk every flush fails. The sink keeps the first error,
+    /// On a full disk every write fails. The sink keeps the first error,
     /// goes on taking rows, and returns that error once the run is over.
     #[test]
     fn sink_returns_its_first_error_at_the_end() {
         // Built by hand: `open` would already fail on the header.
         let full = OpenOptions::new().write(true).open("/dev/full").unwrap();
-        let mut sink = LogSink {
-            writer: Some(JobLogWriter {
-                file: std::io::BufWriter::new(full),
-                host: "h".into(),
-            }),
-            unflushed: 0,
-            error: None,
+        let sink = LogSink {
+            host: "h".into(),
+            file: Some(Mutex::new(LogFile {
+                file: full,
+                spare: Vec::new(),
+                error: None,
+            })),
         };
-        sink.record(&result(1, JobStatus::Success));
-        assert!(sink.error.is_none(), "a row waits in the buffer");
-        sink.flush();
-        assert!(
-            matches!(&sink.error, Some(Error::JobLog(e)) if e.kind() == io::ErrorKind::StorageFull),
-            "{:?}",
-            sink.error
+        let error = |sink: &LogSink| {
+            let file = sink.file.as_ref().unwrap().lock();
+            file.error.as_ref().map(|e| match e {
+                Error::JobLog(e) => e.kind(),
+                other => panic!("not a write error: {other:?}"),
+            })
+        };
+        let mut rows = Rows::default();
+        sink.encode(&result(1, JobStatus::Success), &mut rows);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(error(&sink), None, "a row waits in its buffer");
+        sink.take(&mut rows).write();
+        assert_eq!(rows.len(), 0, "the rows were handed over");
+        assert_eq!(error(&sink), Some(io::ErrorKind::StorageFull));
+        sink.encode(&result(2, JobStatus::Failed(1)), &mut rows);
+        sink.encode_entry(
+            &logged(&result(3, JobStatus::Success), "agent-1"),
+            &mut rows,
         );
-        assert_eq!(sink.unflushed(), 0);
-        sink.record(&result(2, JobStatus::Failed(1)));
-        sink.record_entry(&logged(&result(3, JobStatus::Success), "agent-1"));
-        assert_eq!(sink.unflushed(), 2);
+        assert_eq!(rows.len(), 2);
+        sink.take(&mut rows).write();
         match sink.finish() {
             Err(Error::JobLog(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
             other => panic!("expected the full-disk error, got {other:?}"),
         }
-        // A sink with no joblog logs nothing and never fails.
-        let mut none = LogSink::open(None).unwrap();
-        none.record(&result(1, JobStatus::Success));
+        // A sink with no joblog encodes nothing and never fails.
+        let none = LogSink::open(None).unwrap();
+        none.encode(&result(1, JobStatus::Success), &mut rows);
         assert!(!none.is_open());
-        assert_eq!(none.unflushed(), 0);
+        assert_eq!(rows.len(), 0);
         assert!(none.finish().is_ok());
     }
 

@@ -10,11 +10,14 @@ use crate::job::JobResult;
 /// GNU Parallel's `-k` guarantee: output is emitted in *input* order even
 /// though jobs finish out of order. `push` returns every result that has
 /// become releasable (the contiguous run starting at the next expected
-/// sequence number).
+/// sequence number); `pass` marks a sequence number that will produce
+/// no result, so nothing waits for it.
 #[derive(Debug, Default)]
 pub struct ReorderBuffer {
     next: u64,
-    pending: BTreeMap<u64, JobResult>,
+    /// Results waiting for an earlier sequence number; `None` marks a
+    /// passed one.
+    pending: BTreeMap<u64, Option<JobResult>>,
 }
 
 impl ReorderBuffer {
@@ -28,10 +31,24 @@ impl ReorderBuffer {
 
     /// Insert a completed job; get back everything now in order.
     pub fn push(&mut self, result: JobResult) -> Vec<JobResult> {
-        self.pending.insert(result.seq, result);
+        self.pending.insert(result.seq, Some(result));
+        self.release()
+    }
+
+    /// Pass over `seq`, which will produce no result (a task never run);
+    /// get back everything now in order.
+    pub fn pass(&mut self, seq: u64) -> Vec<JobResult> {
+        if seq >= self.next {
+            self.pending.insert(seq, None);
+        }
+        self.release()
+    }
+
+    /// The contiguous run of results from the next expected seq.
+    fn release(&mut self) -> Vec<JobResult> {
         let mut ready = Vec::new();
         while let Some(r) = self.pending.remove(&self.next) {
-            ready.push(r);
+            ready.extend(r);
             self.next += 1;
         }
         ready
@@ -39,17 +56,19 @@ impl ReorderBuffer {
 
     /// Jobs held back waiting for earlier sequence numbers.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.pending.values().filter(|r| r.is_some()).count()
     }
 
     /// Drain whatever is left (used when a halt policy abandons part of
     /// the sequence), in sequence order.
     pub fn drain(&mut self) -> Vec<JobResult> {
-        let drained: Vec<JobResult> = std::mem::take(&mut self.pending).into_values().collect();
-        if let Some(last) = drained.last() {
-            self.next = last.seq + 1;
+        if let Some((&last, _)) = self.pending.last_key_value() {
+            self.next = last + 1;
         }
-        drained
+        std::mem::take(&mut self.pending)
+            .into_values()
+            .flatten()
+            .collect()
     }
 }
 
@@ -121,6 +140,26 @@ mod tests {
             vec![3, 5]
         );
         assert_eq!(buf.pending(), 0);
+    }
+
+    /// A passed seq never arrives, and nothing waits for it.
+    #[test]
+    fn passed_seqs_release_what_waits_behind_them() {
+        let seqs = |out: Vec<JobResult>| out.iter().map(|r| r.seq).collect::<Vec<_>>();
+        let mut buf = ReorderBuffer::new();
+        assert!(buf.push(result(3)).is_empty());
+        assert!(buf.pass(4).is_empty(), "passed ahead of the gap");
+        assert!(buf.push(result(5)).is_empty());
+        assert_eq!(seqs(buf.push(result(1))), vec![1]);
+        assert_eq!(buf.pending(), 2);
+        assert_eq!(seqs(buf.pass(2)), vec![3, 5]);
+        assert_eq!(buf.pending(), 0);
+        assert!(buf.pass(1).is_empty(), "a seq already released is ignored");
+        assert_eq!(seqs(buf.push(result(6))), vec![6]);
+        buf.pass(9);
+        buf.push(result(8));
+        assert_eq!(seqs(buf.drain()), vec![8]);
+        assert_eq!(seqs(buf.push(result(10))), vec![10]);
     }
 
     #[test]

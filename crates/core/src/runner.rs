@@ -13,15 +13,16 @@
 //!   and pumps an unsized one into a bounded channel from the calling
 //!   thread, so a run starts no thread besides its workers.
 //! - **Completion side**: the worker that finishes a job counts it,
-//!   runs a DAG's release hook ([`Engine::run_released`]) so a
-//!   successor starts without a thread hop, and writes its `--results`
-//!   directory. When a joblog or an `on_result` callback consumes
-//!   results, the worker hands them over in batches under one run-wide
-//!   lock, which keeps callbacks serialized and joblog rows whole. A
-//!   run with neither takes no lock, telemetry or not. Then the result
-//!   is dropped: the [`RunReport`] carries counts only.
+//!   encodes its joblog row, runs a DAG's release hook
+//!   ([`Engine::run_released`]) so a successor starts without a thread
+//!   hop, and writes its `--results` directory. It hands results to an
+//!   `on_result` callback in batches under one run-wide lock, which
+//!   keeps callbacks serialized, and its rows to the joblog's
+//!   [`LogSink`], which writes each batch with no run-wide lock held.
+//!   A run with neither takes no lock, telemetry or not. Then the
+//!   result is dropped: the [`RunReport`] carries counts only.
 //! - **Bookkeeping**: launch counts and halt tallies are atomics; the
-//!   only other global locks are the hand-over above and `--delay`'s
+//!   only other global locks are the hand-overs above and `--delay`'s
 //!   launch spacer, which by definition serializes launches.
 //!
 //! Per-task lifecycle events are still emitted synchronously by the
@@ -45,7 +46,7 @@ use crate::executor::{ExecContext, Executor};
 use crate::gate::Gate;
 use crate::halt::{AtomicTally, HaltDecision, Tally};
 use crate::job::{CommandLine, JobResult, JobStatus};
-use crate::joblog::LogSink;
+use crate::joblog::{LogSink, Rows};
 use crate::options::{BatchMode, Options};
 use crate::output::ReorderBuffer;
 use crate::stats::RunSummary;
@@ -126,8 +127,8 @@ const PUMP_POLL: Duration = Duration::from_millis(50);
 const FEED_CAPACITY: usize = 4096;
 
 /// Completions a worker buffers locally before handing the batch to the
-/// run's consumers; amortizes the hand-over lock across fast tasks. The
-/// DAG joblog flushes at the same interval.
+/// run's consumers; amortizes the hand-over lock and the joblog write
+/// across fast tasks. The DAG joblog flushes at the same interval.
 pub(crate) const DELIVER_BATCH: usize = 64;
 
 /// Jobs slower than this are handed over immediately rather than
@@ -142,10 +143,28 @@ pub type ResultCallback = Arc<dyn Fn(&JobResult) + Send + Sync>;
 /// ready-set release, run by the worker that finished the task, and the
 /// end of a streamed input's producer.
 pub(crate) trait Release: Send + Sync {
+    /// The joblog this hook appends its results' rows to itself. The
+    /// workers then encode each row for it, and the engine logs none.
+    fn log(&self) -> Option<&LogSink> {
+        None
+    }
+    /// Seqs this hook will never send to a worker, known before the run
+    /// starts (a resumed graph's logged tasks).
+    fn resumed(&self) -> &[u64] {
+        &[]
+    }
     /// Account for `result` (every result a worker produces, dry-run
-    /// included) and release whatever it unblocked. The returned job is
-    /// the calling worker's own next one.
-    fn done(&self, _result: &JobResult) -> Option<JobInput> {
+    /// included) and release whatever it unblocked. `row` holds the
+    /// result's row for [`Release::log`], encoded by the calling worker;
+    /// it is empty when the job did not run or the run has no joblog.
+    /// Seqs the result condemned never to run go into `condemned`. The
+    /// returned job is the calling worker's own next one.
+    fn done(
+        &self,
+        _result: &JobResult,
+        _row: &Rows,
+        _condemned: &mut Vec<u64>,
+    ) -> Option<JobInput> {
         None
     }
     /// The calling worker found the input empty and is about to park.
@@ -165,44 +184,42 @@ pub fn retry_backoff(base: Duration, attempt: u32) -> Duration {
     base * (1u32 << attempt.min(10))
 }
 
-/// The consumers workers hand finished jobs to mid-run, behind one
-/// run-wide lock. [`Shared::delivery`] has one only when a joblog or a
-/// callback is set.
+/// The callback workers hand finished jobs to mid-run, behind one
+/// run-wide lock that keeps calls serialized. [`Shared::delivery`] has
+/// one only when a callback is set.
 struct Delivery {
-    log: LogSink,
-    on_result: Option<ResultCallback>,
-    /// `--keep-order` with a callback: results wait here for every
-    /// earlier seq.
+    on_result: ResultCallback,
+    /// `--keep-order`: results wait here for every earlier seq.
     reorder: Option<ReorderBuffer>,
 }
 
 impl Delivery {
-    /// Log and pass on one worker's batch, then flush its rows.
-    fn take(&mut self, batch: impl Iterator<Item = JobResult>, shared: &Shared) {
+    /// Pass on one worker's batch.
+    fn take(&mut self, batch: impl Iterator<Item = JobResult>) {
         for result in batch {
-            if shared.ran(&result) {
-                self.log.record(&result);
-            }
-            if let Some(cb) = &self.on_result {
-                match &mut self.reorder {
-                    Some(reorder) => reorder.push(result).iter().for_each(|r| cb(r)),
-                    None => cb(&result),
-                }
+            match &mut self.reorder {
+                Some(reorder) => reorder.push(result).iter().for_each(&*self.on_result),
+                None => (self.on_result)(&result),
             }
         }
-        // One flush per batch, not per row: a concurrent resume reader
-        // (kill -9 mid-run) sees every handed-over job without a write
-        // syscall per task.
-        self.log.flush();
+    }
+
+    /// Seqs that will produce no result: under `--keep-order`, pass on
+    /// whatever waited for them.
+    fn pass(&mut self, seqs: &[u64]) {
+        if let Some(reorder) = &mut self.reorder {
+            for &seq in seqs {
+                reorder.pass(seq).iter().for_each(&*self.on_result);
+            }
+        }
     }
 
     /// End of run: pass on what a halt left waiting behind a gap in the
-    /// seqs, in seq order, then return the joblog's first error.
-    fn finish(self) -> Result<()> {
-        if let (Some(cb), Some(mut reorder)) = (&self.on_result, self.reorder) {
-            reorder.drain().iter().for_each(|r| cb(r));
+    /// seqs, in seq order.
+    fn finish(self) {
+        if let Some(mut reorder) = self.reorder {
+            reorder.drain().iter().for_each(&*self.on_result);
         }
-        self.log.finish()
     }
 }
 
@@ -213,7 +230,9 @@ struct Shared<'r> {
     executor: Arc<dyn Executor>,
     /// The run's one input channel.
     input: Receiver<Vec<JobInput>>,
-    /// `None` when nothing consumes results mid-run.
+    /// The run's `--joblog`, unless a release hook keeps it.
+    log: LogSink,
+    /// `None` without a result callback.
     delivery: Option<Mutex<Delivery>>,
     release: Option<&'r dyn Release>,
     skip: HashSet<u64>,
@@ -379,21 +398,21 @@ impl Engine {
         let jobs = self.options.jobs;
 
         let log = LogSink::open(self.options.joblog.as_deref())?;
-        let delivery = (log.is_open() || self.on_result.is_some()).then(|| {
-            Mutex::new(Delivery {
-                log,
-                reorder: (self.options.keep_order && self.on_result.is_some())
-                    .then(ReorderBuffer::new),
-                on_result: self.on_result,
-            })
+        let mut delivery = self.on_result.map(|on_result| Delivery {
+            on_result,
+            reorder: self.options.keep_order.then(ReorderBuffer::new),
         });
+        if let (Some(delivery), Some(release)) = (&mut delivery, release) {
+            delivery.pass(release.resumed());
+        }
 
         let shared = Shared {
             options: self.options,
             template: self.template,
             executor: self.executor,
             input,
-            delivery,
+            log,
+            delivery: delivery.map(Mutex::new),
             release,
             skip: self.skip,
             gate: self.gate,
@@ -433,8 +452,9 @@ impl Engine {
         shared.emit_occupancy(0);
 
         if let Some(delivery) = shared.delivery {
-            delivery.into_inner().finish()?;
+            delivery.into_inner().finish();
         }
+        shared.log.finish()?;
         let wall = started.elapsed();
         let launches = shared.launches.into_inner();
         let halted = match shared.halt_state.load(Ordering::SeqCst) {
@@ -490,6 +510,10 @@ fn worker(slot: usize, shared: &Shared) -> SlotTally {
         feed: WorkerFeed::new(&shared.input),
         tally: SlotTally::default(),
         batch: Vec::new(),
+        rows: Rows::default(),
+        hook_log: shared.release.and_then(Release::log),
+        row: Rows::default(),
+        condemned: Vec::new(),
     };
     loop {
         if shared.halt_state.load(Ordering::SeqCst) != RUN {
@@ -706,54 +730,80 @@ impl SlotTally {
 }
 
 /// One slot's dispatch state: its view of the input, its counts and
-/// the results it has yet to hand over.
+/// the results it has yet to hand over. Its buffers are reused.
 struct Worker<'a> {
     shared: &'a Shared<'a>,
     feed: WorkerFeed<'a>,
     tally: SlotTally,
-    /// At most [`DELIVER_BATCH`] results awaiting the hand-over; always
-    /// empty when the run has no consumer. The buffer is reused.
+    /// Results awaiting the hand-over to the callback; always empty
+    /// without one.
     batch: Vec<JobResult>,
+    /// Joblog rows awaiting the hand-over to the file; always empty
+    /// without a joblog.
+    rows: Rows,
+    /// The release hook's joblog, and the row of the result it is handed.
+    hook_log: Option<&'a LogSink>,
+    row: Rows,
+    /// Seqs the release hook condemned, passed on to the callback.
+    condemned: Vec<u64>,
 }
 
 impl Worker<'_> {
-    /// Route one finished job: count it, run the release hook, whose
-    /// continuation becomes this slot's next job, and write its
-    /// `--results` directory. Then the job goes to the run's consumers
-    /// in batches (at once when it ran long enough that humans are
-    /// watching), or is dropped when there are none.
+    /// Route one finished job: count it, encode its joblog row, run the
+    /// release hook, whose continuation becomes this slot's next job,
+    /// and write its `--results` directory. Then the job goes to the
+    /// run's consumers in batches of at most [`DELIVER_BATCH`] (at once
+    /// when it ran long enough that humans are watching), or is dropped
+    /// when there are none.
     #[inline]
     fn deliver(&mut self, result: JobResult, prompt: bool) {
         let shared = self.shared;
         self.tally.outcomes.record(&result.status);
         self.tally.jobs += 1;
         self.tally.busy += result.runtime;
+        let ran = shared.ran(&result);
         if let Some(release) = shared.release {
-            if let Some(next) = release.done(&result) {
+            self.row.clear();
+            if let (Some(log), true) = (self.hook_log, ran) {
+                log.encode(&result, &mut self.row);
+            }
+            if let Some(next) = release.done(&result, &self.row, &mut self.condemned) {
                 self.feed.continue_with(next);
             }
+            if !self.condemned.is_empty() {
+                if let Some(delivery) = &shared.delivery {
+                    delivery.lock().pass(&self.condemned);
+                }
+                self.condemned.clear();
+            }
         }
-        if let Some(dir) = &shared.options.results_dir {
-            if shared.ran(&result) {
+        if ran {
+            if let Some(dir) = &shared.options.results_dir {
                 write_results_dir(dir, &result);
             }
+            shared.log.encode(&result, &mut self.rows);
         }
         if shared.delivery.is_some() {
             self.batch.push(result);
-            if prompt || self.batch.len() >= DELIVER_BATCH {
-                self.flush();
-            }
+        }
+        if prompt || self.batch.len().max(self.rows.len()) >= DELIVER_BATCH {
+            self.flush();
         }
     }
 
-    /// Hand the buffered results to the run's consumers under their one
-    /// lock; a run without consumers buffers nothing and takes no lock.
+    /// Hand the buffered results to the callback under its one lock,
+    /// then the rows to the joblog, which writes them with no run-wide
+    /// lock held: one write per batch, not per row, so a concurrent
+    /// resume reader (kill -9 mid-run) sees every handed-over job
+    /// without a syscall per task. A run without consumers buffers
+    /// nothing and takes no lock.
     fn flush(&mut self) {
         if let Some(delivery) = &self.shared.delivery {
             if !self.batch.is_empty() {
-                delivery.lock().take(self.batch.drain(..), self.shared);
+                delivery.lock().take(self.batch.drain(..));
             }
         }
+        self.shared.log.take(&mut self.rows).write();
     }
 }
 

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use htpar_cluster::driver_shard;
-use htpar_core::dag::ReadySet;
+use htpar_core::dag::{Completion, ReadySet};
 use htpar_core::joblog::{self, JobLogWriter, LogEntry};
 use htpar_core::options::ResumeMode;
 use htpar_core::reactor::{PollEvent, Reactor};
@@ -359,6 +359,7 @@ pub fn run_driver(
     // Tasks unblocked by completions in the current poll batch, awaiting
     // placement on alive agents.
     let mut release: Vec<u64> = Vec::new();
+    let mut comp = Completion::default();
     let mut done: Vec<TaskDoneRec> = Vec::new();
     let tick = fleet::tick_interval(config.heartbeat_ms);
     let mut tick_key = drive.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
@@ -412,7 +413,7 @@ pub fn run_driver(
                     cb(completed);
                 }
                 if let Some(rs) = ready_set.as_mut() {
-                    let comp = rs.complete(rec.seq, ok);
+                    rs.complete(rec.seq, ok, &mut comp);
                     // Condemned descendants are terminal now: their skip
                     // rows land right after the failing dependency's
                     // row, so the joblog always lists a task's
@@ -424,7 +425,7 @@ pub fn run_driver(
                             log.record_entry(&htpar_core::dag::skip_entry(seq, &render(seq)))?;
                         }
                     }
-                    release.extend(comp.newly_ready);
+                    release.extend_from_slice(&comp.newly_ready);
                 }
             }
             if down {
