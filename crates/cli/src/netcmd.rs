@@ -53,9 +53,9 @@ COMMAND... [::: ARGS...]...
   -j, --jobs-per-agent N job slots per agent (default: 2)
       --joblog FILE      aggregated joblog (Host = agent name)
       --resume           skip seqs already recorded in the joblog
-      --heartbeat-ms MS  agent heartbeat interval (default: 200)
-      --lease-ms MS      declare an agent lost after MS of silence
-                         (default: 2000)
+                         (requires --joblog)
+      --heartbeat-ms MS  agent heartbeat interval (default: 200); an
+                         agent silent for ten is declared lost
       --payload KIND     what agents run: shell (default), noop, or
                          sleep:MICROS (measurement payloads)
       --chaos-kill-agent IDX@DONE
@@ -91,9 +91,8 @@ usage: htpar serve (--agents SPEC[,SPEC...] | --local-cluster N) [OPTIONS]
                          socket drops before purging its work
                          (default: 3600; 0 holds forever)
       --max-sessions N   exit after N sessions close (default: forever)
-      --heartbeat-ms MS  agent heartbeat interval (default: 200)
-      --lease-ms MS      declare an agent lost after MS of silence
-                         (default: 2000)
+      --heartbeat-ms MS  agent heartbeat interval (default: 200); an
+                         agent silent for ten is declared lost
       --chaos-kill-agent IDX@DONE
                          SIGKILL local agent IDX once DONE tasks have
                          completed (requires --local-cluster)
@@ -200,14 +199,14 @@ fn run_agent(config: AgentConfig) -> i32 {
 // ---------------------------------------------------------------- fleet
 
 /// The fleet flags `drive` and `serve` share: where the agents are, the
-/// slots each runs, heartbeat and lease timing, and the chaos hook.
+/// slots each runs, the heartbeat (an agent silent for ten is lost),
+/// and the chaos hook.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetArgs {
     pub agents: Vec<String>,
     pub local_cluster: usize,
     pub jobs_per_agent: u32,
     pub heartbeat_ms: u32,
-    pub lease_window_ms: u64,
     /// `--chaos-kill-agent IDX@DONE`.
     pub chaos_kill: Option<(usize, u64)>,
 }
@@ -219,7 +218,6 @@ impl Default for FleetArgs {
             local_cluster: 0,
             jobs_per_agent: 2,
             heartbeat_ms: 200,
-            lease_window_ms: 2_000,
             chaos_kill: None,
         }
     }
@@ -236,7 +234,6 @@ impl FleetArgs {
             "--local-cluster" => self.local_cluster = args.parse(flag)?,
             "-j" | "--jobs-per-agent" => self.jobs_per_agent = args.parse(flag)?,
             "--heartbeat-ms" => self.heartbeat_ms = args.parse(flag)?,
-            "--lease-ms" => self.lease_window_ms = args.parse(flag)?,
             "--chaos-kill-agent" => self.chaos_kill = Some(parse_chaos(args.value(flag)?)?),
             _ => return Ok(false),
         }
@@ -386,6 +383,9 @@ pub fn parse_drive(argv: &[String]) -> Result<DriveSpec, ArgError> {
     if spec.dag.is_none() && spec.command.is_empty() {
         return Err("a command template is required".into());
     }
+    if spec.resume && spec.joblog.is_none() {
+        return Err("--resume/--resume-failed require a joblog".into());
+    }
     spec.fleet.validate()?;
     Ok(spec)
 }
@@ -465,11 +465,10 @@ fn run_drive(spec: DriveSpec) -> i32 {
     };
     spec.fleet.run("drive", DRIVE_FAILED, |agents, chaos| {
         let mut config = DriverConfig::new(agents, command);
-        config.deps = dag.as_ref().map(Dag::dep_seqs);
+        config.dag = dag;
         config.jobs_per_agent = spec.fleet.jobs_per_agent;
         config.payload = spec.payload;
         config.heartbeat_ms = spec.fleet.heartbeat_ms;
-        config.lease_window_ms = spec.fleet.lease_window_ms;
         config.joblog = spec.joblog.clone();
         config.resume = spec.resume;
         config.bus = telemetry_from_env();
@@ -580,7 +579,6 @@ fn run_serve(spec: ServeSpec) -> i32 {
         };
         config.max_sessions = spec.max_sessions;
         config.heartbeat_ms = spec.fleet.heartbeat_ms;
-        config.lease_window_ms = spec.fleet.lease_window_ms;
         config.bus = telemetry_from_env();
 
         let server = match PilotServer::bind(config) {
@@ -1031,6 +1029,17 @@ mod tests {
         assert!(parse_drive(&argv("--local-cluster 2")).is_err());
     }
 
+    /// `--resume` with no joblog would run everything; `drive` refuses
+    /// it as `htpar` does.
+    #[test]
+    fn drive_resume_requires_a_joblog() {
+        let err = parse_drive(&argv("--local-cluster 1 --resume echo ::: a b"))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "--resume/--resume-failed require a joblog");
+        assert!(parse_drive(&argv("--local-cluster 1 --joblog f --resume echo")).is_ok());
+    }
+
     #[test]
     fn chaos_requires_local_cluster_and_range() {
         assert!(parse_drive(&argv("--agents a --chaos-kill-agent 0@5 task {}")).is_err());
@@ -1042,7 +1051,7 @@ mod tests {
     fn serve_grammar_parses() {
         let spec = parse_serve(&argv(
             "--local-cluster 4 -j 8 --scheduler priority --max-queue 500 \
-             --joblog-dir logs --max-sessions 3 --heartbeat-ms 100 --lease-ms 900 \
+             --joblog-dir logs --max-sessions 3 --heartbeat-ms 100 \
              --chaos-kill-agent 1@50 --quiet",
         ))
         .unwrap();
@@ -1053,7 +1062,6 @@ mod tests {
         assert_eq!(spec.joblog_dir, Some(PathBuf::from("logs")));
         assert_eq!(spec.max_sessions, Some(3));
         assert_eq!(spec.fleet.heartbeat_ms, 100);
-        assert_eq!(spec.fleet.lease_window_ms, 900);
         assert_eq!(spec.fleet.chaos_kill, Some((1, 50)));
         assert!(!spec.announce);
     }
@@ -1391,9 +1399,8 @@ mod tests {
                 "--local-cluster 2 -j4 c",
                 "--local-cluster 2 --jobs-per-agent 4 c",
                 "--local-cluster 2 --joblog f c",
-                "--local-cluster 2 --resume c",
+                "--local-cluster 2 --joblog f --resume c",
                 "--local-cluster 2 --heartbeat-ms 9 c",
-                "--local-cluster 2 --lease-ms 99 c",
                 "--local-cluster 2 --payload noop c",
                 "--local-cluster 2 --chaos-kill-agent 1@5 c",
                 "--local-cluster 2 --dag g",
@@ -1417,7 +1424,6 @@ mod tests {
                 "--local-cluster 2 --detach-ttl 0",
                 "--local-cluster 2 --max-sessions 1",
                 "--local-cluster 2 --heartbeat-ms 9",
-                "--local-cluster 2 --lease-ms 99",
                 "--local-cluster 2 --chaos-kill-agent 1@5",
                 "--local-cluster 2 --quiet",
                 "--help",

@@ -28,8 +28,8 @@ fn temp_path(tag: &str) -> PathBuf {
 
 /// Write a diamond-chain DAG of `tasks` nodes (a multiple of 4): blocks
 /// of head → two arms → join, each head depending on the previous join.
-/// Returns the 1-based dependency list per seq (seq = line order + 1),
-/// mirroring `Dag::dep_seqs` for the generated file.
+/// Returns the 1-based dependency list per seq (seq = line order + 1)
+/// of the generated file.
 fn write_diamond(path: &Path, tasks: u64) -> Vec<Vec<u64>> {
     assert_eq!(tasks % 4, 0, "diamond blocks are 4 tasks");
     let mut spec = String::new();

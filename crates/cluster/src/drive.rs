@@ -1,0 +1,167 @@
+//! The Listing-1 driver's policy: the paper splits lines over nodes by
+//! `NR % NNODE` and, with `--joblog`/`--resume`, a dead node's unlogged
+//! lines over the survivors. [`DrivePolicy`] takes those decisions for
+//! the live driver (`htpar_net::driver`) and the fault simulator
+//! ([`crate::faults`]) alike, so the simulator's exactly-once runs check
+//! the code `htpar drive` runs. It does no I/O and reads no clock: the
+//! caller names the survivors and moves the tasks. Recording is
+//! exactly-once and execution at-least-once, the contract of GNU
+//! Parallel's `--resume`; [`verify_exactly_once`] checks it over a
+//! joblog.
+
+use std::collections::HashSet;
+
+use htpar_core::dag::{Completion, Dag, ReadySet};
+use htpar_core::joblog::LogEntry;
+
+use crate::slurm::driver_shard;
+
+/// Who holds a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owner {
+    /// On no agent: not yet released (graphs), placed, or re-placed.
+    Unplaced,
+    /// Placed on this agent and not yet recorded.
+    Agent(u32),
+    /// Has a joblog row: resumed, completed, or condemned.
+    Recorded,
+}
+
+/// One drive's placement, recovery and exactly-once record: an owner
+/// per task and, per agent, the seqs placed on it in placement order.
+/// For a graph it also completes the [`ReadySet`], so released work only
+/// ever holds ready tasks.
+#[derive(Debug)]
+pub struct DrivePolicy {
+    /// By seq − 1.
+    owner: Vec<Owner>,
+    /// Per agent, the seqs placed on it in placement order (recorded ones
+    /// included); `None` once the agent is lost.
+    placed: Vec<Option<Vec<u64>>>,
+    /// Graph drives: withholds each task until its dependencies succeed.
+    ready: Option<ReadySet>,
+    completion: Completion,
+    unrecorded: u64,
+}
+
+impl DrivePolicy {
+    /// A drive of `total` tasks over `agents` agents, of which the seqs
+    /// in `resumed` are already recorded. With a `dag` of `total` nodes,
+    /// a task is released only once its dependencies succeeded. Returns
+    /// the policy and the seqs to place first.
+    pub fn new(
+        total: u64,
+        agents: usize,
+        dag: Option<&Dag>,
+        resumed: &HashSet<u64>,
+    ) -> (DrivePolicy, Vec<u64>) {
+        let mut owner = vec![Owner::Unplaced; total as usize];
+        for &seq in resumed.iter().filter(|&&seq| (1..=total).contains(&seq)) {
+            owner[seq as usize - 1] = Owner::Recorded;
+        }
+        let mut ready = dag.map(|dag| {
+            assert_eq!(dag.len() as u64, total, "the graph must cover every task");
+            ReadySet::resumed(dag, resumed)
+        });
+        let first = match ready.as_mut() {
+            Some(ready) => ready.take_ready(),
+            None => (1..=total)
+                .filter(|&seq| owner[seq as usize - 1] == Owner::Unplaced)
+                .collect(),
+        };
+        let policy = DrivePolicy {
+            unrecorded: owner.iter().filter(|&&o| o == Owner::Unplaced).count() as u64,
+            owner,
+            placed: vec![Some(Vec::new()); agents],
+            ready,
+            completion: Completion::default(),
+        };
+        (policy, first)
+    }
+
+    /// Split `seqs` over `survivors` with the awk `NR % nnodes` split and
+    /// place each shard on its survivor. The shards come back parallel
+    /// to `survivors`. Every seq must be unplaced (fresh, released, or
+    /// taken from a lost agent) and no survivor lost: the policy panics
+    /// rather than hold a task on two agents or on a dead one.
+    pub fn place(&mut self, seqs: &[u64], survivors: &[usize]) -> Vec<Vec<u64>> {
+        assert!(!survivors.is_empty() || seqs.is_empty(), "no survivor");
+        let shards = driver_shard(seqs, survivors.len() as u32);
+        for (shard, &agent) in shards.iter().zip(survivors) {
+            let placed = self.placed[agent].as_mut().expect("a survivor is not lost");
+            for &seq in shard {
+                let owner = &mut self.owner[seq as usize - 1];
+                assert_eq!(*owner, Owner::Unplaced, "seq {seq} is already placed");
+                *owner = Owner::Agent(agent as u32);
+            }
+            placed.extend_from_slice(shard);
+        }
+        shards
+    }
+
+    /// Declare `agent` lost and hand back its unrecorded seqs in
+    /// placement order, unplaced, for the caller to place on survivors.
+    /// Costs O(the agent's placements); a second call returns nothing.
+    pub fn take_lost(&mut self, agent: usize) -> Vec<u64> {
+        let mut lost = self.placed[agent].take().unwrap_or_default();
+        lost.retain(|&seq| self.owner[seq as usize - 1] == Owner::Agent(agent as u32));
+        for &seq in &lost {
+            self.owner[seq as usize - 1] = Owner::Unplaced;
+        }
+        lost
+    }
+
+    /// Record `seq`'s completion. `None` when the seq is on no agent:
+    /// recorded already (a re-placed task that finished twice), never
+    /// placed, or not one of this drive's tasks. For a graph, the
+    /// completion names the tasks it released (unplaced, to place) and
+    /// the ones it condemned (recorded here, to log as skipped in this
+    /// order, which puts dependencies first).
+    pub fn record(&mut self, seq: u64, ok: bool) -> Option<&Completion> {
+        let owner = seq
+            .checked_sub(1)
+            .and_then(|i| self.owner.get_mut(i as usize))?;
+        if !matches!(owner, Owner::Agent(_)) {
+            return None;
+        }
+        *owner = Owner::Recorded;
+        self.unrecorded -= 1;
+        if let Some(ready) = &mut self.ready {
+            ready.complete(seq, ok, &mut self.completion);
+            for &seq in &self.completion.newly_skipped {
+                self.owner[seq as usize - 1] = Owner::Recorded;
+                self.unrecorded -= 1;
+            }
+        }
+        Some(&self.completion)
+    }
+
+    /// Tasks not yet recorded; the drive is done at zero.
+    pub fn unrecorded(&self) -> u64 {
+        self.unrecorded
+    }
+
+    /// The seqs placed on `agent`, in placement order, recorded ones
+    /// included; empty once the agent is lost.
+    pub fn placed(&self, agent: usize) -> &[u64] {
+        self.placed[agent].as_deref().unwrap_or(&[])
+    }
+}
+
+/// The exactly-once contract over a joblog: one row per seq, covering
+/// `1..=total`.
+pub fn verify_exactly_once(entries: &[LogEntry], total: u64) -> Result<(), String> {
+    let mut seen = vec![false; total as usize];
+    for entry in entries {
+        // Seq 0 wraps out of range.
+        match seen.get_mut((entry.seq as usize).wrapping_sub(1)) {
+            None => return Err(format!("seq {} out of range", entry.seq)),
+            Some(true) => return Err(format!("seq {} recorded twice", entry.seq)),
+            Some(seen) => *seen = true,
+        }
+    }
+    match seen.iter().position(|&seen| !seen) {
+        Some(i) => Err(format!("seq {} missing from joblog", i + 1)),
+        None => Ok(()),
+    }
+}

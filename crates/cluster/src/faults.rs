@@ -6,17 +6,20 @@
 //! `--joblog`/`--resume` skips whatever is already logged. This module
 //! makes that claim testable: a seeded [`FaultPlan`] injects node
 //! crashes, stragglers, and NVMe write failures as discrete events into
-//! the weak-scaling run, and a driver layer recovers by re-sharding a
-//! dead node's unfinished lines across the survivors — skipping
-//! already-logged seqs via [`htpar_core::joblog::completed_seqs`], the
-//! same machinery the real `--resume` path uses.
+//! the weak-scaling run, and the driver recovers through the policy
+//! `htpar drive` runs ([`DrivePolicy`]): when a crash is detected, the
+//! dead node's unrecorded lines are split across the nodes alive at
+//! that moment with the same listing-1 modulo split. The simulation
+//! keeps only the nodes; placement, the exactly-once record and
+//! re-placement are the live driver's code.
 //!
 //! Model notes:
 //!
 //! - The joblog lives on the shared filesystem, so rows written by a
 //!   node before it crashed survive the crash; tasks that were in
 //!   flight (or never dispatched) on the dead node are the ones
-//!   requeued. Exactly-once is verified against the joblog.
+//!   requeued. Each node dispatches the seqs the policy placed on it,
+//!   in placement order. Exactly-once is verified against the joblog.
 //! - An NVMe write failure does not kill the node: the affected task
 //!   fails its stdout write and is retried in place (one
 //!   [`Event::Retried`], roughly doubled cost), which preserves the
@@ -33,12 +36,12 @@ use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use htpar_core::joblog::{completed_seqs, LogEntry};
+use htpar_core::joblog::LogEntry;
 use htpar_simkit::{stream_rng, Dist, SimTime, Simulation};
 use htpar_telemetry::{Event, EventBus, LaunchMethod};
 use rand::Rng;
 
-use crate::slurm::driver_shard;
+use crate::drive::{self, DrivePolicy};
 use crate::weak_scaling::{sample_node_plan, WeakScalingConfig};
 
 /// Salt separating fault-plan draws from the workload's own streams.
@@ -176,43 +179,23 @@ impl FaultRunResult {
     }
 
     /// The deterministic recovery invariant: every seq in
-    /// `1..=tasks_total` has exactly one successful joblog row.
+    /// `1..=tasks_total` has exactly one joblog row
+    /// ([`drive::verify_exactly_once`]), and every row succeeded.
     pub fn verify_exactly_once(&self) -> std::result::Result<(), String> {
-        if self.joblog.len() as u64 != self.tasks_total {
-            return Err(format!(
-                "joblog has {} rows for {} tasks",
-                self.joblog.len(),
-                self.tasks_total
-            ));
+        drive::verify_exactly_once(&self.joblog, self.tasks_total)?;
+        match self.joblog.iter().find(|entry| !entry.succeeded()) {
+            Some(entry) => Err(format!("seq {} logged as failed", entry.seq)),
+            None => Ok(()),
         }
-        let done = completed_seqs(&self.joblog);
-        if done.len() as u64 != self.tasks_total {
-            return Err(format!(
-                "joblog covers {} distinct seqs of {}",
-                done.len(),
-                self.tasks_total
-            ));
-        }
-        for entry in &self.joblog {
-            if entry.seq < 1 || entry.seq > self.tasks_total {
-                return Err(format!("seq {} out of range", entry.seq));
-            }
-            if !entry.succeeded() {
-                return Err(format!("seq {} logged as failed", entry.seq));
-            }
-        }
-        Ok(())
     }
 }
 
-/// Per-node driver state inside the simulation world.
+/// Per-node state inside the simulation world.
 struct NodeState {
-    /// Seqs this node is responsible for (listing-1 shard, plus any
-    /// slices requeued from dead nodes, in arrival order).
-    shard: Vec<u64>,
-    /// Task cost parallel to `shard`.
+    /// Task cost parallel to the seqs the policy placed on this node
+    /// (its listing-1 shard, then slices requeued from dead nodes).
     costs: Vec<f64>,
-    /// Next `shard` index the serial dispatcher will hand out.
+    /// Next placed seq the serial dispatcher will hand out.
     next: usize,
     busy: u32,
     jobs: u32,
@@ -230,48 +213,18 @@ struct NodeState {
     /// Events to cancel if this node crashes (start, completions, and
     /// dispatch hops; ids of already-fired events are harmless).
     pending: Vec<htpar_simkit::EventId>,
-    inflight: Vec<u64>,
     last_done: f64,
     copy: f64,
 }
 
-#[derive(Default)]
 struct FaultWorld {
     nodes: Vec<NodeState>,
+    /// The live driver's policy over the nodes as agents.
+    policy: DrivePolicy,
     log: Vec<LogEntry>,
-    /// Seqs with a joblog row, maintained incrementally so the recovery
-    /// driver's `--resume` diff is O(shard) instead of re-deriving the
-    /// skip set from the whole log at every crash (which is quadratic
-    /// at the 9,408-node scale). Kept equal to
-    /// [`completed_seqs`]`(&log)` — asserted in debug builds.
-    done: HashSet<u64>,
     task_completion_secs: Vec<f64>,
     nodes_failed: Vec<u32>,
     tasks_requeued: u64,
-}
-
-impl Default for NodeState {
-    fn default() -> NodeState {
-        NodeState {
-            shard: Vec::new(),
-            costs: Vec::new(),
-            next: 0,
-            busy: 0,
-            jobs: 1,
-            completed: 0,
-            alive: true,
-            started: false,
-            dispatching: false,
-            stalled: false,
-            slowdown: 1.0,
-            nvme_pending: false,
-            crash_at: None,
-            pending: Vec::new(),
-            inflight: Vec::new(),
-            last_done: 0.0,
-            copy: 0.0,
-        }
-    }
 }
 
 /// Shared scalars every handler needs. Handlers capture an [`Rc`] to
@@ -377,22 +330,24 @@ fn run_with_plan_observed(
     let jobs_per_node = config.jobs_per_node.min(config.tasks_per_node) as usize;
     let peak_events =
         config.nodes as usize * (jobs_per_node + 2) + plan.crashes.len() + plan.nvme_faults.len();
+    // The global work list is seqs 1..=tasks_total, placed across nodes
+    // exactly as the paper's awk driver does it (listing 1).
+    let nodes = config.nodes as usize;
+    let (mut policy, lines) = DrivePolicy::new(tasks_total, nodes, None, &HashSet::new());
+    let shards = policy.place(&lines, &(0..nodes).collect::<Vec<_>>());
     let world = FaultWorld {
-        nodes: Vec::with_capacity(config.nodes as usize),
+        nodes: Vec::with_capacity(nodes),
+        policy,
         log: Vec::with_capacity(tasks_total as usize),
-        done: HashSet::with_capacity(tasks_total as usize),
         task_completion_secs: Vec::with_capacity(tasks_total as usize),
-        ..FaultWorld::default()
+        nodes_failed: Vec::new(),
+        tasks_requeued: 0,
     };
     let mut sim = Simulation::with_capacity(world, config.seed, peak_events);
     if let Some(bus) = &ctx.bus {
         sim.set_telemetry(Arc::clone(bus));
     }
 
-    // The global work list is seqs 1..=tasks_total, sharded across nodes
-    // exactly as the paper's awk driver does it (listing 1).
-    let lines: Vec<u64> = (1..=tasks_total).collect();
-    let shards = driver_shard(&lines, config.nodes);
     let crashes: std::collections::HashMap<u32, f64> = plan.crashes.iter().copied().collect();
     let stragglers: std::collections::HashMap<u32, f64> = plan.stragglers.iter().copied().collect();
 
@@ -415,13 +370,21 @@ fn run_with_plan_observed(
             })
             .collect();
         let state = NodeState {
-            shard,
             costs,
+            next: 0,
+            busy: 0,
             jobs: config.jobs_per_node.min(config.tasks_per_node),
+            completed: 0,
+            alive: true,
+            started: false,
+            dispatching: false,
+            stalled: false,
             slowdown: stragglers.get(&(node as u32)).copied().unwrap_or(1.0),
+            nvme_pending: false,
             crash_at: crashes.get(&(node as u32)).copied(),
+            pending: Vec::new(),
+            last_done: 0.0,
             copy: plan_node.copy,
-            ..NodeState::default()
         };
         sim.world_mut().nodes.push(state);
 
@@ -492,13 +455,14 @@ fn run_with_plan_observed(
 
 fn node_start(sim: &mut Simulation<FaultWorld>, ctx: &Rc<Ctx>, node: usize) {
     let tasks = {
-        let st = &mut sim.world_mut().nodes[node];
+        let world = sim.world_mut();
+        let st = &mut world.nodes[node];
         if !st.alive {
             return;
         }
         st.started = true;
         st.dispatching = true;
-        st.shard.len() as u64
+        world.policy.placed(node).len() as u64
     };
     ctx.emit(Event::NodeUp { node: node as u32 });
     ctx.emit(Event::Launch {
@@ -514,12 +478,14 @@ fn node_start(sim: &mut Simulation<FaultWorld>, ctx: &Rc<Ctx>, node: usize) {
 fn dispatch(sim: &mut Simulation<FaultWorld>, ctx: &Rc<Ctx>, node: usize) {
     let now = sim.now().as_secs_f64();
     let (seq, cost, retried) = {
-        let st = &mut sim.world_mut().nodes[node];
+        let world = sim.world_mut();
+        let st = &mut world.nodes[node];
+        let placed = world.policy.placed(node);
         if !st.alive || !st.started {
             st.dispatching = false;
             return;
         }
-        if st.next >= st.shard.len() {
+        if st.next >= placed.len() {
             st.dispatching = false;
             return;
         }
@@ -530,7 +496,7 @@ fn dispatch(sim: &mut Simulation<FaultWorld>, ctx: &Rc<Ctx>, node: usize) {
         }
         let i = st.next;
         st.next += 1;
-        let seq = st.shard[i];
+        let seq = placed[i];
         let mut cost = st.costs[i] * st.slowdown;
         let retried = st.nvme_pending;
         if retried {
@@ -540,7 +506,6 @@ fn dispatch(sim: &mut Simulation<FaultWorld>, ctx: &Rc<Ctx>, node: usize) {
             cost *= 2.0;
         }
         st.busy += 1;
-        st.inflight.push(seq);
         st.dispatching = true;
         (seq, cost, retried)
     };
@@ -581,14 +546,14 @@ fn complete(
         }
         st.busy -= 1;
         st.completed += 1;
-        st.inflight.retain(|&s| s != seq);
         st.last_done = st.last_done.max(now);
         let resume = st.stalled;
         if resume {
             st.stalled = false;
             st.dispatching = true;
         }
-        world.done.insert(seq);
+        // The exactly-once guard; a live node finishes each task once.
+        world.policy.record(seq, true).expect("a first completion");
         world.log.push(LogEntry {
             seq,
             host: format!("node{node}"),
@@ -619,9 +584,8 @@ fn node_crash(
         let world = sim.world_mut();
         let st = &mut world.nodes[node];
         st.alive = false;
-        let lost = st.next < st.shard.len() || !st.inflight.is_empty();
+        let lost = st.next < world.policy.placed(node).len() || st.busy > 0;
         st.busy = 0;
-        st.inflight.clear();
         st.stalled = false;
         st.dispatching = false;
         world.nodes_failed.push(node as u32);
@@ -643,43 +607,25 @@ fn node_crash(
     }
 }
 
-/// The recovery driver: once the crash is detected, diff the dead
-/// node's shard against the joblog (the `--resume` skip set) and
-/// re-shard the unfinished lines across the survivors with the same
-/// listing-1 modulo split.
+/// The recovery driver, once the crash is detected: the dead node's
+/// unrecorded seqs (the `--resume` skip set's complement) are placed on
+/// the nodes alive at that moment by the live driver's policy.
 fn requeue(sim: &mut Simulation<FaultWorld>, ctx: &Rc<Ctx>, from: usize) {
     let kicks: Vec<usize> = {
         let world = sim.world_mut();
-        // `world.done` is the incrementally maintained form of the
-        // `--resume` skip set the real driver derives from the joblog.
-        debug_assert_eq!(world.done, completed_seqs(&world.log));
-        let lost: Vec<u64> = world.nodes[from]
-            .shard
-            .iter()
-            .copied()
-            .filter(|seq| !world.done.contains(seq))
-            .collect();
+        let lost = world.policy.take_lost(from);
         if lost.is_empty() {
             return;
         }
-        let survivors: Vec<usize> = world
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.alive)
-            .map(|(i, _)| i)
+        let survivors: Vec<usize> = (0..world.nodes.len())
+            .filter(|&i| world.nodes[i].alive)
             .collect();
-        assert!(
-            !survivors.is_empty(),
-            "fault plans guarantee at least one survivor"
-        );
-        let slices = driver_shard(&lost, survivors.len() as u32);
+        let slices = world.policy.place(&lost, &survivors);
         let mut kicks = Vec::new();
-        for (k, slice) in slices.iter().enumerate() {
+        for (slice, &to) in slices.iter().zip(&survivors) {
             if slice.is_empty() {
                 continue;
             }
-            let to = survivors[k];
             ctx.emit(Event::ShardRequeued {
                 from_node: from as u32,
                 to_node: to as u32,
@@ -687,10 +633,8 @@ fn requeue(sim: &mut Simulation<FaultWorld>, ctx: &Rc<Ctx>, from: usize) {
             });
             world.tasks_requeued += slice.len() as u64;
             let st = &mut world.nodes[to];
-            for &seq in slice {
-                st.shard.push(seq);
-                st.costs.push(ctx.recovery_cost(seq));
-            }
+            st.costs
+                .extend(slice.iter().map(|&seq| ctx.recovery_cost(seq)));
             // Nodes whose dispatcher already drained need a restart;
             // stalled or still-running dispatchers pick the new lines up
             // on their own, and unstarted nodes dispatch at node_start.
@@ -918,6 +862,45 @@ mod tests {
                 (want_fired, want_cancelled),
                 "seed {seed}"
             );
+        }
+    }
+
+    #[test]
+    fn recovery_decisions_are_pinned() {
+        // Captured on the simulator's own model of driver recovery,
+        // before it ran the live driver's policy: the nodes lost, the
+        // tasks moved, and the makespan to the bit. A change to the
+        // simulated driver's decisions changes one of them.
+        let check = |faults: FaultConfig, pin: (Vec<u32>, u64, u64)| {
+            let seed = faults.seed;
+            let r = run_resilient(&small_config(seed), &faults);
+            r.verify_exactly_once()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let got = (r.nodes_failed, r.tasks_requeued, r.makespan_secs.to_bits());
+            assert_eq!(got, pin, "seed {seed}");
+        };
+        // The seeds of `telemetry_event_counts_are_pinned_across_engine_swaps`.
+        for (seed, pin) in [
+            (13, (vec![4, 6, 0, 2, 7], 34, 0x4028_372a_6530_e48e)),
+            (21, (vec![2, 6, 5, 7, 1, 4], 97, 0x4029_9d3c_a051_852a)),
+            (2024, (vec![3, 4, 0, 7, 6], 16, 0x4033_fc62_3fe2_d2ee)),
+        ] {
+            let faults = FaultConfig {
+                crash_rate: 0.5,
+                ..FaultConfig::calibrated(seed)
+            };
+            check(faults, pin);
+        }
+        // The seeds of `seeded_campaign_holds_the_exactly_once_invariant`.
+        for (seed, pin) in [
+            (2024, (vec![7], 0, 0x4033_f974_0f18_2fc7)),
+            (2125, (vec![], 0, 0x402e_5c3a_1537_fa59)),
+            (2226, (vec![7, 4, 6], 16, 0x4030_31be_3471_1395)),
+            (2327, (vec![5, 4], 32, 0x4026_6d04_fb90_a9e8)),
+            (2428, (vec![6], 9, 0x4030_948a_7d4f_ca3d)),
+            (2529, (vec![1, 4], 16, 0x402e_c370_e817_92ff)),
+        ] {
+            check(FaultConfig::calibrated(seed), pin);
         }
     }
 

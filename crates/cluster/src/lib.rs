@@ -15,15 +15,21 @@
 //! - [`slurm`]: `SLURM_NNODES`/`SLURM_NODEID` driver-script sharding
 //!   (listing 1), allocation-delay model, and the `srun`-per-task
 //!   baseline with central-controller degradation.
+//! - [`drive`]: the listing-1 driver's policy, sans I/O — placement by
+//!   `driver_shard`, a lost agent's unrecorded work re-placed on the
+//!   survivors, the exactly-once record and, for a graph, the ready set.
+//!   `htpar drive` and the fault simulator both run it.
 //! - [`weak_scaling`]: the Fig. 1 experiment — up to 9,000 nodes × 128
 //!   tasks with NVMe-first stdout and Lustre copy-back.
 //! - [`gpu`]: the Fig. 2 experiment — 10–100 nodes × 8 GPUs with
 //!   slot-based GPU isolation (and the non-isolated ablation).
-//! - [`faults`]: seeded node-crash/straggler/NVMe fault injection and
-//!   the failure-resilient driver (re-shard the dead node's lines,
-//!   skip already-logged seqs — the paper's joblog/resume story).
+//! - [`faults`]: seeded node-crash/straggler/NVMe fault injection on
+//!   simulated nodes, recovered by the [`drive`] policy (the dead node's
+//!   unlogged lines go to the survivors — the paper's joblog/resume
+//!   story).
 
 pub mod des;
+pub mod drive;
 pub mod faults;
 pub mod gpu;
 pub mod launch;
@@ -31,6 +37,7 @@ pub mod machine;
 pub mod slurm;
 pub mod weak_scaling;
 
+pub use drive::DrivePolicy;
 pub use faults::{FaultConfig, FaultPlan, FaultRunResult};
 pub use gpu::{GpuScalingConfig, GpuScalingResult};
 pub use launch::LaunchModel;

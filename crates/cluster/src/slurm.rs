@@ -1,5 +1,8 @@
 //! Slurm-side models: the driver-script sharding of listing 1, the
 //! allocation-delay model, and the `srun`-per-task baseline.
+//!
+//! [`driver_shard`] is the split both drivers, `htpar drive` and the
+//! fault simulator, place work with ([`crate::drive::DrivePolicy`]).
 
 use htpar_simkit::Dist;
 use htpar_telemetry::{Event, EventBus, LaunchMethod};

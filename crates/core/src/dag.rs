@@ -388,15 +388,6 @@ impl Dag {
         self.nodes.iter().map(|n| vec![n.command.clone()]).collect()
     }
 
-    /// Dependency edges as 1-based seqs, indexed by `seq - 1` — the
-    /// serialization handed to the network driver.
-    pub fn dep_seqs(&self) -> Vec<Vec<u64>> {
-        self.nodes
-            .iter()
-            .map(|n| n.deps.iter().map(|&d| d as u64 + 1).collect())
-            .collect()
-    }
-
     /// Kahn's algorithm; on leftover nodes, walk unprocessed
     /// dependencies until one repeats and name the cycle.
     fn check_acyclic(&self) -> std::result::Result<(), DagError> {
@@ -520,36 +511,20 @@ impl ReadySet {
     /// *successful* rows) count as already satisfied and are never
     /// released. Everything else — failed, skipped, unrecorded — runs.
     pub fn resumed(dag: &Dag, done: &HashSet<u64>) -> ReadySet {
-        let deps = |i: usize| dag.nodes[i].deps.iter().copied();
-        ReadySet::build(dag.len(), deps, done)
-    }
-
-    /// Build from bare dependency edges: `deps[i]` lists the 1-based
-    /// seqs task `i + 1` depends on — the serialized form the network
-    /// driver carries ([`Dag::dep_seqs`]). Out-of-range dep seqs are a
-    /// caller bug and panic.
-    pub fn from_deps(deps: &[Vec<u64>], done: &HashSet<u64>) -> ReadySet {
-        let node_deps = |i: usize| deps[i].iter().map(|&d| (d - 1) as u32);
-        ReadySet::build(deps.len(), node_deps, done)
-    }
-
-    /// Build over `n` nodes, node `i` depending on the 0-based nodes
-    /// `deps(i)` yields.
-    fn build<D: Iterator<Item = u32>>(
-        n: usize,
-        deps: impl Fn(usize) -> D,
-        done: &HashSet<u64>,
-    ) -> ReadySet {
+        let n = dag.len();
         // Lay the edges out by dependency: count each node's dependents
         // into `first[d + 1]`, sum the counts into start offsets, then
         // place each edge at its dependency's next free offset. Placing
         // moves `first[d]` up to `d`'s end, so shifting `first` up by
         // one entry restores the start offsets.
-        let mut indeg = vec![0u32; n];
+        let mut indeg: Vec<u32> = dag
+            .nodes
+            .iter()
+            .map(|node| node.deps.len() as u32)
+            .collect();
         let mut first = vec![0u32; n + 1];
-        for (i, count) in indeg.iter_mut().enumerate() {
-            for d in deps(i) {
-                *count += 1;
+        for node in &dag.nodes {
+            for &d in &node.deps {
                 first[d as usize + 1] += 1;
             }
         }
@@ -557,8 +532,8 @@ impl ReadySet {
             first[i + 1] += first[i];
         }
         let mut dependents = vec![0u32; first[n] as usize];
-        for i in 0..n {
-            for d in deps(i) {
+        for (i, node) in dag.nodes.iter().enumerate() {
+            for &d in &node.deps {
                 let at = &mut first[d as usize];
                 dependents[*at as usize] = i as u32;
                 *at += 1;

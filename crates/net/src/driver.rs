@@ -1,35 +1,30 @@
 //! The driver: shards inputs across connected agents, aggregates their
 //! joblog rows, and recovers from agent death.
 //!
-//! This is the paper's Listing 1 driver made live. Placement reuses
-//! `cluster::driver_shard` (the awk `NR % nnodes` split) over seqs, and
-//! each task's arguments go from the borrowed input table straight into
-//! its agent's `Shard` bytes. One owner per task (unplaced, on agent
-//! `i`, or recorded) is both the exactly-once guard and the reshard
-//! source. Recovery runs the simulated driver's rule (`cluster::faults`)
-//! against real processes: an agent whose heartbeat lease expires — or
-//! whose socket closes with work outstanding — is declared lost, and
-//! the seqs it still owns, which have no row in the aggregated joblog,
-//! are re-sharded across survivors. Completion recording is exactly-once (a re-run
-//! task that finishes twice is logged once); execution is
-//! at-least-once, the same contract as the simulated driver and GNU
-//! Parallel's `--resume`.
-//!
-//! The I/O core is the agent [`crate::fleet`] on one epoll
-//! [`Reactor`]: non-blocking sockets, bounded vectored-write queues,
-//! coalesced `DoneBatch` completions, and a lease sweep ticking from the
-//! reactor's own timer heap. This module keeps only the driver's policy
-//! on top of it: placement, the exactly-once record, the DAG ready set,
-//! and reshard-on-loss.
+//! This is the paper's Listing 1 driver made live. Its policy — which
+//! agent takes each task, who takes a lost agent's work, which
+//! completion counts, and for a graph which task is ready — is
+//! `cluster::drive::DrivePolicy`, the code the fault simulator
+//! (`cluster::faults`) runs at 9,408-node scale. This module keeps the
+//! I/O around it: the agent [`crate::fleet`] on one epoll [`Reactor`],
+//! the aggregated joblog, and `on_done`. Each task's arguments go from
+//! the borrowed input table straight into its agent's `Shard` bytes. An
+//! agent whose heartbeat lease expires — or whose socket closes with
+//! work outstanding — is declared lost, and the seqs it still holds,
+//! which have no row in the joblog, are placed on survivors. Recording
+//! is exactly-once (a re-run task that finishes twice is logged once);
+//! execution is at-least-once, the contract of GNU Parallel's
+//! `--resume`.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use htpar_cluster::driver_shard;
-use htpar_core::dag::{Completion, ReadySet};
-use htpar_core::joblog::{self, JobLogWriter, LogEntry};
+pub use htpar_cluster::drive::verify_exactly_once;
+use htpar_cluster::drive::DrivePolicy;
+use htpar_core::dag::{skip_entry, Dag};
+use htpar_core::joblog::{self, JobLogWriter};
 use htpar_core::options::ResumeMode;
 use htpar_core::reactor::{PollEvent, Reactor};
 use htpar_core::template::{ExpandContext, Template};
@@ -49,11 +44,9 @@ pub struct DriverConfig {
     pub command: String,
     /// What agents run per task (real shell vs. measurement payloads).
     pub payload: Payload,
-    /// Interval agents heartbeat at.
+    /// Interval agents heartbeat at; an agent silent for ten of them
+    /// is declared lost.
     pub heartbeat_ms: u32,
-    /// Silence window after which an agent is declared lost. Must
-    /// comfortably exceed `heartbeat_ms`.
-    pub lease_window_ms: u64,
     /// Aggregated joblog path (one file for the whole cluster).
     pub joblog: Option<PathBuf>,
     /// Skip seqs already recorded in the joblog (`--resume`).
@@ -63,14 +56,11 @@ pub struct DriverConfig {
     /// Nothing reads this field: the reactor is the only core. It stays
     /// until the benchmark stops setting it.
     pub core: NetCore,
-    /// DAG drives: `deps[seq - 1]` lists the 1-based seqs that task
-    /// depends on ([`htpar_core::dag::Dag::dep_seqs`]). When set, the
-    /// driver releases tasks through a ready set — shards sent to
-    /// agents only ever contain tasks whose dependencies completed, a
-    /// failed task's descendants get `skipped-dep-failed` joblog rows,
-    /// and `--resume` skips only *successful* rows so the unfinished
-    /// subgraph replays. `None` = flat list (every task ready at start).
-    pub deps: Option<Vec<Vec<u64>>>,
+    /// DAG drives: the graph over the inputs (node `i` is seq `i + 1`).
+    /// Agents then only get tasks whose dependencies succeeded, a failed
+    /// task's descendants get `skipped-dep-failed` rows, and `--resume`
+    /// replays every task without a successful row.
+    pub dag: Option<Dag>,
 }
 
 impl DriverConfig {
@@ -81,12 +71,11 @@ impl DriverConfig {
             command: command.into(),
             payload: Payload::Shell,
             heartbeat_ms: 200,
-            lease_window_ms: 2_000,
             joblog: None,
             resume: false,
             bus: None,
             core: NetCore::Reactor,
-            deps: None,
+            dag: None,
         }
     }
 
@@ -130,59 +119,21 @@ impl DriveOutcome {
     }
 }
 
-/// Exactly-once check over an aggregated joblog: one row per seq,
-/// covering `1..=total` exactly — the same contract
-/// `cluster::faults::FaultRunResult::verify_exactly_once` enforces for
-/// the simulated driver.
-pub fn verify_exactly_once(entries: &[LogEntry], total: u64) -> std::result::Result<(), String> {
-    if entries.len() as u64 != total {
-        return Err(format!(
-            "joblog has {} rows for {total} tasks",
-            entries.len()
-        ));
-    }
-    let seqs: HashSet<u64> = entries.iter().map(|e| e.seq).collect();
-    if seqs.len() as u64 != total {
-        return Err(format!(
-            "joblog has {} distinct seqs for {total} tasks (duplicates recorded)",
-            seqs.len()
-        ));
-    }
-    for seq in 1..=total {
-        if !seqs.contains(&seq) {
-            return Err(format!("seq {seq} missing from joblog"));
-        }
-    }
-    Ok(())
-}
-
-/// Who holds a task: the driver's one record per task, by seq − 1. It
-/// is both the exactly-once guard and the reshard source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owner {
-    /// On no agent: not yet released (DAG drives) or placed.
-    Unplaced,
-    /// Placed on this agent (its backlog included), not yet recorded.
-    Agent(u32),
-    /// Has a joblog row: resumed, completed, or skipped-dep-failed.
-    Recorded,
-}
-
-/// One drive: the agent fleet plus the driver's placement policy.
+/// One drive: the agent fleet plus the driver's policy.
 struct Drive<'a> {
     config: &'a DriverConfig,
     inputs: &'a [Vec<String>],
     reactor: Reactor,
     fleet: Fleet,
-    owner: Vec<Owner>,
+    policy: DrivePolicy,
 }
 
 impl Drive<'_> {
-    /// Shard `seqs` across the alive agents with the NR-modulo split and
-    /// pump them onto the wire, writing each task's arguments from the
-    /// input table straight into the agent's `Shard` bytes. A survivor
-    /// dying mid-placement escalates to [`Drive::handle_loss`], which
-    /// re-shards its whole unrecorded assignment.
+    /// Place `seqs` on the alive agents with the NR-modulo split and pump
+    /// them onto the wire, writing each task's arguments from the input
+    /// table straight into the agent's `Shard` bytes. A survivor dying
+    /// mid-placement escalates to [`Drive::handle_loss`], which places
+    /// its whole unrecorded assignment again.
     fn place(&mut self, seqs: &[u64]) -> Result<()> {
         if seqs.is_empty() {
             return Ok(());
@@ -190,18 +141,14 @@ impl Drive<'_> {
         let survivors = self.fleet.survivors();
         if survivors.is_empty() {
             return Err(NetError::AllAgentsLost {
-                remaining: seqs.len() as u64,
+                remaining: self.policy.unrecorded(),
             });
         }
-        let shards = driver_shard(seqs, survivors.len() as u32);
+        let shards = self.policy.place(seqs, &survivors);
         for (shard, &target) in shards.iter().zip(&survivors) {
-            if shard.is_empty() {
-                continue;
-            }
-            if !self.fleet.is_alive(target) {
-                // A re-shard nested in this loop already handled the
-                // target's loss; its shard must go to who is left.
-                self.place(shard)?;
+            // A loss nested in this loop took the target's shard back
+            // and placed it on who is left.
+            if shard.is_empty() || !self.fleet.is_alive(target) {
                 continue;
             }
             self.config.emit(Event::ShardSent {
@@ -209,9 +156,8 @@ impl Drive<'_> {
                 tasks: shard.len() as u64,
             });
             for &seq in shard {
-                let i = (seq - 1) as usize;
-                self.owner[i] = Owner::Agent(target as u32);
-                self.fleet.enqueue(target, seq, &self.inputs[i]);
+                self.fleet
+                    .enqueue(target, seq, &self.inputs[(seq - 1) as usize]);
             }
             if !self.fleet.pump(&self.reactor, target) {
                 self.handle_loss(target)?;
@@ -220,38 +166,21 @@ impl Drive<'_> {
         Ok(())
     }
 
-    /// Declare `idx` lost and re-shard its unfinished work onto
-    /// survivors. Idempotent: a socket hangup and a lease expiry landing
-    /// in the same poll batch re-shard exactly once.
+    /// Declare `idx` lost and place its unrecorded work on survivors.
+    /// Idempotent: a socket hangup and a lease expiry landing in the
+    /// same poll batch re-place once.
     fn handle_loss(&mut self, idx: usize) -> Result<()> {
         if !self.fleet.lose(&self.reactor, idx) {
             return Ok(());
         }
-        // Everything the agent still holds has no recorded completion
-        // anywhere, so all of it runs again.
-        let lost: Vec<u64> = (1..=self.owner.len() as u64)
-            .filter(|&seq| self.owner[(seq - 1) as usize] == Owner::Agent(idx as u32))
-            .collect();
+        // Everything the agent still holds has no row anywhere, so all
+        // of it runs again.
+        let lost = self.policy.take_lost(idx);
         self.config.emit(Event::AgentLost {
             agent: idx as u32,
             outstanding: lost.len() as u64,
         });
         self.place(&lost)
-    }
-
-    /// Record `seq`; `false` when it already has a row (a re-sharded task
-    /// that finished twice) or is not one of this drive's tasks.
-    fn record(&mut self, seq: u64) -> bool {
-        let owner = seq
-            .checked_sub(1)
-            .and_then(|i| self.owner.get_mut(i as usize));
-        match owner {
-            Some(owner) if *owner != Owner::Recorded => {
-                *owner = Owner::Recorded;
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -266,19 +195,16 @@ pub fn run_driver(
 ) -> Result<DriveOutcome> {
     let template = Template::parse(&config.command)?;
     let render = |seq: u64| {
-        let args = inputs
-            .get((seq - 1) as usize)
-            .map(|a| a.as_slice())
-            .unwrap_or(&[]);
+        let args = &inputs[(seq - 1) as usize];
         template.expand(&ExpandContext { args, seq, slot: 0 })
     };
     let total = inputs.len() as u64;
     let started = Instant::now();
 
-    // --resume: diff the full task list against the aggregated joblog.
-    // DAG resume replays failed and skipped-dep-failed rows (with their
+    // --resume: the seqs the aggregated joblog already records. DAG
+    // resume replays failed and skipped-dep-failed rows (with their
     // whole downstream subgraph), so only successes count as done.
-    let mode = match (config.resume, config.deps.is_some()) {
+    let mode = match (config.resume, config.dag.is_some()) {
         (false, _) => ResumeMode::Off,
         (true, false) => ResumeMode::Resume,
         (true, true) => ResumeMode::ResumeFailed,
@@ -287,38 +213,6 @@ pub fn run_driver(
         Some(path) => joblog::resume_set(path, mode)?,
         None => HashSet::new(),
     };
-    let owner: Vec<Owner> = (1..=total)
-        .map(|seq| {
-            if resumed.contains(&seq) {
-                Owner::Recorded
-            } else {
-                Owner::Unplaced
-            }
-        })
-        .collect();
-    // Rows of seqs past this input list (a longer earlier run) are not
-    // this drive's tasks and count nowhere.
-    let skipped = owner.iter().filter(|&&o| o == Owner::Recorded).count() as u64;
-    let goal = total - skipped;
-
-    // DAG drives: a ready set withholds every task with an unfinished
-    // dependency; completions release work incrementally, so shards on
-    // the wire only ever contain ready tasks.
-    let mut ready_set = config.deps.as_ref().map(|deps| {
-        assert_eq!(
-            deps.len(),
-            inputs.len(),
-            "deps table must cover every input"
-        );
-        ReadySet::from_deps(deps, &resumed)
-    });
-    let pending: Vec<u64> = match ready_set.as_mut() {
-        Some(rs) => rs.take_ready(),
-        None => (1..=total)
-            .filter(|&seq| owner[(seq - 1) as usize] == Owner::Unplaced)
-            .collect(),
-    };
-
     let mut log = match &config.joblog {
         Some(path) => Some(JobLogWriter::open(path)?),
         None => None,
@@ -334,21 +228,19 @@ pub fn run_driver(
         payload: config.payload,
         command: config.command.clone(),
     };
-    let fleet = Fleet::connect(
-        &reactor,
-        &config.agents,
-        &hello,
-        config.lease_window_ms,
-        config.bus.clone(),
-    )?;
+    let fleet = Fleet::connect(&reactor, &config.agents, &hello, config.bus.clone())?;
+    let (policy, first) = DrivePolicy::new(total, fleet.len(), config.dag.as_ref(), &resumed);
+    // Rows of seqs past this input list (a longer earlier run) are not
+    // this drive's tasks and count nowhere.
+    let skipped = total - policy.unrecorded();
     let mut drive = Drive {
         config,
         inputs,
         reactor,
         fleet,
-        owner,
+        policy,
     };
-    drive.place(&pending)?;
+    drive.place(&first)?;
 
     // -- Dispatch loop: one poll loop over every socket plus the lease
     // tick, all from the same reactor.
@@ -359,16 +251,15 @@ pub fn run_driver(
     // Tasks unblocked by completions in the current poll batch, awaiting
     // placement on alive agents.
     let mut release: Vec<u64> = Vec::new();
-    let mut comp = Completion::default();
     let mut done: Vec<TaskDoneRec> = Vec::new();
     let tick = fleet::tick_interval(config.heartbeat_ms);
     let mut tick_key = drive.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
     let mut events: Vec<PollEvent> = Vec::with_capacity(256);
 
-    while completed + skipped_dep < goal {
+    while drive.policy.unrecorded() > 0 {
         if !drive.fleet.any_alive() {
             return Err(NetError::AllAgentsLost {
-                remaining: goal - completed - skipped_dep,
+                remaining: drive.policy.unrecorded(),
             });
         }
         events.clear();
@@ -396,36 +287,30 @@ pub fn run_driver(
                 .fleet
                 .io(&drive.reactor, idx, readable, writable, &mut done);
             for rec in done.drain(..) {
-                if !drive.record(rec.seq) {
-                    // A re-sharded task finished on two agents;
+                let ok = rec.exitval == 0 && rec.signal == 0;
+                let Some(comp) = drive.policy.record(rec.seq, ok) else {
+                    // A re-placed task finished on two agents;
                     // record-once keeps the joblog exact.
                     duplicates += 1;
                     continue;
-                }
+                };
                 drive.fleet.credit(idx);
                 completed += 1;
-                let ok = rec.exitval == 0 && rec.signal == 0;
                 failed += u64::from(!ok);
                 if let Some(log) = &mut log {
                     log.record_row(&rec.row(drive.fleet.name(idx), &render(rec.seq)))?;
-                }
-                if let Some(cb) = on_done.as_deref_mut() {
-                    cb(completed);
-                }
-                if let Some(rs) = ready_set.as_mut() {
-                    rs.complete(rec.seq, ok, &mut comp);
                     // Condemned descendants are terminal now: their skip
                     // rows land right after the failing dependency's
                     // row, so the joblog always lists a task's
                     // dependencies before the task itself.
                     for &seq in &comp.newly_skipped {
-                        drive.record(seq);
-                        skipped_dep += 1;
-                        if let Some(log) = &mut log {
-                            log.record_entry(&htpar_core::dag::skip_entry(seq, &render(seq)))?;
-                        }
+                        log.record_entry(&skip_entry(seq, &render(seq)))?;
                     }
-                    release.extend_from_slice(&comp.newly_ready);
+                }
+                skipped_dep += comp.newly_skipped.len() as u64;
+                release.extend_from_slice(&comp.newly_ready);
+                if let Some(cb) = on_done.as_deref_mut() {
+                    cb(completed);
                 }
             }
             if down {
@@ -433,13 +318,12 @@ pub fn run_driver(
             }
         }
         // Place tasks unblocked in this batch. Only alive agents receive
-        // them, so a re-shard after agent death still never ships an
-        // unready task.
+        // them, so a re-placement after agent death still never ships
+        // an unready task.
         drive.place(&release)?;
         release.clear();
-        // One joblog flush per poll batch (not per row): complete lines
-        // on disk keep `--resume` exact after a driver kill, while the
-        // batch granularity keeps fsync traffic off the per-task path.
+        // One joblog write per poll batch (not per row): complete lines
+        // on disk keep `--resume` exact after a driver kill.
         if let Some(log) = &mut log {
             log.flush()?;
         }

@@ -37,6 +37,9 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 /// backpressure instead of unbounded memory.
 pub const WRITE_QUEUE_CAP: usize = 1 << 20;
 
+/// An agent silent for this many heartbeats is declared lost.
+const LEASE_HEARTBEATS: u64 = 10;
+
 /// Timer token for the caller's periodic lease-sweep tick.
 pub(crate) const TOK_TICK: usize = usize::MAX;
 /// Timer token for the drain deadline.
@@ -116,7 +119,7 @@ pub(crate) struct Drained {
 pub(crate) struct Fleet {
     agents: Vec<Agent>,
     lease: LeaseTracker,
-    lease_window_ms: u64,
+    lease_ms: u64,
     write_queue_cap: usize,
     bus: Option<Arc<EventBus>>,
 }
@@ -124,18 +127,22 @@ pub(crate) struct Fleet {
 impl Fleet {
     /// Dial and handshake every agent in `specs` with `hello` (blocking,
     /// in order), then hand each socket to `reactor` on its index as
-    /// token. An agent silent for longer than `lease_window_ms` is
-    /// reported by [`Fleet::expired`].
+    /// token. An agent silent for [`LEASE_HEARTBEATS`] of the heartbeats
+    /// `hello` asks for is reported by [`Fleet::expired`].
     pub(crate) fn connect(
         reactor: &Reactor,
         specs: &[String],
         hello: &Frame,
-        lease_window_ms: u64,
         bus: Option<Arc<EventBus>>,
     ) -> Result<Fleet> {
         if specs.is_empty() {
             return Err(NetError::Protocol("no agents configured".into()));
         }
+        let Frame::Hello { heartbeat_ms, .. } = hello else {
+            unreachable!("the fleet handshakes with a Hello");
+        };
+        // Agents heartbeat at least every millisecond.
+        let lease_ms = LEASE_HEARTBEATS * u64::from((*heartbeat_ms).max(1));
         let hello_bytes = hello.encode();
         let mut agents = Vec::with_capacity(specs.len());
         for (idx, spec) in specs.iter().enumerate() {
@@ -166,7 +173,7 @@ impl Fleet {
         Ok(Fleet {
             lease: LeaseTracker::new(agents.len()),
             agents,
-            lease_window_ms,
+            lease_ms,
             write_queue_cap: WRITE_QUEUE_CAP,
             bus,
         })
@@ -349,7 +356,7 @@ impl Fleet {
     /// with a silent engine is as dead as a closed one.
     pub(crate) fn expired(&self) -> Vec<usize> {
         (0..self.agents.len())
-            .filter(|&i| self.agents[i].alive && self.lease.expired(i, self.lease_window_ms))
+            .filter(|&i| self.agents[i].alive && self.lease.expired(i, self.lease_ms))
             .collect()
     }
 
@@ -486,7 +493,7 @@ mod tests {
         let fleet = Fleet {
             agents: vec![agent],
             lease: LeaseTracker::new(1),
-            lease_window_ms: 60_000,
+            lease_ms: 60_000,
             write_queue_cap,
             bus: None,
         };

@@ -3,8 +3,8 @@
 //! Every inbound frame from an agent (heartbeats, but also `DoneBatch`
 //! traffic — a busy agent should never be declared dead for skipping a
 //! heartbeat tick) renews that agent's lease. The fleet's lease sweep
-//! polls [`LeaseTracker::expired`]; an agent whose lease has gone stale
-//! for longer than the configured window is treated exactly like a
+//! polls [`LeaseTracker::expired`]; an agent silent for longer than ten
+//! of the heartbeats the fleet asked for is treated exactly like a
 //! closed socket: its unfinished work is re-sharded onto survivors.
 
 use std::time::Instant;

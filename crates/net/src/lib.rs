@@ -4,10 +4,10 @@
 //! input list across nodes, each node running GNU Parallel locally. The
 //! rest of this repo reproduces that shape in simulation; this crate
 //! builds it for real: a [`driver`] process dispatches work over sockets
-//! to [`agent`] processes that each run the `htpar-core` engine, with
-//! the PR 3 recovery machinery (heartbeat leases, joblog diffing,
-//! re-sharding onto survivors) applied to live processes instead of
-//! simulated nodes.
+//! to [`agent`] processes that each run the `htpar-core` engine, and
+//! recovers from agent loss with the policy the fault simulator runs
+//! (`htpar_cluster::drive`: re-place a lost agent's unrecorded seqs on
+//! the survivors), behind heartbeat leases on live processes.
 //!
 //! Layers:
 //! - [`frame`] — the length-prefixed binary protocol (versioned
@@ -26,7 +26,8 @@
 //!   and handshake, bounded write queues, completion decoding, lease
 //!   sweep, and the deadline-bounded drain, all on one reactor.
 //! - [`driver`] — shard, dispatch, aggregate the joblog, recover: the
-//!   one-shot placement policy over a [`fleet`].
+//!   I/O of a one-shot drive around `htpar_cluster::drive::DrivePolicy`,
+//!   over a [`fleet`].
 //! - [`local`] — localhost mini-clusters of agent subprocesses.
 //! - [`serve`] — the pilot service: sessions and a pluggable
 //!   multi-tenant scheduler over a persistent [`fleet`].

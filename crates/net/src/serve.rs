@@ -102,10 +102,9 @@ pub struct ServeConfig {
     pub listen: String,
     /// Job slots requested per agent.
     pub jobs_per_agent: u32,
-    /// Interval agents heartbeat at.
+    /// Interval agents heartbeat at; an agent silent for ten of them
+    /// is declared lost.
     pub heartbeat_ms: u32,
-    /// Silence window after which an agent is declared lost.
-    pub lease_window_ms: u64,
     /// Which scheduler multiplexes tenants onto the slot pool.
     pub policy: SchedPolicy,
     /// Admission bound: a `Submit` that would push a tenant's queue past
@@ -136,7 +135,6 @@ impl ServeConfig {
             listen: listen.into(),
             jobs_per_agent: 2,
             heartbeat_ms: 200,
-            lease_window_ms: 2_000,
             policy: SchedPolicy::Fair,
             max_queue_per_tenant: 100_000,
             joblog_dir: None,
@@ -549,13 +547,7 @@ impl PilotServer {
             command: "{}".to_string(),
         };
         let reactor = Reactor::new()?;
-        let fleet = Fleet::connect(
-            &reactor,
-            &config.agents,
-            &hello,
-            config.lease_window_ms,
-            config.bus.clone(),
-        )?;
+        let fleet = Fleet::connect(&reactor, &config.agents, &hello, config.bus.clone())?;
         let listener = Listener::bind(&config.listen)?;
         listener.set_nonblocking(true)?;
         reactor.register(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;

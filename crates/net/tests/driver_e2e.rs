@@ -246,8 +246,7 @@ fn lease_expiry_recovers_from_silent_agent() {
     let mut config = DriverConfig::new(vec![steady_spec, silent_spec], "task {}");
     config.payload = Payload::Noop;
     config.jobs_per_agent = 4;
-    config.heartbeat_ms = 50;
-    config.lease_window_ms = 400;
+    config.heartbeat_ms = 40;
 
     let total = 40u64;
     let outcome = run_driver(&config, &inputs(total), None).expect("drive survives the silence");
@@ -309,8 +308,7 @@ fn lease_expiry_and_socket_loss_race_resolves_to_one_reshard() {
     let mut config = DriverConfig::new(vec![steady_spec, flaky_spec], "task {}");
     config.payload = Payload::Noop;
     config.jobs_per_agent = 4;
-    config.heartbeat_ms = 50;
-    config.lease_window_ms = 300;
+    config.heartbeat_ms = 30;
     config.joblog = Some(log_path.clone());
     config.bus = Some(bus);
 
@@ -374,8 +372,7 @@ fn never_reading_agent_stalls_bounded_write_queue() {
     let mut config = DriverConfig::new(vec![steady_spec, stalled_spec], "task {}");
     config.payload = Payload::Noop;
     config.jobs_per_agent = 4;
-    config.heartbeat_ms = 50;
-    config.lease_window_ms = 400;
+    config.heartbeat_ms = 40;
     config.joblog = Some(log_path.clone());
     config.bus = Some(bus);
 

@@ -214,8 +214,7 @@ fn serve_lease_expiry_requeues_a_silent_agents_work() {
         let _ = std::fs::remove_dir_all(&log_dir);
         let mut config = ServeConfig::new(vec![steady_spec, silent_spec], sock_spec("lease"));
         config.jobs_per_agent = 2;
-        config.heartbeat_ms = 50;
-        config.lease_window_ms = 400;
+        config.heartbeat_ms = 40;
         config.joblog_dir = Some(log_dir.clone());
         config.max_sessions = Some(1);
         let server = PilotServer::bind(config).expect("pilot binds");
