@@ -9,16 +9,17 @@
 //!
 //! `--full-scale` additionally executes the whole-machine run (9,408
 //! Frontier nodes, 1.2 M tasks — beyond the paper's 9,000-node /
-//! 1.152 M-task largest run) through the discrete-event engine,
-//! cross-checks it against the analytic schedule draw for draw, and
-//! reports the engine's event throughput. This is the workload the
+//! 1.152 M-task largest run) through the event-driven simulator the
+//! fault campaign runs (`htpar_cluster::faults`, with an empty fault
+//! plan), cross-checks it against the analytic schedule draw for draw,
+//! and reports the engine's event throughput. This is the workload the
 //! calendar-queue event core exists for; it panics on any mismatch, so
 //! it doubles as a CI gate.
 
 use std::sync::Arc;
 
 use htpar_bench::{header, preamble, row};
-use htpar_cluster::des::{run_des, run_des_observed};
+use htpar_cluster::faults::{run_with_plan, FaultPlan};
 use htpar_cluster::weak_scaling::{run, WeakScalingConfig};
 use htpar_telemetry::{EventBus, MetricsRegistry};
 
@@ -29,58 +30,65 @@ const FULL_SCALE_NODES: u32 = 9_408;
 fn full_scale(seed: u64) {
     let config = WeakScalingConfig::frontier(FULL_SCALE_NODES, seed);
     println!(
-        "full-scale: {} nodes x {} tasks/node = {} tasks (DES, seed {seed})",
+        "full-scale: {} nodes x {} tasks/node = {} tasks (event-driven, seed {seed})",
         config.nodes,
         config.tasks_per_node,
         config.nodes as u64 * config.tasks_per_node as u64,
     );
+    let analytic = run(&config);
+    let analytic_makespan = analytic.makespan_secs;
+    // No crash, so no detection delay is ever paid.
+    let simulate = |bus| run_with_plan(&config, &FaultPlan::default(), 0.0, analytic_makespan, bus);
 
     // Timed bare run: no telemetry, pure engine throughput.
     let started = std::time::Instant::now();
-    let des = run_des(&config);
+    let bare = simulate(None);
     let wall = started.elapsed().as_secs_f64();
+    if let Err(violation) = bare.verify_exactly_once() {
+        panic!("full-scale: exactly-once violated: {violation}");
+    }
+
+    // Cross-check the event-driven execution against the closed-form
+    // schedule, draw for draw (the analytic path is node-major, the
+    // simulator interleaves nodes; compare as sorted multisets).
+    {
+        let mut expected = analytic.task_completion_secs;
+        expected.sort_by(f64::total_cmp);
+        let simulated = bare.task_completion_secs();
+        assert_eq!(expected.len(), simulated.len());
+        for (i, (a, d)) in expected.iter().zip(&simulated).enumerate() {
+            assert!(
+                (a - d).abs() < 1e-3,
+                "completion #{i}: analytic {a} vs simulated {d}"
+            );
+        }
+        assert!(
+            (analytic_makespan - bare.makespan_secs).abs() < 1e-3,
+            "makespan: analytic {analytic_makespan} vs simulated {}",
+            bare.makespan_secs
+        );
+    }
 
     // Observed run: counts fired events and proves the telemetry path
     // holds up at full scale without perturbing results.
     let bus = EventBus::shared();
     let metrics = MetricsRegistry::shared();
     bus.attach(metrics.clone());
-    let observed = run_des_observed(&config, Some(Arc::clone(&bus)));
+    let observed = simulate(Some(Arc::clone(&bus)));
     let fired = metrics.counter("sim_event_fired");
     assert_eq!(
-        des.task_completion_secs, observed.task_completion_secs,
+        bare.joblog, observed.joblog,
         "telemetry must not perturb the run"
-    );
-
-    // Cross-check the event-driven execution against the closed-form
-    // schedule, draw for draw (the analytic path is node-major, the DES
-    // interleaves nodes; compare as sorted multisets).
-    let analytic = run(&config);
-    assert_eq!(des.tasks_total, analytic.tasks_total);
-    let mut expected = analytic.task_completion_secs;
-    expected.sort_by(f64::total_cmp);
-    assert_eq!(expected.len(), des.task_completion_secs.len());
-    for (i, (a, d)) in expected.iter().zip(&des.task_completion_secs).enumerate() {
-        assert!(
-            (a - d).abs() < 1e-3,
-            "completion #{i}: analytic {a} vs des {d}"
-        );
-    }
-    assert!(
-        (analytic.makespan_secs - des.makespan_secs).abs() < 1e-3,
-        "makespan: analytic {} vs des {}",
-        analytic.makespan_secs,
-        des.makespan_secs
     );
 
     println!(
         "  {} events fired in {wall:.2}s wall = {:.1}M events/s; makespan {:.1}s (analytic {:.1}s)",
         fired,
         fired as f64 / wall / 1e6,
-        des.makespan_secs,
-        analytic.makespan_secs
+        bare.makespan_secs,
+        analytic_makespan
     );
-    println!("  cross-check: DES == analytic schedule draw for draw (1.2M tasks)");
+    println!("  cross-check: event-driven == analytic schedule draw for draw (1.2M tasks)");
 }
 
 fn main() {

@@ -14,7 +14,8 @@
 //! 9,408 nodes × 128 tasks (1.2 M tasks) under the calibrated fault
 //! rates — ~1,400 node crashes recovered by the listing-1 + `--resume`
 //! driver, with the exactly-once invariant checked over the full
-//! joblog. Only tractable on the calendar-queue event core.
+//! joblog. Only tractable on the calendar-queue event core. It also
+//! prints the process's peak resident memory (`VmHWM`).
 
 use std::io::Write;
 
@@ -80,6 +81,9 @@ fn full_scale(jsonl: &mut Option<std::fs::File>) {
         result.joblog.len(),
         result.tasks_total as f64 / wall / 1e3,
     );
+    if let Some(kib) = peak_rss_kib() {
+        println!("  peak RSS {:.1} MiB (VmHWM)", kib as f64 / 1024.0);
+    }
     if let Some(file) = &mut *jsonl {
         let record = json!({
             "seed": seed,
@@ -97,6 +101,14 @@ fn full_scale(jsonl: &mut Option<std::fs::File>) {
         let line = serde_json::to_string(&record);
         writeln!(file, "{line}").expect("write jsonl record");
     }
+}
+
+/// This process's peak resident memory in KiB: `VmHWM` in
+/// `/proc/self/status`, `None` without procfs.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 fn main() {

@@ -4,10 +4,10 @@
 //! the live driver (`htpar_net::driver`) and the fault simulator
 //! ([`crate::faults`]) alike, so the simulator's exactly-once runs check
 //! the code `htpar drive` runs. It does no I/O and reads no clock: the
-//! caller names the survivors and moves the tasks. Recording is
-//! exactly-once and execution at-least-once, the contract of GNU
-//! Parallel's `--resume`; [`verify_exactly_once`] checks it over a
-//! joblog.
+//! caller's [`Agents`] say which agents are alive and move the tasks.
+//! Recording is exactly-once and execution at-least-once, the contract
+//! of GNU Parallel's `--resume`; [`verify_exactly_once`] checks it over
+//! a joblog.
 
 use std::collections::HashSet;
 
@@ -79,36 +79,75 @@ impl DrivePolicy {
         (policy, first)
     }
 
-    /// Split `seqs` over `survivors` with the awk `NR % nnodes` split and
-    /// place each shard on its survivor. The shards come back parallel
-    /// to `survivors`. Every seq must be unplaced (fresh, released, or
-    /// taken from a lost agent) and no survivor lost: the policy panics
-    /// rather than hold a task on two agents or on a dead one.
-    pub fn place(&mut self, seqs: &[u64], survivors: &[usize]) -> Vec<Vec<u64>> {
-        assert!(!survivors.is_empty() || seqs.is_empty(), "no survivor");
-        let shards = driver_shard(seqs, survivors.len() as u32);
-        for (shard, &agent) in shards.iter().zip(survivors) {
-            let placed = self.placed[agent].as_mut().expect("a survivor is not lost");
-            for &seq in shard {
-                let owner = &mut self.owner[seq as usize - 1];
-                assert_eq!(*owner, Owner::Unplaced, "seq {seq} is already placed");
-                *owner = Owner::Agent(agent as u32);
-            }
-            placed.extend_from_slice(shard);
-        }
-        shards
+    /// Split `seqs` over the agents alive now with the awk `NR % nnodes`
+    /// split and hand each target its shard. A target lost taking its
+    /// shard is declared lost ([`DrivePolicy::lose`]), which places its
+    /// unrecorded seqs on the agents left, so a later target lost that way
+    /// is skipped: its shard went with them. Every seq must be unplaced
+    /// (fresh, released, or taken from a lost agent): the policy panics
+    /// rather than hold a task on two agents.
+    pub fn place(&mut self, seqs: &[u64], agents: &mut impl Agents) -> Result<(), NoAgentAlive> {
+        self.place_from(None, seqs, agents)
     }
 
-    /// Declare `agent` lost and hand back its unrecorded seqs in
-    /// placement order, unplaced, for the caller to place on survivors.
-    /// Costs O(the agent's placements); a second call returns nothing.
-    pub fn take_lost(&mut self, agent: usize) -> Vec<u64> {
-        let mut lost = self.placed[agent].take().unwrap_or_default();
+    /// Declare `agent` lost and place its unrecorded seqs on the agents
+    /// alive now, in placement order. Costs O(the agent's placements); a
+    /// second call does nothing.
+    pub fn lose(&mut self, agent: usize, agents: &mut impl Agents) -> Result<(), NoAgentAlive> {
+        let Some(mut lost) = self.placed[agent].take() else {
+            return Ok(());
+        };
         lost.retain(|&seq| self.owner[seq as usize - 1] == Owner::Agent(agent as u32));
         for &seq in &lost {
             self.owner[seq as usize - 1] = Owner::Unplaced;
         }
-        lost
+        agents.lost(agent, &lost);
+        self.place_from(Some(agent), &lost, agents)
+    }
+
+    fn place_from(
+        &mut self,
+        from: Option<usize>,
+        seqs: &[u64],
+        agents: &mut impl Agents,
+    ) -> Result<(), NoAgentAlive> {
+        if seqs.is_empty() {
+            return Ok(());
+        }
+        let survivors: Vec<usize> = (0..self.placed.len())
+            .filter(|&agent| agents.is_alive(agent))
+            .collect();
+        if survivors.is_empty() {
+            return Err(NoAgentAlive {
+                remaining: self.unrecorded,
+            });
+        }
+        // Each target's shard, as a span of its placed list.
+        let mut spans = Vec::with_capacity(survivors.len());
+        let shards = driver_shard(seqs, survivors.len() as u32);
+        for (mut shard, &agent) in shards.into_iter().zip(&survivors) {
+            let placed = self.placed[agent]
+                .as_mut()
+                .expect("an alive agent is not lost");
+            for &seq in &shard {
+                let owner = &mut self.owner[seq as usize - 1];
+                assert_eq!(*owner, Owner::Unplaced, "seq {seq} is already placed");
+                *owner = Owner::Agent(agent as u32);
+            }
+            spans.push(placed.len()..placed.len() + shard.len());
+            placed.append(&mut shard);
+        }
+        for (span, &agent) in spans.into_iter().zip(&survivors) {
+            // A loss nested in this loop took the target's shard back
+            // and placed it on the agents left.
+            let Some(placed) = &self.placed[agent] else {
+                continue;
+            };
+            if !span.is_empty() && !agents.hand_over(agent, &placed[span], from) {
+                self.lose(agent, agents)?;
+            }
+        }
+        Ok(())
     }
 
     /// Record `seq`'s completion. `None` when the seq is on no agent:
@@ -148,15 +187,45 @@ impl DrivePolicy {
     }
 }
 
+/// The caller's side of a placement: which agents can take work, and the
+/// hand-over of one shard. `htpar drive` writes the shard to the agent's
+/// socket; the fault simulator queues it on a simulated node.
+pub trait Agents {
+    /// Whether `agent` can take work now.
+    fn is_alive(&self, agent: usize) -> bool;
+
+    /// Hand `shard` to `agent`; `from` names the lost agent whose seqs
+    /// these are, `None` for fresh or released ones. Returns `false` when
+    /// the agent was lost taking it.
+    fn hand_over(&mut self, agent: usize, shard: &[u64], from: Option<usize>) -> bool;
+
+    /// The policy declared `agent` lost holding `seqs`, its unrecorded
+    /// seqs in placement order. It places them next, on the agents
+    /// alive once this returns, so `agent` must not be among them.
+    fn lost(&mut self, _agent: usize, _seqs: &[u64]) {}
+}
+
+/// A placement found no agent alive to take its seqs, with `remaining`
+/// tasks unrecorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoAgentAlive {
+    pub remaining: u64,
+}
+
 /// The exactly-once contract over a joblog: one row per seq, covering
 /// `1..=total`.
 pub fn verify_exactly_once(entries: &[LogEntry], total: u64) -> Result<(), String> {
+    verify_seqs(entries.iter().map(|entry| entry.seq), total)
+}
+
+/// [`verify_exactly_once`] over the seqs of a joblog's rows.
+pub fn verify_seqs(seqs: impl IntoIterator<Item = u64>, total: u64) -> Result<(), String> {
     let mut seen = vec![false; total as usize];
-    for entry in entries {
+    for seq in seqs {
         // Seq 0 wraps out of range.
-        match seen.get_mut((entry.seq as usize).wrapping_sub(1)) {
-            None => return Err(format!("seq {} out of range", entry.seq)),
-            Some(true) => return Err(format!("seq {} recorded twice", entry.seq)),
+        match seen.get_mut((seq as usize).wrapping_sub(1)) {
+            None => return Err(format!("seq {seq} out of range")),
+            Some(true) => return Err(format!("seq {seq} recorded twice")),
             Some(seen) => *seen = true,
         }
     }

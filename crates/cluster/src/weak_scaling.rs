@@ -75,8 +75,6 @@ pub struct WeakScalingResult {
     pub tasks_total: u64,
     /// Per-task completion times (seconds from job start).
     pub task_completion_secs: Vec<f64>,
-    /// Per-node elapsed time from job start to Lustre copy-back done.
-    pub node_elapsed_secs: Vec<f64>,
     /// Latest end minus earliest start — the paper's headline number.
     pub makespan_secs: f64,
 }
@@ -86,17 +84,12 @@ impl WeakScalingResult {
     pub fn task_summary(&self) -> Summary {
         Summary::of(&self.task_completion_secs).expect("runs have tasks")
     }
-
-    /// Distribution summary of node elapsed times.
-    pub fn node_summary(&self) -> Summary {
-        Summary::of(&self.node_elapsed_secs).expect("runs have nodes")
-    }
 }
 
 /// Everything one node needs, sampled up-front from its own RNG stream.
-/// Both the analytic schedule below and the event-driven simulation in
-/// [`crate::des`] consume these plans, so the two implementations can be
-/// cross-validated draw for draw.
+/// Both the analytic schedule below and the event-driven simulator in
+/// [`crate::faults`] consume these plans, so the two implementations can
+/// be cross-validated draw for draw.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodePlan {
     /// Job start on this node (allocation ready + NVMe wait), seconds.
@@ -179,7 +172,7 @@ pub fn run(config: &WeakScalingConfig) -> WeakScalingResult {
     assert!(config.tasks_per_node >= 1 && config.jobs_per_node >= 1);
     let tasks_total = config.nodes as u64 * config.tasks_per_node as u64;
     let mut task_completion_secs = Vec::with_capacity(tasks_total as usize);
-    let mut node_elapsed_secs = Vec::with_capacity(config.nodes as usize);
+    let mut makespan_secs = 0.0f64;
     let dispatch_gap = 1.0 / config.machine.launch.instance_rate();
 
     for node in 0..config.nodes {
@@ -206,15 +199,14 @@ pub fn run(config: &WeakScalingConfig) -> WeakScalingResult {
             node_last = node_last.max(done);
             task_completion_secs.push(done);
         }
-        node_elapsed_secs.push(node_last + plan.copy);
+        // The node's elapsed time runs to its Lustre copy-back.
+        makespan_secs = makespan_secs.max(node_last + plan.copy);
     }
 
-    let makespan_secs = node_elapsed_secs.iter().cloned().fold(0.0, f64::max);
     WeakScalingResult {
         nodes: config.nodes,
         tasks_total,
         task_completion_secs,
-        node_elapsed_secs,
         makespan_secs,
     }
 }

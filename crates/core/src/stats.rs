@@ -57,17 +57,6 @@ impl RateMeter {
         Some((stamps.len() - 1) as f64 / span)
     }
 
-    /// Rate against total elapsed wall time since construction.
-    pub fn rate_since_start(&self) -> f64 {
-        let n = self.count();
-        let elapsed = self.start.elapsed().as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            n as f64 / elapsed
-        }
-    }
-
     /// Sorted inter-event gaps in seconds (empty with fewer than 2 events).
     pub fn gaps(&self) -> Vec<f64> {
         let mut stamps = self.stamps.lock().clone();

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use htpar_cluster::drive::verify_exactly_once;
-use htpar_cluster::drive::DrivePolicy;
+use htpar_cluster::drive::{Agents, DrivePolicy, NoAgentAlive};
 use htpar_core::dag::{skip_entry, Dag};
 use htpar_core::joblog::{self, JobLogWriter};
 use htpar_core::options::ResumeMode;
@@ -119,68 +119,48 @@ impl DriveOutcome {
     }
 }
 
-/// One drive: the agent fleet plus the driver's policy.
-struct Drive<'a> {
+/// The agent fleet as the policy's [`Agents`]: a shard goes from the
+/// borrowed input table straight into the agent's `Shard` bytes.
+struct Io<'a> {
     config: &'a DriverConfig,
     inputs: &'a [Vec<String>],
     reactor: Reactor,
     fleet: Fleet,
-    policy: DrivePolicy,
 }
 
-impl Drive<'_> {
-    /// Place `seqs` on the alive agents with the NR-modulo split and pump
-    /// them onto the wire, writing each task's arguments from the input
-    /// table straight into the agent's `Shard` bytes. A survivor dying
-    /// mid-placement escalates to [`Drive::handle_loss`], which places
-    /// its whole unrecorded assignment again.
-    fn place(&mut self, seqs: &[u64]) -> Result<()> {
-        if seqs.is_empty() {
-            return Ok(());
-        }
-        let survivors = self.fleet.survivors();
-        if survivors.is_empty() {
-            return Err(NetError::AllAgentsLost {
-                remaining: self.policy.unrecorded(),
-            });
-        }
-        let shards = self.policy.place(seqs, &survivors);
-        for (shard, &target) in shards.iter().zip(&survivors) {
-            // A loss nested in this loop took the target's shard back
-            // and placed it on who is left.
-            if shard.is_empty() || !self.fleet.is_alive(target) {
-                continue;
-            }
-            self.config.emit(Event::ShardSent {
-                agent: target as u32,
-                tasks: shard.len() as u64,
-            });
-            for &seq in shard {
-                self.fleet
-                    .enqueue(target, seq, &self.inputs[(seq - 1) as usize]);
-            }
-            if !self.fleet.pump(&self.reactor, target) {
-                self.handle_loss(target)?;
-            }
-        }
-        Ok(())
+impl Agents for Io<'_> {
+    fn is_alive(&self, agent: usize) -> bool {
+        self.fleet.is_alive(agent)
     }
 
-    /// Declare `idx` lost and place its unrecorded work on survivors.
-    /// Idempotent: a socket hangup and a lease expiry landing in the
-    /// same poll batch re-place once.
-    fn handle_loss(&mut self, idx: usize) -> Result<()> {
-        if !self.fleet.lose(&self.reactor, idx) {
-            return Ok(());
-        }
-        // Everything the agent still holds has no row anywhere, so all
-        // of it runs again.
-        let lost = self.policy.take_lost(idx);
-        self.config.emit(Event::AgentLost {
-            agent: idx as u32,
-            outstanding: lost.len() as u64,
+    fn hand_over(&mut self, agent: usize, shard: &[u64], _from: Option<usize>) -> bool {
+        self.config.emit(Event::ShardSent {
+            agent: agent as u32,
+            tasks: shard.len() as u64,
         });
-        self.place(&lost)
+        for &seq in shard {
+            self.fleet
+                .enqueue(agent, seq, &self.inputs[(seq - 1) as usize]);
+        }
+        self.fleet.pump(&self.reactor, agent)
+    }
+
+    /// Drop the agent's connection; none of `seqs` has a row anywhere,
+    /// so all of them run again.
+    fn lost(&mut self, agent: usize, seqs: &[u64]) {
+        self.fleet.lose(&self.reactor, agent);
+        self.config.emit(Event::AgentLost {
+            agent: agent as u32,
+            outstanding: seqs.len() as u64,
+        });
+    }
+}
+
+impl From<NoAgentAlive> for NetError {
+    fn from(lost: NoAgentAlive) -> NetError {
+        NetError::AllAgentsLost {
+            remaining: lost.remaining,
+        }
     }
 }
 
@@ -229,18 +209,17 @@ pub fn run_driver(
         command: config.command.clone(),
     };
     let fleet = Fleet::connect(&reactor, &config.agents, &hello, config.bus.clone())?;
-    let (policy, first) = DrivePolicy::new(total, fleet.len(), config.dag.as_ref(), &resumed);
+    let (mut policy, first) = DrivePolicy::new(total, fleet.len(), config.dag.as_ref(), &resumed);
     // Rows of seqs past this input list (a longer earlier run) are not
     // this drive's tasks and count nowhere.
     let skipped = total - policy.unrecorded();
-    let mut drive = Drive {
+    let mut io = Io {
         config,
         inputs,
         reactor,
         fleet,
-        policy,
     };
-    drive.place(&first)?;
+    policy.place(&first, &mut io)?;
 
     // -- Dispatch loop: one poll loop over every socket plus the lease
     // tick, all from the same reactor.
@@ -253,26 +232,25 @@ pub fn run_driver(
     let mut release: Vec<u64> = Vec::new();
     let mut done: Vec<TaskDoneRec> = Vec::new();
     let tick = fleet::tick_interval(config.heartbeat_ms);
-    let mut tick_key = drive.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
+    let mut tick_key = io.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
     let mut events: Vec<PollEvent> = Vec::with_capacity(256);
 
-    while drive.policy.unrecorded() > 0 {
-        if !drive.fleet.any_alive() {
+    while policy.unrecorded() > 0 {
+        if !io.fleet.any_alive() {
             return Err(NetError::AllAgentsLost {
-                remaining: drive.policy.unrecorded(),
+                remaining: policy.unrecorded(),
             });
         }
         events.clear();
-        drive
-            .reactor
+        io.reactor
             .poll(&mut events, Some(Duration::from_millis(200)))?;
         for ev in &events {
             let (idx, readable, writable) = match *ev {
                 PollEvent::Timer { token: TOK_TICK } => {
-                    for idx in drive.fleet.expired() {
-                        drive.handle_loss(idx)?;
+                    for idx in io.fleet.expired() {
+                        policy.lose(idx, &mut io)?;
                     }
-                    tick_key = drive.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
+                    tick_key = io.reactor.arm_timer(Instant::now() + tick, TOK_TICK);
                     continue;
                 }
                 PollEvent::Timer { .. } => continue,
@@ -283,22 +261,20 @@ pub fn run_driver(
                     hangup,
                 } => (token, readable || hangup, writable),
             };
-            let down = drive
-                .fleet
-                .io(&drive.reactor, idx, readable, writable, &mut done);
+            let down = io.fleet.io(&io.reactor, idx, readable, writable, &mut done);
             for rec in done.drain(..) {
                 let ok = rec.exitval == 0 && rec.signal == 0;
-                let Some(comp) = drive.policy.record(rec.seq, ok) else {
+                let Some(comp) = policy.record(rec.seq, ok) else {
                     // A re-placed task finished on two agents;
                     // record-once keeps the joblog exact.
                     duplicates += 1;
                     continue;
                 };
-                drive.fleet.credit(idx);
+                io.fleet.credit(idx);
                 completed += 1;
                 failed += u64::from(!ok);
                 if let Some(log) = &mut log {
-                    log.record_row(&rec.row(drive.fleet.name(idx), &render(rec.seq)))?;
+                    log.record_row(&rec.row(io.fleet.name(idx), &render(rec.seq)))?;
                     // Condemned descendants are terminal now: their skip
                     // rows land right after the failing dependency's
                     // row, so the joblog always lists a task's
@@ -313,14 +289,16 @@ pub fn run_driver(
                     cb(completed);
                 }
             }
+            // Idempotent: a hangup and a lease expiry landing in the
+            // same poll batch re-place once.
             if down {
-                drive.handle_loss(idx)?;
+                policy.lose(idx, &mut io)?;
             }
         }
         // Place tasks unblocked in this batch. Only alive agents receive
         // them, so a re-placement after agent death still never ships
         // an unready task.
-        drive.place(&release)?;
+        policy.place(&release, &mut io)?;
         release.clear();
         // One joblog write per poll batch (not per row): complete lines
         // on disk keep `--resume` exact after a driver kill.
@@ -328,12 +306,12 @@ pub fn run_driver(
             log.flush()?;
         }
     }
-    drive.reactor.cancel_timer(tick_key);
+    io.reactor.cancel_timer(tick_key);
 
     // -- Drain. Every seq is recorded by now, so completions landing
     // meanwhile are re-run duplicates and an agent lost here leaves
     // nothing to re-shard.
-    drive.fleet.drain(&mut drive.reactor)?;
+    io.fleet.drain(&mut io.reactor)?;
     if let Some(log) = &mut log {
         log.flush()?;
     }
@@ -345,7 +323,7 @@ pub fn run_driver(
         skipped,
         skipped_dep_failed: skipped_dep,
         duplicates,
-        agents: drive.fleet.stats(),
+        agents: io.fleet.stats(),
         wall: started.elapsed(),
     })
 }

@@ -201,13 +201,6 @@ impl Fleet {
         self.agents.iter().any(|a| a.alive)
     }
 
-    /// Indices of the agents not yet declared lost.
-    pub(crate) fn survivors(&self) -> Vec<usize> {
-        (0..self.agents.len())
-            .filter(|&i| self.is_alive(i))
-            .collect()
-    }
-
     /// Slots across the agents not yet declared lost.
     pub(crate) fn alive_slots(&self) -> usize {
         self.agents

@@ -65,12 +65,6 @@ impl<W> Simulation<W> {
         }
     }
 
-    /// Make room for `additional` more pending events without
-    /// reallocating mid-run.
-    pub fn reserve_events(&mut self, additional: usize) {
-        self.queue.reserve(additional);
-    }
-
     /// Attach a telemetry bus: each fired event emits
     /// [`Event::SimEventFired`] (sim-time + running count) and each
     /// successful [`Simulation::cancel`] emits

@@ -50,11 +50,6 @@ impl<W: 'static> Tokens<W> {
         self.peak_in_use
     }
 
-    /// Number of queued acquisitions.
-    pub fn queue_len(&self) -> usize {
-        self.waiters.len()
-    }
-
     /// Total capacity.
     pub fn capacity(&self) -> u64 {
         self.capacity

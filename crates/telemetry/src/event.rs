@@ -161,41 +161,66 @@ pub enum Event {
     PilotRecovered { sessions: u64, tasks: u64 },
 }
 
+/// The one event-kind table: each variant with its kind string, in
+/// index order. It defines [`Event::KINDS`] and [`Event::kind_index`],
+/// so a variant's index always names its own kind.
+macro_rules! kinds {
+    ($($variant:ident => $kind:literal,)*) => {
+        impl Event {
+            /// Every kind string, indexed by [`Event::kind_index`].
+            pub const KINDS: &'static [&'static str] = &[$($kind),*];
+
+            /// This event's index into [`Event::KINDS`]: a variant match, so
+            /// a counter per kind needs no string lookup.
+            pub fn kind_index(&self) -> usize {
+                enum Index {
+                    $($variant),*
+                }
+                match self {
+                    $(Event::$variant { .. } => Index::$variant as usize),*
+                }
+            }
+        }
+    };
+}
+
+kinds! {
+    Queued => "queued",
+    SlotAcquired => "slot_acquired",
+    Spawned => "spawned",
+    ShellBypass => "shell_bypass",
+    ShFallback => "sh_fallback",
+    Completed => "completed",
+    Retried => "retried",
+    Failed => "failed",
+    SlotOccupancy => "slot_occupancy",
+    QueueDepth => "queue_depth",
+    CollectorBacklog => "collector_backlog",
+    SimEventFired => "sim_event_fired",
+    SimEventCancelled => "sim_event_cancelled",
+    NodeUp => "node_up",
+    Launch => "launch",
+    NodeDown => "node_down",
+    ShardRequeued => "shard_requeued",
+    AgentConnected => "agent_connected",
+    AgentLost => "agent_lost",
+    ShardSent => "shard_sent",
+    FrameBytes => "frame_bytes",
+    SessionOpened => "session_opened",
+    SessionClosed => "session_closed",
+    SubmitRejected => "submit_rejected",
+    TenantShardSent => "tenant_shard_sent",
+    TenantTaskDone => "tenant_task_done",
+    SessionDetached => "session_detached",
+    SessionReattached => "session_reattached",
+    PilotRecovered => "pilot_recovered",
+}
+
 impl Event {
     /// Stable kind string; also the `"type"` field of the JSONL encoding
     /// and the metric key prefix in [`crate::MetricsRegistry`].
     pub fn kind(&self) -> &'static str {
-        match self {
-            Event::Queued { .. } => "queued",
-            Event::SlotAcquired { .. } => "slot_acquired",
-            Event::Spawned { .. } => "spawned",
-            Event::ShellBypass { .. } => "shell_bypass",
-            Event::ShFallback { .. } => "sh_fallback",
-            Event::Completed { .. } => "completed",
-            Event::Retried { .. } => "retried",
-            Event::Failed { .. } => "failed",
-            Event::SlotOccupancy { .. } => "slot_occupancy",
-            Event::QueueDepth { .. } => "queue_depth",
-            Event::CollectorBacklog { .. } => "collector_backlog",
-            Event::SimEventFired { .. } => "sim_event_fired",
-            Event::SimEventCancelled { .. } => "sim_event_cancelled",
-            Event::NodeUp { .. } => "node_up",
-            Event::Launch { .. } => "launch",
-            Event::NodeDown { .. } => "node_down",
-            Event::ShardRequeued { .. } => "shard_requeued",
-            Event::AgentConnected { .. } => "agent_connected",
-            Event::AgentLost { .. } => "agent_lost",
-            Event::ShardSent { .. } => "shard_sent",
-            Event::FrameBytes { .. } => "frame_bytes",
-            Event::SessionOpened { .. } => "session_opened",
-            Event::SessionClosed { .. } => "session_closed",
-            Event::SubmitRejected { .. } => "submit_rejected",
-            Event::TenantShardSent { .. } => "tenant_shard_sent",
-            Event::TenantTaskDone { .. } => "tenant_task_done",
-            Event::SessionDetached { .. } => "session_detached",
-            Event::SessionReattached { .. } => "session_reattached",
-            Event::PilotRecovered { .. } => "pilot_recovered",
-        }
+        Event::KINDS[self.kind_index()]
     }
 
     /// Sequence number for task-lifecycle events, if any.
@@ -468,6 +493,15 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), events.len());
+
+        // One sample per variant: each variant's index names its own
+        // kind, and the table has a row for every variant and no other.
+        let mut indices: Vec<usize> = events.iter().map(Event::kind_index).collect();
+        for e in &events {
+            assert_eq!(Event::KINDS[e.kind_index()], e.kind());
+        }
+        indices.sort_unstable();
+        assert_eq!(indices, (0..Event::KINDS.len()).collect::<Vec<_>>());
     }
 
     #[test]

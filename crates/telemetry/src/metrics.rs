@@ -95,75 +95,6 @@ pub struct MetricsSnapshot {
     pub requeued_tasks: u64,
 }
 
-/// Every kind string, in counter-slot order. Indexed by [`kind_slot`].
-const KINDS: [&str; 29] = [
-    "queued",
-    "slot_acquired",
-    "spawned",
-    "shell_bypass",
-    "sh_fallback",
-    "completed",
-    "retried",
-    "failed",
-    "slot_occupancy",
-    "queue_depth",
-    "collector_backlog",
-    "sim_event_fired",
-    "sim_event_cancelled",
-    "node_up",
-    "launch",
-    "node_down",
-    "shard_requeued",
-    "agent_connected",
-    "agent_lost",
-    "shard_sent",
-    "frame_bytes",
-    "session_opened",
-    "session_closed",
-    "submit_rejected",
-    "tenant_shard_sent",
-    "tenant_task_done",
-    "session_detached",
-    "session_reattached",
-    "pilot_recovered",
-];
-
-/// Counter slot for an event — a direct variant match, so the hot
-/// `record` path never does string lookups.
-fn kind_slot(event: &Event) -> usize {
-    match event {
-        Event::Queued { .. } => 0,
-        Event::SlotAcquired { .. } => 1,
-        Event::Spawned { .. } => 2,
-        Event::ShellBypass { .. } => 3,
-        Event::ShFallback { .. } => 4,
-        Event::Completed { .. } => 5,
-        Event::Retried { .. } => 6,
-        Event::Failed { .. } => 7,
-        Event::SlotOccupancy { .. } => 8,
-        Event::QueueDepth { .. } => 9,
-        Event::CollectorBacklog { .. } => 10,
-        Event::SimEventFired { .. } => 11,
-        Event::SimEventCancelled { .. } => 12,
-        Event::NodeUp { .. } => 13,
-        Event::Launch { .. } => 14,
-        Event::NodeDown { .. } => 15,
-        Event::ShardRequeued { .. } => 16,
-        Event::AgentConnected { .. } => 17,
-        Event::AgentLost { .. } => 18,
-        Event::ShardSent { .. } => 19,
-        Event::FrameBytes { .. } => 20,
-        Event::SessionOpened { .. } => 21,
-        Event::SessionClosed { .. } => 22,
-        Event::SubmitRejected { .. } => 23,
-        Event::TenantShardSent { .. } => 24,
-        Event::TenantTaskDone { .. } => 25,
-        Event::SessionDetached { .. } => 26,
-        Event::SessionReattached { .. } => 27,
-        Event::PilotRecovered { .. } => 28,
-    }
-}
-
 /// Sentinel for "no spawn seen yet" in the first-spawn stamp.
 const NO_SPAWN: u64 = u64::MAX;
 
@@ -184,7 +115,7 @@ const RUNTIME_SHARDS: usize = 8;
 /// concurrent completions off each other's lock).
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: [AtomicU64; KINDS.len()],
+    counters: [AtomicU64; Event::KINDS.len()],
     queue_depth: AtomicUsize,
     slot_busy: AtomicUsize,
     slot_total: AtomicUsize,
@@ -238,7 +169,7 @@ impl MetricsRegistry {
 
     /// Count of events of one kind seen so far.
     pub fn counter(&self, kind: &str) -> u64 {
-        KINDS
+        Event::KINDS
             .iter()
             .position(|k| *k == kind)
             .map(|i| self.counters[i].load(Ordering::Relaxed))
@@ -272,7 +203,7 @@ impl MetricsRegistry {
 
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: KINDS
+            counters: Event::KINDS
                 .iter()
                 .zip(self.counters.iter())
                 .filter_map(|(k, v)| {
@@ -323,7 +254,7 @@ fn rate_over(count: u64, first_ns: u64, last_ns: u64) -> Option<f64> {
 
 impl Sink for MetricsRegistry {
     fn record(&self, at: Duration, event: &Event) {
-        self.counters[kind_slot(event)].fetch_add(1, Ordering::Relaxed);
+        self.counters[event.kind_index()].fetch_add(1, Ordering::Relaxed);
         match event {
             Event::Spawned { .. } => {
                 let ns = at.as_nanos() as u64;

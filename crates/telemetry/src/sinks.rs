@@ -44,11 +44,6 @@ impl Recorder {
             .collect()
     }
 
-    /// Snapshot of captured events with bus-relative timestamps.
-    pub fn timed_events(&self) -> Vec<TimedEvent> {
-        self.captured.lock().expect("recorder poisoned").clone()
-    }
-
     /// Events for one task, in capture order — the job's lifecycle
     /// trajectory (`queued → slot_acquired → spawned → completed`).
     pub fn lifecycle_of(&self, seq: u64) -> Vec<Event> {

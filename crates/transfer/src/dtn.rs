@@ -11,7 +11,6 @@
 //! - **>10× over data transfer protocols used in traditional workflow
 //!   systems** (per-task staging through a central data manager).
 
-use htpar_simkit::Summary;
 use htpar_storage::{Dataset, FairShareLink};
 use serde::{Deserialize, Serialize};
 
@@ -52,11 +51,6 @@ impl DtnConfig {
             nic_bps: mbps_to_bps(10_000.0),
             per_file_secs: 0.005,
         }
-    }
-
-    /// Total concurrent streams.
-    pub fn total_streams(&self) -> u32 {
-        self.nodes * self.streams_per_node
     }
 }
 
@@ -261,16 +255,6 @@ impl MotionComparison {
     pub fn speedup_vs_wms(&self) -> f64 {
         self.wms.elapsed_secs / self.parallel.elapsed_secs
     }
-
-    /// Distribution summary helper for reporting.
-    pub fn summary_row(&self) -> String {
-        format!(
-            "parallel {:>9.0} Mb/s/node | vs sequential {:>6.1}x | vs WMS {:>5.1}x",
-            self.parallel.per_node_mbps,
-            self.speedup_vs_sequential(),
-            self.speedup_vs_wms()
-        )
-    }
 }
 
 /// Scale a petabyte-class population down to a tractable file count while
@@ -288,12 +272,6 @@ pub fn representative_population(seed: u64, files: usize, mean_file_bytes: f64) 
         &Dist::LogNormal { mu, sigma },
         seed,
     )
-}
-
-/// Check helper used by benches/tests: Summary of per-file sizes.
-pub fn size_summary(dataset: &Dataset) -> Summary {
-    let sizes: Vec<f64> = dataset.files.iter().map(|f| f.bytes as f64).collect();
-    Summary::of(&sizes).expect("dataset nonempty")
 }
 
 #[cfg(test)]

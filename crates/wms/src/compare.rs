@@ -223,7 +223,7 @@ pub fn fault_recovery_comparison(nodes: u32, seed: u64) -> FaultRecoveryRow {
         nvme_faults: Vec::new(),
     };
     let detect = FaultConfig::calibrated(seed).detect_delay_secs;
-    let result = faults::run_with_plan(&config, &plan, detect);
+    let result = faults::run_with_plan(&config, &plan, detect, baseline.makespan_secs, None);
     result
         .verify_exactly_once()
         .expect("fault recovery must preserve exactly-once execution");
