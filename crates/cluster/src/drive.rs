@@ -16,15 +16,22 @@ use htpar_core::joblog::LogEntry;
 
 use crate::slurm::driver_shard;
 
-/// Who holds a task.
+/// Who holds a task, in 4 bytes (an enum with a `u32` payload takes 8,
+/// and the table holds one per task): the index of the agent it is
+/// placed on and not yet recorded, or one of two reserved values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owner {
+struct Owner(u32);
+
+impl Owner {
     /// On no agent: not yet released (graphs), placed, or re-placed.
-    Unplaced,
-    /// Placed on this agent and not yet recorded.
-    Agent(u32),
+    const UNPLACED: Owner = Owner(u32::MAX);
     /// Has a joblog row: resumed, completed, or condemned.
-    Recorded,
+    const RECORDED: Owner = Owner(u32::MAX - 1);
+
+    /// Whether the task is placed on an agent and not yet recorded.
+    fn on_agent(self) -> bool {
+        self.0 < Owner::RECORDED.0
+    }
 }
 
 /// One drive's placement, recovery and exactly-once record: an owner
@@ -55,9 +62,9 @@ impl DrivePolicy {
         dag: Option<&Dag>,
         resumed: &HashSet<u64>,
     ) -> (DrivePolicy, Vec<u64>) {
-        let mut owner = vec![Owner::Unplaced; total as usize];
+        let mut owner = vec![Owner::UNPLACED; total as usize];
         for &seq in resumed.iter().filter(|&&seq| (1..=total).contains(&seq)) {
-            owner[seq as usize - 1] = Owner::Recorded;
+            owner[seq as usize - 1] = Owner::RECORDED;
         }
         let mut ready = dag.map(|dag| {
             assert_eq!(dag.len() as u64, total, "the graph must cover every task");
@@ -66,11 +73,11 @@ impl DrivePolicy {
         let first = match ready.as_mut() {
             Some(ready) => ready.take_ready(),
             None => (1..=total)
-                .filter(|&seq| owner[seq as usize - 1] == Owner::Unplaced)
+                .filter(|&seq| owner[seq as usize - 1] == Owner::UNPLACED)
                 .collect(),
         };
         let policy = DrivePolicy {
-            unrecorded: owner.iter().filter(|&&o| o == Owner::Unplaced).count() as u64,
+            unrecorded: owner.iter().filter(|&&o| o == Owner::UNPLACED).count() as u64,
             owner,
             placed: vec![Some(Vec::new()); agents],
             ready,
@@ -97,9 +104,9 @@ impl DrivePolicy {
         let Some(mut lost) = self.placed[agent].take() else {
             return Ok(());
         };
-        lost.retain(|&seq| self.owner[seq as usize - 1] == Owner::Agent(agent as u32));
+        lost.retain(|&seq| self.owner[seq as usize - 1] == Owner(agent as u32));
         for &seq in &lost {
-            self.owner[seq as usize - 1] = Owner::Unplaced;
+            self.owner[seq as usize - 1] = Owner::UNPLACED;
         }
         agents.lost(agent, &lost);
         self.place_from(Some(agent), &lost, agents)
@@ -131,8 +138,8 @@ impl DrivePolicy {
                 .expect("an alive agent is not lost");
             for &seq in &shard {
                 let owner = &mut self.owner[seq as usize - 1];
-                assert_eq!(*owner, Owner::Unplaced, "seq {seq} is already placed");
-                *owner = Owner::Agent(agent as u32);
+                assert_eq!(*owner, Owner::UNPLACED, "seq {seq} is already placed");
+                *owner = Owner(agent as u32);
             }
             spans.push(placed.len()..placed.len() + shard.len());
             placed.append(&mut shard);
@@ -160,15 +167,15 @@ impl DrivePolicy {
         let owner = seq
             .checked_sub(1)
             .and_then(|i| self.owner.get_mut(i as usize))?;
-        if !matches!(owner, Owner::Agent(_)) {
+        if !owner.on_agent() {
             return None;
         }
-        *owner = Owner::Recorded;
+        *owner = Owner::RECORDED;
         self.unrecorded -= 1;
         if let Some(ready) = &mut self.ready {
             ready.complete(seq, ok, &mut self.completion);
             for &seq in &self.completion.newly_skipped {
-                self.owner[seq as usize - 1] = Owner::Recorded;
+                self.owner[seq as usize - 1] = Owner::RECORDED;
                 self.unrecorded -= 1;
             }
         }
@@ -232,5 +239,17 @@ pub fn verify_seqs(seqs: impl IntoIterator<Item = u64>, total: u64) -> Result<()
     match seen.iter().position(|&seen| !seen) {
         Some(i) => Err(format!("seq {} missing from joblog", i + 1)),
         None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_owner_table_takes_four_bytes_per_task() {
+        assert_eq!(std::mem::size_of::<Owner>(), 4);
+        assert!(Owner(0).on_agent() && Owner(Owner::RECORDED.0 - 1).on_agent());
+        assert!(!Owner::RECORDED.on_agent() && !Owner::UNPLACED.on_agent());
     }
 }

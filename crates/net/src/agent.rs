@@ -77,14 +77,20 @@ pub struct AgentReport {
 
 /// Read frames until one materializes; `Ok(None)` means clean EOF.
 /// Blocking — used for handshakes on both sides before sockets go
-/// non-blocking.
-pub(crate) fn read_next(conn: &mut Conn, dec: &mut Decoder) -> Result<Option<Frame>> {
-    let mut buf = [0u8; 64 * 1024];
+/// non-blocking, and by the session client for every frame it waits
+/// on. Reads land in `buf`, which the caller allocates once: a buffer
+/// declared here would be zeroed on every call, a frame already
+/// buffered included.
+pub(crate) fn read_next(
+    conn: &mut Conn,
+    dec: &mut Decoder,
+    buf: &mut [u8],
+) -> Result<Option<Frame>> {
     loop {
         if let Some(frame) = dec.next_frame()? {
             return Ok(Some(frame));
         }
-        match conn.read(&mut buf) {
+        match conn.read(buf) {
             Ok(0) => {
                 return if dec.pending_bytes() == 0 {
                     Ok(None)
@@ -100,6 +106,9 @@ pub(crate) fn read_next(conn: &mut Conn, dec: &mut Decoder) -> Result<Option<Fra
 
 /// How long a dialer waits for its peer's `HelloAck`.
 pub(crate) const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Read buffer for the one frame of a handshake.
+const HANDSHAKE_READ: usize = 4096;
 
 /// Dial `spec`, send the encoded `Hello` and read the `HelloAck`: the
 /// blocking handshake of the fleet's agents and of a session's pilot.
@@ -119,7 +128,7 @@ pub(crate) fn handshake(
     conn.set_read_timeout(Some(deadline))?;
     let mut dec = Decoder::new();
     let fail = |why: String| Err(NetError::Protocol(format!("{spec} {why}")));
-    let (name, slots) = match read_next(&mut conn, &mut dec) {
+    let (name, slots) = match read_next(&mut conn, &mut dec, &mut [0; HANDSHAKE_READ]) {
         Ok(Some(Frame::HelloAck {
             version,
             slots,
@@ -159,7 +168,8 @@ pub fn run_on_conn(mut conn: Conn, name: &str) -> Result<AgentReport> {
     // The driver must speak first, promptly.
     conn.set_read_timeout(Some(HANDSHAKE_DEADLINE))?;
     let mut dec = Decoder::new();
-    let (jobs, heartbeat_ms, payload, command) = match read_next(&mut conn, &mut dec)? {
+    let mut buf = [0; HANDSHAKE_READ];
+    let (jobs, heartbeat_ms, payload, command) = match read_next(&mut conn, &mut dec, &mut buf)? {
         Some(Frame::Hello {
             version,
             jobs,

@@ -69,6 +69,8 @@ pub enum ClientEvent {
 pub struct SessionClient {
     conn: Conn,
     dec: Decoder,
+    /// What each blocking read fills, allocated once per session.
+    read_buf: Box<[u8]>,
     config: SessionConfig,
     /// Total fleet slots the pilot reported in its `HelloAck`.
     pub fleet_slots: u32,
@@ -96,6 +98,7 @@ impl SessionClient {
         Ok(SessionClient {
             conn,
             dec,
+            read_buf: vec![0; 64 * 1024].into_boxed_slice(),
             config,
             fleet_slots,
             next_submit_id: 1,
@@ -136,7 +139,7 @@ impl SessionClient {
         self.conn.write_all(&frame)?;
         self.conn.flush()?;
         loop {
-            match read_next(&mut self.conn, &mut self.dec)? {
+            match read_next(&mut self.conn, &mut self.dec, &mut self.read_buf)? {
                 Some(Frame::SessionAck {
                     submit_id: ack_id,
                     accepted,
@@ -174,7 +177,7 @@ impl SessionClient {
             return Ok(ev);
         }
         loop {
-            match read_next(&mut self.conn, &mut self.dec)? {
+            match read_next(&mut self.conn, &mut self.dec, &mut self.read_buf)? {
                 Some(frame) => {
                     self.buffer_event(frame)?;
                     if let Some(ev) = self.buffered.pop_front() {
@@ -232,7 +235,7 @@ impl SessionClient {
         self.conn.write_all(&frame.encode())?;
         self.conn.flush()?;
         loop {
-            match read_next(&mut self.conn, &mut self.dec)? {
+            match read_next(&mut self.conn, &mut self.dec, &mut self.read_buf)? {
                 Some(Frame::SessionAck {
                     submit_id,
                     accepted,
@@ -271,7 +274,7 @@ impl SessionClient {
         client.conn.write_all(&frame.encode())?;
         client.conn.flush()?;
         loop {
-            match read_next(&mut client.conn, &mut client.dec)? {
+            match read_next(&mut client.conn, &mut client.dec, &mut client.read_buf)? {
                 Some(Frame::ReattachAck {
                     found,
                     submitted,
@@ -356,7 +359,7 @@ mod tests {
                 .unwrap();
             let mut dec = Decoder::new();
             assert!(matches!(
-                read_next(&mut conn, &mut dec).unwrap(),
+                read_next(&mut conn, &mut dec, &mut [0; 4096]).unwrap(),
                 Some(Frame::Hello { .. })
             ));
             let ack = Frame::HelloAck {

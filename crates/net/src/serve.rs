@@ -42,10 +42,14 @@
 //! queueing. Short tasks keep a deep window, so a slot that frees
 //! finds its next task already on the node instead of waiting for a
 //! pilot round trip; long tasks settle at `slots + 1`, so scheduling
-//! decisions stay late. A window that drains goes back to `slots + 1`.
-//! A new tenant waits about `QUEUE_TARGET` behind work already placed
-//! while that work is as short as the work the window was measured on;
-//! long tasks placed while short ones keep a window deep wait longer.
+//! decisions stay late. Every completion checks the measured rate: one
+//! that ran far longer than the rate implies drops the window to
+//! `slots + 1` at once, and it stays there until a completion that is
+//! not long. A window that drains keeps its rate and holds `slots + 1`
+//! tasks until a completion confirms that rate. A new tenant waits
+//! about `QUEUE_TARGET` behind work already placed while that work is as
+//! short as the work the window was measured on, and longer behind long
+//! tasks placed while short ones keep a window deep.
 //!
 //! Guarantees (enforced by `serve_e2e`, `serve_differential`, and the
 //! scheduler property suite):
@@ -338,7 +342,9 @@ struct Placed {
 /// last measured. A newly arrived tenant waits about this long behind
 /// other tenants' work already placed only while that work is about as
 /// long as the tasks the window was measured on: longer tasks placed in
-/// a window sized for short ones hold it for longer.
+/// a window sized for short ones hold it for longer. While a window's
+/// rate is confirmed, a completion shorter than this is never long for
+/// it, so a no-op delayed by a scheduler hiccup keeps it deep.
 const QUEUE_TARGET: Duration = Duration::from_millis(1);
 
 /// Weight of each new sample in an agent's completion-rate average.
@@ -370,8 +376,18 @@ const RTT_HORIZON: Duration = Duration::from_secs(1);
 /// An underfed agent completes about `window / (rtt + task)` tasks per
 /// second, so tasks shorter than the queue target grow the window
 /// geometrically until the agent's slots stay busy; tasks longer than
-/// it settle at `slots + 1`. A new window starts at that floor, and
-/// goes back to it whenever its agent drains. No method reads a clock:
+/// it settle at `slots + 1`. A new window starts at that floor.
+///
+/// Every completion checks the rate. One that is *long* for it (see
+/// [`Window::complete`]) puts the window back at the floor at once,
+/// without waiting for the average to decay, and it stays there until
+/// a completion that is not long confirms the rate again. A window
+/// whose agent drains goes to the floor too, keeping its rate and round
+/// trip, until a completion confirms them. So at most `slots + 1` tasks
+/// of unknown length are placed before a completion shows how long they
+/// are. The rule takes the next tasks on an agent to run about as long
+/// as its last completion: a long one among short ones costs the window
+/// only until the next short one completes. No method reads a clock:
 /// callers pass the time in.
 struct Window {
     slots: u64,
@@ -388,6 +404,9 @@ struct Window {
     since: Option<Instant>,
     /// Completions in the current interval.
     done: u64,
+    /// The last completion was not long for the rate, and the agent has
+    /// not drained since: the rate holds for the tasks now placed.
+    confirmed: bool,
 }
 
 impl Window {
@@ -401,6 +420,7 @@ impl Window {
             rtt: None,
             since: None,
             done: 0,
+            confirmed: false,
         }
     }
 
@@ -423,8 +443,18 @@ impl Window {
     }
 
     /// Take out the task under wire seq `wire`, which ran for `runtime`
-    /// and whose completion arrived at `now` (`None`: a duplicate). A
-    /// probe's round trip is its time out less its runtime.
+    /// and whose completion arrived at `now` (`None`: a duplicate), and
+    /// size the window from the rate it keeps. A probe's round trip is
+    /// its time out less its runtime.
+    ///
+    /// A completion is long for the window if `runtime × rate > 2 × slots`
+    /// (more than twice the time per slot that the rate implies, where a
+    /// busy agent's tasks take about `slots / rate`) and, while the rate
+    /// is confirmed, it ran at least the queue target. An unconfirmed
+    /// rate (after a drain or a long completion) needs no such length: a
+    /// false long there only holds the floor one completion longer. A
+    /// long completion holds the window at `slots + 1`; any other
+    /// confirms the rate and restores the depth it asks for.
     fn complete(&mut self, wire: u64, runtime: Duration, now: Instant) -> Option<QTask> {
         let Placed { task, sent } = self.placed.remove(&wire)?;
         self.done += 1;
@@ -437,6 +467,17 @@ impl Window {
                 self.rtt = Some((rtt, now));
             }
         }
+        let floor = if self.confirmed {
+            QUEUE_TARGET
+        } else {
+            Duration::ZERO
+        };
+        let long = runtime >= floor
+            && self
+                .rate
+                .is_some_and(|rate| runtime.as_secs_f64() * rate > 2.0 * self.slots as f64);
+        self.confirmed = !long;
+        self.limit = self.depth();
         Some(task)
     }
 
@@ -456,22 +497,31 @@ impl Window {
         self.rate = Some(rate);
         self.since = Some(now);
         self.done = 0;
+        self.limit = self.depth();
+    }
+
+    /// The limit the window's rate and round trip ask for: its floor,
+    /// `slots + 1`, while it has no rate or the rate is not confirmed.
+    fn depth(&self) -> u64 {
+        let Some(rate) = self.rate.filter(|_| self.confirmed) else {
+            return self.slots + 1;
+        };
         let rtt = self.rtt.map_or(Duration::ZERO, |(rtt, _)| rtt);
         let ahead = (rate * (rtt + QUEUE_TARGET).as_secs_f64()).ceil().max(1.0) as u64;
         let cap = (SHARD_CHUNK as u64).max(self.slots + 1);
-        self.limit = (self.slots + ahead).min(cap);
+        (self.slots + ahead).min(cap)
     }
 
     /// If the agent holds nothing after a dispatch round, end the
     /// interval without a sample (idle time is not a measure of its
-    /// rate) and put the window back at its floor, so the next busy
-    /// period is sized from its own completions, not from the last one's.
+    /// rate) and put the window at its floor until a completion shows
+    /// that the next busy period's tasks are as short as the last one's.
     fn idle(&mut self) {
         if self.placed.is_empty() {
             self.since = None;
             self.done = 0;
-            self.rate = None;
             self.limit = self.slots + 1;
+            self.confirmed = false;
         }
     }
 }
@@ -1967,50 +2017,76 @@ mod tests {
 
     /// What one agent did under a [`Window`] in [`simulate`].
     struct Run {
-        /// The limit after each measured interval.
-        limits: Vec<u64>,
-        /// Most tasks the agent held at once.
-        peak_held: u64,
+        /// When each interval closed, and the limit it left.
+        limits: Vec<(Duration, u64)>,
+        /// What the agent held after each top-up, and when.
+        held: Vec<(Duration, u64)>,
     }
+
+    impl Run {
+        /// Most tasks the agent held at once.
+        fn peak_held(&self) -> u64 {
+            self.held.iter().map(|&(_, held)| held).max().unwrap_or(0)
+        }
+    }
+
+    /// Work that never runs out, for [`simulate`].
+    const ENDLESS: &[(Duration, u64)] = &[(Duration::ZERO, u64::MAX)];
 
     /// Closed-loop model of one agent under a [`Window`], on synthetic
     /// time: `slots` slots take tasks first come first served, each task
     /// runs `task`, and a frame spends half of `rtt` on the wire each
-    /// way. The pilot tops the window up whenever a completion arrives,
-    /// as `dispatch` does.
-    fn simulate(slots: u32, task: Duration, rtt: Duration, run: Duration) -> Run {
+    /// way. Work reaches the pilot in `bursts` of (when, tasks). The
+    /// pilot tops the window up whenever a burst or a completion
+    /// arrives, and the window drains when it then holds nothing, as
+    /// `dispatch` does.
+    fn simulate(
+        slots: u32,
+        task: Duration,
+        rtt: Duration,
+        run: Duration,
+        bursts: &[(Duration, u64)],
+    ) -> Run {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
         const ARRIVE: u8 = 0;
         const FINISH: u8 = 1;
         const DONE: u8 = 2;
+        const BURST: u8 = 3;
         let t0 = Instant::now();
         let half = rtt / 2;
         let mut window = Window::new(slots);
         let mut idle_slots = u64::from(slots);
         // Wire seqs of the tasks waiting at the agent.
         let mut waiting: VecDeque<u64> = VecDeque::new();
-        // (when, tie-break, what, wire seq), earliest first.
+        // (when, tie-break, what, wire seq or burst size), earliest first.
         let mut events = BinaryHeap::new();
         let mut order = 0u64;
         let mut push = |events: &mut BinaryHeap<_>, at: Duration, what: u8, wire| {
             order += 1;
             events.push(Reverse((at, order, what, wire)));
         };
+        for &(at, tasks) in bursts {
+            push(&mut events, at, BURST, tasks);
+        }
         let mut out = Run {
             limits: Vec::new(),
-            peak_held: 0,
+            held: Vec::new(),
         };
+        // Tasks that reached the pilot and are not placed yet.
+        let mut pending = 0u64;
         let mut wires = 0u64;
-        let mut fill = |window: &mut Window, events: &mut BinaryHeap<_>, at: Duration| {
-            for _ in 0..window.free() {
+        let mut fill = |window: &mut Window, events: &mut BinaryHeap<_>, pending: &mut u64, at| {
+            let n = window.free().min(*pending);
+            *pending -= n;
+            for _ in 0..n {
                 wires += 1;
                 window.place(wires, queued(), t0 + at);
                 push(events, at + half, ARRIVE, wires);
             }
+            window.idle();
         };
-        fill(&mut window, &mut events, Duration::ZERO);
         while let Some(Reverse((at, _, what, wire))) = events.pop() {
             if at > run {
                 break;
@@ -2029,14 +2105,18 @@ mod tests {
                     }
                 }
                 _ => {
-                    let now = t0 + at;
-                    window.complete(wire, task, now).expect("placed");
-                    window.measure(now);
-                    if window.done == 0 {
-                        out.limits.push(window.limit);
+                    if what == BURST {
+                        pending += wire;
+                    } else {
+                        let now = t0 + at;
+                        window.complete(wire, task, now).expect("placed");
+                        window.measure(now);
+                        if window.done == 0 {
+                            out.limits.push((at, window.limit));
+                        }
                     }
-                    fill(&mut window, &mut events, at);
-                    out.peak_held = out.peak_held.max(window.held());
+                    fill(&mut window, &mut events, &mut pending, at);
+                    out.held.push((at, window.held()));
                 }
             }
         }
@@ -2052,17 +2132,18 @@ mod tests {
             Duration::from_micros(5),
             Duration::from_micros(50),
             Duration::from_millis(50),
+            ENDLESS,
         );
         assert!(
-            run.limits[..3].iter().any(|&l| l > 4 * 2),
+            run.limits[..3].iter().any(|&(_, l)| l > 4 * 2),
             "limits {:?}",
             &run.limits[..3]
         );
         // Saturated, the agent completes 400k/s: the window covers the
         // round trip and the queue target of that, and no more.
-        let last = *run.limits.last().expect("measured");
+        let (_, last) = *run.limits.last().expect("measured");
         assert!((400..=480).contains(&last), "settled at {last}");
-        assert!(run.peak_held <= SHARD_CHUNK as u64);
+        assert!(run.peak_held() <= SHARD_CHUNK as u64);
     }
 
     #[test]
@@ -2072,10 +2153,11 @@ mod tests {
             Duration::from_millis(20),
             Duration::from_micros(50),
             Duration::from_secs(1),
+            ENDLESS,
         );
         assert!(run.limits.len() >= 40, "{} intervals", run.limits.len());
-        assert!(run.limits.iter().all(|&l| l == 3), "{:?}", run.limits);
-        assert_eq!(run.peak_held, 3);
+        assert!(run.limits.iter().all(|&(_, l)| l == 3), "{:?}", run.limits);
+        assert_eq!(run.peak_held(), 3);
     }
 
     #[test]
@@ -2084,14 +2166,14 @@ mod tests {
         // must still grow to keep the slot busy through it.
         let rtt = Duration::from_millis(2);
         let task = Duration::from_micros(5);
-        let run = simulate(1, task, rtt, Duration::from_millis(300));
+        let run = simulate(1, task, rtt, Duration::from_millis(300), ENDLESS);
         let rate = 1.0 / task.as_secs_f64();
-        let last = *run.limits.last().expect("measured");
+        let (_, last) = *run.limits.last().expect("measured");
         assert!(
             last as f64 >= rate * rtt.as_secs_f64(),
             "settled at {last}, under rate × rtt"
         );
-        assert!(run.limits.iter().all(|&l| l <= SHARD_CHUNK as u64));
+        assert!(run.limits.iter().all(|&(_, l)| l <= SHARD_CHUNK as u64));
     }
 
     #[test]
@@ -2145,30 +2227,175 @@ mod tests {
         let t0 = Instant::now();
         let ms = Duration::from_millis;
         let mut window = Window::new(1);
-        // Two tasks placed at `at` complete by `at + span`; the pilot
-        // then finds nothing to place and the agent drains.
-        let busy_period = |window: &mut Window, at: Instant, span: Duration| {
+        // Two tasks of `runtime` placed at `at` behind a 1 ms round
+        // trip, one after the other on the one slot; the pilot then
+        // finds nothing to place and the agent drains.
+        let busy_period = |window: &mut Window, at: Instant, runtime: Duration| {
             window.place(1, queued(), at);
             let probe = window.placed[&1].sent.is_some();
             assert!(probe, "first task finds the slot free");
             window.place(2, queued(), at);
-            window.complete(1, Duration::ZERO, at + ms(1));
-            window.complete(2, Duration::ZERO, at + span);
-            window.measure(at + span);
+            window.complete(1, runtime, at + ms(1) + runtime);
+            window.complete(2, runtime, at + ms(2) + 2 * runtime);
+            window.measure(at + ms(2) + 2 * runtime);
             let measured = window.limit;
             window.idle();
             measured
         };
-        let short = busy_period(&mut window, t0, ms(2));
+        let short = busy_period(&mut window, t0, Duration::ZERO);
         assert!(short > 2, "1000/s over 2 ms reaches past slots + 1");
         assert_eq!(window.limit, 2, "drained: back at slots + 1");
         // The idle second between busy periods is in no interval, so a
         // second burst measures what the first did.
-        assert_eq!(busy_period(&mut window, t0 + ms(1000), ms(2)), short);
-        // Long tasks are sized from their own completions alone: had
-        // the short tasks' rate stayed in the average, this would read 3.
-        let long = busy_period(&mut window, t0 + ms(2000), ms(40));
+        assert_eq!(
+            busy_period(&mut window, t0 + ms(1000), Duration::ZERO),
+            short
+        );
+        // 20 ms tasks are long for the rate the short ones measured, so
+        // the window holds its floor through them: had their completions
+        // restored the depth that rate asks for, this would read 3.
+        let long = busy_period(&mut window, t0 + ms(2000), ms(20));
         assert_eq!(long, 2);
+    }
+
+    /// A `-j 2` window measured at 400k completions/s over a 50 µs
+    /// round trip, as no-op tasks leave it: hundreds of tasks deep.
+    fn deep_window(t0: Instant) -> Window {
+        let mut window = Window::new(2);
+        window.rate = Some(400_000.0);
+        window.rtt = Some((Duration::from_micros(50), t0));
+        window.confirmed = true;
+        window.limit = window.depth();
+        assert!(window.limit > 400, "depth {}", window.limit);
+        window
+    }
+
+    #[test]
+    fn a_drained_window_regains_its_depth_on_a_short_first_completion() {
+        let t0 = Instant::now();
+        let us = Duration::from_micros;
+        let mut window = deep_window(t0);
+        let depth = window.limit;
+        window.idle();
+        assert_eq!(window.limit, 3, "drained: slots + 1 until a completion");
+        let at = t0 + Duration::from_millis(100);
+        for wire in 0..3 {
+            window.place(wire, queued(), at);
+        }
+        assert_eq!(window.free(), 0);
+        window.complete(0, us(5), at + us(55));
+        assert_eq!(window.limit, depth, "restored without a measured interval");
+    }
+
+    #[test]
+    fn a_long_first_completion_after_a_drain_holds_the_floor() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut window = deep_window(t0);
+        let depth = window.limit;
+        window.idle();
+        let at = t0 + ms(100);
+        for wire in 0..3 {
+            window.place(wire, queued(), at);
+        }
+        // 20 ms at 400k/s is the time of 8,000 completions.
+        window.complete(0, ms(20), at + ms(21));
+        assert_eq!(window.limit, 3);
+        window.complete(1, ms(20), at + ms(22));
+        assert_eq!(window.limit, 3, "long after long: still the floor");
+        // A short completion confirms the rate again.
+        window.complete(2, Duration::from_micros(5), at + ms(22));
+        assert_eq!(window.limit, depth);
+    }
+
+    #[test]
+    fn a_drained_window_holds_its_floor_on_a_sub_ms_first_completion() {
+        let t0 = Instant::now();
+        let us = Duration::from_micros;
+        let mut window = deep_window(t0);
+        window.idle();
+        let at = t0 + Duration::from_millis(100);
+        for wire in 0..3 {
+            window.place(wire, queued(), at);
+        }
+        // Under the queue target, but 500 µs at 400k/s is the time of
+        // 200 completions: a completion the rate is not confirmed for
+        // has no length to stay under.
+        window.complete(0, us(500), at + us(550));
+        assert_eq!(window.limit, 3);
+        window.complete(1, us(500), at + us(1_050));
+        assert_eq!(window.limit, 3);
+    }
+
+    #[test]
+    fn a_long_completion_while_busy_drops_the_window_at_once() {
+        let t0 = Instant::now();
+        let us = Duration::from_micros;
+        let mut window = deep_window(t0);
+        let depth = window.limit;
+        for wire in 0..depth {
+            window.place(wire, queued(), t0);
+        }
+        window.complete(0, us(5), t0 + us(55));
+        assert_eq!(window.limit, depth);
+        // A 2 ms task among no-ops: 2 ms × 400k/s = 800 > 2 × 2 slots.
+        window.complete(1, us(2_000), t0 + us(2_050));
+        assert_eq!(window.limit, 3, "no waiting for the average to decay");
+        assert_eq!(window.free(), 0, "nothing more until it holds under 3");
+        // The next no-op confirms the rate: one 2 ms task among no-ops
+        // holds the window only until then.
+        window.complete(2, us(5), t0 + us(2_055));
+        assert_eq!(window.limit, depth);
+    }
+
+    #[test]
+    fn a_no_op_just_under_the_queue_target_keeps_the_window() {
+        let t0 = Instant::now();
+        let us = Duration::from_micros;
+        let mut window = deep_window(t0);
+        let depth = window.limit;
+        for wire in 0..depth {
+            window.place(wire, queued(), t0);
+        }
+        // 999 µs at 400k/s is the time of about 400 completions, but
+        // while the rate is confirmed a completion under the queue target
+        // is never long.
+        window.complete(0, QUEUE_TARGET - us(1), t0 + QUEUE_TARGET + us(49));
+        assert_eq!(window.limit, depth);
+        window.complete(1, QUEUE_TARGET, t0 + QUEUE_TARGET + us(50));
+        assert_eq!(window.limit, 3, "at the queue target it is long");
+    }
+
+    #[test]
+    fn a_drained_window_regains_its_depth_within_one_round_trip() {
+        // Two bursts of 5 µs tasks behind a 50 µs round trip, with a
+        // quiet spell between them in which the agent drains.
+        let task = Duration::from_micros(5);
+        let rtt = Duration::from_micros(50);
+        let second = Duration::from_millis(100);
+        let bursts = [(Duration::ZERO, 20_000), (second, 20_000)];
+        let run = simulate(2, task, rtt, Duration::from_millis(200), &bursts);
+        let (_, depth) = *run
+            .limits
+            .iter()
+            .rfind(|&&(at, _)| at < second)
+            .expect("the first burst measured");
+        assert!(depth > 100, "first burst settled at {depth}");
+        // The second burst places `slots + 1`; its first completion
+        // arrives one round trip later and restores the depth at once,
+        // where regrowing from the floor takes several milliseconds.
+        let first_fill = run.held.iter().find(|&&(at, _)| at >= second);
+        assert_eq!(first_fill, Some(&(second, 3)));
+        let reached = run
+            .held
+            .iter()
+            .find(|&&(at, held)| at >= second && held >= depth)
+            .map(|&(at, _)| at - second)
+            .expect("the second burst reached its depth");
+        assert!(
+            reached <= rtt + task,
+            "depth {depth} reached after {reached:?}"
+        );
     }
 
     #[test]

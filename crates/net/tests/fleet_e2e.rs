@@ -2,13 +2,13 @@
 //! in-process agents: agents lost inside a reshard, the slots an agent
 //! grants at `-j 0`, the lease sweep reclaiming the work of an agent
 //! that handshakes and then goes silent, and the pilot's in-flight
-//! windows over short tasks, long tasks, a drain between them and a
-//! slow link, and the order in which `--scheduler fifo` and
-//! `--scheduler priority` start the tasks of several tenants. Each
-//! failure mode hangs rather than fails, so every scenario runs under a
-//! deadline.
+//! windows over short tasks, long tasks, a drain between them, short
+//! sessions after a long one and a slow link, and the order in which
+//! `--scheduler fifo` and `--scheduler priority` start the tasks of
+//! several tenants. Each failure mode hangs rather than fails, so every
+//! scenario runs under a deadline.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -260,8 +260,13 @@ struct SessionRun {
     /// Most tasks the pilot reported in flight (`SlotOccupancy.busy`)
     /// while the session ran.
     peak_busy: usize,
+    /// Tasks the pilot placed in its first shard after the session's
+    /// first completion (0 if it placed none).
+    first_top_up: u64,
     /// Agents named in the session's joblog rows.
     hosts: BTreeSet<String>,
+    /// The session's joblog rows per agent.
+    rows: BTreeMap<String, u64>,
 }
 
 /// Run `sessions` (payload, task count) one after another through one
@@ -333,18 +338,27 @@ fn run_sessions(
         link.join().expect("link thread");
     }
 
-    // Sessions run one at a time, so each occupancy sample belongs to
-    // the session opened last.
+    // Sessions run one at a time, so each occupancy sample and shard
+    // belongs to the session opened last.
     let mut peaks = vec![0; sessions.len()];
+    let mut top_ups = vec![None; sessions.len()];
     let mut opened = 0;
+    let mut completed = false;
     for event in recorder.events() {
         match event {
-            Event::SessionOpened { .. } => opened += 1,
+            Event::SessionOpened { .. } => {
+                opened += 1;
+                completed = false;
+            }
             Event::SlotOccupancy { busy, total } => {
                 assert!(busy <= total, "busy {busy} over total {total}");
                 if opened > 0 {
                     peaks[opened - 1] = peaks[opened - 1].max(busy);
                 }
+            }
+            Event::TenantTaskDone { .. } => completed = true,
+            Event::TenantShardSent { tasks, .. } if completed => {
+                top_ups[opened - 1].get_or_insert(tasks);
             }
             _ => {}
         }
@@ -352,14 +366,21 @@ fn run_sessions(
     assert_eq!(opened, sessions.len());
     let runs = peaks
         .into_iter()
+        .zip(top_ups)
         .enumerate()
-        .map(|(k, peak_busy)| {
+        .map(|(k, (peak_busy, first_top_up))| {
             let log = log_dir.join(format!("{}.joblog", tenant(k)));
             let entries = joblog::read_log(log).expect("tenant joblog");
             verify_exactly_once(&entries, sessions[k].1).expect("one row per seq");
+            let mut rows = BTreeMap::new();
+            for entry in entries {
+                *rows.entry(entry.host).or_insert(0) += 1;
+            }
             SessionRun {
                 peak_busy,
-                hosts: entries.into_iter().map(|e| e.host).collect(),
+                first_top_up: first_top_up.unwrap_or(0),
+                hosts: rows.keys().cloned().collect(),
+                rows,
             }
         })
         .collect();
@@ -460,6 +481,61 @@ fn pilot_window_restarts_from_its_floor_after_a_drain() {
         runs[1].hosts,
         BTreeSet::from(["a0".to_string(), "a1".to_string()]),
         "20 ms tasks ran on one agent"
+    );
+}
+
+/// Tasks under the queue target but far longer than the no-ops a window
+/// was measured on start again from `slots + 1` after a drain too: the
+/// first of them to complete shows their length, so the 40 tasks of
+/// 500 µs spread over both agents. A window that took a first
+/// completion under the queue target as confirming its no-op rate
+/// placed the other 34 on the agent that completed first, while the
+/// other agent ran only its floor of 3.
+#[test]
+fn pilot_window_restarts_from_its_floor_for_sub_ms_tasks() {
+    let runs = within(Duration::from_secs(120), || {
+        run_sessions(
+            "submillisecond",
+            None,
+            &[(Payload::Noop, 20_000), (Payload::SleepUs(500), 40)],
+        )
+    });
+    assert!(runs[0].peak_busy > 16, "no-op windows never grew");
+    let rows = &runs[1].rows;
+    assert!(
+        rows.len() == 2 && rows.values().all(|&n| n >= 8),
+        "500 µs tasks per agent {rows:?}"
+    );
+}
+
+/// A drained window keeps the rate it measured: after a long no-op
+/// session, each short one starts at `slots + 1` per agent, regains the
+/// depth the no-ops measured at its first completion, and puts more
+/// than 16 of its 100 tasks in flight. A window that forgot its rate
+/// regrows only through measured intervals of at least a millisecond,
+/// so the first shard after a session's first completion replaces no
+/// more than the tasks that completed. In a debug build the sessions
+/// last long enough for such intervals, so the peaks alone do not tell
+/// the two apart; the first shards do.
+#[test]
+fn pilot_windows_restart_warm_after_a_drain() {
+    let mut sessions = vec![(Payload::Noop, 20_000)];
+    sessions.extend([(Payload::Noop, 100); 20]);
+    let runs = within(Duration::from_secs(120), move || {
+        run_sessions("warm", None, &sessions)
+    });
+    assert!(runs[0].peak_busy > 16, "no-op windows never grew");
+    let later = &runs[1..];
+    let peaks: Vec<usize> = later.iter().map(|run| run.peak_busy).collect();
+    let deep = peaks.iter().filter(|&&peak| peak > 16).count();
+    assert!(deep > later.len() / 2, "peaks in flight {peaks:?}");
+    // A first shard that only replaces completed tasks holds at most
+    // the two agents' floors, 3 each.
+    let top_ups: Vec<u64> = later.iter().map(|run| run.first_top_up).collect();
+    let warm = top_ups.iter().filter(|&&tasks| tasks > 6).count();
+    assert!(
+        warm > later.len() / 2,
+        "first shards after a completion {top_ups:?}"
     );
 }
 
